@@ -26,7 +26,7 @@ from .kernel import KernelPositivityError, transition_kernel
 from .ldp import (Ball, BoundaryPatch, StaticExperiment, phase_transition_scan,
                   sliced_ldp, static_ldp)
 from .quadrature import QuadratureError, QuadratureSpec
-from .simulate import SimConfig, TabulationError, simulate_batch_threaded
+from .simulate import SimConfig, TabulationError, simulate_batch
 from .transport import (DiscreteMeasure, TransportConvergenceError,
                         displacement_interpolation, gamma_limit_experiment,
                         kantorovich, schrodinger)
@@ -191,7 +191,7 @@ def _cmd_simulate(args) -> int:
     x0 = _parse_point(args.x)
     cfg = SimConfig(params, x0, args.step, args.n_steps, args.seed,
                     tabulation_resolution=args.resolution)
-    batch = simulate_batch_threaded(cfg, args.n_paths, threads=args.threads)
+    batch = simulate_batch(cfg, args.n_paths)
     csv_path, json_path = _outputs(args, "simulate")
     rows = []
     for p in range(args.n_paths):
@@ -213,7 +213,7 @@ def _cmd_ldp_static(args) -> int:
     exp = StaticExperiment(params, _parse_point(args.x), _parse_target(args.target),
                            _parse_floats(args.epsilons), method=args.method,
                            n_paths=args.n_paths)
-    est = static_ldp(exp, spec, seed=args.seed, threads=args.threads)
+    est = static_ldp(exp, spec, seed=args.seed)
     csv_path, json_path = _outputs(args, "ldp-static")
     rows = [[eps, p, math.log(p), s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
     rows.append(["summary", est.extrapolated_rate, est.reference_rate, est.beta])
@@ -354,8 +354,6 @@ def _cmd_interpolate(args) -> int:
 def _add_common(sub, model=True):
     sub.add_argument("--output", "-o", default=".", help="output directory")
     sub.add_argument("--seed", type=int, default=0, help="seed for stochastic outputs")
-    sub.add_argument("--threads", type=int, default=os.cpu_count(),
-                     help="worker parallelism (experiments are deterministic regardless)")
     sub.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
                      help="quadrature relative tolerance")
     sub.add_argument("--quad-subdiv", type=int, default=20, dest="quad_subdiv",

@@ -223,36 +223,42 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float,
     boundary layers sit at panel ends.  With ``endpoint_substitution`` the
     singular end m -> 0 is mapped through ``u = 1/m`` and integrated over the
     half-line; the computed tail is checked against the closed-form decay
-    envelope.
+    envelope.  A quadrature failure is re-raised as :class:`QuadratureError`
+    naming ``a``, ``theta``, ``t``, ``s`` and ``v``.
     """
     if t <= 0:
         raise ValueError("log_sticky_integral needs t > 0")
     th = params.theta
-    log_f = _sticky_log_integrand_m(params, t, s, v)
-    peak = _sticky_peak_m(log_f)
-    log_th_t = math.log(th * t)
+    try:
+        log_f = _sticky_log_integrand_m(params, t, s, v)
+        peak = _sticky_peak_m(log_f)
+        log_th_t = math.log(th * t)
 
-    if not spec.endpoint_substitution:
-        return log_th_t + log_integrate(log_f, 0.0, 1.0, spec, split_points=(peak,))
+        if not spec.endpoint_substitution:
+            return log_th_t + log_integrate(log_f, 0.0, 1.0, spec, split_points=(peak,))
 
-    delta = min(0.25, peak / 4.0)
-    main = log_integrate(log_f, delta, 1.0, spec, split_points=(peak,))
-    envelope = sticky_tail_log_envelope(params, t, s, delta)
-    if envelope <= main + math.log(spec.relative_tolerance) - 3.0:
-        # The analytic envelope already proves the substituted tail
-        # negligible at the requested tolerance.
-        return log_th_t + main
+        delta = min(0.25, peak / 4.0)
+        main = log_integrate(log_f, delta, 1.0, spec, split_points=(peak,))
+        envelope = sticky_tail_log_envelope(params, t, s, delta)
+        if envelope <= main + math.log(spec.relative_tolerance) - 3.0:
+            # The analytic envelope already proves the substituted tail
+            # negligible at the requested tolerance.
+            return log_th_t + main
 
-    def log_f_u(u):
-        u = np.asarray(u, dtype=float)
-        return log_f(1.0 / u) - 2.0 * np.log(u)
+        def log_f_u(u):
+            u = np.asarray(u, dtype=float)
+            return log_f(1.0 / u) - 2.0 * np.log(u)
 
-    beta = (th * t + s) ** 2 / (2.0 * t)
-    tail = log_integrate_halfline(log_f_u, 1.0 / delta, spec, scale=1.0 / beta)
-    if tail > envelope + 1e-6:
+        beta = (th * t + s) ** 2 / (2.0 * t)
+        tail = log_integrate_halfline(log_f_u, 1.0 / delta, spec, scale=1.0 / beta)
+        if tail > envelope + 1e-6:
+            raise QuadratureError(
+                f"computed local-time tail {tail:.6g} exceeds its analytic envelope {envelope:.6g}")
+        return log_th_t + np.logaddexp(main, tail)
+    except QuadratureError as exc:
         raise QuadratureError(
-            f"computed local-time tail {tail:.6g} exceeds its analytic envelope {envelope:.6g}")
-    return log_th_t + np.logaddexp(main, tail)
+            f"sticky integral at a={params.a!r}, theta={th!r}, t={t!r}, s={s!r}, "
+            f"v={v!r}: {exc}") from exc
 
 
 def sticky_tail_log_envelope(params: ModelParams, t: float, s: float, delta: float) -> float:

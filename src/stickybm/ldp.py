@@ -23,7 +23,7 @@ from .geometry import HalfSpacePoint, ModelParams, cost
 from .kernel import log_boundary_density, log_interior_density
 from .quadrature import QuadratureSpec, gauss_legendre
 from .simulate import (_X1_QUANTUM, SimConfig, _draw_horizontal, _path_rng,
-                       increment_tables, simulate_batch_threaded)
+                       increment_tables, simulate_batch)
 
 __all__ = [
     "Ball",
@@ -301,8 +301,7 @@ def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target,
 # Static LDP
 # ---------------------------------------------------------------------------
 
-def static_ldp(exp: StaticExperiment, spec: QuadratureSpec, seed: int = 0,
-               threads: int = 1) -> LdpEstimate:
+def static_ldp(exp: StaticExperiment, spec: QuadratureSpec, seed: int = 0) -> LdpEstimate:
     """Probabilities per epsilon, slope extraction, and the reference rate."""
     params = exp.params
     used_eps, scaled, probs, wilsons, dropped = [], [], [], [], []
@@ -318,7 +317,7 @@ def static_ldp(exp: StaticExperiment, spec: QuadratureSpec, seed: int = 0,
             wilsons.append((math.nan, math.nan))
         else:
             cfg = SimConfig(params, exp.x, eps, 1, seed=seed + i, tabulation_resolution=512)
-            batch = simulate_batch_threaded(cfg, exp.n_paths, threads=threads)
+            batch = simulate_batch(cfg, exp.n_paths)
             inside = exp.target.contains(batch.x1[:, -1], batch.xp[:, -1, :])
             hits = int(np.sum(inside))
             if hits == 0:

@@ -17,7 +17,6 @@ oracle.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +37,6 @@ __all__ = [
     "step_vertical",
     "simulate",
     "simulate_batch",
-    "simulate_batch_threaded",
     "simulate_many",
     "sample_increments",
     "horizontal_cdf",
@@ -207,7 +205,6 @@ def _build_tables(x1: float, dt: float, theta: float, k: int) -> IncrementTables
 
 
 _TABLE_CACHE: OrderedDict = OrderedDict()
-_TABLE_LOCK = threading.Lock()
 _TABLE_CACHE_MAX = 50000
 
 
@@ -217,23 +214,16 @@ def increment_tables(params: ModelParams, x1: float, dt: float,
 
     Quantizing the start to a 1e-4 grid keeps the per-step cost amortized;
     the sampled law is then exactly the law started from the quantized
-    point.  Reads are lock-free for present keys; insertion is exclusive
-    (single writer under a lock).
+    point.
     """
     x1q = round(x1 / _X1_QUANTUM) * _X1_QUANTUM
     key = (round(x1 / _X1_QUANTUM), float(dt), float(params.theta), int(resolution))
     tables = _TABLE_CACHE.get(key)
-    if tables is not None:
-        return tables
-    built = _build_tables(x1q, dt, params.theta, resolution)
-    with _TABLE_LOCK:
-        existing = _TABLE_CACHE.get(key)
-        if existing is not None:
-            return existing
-        _TABLE_CACHE[key] = built
+    if tables is None:
+        tables = _TABLE_CACHE[key] = _build_tables(x1q, dt, params.theta, resolution)
         if len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
             _TABLE_CACHE.popitem(last=False)
-    return built
+    return tables
 
 
 def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 1024):
@@ -423,30 +413,6 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
 
     times = dt * np.arange(n + 1)
     return BatchPaths(times, x1, xp, occ, params.theta)
-
-
-def simulate_batch_threaded(config: SimConfig, n_paths: int, threads: int = 1,
-                            first_index: int = 0) -> BatchPaths:
-    """Thread the batch over path chunks; identical output for any thread count.
-
-    Paths own their streams, so chunking only changes execution order; the
-    table cache supports concurrent reads with single-writer insertion.
-    """
-    if threads is None or threads <= 1 or n_paths < 2 * (threads or 1):
-        return simulate_batch(config, n_paths, first_index=first_index)
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-    jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda j: simulate_batch(config, j[1] - j[0], first_index=first_index + j[0]),
-            jobs))
-    return BatchPaths(parts[0].times,
-                      np.concatenate([p.x1 for p in parts], axis=0),
-                      np.concatenate([p.xp for p in parts], axis=0),
-                      np.concatenate([p.occupation_time for p in parts], axis=0),
-                      config.params.theta)
 
 
 def simulate(config: SimConfig, path_index: int = 0) -> SamplePath:

@@ -1,10 +1,9 @@
 """Discrete optimal transport with the intrinsic sticky cost.
 
-Exact Kantorovich plans (Hungarian assignment for uniform equal-size
-marginals, dense transportation simplex with Bland's rule otherwise),
-entropic plans by log-domain Sinkhorn against the sticky transition kernel
-at horizon eps, the entropic-to-deterministic gap experiment, and
-displacement interpolation along the explicit geodesics.
+Exact Kantorovich plans (the transportation linear program, solved by the
+HiGHS dual simplex), entropic plans by log-domain Sinkhorn against the
+sticky transition kernel at horizon eps, the entropic-to-deterministic gap
+experiment, and displacement interpolation along the explicit geodesics.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from .geometry import HalfSpacePoint, ModelParams, cost_batch, geodesic
 from .kernel import log_mu_density
@@ -75,10 +75,6 @@ class DiscreteMeasure:
     def xp(self) -> np.ndarray:
         return np.array([p.xp for p in self.atoms])
 
-    def is_uniform(self) -> bool:
-        w = np.asarray(self.weights)
-        return bool(np.all(np.abs(w - 1.0 / len(w)) <= 1e-12))
-
 
 @dataclass(frozen=True)
 class TransportPlan:
@@ -108,154 +104,34 @@ def cost_matrix(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure)
 
 
 # ---------------------------------------------------------------------------
-# Exact solver: transportation simplex with Bland's rule
+# Exact solver: HiGHS dual simplex
 # ---------------------------------------------------------------------------
-
-def _northwest_basis(a: np.ndarray, b: np.ndarray):
-    """Northwest-corner starting flow; always returns a spanning-tree basis."""
-    n, m = a.size, b.size
-    flow = np.zeros((n, m))
-    basis = []
-    supply = a.copy()
-    demand = b.copy()
-    i = j = 0
-    while i < n and j < m:
-        q = min(supply[i], demand[j])
-        flow[i, j] = q
-        basis.append((i, j))
-        supply[i] -= q
-        demand[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
-        # On ties advance only one index, recording a degenerate zero cell.
-        if supply[i] <= demand[j] and i < n - 1:
-            i += 1
-        else:
-            j += 1
-    return flow, basis
-
-
-def _tree_duals(costm, basis, n, m):
-    """Solve u_i + v_j = C_ij on the basis tree (u_0 = 0)."""
-    adj = [[] for _ in range(n + m)]
-    for (i, j) in basis:
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-    pot = np.full(n + m, np.nan)
-    pot[0] = 0.0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nb in adj[node]:
-            if np.isnan(pot[nb]):
-                if node < n:
-                    pot[nb] = costm[node, nb - n] - pot[node]
-                else:
-                    pot[nb] = costm[nb, node - n] - pot[node]
-                stack.append(nb)
-    if np.isnan(pot).any():
-        raise RuntimeError("basis is not a spanning tree")
-    return pot[:n], pot[n:]
-
-
-def _basis_cycle(basis, enter, n):
-    """Alternating cycle created by the entering cell, as a cell sequence."""
-    i0, j0 = enter
-    adj = {}
-    for (i, j) in basis:
-        adj.setdefault(i, []).append(n + j)
-        adj.setdefault(n + j, []).append(i)
-    # path from row i0 to col j0 through the tree
-    parent = {i0: None}
-    stack = [i0]
-    while stack:
-        node = stack.pop()
-        if node == n + j0:
-            break
-        for nb in adj.get(node, ()):
-            if nb not in parent:
-                parent[nb] = node
-                stack.append(nb)
-    path = [n + j0]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()          # i0 ... j0 as node ids
-    cells = [enter]
-    for u, v in zip(path, path[1:]):
-        if u < n:
-            cells.append((u, v - n))
-        else:
-            cells.append((v, u - n))
-    return cells            # cells[0] = entering (+), then alternating -,+,...
-
-
-def _transportation_simplex(costm: np.ndarray, a: np.ndarray, b: np.ndarray,
-                            flow=None, basis=None, max_pivots: int = 200000):
-    """Dense transportation simplex; returns (flow, (u, v) duals).
-
-    Bland's smallest-index rule on both the entering and leaving choices
-    prevents cycling through the degenerate bases that uniform instances
-    produce.
-    """
-    n, m = costm.shape
-    if flow is None or basis is None:
-        flow, basis = _northwest_basis(a, b)
-    basis = list(basis)
-    for _ in range(max_pivots):
-        u, v = _tree_duals(costm, basis, n, m)
-        red = costm - u[:, None] - v[None, :]
-        in_basis = np.zeros((n, m), dtype=bool)
-        rows, cols = zip(*basis)
-        in_basis[list(rows), list(cols)] = True
-        cand = np.argwhere((red < -1e-11) & (~in_basis))
-        if cand.size == 0:
-            return flow, (u, v)
-        enter = tuple(cand[np.lexsort((cand[:, 1], cand[:, 0]))][0])
-        cells = _basis_cycle(basis, enter, n)
-        minus = cells[1::2]
-        theta = min(flow[c] for c in minus)
-        leave = min((c for c in minus if flow[c] == theta))
-        for k, c in enumerate(cells):
-            flow[c] += theta if k % 2 == 0 else -theta
-        flow[leave] = 0.0
-        basis.remove(leave)
-        basis.append(enter)
-    raise RuntimeError("transportation simplex did not terminate")
-
-
-def _assignment_basis(sigma: np.ndarray):
-    """Spanning-tree basis containing the permutation cells (caterpillar)."""
-    n = sigma.size
-    basis = [(i, int(sigma[i])) for i in range(n)]
-    basis += [(i, int(sigma[i + 1])) for i in range(n - 1)]
-    return basis
-
 
 def kantorovich(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> TransportPlan:
     """Exact optimal plan for the intrinsic cost.
 
-    Uniform equal-size marginals are solved by the Hungarian method and the
-    plan's spanning-tree completion is handed to the simplex, which then
-    only performs degenerate pivots to produce feasible dual potentials;
-    general weights run the transportation simplex from a northwest-corner
-    start.
+    Solves the transportation linear program, with one equality row per
+    source and per target marginal, by the HiGHS dual simplex.  The plan is a
+    basic solution, so uniform equal-size marginals give a permutation plan
+    with entries 1/n.  ``dual_potentials`` are the equality multipliers
+    ``(u, v)``, with ``u_i + v_j <= C_ij`` and equality on the plan's support.
+    Raises ``RuntimeError`` with the solver's message if HiGHS fails.
     """
     if mu0.size > _MAX_ATOMS or mu1.size > _MAX_ATOMS:
         raise ValueError(f"instances are limited to {_MAX_ATOMS} atoms per side")
     costm = cost_matrix(params, mu0, mu1)
-    a = np.asarray(mu0.weights)
-    b = np.asarray(mu1.weights)
-    if mu0.size == mu1.size and mu0.is_uniform() and mu1.is_uniform():
-        _, sigma = linear_sum_assignment(costm)
-        n = mu0.size
-        flow = np.zeros_like(costm)
-        flow[np.arange(n), sigma] = 1.0 / n
-        flow, (u, v) = _transportation_simplex(costm, a, b, flow=flow,
-                                               basis=_assignment_basis(sigma))
-    else:
-        flow, (u, v) = _transportation_simplex(costm, a, b)
+    n, m = costm.shape
+    rows = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
+    cols = np.tile(np.arange(n * m), 2)
+    a_eq = coo_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m)).tocsr()
+    res = linprog(costm.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu0.weights, mu1.weights]),
+                  bounds=(0, None), method="highs-ds")
+    if res.status != 0:
+        raise RuntimeError(f"exact transport solve failed: {res.message}")
+    flow = res.x.reshape(n, m)
+    duals = res.eqlin.marginals
     value = float(np.sum(flow * costm))
-    return TransportPlan(flow, value, mu0, mu1, dual_potentials=(u, v))
+    return TransportPlan(flow, value, mu0, mu1, dual_potentials=(duals[:n], duals[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +252,8 @@ def gamma_limit_experiment(params: ModelParams, spec: QuadratureSpec,
 
     Reports the gap per eps, whether the gap shrinks monotonically toward
     the smallest eps, and the coefficient of an ``eps log(1/eps)`` fit to
-    the gaps.
+    the gaps.  Raises :class:`TransportConvergenceError` when Sinkhorn fails
+    at every eps, since there is then no gap to fit.
     """
     eps_list = sorted((float(e) for e in epsilons), reverse=True)
     if eps_list[-1] < 1e-3:
@@ -384,14 +261,20 @@ def gamma_limit_experiment(params: ModelParams, spec: QuadratureSpec,
     exact = kantorovich(params, mu0, mu1)
     rows = []
     failed = []
+    errors = []
     for eps in eps_list:
         try:
             plan = schrodinger(params, spec, eps, mu0, mu1, max_iter=max_iter, tol=tol)
-        except TransportConvergenceError:
+        except TransportConvergenceError as exc:
             failed.append(eps)
+            errors.append(exc.marginal_error)
             continue
         rows.append(GammaRow(eps, plan.cost_value, plan.log_normalization,
                              abs(plan.cost_value - exact.cost_value), plan.iterations))
+    if not rows:
+        raise TransportConvergenceError(
+            f"Sinkhorn did not converge at any epsilon {failed}; no gap to fit "
+            f"(smallest marginal error {min(errors):.3e})", min(errors))
     gaps = np.array([r.gap for r in rows])
     eps_used = np.array([r.epsilon for r in rows])
     design = (eps_used * np.log(1.0 / eps_used))[:, None]

@@ -1,10 +1,15 @@
 import csv
+import functools
 import json
 import os
 
 import pytest
 
+import stickybm.cli
+import stickybm.kernel
 from stickybm.cli import main
+from stickybm.quadrature import QuadratureError
+from stickybm.transport import gamma_limit_experiment
 
 
 def run(tmp_path, *argv):
@@ -81,6 +86,17 @@ class TestSimulateCli:
 
 
 class TestKernelCli:
+    def test_quadrature_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("tolerance not met")
+
+        monkeypatch.setattr(stickybm.kernel, "log_integrate", fail)
+        code = run(tmp_path, "kernel", "--a", "1", "--theta", "1", "--t", "1",
+                   "--x", "0,0", "--grid", "2")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and "theta=1.0" in err
+
     def test_grid_mass(self, tmp_path, capsys):
         code = run(tmp_path, "kernel", "--a", "1", "--theta", "1", "--t", "1",
                    "--x", "0,0", "--grid", "64")
@@ -117,6 +133,20 @@ class TestTransportCli:
         capsys.readouterr()
         summary = json.loads((tmp_path / "sinkhorn.json").read_text())
         assert float(summary["marginal_error"]) < 1e-9
+
+    def test_gamma_limit_without_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        mu0 = tmp_path / "mu0.csv"
+        mu1 = tmp_path / "mu1.csv"
+        mu0.write_text("x1,xp1,weight\n" + "".join(f"0,{0.25 * i},0.125\n" for i in range(8)))
+        mu1.write_text("x1,xp1,weight\n"
+                       + "".join(f"0,{1.0 + 0.25 * i},0.125\n" for i in range(8)))
+        monkeypatch.setattr(stickybm.cli, "gamma_limit_experiment",
+                            functools.partial(gamma_limit_experiment, max_iter=3))
+        code = run(tmp_path, "gamma-limit", "--a", "4", "--theta", "1", "--mu0", str(mu0),
+                   "--mu1", str(mu1), "--epsilons", "0.04,0.02,0.01", "--tol", "1e-12")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: numerical:")
+        assert not (tmp_path / "gamma-limit.json").exists()
 
     def test_interpolate(self, tmp_path, capsys, measures):
         mu0, mu1 = measures

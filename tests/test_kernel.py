@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import stickybm.kernel
 from stickybm.geometry import HalfSpacePoint, ModelParams, cost
 from stickybm.kernel import (
     bivariate_density,
@@ -22,7 +23,8 @@ from stickybm.kernel import (
     _sticky_log_grid,
     _sticky_log_integrand_m,
 )
-from stickybm.quadrature import QuadratureSpec, log_integrate, log_integrate_halfline
+from stickybm.quadrature import (QuadratureError, QuadratureSpec, log_integrate,
+                                 log_integrate_halfline)
 
 from oracles import fixed_gauss_legendre_integral
 
@@ -319,6 +321,20 @@ class TestTailEnvelope:
             for j, v in enumerate(v_vals):
                 assert grid[i, j] == pytest.approx(
                     log_sticky_integral(params, SPEC, t, float(s), float(v)), abs=1e-9)
+
+
+class TestQuadratureFailure:
+    def test_error_names_the_evaluation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("tolerance not met")
+
+        monkeypatch.setattr(stickybm.kernel, "log_integrate", fail)
+        with pytest.raises(QuadratureError) as err:
+            log_sticky_integral(ModelParams(2.0, 1.5), SPEC, 0.25, 0.5, 0.75)
+        msg = str(err.value)
+        for part in ("a=2.0", "theta=1.5", "t=0.25", "s=0.5", "v=0.75", "tolerance not met"):
+            assert part in msg
+        assert isinstance(err.value.__cause__, QuadratureError)
 
 
 class TestChapmanKolmogorov:

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import stickybm.transport
 from stickybm.geometry import HalfSpacePoint, ModelParams, cost, geodesic
 from stickybm.quadrature import QuadratureSpec
 from stickybm.transport import (
@@ -34,10 +36,6 @@ class TestDiscreteMeasure:
             DiscreteMeasure((P(0.0, 0.0),), (0.9,))
         with pytest.raises(ValueError):
             DiscreteMeasure((P(0.0, 0.0), P(1.0, 0.0)), (1.5, -0.5))
-
-    def test_uniform_detection(self):
-        assert uniform(P(0.0, 0.0), P(1.0, 0.0)).is_uniform()
-        assert not DiscreteMeasure((P(0.0, 0.0), P(1.0, 0.0)), (0.25, 0.75)).is_uniform()
 
 
 class TestKantorovich:
@@ -74,6 +72,10 @@ class TestKantorovich:
             plan = kantorovich(params, mu0, mu1)
             bf = enumerate_assignment_value(cost_matrix(params, mu0, mu1))
             assert plan.cost_value == pytest.approx(bf, rel=1e-12)
+            # a permutation plan: displacement interpolation then emits one
+            # atom per source atom
+            for row in plan.matrix:
+                assert list(row[row > 0]) == [1.0 / n]
 
     def test_general_weights_match_enumeration(self):
         rng = np.random.default_rng(5)
@@ -90,7 +92,7 @@ class TestKantorovich:
             plan = kantorovich(params, mu0, mu1)
             bf = enumerate_transport_value(cost_matrix(params, mu0, mu1), supplies, demands)
             assert plan.cost_value == pytest.approx(bf, rel=1e-12)
-            assert plan.marginal_defect() <= 1e-9
+            assert plan.marginal_defect() <= 1e-12
 
     def test_dual_feasibility_with_support_equality(self):
         rng = np.random.default_rng(7)
@@ -110,6 +112,13 @@ class TestKantorovich:
         # strong duality
         dual_value = float(u @ mu0.weights + v @ np.asarray(mu1.weights))
         assert dual_value == pytest.approx(plan.cost_value, rel=1e-10)
+
+    def test_solver_failure_raises_with_its_message(self, monkeypatch):
+        monkeypatch.setattr(stickybm.transport, "linprog",
+                            lambda *args, **kwargs: SimpleNamespace(
+                                status=2, message="The problem is infeasible."))
+        with pytest.raises(RuntimeError, match="infeasible"):
+            kantorovich(ModelParams(2.0, 1.0), uniform(P(0.0, 0.0)), uniform(P(0.0, 1.0)))
 
     def test_size_cap(self):
         params = ModelParams(2.0, 1.0)
@@ -195,6 +204,18 @@ class TestGammaLimit:
         viol = [max(res.kantorovich_value - r.entropic_value, 0.0) for r in res.rows]
         assert viol[-1] < viol[0]
         assert viol[-1] <= abs(res.gap_slope) * 0.01 * math.log(1 / 0.01) + 1e-9
+
+    def test_no_converged_epsilon_raises(self):
+        # With every epsilon failing there is no gap to fit; a slope read off
+        # zero rows would be 0.
+        params = ModelParams(4.0, 1.0)
+        src = DiscreteMeasure(tuple(P(0.0, 0.25 * i) for i in range(8)), (0.125,) * 8)
+        tgt = DiscreteMeasure(tuple(P(0.0, 1.0 + 0.25 * i) for i in range(8)), (0.125,) * 8)
+        with pytest.raises(TransportConvergenceError) as err:
+            gamma_limit_experiment(params, SPEC, src, tgt, (0.04, 0.02, 0.01),
+                                   max_iter=3, tol=1e-12)
+        assert "[0.04, 0.02, 0.01]" in str(err.value)
+        assert err.value.marginal_error > 0
 
     def test_plan_concentrates_near_exact_support(self):
         params = ModelParams(4.0, 1.0)
