@@ -351,13 +351,15 @@ def _cmd_interpolate(args) -> int:
 # Parser / dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, model=True):
+def _add_common(sub, model=True, seed=False, quad=False):
     sub.add_argument("--output", "-o", default=".", help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="seed for stochastic outputs")
-    sub.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
-                     help="quadrature relative tolerance")
-    sub.add_argument("--quad-subdiv", type=int, default=20, dest="quad_subdiv",
-                     help="quadrature max subdivisions")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0, help="seed for stochastic outputs")
+    if quad:
+        sub.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
+                         help="quadrature relative tolerance")
+        sub.add_argument("--quad-subdiv", type=int, default=20, dest="quad_subdiv",
+                         help="quadrature max subdivisions")
     if model:
         sub.add_argument("--a", type=float, required=True, help="tangential diffusivity")
         sub.add_argument("--theta", type=float, required=True, help="stickiness")
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_geodesic)
 
     s = subs.add_parser("kernel", help="transition kernel on a grid")
-    _add_common(s)
+    _add_common(s, quad=True)
     s.add_argument("--t", type=float, required=True)
     s.add_argument("--x", required=True)
     s.add_argument("--grid", type=int, default=64)
@@ -392,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_kernel)
 
     s = subs.add_parser("simulate", help="exact path sampling")
-    _add_common(s)
+    _add_common(s, seed=True)
     s.add_argument("--x", required=True)
     s.add_argument("--step", type=float, required=True)
     s.add_argument("--n-steps", type=int, required=True, dest="n_steps")
@@ -401,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_simulate)
 
     s = subs.add_parser("ldp-static", help="static rate extraction for a target set")
-    _add_common(s)
+    _add_common(s, seed=True, quad=True)
     s.add_argument("--x", required=True)
     s.add_argument("--target", required=True, help="ball:<point>:<r> or patch:<x'>:<r>")
     s.add_argument("--epsilons", required=True)
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_ldp_static)
 
     s = subs.add_parser("ldp-scan", help="rate versus diffusivity scan")
-    _add_common(s, model=False)
+    _add_common(s, model=False, quad=True)
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--a-grid", required=True, dest="a_grid", help="comma-separated a values")
     s.add_argument("--x", required=True)
@@ -420,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_ldp_scan)
 
     s = subs.add_parser("ldp-path", help="path-slicing rate via Monte Carlo")
-    _add_common(s)
+    _add_common(s, seed=True)
     s.add_argument("--x", required=True)
     s.add_argument("--waypoints", required=True,
                    help="semicolon-separated t:<point>:<radius> entries")
@@ -435,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_ot)
 
     s = subs.add_parser("sinkhorn", help="entropic plan against the sticky kernel")
-    _add_common(s)
+    _add_common(s, quad=True)
     s.add_argument("--mu0", required=True)
     s.add_argument("--mu1", required=True)
     s.add_argument("--epsilon", type=float, required=True)
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_sinkhorn)
 
     s = subs.add_parser("gamma-limit", help="entropic-to-exact gap across epsilons")
-    _add_common(s)
+    _add_common(s, quad=True)
     s.add_argument("--mu0", required=True)
     s.add_argument("--mu1", required=True)
     s.add_argument("--epsilons", required=True)

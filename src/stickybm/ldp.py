@@ -21,9 +21,8 @@ import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams, cost
 from .kernel import log_boundary_density, log_interior_density
-from .quadrature import QuadratureSpec, gauss_legendre
-from .simulate import (_X1_QUANTUM, SimConfig, _draw_horizontal, _path_rng,
-                       increment_tables, simulate_batch)
+from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
+from .simulate import SimConfig, _path_rng, simulate_batch, step_batch
 
 __all__ = [
     "Ball",
@@ -148,14 +147,6 @@ def fit_rate(epsilons, scaled_log_probs):
 # Quadrature probabilities (d = 2)
 # ---------------------------------------------------------------------------
 
-def _logsumexp(vals):
-    vals = np.asarray(vals, dtype=float)
-    m = np.max(vals) if vals.size else -math.inf
-    if m == -math.inf:
-        return -math.inf
-    return float(m + np.log(np.sum(np.exp(vals - m))))
-
-
 def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
                            x: HalfSpacePoint, target, order: int = 32) -> float:
     """log of the kernel mass of the target at horizon t (quadrature, d = 2).
@@ -174,7 +165,7 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
         yps = lo + (hi - lo) * nodes
         vals = [log_boundary_density(params, spec, t, x, HalfSpacePoint(0.0, (yp,)))
                 for yp in yps]
-        parts.append(_logsumexp(np.asarray(vals) + np.log(w * (hi - lo))))
+        parts.append(logsumexp(np.asarray(vals) + np.log(w * (hi - lo))))
     elif isinstance(target, Ball):
         c1, cp = target.center.x1, target.center.xp[0]
         r = target.radius
@@ -189,18 +180,18 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
                 yps = cp - half + 2.0 * half * nodes
                 vals = [log_interior_density(params, spec, t, x, HalfSpacePoint(y1, (yp,)))
                         for yp in yps]
-                inner.append(_logsumexp(np.asarray(vals) + np.log(w * 2.0 * half)) + math.log(w1))
-            parts.append(_logsumexp(inner))
+                inner.append(logsumexp(np.asarray(vals) + np.log(w * 2.0 * half)) + math.log(w1))
+            parts.append(logsumexp(inner))
         if c1 <= r:
             half_b = math.sqrt(max(r * r - c1 * c1, 0.0))
             if half_b > 0:
                 yps = cp - half_b + 2.0 * half_b * nodes
                 vals = [log_boundary_density(params, spec, t, x, HalfSpacePoint(0.0, (yp,)))
                         for yp in yps]
-                parts.append(_logsumexp(np.asarray(vals) + np.log(w * 2.0 * half_b)))
+                parts.append(logsumexp(np.asarray(vals) + np.log(w * 2.0 * half_b)))
     else:
         raise TypeError("target must be a Ball or BoundaryPatch")
-    return _logsumexp(parts)
+    return logsumexp(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -259,42 +250,50 @@ def _target_starts(x: HalfSpacePoint, target, grid: int = 16):
     return starts
 
 
-def _cost_vec(params: ModelParams, x: HalfSpacePoint, y: np.ndarray) -> float:
-    return cost(params, x, HalfSpacePoint(max(y[0], 0.0), tuple(y[1:])))
+def _point(y: np.ndarray) -> HalfSpacePoint:
+    return HalfSpacePoint(max(y[0], 0.0), tuple(y[1:]))
+
+
+def _descend(objective, project, y: np.ndarray, step: float, step_max: float,
+             iters: int) -> float:
+    """Projected descent from ``y``; returns the last objective value.
+
+    The gradient is a central difference with step ``1e-6 max(1, |y|)``.  Each
+    iteration halves a trial step up to 40 times until the projected move
+    lowers the objective, stops when none does, and doubles the accepted step
+    (at most ``step_max``) for the next iteration.
+    """
+    y = project(y)
+    f = objective(y)
+    for _ in range(iters):
+        h = 1e-6 * max(1.0, float(np.linalg.norm(y)))
+        g = np.empty_like(y)
+        for k in range(y.size):
+            e = np.zeros_like(y)
+            e[k] = h
+            g[k] = (objective(y + e) - objective(y - e)) / (2 * h)
+        trial = step
+        for _ in range(40):
+            y_new = project(y - trial * g)
+            f_new = objective(y_new)
+            if f_new < f - 1e-15:
+                break
+            trial *= 0.5
+        else:
+            break
+        y, f = y_new, f_new
+        step = min(trial * 2.0, step_max)
+    return f
 
 
 def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target,
                          iters: int = 200) -> float:
     """Infimum of cost(x, .) over the target by multistart projected descent."""
-    best = math.inf
-    for y0 in _target_starts(x, target):
-        y = _project_target(np.asarray(y0, dtype=float), target)
-        f = _cost_vec(params, x, y)
-        step = 0.25 * target.radius
-        for _ in range(iters):
-            g = np.zeros_like(y)
-            h = 1e-6 * max(1.0, float(np.linalg.norm(y)))
-            for k in range(y.size):
-                e = np.zeros_like(y)
-                e[k] = h
-                g[k] = (_cost_vec(params, x, y + e) - _cost_vec(params, x, y - e)) / (2 * h)
-            if isinstance(target, BoundaryPatch):
-                g[0] = 0.0
-            moved = False
-            trial = step
-            for _ in range(40):
-                y_new = _project_target(y - trial * g, target)
-                f_new = _cost_vec(params, x, y_new)
-                if f_new < f - 1e-15:
-                    y, f = y_new, f_new
-                    moved = True
-                    break
-                trial *= 0.5
-            if not moved:
-                break
-            step = min(trial * 2.0, 4.0 * target.radius)
-        best = min(best, f)
-    return best
+    return min(_descend(lambda y: cost(params, x, _point(y)),
+                        lambda y: _project_target(y, target),
+                        np.asarray(y0, dtype=float), 0.25 * target.radius,
+                        4.0 * target.radius, iters)
+               for y0 in _target_starts(x, target))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +418,22 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
 # Path slicing
 # ---------------------------------------------------------------------------
 
+def _waypoint_dts(times) -> np.ndarray:
+    """Intervals between waypoint times, which must increase strictly in (0, 1]."""
+    t = [0.0, *(float(v) for v in times)]
+    if len(t) < 2 or not all(a < b for a, b in zip(t, t[1:])) or not t[-1] <= 1.0:
+        raise ValueError("waypoint times must be strictly increasing in (0, 1]")
+    return np.diff(t)
+
+
+def _sliced_sum(params: ModelParams, x: HalfSpacePoint, dts, points) -> float:
+    total = 0.0
+    for dt, y in zip(dts, points):
+        total += cost(params, x, y) / dt
+        x = y
+    return total
+
+
 def discrete_waypoint_cost(params: ModelParams, x: HalfSpacePoint, waypoints) -> float:
     """Time-sliced cost sum c(y_{j-1}, y_j) / (t_j - t_{j-1}) through points.
 
@@ -426,44 +441,32 @@ def discrete_waypoint_cost(params: ModelParams, x: HalfSpacePoint, waypoints) ->
     increasing times in (0, 1].  Additive along geodesics sampled at the
     waypoint times.
     """
-    t_prev = 0.0
-    y_prev = x
-    total = 0.0
-    for t_j, y_j in waypoints:
-        if not t_j > t_prev:
-            raise ValueError("waypoint times must be strictly increasing in (0, 1]")
-        total += cost(params, y_prev, y_j) / (t_j - t_prev)
-        t_prev, y_prev = t_j, y_j
-    return total
+    return _sliced_sum(params, x, _waypoint_dts([t for t, _ in waypoints]),
+                       [y for _, y in waypoints])
 
 
 def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets,
                     restarts: int = 8, iters: int = 300, seed: int = 0) -> float:
     """Infimum of the sliced cost over the product of waypoint balls.
 
-    Joint projected gradient descent on all waypoints, multistarted from the
-    centers plus jittered variants.
+    Joint projected descent on all waypoints stacked into one vector,
+    multistarted from the centers plus jittered variants.
     """
-    times = [t for t, _ in waypoint_sets]
+    dts = _waypoint_dts([t for t, _ in waypoint_sets])
     targets = [b for _, b in waypoint_sets]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])) or times[0] <= 0 or times[-1] > 1:
-        raise ValueError("waypoint times must be strictly increasing in (0, 1]")
-    dts = np.diff([0.0] + list(times))
     dim = x.dim
     rng = np.random.default_rng(seed)
 
-    def objective(ys):
-        total = 0.0
-        prev = x
-        for k, y in enumerate(ys):
-            pt = HalfSpacePoint(max(y[0], 0.0), tuple(y[1:]))
-            total += cost(params, prev, pt) / dts[k]
-            prev = pt
-        return total
+    def objective(v):
+        return _sliced_sum(params, x, dts, map(_point, v.reshape(-1, dim)))
+
+    def project(v):
+        return np.concatenate([_project_target(y, tgt)
+                               for y, tgt in zip(v.reshape(-1, dim), targets)])
 
     best = math.inf
     for r in range(restarts):
-        ys = []
+        starts = []
         for tgt in targets:
             if isinstance(tgt, Ball):
                 c = tgt.center.coords()
@@ -471,38 +474,9 @@ def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets,
                 c = np.concatenate([[0.0], tgt.center_tangential])
             if r > 0:
                 c = c + rng.normal(scale=0.5 * tgt.radius, size=dim)
-            ys.append(_project_target(c, tgt))
-        f = objective(ys)
-        step = 0.25 * min(t.radius for t in targets)
-        for _ in range(iters):
-            grads = []
-            for k in range(len(ys)):
-                g = np.zeros(dim)
-                h = 1e-6
-                for j in range(dim):
-                    e = np.zeros(dim)
-                    e[j] = h
-                    up = [y.copy() for y in ys]
-                    dn = [y.copy() for y in ys]
-                    up[k] = up[k] + e
-                    dn[k] = dn[k] - e
-                    g[j] = (objective(up) - objective(dn)) / (2 * h)
-                grads.append(g)
-            moved = False
-            trial = step
-            for _ in range(40):
-                ys_new = [_project_target(ys[k] - trial * grads[k], targets[k])
-                          for k in range(len(ys))]
-                f_new = objective(ys_new)
-                if f_new < f - 1e-15:
-                    ys, f = ys_new, f_new
-                    moved = True
-                    break
-                trial *= 0.5
-            if not moved:
-                break
-            step = min(2.0 * trial, 1.0)
-        best = min(best, f)
+            starts.append(c)
+        best = min(best, _descend(objective, project, np.concatenate(starts),
+                                  0.25 * min(t.radius for t in targets), 1.0, iters))
     return best
 
 
@@ -517,48 +491,32 @@ class SlicedEstimate:
 
 
 def sliced_ldp(params: ModelParams, x: HalfSpacePoint, waypoint_sets, epsilons,
-               n_paths: int, seed: int, spec: QuadratureSpec = None) -> SlicedEstimate:
+               n_paths: int, seed: int) -> SlicedEstimate:
     """Monte Carlo probability that the slowed path visits every waypoint ball.
 
     The slowed path is sampled exactly at the waypoint times (one exact step
     per inter-waypoint interval).  The reference rate is the sliced-cost
     infimum over the product of balls.
     """
-    times = [t for t, _ in waypoint_sets]
+    dts = _waypoint_dts([t for t, _ in waypoint_sets])
     targets = [b for _, b in waypoint_sets]
-    dts = np.diff([0.0] + list(times))
     used, scaled, probs, dropped = [], [], [], []
     for i, eps in enumerate(sorted((float(e) for e in epsilons), reverse=True)):
-        # One exact step per interval; horizons eps * dt_j.
-        n = n_paths
-        hits = np.ones(n, dtype=bool)
-        state_x1 = np.full(n, x.x1)
-        state_xp = np.tile(np.asarray(x.xp, dtype=float), (n, 1))
-        for j, dt in enumerate(dts):
-            # step all paths by eps * dt from their current states
+        # One exact step per interval, of horizon eps * dt_j; one stream per step.
+        hits = np.ones(n_paths, dtype=bool)
+        x1 = np.full(n_paths, x.x1)
+        xp = np.tile(np.asarray(x.xp, dtype=float), (n_paths, 1))
+        for j, (dt, target) in enumerate(zip(dts, targets)):
             rng = _path_rng(seed + 1000 * i, j)
-            u = rng.random((3, n))
-            gn = rng.standard_normal((n, params.d - 1))
-            keys = np.round(state_x1 / _X1_QUANTUM).astype(np.int64)
-            order_idx = np.argsort(keys, kind="stable")
-            sk = keys[order_idx]
-            uniq, starts = np.unique(sk, return_index=True)
-            bounds = np.append(starts, n)
-            z = np.empty(n)
-            dl = np.empty(n)
-            for m, key in enumerate(uniq):
-                idx = order_idx[bounds[m]:bounds[m + 1]]
-                tables = increment_tables(params, key * _X1_QUANTUM, eps * dt, 512)
-                z[idx], dl[idx] = _draw_horizontal(tables, u[0, idx], u[1, idx], u[2, idx])
-            d_o = np.minimum(dl / params.theta, eps * dt)
-            state_xp = state_xp + np.sqrt(eps * dt + params.big_a * d_o)[:, None] * gn
-            state_x1 = z
-            hits &= np.asarray(targets[j].contains(state_x1, state_xp))
+            u = rng.random((3, n_paths))
+            g = rng.standard_normal((n_paths, params.d - 1))
+            x1, xp, _ = step_batch(params, x1, xp, eps * dt, u, g, 512)
+            hits &= np.asarray(target.contains(x1, xp))
         k = int(np.sum(hits))
         if k == 0:
             dropped.append(eps)
             continue
-        p = k / n
+        p = k / n_paths
         used.append(eps)
         scaled.append(eps * math.log(p))
         probs.append(p)

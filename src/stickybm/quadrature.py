@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "QuadratureError", "log_integrate", "gauss_legendre"]
+__all__ = ["QuadratureSpec", "QuadratureError", "log_integrate", "gauss_legendre",
+           "logsumexp"]
 
 _NEG_INF = -math.inf
 
@@ -49,7 +50,8 @@ def gauss_legendre(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _logsumexp(values) -> float:
+def logsumexp(values) -> float:
+    """log of the sum of exp over the non-NaN values; -inf when there are none."""
     values = np.asarray(values, dtype=float)
     values = values[~np.isnan(values)]
     if values.size == 0:
@@ -64,7 +66,7 @@ def _panel(log_f, a: float, b: float, nodes, log_w) -> float:
     """log of the fixed-order Gauss-Legendre estimate of int_a^b exp(log_f)."""
     width = b - a
     vals = np.asarray(log_f(a + width * nodes), dtype=float)
-    return _logsumexp(vals + log_w + math.log(width))
+    return logsumexp(vals + log_w + math.log(width))
 
 
 def log_integrate(log_f, a: float, b: float, spec: QuadratureSpec,
@@ -88,7 +90,7 @@ def log_integrate(log_f, a: float, b: float, spec: QuadratureSpec,
 
     # Panels contributing less than rtol * total never need refining; use a
     # coarse first-pass total as the pruning scale.
-    coarse_total = _logsumexp([p[2] for p in stack])
+    coarse_total = logsumexp([p[2] for p in stack])
     rtol = spec.relative_tolerance
     prune = coarse_total + math.log(rtol) - math.log(64.0)
 
@@ -114,7 +116,7 @@ def log_integrate(log_f, a: float, b: float, spec: QuadratureSpec,
                 f"{depth} subdivisions (tolerance {rtol:.1e})")
         stack.append((lo, mid, left, depth + 1))
         stack.append((mid, hi, right, depth + 1))
-    return _logsumexp(accepted)
+    return logsumexp(accepted)
 
 
 def log_integrate_halfline(log_f, a: float, spec: QuadratureSpec,

@@ -17,7 +17,6 @@ oracle.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +24,7 @@ import numpy as np
 from scipy.special import ndtr as _ndtr
 
 from .geometry import HalfSpacePoint, ModelParams
+from .quadrature import gauss_legendre
 
 __all__ = [
     "SimConfig",
@@ -35,6 +35,7 @@ __all__ = [
     "increment_tables",
     "step_horizontal",
     "step_vertical",
+    "step_batch",
     "simulate",
     "simulate_batch",
     "simulate_many",
@@ -142,9 +143,7 @@ def _cumulative_gl(density, grid: np.ndarray) -> np.ndarray:
     rounding; the piecewise-linear inversion between nodes is then the only
     tabulation error (O(1/K^2) in CDF sup-norm).
     """
-    x, w = np.polynomial.legendre.leggauss(4)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    x, w = gauss_legendre(4)
     lo = grid[:-1, None]
     width = np.diff(grid)[:, None]
     vals = density(lo + width * x[None, :])
@@ -204,8 +203,9 @@ def _build_tables(x1: float, dt: float, theta: float, k: int) -> IncrementTables
                            z_grid, z_cdf, l_grid, cdf_b, cdf_d)
 
 
-_TABLE_CACHE: OrderedDict = OrderedDict()
-_TABLE_CACHE_MAX = 50000
+@lru_cache(maxsize=50000)
+def _cached_tables(key: int, dt: float, theta: float, resolution: int) -> IncrementTables:
+    return _build_tables(key * _X1_QUANTUM, dt, theta, resolution)
 
 
 def increment_tables(params: ModelParams, x1: float, dt: float,
@@ -214,16 +214,10 @@ def increment_tables(params: ModelParams, x1: float, dt: float,
 
     Quantizing the start to a 1e-4 grid keeps the per-step cost amortized;
     the sampled law is then exactly the law started from the quantized
-    point.
+    point.  At most 50 000 tables are kept, least recently used first out.
     """
-    x1q = round(x1 / _X1_QUANTUM) * _X1_QUANTUM
-    key = (round(x1 / _X1_QUANTUM), float(dt), float(params.theta), int(resolution))
-    tables = _TABLE_CACHE.get(key)
-    if tables is None:
-        tables = _TABLE_CACHE[key] = _build_tables(x1q, dt, params.theta, resolution)
-        if len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-            _TABLE_CACHE.popitem(last=False)
-    return tables
+    return _cached_tables(round(x1 / _X1_QUANTUM), float(dt), float(params.theta),
+                          int(resolution))
 
 
 def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 1024):
@@ -249,9 +243,7 @@ def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 
     cdf += _cumulative_gl(lambda l: _h_density(dt - l / th, l + x1) / th, l_grid)[-1]
 
     # all z at once on the cell nodes
-    x4, w4 = np.polynomial.legendre.leggauss(4)
-    x4 = 0.5 * (x4 + 1.0)
-    w4 = 0.5 * w4
+    x4, w4 = gauss_legendre(4)
     lo = l_grid[:-1, None]
     width = np.diff(l_grid)[:, None]
     l_nodes = (lo + width * x4[None, :]).ravel()
@@ -267,11 +259,6 @@ def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 
 # ---------------------------------------------------------------------------
 # Stepping
 # ---------------------------------------------------------------------------
-
-def _invert(cdf: np.ndarray, grid: np.ndarray, target):
-    """Invert a tabulated nondecreasing CDF at raw-mass targets."""
-    return np.interp(target, cdf, grid)
-
 
 def _draw_horizontal(tables: IncrementTables, u_comp, u_within, u_cond):
     """Vectorized inverse-CDF draw given three uniform arrays."""
@@ -291,19 +278,19 @@ def _draw_horizontal(tables: IncrementTables, u_comp, u_within, u_cond):
     if no_visit.any():
         z[no_visit] = np.interp(u_within[no_visit], tables.z_cdf, tables.z_grid)
     if boundary.any():
-        l = _invert(tables.l_cdf_boundary, tables.l_grid, u_within[boundary] * tables.l_cdf_boundary[-1])
-        z[boundary] = 0.0
+        l = np.interp(u_within[boundary] * tables.l_cdf_boundary[-1],
+                      tables.l_cdf_boundary, tables.l_grid)
+        z[boundary] = 0.0     # exact zeros exactly where the boundary atom was drawn
         dl[boundary] = np.minimum(l, theta_dt)
     if diffuse.any():
-        l = _invert(tables.l_cdf_diffuse, tables.l_grid, u_within[diffuse] * tables.l_cdf_diffuse[-1])
+        l = np.interp(u_within[diffuse] * tables.l_cdf_diffuse[-1],
+                      tables.l_cdf_diffuse, tables.l_grid)
         l = np.minimum(l, theta_dt)
         tau = np.maximum(tables.dt - l / tables.theta, 0.0)
         s = l + tables.x1
         zz = np.sqrt(s * s - 2.0 * tau * np.log1p(-u_cond[diffuse])) - s
         z[diffuse] = np.maximum(zz, 0.0)
         dl[diffuse] = l
-    # Exact zeros exactly where the boundary atom was drawn.
-    z[boundary] = 0.0
     return z, dl
 
 
@@ -329,6 +316,30 @@ def step_vertical(params: ModelParams, rng: np.random.Generator, dt: float,
     if var < 0:
         raise ValueError("negative variance; invalid occupation increment")
     return math.sqrt(var) * rng.standard_normal(d - 1)
+
+
+def step_batch(params: ModelParams, x1: np.ndarray, xp: np.ndarray, dt: float,
+               u: np.ndarray, g: np.ndarray, resolution: int = 1024):
+    """One exact step of every path from its own start; returns ``(x1, xp, delta_O)``.
+
+    ``u`` holds three rows of uniforms (component choice, within-component,
+    conditional draw) and ``g`` one row of standard normals per path, so the
+    caller keeps its own stream layout.  Paths whose starts share a 1e-4 cell
+    draw from that cell's :func:`increment_tables`; each path's law is exactly
+    the one-step law from its quantized start.
+    """
+    keys = np.round(x1 / _X1_QUANTUM).astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    bounds = np.append(starts, x1.size)
+    z = np.empty(x1.size)
+    dl = np.empty(x1.size)
+    for j, key in enumerate(uniq):
+        idx = order[bounds[j]:bounds[j + 1]]
+        tables = increment_tables(params, key * _X1_QUANTUM, dt, resolution)
+        z[idx], dl[idx] = _draw_horizontal(tables, u[0, idx], u[1, idx], u[2, idx])
+    d_o = np.minimum(dl / params.theta, dt)
+    return z, xp + np.sqrt(dt + params.big_a * d_o)[:, None] * g, d_o
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -369,8 +380,8 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
     Each path consumes its own counter-based stream: per path, a
     ``(n_steps, 3)`` block of uniforms (component choice, within-component,
     conditional draw) followed by an ``(n_steps, d-1)`` block of normals.
-    Stepping is vectorized across paths by grouping on the quantized start of
-    each step, so the per-path law is identical to :func:`simulate`.
+    Each step is one :func:`step_batch` over all paths, so the per-path law
+    is identical to :func:`simulate`.
     """
     params = config.params
     n = config.n_steps
@@ -391,24 +402,9 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
     occ[:, 0] = 0.0
 
     for step in range(n):
-        cur = x1[:, step]
-        keys = np.round(cur / _X1_QUANTUM).astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        uniq, starts = np.unique(sorted_keys, return_index=True)
-        bounds = np.append(starts, n_paths)
-        z = np.empty(n_paths)
-        dl = np.empty(n_paths)
-        for j, key in enumerate(uniq):
-            idx = order[bounds[j]:bounds[j + 1]]
-            tables = increment_tables(params, key * _X1_QUANTUM, dt,
-                                      config.tabulation_resolution)
-            u = u_all[idx, step, :]
-            z[idx], dl[idx] = _draw_horizontal(tables, u[:, 0], u[:, 1], u[:, 2])
-        d_o = np.minimum(dl / params.theta, dt)
-        sd = np.sqrt(dt + params.big_a * d_o)
-        xp[:, step + 1, :] = xp[:, step, :] + sd[:, None] * g_all[:, step, :]
-        x1[:, step + 1] = z
+        x1[:, step + 1], xp[:, step + 1], d_o = step_batch(
+            params, x1[:, step], xp[:, step], dt, u_all[:, step].T, g_all[:, step],
+            config.tabulation_resolution)
         occ[:, step + 1] = occ[:, step] + d_o
 
     times = dt * np.arange(n + 1)

@@ -7,6 +7,7 @@ import pytest
 
 import stickybm.cli
 import stickybm.kernel
+import stickybm.ldp
 from stickybm.cli import main
 from stickybm.quadrature import QuadratureError
 from stickybm.transport import gamma_limit_experiment
@@ -41,6 +42,15 @@ class TestDispatch:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "\n" not in err.strip()
+
+    @pytest.mark.parametrize("argv", [
+        ["cost", "--a", "4", "--theta", "1", "--x", "0,0", "--y", "0,2", "--seed", "1"],
+        ["simulate", "--a", "2", "--theta", "1", "--x", "0.3,0", "--step", "0.1",
+         "--n-steps", "2", "--quad-tol", "1e-8"],
+    ])
+    def test_option_that_selects_nothing_exits_2(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        capsys.readouterr()
 
     def test_io_failure_exits_4(self, capsys):
         code = main(["ot", "--a", "2", "--theta", "1",
@@ -177,6 +187,23 @@ class TestLdpCli:
         # two epsilons only: slope fit needs three, expect numerical exit
         assert code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("waypoints", [
+        "0.5:3,0:2;0.5:3,0:2",      # repeated time
+        "0.8:3,0:2;0.4:3,0:2",      # decreasing times
+        "0.5:3,0:2;1.5:3,0:2",      # past t = 1
+    ])
+    def test_path_rejects_waypoint_times_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                         waypoints):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before validating waypoint times")
+
+        monkeypatch.setattr(stickybm.ldp, "step_batch", no_sampling)
+        code = run(tmp_path, "ldp-path", "--a", "4", "--theta", "1", "--x", "3,0",
+                   "--waypoints", waypoints, "--epsilons", "0.2,0.1,0.05")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "strictly increasing" in err
 
     def test_scan_small(self, tmp_path, capsys):
         code = run(tmp_path, "ldp-scan", "--a-grid", "0.5,1.0,2.5,3.0", "--x", "1,0",

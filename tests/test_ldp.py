@@ -208,7 +208,13 @@ class TestSliced:
         with pytest.raises(ValueError):
             discrete_waypoint_cost(params, P(0.0, 0.0), [(0.5, P(0.0, 1.0)), (0.5, P(0.0, 2.0))])
         with pytest.raises(ValueError):
+            discrete_waypoint_cost(params, P(0.0, 0.0), [(0.5, P(0.0, 1.0)), (1.5, P(0.0, 2.0))])
+        with pytest.raises(ValueError):
             min_sliced_cost(params, P(0.0, 0.0), [(0.0, Ball(P(0.0, 1.0), 0.1))])
+        with pytest.raises(ValueError):
+            sliced_ldp(params, P(0.0, 0.0), [(0.6, Ball(P(0.0, 1.0), 0.1)),
+                                             (0.3, Ball(P(0.0, 2.0), 0.1))],
+                       (0.2, 0.1, 0.05), n_paths=10, seed=0)
 
     def test_mc_slope_small(self):
         # Balls wide enough that the smallest epsilon still collects a few

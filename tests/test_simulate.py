@@ -8,6 +8,7 @@ from stickybm.geometry import HalfSpacePoint, ModelParams
 from stickybm.simulate import (
     SamplePath,
     SimConfig,
+    _draw_horizontal,
     euler_thin_layer,
     horizontal_cdf,
     increment_tables,
@@ -16,6 +17,7 @@ from stickybm.simulate import (
     simulate,
     simulate_batch,
     simulate_many,
+    step_batch,
     step_horizontal,
     step_vertical,
 )
@@ -90,6 +92,23 @@ class TestSteps:
         d_o = 0.12
         draws = np.array([step_vertical(PARAMS, rng, dt, d_o)[0] for _ in range(100000)])
         assert draws.var() == pytest.approx(dt + PARAMS.big_a * d_o, rel=0.02)
+
+    def test_batch_step_matches_per_start_tables(self):
+        # Starts in four 1e-4 cells, interleaved; each path must draw from its
+        # own cell's tables with its own uniforms.
+        dt = 0.1
+        x1 = np.array([0.0, 0.25, 0.250002, 1.3, 0.0, 0.6, 0.25, 1.3])
+        xp = np.arange(8.0)[:, None]
+        rng = np.random.default_rng(4)
+        u = rng.random((3, 8))
+        g = rng.standard_normal((8, 1))
+        z, xp_new, d_o = step_batch(PARAMS, x1, xp, dt, u, g, 512)
+        for i in range(8):
+            tab = increment_tables(PARAMS, x1[i], dt, 512)
+            zi, dli = _draw_horizontal(tab, u[0, i], u[1, i], u[2, i])
+            assert z[i] == zi[0]
+            assert d_o[i] == min(dli[0] / PARAMS.theta, dt)
+            assert xp_new[i, 0] == xp[i, 0] + math.sqrt(dt + PARAMS.big_a * d_o[i]) * g[i, 0]
 
     def test_vertical_guards(self):
         rng = np.random.default_rng(3)
