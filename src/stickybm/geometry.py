@@ -241,20 +241,11 @@ def cone_contains(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> 
 
 
 def _cost_core(a, dx1, s, v):
-    """Cost formula, vectorized.  ``dx1 = x1-y1``, ``s = x1+y1``, ``v = |x'-y'|``."""
-    a = np.asarray(a, dtype=float)
+    """Cost formula, vectorized: the smaller of the Euclidean and sticky rates.
+    ``dx1 = x1-y1``, ``s = x1+y1``, ``v = |x'-y'|``."""
     dx1 = np.asarray(dx1, dtype=float)
-    s = np.asarray(s, dtype=float)
     v = np.asarray(v, dtype=float)
-    big_a = a - 1.0
-    euclid = 0.5 * (dx1 * dx1 + v * v)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root_a = np.sqrt(np.where(big_a > 0.0, big_a, np.nan))
-        x1y1 = 0.25 * (s * s - dx1 * dx1)  # = x1*y1
-        threshold = (s + 2.0 * np.sqrt(a * np.maximum(x1y1, 0.0))) / root_a
-        slanted = (root_a * s + v) ** 2 / (2.0 * a)
-    inside = (a <= 1.0) | (v <= threshold)
-    return np.where(inside, euclid, slanted)
+    return np.minimum(0.5 * (dx1 * dx1 + v * v), _sticky_rate_core(a, s, v))
 
 
 def cost(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> float:

@@ -13,8 +13,10 @@ and a boundary density (w.r.t. ``dy'`` on ``{y1 = 0}``)
 
 with ``A = a - 1``, ``h`` the 1-D first-hitting density and ``g0`` the killed
 kernel.  The local-time integral is computed after the substitution
-``L = l / (theta t)`` on [0, 1], in the log domain with max-exponent shifts so
-horizons down to ``t ~ 1e-3`` stay representable.
+``L = l / (theta t)`` on [0, 1], in the variable ``m = 1 - L``, by one
+adaptive quadrature split at the integrand's peak.  It works in the log
+domain with max-exponent shifts, so horizons down to ``t ~ 1e-3`` stay
+representable.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams
-from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre, log_integrate, log_integrate_halfline
+from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre, log_integrate
 
 __all__ = [
     "KernelValue",
@@ -46,7 +48,6 @@ __all__ = [
     "fokker_planck_residual",
     "fp_residuals_from_fields",
     "kernel_total_mass",
-    "sticky_tail_log_envelope",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -219,12 +220,11 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float,
                         s: float, v: float) -> float:
     """log of ``theta t * int_0^1 h(t(1-L), theta t L + s) g(t(1+AL), v) dL``.
 
-    Integrates in the variable m = 1-L, splitting at the integrand peak so
-    boundary layers sit at panel ends.  With ``endpoint_substitution`` the
-    singular end m -> 0 is mapped through ``u = 1/m`` and integrated over the
-    half-line; the computed tail is checked against the closed-form decay
-    envelope.  A quadrature failure is re-raised as :class:`QuadratureError`
-    naming ``a``, ``theta``, ``t``, ``s`` and ``v``.
+    Integrates in the variable m = 1-L over [0, 1] with one adaptive
+    quadrature, split at the integrand peak so that each panel is monotone
+    and boundary layers sit at panel ends.  A quadrature failure is re-raised
+    as :class:`QuadratureError` naming ``a``, ``theta``, ``t``, ``s`` and
+    ``v``.
     """
     if t <= 0:
         raise ValueError("log_sticky_integral needs t > 0")
@@ -232,46 +232,11 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float,
     try:
         log_f = _sticky_log_integrand_m(params, t, s, v)
         peak = _sticky_peak_m(log_f)
-        log_th_t = math.log(th * t)
-
-        if not spec.endpoint_substitution:
-            return log_th_t + log_integrate(log_f, 0.0, 1.0, spec, split_points=(peak,))
-
-        delta = min(0.25, peak / 4.0)
-        main = log_integrate(log_f, delta, 1.0, spec, split_points=(peak,))
-        envelope = sticky_tail_log_envelope(params, t, s, delta)
-        if envelope <= main + math.log(spec.relative_tolerance) - 3.0:
-            # The analytic envelope already proves the substituted tail
-            # negligible at the requested tolerance.
-            return log_th_t + main
-
-        def log_f_u(u):
-            u = np.asarray(u, dtype=float)
-            return log_f(1.0 / u) - 2.0 * np.log(u)
-
-        beta = (th * t + s) ** 2 / (2.0 * t)
-        tail = log_integrate_halfline(log_f_u, 1.0 / delta, spec, scale=1.0 / beta)
-        if tail > envelope + 1e-6:
-            raise QuadratureError(
-                f"computed local-time tail {tail:.6g} exceeds its analytic envelope {envelope:.6g}")
-        return log_th_t + np.logaddexp(main, tail)
+        return math.log(th * t) + log_integrate(log_f, 0.0, 1.0, spec, split_points=(peak,))
     except QuadratureError as exc:
         raise QuadratureError(
             f"sticky integral at a={params.a!r}, theta={th!r}, t={t!r}, s={s!r}, "
             f"v={v!r}: {exc}") from exc
-
-
-def sticky_tail_log_envelope(params: ModelParams, t: float, s: float, delta: float) -> float:
-    """Closed-form upper bound for log int_{1-delta}^1 of the local-time integrand.
-
-    Uses ``(1-L)^{-3/2} <= (1-L)^{-2}`` and the globally bounded profile
-    ``u -> u^2 exp(-c u)`` after ``u = 1/(1-L)``.
-    """
-    th, d = params.theta, params.d
-    log_c_env = (math.log(th * t + s) - 0.5 * _LOG_2PI - 1.5 * math.log(t)
-                 - 0.5 * (d - 1) * math.log(2.0 * math.pi * t * min(1.0, params.a)))
-    rate = t * th * th * (1.0 - delta) ** 2
-    return log_c_env + math.log(2.0 / rate) - rate / (2.0 * delta)
 
 
 def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals,

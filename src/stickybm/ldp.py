@@ -105,6 +105,8 @@ class StaticExperiment:
             raise ValueError("epsilons must be strictly decreasing and positive")
         if self.method not in ("quadrature", "monte_carlo"):
             raise ValueError("method must be 'quadrature' or 'monte_carlo'")
+        if self.n_paths < 1:
+            raise ValueError("n_paths must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -499,9 +501,14 @@ def sliced_ldp(params: ModelParams, x: HalfSpacePoint, waypoint_sets, epsilons,
     infimum over the product of balls.
     """
     dts = _waypoint_dts([t for t, _ in waypoint_sets])
+    epsilons = [float(e) for e in epsilons]
+    if not all(0.0 < e < math.inf for e in epsilons):
+        raise ValueError("epsilons must be positive finite numbers")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     targets = [b for _, b in waypoint_sets]
     used, scaled, probs, dropped = [], [], [], []
-    for i, eps in enumerate(sorted((float(e) for e in epsilons), reverse=True)):
+    for i, eps in enumerate(sorted(epsilons, reverse=True)):
         # One exact step per interval, of horizon eps * dt_j; one stream per step.
         hits = np.ones(n_paths, dtype=bool)
         x1 = np.full(n_paths, x.x1)

@@ -383,6 +383,8 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
     Each step is one :func:`step_batch` over all paths, so the per-path law
     is identical to :func:`simulate`.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     params = config.params
     n = config.n_steps
     dt = config.step

@@ -1,5 +1,6 @@
 import csv
 import functools
+import importlib
 import json
 import os
 
@@ -20,6 +21,14 @@ def run(tmp_path, *argv):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def forbid(monkeypatch, module, name):
+    """Replace a sampling function with one that fails if it is ever called."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError(f"{name} was called before the input was validated")
+
+    monkeypatch.setattr(module, name, no_sampling)
 
 
 class TestDispatch:
@@ -93,6 +102,16 @@ class TestSimulateCli:
         # L = theta * O in every row
         for row in rows[1:]:
             assert float(row[5]) == 1.5 * float(row[6])
+
+    def test_zero_paths_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # The package re-exports the function `simulate`; patch the module.
+        forbid(monkeypatch, importlib.import_module("stickybm.simulate"), "step_batch")
+        code = run(tmp_path, "simulate", "--a", "2", "--theta", "1", "--x", "0.3,0",
+                   "--step", "0.1", "--n-steps", "5", "--n-paths", "0")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "n_paths" in err
+        assert not (tmp_path / "simulate.json").exists()
 
 
 class TestKernelCli:
@@ -195,15 +214,37 @@ class TestLdpCli:
     ])
     def test_path_rejects_waypoint_times_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                          waypoints):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before validating waypoint times")
-
-        monkeypatch.setattr(stickybm.ldp, "step_batch", no_sampling)
+        forbid(monkeypatch, stickybm.ldp, "step_batch")
         code = run(tmp_path, "ldp-path", "--a", "4", "--theta", "1", "--x", "3,0",
                    "--waypoints", waypoints, "--epsilons", "0.2,0.1,0.05")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "strictly increasing" in err
+
+    @pytest.mark.parametrize("epsilons, n_paths, message", [
+        ("0.2,0.1,0", "1000", "epsilons"),
+        ("0.2,nan,0.05", "1000", "epsilons"),
+        ("0.2,0.1,0.05", "0", "n_paths"),
+    ])
+    def test_path_rejects_epsilons_and_paths_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                             epsilons, n_paths, message):
+        forbid(monkeypatch, stickybm.ldp, "step_batch")
+        code = run(tmp_path, "ldp-path", "--a", "4", "--theta", "1", "--x", "3,0",
+                   "--waypoints", "0.5:3,0:2;1.0:3,0:2", "--epsilons", epsilons,
+                   "--n-paths", n_paths)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and message in err
+
+    def test_static_monte_carlo_zero_paths_exits_2_before_sampling(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        forbid(monkeypatch, stickybm.ldp, "simulate_batch")
+        code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
+                   "--target", "patch:2:0.1", "--epsilons", "0.2,0.1,0.05",
+                   "--method", "monte_carlo", "--n-paths", "0")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "n_paths" in err
 
     def test_scan_small(self, tmp_path, capsys):
         code = run(tmp_path, "ldp-scan", "--a-grid", "0.5,1.0,2.5,3.0", "--x", "1,0",

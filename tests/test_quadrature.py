@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stickybm.quadrature import (QuadratureError, QuadratureSpec, gauss_legendre,
-                                 log_integrate, log_integrate_halfline)
+from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre, log_integrate
 
 
 def test_spec_validation():
@@ -17,7 +16,6 @@ def test_spec_validation():
     spec = QuadratureSpec()
     assert spec.relative_tolerance == 1e-10
     assert spec.max_subdivisions == 20
-    assert spec.endpoint_substitution
 
 
 def test_gauss_legendre_normalized():
@@ -63,9 +61,16 @@ def test_failure_is_reported():
         log_integrate(nasty, 0.0, 1.0, spec)
 
 
-def test_halfline_exponential():
+
+def test_boundary_layer_missed_by_the_nodes_is_kept():
+    # A layer of width 1e-5 just right of the split: every Gauss node of
+    # [0.5, 1] sees less than exp(-300), far below the prune threshold, but
+    # the endpoint bound at 0.5 shows the panel matters.
     spec = QuadratureSpec()
-    got = log_integrate_halfline(lambda x: -x, 0.0, spec, scale=1.0)
-    assert got == pytest.approx(0.0, abs=1e-10)
-    got2 = log_integrate_halfline(lambda x: -0.25 * x, 2.0, spec, scale=4.0)
-    assert got2 == pytest.approx(math.log(4.0) - 0.5, abs=1e-10)
+    width = 1e-5
+
+    def log_f(x):
+        return np.where(x <= 0.5, 0.0, -(x - 0.5) / width)
+
+    got = log_integrate(log_f, 0.0, 1.0, spec, split_points=(0.5,))
+    assert got == pytest.approx(math.log(0.5 + width), abs=1e-10)
