@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams, cost, geodesic
-from .kernel import KernelPositivityError, transition_kernel
+from .kernel import KernelPositivityError, log_densities
 from .ldp import (Ball, BoundaryPatch, StaticExperiment, phase_transition_scan,
                   sliced_ldp, static_ldp)
 from .quadrature import QuadratureError, QuadratureSpec
@@ -156,8 +156,10 @@ def _cmd_kernel(args) -> int:
     spec = _qspec(args)
     x = _parse_point(args.x)
     t = args.t
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be a positive finite number, got {t!r}")
+    if params.d != 2 or x.dim != 2:
+        raise ValueError("the kernel grid needs d = 2 and a two-coordinate --x")
     n = args.grid
     extent = args.extent
     spread = math.sqrt(t) * max(1.0, math.sqrt(params.a))
@@ -165,22 +167,19 @@ def _cmd_kernel(args) -> int:
     w = extent * spread
     y1s = np.linspace(0.0, y1_max, n)
     yps = np.linspace(x.xp[0] - w, x.xp[0] + w, n)
-    rows = []
-    for y1 in y1s:
-        for yp in yps:
-            kv = transition_kernel(params, spec, t, x, HalfSpacePoint(float(y1), (float(yp),)))
-            rows.append([t, x.x1, x.xp[0], y1, yp, kv.interior_density, kv.boundary_density])
-    for yp in yps:
-        kv = transition_kernel(params, spec, t, x, HalfSpacePoint(0.0, (float(yp),)))
-        rows.append([t, x.x1, x.xp[0], 0.0, yp, kv.interior_density, kv.boundary_density])
+    # The n x n grid row by row, then the boundary row.
+    y1 = np.concatenate((np.repeat(y1s, n), np.zeros(n)))
+    yp = np.concatenate((np.tile(yps, n), yps))
+    dens = log_densities(params, spec, t, x.x1, y1, np.abs(yp - x.xp[0]))
+    interior = np.exp(dens.interior)
+    boundary = np.exp(dens.boundary)
+    rows = [[t, x.x1, x.xp[0], *point] for point in zip(y1, yp, interior, boundary)]
     csv_path, json_path = _outputs(args, "kernel")
     _write_csv(csv_path, ["t", "x1", "xp1", "y1", "yp1", "interior_density", "boundary_density"], rows)
 
     # trapezoid mass over the emitted grid, for the summary
-    interior = np.array([r[5] for r in rows[: n * n]]).reshape(n, n)
-    boundary = np.array([r[6] for r in rows[n * n:]])
-    mass = float(np.trapezoid(np.trapezoid(interior, yps, axis=1), y1s)
-                 + np.trapezoid(boundary, yps))
+    mass = float(np.trapezoid(np.trapezoid(interior[: n * n].reshape(n, n), yps, axis=1), y1s)
+                 + np.trapezoid(boundary[n * n:], yps))
     _write_json(json_path, {"config": _resolved(args), "trapezoid_mass": mass})
     print(f"rows={len(rows)} trapezoid_mass={_fmt(mass)}")
     return EXIT_OK

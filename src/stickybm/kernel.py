@@ -17,12 +17,20 @@ kernel.  The local-time integral is computed after the substitution
 adaptive quadrature split at the integrand's peak.  It works in the log
 domain with max-exponent shifts, so horizons down to ``t ~ 1e-3`` stay
 representable.
+
+:func:`log_sticky_integral` takes arrays of gaps and integrates all of them
+in one breadth-first batch; :func:`log_densities` turns such a batch into
+interior and boundary densities, and the point-wise density functions are
+batches of one.  The tensor-grid checks (total mass, Chapman-Kolmogorov)
+use the fixed-rule ``_sticky_log_grid`` instead: about 10^5 values cost
+hundredths of a second there against seconds adaptively.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +39,7 @@ from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre, log_int
 
 __all__ = [
     "KernelValue",
+    "LogDensities",
     "CkResult",
     "KernelPositivityError",
     "hitting_density",
@@ -39,6 +48,7 @@ __all__ = [
     "bivariate_density",
     "transition_kernel",
     "log_transition_kernel",
+    "log_densities",
     "log_interior_density",
     "log_boundary_density",
     "log_mu_density",
@@ -152,23 +162,25 @@ def bivariate_density(params: ModelParams, t: float, x1: float, z: float, l: flo
 
 
 # ---------------------------------------------------------------------------
-# The local-time integral, adaptive and batched variants
+# The local-time integral, adaptive and fixed-grid variants
 # ---------------------------------------------------------------------------
 
-def _sticky_log_integrand_m(params: ModelParams, t: float, s: float, v: float):
-    """log of h(t(1-L), theta t L + s) g(t(1+A L), v) in the variable m = 1-L.
+def _sticky_log_integrand_m(params: ModelParams, t: float, s: np.ndarray, v: np.ndarray):
+    """Batched log of h(t(1-L), theta t L + s) g(t(1+A L), v) in m = 1-L.
 
-    The singular endpoint L = 1 becomes m = 0, where floating-point nodes are
+    Returns ``log_f(rows, m)`` evaluating integrand ``rows[k]``, with gaps
+    ``s[rows[k]]`` and ``v[rows[k]]``, at the nodes ``m[k, :]``.  The
+    singular endpoint L = 1 becomes m = 0, where floating-point nodes are
     exact; forming ``1 - L`` directly loses up to ten digits in the exponent
     once the integrand concentrates there.
     """
     th, big_a, d = params.theta, params.big_a, params.d
     w_top = th * t + s
 
-    def log_f(m):
+    def log_f(rows, m):
         m = np.asarray(m, dtype=float)
-        return (_log_h(t * m, w_top - th * t * m)
-                + _log_g(t * (1.0 + big_a) - t * big_a * m, v, d))
+        return (_log_h(t * m, w_top[rows, None] - th * t * m)
+                + _log_g(t * (1.0 + big_a) - t * big_a * m, v[rows, None], d))
 
     return log_f
 
@@ -186,57 +198,83 @@ def _peak_grid() -> np.ndarray:
     return _PEAK_GRID
 
 
-def _sticky_peak_m(log_f) -> float:
-    """Locate the interior maximum of the integrand over m in (0, 1].
+def _sticky_peak_m(log_f, n: int) -> np.ndarray:
+    """Locate the interior maximum over m in (0, 1] of each of n integrands.
 
-    Coarse geometric grid plus a short golden-section refinement; the peak
-    only needs to land within a panel of its true location, the adaptive
-    integrator resolves the rest.
+    Coarse geometric grid plus a short golden-section refinement, run on all
+    integrands at once; each integrand stops refining once its bracket is
+    below ``1e-9`` of its upper end.  The peak only needs to land within a
+    panel of its true location, the adaptive integrator resolves the rest.
     """
     grid = _peak_grid()
-    vals = log_f(grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    live = np.arange(n)
+    i = np.argmax(log_f(live, np.broadcast_to(grid, (n, grid.size))), axis=1)
+    lo = grid[np.maximum(i - 1, 0)]
+    hi = grid[np.minimum(i + 1, grid.size - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     dd = lo + invphi * (hi - lo)
-    fc, fd = (float(v) for v in log_f(np.array([c, dd])))
+    fc, fd = log_f(live, np.stack((c, dd), axis=1)).T
+    peak = np.empty(n)
     for _ in range(30):
-        if fc > fd:
-            hi, dd, fd = dd, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = float(log_f(np.array([c]))[0])
-        else:
-            lo, c, fc = c, dd, fd
-            dd = lo + invphi * (hi - lo)
-            fd = float(log_f(np.array([dd]))[0])
-        if hi - lo < 1e-9 * max(hi, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+        # Keep [lo, dd] when f(c) > f(dd), else [c, hi]; probe the new point.
+        keep_left = fc > fd
+        hi = np.where(keep_left, dd, hi)
+        lo = np.where(keep_left, lo, c)
+        probe = np.where(keep_left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
+        f_probe = log_f(live, probe[:, None])[:, 0]
+        c, dd = np.where(keep_left, probe, dd), np.where(keep_left, c, probe)
+        fc, fd = np.where(keep_left, f_probe, fd), np.where(keep_left, fc, f_probe)
+        stop = hi - lo < 1e-9 * np.maximum(hi, 1e-300)
+        if stop.any():
+            peak[live[stop]] = 0.5 * (lo[stop] + hi[stop])
+            go = ~stop
+            live, lo, hi, c, dd, fc, fd = (z[go] for z in (live, lo, hi, c, dd, fc, fd))
+            if live.size == 0:
+                break
+    peak[live] = 0.5 * (lo + hi)
+    return peak
 
 
-def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float,
-                        s: float, v: float) -> float:
+# Integrands per breadth-first pass: bounds the peak search's and the
+# quadrature's working arrays whatever the size of the batch.
+_MAX_BATCH = 4096
+
+
+def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float, s, v):
     """log of ``theta t * int_0^1 h(t(1-L), theta t L + s) g(t(1+AL), v) dL``.
 
-    Integrates in the variable m = 1-L over [0, 1] with one adaptive
-    quadrature, split at the integrand peak so that each panel is monotone
-    and boundary layers sit at panel ends.  A quadrature failure is re-raised
-    as :class:`QuadratureError` naming ``a``, ``theta``, ``t``, ``s`` and
-    ``v``.
+    ``s`` and ``v`` broadcast against each other; the result has their
+    shape (a float for scalars).  Each integrand is integrated in the
+    variable m = 1-L over [0, 1] by one breadth-first adaptive quadrature
+    over the whole batch, split at the integrand's own peak so that each
+    panel is monotone and boundary layers sit at panel ends.  Batches larger
+    than ``_MAX_BATCH`` run in passes of that size; every value is the same
+    as when its integrand is evaluated alone.  Raises ``ValueError`` unless
+    ``0 < t < inf``; a quadrature failure is re-raised as
+    :class:`QuadratureError` naming ``a``, ``theta``, ``t`` and the failing
+    integrand's ``s`` and ``v``.
     """
-    if t <= 0:
-        raise ValueError("log_sticky_integral needs t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"log_sticky_integral needs 0 < t < inf, got t={t!r}")
+    s, v = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(v, dtype=float))
+    shape = s.shape
+    s, v = s.ravel(), v.ravel()
     th = params.theta
-    try:
-        log_f = _sticky_log_integrand_m(params, t, s, v)
-        peak = _sticky_peak_m(log_f)
-        return math.log(th * t) + log_integrate(log_f, 0.0, 1.0, spec, split_points=(peak,))
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"sticky integral at a={params.a!r}, theta={th!r}, t={t!r}, s={s!r}, "
-            f"v={v!r}: {exc}") from exc
+    out = np.empty(s.size)
+    for start in range(0, s.size, _MAX_BATCH):
+        part = slice(start, start + _MAX_BATCH)
+        log_f = _sticky_log_integrand_m(params, t, s[part], v[part])
+        peaks = _sticky_peak_m(log_f, s[part].size)
+        try:
+            out[part] = math.log(th * t) + log_integrate(
+                log_f, np.zeros(peaks.size), 1.0, spec, split_points=peaks[:, None])
+        except QuadratureError as exc:
+            k = start + exc.index
+            raise QuadratureError(
+                f"sticky integral at a={params.a!r}, theta={th!r}, t={t!r}, "
+                f"s={float(s[k])!r}, v={float(v[k])!r}: {exc}", index=k) from exc
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals,
@@ -298,9 +336,48 @@ class KernelValue:
     rho_st: float
 
 
-def _gaps(x: HalfSpacePoint, y: HalfSpacePoint):
+class LogDensities(NamedTuple):
+    """Log kernel densities, one entry per (x1, y1, v) triple.
+
+    ``interior`` is ``log(rho_int + rho_st)``, the interior density (the
+    interior limit at boundary targets); ``boundary`` is the log boundary
+    density at boundary targets (``y1 == 0``) and ``-inf`` elsewhere.
+    ``rho_int`` and ``rho_st`` are the logs of the boundary-avoiding and
+    sticky parts.  At every target ``interior`` is also the log density
+    w.r.t. the stationary measure: on the boundary ``rho_int`` vanishes and
+    ``rho_st = 2 theta * boundary density``.
+    """
+
+    interior: np.ndarray
+    boundary: np.ndarray
+    rho_int: np.ndarray
+    rho_st: np.ndarray
+
+
+def _compose(params: ModelParams, t: float, x1, y1, v, log_st) -> LogDensities:
+    """The kernel densities from the log local-time integral ``log_st``."""
+    log_rho_int = _log_killed_kernel(t, x1, y1) + _log_g(t, v, params.d)
+    log_rho_st = math.log(2.0) + log_st
+    log_boundary = np.where(np.asarray(y1) == 0.0, log_st - math.log(params.theta), -np.inf)
+    return LogDensities(np.logaddexp(log_rho_st, log_rho_int), log_boundary,
+                        log_rho_int, log_rho_st)
+
+
+def log_densities(params: ModelParams, spec: QuadratureSpec, t: float,
+                  x1, y1, v) -> LogDensities:
+    """Log kernel densities at broadcast arrays of source height ``x1``,
+    target height ``y1`` and tangential distance ``v = |y' - x'|``.
+
+    All local-time integrals go to :func:`log_sticky_integral` as one batch.
+    """
+    x1, y1, v = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (x1, y1, v)))
+    return _compose(params, t, x1, y1, v, log_sticky_integral(params, spec, t, x1 + y1, v))
+
+
+def _point_densities(params: ModelParams, spec: QuadratureSpec, t: float,
+                     x: HalfSpacePoint, y: HalfSpacePoint) -> LogDensities:
     v = float(np.linalg.norm(np.asarray(y.xp) - np.asarray(x.xp)))
-    return x.x1 + y.x1, v
+    return log_densities(params, spec, t, x.x1, y.x1, v)
 
 
 def transition_kernel(params: ModelParams, spec: QuadratureSpec, t: float,
@@ -310,29 +387,15 @@ def transition_kernel(params: ModelParams, spec: QuadratureSpec, t: float,
     Boundary targets (``y1 == 0`` exactly) get the boundary density and the
     interior limit; interior targets get ``boundary_density = 0``.
     """
-    if t <= 0:
-        raise ValueError("transition_kernel needs t > 0")
     if x.dim != params.d or y.dim != params.d:
         raise ValueError("point dimension does not match params.d")
-    s, v = _gaps(x, y)
-    log_st = log_sticky_integral(params, spec, t, s, v)
-    rho_st = 2.0 * math.exp(log_st)
-    if y.on_boundary():
-        # s == x1 at boundary targets: reuse the same local-time integral.
-        boundary = math.exp(log_st) / params.theta
-        return KernelValue(rho_st, boundary, 0.0, rho_st)
-    lg0 = _log_killed_kernel(t, x.x1, y.x1) + _log_g(t, v, params.d)
-    rho_int = math.exp(lg0) if lg0 > -math.inf else 0.0
-    return KernelValue(rho_int + rho_st, 0.0, rho_int, rho_st)
+    return KernelValue(*(math.exp(p) for p in _point_densities(params, spec, t, x, y)))
 
 
 def log_interior_density(params: ModelParams, spec: QuadratureSpec, t: float,
                          x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     """log of the interior density (interior limit at boundary targets)."""
-    s, v = _gaps(x, y)
-    log_st = math.log(2.0) + log_sticky_integral(params, spec, t, s, v)
-    lg0 = _log_killed_kernel(t, x.x1, y.x1) + _log_g(t, v, params.d)
-    return float(np.logaddexp(log_st, lg0))
+    return float(_point_densities(params, spec, t, x, y).interior)
 
 
 def log_boundary_density(params: ModelParams, spec: QuadratureSpec, t: float,
@@ -340,15 +403,16 @@ def log_boundary_density(params: ModelParams, spec: QuadratureSpec, t: float,
     """log of the boundary density at a boundary target."""
     if not y.on_boundary():
         raise ValueError("boundary density is only defined for boundary targets")
-    _, v = _gaps(x, y)
-    return log_sticky_integral(params, spec, t, x.x1, v) - math.log(params.theta)
+    return float(_point_densities(params, spec, t, x, y).boundary)
 
 
 def log_mu_density(params: ModelParams, spec: QuadratureSpec, t: float,
                    x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    """log density w.r.t. the stationary measure; symmetric in (x, y)."""
-    if y.on_boundary():
-        return log_boundary_density(params, spec, t, x, y) + math.log(2.0 * params.theta)
+    """log density w.r.t. the stationary measure; symmetric in (x, y).
+
+    It is the interior density, whose interior limit at a boundary target is
+    the boundary density times the atom weight ``2 theta``.
+    """
     return log_interior_density(params, spec, t, x, y)
 
 
@@ -366,29 +430,24 @@ def log_transition_kernel(params: ModelParams, spec: QuadratureSpec, t: float,
     computed density is exactly zero (impossible for valid inputs except
     through underflow of every component).
     """
-    if t <= 0:
-        raise ValueError("log_transition_kernel needs t > 0")
-    if y.on_boundary():
-        out = log_boundary_density(params, spec, t, x, y)
-    else:
-        out = log_interior_density(params, spec, t, x, y)
+    dens = _point_densities(params, spec, t, x, y)
+    out = float(dens.boundary if y.on_boundary() else dens.interior)
     if not np.isfinite(out):
         raise KernelPositivityError(f"density vanished at t={t}, x={x}, y={y}")
-    return float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Grid-based consistency checks
 # ---------------------------------------------------------------------------
 
-def _interior_grid_log_density(params, t, x1, xp_scalar_gap_grid, y1_grid,
-                               order=12, depth=12):
-    """log interior density on the tensor grid (y1_grid, v_grid)."""
-    s_vals = x1 + np.asarray(y1_grid, dtype=float)
-    v_vals = np.asarray(xp_scalar_gap_grid, dtype=float)
-    log_st = math.log(2.0) + _sticky_log_grid(params, t, s_vals, v_vals, order=order, depth=depth)
-    lg0 = _log_killed_kernel(t, x1, np.asarray(y1_grid)[:, None]) + _log_g(t, v_vals[None, :], params.d)
-    return np.logaddexp(log_st, lg0)
+def _grid_densities(params, t, x1, y1_grid, v_grid, order=12, depth=14) -> LogDensities:
+    """Log kernel densities on the tensor grid (y1_grid, v_grid) from the
+    fixed-rule local-time integrals of :func:`_sticky_log_grid`."""
+    y1 = np.asarray(y1_grid, dtype=float)
+    v = np.asarray(v_grid, dtype=float)
+    log_st = _sticky_log_grid(params, t, x1 + y1, v, order=order, depth=depth)
+    return _compose(params, t, x1, y1[:, None], v[None, :], log_st)
 
 
 def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint,
@@ -422,10 +481,10 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint,
     else:
         w_ang = 2.0 * math.pi * v  # radial measure in the tangential plane
 
-    logq = _interior_grid_log_density(params, t, x1, v, y1, order=order)
+    logq = _grid_densities(params, t, x1, y1, v, order=order, depth=12).interior
     interior = float(w_y1 @ np.exp(logq) @ (w_v * w_ang))
 
-    log_b = _sticky_log_grid(params, t, np.array([x1]), v, order=order)[0] - math.log(params.theta)
+    log_b = _grid_densities(params, t, x1, [0.0], v, order=order).boundary[0]
     boundary = float(np.exp(log_b) @ (w_v * w_ang))
     return interior + boundary
 
@@ -472,12 +531,12 @@ def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
     zp = center - zp_halfwidth + (np.arange(np_) + 0.5) * hp
 
     # mu-density of p_s(x, .) and p_t(., y) on the tensor grid.
-    q_left = np.exp(_interior_grid_log_density(params, s, x.x1, np.abs(zp - xp), z1))
-    q_right = np.exp(_interior_grid_log_density(params, t, y.x1, np.abs(zp - yp), z1))
+    q_left = np.exp(_grid_densities(params, s, x.x1, z1, np.abs(zp - xp), depth=12).interior)
+    q_right = np.exp(_grid_densities(params, t, y.x1, z1, np.abs(zp - yp), depth=12).interior)
     interior = float(np.sum(q_left * q_right)) * h1 * hp
 
-    lb_left = _sticky_log_grid(params, s, np.array([x.x1]), np.abs(zp - xp))[0] + math.log(2.0)
-    lb_right = _sticky_log_grid(params, t, np.array([y.x1]), np.abs(zp - yp))[0] + math.log(2.0)
+    lb_left = _grid_densities(params, s, x.x1, [0.0], np.abs(zp - xp)).rho_st[0]
+    lb_right = _grid_densities(params, t, y.x1, [0.0], np.abs(zp - yp)).rho_st[0]
     boundary = float(np.sum(np.exp(lb_left + lb_right))) * hp / (2.0 * params.theta)
 
     mass_left = float(np.sum(q_left)) * h1 * hp + float(np.sum(np.exp(lb_left))) * hp / (2.0 * params.theta)

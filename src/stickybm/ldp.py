@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams, cost
-from .kernel import log_boundary_density, log_interior_density
+from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
 from .simulate import SimConfig, _path_rng, simulate_batch, step_batch
 
@@ -101,8 +101,9 @@ class StaticExperiment:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
         object.__setattr__(self, "epsilons", eps)
-        if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilons must be strictly decreasing and positive")
+        if (not all(0.0 < e < math.inf for e in eps)
+                or any(a <= b for a, b in zip(eps, eps[1:]))):
+            raise ValueError("epsilons must be strictly decreasing positive finite numbers")
         if self.method not in ("quadrature", "monte_carlo"):
             raise ValueError("method must be 'quadrature' or 'monte_carlo'")
         if self.n_paths < 1:
@@ -153,44 +154,45 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
                            x: HalfSpacePoint, target, order: int = 32) -> float:
     """log of the kernel mass of the target at horizon t (quadrature, d = 2).
 
-    Gauss-Legendre over the set, with the kernel evaluated pointwise by
-    adaptive log-domain quadrature; open and closed variants agree (they
-    differ on a mu-null set).
+    Gauss-Legendre over the set, with the kernel at all of its interior
+    nodes, and at all of its boundary nodes, evaluated as one batch of
+    adaptive log-domain quadratures each; open and closed variants agree
+    (they differ on a mu-null set).
     """
     if params.d != 2:
         raise ValueError("quadrature target probabilities implemented for d = 2")
     nodes, w = gauss_legendre(order)
     parts = []
+
+    def log_boundary_line(lo, hi):
+        # log mass of [lo, hi] on the boundary line: one kernel batch.
+        yps = lo + (hi - lo) * nodes
+        vals = log_densities(params, spec, t, x.x1, 0.0, np.abs(yps - x.xp[0])).boundary
+        return logsumexp(vals + np.log(w * (hi - lo)))
+
     if isinstance(target, BoundaryPatch):
         c = target.center_tangential[0]
-        lo, hi = c - target.radius, c + target.radius
-        yps = lo + (hi - lo) * nodes
-        vals = [log_boundary_density(params, spec, t, x, HalfSpacePoint(0.0, (yp,)))
-                for yp in yps]
-        parts.append(logsumexp(np.asarray(vals) + np.log(w * (hi - lo))))
+        parts.append(log_boundary_line(c - target.radius, c + target.radius))
     elif isinstance(target, Ball):
         c1, cp = target.center.x1, target.center.xp[0]
         r = target.radius
         y1_lo, y1_hi = max(0.0, c1 - r), c1 + r
         if y1_hi > y1_lo:
             y1s = y1_lo + (y1_hi - y1_lo) * nodes
-            inner = []
-            for y1, w1 in zip(y1s, w * (y1_hi - y1_lo)):
-                half = math.sqrt(max(r * r - (y1 - c1) ** 2, 0.0))
-                if half == 0.0:
-                    continue
-                yps = cp - half + 2.0 * half * nodes
-                vals = [log_interior_density(params, spec, t, x, HalfSpacePoint(y1, (yp,)))
-                        for yp in yps]
-                inner.append(logsumexp(np.asarray(vals) + np.log(w * 2.0 * half)) + math.log(w1))
+            w1 = w * (y1_hi - y1_lo)
+            half = np.sqrt(np.maximum(r * r - (y1s - c1) ** 2, 0.0))
+            keep = half > 0.0
+            y1s, w1, half = y1s[keep], w1[keep], half[keep]
+            # Every node of every chord across the ball: one kernel batch.
+            yps = (cp - half)[:, None] + (2.0 * half)[:, None] * nodes
+            vals = log_densities(params, spec, t, x.x1, y1s[:, None],
+                                 np.abs(yps - x.xp[0])).interior
+            inner = logsumexp(vals + np.log(w * 2.0 * half[:, None]), axis=1) + np.log(w1)
             parts.append(logsumexp(inner))
         if c1 <= r:
             half_b = math.sqrt(max(r * r - c1 * c1, 0.0))
             if half_b > 0:
-                yps = cp - half_b + 2.0 * half_b * nodes
-                vals = [log_boundary_density(params, spec, t, x, HalfSpacePoint(0.0, (yp,)))
-                        for yp in yps]
-                parts.append(logsumexp(np.asarray(vals) + np.log(w * 2.0 * half_b)))
+                parts.append(log_boundary_line(cp - half_b, cp + half_b))
     else:
         raise TypeError("target must be a Ball or BoundaryPatch")
     return logsumexp(parts)

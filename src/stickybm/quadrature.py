@@ -3,7 +3,9 @@
 Everything here integrates ``exp(log_f)`` for a vectorized ``log_f`` and
 returns the log of the integral.  Working in the log domain with running
 max-exponent shifts keeps integrals of densities like ``exp(-c/eps)`` finite
-down to ``eps ~ 1e-3``, where the raw formulas underflow.
+down to ``eps ~ 1e-3``, where the raw formulas underflow.  The adaptive
+integrator runs breadth-first over a batch of integrands: each bisection
+level evaluates every live panel of every integrand in one ``log_f`` call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ _NEG_INF = -math.inf
 
 
 class QuadratureError(RuntimeError):
-    """Tolerance not met within the subdivision budget; never silently inaccurate."""
+    """Tolerance not met within the subdivision budget; never silently inaccurate.
+
+    ``index`` is the position of the failing integrand in its batch.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -46,81 +55,138 @@ def gauss_legendre(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def logsumexp(values) -> float:
-    """log of the sum of exp over the non-NaN values; -inf when there are none."""
+def logsumexp(values, axis=None):
+    """log of the sum of exp over the non-NaN values; -inf where there are none.
+
+    With ``axis=None`` every value counts and the result is a float;
+    otherwise the sum runs along ``axis`` and the result is an array.
+    """
     values = np.asarray(values, dtype=float)
-    values = values[~np.isnan(values)]
-    if values.size == 0:
-        return _NEG_INF
-    m = np.max(values)
-    if m == _NEG_INF:
-        return _NEG_INF
-    return float(m + np.log(np.sum(np.exp(values - m))))
+    if axis is None:
+        values, axis = values.ravel(), 0
+    values = np.where(np.isnan(values), _NEG_INF, values)
+    if values.shape[axis] == 0:
+        out = np.full(np.delete(values.shape, axis), _NEG_INF)
+    else:
+        m = np.max(values, axis=axis, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.squeeze(m, axis) + np.log(np.sum(
+                np.exp(values - np.where(m == _NEG_INF, 0.0, m)), axis=axis))
+    return float(out) if out.ndim == 0 else out
 
 
-def _panel(log_f, a: float, b: float, nodes, log_w):
-    """Gauss-Legendre estimate and endpoint bound of ``int_a^b exp(log_f)``.
+def _grouped_logsumexp(rows, values, n: int) -> np.ndarray:
+    """logsumexp of ``values`` per integrand ``rows[k]`` in ``range(n)``.
 
-    One ``log_f`` call covers the nodes and both endpoints.  Returns the log
-    of the fixed-order estimate and ``log(b - a) + max(log_f(a), log_f(b))``,
-    which bounds the log integral when ``exp(log_f)`` is monotone on [a, b].
+    Each integrand's terms are summed in their order of appearance, so its
+    result does not depend on the other integrands of the batch.
     """
-    width = b - a
-    vals = np.asarray(log_f(np.concatenate(([a], a + width * nodes, [b]))), dtype=float)
-    log_width = math.log(width)
-    return logsumexp(vals[1:-1] + log_w + log_width), log_width + float(np.max(vals[[0, -1]]))
+    m = np.full(n, _NEG_INF)
+    np.maximum.at(m, rows, values)
+    shift = np.where(m == _NEG_INF, 0.0, m)
+    total = np.bincount(rows, weights=np.exp(values - shift[rows]), minlength=n)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(total)
 
 
-def log_integrate(log_f, a: float, b: float, spec: QuadratureSpec,
-                  order: int = 15, split_points=()) -> float:
-    """log of ``int_a^b exp(log_f(t)) dt`` by adaptive bisection.
+def _panels(log_f, rows, lo, hi, nodes, log_w):
+    """Gauss-Legendre estimates and endpoint bounds of ``int exp(log_f)`` on
+    the panels ``[lo[k], hi[k]]`` of integrands ``rows[k]``.
 
-    ``log_f`` must accept a 1-D array of nodes.  ``split_points`` seeds panel
-    boundaries: pass the interior maxima, so every panel is monotone and its
-    boundary layers sit at panel ends, where dyadic refinement resolves them.
-
-    A panel counts as negligible, and is accepted without refinement, only
-    when its Gauss estimate, the estimate from its two halves and the bound
-    ``log(width) + max(log_f(lo), log_f(hi))`` all lie at or below
-    ``rtol / 64`` of a first-pass total.  The bound is rigorous on a monotone
-    panel, so a boundary layer that the Gauss nodes miss is never dropped.
-    Any other panel is accepted once its two estimates agree to
-    ``0.25 * rtol``.  Raises :class:`QuadratureError` when a relevant panel
-    still disagrees at ``max_subdivisions`` levels.
+    One ``log_f(rows, x)`` call covers every panel; row ``k`` of ``x`` holds
+    the panel's left endpoint, its nodes and its right endpoint.  Returns the
+    log of each fixed-order estimate and ``log(width) + max(log_f(lo),
+    log_f(hi))``, which bounds the log integral when ``exp(log_f)`` is
+    monotone on the panel.
     """
-    if not b > a:
+    width = hi - lo
+    x = np.concatenate((lo[:, None], lo[:, None] + width[:, None] * nodes, hi[:, None]), axis=1)
+    vals = np.asarray(log_f(rows, x), dtype=float)
+    log_width = np.log(width)
+    est = logsumexp(vals[:, 1:-1] + log_w + log_width[:, None], axis=1)
+    return est, log_width + np.max(vals[:, [0, -1]], axis=1)
+
+
+def log_integrate(log_f, a, b, spec: QuadratureSpec, order: int = 15, split_points=()):
+    """log of ``int_a^b exp(log_f(t)) dt`` for a batch of integrands, by
+    breadth-first adaptive bisection.
+
+    ``a`` and ``b`` broadcast to the batch shape; the result has that shape
+    (a float for scalars).  ``log_f(rows, x)`` evaluates integrand
+    ``rows[k]`` at the nodes ``x[k, :]``: ``rows`` is a 1-D integer array
+    of flat batch indices and ``x`` a ``(len(rows), order + 2)`` array.
+    Each level of the bisection makes one such call covering both halves of
+    every live panel of every integrand.
+
+    ``split_points`` seeds panel boundaries; it broadcasts to the batch
+    shape plus one trailing axis, and points outside ``(a, b)`` are ignored.
+    Pass the interior maxima, so every panel is monotone and its boundary
+    layers sit at panel ends, where dyadic refinement resolves them.
+
+    Each integrand's panels follow their own rules, whatever else is in the
+    batch.  A panel counts as negligible, and is accepted without
+    refinement, only when its Gauss estimate, the estimate from its two
+    halves and the bound ``log(width) + max(log_f(lo), log_f(hi))`` all lie
+    at or below ``rtol / 64`` of its integrand's first-pass total.  The
+    bound is rigorous on a monotone panel, so a boundary layer that the
+    Gauss nodes miss is never dropped.  Any other panel is accepted once its
+    two estimates agree to ``0.25 * rtol``.  Accepted panels are summed per
+    integrand.  Raises :class:`QuadratureError`, with the integrand's flat
+    index, when a relevant panel still disagrees at ``max_subdivisions``
+    levels.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    if not np.all(b > a):
         raise ValueError("need b > a")
+    n = a.size
     nodes, w = gauss_legendre(order)
     log_w = np.log(w)
 
-    edges = sorted({float(a), float(b), *(float(s) for s in split_points if a < s < b)})
-    stack = [(lo, hi, *_panel(log_f, lo, hi, nodes, log_w), 0)
-             for lo, hi in zip(edges, edges[1:])]
+    splits = np.asarray(split_points, dtype=float)
+    splits = np.broadcast_to(splits, shape + splits.shape[-1:]).reshape(n, -1)
+    splits = np.where((splits > a[:, None]) & (splits < b[:, None]), splits, a[:, None])
+    edges = np.sort(np.concatenate((a[:, None], splits, b[:, None]), axis=1), axis=1)
+    rows = np.repeat(np.arange(n), edges.shape[1] - 1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    keep = hi > lo
+    rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    est, bound = _panels(log_f, rows, lo, hi, nodes, log_w)
 
     # Panels contributing less than rtol * total never need refining; use a
-    # coarse first-pass total as the pruning scale.
-    coarse_total = logsumexp([p[2] for p in stack])
+    # coarse first-pass total per integrand as the pruning scale.
     rtol = spec.relative_tolerance
-    prune = coarse_total + math.log(rtol) - math.log(64.0)
+    prune = _grouped_logsumexp(rows, est, n) + math.log(rtol) - math.log(64.0)
 
-    accepted = []
-    while stack:
-        lo, hi, est, bound, depth = stack.pop()
+    accepted_rows, accepted = [], []
+    depth = 0
+    while rows.size:
         mid = 0.5 * (lo + hi)
-        left, left_bound = _panel(log_f, lo, mid, nodes, log_w)
-        right, right_bound = _panel(log_f, mid, hi, nodes, log_w)
+        halves, half_bounds = _panels(log_f, np.concatenate((rows, rows)),
+                                      np.concatenate((lo, mid)), np.concatenate((mid, hi)),
+                                      nodes, log_w)
+        left, right = np.split(halves, 2)
         fine = np.logaddexp(left, right)
-        if fine <= prune and est <= prune and bound <= prune:
-            accepted.append(fine)
-            continue
-        err = abs(math.expm1(min(est - fine, 700.0))) if fine != _NEG_INF else math.inf
-        if err <= 0.25 * rtol:
-            accepted.append(fine)
-            continue
-        if depth >= spec.max_subdivisions:
+        p = prune[rows]
+        with np.errstate(invalid="ignore"):
+            err = np.where(fine == _NEG_INF, math.inf,
+                           np.abs(np.expm1(np.minimum(est - fine, 700.0))))
+        done = (((fine <= p) & (est <= p) & (bound <= p))
+                | (err <= 0.25 * rtol))
+        accepted_rows.append(rows[done])
+        accepted.append(fine[done])
+        refine = ~done
+        if depth >= spec.max_subdivisions and refine.any():
+            k = int(np.flatnonzero(refine)[0])
             raise QuadratureError(
-                f"panel [{lo:.6g}, {hi:.6g}] disagrees by {err:.3e} after "
-                f"{depth} subdivisions (tolerance {rtol:.1e})")
-        stack.append((lo, mid, left, left_bound, depth + 1))
-        stack.append((mid, hi, right, right_bound, depth + 1))
-    return logsumexp(accepted)
+                f"panel [{lo[k]:.6g}, {hi[k]:.6g}] disagrees by {err[k]:.3e} after "
+                f"{depth} subdivisions (tolerance {rtol:.1e})", index=int(rows[k]))
+        left_bound, right_bound = np.split(half_bounds, 2)
+        rows = np.concatenate((rows[refine], rows[refine]))
+        lo, hi = np.concatenate((lo[refine], mid[refine])), np.concatenate((mid[refine], hi[refine]))
+        est = np.concatenate((left[refine], right[refine]))
+        bound = np.concatenate((left_bound[refine], right_bound[refine]))
+        depth += 1
+    out = _grouped_logsumexp(np.concatenate(accepted_rows), np.concatenate(accepted), n)
+    return float(out[0]) if shape == () else out.reshape(shape)

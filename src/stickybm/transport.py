@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from .geometry import HalfSpacePoint, ModelParams, cost_batch, geodesic
-from .kernel import log_mu_density
+from .kernel import log_densities
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -182,13 +182,14 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
     relative entropy against the renormalized probability matrix is
     ``cost_value + log_normalization`` (in cost units).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
     n, m = mu0.size, mu1.size
-    log_k = np.empty((n, m))
-    for i, xi in enumerate(mu0.atoms):
-        for j, yj in enumerate(mu1.atoms):
-            log_k[i, j] = log_mu_density(params, spec, epsilon, xi, yj)
+    gap = np.linalg.norm(mu1.xp()[None, :, :] - mu0.xp()[:, None, :], axis=-1)
+    # log mu-densities: the interior density, which on the boundary is the
+    # boundary density times the atom weight 2 theta.
+    log_k = log_densities(params, spec, epsilon, mu0.x1()[:, None], mu1.x1()[None, :],
+                          gap).interior
     log_a = np.log(np.asarray(mu0.weights))
     log_b = np.log(np.asarray(mu1.weights))
     alpha = np.zeros(n)
@@ -255,7 +256,10 @@ def gamma_limit_experiment(params: ModelParams, spec: QuadratureSpec,
     the gaps.  Raises :class:`TransportConvergenceError` when Sinkhorn fails
     at every eps, since there is then no gap to fit.
     """
-    eps_list = sorted((float(e) for e in epsilons), reverse=True)
+    eps_list = [float(e) for e in epsilons]
+    if not all(0.0 < e < math.inf for e in eps_list):
+        raise ValueError(f"epsilons must be positive finite numbers, got {eps_list}")
+    eps_list.sort(reverse=True)
     if eps_list[-1] < 1e-3:
         raise ValueError("smallest epsilon must be at least 1e-3")
     exact = kantorovich(params, mu0, mu1)

@@ -24,11 +24,12 @@ def read_csv(path):
 
 
 def forbid(monkeypatch, module, name):
-    """Replace a sampling function with one that fails if it is ever called."""
-    def no_sampling(*args, **kwargs):
+    """Replace a sampling or quadrature function with one that fails if it is
+    ever called."""
+    def not_yet(*args, **kwargs):
         raise AssertionError(f"{name} was called before the input was validated")
 
-    monkeypatch.setattr(module, name, no_sampling)
+    monkeypatch.setattr(module, name, not_yet)
 
 
 class TestDispatch:
@@ -126,6 +127,14 @@ class TestKernelCli:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:") and "theta=1.0" in err
 
+    def test_non_finite_horizon_exits_2_before_quadrature(self, tmp_path, capsys, monkeypatch):
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        code = run(tmp_path, "kernel", "--a", "1", "--theta", "1", "--t", "nan",
+                   "--x", "0,0", "--grid", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "t must be" in err
+
     def test_grid_mass(self, tmp_path, capsys):
         code = run(tmp_path, "kernel", "--a", "1", "--theta", "1", "--t", "1",
                    "--x", "0,0", "--grid", "64")
@@ -162,6 +171,20 @@ class TestTransportCli:
         capsys.readouterr()
         summary = json.loads((tmp_path / "sinkhorn.json").read_text())
         assert float(summary["marginal_error"]) < 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["sinkhorn", "--epsilon", "nan"],
+        ["sinkhorn", "--epsilon", "inf"],
+        ["gamma-limit", "--epsilons", "0.04,nan,0.01"],
+    ])
+    def test_non_finite_epsilon_exits_2_before_quadrature(self, tmp_path, capsys, monkeypatch,
+                                                          measures, argv):
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        mu0, mu1 = measures
+        code = run(tmp_path, *argv, "--a", "2", "--theta", "1", "--mu0", mu0, "--mu1", mu1)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "epsilon" in err
 
     def test_gamma_limit_without_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
         mu0 = tmp_path / "mu0.csv"
@@ -235,6 +258,15 @@ class TestLdpCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and message in err
+
+    def test_static_non_finite_epsilon_exits_2_before_quadrature(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
+                   "--target", "patch:2:0.1", "--epsilons", "nan,0.1,0.05,0.025")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "epsilons" in err
 
     def test_static_monte_carlo_zero_paths_exits_2_before_sampling(self, tmp_path, capsys,
                                                                     monkeypatch):

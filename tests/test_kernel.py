@@ -21,7 +21,7 @@ from stickybm.kernel import (
     transition_kernel,
     _sticky_log_grid,
 )
-from stickybm.quadrature import QuadratureError, QuadratureSpec, log_integrate
+from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre, log_integrate
 
 from oracles import fixed_gauss_legendre_integral
 
@@ -49,7 +49,7 @@ class TestBuildingBlocks:
         # int_0^T h(t, 1) dt = P(hit before T) = erfc(1 / sqrt(2T)), which
         # tends to one: hitting is almost sure in one dimension.  Split at the
         # density's maximum t = 1/3 so both panels are monotone.
-        def log_h_in_t(t):
+        def log_h_in_t(rows, t):
             with np.errstate(divide="ignore"):
                 return np.log(hitting_density_vec(t, 1.0))
 
@@ -337,7 +337,73 @@ class TestStickyIntegral:
         assert got == pytest.approx(reference, abs=1e-8)
 
 
+def _kernel_grid_gaps(t, n=16, extent=4.0):
+    """(s, v) of ``stickybm kernel --a 1 --theta 1 --x 0,0 --grid n``."""
+    y1s = np.linspace(0.0, extent * math.sqrt(t), n)
+    yps = np.linspace(-extent * math.sqrt(t), extent * math.sqrt(t), n)
+    return (np.concatenate((np.repeat(y1s, n), np.zeros(n))),
+            np.abs(np.concatenate((np.tile(yps, n), yps))))
+
+
+def _mixed_matrix_gaps():
+    """(s, v) of a 10 x 10 Gibbs matrix, half of each measure on the boundary."""
+    x1 = np.array([0.0, 0.4, 0.0, 0.9, 0.0, 0.2, 0.0, 1.3, 0.0, 0.6])
+    xp = np.linspace(-1.5, 1.5, 10)
+    y1 = x1[::-1]
+    yp = xp + 0.5
+    return x1[:, None] + y1[None, :], np.abs(yp[None, :] - xp[:, None])
+
+
+def _patch_gaps():
+    """(s, v) at the 32 Gauss nodes of the criterion-7 patch, from the origin."""
+    nodes, _ = gauss_legendre(32)
+    return np.zeros(32), 1.9 + 0.2 * nodes
+
+
+class TestBatch:
+    @pytest.mark.parametrize("params, t, gaps", [
+        (ModelParams(1.0, 1.0), 1.0, _kernel_grid_gaps(1.0)),
+        (ModelParams(1.0, 1.0), 0.01, _kernel_grid_gaps(0.01)),
+        (ModelParams(4.0, 1.0), 0.01, _mixed_matrix_gaps()),
+        (ModelParams(4.0, 1.0), 0.025, _patch_gaps()),
+    ], ids=["kernel-grid-t1", "kernel-grid-t0.01", "mixed-matrix", "patch-nodes"])
+    def test_batch_matches_one_at_a_time(self, params, t, gaps):
+        s, v = gaps
+        batch = log_sticky_integral(params, SPEC, t, s, v)
+        assert batch.shape == s.shape
+        alone = np.vectorize(lambda si, vi: log_sticky_integral(params, SPEC, t, si, vi))(s, v)
+        np.testing.assert_allclose(batch, alone, rtol=1e-13, atol=0.0)
+
+    def test_scalar_inputs_give_a_float(self):
+        value = log_sticky_integral(ModelParams(2.0, 1.5), SPEC, 0.25, 0.5, 0.75)
+        assert type(value) is float
+        row = log_sticky_integral(ModelParams(2.0, 1.5), SPEC, 0.25, [0.5, 0.5], 0.75)
+        assert row.shape == (2,) and np.all(row == value)
+
+    def test_smaller_passes_leave_values_unchanged(self, monkeypatch):
+        params = ModelParams(4.0, 1.0)
+        s, v = _mixed_matrix_gaps()
+        whole = log_sticky_integral(params, SPEC, 0.01, s, v)
+        monkeypatch.setattr(stickybm.kernel, "_MAX_BATCH", 7)
+        assert np.array_equal(log_sticky_integral(params, SPEC, 0.01, s, v), whole)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_must_be_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match="0 < t < inf"):
+            log_sticky_integral(ModelParams(2.0, 1.5), SPEC, t, [0.5, 1.0], 0.75)
+
+
 class TestQuadratureFailure:
+    def test_batch_error_names_the_failing_integrand(self):
+        # At 8 subdivisions only (s, v) = (0, 3) misses the tolerance.
+        spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+        with pytest.raises(QuadratureError) as err:
+            log_sticky_integral(ModelParams(2.0, 1.5), spec, 1e-3,
+                                [0.3, 1.0, 0.0], [1.0, 0.3, 3.0])
+        msg = str(err.value)
+        assert "s=0.0, v=3.0" in msg and "s=0.3" not in msg
+        assert err.value.index == 2
+
     def test_error_names_the_evaluation(self, monkeypatch):
         def fail(*args, **kwargs):
             raise QuadratureError("tolerance not met")

@@ -49,6 +49,9 @@ class TestPlumbing:
         with pytest.raises(ValueError):
             StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), (0.2, 0.1),
                              method="bogus")
+        for bad in ((math.nan, 0.1, 0.05), (math.inf, 0.1, 0.05), (0.2, 0.1, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), bad)
         with pytest.raises(ValueError):
             Ball(P(1.0, 0.0), 0.0)
 

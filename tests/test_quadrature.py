@@ -27,7 +27,7 @@ def test_gauss_legendre_normalized():
 def test_exponential_integral():
     spec = QuadratureSpec()
     for alpha in (0.5, 3.0, 40.0):
-        got = log_integrate(lambda x: -alpha * x, 0.0, 1.0, spec)
+        got = log_integrate(lambda rows, x: -alpha * x, 0.0, 1.0, spec)
         expected = math.log((1.0 - math.exp(-alpha)) / alpha)
         assert got == pytest.approx(expected, abs=1e-11)
 
@@ -36,7 +36,7 @@ def test_sharp_gaussian_bump_with_split():
     spec = QuadratureSpec()
     center, width = 0.37, 1e-4
 
-    def log_f(x):
+    def log_f(rows, x):
         return -((x - center) / width) ** 2 / 2.0
 
     got = log_integrate(log_f, 0.0, 1.0, spec, split_points=(center,))
@@ -47,14 +47,14 @@ def test_sharp_gaussian_bump_with_split():
 def test_extreme_scaling_stays_finite():
     # Integrals of exp(-c/eps) magnitude must survive in the log domain.
     spec = QuadratureSpec()
-    got = log_integrate(lambda x: -2000.0 + 0.0 * x, 0.0, 1.0, spec)
+    got = log_integrate(lambda rows, x: -2000.0 + 0.0 * x, 0.0, 1.0, spec)
     assert got == pytest.approx(-2000.0, abs=1e-12)
 
 
 def test_failure_is_reported():
     spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
 
-    def nasty(x):
+    def nasty(rows, x):
         return 30.0 * np.sin(1000.0 * x) ** 2
 
     with pytest.raises(QuadratureError):
@@ -69,8 +69,37 @@ def test_boundary_layer_missed_by_the_nodes_is_kept():
     spec = QuadratureSpec()
     width = 1e-5
 
-    def log_f(x):
+    def log_f(rows, x):
         return np.where(x <= 0.5, 0.0, -(x - 0.5) / width)
 
     got = log_integrate(log_f, 0.0, 1.0, spec, split_points=(0.5,))
     assert got == pytest.approx(math.log(0.5 + width), abs=1e-10)
+
+
+def test_batch_matches_each_integrand_alone():
+    # Each integrand keeps its own prune scale, splits and panels, so a batch
+    # gives exactly the values of its integrands integrated one at a time.
+    spec = QuadratureSpec()
+    centers = np.array([0.37, 0.5, 0.9])
+    widths = np.array([1e-4, 1e-2, 0.3])
+
+    def log_f(rows, x):
+        return -((x - centers[rows, None]) / widths[rows, None]) ** 2 / 2.0
+
+    batch = log_integrate(log_f, 0.0, np.ones(3), spec, split_points=centers[:, None])
+    assert batch.shape == (3,)
+    for k, (c, w) in enumerate(zip(centers, widths)):
+        alone = log_integrate(lambda rows, x: -((x - c) / w) ** 2 / 2.0, 0.0, 1.0, spec,
+                              split_points=(c,))
+        assert batch[k] == alone
+
+
+def test_failure_names_the_integrand():
+    spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+
+    def log_f(rows, x):
+        return np.where(rows[:, None] == 1, 30.0 * np.sin(1000.0 * x) ** 2, -x)
+
+    with pytest.raises(QuadratureError) as err:
+        log_integrate(log_f, np.zeros(3), 1.0, spec)
+    assert err.value.index == 1

@@ -233,6 +233,15 @@ class TestGammaLimit:
         with pytest.raises(ValueError):
             gamma_limit_experiment(params, SPEC, mu, mu, (0.01, 1e-4))
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        params = ModelParams(4.0, 1.0)
+        mu = uniform(P(0.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            schrodinger(params, SPEC, eps, mu, mu)
+        with pytest.raises(ValueError, match="finite"):
+            gamma_limit_experiment(params, SPEC, mu, mu, (0.04, eps, 0.01))
+
 
 class TestDisplacement:
     def test_endpoints(self):
