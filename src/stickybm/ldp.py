@@ -8,18 +8,19 @@ Carlo with exact one-step sampling; rates are extracted by fitting
 
 the middle term absorbing the Gaussian ``eps^{-d/2}`` prefactors that make
 raw two-point slopes converge too slowly.  Reference rates are infima of the
-closed-form cost over the target sets, found by multistart projected
-gradient descent.
+closed-form cost over the target sets; the cost is the smaller of two convex
+rates, so each infimum is the smallest of a few convex programs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams, cost
+from .geometry import HalfSpacePoint, ModelParams, _sticky_rate_core, cost
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
 from .simulate import SimConfig, _path_rng, simulate_batch, step_batch
@@ -137,6 +138,15 @@ def wilson_interval(hits: int, n: int, z: float = 2.5758293035489004):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _fit_epsilons(epsilons) -> list:
+    """Epsilons for fit_rate's three unknowns: at least three, distinct, positive, finite."""
+    eps = [float(e) for e in epsilons]
+    if not all(0.0 < e < math.inf for e in eps) or len(set(eps)) < max(len(eps), 3):
+        raise ValueError(f"epsilons must be at least three distinct positive finite "
+                         f"numbers, got {eps}")
+    return eps
+
+
 def fit_rate(epsilons, scaled_log_probs):
     """Least-squares fit of eps log rho = -rate + beta eps log(1/eps) + gamma eps."""
     eps = np.asarray(epsilons, dtype=float)
@@ -202,102 +212,70 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
 # Reference rates: cost infima over targets
 # ---------------------------------------------------------------------------
 
-def _project_target(y: np.ndarray, target) -> np.ndarray:
-    if isinstance(target, BoundaryPatch):
-        c = np.asarray(target.center_tangential)
-        y = y.copy()
-        y[0] = 0.0
-        dp = y[1:] - c
-        n = float(np.linalg.norm(dp))
-        if n > target.radius:
-            y[1:] = c + dp * (target.radius / n)
-        return y
-    c = target.center.coords()
-    y = y.copy()
-    for _ in range(64):
-        dy = y - c
-        n = float(np.linalg.norm(dy))
-        if n > target.radius:
-            y = c + dy * (target.radius / n)
-        if y[0] < 0.0:
-            y[0] = 0.0
-        if y[0] >= 0.0 and np.linalg.norm(y - c) <= target.radius * (1 + 1e-12):
-            break
-    return y
+def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
+    """Infimum of sum_j c(y_{j-1}, y_j) / dt_j over y_j in targets[j], y_0 = x.
 
-
-def _target_starts(x: HalfSpacePoint, target, grid: int = 16):
-    """Start points: a grid over the set plus its extreme candidates."""
-    starts = []
-    if isinstance(target, BoundaryPatch):
-        c = np.asarray(target.center_tangential)
-        for u in np.linspace(-1.0, 1.0, grid):
-            starts.append(np.concatenate([[0.0], c + u * target.radius]))
-        xp = np.asarray(x.xp)
-        starts.append(np.concatenate([[0.0], np.clip(xp, c - target.radius, c + target.radius)]))
-        return starts
-    c = target.center.coords()
-    r = target.radius
-    for u1 in np.linspace(-1.0, 1.0, grid):
-        for u2 in np.linspace(-1.0, 1.0, grid):
-            y = c + r * np.array([u1, u2])
-            starts.append(_project_target(y, target))
-    xv = x.coords()
-    gap = xv - c
-    n = float(np.linalg.norm(gap))
-    starts.append(_project_target(c + gap * (min(r, n) / n if n > 0 else 0.0), target))
-    starts.append(_project_target(np.array([0.0, c[1]]), target))
-    if c[0] <= r:
-        half = math.sqrt(max(r * r - c[0] ** 2, 0.0))
-        starts.append(np.array([0.0, c[1] - half]))
-        starts.append(np.array([0.0, c[1] + half]))
-    return starts
-
-
-def _point(y: np.ndarray) -> HalfSpacePoint:
-    return HalfSpacePoint(max(y[0], 0.0), tuple(y[1:]))
-
-
-def _descend(objective, project, y: np.ndarray, step: float, step_max: float,
-             iters: int) -> float:
-    """Projected descent from ``y``; returns the last objective value.
-
-    The gradient is a central difference with step ``1e-6 max(1, |y|)``.  Each
-    iteration halves a trial step up to 40 times until the projected move
-    lowers the objective, stops when none does, and doubles the accepted step
-    (at most ``step_max``) for the next iteration.
+    Each term is the smaller of the Euclidean and the sticky rate, both convex,
+    and a Ball (``y1 >= 0, |y - c| <= r``) or BoundaryPatch (``y1 = 0,
+    |y - (0, c')| <= r``) is convex, so the infimum is the smallest of ``2^k``
+    convex programs, one per branch choice.  SLSQP solves each from the centres
+    (objective scaled to 1 there) to ``ftol = 1e-11``, or to ``1e-8`` if it
+    stops at rounding level first.  Its answer meets the constraints only to
+    that tolerance, so the value is the sliced cost at the nearest points of the
+    targets and of their traces on ``y1 = 0``.
     """
-    y = project(y)
-    f = objective(y)
-    for _ in range(iters):
-        h = 1e-6 * max(1.0, float(np.linalg.norm(y)))
-        g = np.empty_like(y)
-        for k in range(y.size):
-            e = np.zeros_like(y)
-            e[k] = h
-            g[k] = (objective(y + e) - objective(y - e)) / (2 * h)
-        trial = step
-        for _ in range(40):
-            y_new = project(y - trial * g)
-            f_new = objective(y_new)
-            if f_new < f - 1e-15:
+    from scipy.optimize import minimize
+
+    k, d = len(targets), x.dim
+    patch = [isinstance(t, BoundaryPatch) for t in targets]
+    centres = np.array([np.concatenate(([0.0], t.center_tangential)) if p else t.center.coords()
+                        for t, p in zip(targets, patch)])
+    radii = np.array([t.radius for t in targets])
+
+    def near(c, r, is_patch, y):
+        # The nearest points of the target and of its trace on y1 = 0.
+        disks = [] if is_patch else [(c, r, y)]
+        if c[0] <= r:
+            disks.append((np.r_[0.0, c[1:]], math.sqrt(r * r - c[0] ** 2), np.r_[0.0, y[1:]]))
+        return [HalfSpacePoint(z[0], z[1:])
+                for z in (o + (p - o) * (h / max(np.linalg.norm(p - o), h)) for o, h, p in disks)]
+
+    constraints = [{"type": "ineq",
+                    "fun": lambda v: radii - np.linalg.norm(v.reshape(k, d) - centres, axis=1)}]
+    if any(patch):
+        constraints.append({"type": "eq", "fun": lambda v: v.reshape(k, d)[patch, 0]})
+    bounds = ([(0.0, None)] + [(None, None)] * (d - 1)) * k
+    best = math.inf
+    for sticky in itertools.product((False, True), repeat=k):
+        def branch_cost(v, sticky=np.array(sticky)):
+            y = np.vstack([x.coords(), v.reshape(k, d)])
+            dx1, s = y[1:, 0] - y[:-1, 0], y[1:, 0] + y[:-1, 0]
+            v_t = np.linalg.norm(y[1:, 1:] - y[:-1, 1:], axis=1)
+            terms = np.where(sticky, _sticky_rate_core(params.a, s, v_t),
+                             0.5 * (dx1 * dx1 + v_t * v_t))
+            return float(np.sum(terms / dts))
+
+        scale = branch_cost(centres.ravel()) or 1.0
+        for ftol in (1e-11, 1e-8):
+            res = minimize(lambda v: branch_cost(v) / scale, centres.ravel(), method="SLSQP",
+                           bounds=bounds, constraints=constraints, options={"ftol": ftol})
+            if res.success:
                 break
-            trial *= 0.5
         else:
-            break
-        y, f = y_new, f_new
-        step = min(trial * 2.0, step_max)
-    return f
+            raise RuntimeError(f"reference-rate program (sticky branches {sticky}) failed "
+                               f"on {targets}: {res.message}")
+        for ys in itertools.product(*map(near, centres, radii, patch, res.x.reshape(k, d))):
+            best = min(best, _sliced_sum(params, x, dts, ys))
+    return best
 
 
-def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target,
-                         iters: int = 200) -> float:
-    """Infimum of cost(x, .) over the target by multistart projected descent."""
-    return min(_descend(lambda y: cost(params, x, _point(y)),
-                        lambda y: _project_target(y, target),
-                        np.asarray(y0, dtype=float), 0.25 * target.radius,
-                        4.0 * target.radius, iters)
-               for y0 in _target_starts(x, target))
+def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target) -> float:
+    """Infimum of cost(x, .) over a Ball or BoundaryPatch: the smaller of
+    ``2^k = 2`` convex programs (one waypoint, at time 1), one per branch of the
+    cost; exactly 0.0 when the target holds ``x``."""
+    if target.contains(x.x1, np.asarray(x.xp)):
+        return 0.0
+    return _min_sliced(params, x, np.ones(1), [target])
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +367,8 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
     dropped scan points, and reported next to the bisection root of the cone
     equality at the pair (x, y).
     """
+    eps_t = tuple(sorted(_fit_epsilons(epsilons), reverse=True))
     rows = []
-    eps_t = tuple(sorted((float(e) for e in epsilons), reverse=True))
     for a in a_values:
         params = ModelParams(float(a), theta, x.dim)
         target = Ball(y, ball_radius)
@@ -449,39 +427,13 @@ def discrete_waypoint_cost(params: ModelParams, x: HalfSpacePoint, waypoints) ->
                        [y for _, y in waypoints])
 
 
-def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets,
-                    restarts: int = 8, iters: int = 300, seed: int = 0) -> float:
-    """Infimum of the sliced cost over the product of waypoint balls.
-
-    Joint projected descent on all waypoints stacked into one vector,
-    multistarted from the centers plus jittered variants.
-    """
-    dts = _waypoint_dts([t for t, _ in waypoint_sets])
-    targets = [b for _, b in waypoint_sets]
-    dim = x.dim
-    rng = np.random.default_rng(seed)
-
-    def objective(v):
-        return _sliced_sum(params, x, dts, map(_point, v.reshape(-1, dim)))
-
-    def project(v):
-        return np.concatenate([_project_target(y, tgt)
-                               for y, tgt in zip(v.reshape(-1, dim), targets)])
-
-    best = math.inf
-    for r in range(restarts):
-        starts = []
-        for tgt in targets:
-            if isinstance(tgt, Ball):
-                c = tgt.center.coords()
-            else:
-                c = np.concatenate([[0.0], tgt.center_tangential])
-            if r > 0:
-                c = c + rng.normal(scale=0.5 * tgt.radius, size=dim)
-            starts.append(c)
-        best = min(best, _descend(objective, project, np.concatenate(starts),
-                                  0.25 * min(t.radius for t in targets), 1.0, iters))
-    return best
+def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets) -> float:
+    """Infimum of the sliced cost over the product of waypoint targets: the
+    smallest of ``2^k`` convex programs in all ``k`` waypoints at once, one per
+    choice of the Euclidean or sticky branch on each segment (``k <= 2`` for
+    every caller here)."""
+    return _min_sliced(params, x, _waypoint_dts([t for t, _ in waypoint_sets]),
+                       [b for _, b in waypoint_sets])
 
 
 @dataclass(frozen=True)
@@ -503,9 +455,7 @@ def sliced_ldp(params: ModelParams, x: HalfSpacePoint, waypoint_sets, epsilons,
     infimum over the product of balls.
     """
     dts = _waypoint_dts([t for t, _ in waypoint_sets])
-    epsilons = [float(e) for e in epsilons]
-    if not all(0.0 < e < math.inf for e in epsilons):
-        raise ValueError("epsilons must be positive finite numbers")
+    epsilons = _fit_epsilons(epsilons)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     targets = [b for _, b in waypoint_sets]

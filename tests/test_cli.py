@@ -226,8 +226,8 @@ class TestLdpCli:
         code = run(tmp_path, "ldp-path", "--a", "4", "--theta", "1", "--x", "0,0",
                    "--waypoints", "0.5:0,1:0.8;1.0:0,2:0.8",
                    "--epsilons", "0.2,0.1", "--n-paths", "4000", "--seed", "3")
-        # two epsilons only: slope fit needs three, expect numerical exit
-        assert code == 3
+        # two epsilons only: the slope fit has three unknowns, a usage error
+        assert code == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("waypoints", [
@@ -248,6 +248,8 @@ class TestLdpCli:
         ("0.2,0.1,0", "1000", "epsilons"),
         ("0.2,nan,0.05", "1000", "epsilons"),
         ("0.2,0.1,0.05", "0", "n_paths"),
+        ("0.2,0.1", "3000", "three distinct"),
+        ("0.2,0.2,0.1", "3000", "three distinct"),
     ])
     def test_path_rejects_epsilons_and_paths_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                              epsilons, n_paths, message):
@@ -277,6 +279,17 @@ class TestLdpCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "n_paths" in err
+
+    @pytest.mark.parametrize("epsilons", ["0.2,0.1", "0.2,0.2,0.1"])
+    def test_scan_rejects_too_few_distinct_epsilons_before_quadrature(self, tmp_path, capsys,
+                                                                      monkeypatch, epsilons):
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        code = run(tmp_path, "ldp-scan", "--a-grid", "0.5,2.0", "--x", "1,0", "--y", "1,5",
+                   "--epsilons", epsilons)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "three distinct" in err
+        assert not (tmp_path / "ldp-scan.json").exists()
 
     def test_scan_small(self, tmp_path, capsys):
         code = run(tmp_path, "ldp-scan", "--a-grid", "0.5,1.0,2.5,3.0", "--x", "1,0",

@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from stickybm.geometry import HalfSpacePoint, ModelParams, cost
+from stickybm.geometry import HalfSpacePoint, ModelParams, cost, cost_batch
 from stickybm.ldp import (
     Ball,
     BoundaryPatch,
@@ -98,6 +99,73 @@ class TestReferenceRates:
                 best = min(best, cost(params, x, y))
         assert ref <= best + 1e-9
         assert ref == pytest.approx(best, abs=2e-4)
+
+
+def target_samples(rng, target, n):
+    """n random points of a Ball or BoundaryPatch (d = 2): inside it, on its
+    arc and on its trace on y1 = 0, where the infima sit."""
+    if isinstance(target, BoundaryPatch):
+        return np.zeros(n), target.center_tangential[0] + target.radius * rng.uniform(-1, 1, n)
+    c1, cp, r = target.center.x1, target.center.xp[0], target.radius
+    rad = r * np.concatenate([np.sqrt(rng.random(2 * n)), np.ones(2 * n)])
+    ang = rng.uniform(0.0, 2.0 * math.pi, 4 * n)
+    half = math.sqrt(max(r * r - c1 * c1, 0.0))
+    y1 = np.concatenate([c1 + rad * np.cos(ang), np.zeros(n)])
+    yp = np.concatenate([cp + rad * np.sin(ang), cp + half * rng.uniform(-1, 1, n)])
+    keep = np.flatnonzero((y1 >= 0.0) & ((y1 > 0.0) | (half > 0.0)))
+    pick = rng.choice(keep, size=n, replace=False)
+    return y1[pick], yp[pick]
+
+
+class TestExactReferenceRates:
+    """Reference rates are exact minima: closed forms to 1e-12, never undercut."""
+
+    def test_patch_closed_form(self):
+        # Boundary route to the patch's near edge y' = 1.9: 1.9^2 / (2a).
+        ref = min_cost_over_target(ModelParams(4.0, 1.0), P(0.0, 0.0), BoundaryPatch((2.0,), 0.1))
+        assert ref == pytest.approx(0.45125, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [2.0, 2.25, 2.5, 2.75, 3.0])
+    def test_ball_outside_cone_closed_form(self, a):
+        # Outside the cone the cost is (sqrt(a-1)(x1+y1) + |y'-x'|)^2 / (2a): the
+        # square of a linear function of y, least at the ball point furthest
+        # along -(sqrt(a-1), 1), which moves it by r sqrt(a).
+        x, c, r = P(1.0, 0.0), P(1.0, 5.0), 0.1
+        expected = (math.sqrt(a - 1.0) * (x.x1 + c.x1) + abs(c.xp[0] - x.xp[0])
+                    - r * math.sqrt(a)) ** 2 / (2.0 * a)
+        ref = min_cost_over_target(ModelParams(a, 1.0), x, Ball(c, r))
+        assert ref == pytest.approx(expected, rel=1e-12)
+
+    def test_sliced_closed_form(self):
+        # Boundary route: tangential travel 1.2 in unit time, split evenly
+        # between the two slices, costs 1.2^2 / (2a).
+        sets = [(0.5, Ball(P(0.0, 1.0), 0.8)), (1.0, Ball(P(0.0, 2.0), 0.8))]
+        ref = min_sliced_cost(ModelParams(4.0, 1.0), P(0.0, 0.0), sets)
+        assert ref == pytest.approx(1.2 ** 2 / 8.0, rel=1e-12)
+
+    def test_failed_program_raises_with_its_message(self, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs: SimpleNamespace(
+            success=False, message="Iteration limit reached"))
+        with pytest.raises(RuntimeError, match=r"failed on \[Ball\(.*Iteration limit reached"):
+            min_cost_over_target(ModelParams(4.0, 1.0), P(0.0, 0.0), Ball(P(0.0, 1.0), 0.1))
+
+    def test_no_target_point_undercuts_the_rate(self):
+        rng = np.random.default_rng(11)
+        for i in range(30):
+            a = float(rng.choice([0.3, 0.7, 1.3, 2.5, 4.0, 7.0]))
+            x = P(0.0 if i % 3 == 0 else float(rng.uniform(0.0, 2.0)), float(rng.uniform(-2, 2)))
+            if i % 3 == 1:
+                target = BoundaryPatch((float(rng.uniform(-4, 4)),), float(rng.uniform(0.05, 1.0)))
+            else:   # centres below the radius cross y1 = 0
+                target = Ball(P(float(rng.uniform(0.0, 2.0)), float(rng.uniform(-4, 4))),
+                              float(rng.uniform(0.1, 1.2)))
+            rate = min_cost_over_target(ModelParams(a, 1.0), x, target)
+            y1, yp = target_samples(rng, target, 10_000)
+            costs = cost_batch(a, x.x1, np.array(x.xp), y1, yp[:, None])
+            assert costs.min() >= rate - 1e-12, (a, x, target)
+            assert costs.min() <= rate + 1e-3 * max(rate, 1.0), (a, x, target)
 
 
 class TestStaticLdp:

@@ -283,3 +283,36 @@ class TestDisplacement:
             mid = displacement_interpolation(params, plan, float(t))
             assert all(p.x1 >= 0 for p in mid.atoms)
             assert sum(mid.weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def mixed_atoms(rng, n):
+    """n atoms, about 40% on the boundary, the rest inside."""
+    return tuple(P(0.0 if rng.random() < 0.4 else float(rng.uniform(0.0, 2.0)),
+                   float(rng.uniform(-3.0, 3.0))) for _ in range(n))
+
+
+class TestGeodesicSpace:
+    """c = d^2 / 2 for the intrinsic distance d, so displacement interpolation
+    is a constant-speed geodesic of the transport cost."""
+
+    @pytest.mark.parametrize("n", [6, 12, 24])
+    def test_transport_cost_scales_along_interpolation(self, n):
+        rng = np.random.default_rng(n)
+        params = ModelParams(4.0, 1.0)
+        mu0, mu1 = uniform(*mixed_atoms(rng, n)), uniform(*mixed_atoms(rng, n))
+        plan = kantorovich(params, mu0, mu1)
+        w = plan.cost_value
+        for t in (0.25, 0.5, 0.8):
+            mu_t = displacement_interpolation(params, plan, t)
+            assert kantorovich(params, mu0, mu_t).cost_value == pytest.approx(t * t * w, rel=1e-12)
+            assert kantorovich(params, mu_t, mu1).cost_value == pytest.approx((1 - t) ** 2 * w,
+                                                                             rel=1e-12)
+
+    def test_cost_scales_along_geodesics(self):
+        rng = np.random.default_rng(21)
+        params = ModelParams(4.0, 1.0)
+        for x, y in zip(mixed_atoms(rng, 500), mixed_atoms(rng, 500)):
+            c = cost(params, x, y)
+            g = geodesic(params, x, y)
+            for t in (0.25, 0.5, 0.8):
+                assert cost(params, x, g.point_at(t)) == pytest.approx(t * t * c, rel=1e-12)
