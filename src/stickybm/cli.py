@@ -192,12 +192,10 @@ def _cmd_simulate(args) -> int:
                     tabulation_resolution=args.resolution)
     batch = simulate_batch(cfg, args.n_paths)
     csv_path, json_path = _outputs(args, "simulate")
-    rows = []
-    for p in range(args.n_paths):
-        for i in range(args.n_steps + 1):
-            rows.append([p, i, batch.times[i], batch.x1[p, i],
-                         *batch.xp[p, i].tolist(),
-                         batch.local_time[p, i], batch.occupation_time[p, i]])
+    times, x1, xp = batch.times.tolist(), batch.x1.tolist(), batch.xp.tolist()
+    local, occ = batch.local_time.tolist(), batch.occupation_time.tolist()
+    rows = [[p, i, times[i], x1[p][i], *xp[p][i], local[p][i], occ[p][i]]
+            for p in range(args.n_paths) for i in range(args.n_steps + 1)]
     header = ["path", "step", "t", "x1"] + [f"xp{i}" for i in range(1, params.d)] + ["L", "O"]
     _write_csv(csv_path, header, rows)
     frac = float(np.mean(batch.x1 == 0.0))

@@ -614,12 +614,32 @@ def fokker_planck_residual(params: ModelParams, spec: QuadratureSpec, t: float,
     if boundary_points is None:
         boundary_points = [0.1, -0.35, 0.6]
 
+    xp = np.asarray(x.xp, dtype=float)
+
+    def key(tt, y1, gap_vec):
+        return tt, y1, float(np.linalg.norm((xp + gap_vec) - xp))
+
+    # A first pass with placeholder fields collects the stencil; then one
+    # log_densities batch per horizon evaluates it.
+    stencil = set()
+
+    def record(tt, y1, gap_vec):
+        stencil.add(key(tt, y1, gap_vec))
+        return 1.0
+
+    fp_residuals_from_fields(params, record, lambda tt, g: record(tt, 0.0, g),
+                             t, h, test_points, boundary_points)
+    dens = {}
+    for tt in {k[0] for k in stencil}:
+        pts = sorted(k for k in stencil if k[0] == tt)
+        _, y1, v = np.array(pts).T
+        logs = log_densities(params, spec, tt, x.x1, y1, v)
+        dens.update(zip(pts, zip(np.exp(logs.interior), np.exp(logs.boundary))))
+
     def u_at(tt, y1, gap_vec):
-        y = HalfSpacePoint(y1, tuple(np.asarray(x.xp) + np.asarray(gap_vec)))
-        return math.exp(log_interior_density(params, spec, tt, x, y))
+        return float(dens[key(tt, y1, gap_vec)][0])
 
     def v_at(tt, gap_vec):
-        y = HalfSpacePoint(0.0, tuple(np.asarray(x.xp) + np.asarray(gap_vec)))
-        return math.exp(log_boundary_density(params, spec, tt, x, y))
+        return float(dens[key(tt, 0.0, gap_vec)][1])
 
     return fp_residuals_from_fields(params, u_at, v_at, t, h, test_points, boundary_points)

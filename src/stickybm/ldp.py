@@ -100,11 +100,10 @@ class StaticExperiment:
     n_paths: int = 100000
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
+        eps = tuple(_fit_epsilons(self.epsilons))
         object.__setattr__(self, "epsilons", eps)
-        if (not all(0.0 < e < math.inf for e in eps)
-                or any(a <= b for a, b in zip(eps, eps[1:]))):
-            raise ValueError("epsilons must be strictly decreasing positive finite numbers")
+        if any(a <= b for a, b in zip(eps, eps[1:])):
+            raise ValueError(f"epsilons must be strictly decreasing, got {list(eps)}")
         if self.method not in ("quadrature", "monte_carlo"):
             raise ValueError("method must be 'quadrature' or 'monte_carlo'")
         if self.n_paths < 1:

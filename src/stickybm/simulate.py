@@ -4,10 +4,11 @@ One step of the horizontal coordinate draws (position, local-time increment)
 from the closed-form trivariate decomposition of the 1-D sticky process at
 the step horizon: a no-visit component (killed kernel in z, zero local time),
 a boundary atom (z = 0, local-time density), and a jointly diffuse component.
-Component masses and the tabulated inverse CDFs are built per
-(start, horizon) family and cached with the start quantized to a 1e-4 grid.
-The vertical coordinates are conditionally Gaussian given the occupation
-increment, with per-coordinate variance ``dt + (a-1) * delta_O``.
+By Brownian scaling one family of tables per (theta sqrt(dt), resolution),
+at fixed nodes of the scaled start x1 / sqrt(dt), serves every start; between
+nodes the two bracketing rows are mixed (README, "Sampler").  The vertical
+coordinates are conditionally Gaussian given the occupation increment, with
+per-coordinate variance ``dt + (a-1) * delta_O``.
 
 No Euler discretization of the degenerate SDE is involved (it has no strong
 solution); a crude thin-layer Euler scheme is provided only as a biased test
@@ -21,32 +22,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr as _ndtr
+from scipy.special import erf as _erf, ndtr as _ndtr, ndtri as _ndtri
 
 from .geometry import HalfSpacePoint, ModelParams
+from .kernel import _log_g, _log_h
 from .quadrature import gauss_legendre
 
 __all__ = [
-    "SimConfig",
-    "SamplePath",
-    "BatchPaths",
-    "TabulationError",
-    "IncrementTables",
-    "increment_tables",
-    "step_horizontal",
-    "step_vertical",
-    "step_batch",
-    "simulate",
-    "simulate_batch",
-    "simulate_many",
-    "sample_increments",
-    "horizontal_cdf",
-    "modulus_statistics",
+    "SimConfig", "SamplePath", "BatchPaths", "TabulationError", "IncrementTables",
+    "increment_tables", "step_vertical", "step_batch", "simulate", "simulate_batch",
+    "simulate_many", "sample_increments", "horizontal_cdf", "modulus_statistics",
     "euler_thin_layer",
 ]
 
-_X1_QUANTUM = 1e-4
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Table nodes in the scaled start xi = x1 / sqrt(dt); past _XI_MAX the chance
+# of a visit to the boundary within the step is below 2e-17.
+_XI_MAX = 8.5
+_XI_NODES = 512
+_XI = np.linspace(0.0, _XI_MAX, _XI_NODES)
+_ROW_BATCH = 64        # rows per vectorised build, which bounds its temporaries
 
 
 class TabulationError(RuntimeError):
@@ -104,27 +98,14 @@ class SamplePath:
 # ---------------------------------------------------------------------------
 
 def _phi(tau, s):
-    """Centered normal density with variance tau at s, vectorized, 0 at tau<=0."""
-    tau = np.asarray(tau, dtype=float)
-    s = np.asarray(s, dtype=float)
+    """Centered normal density with variance tau at s, vectorized, 0 at tau <= 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(tau > 0,
-                       np.exp(-s * s / (2.0 * np.where(tau > 0, tau, 1.0)))
-                       / (_SQRT_2PI * np.sqrt(np.where(tau > 0, tau, 1.0))),
-                       0.0)
-    return out
+        return np.where(np.asarray(tau) > 0, np.exp(_log_g(tau, s, 2)), 0.0)
 
 
 def _h_density(tau, w):
     """First-hitting density, vectorized, 0 at tau <= 0."""
-    tau = np.asarray(tau, dtype=float)
-    w = np.asarray(w, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        safe = np.where(tau > 0, tau, 1.0)
-        out = np.where((tau > 0) & (w > 0),
-                       w / (_SQRT_2PI * safe ** 1.5) * np.exp(-w * w / (2.0 * safe)),
-                       0.0)
-    return out
+    return np.exp(_log_h(tau, w))
 
 
 @lru_cache(maxsize=8)
@@ -141,14 +122,14 @@ def _cumulative_gl(density, grid: np.ndarray) -> np.ndarray:
 
     Per-cell 4-point Gauss-Legendre, so the node values are exact to
     rounding; the piecewise-linear inversion between nodes is then the only
-    tabulation error (O(1/K^2) in CDF sup-norm).
+    tabulation error (O(1/K^2) in CDF sup-norm).  A density broadcasting
+    leading axes against the ``(cells, 4)`` nodes gives one row per index.
     """
     x, w = gauss_legendre(4)
     lo = grid[:-1, None]
     width = np.diff(grid)[:, None]
-    vals = density(lo + width * x[None, :])
-    inc = (vals * w[None, :]).sum(axis=1) * width[:, 0]
-    return np.concatenate([[0.0], np.cumsum(inc)])
+    inc = (density(lo + width * x[None, :]) * w).sum(axis=-1) * width[:, 0]
+    return np.concatenate([np.zeros(inc.shape[:-1] + (1,)), np.cumsum(inc, axis=-1)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -168,56 +149,88 @@ class IncrementTables:
     l_cdf_diffuse: np.ndarray
 
 
-def _build_tables(x1: float, dt: float, theta: float, k: int) -> IncrementTables:
-    m0 = math.erf(x1 / math.sqrt(2.0 * dt)) if x1 > 0 else 0.0
+def _z_grid(xi, i, k: int):
+    """Node ``i`` of ``k`` on the no-visit window ``xi +- 8.5``, cut at 0, at unit horizon."""
+    lo = np.maximum(xi - _XI_MAX, 0.0)
+    return lo + i * ((xi + _XI_MAX - lo) / (k - 1))
 
-    # No-visit component: killed kernel in z, closed-form CDF at the nodes.
-    # The grid covers only the +-8.5 sigma window around the start so the
-    # tabulation resolution is spent where the mass is.
-    z_lo = max(0.0, x1 - 8.5 * math.sqrt(dt))
-    z_max = x1 + 8.5 * math.sqrt(dt)
-    z_grid = np.linspace(z_lo, z_max, k)
-    if x1 > 0:
-        sd = math.sqrt(dt)
-        z_cdf = (_ndtr((z_grid - x1) / sd) - _ndtr(-x1 / sd)) - (_ndtr((z_grid + x1) / sd) - _ndtr(x1 / sd))
-        z_cdf = np.maximum.accumulate(np.maximum(z_cdf, 0.0))
-        if z_cdf[-1] <= 0 or abs(z_cdf[-1] - m0) > 1e-9 + 1e-6 * m0:
-            raise TabulationError("no-visit CDF inconsistent with its closed-form mass")
-        z_cdf = z_cdf / z_cdf[-1]
-    else:
-        z_cdf = np.linspace(0.0, 1.0, k)
 
-    # Local-time components on a graded grid over [0, theta * dt].
-    l_grid = theta * dt * _graded_unit_grid(k)
-    cdf_b = _cumulative_gl(lambda l: _h_density(dt - l / theta, l + x1) / theta, l_grid)
-    cdf_d = _cumulative_gl(lambda l: 2.0 * _phi(dt - l / theta, l + x1), l_grid)
-    if np.any(np.diff(cdf_b) < 0) or np.any(np.diff(cdf_d) < 0):
+def _unit_rows(xi: np.ndarray, theta1: float, k: int):
+    """One-step tables at unit horizon and stickiness ``theta1``, one row per start.
+
+    Returns the no-visit masses ``erf(xi / sqrt 2)``, the boundary masses and
+    the CDFs ``(3, xi.size, K)``: no visit on :func:`_z_grid`, then boundary
+    and diffuse local time on the ``K`` nodes ``theta1 * _graded_unit_grid(k)``.
+    The no-visit mass is exact; the local-time masses fill the rest.
+    """
+    col = xi[:, None]
+    l_grid = theta1 * _graded_unit_grid(k)
+    z = _z_grid(col, np.arange(l_grid.size), l_grid.size)
+    m0 = _erf(xi / math.sqrt(2.0))
+    killed = (_ndtr(z - col) - _ndtr(-col)) - (_ndtr(z + col) - _ndtr(col))
+    # At xi = 0 the no-visit part has no mass; its xi -> 0 limit, the Rayleigh
+    # law, lets rows be mixed across the first node interval.
+    z_cdf = np.where(col > 0, killed, -np.expm1(-0.5 * z * z))
+    z_cdf = np.maximum.accumulate(np.maximum(z_cdf, 0.0), axis=1)
+    end = z_cdf[:, -1]
+    if np.any((xi > 0) & ((end <= 0) | (np.abs(end - m0) > 1e-9 + 1e-6 * m0))):
+        raise TabulationError("no-visit CDF inconsistent with its closed-form mass")
+    s = col[:, :, None]
+    cdf_b = _cumulative_gl(lambda l: _h_density(1.0 - l / theta1, l + s) / theta1, l_grid)
+    cdf_d = _cumulative_gl(lambda l: 2.0 * _phi(1.0 - l / theta1, l + s), l_grid)
+    if np.any(np.diff(cdf_b, axis=1) < 0) or np.any(np.diff(cdf_d, axis=1) < 0):
         raise TabulationError("local-time CDF is not monotone")
-    mb = float(cdf_b[-1])
-    mj = float(cdf_d[-1])
-
+    mb, mj = cdf_b[:, -1], cdf_d[:, -1]
     total = m0 + mb + mj
-    if abs(total - 1.0) > 1e-7:
-        raise TabulationError(f"component masses sum to {total}, not 1")
-    return IncrementTables(x1, dt, theta, m0 / total, mb / total, mj / total,
-                           z_grid, z_cdf, l_grid, cdf_b, cdf_d)
+    if np.any(np.abs(total - 1.0) > 1e-7):
+        raise TabulationError(f"component masses sum to {total[np.argmax(np.abs(total - 1))]}")
+    share = np.divide(1.0 - m0, mb + mj, out=np.zeros_like(m0), where=mb + mj > 0)
+    return m0, mb * share, np.stack([z_cdf / end[:, None], cdf_b, cdf_d])
 
 
-@lru_cache(maxsize=50000)
-def _cached_tables(key: int, dt: float, theta: float, resolution: int) -> IncrementTables:
-    return _build_tables(key * _X1_QUANTUM, dt, theta, resolution)
+class _Family:
+    """Unit-horizon rows at the ``_XI`` nodes for one ``(theta1, k)``, built on demand:
+    ``cdf[c, n]`` is component ``c``'s CDF at node ``n``, whatever the number of paths."""
+
+    def __init__(self, theta1: float, k: int):
+        self.theta1, self.k = theta1, k
+        self.l_grid = theta1 * _graded_unit_grid(k)
+        self.built = np.zeros(_XI_NODES, dtype=bool)
+        self.mass_boundary = np.empty(_XI_NODES)
+        self.cdf = np.empty((3, _XI_NODES, self.l_grid.size))
+
+    def build(self, nodes: np.ndarray) -> None:
+        todo = nodes[~self.built[nodes]]
+        for i in range(0, todo.size, _ROW_BATCH):
+            idx = todo[i:i + _ROW_BATCH]
+            _, self.mass_boundary[idx], self.cdf[:, idx] = _unit_rows(_XI[idx], self.theta1, self.k)
+            self.built[idx] = True
+
+    def grid(self, rows, i):
+        """Node ``i`` of flat row ``rows = c * _XI_NODES + n``."""
+        n = self.l_grid.size
+        return np.where(rows < _XI_NODES, _z_grid(_XI[rows % _XI_NODES], i, n), self.l_grid[i])
+
+
+_family = lru_cache(maxsize=8)(_Family)     # _family(theta1, k): at most 8 families
 
 
 def increment_tables(params: ModelParams, x1: float, dt: float,
                      resolution: int = 1024) -> IncrementTables:
-    """Tables for the one-step horizontal law, cached on quantized x1.
+    """Tables for the one-step horizontal law at the exact start ``x1``, uncached.
 
-    Quantizing the start to a 1e-4 grid keeps the per-step cost amortized;
-    the sampled law is then exactly the law started from the quantized
-    point.  At most 50 000 tables are kept, least recently used first out.
+    The sampler's node rows are the same computation: at unit horizon from
+    ``x1 / sqrt(dt)`` with stickiness ``theta sqrt(dt)``, then rescaled.
     """
-    return _cached_tables(round(x1 / _X1_QUANTUM), float(dt), float(params.theta),
-                          int(resolution))
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    sd = math.sqrt(dt)
+    theta1, xi = params.theta * sd, x1 / sd
+    m0, mb, cdf = _unit_rows(np.array([xi]), theta1, resolution)
+    l_grid = theta1 * _graded_unit_grid(resolution)
+    return IncrementTables(x1, dt, params.theta, m0[0], mb[0], 1.0 - m0[0] - mb[0],
+                           sd * _z_grid(xi, np.arange(l_grid.size), l_grid.size), cdf[0, 0],
+                           sd * l_grid, cdf[1, 0], cdf[2, 0])
 
 
 def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 1024):
@@ -229,30 +242,17 @@ def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 
     local-time integral done by per-cell Gauss-Legendre on a graded grid.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    sd = math.sqrt(dt)
-    ncdf = _ndtr
+    sd, th = math.sqrt(dt), params.theta
     cdf = np.zeros_like(z)
-    # no-visit part
-    if x1 > 0:
-        part = (ncdf((z - x1) / sd) - ncdf(-x1 / sd)) - (ncdf((z + x1) / sd) - ncdf(x1 / sd))
-        cdf += np.maximum(part, 0.0)
-    # boundary atom, then the diffuse part: int_0^z 2 h(tau, s + w) dw
-    # = 2 [phi(tau, s) - phi(tau, s + z)] at fixed local time l.
-    l_grid = params.theta * dt * _graded_unit_grid(l_cells)
-    th = params.theta
-    cdf += _cumulative_gl(lambda l: _h_density(dt - l / th, l + x1) / th, l_grid)[-1]
-
-    # all z at once on the cell nodes
-    x4, w4 = gauss_legendre(4)
-    lo = l_grid[:-1, None]
-    width = np.diff(l_grid)[:, None]
-    l_nodes = (lo + width * x4[None, :]).ravel()
-    w_nodes = (width * w4[None, :]).ravel()
-    tau = dt - l_nodes / th
-    s = l_nodes + x1
-    base = _phi(tau, s) * w_nodes
-    shifted = _phi(tau[None, :], (s[None, :] + z[:, None])) * w_nodes[None, :]
-    cdf += 2.0 * (np.sum(base) - shifted.sum(axis=1))
+    if x1 > 0:      # no-visit part
+        cdf += np.maximum((_ndtr((z - x1) / sd) - _ndtr(-x1 / sd))
+                          - (_ndtr((z + x1) / sd) - _ndtr(x1 / sd)), 0.0)
+    # boundary atom, and the diffuse part at local time l, where
+    # int_0^z 2 h(tau, s + w) dw = 2 [phi(tau, s) - phi(tau, s + z)].
+    zc = z[:, None, None]
+    cdf += _cumulative_gl(lambda l: _h_density(dt - l / th, l + x1) / th + 2.0 * (
+        _phi(dt - l / th, l + x1) - _phi(dt - l / th, l + x1 + zc)),
+        th * dt * _graded_unit_grid(l_cells))[:, -1]
     return cdf if cdf.size > 1 else float(cdf[0])
 
 
@@ -260,49 +260,64 @@ def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _draw_horizontal(tables: IncrementTables, u_comp, u_within, u_cond):
-    """Vectorized inverse-CDF draw given three uniform arrays."""
-    u_comp = np.atleast_1d(u_comp)
-    u_within = np.atleast_1d(u_within)
-    u_cond = np.atleast_1d(u_cond)
-    n = u_comp.size
-    z = np.empty(n)
-    dl = np.zeros(n)
-    m0, mb = tables.mass_no_visit, tables.mass_boundary
-    theta_dt = tables.l_grid[-1]
+def _interp_rows(x, xp, rows, fp):
+    """``np.interp(x[i], xp[rows[i]], fp(rows[i], :))`` for every ``i``, bit for bit.
 
-    no_visit = u_comp < m0
-    boundary = (~no_visit) & (u_comp < m0 + mb)
-    diffuse = ~(no_visit | boundary)
-
-    if no_visit.any():
-        z[no_visit] = np.interp(u_within[no_visit], tables.z_cdf, tables.z_grid)
-    if boundary.any():
-        l = np.interp(u_within[boundary] * tables.l_cdf_boundary[-1],
-                      tables.l_cdf_boundary, tables.l_grid)
-        z[boundary] = 0.0     # exact zeros exactly where the boundary atom was drawn
-        dl[boundary] = np.minimum(l, theta_dt)
-    if diffuse.any():
-        l = np.interp(u_within[diffuse] * tables.l_cdf_diffuse[-1],
-                      tables.l_cdf_diffuse, tables.l_grid)
-        l = np.minimum(l, theta_dt)
-        tau = np.maximum(tables.dt - l / tables.theta, 0.0)
-        s = l + tables.x1
-        zz = np.sqrt(s * s - 2.0 * tau * np.log1p(-u_cond[diffuse])) - s
-        z[diffuse] = np.maximum(zz, 0.0)
-        dl[diffuse] = l
-    return z, dl
+    One branchless bisection over all queries finds the last node with
+    ``xp <= x`` (``xp[:, 0] <= x`` is assumed), as numpy's search does.
+    """
+    k = xp.shape[1]
+    flat, base = xp.ravel(), rows * k
+    j = np.zeros(x.size, dtype=np.intp)
+    for step in 1 << np.arange((k - 1).bit_length() - 1, -1, -1):
+        j = np.where(flat[base + np.minimum(j + step, k - 1)] <= x, j + step, j)
+    last, j = j >= k - 1, np.minimum(j, k - 2)
+    x0, x1, f0, f1 = xp[rows, j], xp[rows, j + 1], fp(rows, j), fp(rows, j + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(last, f1, (f1 - f0) / (x1 - x0) * (x - x0) + f0)
 
 
-def step_horizontal(params: ModelParams, rng: np.random.Generator, x1: float,
-                    dt: float, resolution: int = 1024):
-    """One exact draw of (new horizontal position, local-time increment)."""
-    if dt <= 0:
+def _horizontal(params: ModelParams, x1: np.ndarray, dt: float, u: np.ndarray,
+                resolution: int):
+    """Draws of (next position, local-time increment) from every start.
+
+    The step from ``x1`` over ``dt`` is ``sqrt(dt)`` times the unit-time step
+    from ``xi = x1 / sqrt(dt)`` with stickiness ``theta sqrt(dt)``; past
+    ``_XI_MAX`` it is the Gaussian step without a visit.  Below, the exact
+    no-visit mass and the node-interpolated boundary mass pick the component,
+    whose two bracketing rows' inverse CDFs are mixed linearly in ``xi``.
+    """
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    tables = increment_tables(params, x1, dt, resolution)
-    u = rng.random(3)
-    z, dl = _draw_horizontal(tables, u[0], u[1], u[2])
-    return float(z[0]), float(dl[0])
+    sd = math.sqrt(dt)
+    xi = np.asarray(x1, dtype=float) / sd
+    z = np.maximum(xi + _ndtri(u[1]), 0.0)
+    l = np.zeros(xi.size)
+    near = np.flatnonzero(xi < _XI_MAX)
+    if near.size:
+        fam = _family(params.theta * sd, int(resolution))
+        x, u0 = xi[near], u[0, near]
+        j = np.minimum(np.searchsorted(_XI, x, side="right") - 1, _XI_NODES - 2)
+        w = (x - _XI[j]) / (_XI[j + 1] - _XI[j])
+        fam.build(np.unique(np.concatenate([j, j + 1])))
+        m0 = _erf(x / math.sqrt(2.0))
+        no_visit = u0 < m0
+        boundary = ~no_visit & (u0 < m0 + (1.0 - w) * fam.mass_boundary[j]
+                                + w * fam.mass_boundary[j + 1])
+        # Both bracketing rows of each path's component in one inversion.
+        rows = np.where(no_visit, 0, np.where(boundary, 1, 2)) * _XI_NODES + j
+        rows = np.concatenate([rows, rows + 1])
+        cdf = fam.cdf.reshape(-1, fam.l_grid.size)
+        keys = np.tile(u[1, near], 2) * cdf[rows, -1]
+        lo, hi = np.split(_interp_rows(keys, cdf, rows, fam.grid), 2)
+        q = (1.0 - w) * lo + w * hi
+        z[near] = np.where(no_visit, q, 0.0)     # exact zeros where the atom is drawn
+        l[near] = np.where(no_visit, 0.0, np.minimum(q, fam.theta1))
+        d = near[~(no_visit | boundary)]
+        tau = np.maximum(1.0 - l[d] / fam.theta1, 0.0)
+        s = l[d] + xi[d]
+        z[d] = np.maximum(np.sqrt(s * s - 2.0 * tau * np.log1p(-u[2, d])) - s, 0.0)
+    return sd * z, sd * l
 
 
 def step_vertical(params: ModelParams, rng: np.random.Generator, dt: float,
@@ -324,20 +339,11 @@ def step_batch(params: ModelParams, x1: np.ndarray, xp: np.ndarray, dt: float,
 
     ``u`` holds three rows of uniforms (component choice, within-component,
     conditional draw) and ``g`` one row of standard normals per path, so the
-    caller keeps its own stream layout.  Paths whose starts share a 1e-4 cell
-    draw from that cell's :func:`increment_tables`; each path's law is exactly
-    the one-step law from its quantized start.
+    caller keeps its own stream layout.  All paths draw at once from one
+    family of node tables per ``(theta sqrt(dt), resolution)``; between
+    nodes the law is interpolated in the scaled start (README, sampler).
     """
-    keys = np.round(x1 / _X1_QUANTUM).astype(np.int64)
-    order = np.argsort(keys, kind="stable")
-    uniq, starts = np.unique(keys[order], return_index=True)
-    bounds = np.append(starts, x1.size)
-    z = np.empty(x1.size)
-    dl = np.empty(x1.size)
-    for j, key in enumerate(uniq):
-        idx = order[bounds[j]:bounds[j + 1]]
-        tables = increment_tables(params, key * _X1_QUANTUM, dt, resolution)
-        z[idx], dl[idx] = _draw_horizontal(tables, u[0, idx], u[1, idx], u[2, idx])
+    z, dl = _horizontal(params, x1, dt, u, resolution)
     d_o = np.minimum(dl / params.theta, dt)
     return z, xp + np.sqrt(dt + params.big_a * d_o)[:, None] * g, d_o
 
@@ -385,9 +391,7 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    params = config.params
-    n = config.n_steps
-    dt = config.step
+    params, n, dt = config.params, config.n_steps, config.step
     d = params.d
     u_all = np.empty((n_paths, n, 3))
     g_all = np.empty((n_paths, n, d - 1))
@@ -398,10 +402,9 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
 
     x1 = np.empty((n_paths, n + 1))
     xp = np.empty((n_paths, n + 1, d - 1))
-    occ = np.empty((n_paths, n + 1))
+    occ = np.zeros((n_paths, n + 1))
     x1[:, 0] = config.x0.x1
     xp[:, 0, :] = np.asarray(config.x0.xp)
-    occ[:, 0] = 0.0
 
     for step in range(n):
         x1[:, step + 1], xp[:, step + 1], d_o = step_batch(
@@ -428,12 +431,10 @@ def sample_increments(params: ModelParams, x1: float, dt: float, n: int,
     """Vectorized one-step draws from a common start; returns (z, delta_L).
 
     Fast path for marginal-law experiments; the law matches
-    :func:`step_horizontal` exactly, only the stream layout differs.
+    :func:`step_batch` exactly, only the stream layout differs.
     """
-    tables = increment_tables(params, x1, dt, resolution)
-    rng = _path_rng(seed, 0)
-    u = rng.random((3, n))
-    return _draw_horizontal(tables, u[0], u[1], u[2])
+    u = _path_rng(seed, 0).random((3, n))
+    return _horizontal(params, np.full(n, float(x1)), dt, u, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +483,7 @@ def euler_thin_layer(params: ModelParams, x0: HalfSpacePoint, dt: float,
     occ = np.empty(n_steps + 1)
     x1[0], xp[0], occ[0] = x0.x1, x0.xp, 0.0
     for i in range(n_steps):
-        stuck = x1[i] <= layer
-        if stuck:
+        if x1[i] <= layer:      # stuck
             x1[i + 1] = max(x1[i] + params.theta * dt, 0.0)
             xp[i + 1] = xp[i] + math.sqrt(params.a * dt) * rng.standard_normal(d - 1)
             occ[i + 1] = occ[i] + dt

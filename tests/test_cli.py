@@ -270,6 +270,18 @@ class TestLdpCli:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "epsilons" in err
 
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    def test_static_two_epsilons_exit_2_before_quadrature_or_sampling(self, tmp_path, capsys,
+                                                                      monkeypatch, method):
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        forbid(monkeypatch, stickybm.ldp, "simulate_batch")
+        code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
+                   "--target", "patch:2:0.1", "--epsilons", "0.2,0.1", "--method", method)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "three distinct" in err
+        assert not (tmp_path / "ldp-static.json").exists()
+
     def test_static_monte_carlo_zero_paths_exits_2_before_sampling(self, tmp_path, capsys,
                                                                     monkeypatch):
         forbid(monkeypatch, stickybm.ldp, "simulate_batch")

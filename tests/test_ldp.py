@@ -47,9 +47,12 @@ class TestPlumbing:
         params = ModelParams(1.0, 1.0)
         with pytest.raises(ValueError):
             StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), (0.1, 0.2))
-        with pytest.raises(ValueError):
-            StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), (0.2, 0.1),
+        with pytest.raises(ValueError, match="method"):
+            StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), (0.2, 0.1, 0.05),
                              method="bogus")
+        for few in ((0.2, 0.1), (0.2, 0.2, 0.1)):
+            with pytest.raises(ValueError, match="three distinct"):
+                StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), few)
         for bad in ((math.nan, 0.1, 0.05), (math.inf, 0.1, 0.05), (0.2, 0.1, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), bad)

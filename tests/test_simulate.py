@@ -1,14 +1,15 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.special import erf, ndtr
+from scipy.stats import ks_2samp, kstest, qmc
 
 from stickybm.geometry import HalfSpacePoint, ModelParams
 from stickybm.simulate import (
     SamplePath,
     SimConfig,
-    _draw_horizontal,
     euler_thin_layer,
     horizontal_cdf,
     increment_tables,
@@ -18,7 +19,6 @@ from stickybm.simulate import (
     simulate_batch,
     simulate_many,
     step_batch,
-    step_horizontal,
     step_vertical,
 )
 
@@ -28,6 +28,24 @@ def P(x1, *xp):
 
 
 PARAMS = ModelParams(2.0, 1.5, 2)
+# The package re-exports the function `simulate`; reach the module itself.
+sim = importlib.import_module("stickybm.simulate")
+
+
+def table_draw(tab, u):
+    """Inverse-CDF draw of (z, delta_L) from one start's tables, by ``np.interp``."""
+    u0, u1, u2 = u
+    if u0 < tab.mass_no_visit:
+        return np.interp(u1, tab.z_cdf, tab.z_grid), 0.0
+    theta_dt = tab.l_grid[-1]
+    if u0 < tab.mass_no_visit + tab.mass_boundary:
+        cdf = tab.l_cdf_boundary
+        return 0.0, min(np.interp(u1 * cdf[-1], cdf, tab.l_grid), theta_dt)
+    cdf = tab.l_cdf_diffuse
+    l = min(np.interp(u1 * cdf[-1], cdf, tab.l_grid), theta_dt)
+    tau = max(tab.dt - l / tab.theta, 0.0)
+    s = l + tab.x1
+    return max(np.sqrt(s * s - 2.0 * tau * np.log1p(-u2)) - s, 0.0), l
 
 
 class TestConfig:
@@ -55,32 +73,51 @@ class TestIncrementTables:
         assert np.all(np.diff(tab.l_cdf_boundary) >= 0)
         assert np.all(np.diff(tab.l_cdf_diffuse) >= 0)
 
-    def test_start_quantization(self):
+    def test_exact_start(self):
+        # No quantization: nearby starts get their own tables.
         t1 = increment_tables(PARAMS, 0.250004, 0.25)
         t2 = increment_tables(PARAMS, 0.250002, 0.25)
-        assert t1 is t2      # same 1e-4 cell, cache hit
+        assert t1.x1 == 0.250004 and t2.x1 == 0.250002
+        assert t1.mass_no_visit == erf(0.250004 / math.sqrt(2 * 0.25))
+        assert t1.mass_no_visit != t2.mass_no_visit
 
     def test_boundary_start(self):
         tab = increment_tables(PARAMS, 0.0, 0.2)
         assert tab.mass_no_visit == 0.0
         assert tab.mass_boundary + tab.mass_diffuse == pytest.approx(1.0, abs=1e-12)
 
+    def test_far_start(self):
+        # Past xi = 8.5 the local-time parts underflow: no visit, exactly.
+        tab = increment_tables(PARAMS, 10.0, 0.01)
+        assert (tab.mass_no_visit, tab.mass_boundary, tab.mass_diffuse) == (1.0, 0.0, 0.0)
+
 
 class TestSteps:
     def test_horizontal_far_start_no_local_time(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            z, dl = step_horizontal(ModelParams(1.0, 1.0), rng, 10.0, 0.01)
-            assert dl == 0.0
-            assert z > 0
+        z, dl = sample_increments(ModelParams(1.0, 1.0), 10.0, 0.01, 200, seed=0)
+        assert np.all(dl == 0.0)
+        assert np.all(z > 0)
+
+    def test_far_starts_take_the_killed_gaussian_step(self):
+        # Past xi = 8.5 no table is used: zero local time and the killed
+        # Gaussian law (the visit mass there is below 2e-17).
+        dt = 0.04
+        for x1 in (8.5 * math.sqrt(dt), 0.3 + 8.5 * math.sqrt(dt), 3.0):
+            z, dl = sample_increments(PARAMS, x1, dt, 20000, seed=8)
+            assert np.all(dl == 0.0) and np.all(z > 0.0)
+            sd = math.sqrt(dt)
+
+            def killed_cdf(y):
+                return ((ndtr((y - x1) / sd) - ndtr(-x1 / sd))
+                        - (ndtr((y + x1) / sd) - ndtr(x1 / sd))) / erf(x1 / (sd * math.sqrt(2)))
+
+            assert kstest(z, killed_cdf).pvalue > 0.001
 
     def test_horizontal_increment_range(self):
-        rng = np.random.default_rng(1)
         dt = 0.3
-        for _ in range(500):
-            z, dl = step_horizontal(PARAMS, rng, 0.05, dt)
-            assert z >= 0.0
-            assert 0.0 <= dl <= PARAMS.theta * dt * (1 + 1e-12)
+        z, dl = sample_increments(PARAMS, 0.05, dt, 500, seed=1)
+        assert np.all(z >= 0.0)
+        assert np.all((0.0 <= dl) & (dl <= PARAMS.theta * dt * (1 + 1e-12)))
 
     def test_vertical_variances(self):
         rng = np.random.default_rng(2)
@@ -93,22 +130,30 @@ class TestSteps:
         draws = np.array([step_vertical(PARAMS, rng, dt, d_o)[0] for _ in range(100000)])
         assert draws.var() == pytest.approx(dt + PARAMS.big_a * d_o, rel=0.02)
 
-    def test_batch_step_matches_per_start_tables(self):
-        # Starts in four 1e-4 cells, interleaved; each path must draw from its
-        # own cell's tables with its own uniforms.
-        dt = 0.1
-        x1 = np.array([0.0, 0.25, 0.250002, 1.3, 0.0, 0.6, 0.25, 1.3])
-        xp = np.arange(8.0)[:, None]
+    def test_node_starts_match_single_start_tables(self):
+        # At a table node the interpolation weight is 0, so a path draws
+        # exactly what that start's own tables give.  dt = 1/4 makes the
+        # Brownian rescaling by sqrt(dt) = 1/2 exact in floating point.
+        dt, k = 0.25, 512
+        nodes = [0, 1, 2, 37, 255, sim._XI_NODES - 2]
+        x1 = np.repeat(0.5 * sim._XI[nodes], 600)
+        n = x1.size
+        xp = np.arange(float(n))[:, None]
         rng = np.random.default_rng(4)
-        u = rng.random((3, 8))
-        g = rng.standard_normal((8, 1))
-        z, xp_new, d_o = step_batch(PARAMS, x1, xp, dt, u, g, 512)
-        for i in range(8):
-            tab = increment_tables(PARAMS, x1[i], dt, 512)
-            zi, dli = _draw_horizontal(tab, u[0, i], u[1, i], u[2, i])
-            assert z[i] == zi[0]
-            assert d_o[i] == min(dli[0] / PARAMS.theta, dt)
+        u = rng.random((3, n))
+        g = rng.standard_normal((n, 1))
+        z, xp_new, d_o = step_batch(PARAMS, x1, xp, dt, u, g, k)
+        tabs = {s: increment_tables(PARAMS, s, dt, k) for s in np.unique(x1)}
+        seen = set()
+        for i in range(n):
+            tab = tabs[x1[i]]
+            zi, dli = table_draw(tab, u[:, i])
+            assert z[i] == zi
+            assert d_o[i] == min(dli / PARAMS.theta, dt)
             assert xp_new[i, 0] == xp[i, 0] + math.sqrt(dt + PARAMS.big_a * d_o[i]) * g[i, 0]
+            seen.add((x1[i] > 0, u[0, i] < tab.mass_no_visit, z[i] == 0.0))
+        assert {(True, True, False), (True, False, True), (True, False, False),
+                (False, False, True), (False, False, False)} <= seen
 
     def test_vertical_guards(self):
         rng = np.random.default_rng(3)
@@ -116,6 +161,51 @@ class TestSteps:
             step_vertical(PARAMS, rng, 0.1, 0.2)
         with pytest.raises(ValueError):
             step_vertical(PARAMS, rng, 0.1, -0.01)
+
+
+class TestScaledTables:
+    def test_law_between_nodes(self):
+        # Starts midway between table nodes (xi near 0.075, 1.41 and 3.05)
+        # draw from the mix of the two bracketing rows.  2^20 scrambled Sobol
+        # points per start, fed to the sampler as its three uniforms, give an
+        # empirical law whose own distance to the exact one is about 3e-5;
+        # the interpolated sampler must stay within 1e-4 of horizontal_cdf
+        # everywhere and within 2e-5 on the atom (measured: 3.2e-5, 8.5e-6).
+        dt, n = 0.05, 2 ** 20
+        u = qmc.Sobol(3, scramble=True, seed=5).random_base2(20).T.copy()
+        xp = np.zeros((n, 1))
+        for j in (4, 84, 183):        # midpoints, where interpolation errs most
+            xi = 0.5 * (sim._XI[j] + sim._XI[j + 1])
+            x1 = xi * math.sqrt(dt)
+            z, _, _ = step_batch(PARAMS, np.full(n, x1), xp, dt, u, xp, 1024)
+            zs = np.sort(z)
+            zg = np.linspace(0.0, zs[-1], 300)
+            exact = horizontal_cdf(PARAMS, x1, dt, zg, l_cells=4096)
+            empirical = np.searchsorted(zs, zg, side="right") / n
+            assert np.max(np.abs(empirical - exact)) < 1e-4
+            atom = increment_tables(PARAMS, x1, dt).mass_boundary
+            assert abs(np.mean(z == 0.0) - atom) < 2e-5
+
+    def test_family_cache_is_bounded(self):
+        # One family per (theta sqrt(dt), resolution), at most maxsize of
+        # them, each at most one row per node, however many paths step.
+        sim._family.cache_clear()
+        info = sim._family.cache_info
+        rng = np.random.default_rng(6)
+        for dt in np.linspace(0.01, 0.2, info().maxsize + 3):
+            x1 = rng.uniform(0.0, 10 * math.sqrt(dt), 3000)
+            step_batch(PARAMS, x1, np.zeros((3000, 1)), dt, rng.random((3, 3000)),
+                       np.zeros((3000, 1)), 256)
+            assert info().currsize <= info().maxsize
+            fam = sim._family(PARAMS.theta * math.sqrt(dt), 256)
+            assert fam.cdf.shape == (3, sim._XI_NODES, 255)
+            assert fam.built.sum() <= sim._XI_NODES
+        assert info().currsize == info().maxsize
+        # a single start builds only its two bracketing rows
+        x1 = np.full(5000, 1.397 * math.sqrt(0.3))
+        step_batch(PARAMS, x1, np.zeros((5000, 1)), 0.3, rng.random((3, 5000)),
+                   np.zeros((5000, 1)), 256)
+        assert sim._family(PARAMS.theta * math.sqrt(0.3), 256).built.sum() == 2
 
 
 class TestMarginalLaw:
@@ -169,6 +259,19 @@ class TestPaths:
         visits = path.x1 == 0.0
         assert visits.any()    # theta = 1.5, 200 steps from 0.3: visits certain
         assert np.all(path.x1[visits] == 0.0)
+
+    def test_clock_identity_across_table_and_far_starts(self):
+        # Starts on both sides of xi = 8.5: L = theta O exactly, and no
+        # clock moves on far steps.
+        cfg = SimConfig(PARAMS, P(0.5, 0.0), 0.001, 40, seed=9, tabulation_resolution=256)
+        batch = simulate_batch(cfg, 300)
+        assert np.array_equal(batch.local_time, PARAMS.theta * batch.occupation_time)
+        for i in (0, 299):
+            path = batch.path(i)
+            assert np.array_equal(path.local_time, PARAMS.theta * path.occupation_time)
+        far = batch.x1[:, :-1] / math.sqrt(0.001) >= sim._XI_MAX
+        assert far.any() and (~far).any()
+        assert np.all(np.diff(batch.occupation_time, axis=1)[far] == 0.0)
 
     def test_determinism_contract(self):
         cfg = SimConfig(PARAMS, P(0.3, 0.0), 0.05, 50, seed=7)
