@@ -1,11 +1,24 @@
-"""Brute-force minimization of the discretized path action.
+"""Exact minimum of the discretized path action.
 
 Independent of every closed form in :mod:`stickybm.geometry`: the only model
 input is the two-phase kinetic energy (interior weight 1, boundary weight
-``a``).  Paths are polylines with knots free in the closed half-space on a
-uniform time grid; knots may additionally be snapped to the boundary, a
-discrete choice explored by local search around projected gradient descent
-with Barzilai-Borwein steps and step halving.
+``a``).  Paths are polylines with knots in the closed half-space on a uniform
+grid of ``n`` segments; a segment whose two knots are snapped to the boundary
+has weight ``a``, every other segment weight 1, and the energy is
+``(n/2) sum |dz_k|^2 / w_k``.
+
+For fixed snap flags the energy separates by coordinate.  The normal
+coordinate interpolates linearly between its pinned values, all ``>= 0``, so
+the half-space bound never binds; the tangential displacement splits in
+proportion to the weights.  A run of snapped knots ``lo..hi`` therefore costs
+
+    (n/2) [x1^2/lo + y1^2/(n - hi) + |y' - x'|^2 / (lo + n - hi + a (hi - lo))]
+
+and no run costs the chord's ``|y - x|^2 / 2``.  More than one run never
+wins: the knots between two runs already sit at 0, and snapping them only
+turns weights 1 into ``a``, which helps when ``a > 1``; when ``a <= 1`` no
+snapping helps at all.  Enumerating every ``(lo, hi)`` hence gives the exact
+discrete minimum.
 
 Used as the oracle that the explicit cost and geodesics are checked against.
 """
@@ -16,19 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams
+from .geometry import HalfSpacePoint, ModelParams, _check_dim
 
 __all__ = ["BrutePathResult", "minimize_path_action"]
 
 
 @dataclass(frozen=True)
 class BrutePathResult:
-    """Outcome of one brute-force search.
+    """Outcome of one discrete minimization.
 
-    ``value`` re-times the converged polyline optimally over its segments
-    (closed under Cauchy-Schwarz), ``uniform_value`` keeps the uniform grid;
-    both are actions of admissible paths, hence upper bounds for the true
-    cost.
+    ``uniform_value`` is the exact minimum of the uniform-grid energy and
+    ``value`` re-times the optimal polyline optimally over its segments
+    (closed under Cauchy-Schwarz); both are actions of admissible paths,
+    hence upper bounds for the true cost.
     """
 
     value: float
@@ -42,68 +55,6 @@ def _segment_weights(a: float, snapped: np.ndarray) -> np.ndarray:
     return np.where(boundary_seg, a, 1.0)
 
 
-def _project(z: np.ndarray, snapped: np.ndarray) -> np.ndarray:
-    z[:, 0] = np.maximum(z[:, 0], 0.0)
-    z[snapped, 0] = 0.0
-    return z
-
-
-def _descend(a: float, z: np.ndarray, snapped: np.ndarray, n_seg: int,
-             max_iter: int) -> tuple[np.ndarray, float]:
-    """Projected gradient descent with BB steps and halving safeguard."""
-    inv_w = 1.0 / _segment_weights(a, snapped)
-    free_normal = ~snapped
-
-    def energy(zz):
-        d = zz[1:] - zz[:-1]
-        return 0.5 * n_seg * float(((d * d).sum(axis=1) * inv_w).sum())
-
-    def grad(zz):
-        d = (zz[1:] - zz[:-1]) * inv_w[:, None]
-        g = np.zeros_like(zz)
-        g[:-1] -= d
-        g[1:] += d
-        g *= n_seg
-        g[0] = 0.0
-        g[-1] = 0.0
-        g[:, 0] *= free_normal
-        return g
-
-    z = _project(z.copy(), snapped)
-    e = energy(z)
-    g = grad(z)
-    step = 1.0 / (4.0 * n_seg)
-    z_prev, g_prev = None, None
-    stall = 0
-    for _ in range(max_iter):
-        if z_prev is not None:
-            s = (z - z_prev).ravel()
-            y = (g - g_prev).ravel()
-            sy = float(s @ y)
-            if sy > 0:
-                step = float(s @ s) / sy
-            step = min(max(step, 1e-12 / n_seg), 10.0 / n_seg)
-        trial_step = step
-        for _ in range(60):
-            z_new = _project(z - trial_step * g, snapped)
-            e_new = energy(z_new)
-            if e_new < e:
-                break
-            trial_step *= 0.5
-        else:
-            break
-        z_prev, g_prev = z, g
-        if e - e_new <= 1e-12 * max(1.0, e):
-            stall += 1
-        else:
-            stall = 0
-        z, e = z_new, e_new
-        g = grad(z)
-        if stall >= 3:
-            break
-    return z, e
-
-
 def _timed_value(a: float, z: np.ndarray, snapped: np.ndarray) -> float:
     """Action of the polyline with the optimal (non-uniform) time allocation."""
     w_seg = _segment_weights(a, snapped)
@@ -111,115 +62,58 @@ def _timed_value(a: float, z: np.ndarray, snapped: np.ndarray) -> float:
     return 0.5 * float(np.sum(lengths / np.sqrt(w_seg))) ** 2
 
 
-def _flag_candidates(snapped: np.ndarray, x1: np.ndarray, scale: float):
-    """Discrete snap/unsnap moves around the current boundary run."""
-    n = snapped.size
-    out = []
-    near = (x1 < 1e-4 * scale) & ~snapped
-    near[0] = near[-1] = False
-    if near.any():
-        cand = snapped | near
-        out.append(cand)
-    idx = np.flatnonzero(snapped)
-    if idx.size:
-        lo, hi = idx[0], idx[-1]
-        if lo > 1:
-            cand = snapped.copy()
-            cand[lo - 1] = True
-            out.append(cand)
-        if hi < n - 2:
-            cand = snapped.copy()
-            cand[hi + 1] = True
-            out.append(cand)
-        cand = snapped.copy()
-        cand[lo] = False
-        out.append(cand)
-        if hi != lo:
-            cand = snapped.copy()
-            cand[hi] = False
-            out.append(cand)
-    return out
+def _ramp_energy(h: float, steps: np.ndarray) -> np.ndarray:
+    """``h^2 / steps``: a normal ramp from height ``h`` down to the boundary.
+
+    Zero steps are allowed only from the boundary itself (``h == 0``).
+    """
+    out = np.full(steps.shape, 0.0 if h == 0.0 else np.inf)
+    return np.divide(h * h, steps, out=out, where=steps > 0)
 
 
-def _initial_paths(x0: np.ndarray, y0: np.ndarray, n_seg: int, restarts: int,
-                   rng: np.random.Generator):
-    """Deterministic chord and dip starts, then randomized variants."""
-    n_knots = n_seg + 1
-    ts = np.linspace(0.0, 1.0, n_knots)[:, None]
-    chord = (1.0 - ts) * x0 + ts * y0
-    scale = max(1.0, float(np.linalg.norm(y0 - x0)))
-    starts = []
-
-    # Endpoints are pinned; their snap state is dictated by where they sit.
-    flags0 = np.zeros(n_knots, dtype=bool)
-    flags0[0] = x0[0] == 0.0
-    flags0[-1] = y0[0] == 0.0
-    starts.append((chord.copy(), flags0.copy()))
-
-    def dip(alpha: float, beta: float):
-        z = chord.copy()
-        lo = int(round(alpha * n_seg))
-        hi = int(round(beta * n_seg))
-        lo = min(max(lo, 1), n_knots - 2)
-        hi = min(max(hi, lo), n_knots - 2)
-        z[lo:hi + 1, 0] = 0.0
-        ramp_in = np.linspace(x0[0], 0.0, lo + 1)
-        z[:lo + 1, 0] = ramp_in
-        ramp_out = np.linspace(0.0, y0[0], n_knots - hi)
-        z[hi:, 0] = ramp_out
-        f = flags0.copy()
-        f[lo:hi + 1] = True
-        return z, f
-
-    starts.append(dip(1.0 / 3.0, 2.0 / 3.0))
-    starts.append(dip(0.15, 0.85))
-    starts.append(dip(0.04, 0.5))
-    starts.append(dip(0.5, 0.96))
-    starts.append(dip(0.04, 0.96))
-    while len(starts) < restarts:
-        z = chord + rng.normal(scale=0.25 * scale, size=chord.shape) * (ts * (1.0 - ts) * 4.0)
-        z[:, 0] = np.maximum(z[:, 0], 0.0)
-        z[0], z[-1] = x0, y0
-        f = flags0.copy()
-        if rng.random() < 0.5:
-            lo = rng.integers(1, n_knots - 2)
-            hi = rng.integers(lo, n_knots - 1)
-            f[lo:hi + 1] = True
-        starts.append((z, f))
-    return starts[:restarts]
+def _optimal_polyline(a: float, x0: np.ndarray, y0: np.ndarray,
+                      snapped: np.ndarray) -> np.ndarray:
+    """Minimizing knots for fixed flags: normal ramps and weighted tangential split."""
+    n = snapped.size - 1
+    k = np.arange(n + 1)
+    pinned = snapped.copy()
+    pinned[[0, n]] = True
+    heights = np.zeros(n + 1)
+    heights[0], heights[n] = x0[0], y0[0]
+    z = np.empty((n + 1, x0.size))
+    z[:, 0] = np.interp(k, k[pinned], heights[pinned])
+    frac = np.concatenate(([0.0], np.cumsum(_segment_weights(a, snapped))))
+    z[:, 1:] = x0[1:] + (frac / frac[-1])[:, None] * (y0[1:] - x0[1:])
+    z[0], z[n] = x0, y0
+    return z
 
 
 def minimize_path_action(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint,
-                         n_segments: int = 64, restarts: int = 20, seed: int = 0,
-                         max_iter: int = 400, flag_rounds: int = 24) -> BrutePathResult:
-    """Minimize the discretized action over polylines from x to y.
+                         n_segments: int = 64, restarts: int = 20,
+                         seed: int = 0) -> BrutePathResult:
+    """Exact minimum of the discretized action over polylines from x to y.
 
-    Multistart projected gradient descent over knot coordinates alternating
-    with local search over per-knot boundary snapping.  Returns the best
-    configuration found together with its optimally-timed action value.
+    Evaluates the energy of every boundary run ``(lo, hi)`` and of the chord
+    in one array and takes the first smallest; see the module docstring for
+    why that is the minimum over all snap flags.  ``restarts`` and ``seed``
+    are accepted and ignored: they configured the random starts of an
+    earlier local search, and existing callers still pass them.
     """
-    x0 = x.coords()
-    y0 = y.coords()
-    rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.linalg.norm(y0 - x0)))
-    probe_iter = max(120, max_iter // 3)
-    best = None
-    for z_init, flags in _initial_paths(x0, y0, n_segments, restarts, rng):
-        z, e = _descend(params.a, z_init, flags, n_segments, max_iter)
-        if best is not None and _timed_value(params.a, z, flags) > 2.0 * best.value:
-            continue    # this basin cannot catch up; redundancy covers it
-        for _ in range(flag_rounds):
-            improved = False
-            for cand in _flag_candidates(flags, z[:, 0], scale):
-                z_c, e_c = _descend(params.a, z, cand, n_segments, probe_iter)
-                if e_c < e - 1e-12 * max(1.0, e):
-                    z, e, flags = z_c, e_c, cand
-                    improved = True
-                    break
-            if not improved:
-                break
-        z, e = _descend(params.a, z, flags, n_segments, max_iter)
-        cand_result = BrutePathResult(_timed_value(params.a, z, flags), e, z, flags)
-        if best is None or cand_result.value < best.value:
-            best = cand_result
-    return best
+    if (isinstance(n_segments, bool) or not isinstance(n_segments, (int, np.integer))
+            or n_segments < 1):
+        raise ValueError(f"n_segments must be an integer >= 1, got {n_segments!r}")
+    _check_dim(params, x)
+    _check_dim(params, y)
+    n, a = int(n_segments), params.a
+    x0, y0 = x.coords(), y.coords()
+    tan2 = float(np.sum((y0[1:] - x0[1:]) ** 2))
+    lo, hi = np.triu_indices(n + 1)
+    runs = 0.5 * n * (_ramp_energy(x0[0], lo) + _ramp_energy(y0[0], n - hi)
+                      + tan2 / (lo + n - hi + a * (hi - lo)))
+    energies = np.concatenate(([0.5 * float(np.sum((y0 - x0) ** 2))], runs))
+    best = int(np.argmin(energies))
+    snapped = np.zeros(n + 1, dtype=bool)
+    if best > 0:
+        snapped[lo[best - 1]:hi[best - 1] + 1] = True
+    z = _optimal_polyline(a, x0, y0, snapped)
+    return BrutePathResult(_timed_value(a, z, snapped), float(energies[best]), z, snapped)
