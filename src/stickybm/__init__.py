@@ -48,7 +48,6 @@ from .simulate import (
     simulate,
     simulate_batch,
     simulate_many,
-    step_vertical,
 )
 from .ldp import (
     Ball,

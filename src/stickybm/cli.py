@@ -67,16 +67,23 @@ def _parse_target(text: str):
 
 
 def _read_measure(path: str) -> DiscreteMeasure:
+    """Atoms and weights from a CSV with a header and one ``x1, xp..., weight`` row each."""
     atoms, weights = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            if not row:
-                continue
-            vals = [float(v) for v in row]
+        header = next(reader, [])
+        for row in filter(None, reader):
+            try:
+                if len(row) < 3 or len(row) != len(header):
+                    raise ValueError(f"{len(row)} columns, the header has {len(header)}")
+                vals = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
             atoms.append(HalfSpacePoint(vals[0], tuple(vals[1:-1])))
             weights.append(vals[-1])
+    if not atoms:
+        raise ValueError(f"{path}, line {reader.line_num + 1}: expected a header, then "
+                         f"rows of x1, xp..., weight")
     return DiscreteMeasure(tuple(atoms), tuple(weights))
 
 

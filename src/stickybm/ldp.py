@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import HalfSpacePoint, ModelParams, _sticky_rate_core, cost
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
-from .simulate import SimConfig, _path_rng, simulate_batch, step_batch
+from .simulate import walk
 
 __all__ = [
     "Ball",
@@ -281,39 +281,39 @@ def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target) -> floa
 # Static LDP
 # ---------------------------------------------------------------------------
 
+def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
+                n_paths: int, seed: int) -> list:
+    """Per epsilon, how many of ``n_paths`` exact paths from ``x`` lie in
+    ``targets[j]`` after each step ``eps * dt_j``; epsilon ``i`` draws stream ``i``."""
+    counts = []
+    for i, eps in enumerate(epsilons):
+        steps = walk(params, x, eps * np.asarray(dts), n_paths, seed, stream=i, resolution=512)
+        hits = np.ones(n_paths, dtype=bool)
+        for (x1, xp, _), target in zip(steps, targets):
+            hits &= np.asarray(target.contains(x1, xp))
+        counts.append(int(np.sum(hits)))
+    return counts
+
+
 def static_ldp(exp: StaticExperiment, spec: QuadratureSpec, seed: int = 0) -> LdpEstimate:
     """Probabilities per epsilon, slope extraction, and the reference rate."""
-    params = exp.params
-    used_eps, scaled, probs, wilsons, dropped = [], [], [], [], []
-    for i, eps in enumerate(exp.epsilons):
-        if exp.method == "quadrature":
-            lp = log_target_probability(params, spec, eps, exp.x, exp.target)
-            if not np.isfinite(lp):
-                dropped.append(eps)
-                continue
-            used_eps.append(eps)
-            scaled.append(eps * lp)
-            probs.append(math.exp(lp))
-            wilsons.append((math.nan, math.nan))
-        else:
-            cfg = SimConfig(params, exp.x, eps, 1, seed=seed + i, tabulation_resolution=512)
-            batch = simulate_batch(cfg, exp.n_paths)
-            inside = exp.target.contains(batch.x1[:, -1], batch.xp[:, -1, :])
-            hits = int(np.sum(inside))
-            if hits == 0:
-                dropped.append(eps)
-                continue
-            p = hits / exp.n_paths
-            used_eps.append(eps)
-            scaled.append(eps * math.log(p))
-            probs.append(p)
-            wilsons.append(wilson_interval(hits, exp.n_paths))
-    if len(used_eps) < 3:
-        raise RuntimeError(f"too few usable epsilons ({len(used_eps)}) for slope extraction")
-    rate, beta, gamma = fit_rate(used_eps, scaled)
+    params, eps, n = exp.params, exp.epsilons, exp.n_paths
+    if exp.method == "monte_carlo":
+        hits = _hit_counts(params, exp.x, np.ones(1), [exp.target], eps, n, seed)
+        probs, wilsons = [k / n for k in hits], [wilson_interval(k, n) for k in hits]
+        log_probs = [math.log(p) if p else -math.inf for p in probs]
+    else:
+        log_probs = [log_target_probability(params, spec, e, exp.x, exp.target) for e in eps]
+        probs, wilsons = [math.exp(lp) for lp in log_probs], [(math.nan, math.nan)] * len(eps)
+    keep = [i for i, lp in enumerate(log_probs) if np.isfinite(lp)]
+    if len(keep) < 3:
+        raise RuntimeError(f"too few usable epsilons ({len(keep)}) for slope extraction")
+    used, scaled = [eps[i] for i in keep], [eps[i] * log_probs[i] for i in keep]
+    rate, beta, gamma = fit_rate(used, scaled)
     ref = min_cost_over_target(params, exp.x, exp.target)
-    return LdpEstimate(tuple(used_eps), tuple(scaled), rate, ref, beta, gamma,
-                       tuple(probs), tuple(wilsons), tuple(dropped))
+    return LdpEstimate(tuple(used), tuple(scaled), rate, ref, beta, gamma,
+                       tuple(probs[i] for i in keep), tuple(wilsons[i] for i in keep),
+                       tuple(e for e, lp in zip(eps, log_probs) if not np.isfinite(lp)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,36 +450,20 @@ def sliced_ldp(params: ModelParams, x: HalfSpacePoint, waypoint_sets, epsilons,
     """Monte Carlo probability that the slowed path visits every waypoint ball.
 
     The slowed path is sampled exactly at the waypoint times (one exact step
-    per inter-waypoint interval).  The reference rate is the sliced-cost
+    per inter-waypoint interval), epsilon ``i`` in decreasing order on stream
+    ``(seed, i)``; one waypoint at ``t = 1`` gives the frequencies of the
+    Monte Carlo :func:`static_ldp`.  The reference rate is the sliced-cost
     infimum over the product of balls.
     """
     dts = _waypoint_dts([t for t, _ in waypoint_sets])
-    epsilons = _fit_epsilons(epsilons)
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    targets = [b for _, b in waypoint_sets]
-    used, scaled, probs, dropped = [], [], [], []
-    for i, eps in enumerate(sorted(epsilons, reverse=True)):
-        # One exact step per interval, of horizon eps * dt_j; one stream per step.
-        hits = np.ones(n_paths, dtype=bool)
-        x1 = np.full(n_paths, x.x1)
-        xp = np.tile(np.asarray(x.xp, dtype=float), (n_paths, 1))
-        for j, (dt, target) in enumerate(zip(dts, targets)):
-            rng = _path_rng(seed + 1000 * i, j)
-            u = rng.random((3, n_paths))
-            g = rng.standard_normal((n_paths, params.d - 1))
-            x1, xp, _ = step_batch(params, x1, xp, eps * dt, u, g, 512)
-            hits &= np.asarray(target.contains(x1, xp))
-        k = int(np.sum(hits))
-        if k == 0:
-            dropped.append(eps)
-            continue
-        p = k / n_paths
-        used.append(eps)
-        scaled.append(eps * math.log(p))
-        probs.append(p)
+    epsilons = sorted(_fit_epsilons(epsilons), reverse=True)
+    hits = _hit_counts(params, x, dts, [b for _, b in waypoint_sets], epsilons, n_paths, seed)
+    used = [e for e, k in zip(epsilons, hits) if k]
     if len(used) < 3:
         raise RuntimeError("too few usable epsilons for the sliced slope fit")
+    probs = [k / n_paths for k in hits if k]
+    scaled = [e * math.log(p) for e, p in zip(used, probs)]
     rate, _, _ = fit_rate(used, scaled)
     ref = min_sliced_cost(params, x, waypoint_sets)
-    return SlicedEstimate(tuple(used), tuple(scaled), rate, ref, tuple(probs), tuple(dropped))
+    return SlicedEstimate(tuple(used), tuple(scaled), rate, ref, tuple(probs),
+                          tuple(e for e, k in zip(epsilons, hits) if not k))

@@ -30,9 +30,8 @@ from .quadrature import gauss_legendre
 
 __all__ = [
     "SimConfig", "SamplePath", "BatchPaths", "TabulationError", "IncrementTables",
-    "increment_tables", "step_vertical", "step_batch", "simulate", "simulate_batch",
-    "simulate_many", "sample_increments", "horizontal_cdf", "modulus_statistics",
-    "euler_thin_layer",
+    "increment_tables", "step_batch", "walk", "simulate", "simulate_batch",
+    "simulate_many", "horizontal_cdf", "modulus_statistics", "euler_thin_layer",
 ]
 
 # Table nodes in the scaled start xi = x1 / sqrt(dt); past _XI_MAX the chance
@@ -61,8 +60,7 @@ class SimConfig:
             raise ValueError("step must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _check_seed(self.seed)
         if self.tabulation_resolution < 256:
             raise ValueError("tabulation_resolution must be at least 256")
         if self.x0.dim != self.params.d:
@@ -320,26 +318,13 @@ def _horizontal(params: ModelParams, x1: np.ndarray, dt: float, u: np.ndarray,
     return sd * z, sd * l
 
 
-def step_vertical(params: ModelParams, rng: np.random.Generator, dt: float,
-                  delta_o: float, d: int = None) -> np.ndarray:
-    """Gaussian tangential increment with variance ``dt + (a-1) delta_O``."""
-    if not (0.0 <= delta_o <= dt * (1.0 + 1e-12)):
-        raise ValueError("occupation increment must lie in [0, dt]")
-    if d is None:
-        d = params.d
-    var = (dt - delta_o) + params.a * delta_o
-    if var < 0:
-        raise ValueError("negative variance; invalid occupation increment")
-    return math.sqrt(var) * rng.standard_normal(d - 1)
-
-
 def step_batch(params: ModelParams, x1: np.ndarray, xp: np.ndarray, dt: float,
                u: np.ndarray, g: np.ndarray, resolution: int = 1024):
     """One exact step of every path from its own start; returns ``(x1, xp, delta_O)``.
 
     ``u`` holds three rows of uniforms (component choice, within-component,
-    conditional draw) and ``g`` one row of standard normals per path, so the
-    caller keeps its own stream layout.  All paths draw at once from one
+    conditional draw) and ``g`` one row of standard normals per path, as
+    :func:`walk` lays them out.  All paths draw at once from one
     family of node tables per ``(theta sqrt(dt), resolution)``; between
     nodes the law is interpolated in the scaled start (README, sampler).
     """
@@ -348,10 +333,44 @@ def step_batch(params: ModelParams, x1: np.ndarray, xp: np.ndarray, dt: float,
     return z, xp + np.sqrt(dt + params.big_a * d_o)[:, None] * g, d_o
 
 
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    # Counter-based Philox keyed on (seed, path_index): reproducible and
-    # independent across paths, no global state.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, path_index))))
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+
+
+def walk(params: ModelParams, x0: HalfSpacePoint, dts, n_paths: int, seed: int,
+         stream: int = 0, first_index: int = 0, resolution: int = 1024):
+    """Iterator of ``(x1, xp, delta_O)`` after each interval of ``dts``, one
+    :func:`step_batch` each, for paths ``first_index ..`` of stream ``(seed, stream)``.
+
+    Path ``r`` reads row ``r`` of one Philox generator keyed on ``seed +
+    stream * 2^64``: per step three uniforms, then ``d - 1`` that ``ndtri``
+    makes normal, each ``(k + 1/2) 2^-52`` for 52 random bits ``k``; rows are
+    padded to a multiple of 4, so ``advance`` reaches any path.  Inputs are
+    checked and drawn at the call, the steps taken as the iterator runs.
+    """
+    _check_seed(seed)
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if first_index < 0 or stream < 0:
+        raise ValueError("first_index and stream must be non-negative")
+    dts, per_step = np.asarray(dts, dtype=float), params.d + 2
+    width = -(-dts.size * per_step // 4) * 4
+    gen = np.random.Philox(key=int(seed) + (int(stream) << 64))
+    gen.advance(first_index * width // 4)
+    bits = gen.random_raw((n_paths, width))[:, :dts.size * per_step]
+    bits >>= 12
+    u = ((bits + 0.5) * 2.0 ** -52).reshape(n_paths, dts.size, per_step)
+
+    def steps():
+        x1 = np.full(n_paths, float(x0.x1))
+        xp = np.tile(np.asarray(x0.xp, dtype=float), (n_paths, 1))
+        for j, dt in enumerate(dts):
+            x1, xp, d_o = step_batch(params, x1, xp, dt, u[:, j, :3].T, _ndtri(u[:, j, 3:]),
+                                     resolution)
+            yield x1, xp, d_o
+
+    return steps()
 
 
 @dataclass(frozen=True)
@@ -383,35 +402,20 @@ class BatchPaths:
 def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> BatchPaths:
     """Simulate paths ``first_index .. first_index + n_paths - 1``, vectorized.
 
-    Each path consumes its own counter-based stream: per path, a
-    ``(n_steps, 3)`` block of uniforms (component choice, within-component,
-    conditional draw) followed by an ``(n_steps, d-1)`` block of normals.
-    Each step is one :func:`step_batch` over all paths, so the per-path law
-    is identical to :func:`simulate`.
+    Stream 0 of :func:`walk` over ``n_steps`` equal steps: path ``i`` reads
+    its own row of draws whatever the batch, so the per-path law and values
+    are those of :func:`simulate`.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
     params, n, dt = config.params, config.n_steps, config.step
-    d = params.d
-    u_all = np.empty((n_paths, n, 3))
-    g_all = np.empty((n_paths, n, d - 1))
-    for i in range(n_paths):
-        rng = _path_rng(config.seed, first_index + i)
-        u_all[i] = rng.random((n, 3))
-        g_all[i] = rng.standard_normal((n, d - 1))
-
+    steps = walk(params, config.x0, np.full(n, dt), n_paths, config.seed,
+                 first_index=first_index, resolution=config.tabulation_resolution)
     x1 = np.empty((n_paths, n + 1))
-    xp = np.empty((n_paths, n + 1, d - 1))
+    xp = np.empty((n_paths, n + 1, params.d - 1))
     occ = np.zeros((n_paths, n + 1))
     x1[:, 0] = config.x0.x1
     xp[:, 0, :] = np.asarray(config.x0.xp)
-
-    for step in range(n):
-        x1[:, step + 1], xp[:, step + 1], d_o = step_batch(
-            params, x1[:, step], xp[:, step], dt, u_all[:, step].T, g_all[:, step],
-            config.tabulation_resolution)
-        occ[:, step + 1] = occ[:, step] + d_o
-
+    for j, (z, y, d_o) in enumerate(steps, 1):
+        x1[:, j], xp[:, j], occ[:, j] = z, y, occ[:, j - 1] + d_o
     times = dt * np.arange(n + 1)
     return BatchPaths(times, x1, xp, occ, params.theta)
 
@@ -424,17 +428,6 @@ def simulate(config: SimConfig, path_index: int = 0) -> SamplePath:
 def simulate_many(config: SimConfig, n_paths: int, first_index: int = 0):
     """Independent paths indexed ``first_index .. first_index + n_paths - 1``."""
     return list(simulate_batch(config, n_paths, first_index=first_index))
-
-
-def sample_increments(params: ModelParams, x1: float, dt: float, n: int,
-                      seed: int, resolution: int = 1024):
-    """Vectorized one-step draws from a common start; returns (z, delta_L).
-
-    Fast path for marginal-law experiments; the law matches
-    :func:`step_batch` exactly, only the stream layout differs.
-    """
-    u = _path_rng(seed, 0).random((3, n))
-    return _horizontal(params, np.full(n, float(x1)), dt, u, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +469,7 @@ def euler_thin_layer(params: ModelParams, x0: HalfSpacePoint, dt: float,
     """
     if layer is None:
         layer = math.sqrt(dt)
-    rng = _path_rng(seed, 0)
+    rng = np.random.default_rng(seed)
     d = params.d
     x1 = np.empty(n_steps + 1)
     xp = np.empty((n_steps + 1, d - 1))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from .geometry import HalfSpacePoint, ModelParams, cost_batch, geodesic
+from .geometry import HalfSpacePoint, ModelParams, _check_dim, cost_batch, geodesic
 from .kernel import log_densities
 from .quadrature import QuadratureSpec
 
@@ -96,6 +96,8 @@ class TransportPlan:
 
 
 def cost_matrix(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> np.ndarray:
+    for p in mu0.atoms + mu1.atoms:
+        _check_dim(params, p)
     x1 = mu0.x1()[:, None]
     y1 = mu1.x1()[None, :]
     xp = mu0.xp()[:, None, :]
@@ -184,6 +186,8 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
+    for p in mu0.atoms + mu1.atoms:
+        _check_dim(params, p)
     n, m = mu0.size, mu1.size
     gap = np.linalg.norm(mu1.xp()[None, :, :] - mu0.xp()[:, None, :], axis=-1)
     # log mu-densities: the interior density, which on the boundary is the

@@ -13,6 +13,10 @@ from stickybm.cli import main
 from stickybm.quadrature import QuadratureError
 from stickybm.transport import gamma_limit_experiment
 
+# The package re-exports the function `simulate`; every sampler step goes
+# through the module's `step_batch`.
+SIMULATE = importlib.import_module("stickybm.simulate")
+
 
 def run(tmp_path, *argv):
     return main([*argv, "-o", str(tmp_path)])
@@ -105,8 +109,7 @@ class TestSimulateCli:
             assert float(row[5]) == 1.5 * float(row[6])
 
     def test_zero_paths_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
-        # The package re-exports the function `simulate`; patch the module.
-        forbid(monkeypatch, importlib.import_module("stickybm.simulate"), "step_batch")
+        forbid(monkeypatch, SIMULATE, "step_batch")
         code = run(tmp_path, "simulate", "--a", "2", "--theta", "1", "--x", "0.3,0",
                    "--step", "0.1", "--n-steps", "5", "--n-paths", "0")
         assert code == 2
@@ -186,6 +189,39 @@ class TestTransportCli:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "epsilon" in err
 
+    @pytest.mark.parametrize("content, message", [
+        ("", "line 1"),
+        ("x1,xp1,weight\n", "line 2"),
+        ("x1,xp1,weight\n0,0,0.5\n0,0.5\n", "line 3"),
+        ("x1,xp1,weight\n0,0,0.5\n0,1,x\n", "line 3"),
+    ])
+    def test_malformed_measure_file_exits_2(self, tmp_path, capsys, measures, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(content)
+        code = run(tmp_path, "ot", "--a", "2", "--theta", "1", "--mu0", str(bad),
+                   "--mu1", measures[1])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and str(bad) in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ot"],
+        ["sinkhorn", "--epsilon", "0.5"],
+        ["interpolate", "--t", "0.5"],
+    ])
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_atoms_of_the_wrong_dimension_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                 measures, argv, d):
+        # A 3-D mu1 against the 2-D mu0, at --d 2 and at --d 3.
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        mu1 = tmp_path / "mu1_3d.csv"
+        mu1.write_text("x1,xp1,xp2,weight\n0,1,0,0.5\n0,11,0,0.5\n")
+        code = run(tmp_path, *argv, "--a", "2", "--theta", "1", "--d", d,
+                   "--mu0", measures[0], "--mu1", str(mu1))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "dimension" in err
+
     def test_gamma_limit_without_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
         mu0 = tmp_path / "mu0.csv"
         mu1 = tmp_path / "mu1.csv"
@@ -237,7 +273,7 @@ class TestLdpCli:
     ])
     def test_path_rejects_waypoint_times_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                          waypoints):
-        forbid(monkeypatch, stickybm.ldp, "step_batch")
+        forbid(monkeypatch, SIMULATE, "step_batch")
         code = run(tmp_path, "ldp-path", "--a", "4", "--theta", "1", "--x", "3,0",
                    "--waypoints", waypoints, "--epsilons", "0.2,0.1,0.05")
         assert code == 2
@@ -253,13 +289,29 @@ class TestLdpCli:
     ])
     def test_path_rejects_epsilons_and_paths_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                              epsilons, n_paths, message):
-        forbid(monkeypatch, stickybm.ldp, "step_batch")
+        forbid(monkeypatch, SIMULATE, "step_batch")
         code = run(tmp_path, "ldp-path", "--a", "4", "--theta", "1", "--x", "3,0",
                    "--waypoints", "0.5:3,0:2;1.0:3,0:2", "--epsilons", epsilons,
                    "--n-paths", n_paths)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and message in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--step", "0.1", "--n-steps", "2"],
+        ["ldp-path", "--waypoints", "0.5:0,1:0.8;1.0:0,2:0.8", "--epsilons", "0.2,0.1,0.05"],
+        ["ldp-static", "--target", "patch:1:0.2", "--epsilons", "0.2,0.1,0.05",
+         "--method", "monte_carlo"],
+    ])
+    def test_seed_outside_64_bits_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                           argv, seed):
+        forbid(monkeypatch, SIMULATE, "step_batch")
+        code = run(tmp_path, *argv, "--a", "4", "--theta", "1", "--x", "0.3,0",
+                   "--n-paths", "100", "--seed", seed)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "seed" in err
 
     def test_static_non_finite_epsilon_exits_2_before_quadrature(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -274,7 +326,7 @@ class TestLdpCli:
     def test_static_two_epsilons_exit_2_before_quadrature_or_sampling(self, tmp_path, capsys,
                                                                       monkeypatch, method):
         forbid(monkeypatch, stickybm.kernel, "log_integrate")
-        forbid(monkeypatch, stickybm.ldp, "simulate_batch")
+        forbid(monkeypatch, SIMULATE, "step_batch")
         code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
                    "--target", "patch:2:0.1", "--epsilons", "0.2,0.1", "--method", method)
         assert code == 2
@@ -284,7 +336,7 @@ class TestLdpCli:
 
     def test_static_monte_carlo_zero_paths_exits_2_before_sampling(self, tmp_path, capsys,
                                                                     monkeypatch):
-        forbid(monkeypatch, stickybm.ldp, "simulate_batch")
+        forbid(monkeypatch, SIMULATE, "step_batch")
         code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
                    "--target", "patch:2:0.1", "--epsilons", "0.2,0.1,0.05",
                    "--method", "monte_carlo", "--n-paths", "0")

@@ -131,7 +131,7 @@ class TestBivariate:
         # (inward drift theta), so the atom mass decreases in theta, in line
         # with the stationary atom weight 1/(2 theta).  Cross-checked by
         # exact simulation.
-        from stickybm.simulate import sample_increments
+        from stickybm.simulate import SimConfig, simulate_batch
 
         t, x1 = 1.0, 0.0
         masses, mc = [], []
@@ -141,8 +141,8 @@ class TestBivariate:
             vals = np.array([hitting_density(tt, ll + x1) / th if tt > 0 and ll + x1 > 0 else 0.0
                              for tt, ll in zip(tau, ls)])
             masses.append(np.trapezoid(vals, ls))
-            z, _ = sample_increments(ModelParams(1.0, th), x1, t, 20000, seed=3)
-            mc.append(float(np.mean(z == 0.0)))
+            cfg = SimConfig(ModelParams(1.0, th), P(x1, 0.0), t, 1, seed=3)
+            mc.append(float(np.mean(simulate_batch(cfg, 20000).x1[:, 1] == 0.0)))
         assert all(m2 < m1 for m1, m2 in zip(masses, masses[1:]))
         assert all(m2 < m1 for m1, m2 in zip(mc, mc[1:]))
         for q, m in zip(masses, mc):

@@ -262,6 +262,19 @@ class TestSliced:
             se = math.sqrt(p_st * (1 - p_st) / n + p_sl * (1 - p_sl) / n)
             assert abs(p_sl - p_st) <= 4 * se
 
+    def test_single_waypoint_draws_the_static_streams(self):
+        # One waypoint at t = 1 is one step of horizon eps on stream (seed,
+        # eps index), as in the Monte Carlo static experiment: the same hits.
+        params = ModelParams(4.0, 1.0)
+        x = P(0.0, 0.0)
+        ball = Ball(P(0.0, 0.8), 0.3)
+        eps, n = (0.2, 0.1, 0.05), 20000
+        sl = sliced_ldp(params, x, [(1.0, ball)], eps, n_paths=n, seed=4)
+        st = static_ldp(StaticExperiment(params, x, ball, eps, method="monte_carlo",
+                                         n_paths=n), SPEC, seed=4)
+        assert sl.epsilons == st.epsilons and sl.probs == st.probs
+        assert sl.log_probs == st.log_probs and sl.dropped_epsilons == st.dropped_epsilons
+
     def test_additivity_along_geodesic(self):
         params = ModelParams(4.0, 1.0)
         x = P(0.0, 0.0)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf, ndtr
+from scipy.special import erf, ndtr, ndtri
 from scipy.stats import ks_2samp, kstest, qmc
 
 from stickybm.geometry import HalfSpacePoint, ModelParams
@@ -14,12 +14,11 @@ from stickybm.simulate import (
     horizontal_cdf,
     increment_tables,
     modulus_statistics,
-    sample_increments,
     simulate,
     simulate_batch,
     simulate_many,
     step_batch,
-    step_vertical,
+    walk,
 )
 
 
@@ -30,6 +29,12 @@ def P(x1, *xp):
 PARAMS = ModelParams(2.0, 1.5, 2)
 # The package re-exports the function `simulate`; reach the module itself.
 sim = importlib.import_module("stickybm.simulate")
+
+
+def one_step(params, x1, dt, n, seed):
+    """``n`` one-step draws of (z, delta_L) from ``x1``: one-step paths of a batch."""
+    batch = simulate_batch(SimConfig(params, P(x1, 0.0), dt, 1, seed), n)
+    return batch.x1[:, 1], batch.local_time[:, 1]
 
 
 def table_draw(tab, u):
@@ -94,7 +99,7 @@ class TestIncrementTables:
 
 class TestSteps:
     def test_horizontal_far_start_no_local_time(self):
-        z, dl = sample_increments(ModelParams(1.0, 1.0), 10.0, 0.01, 200, seed=0)
+        z, dl = one_step(ModelParams(1.0, 1.0), 10.0, 0.01, 200, 0)
         assert np.all(dl == 0.0)
         assert np.all(z > 0)
 
@@ -103,7 +108,7 @@ class TestSteps:
         # Gaussian law (the visit mass there is below 2e-17).
         dt = 0.04
         for x1 in (8.5 * math.sqrt(dt), 0.3 + 8.5 * math.sqrt(dt), 3.0):
-            z, dl = sample_increments(PARAMS, x1, dt, 20000, seed=8)
+            z, dl = one_step(PARAMS, x1, dt, 20000, 8)
             assert np.all(dl == 0.0) and np.all(z > 0.0)
             sd = math.sqrt(dt)
 
@@ -115,20 +120,9 @@ class TestSteps:
 
     def test_horizontal_increment_range(self):
         dt = 0.3
-        z, dl = sample_increments(PARAMS, 0.05, dt, 500, seed=1)
+        z, dl = one_step(PARAMS, 0.05, dt, 500, 1)
         assert np.all(z >= 0.0)
         assert np.all((0.0 <= dl) & (dl <= PARAMS.theta * dt * (1 + 1e-12)))
-
-    def test_vertical_variances(self):
-        rng = np.random.default_rng(2)
-        dt = 0.2
-        draws0 = np.array([step_vertical(PARAMS, rng, dt, 0.0)[0] for _ in range(40000)])
-        assert draws0.var() == pytest.approx(dt, rel=0.05)
-        draws1 = np.array([step_vertical(PARAMS, rng, dt, dt)[0] for _ in range(40000)])
-        assert draws1.var() == pytest.approx(PARAMS.a * dt, rel=0.05)
-        d_o = 0.12
-        draws = np.array([step_vertical(PARAMS, rng, dt, d_o)[0] for _ in range(100000)])
-        assert draws.var() == pytest.approx(dt + PARAMS.big_a * d_o, rel=0.02)
 
     def test_node_starts_match_single_start_tables(self):
         # At a table node the interpolation weight is 0, so a path draws
@@ -154,13 +148,6 @@ class TestSteps:
             seen.add((x1[i] > 0, u[0, i] < tab.mass_no_visit, z[i] == 0.0))
         assert {(True, True, False), (True, False, True), (True, False, False),
                 (False, False, True), (False, False, False)} <= seen
-
-    def test_vertical_guards(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            step_vertical(PARAMS, rng, 0.1, 0.2)
-        with pytest.raises(ValueError):
-            step_vertical(PARAMS, rng, 0.1, -0.01)
 
 
 class TestScaledTables:
@@ -212,7 +199,7 @@ class TestMarginalLaw:
     def test_one_step_against_quadrature(self):
         x1, dt = 0.25, 0.25
         n = 100000
-        z, dl = sample_increments(PARAMS, x1, dt, n, seed=42)
+        z, dl = one_step(PARAMS, x1, dt, n, 42)
         tab = increment_tables(PARAMS, x1, dt)
         # boundary atom frequency within 3 binomial standard errors
         freq = float(np.mean(z == 0.0))
@@ -237,14 +224,14 @@ class TestMarginalLaw:
         x1, dt = 0.25, 0.25
         cfg = SimConfig(PARAMS, P(x1, 0.0), dt / 4, 4, seed=11, tabulation_resolution=512)
         ends = simulate_batch(cfg, 15000).x1[:, -1]
-        one, _ = sample_increments(PARAMS, x1, dt, 15000, seed=12)
+        one, _ = one_step(PARAMS, x1, dt, 15000, 12)
         assert ks_2samp(ends, one).pvalue > 0.001
 
     def test_time_scaling_consistency(self):
         # step eps*Delta with params equals the eps-slowed process at Delta
         eps, delta = 0.25, 0.4
-        za, _ = sample_increments(PARAMS, 0.3, eps * delta, 15000, seed=21)
-        zb, _ = sample_increments(PARAMS, 0.3, 0.1, 15000, seed=22)
+        za, _ = one_step(PARAMS, 0.3, eps * delta, 15000, 21)
+        zb, _ = one_step(PARAMS, 0.3, 0.1, 15000, 22)
         assert ks_2samp(za, zb).pvalue > 0.001
 
 
@@ -287,6 +274,51 @@ class TestPaths:
             single = simulate(cfg, path_index=i)
             assert np.array_equal(single.x1, batch.path(i).x1)
             assert np.array_equal(single.xp, batch.path(i).xp)
+
+    def test_paths_read_their_own_rows(self):
+        # d = 3 and 3 steps: 15 draws per row, padded to 16.
+        params = ModelParams(2.0, 1.5, 3)
+        cfg = SimConfig(params, P(0.1, 0.0, 0.0), 0.1, 3, seed=3)
+        full = simulate_batch(cfg, 10)
+        tail = simulate_batch(cfg, 5, first_index=5)
+        for name in ("x1", "xp", "occupation_time"):
+            assert np.array_equal(getattr(tail, name), getattr(full, name)[5:])
+
+    def test_layout_reads_philox_rows(self, monkeypatch):
+        # Row r of the generator keyed on seed + stream * 2^64 holds path r's
+        # draws, step by step: three uniforms, then d - 1 normals as ndtri of
+        # uniforms, each uniform (k + 1/2) 2^-52 for the top 52 bits k.
+        params, seed, stream, first, n_paths = ModelParams(2.0, 1.5, 3), 12, 4, 7, 3
+        dts = [0.1, 0.2]
+        seen = []
+
+        def spy(params, x1, xp, dt, u, g, resolution):
+            seen.append((u.copy(), g.copy()))
+            return x1, xp, np.zeros_like(x1)
+
+        monkeypatch.setattr(sim, "step_batch", spy)
+        list(walk(params, P(0.2, 0.0, 0.0), dts, n_paths, seed, stream, first))
+        gen = np.random.Philox(key=seed + (stream << 64))
+        raw = gen.random_raw((first + n_paths) * 12).reshape(-1, 12)[first:, :10]
+        u = ((raw >> 12).astype(float) + 0.5) * 2.0 ** -52
+        assert np.all((0.0 < u) & (u < 1.0))
+        for j, (u_j, g_j) in enumerate(seen):
+            step = u[:, 5 * j:5 * j + 5]
+            assert np.array_equal(u_j, step[:, :3].T)
+            assert np.array_equal(g_j, ndtri(step[:, 3:]))
+        assert len(seen) == len(dts)
+
+    def test_streams_do_not_overlap_across_seeds(self):
+        # (seed 0, stream 1) and (seed 1, stream 0) are different keys.
+        dts = [0.05, 0.05]
+        a = [x1 for x1, _, _ in walk(PARAMS, P(0.3, 0.0), dts, 50, 0, stream=1)]
+        b = [x1 for x1, _, _ in walk(PARAMS, P(0.3, 0.0), dts, 50, 1, stream=0)]
+        assert not np.array_equal(a[-1], b[-1])
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    def test_seed_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            walk(PARAMS, P(0.3, 0.0), [0.1], 5, seed)
 
     def test_simulate_many(self):
         cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 3, seed=3)
