@@ -441,33 +441,32 @@ def log_transition_kernel(params: ModelParams, spec: QuadratureSpec, t: float,
 # Grid-based consistency checks
 # ---------------------------------------------------------------------------
 
-def _grid_densities(params, t, x1, y1_grid, v_grid, order=12, depth=14) -> LogDensities:
+def _grid_densities(params, t, x1, y1_grid, v_grid, depth=14) -> LogDensities:
     """Log kernel densities on the tensor grid (y1_grid, v_grid) from the
     fixed-rule local-time integrals of :func:`_sticky_log_grid`."""
     y1 = np.asarray(y1_grid, dtype=float)
     v = np.asarray(v_grid, dtype=float)
-    log_st = _sticky_log_grid(params, t, x1 + y1, v, order=order, depth=depth)
+    log_st = _sticky_log_grid(params, t, x1 + y1, v, depth=depth)
     return _compose(params, t, x1, y1[:, None], v[None, :], log_st)
 
 
-def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint,
-                      order: int = 12, panels: int = 8,
-                      extent: float = 8.5) -> float:
+def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float:
     """Total mass of the kernel by tensor quadrature (d = 2 or 3).
 
-    Integrates the interior density over a truncated box (composite
-    Gauss-Legendre per axis, radial in the tangential direction for d = 3)
-    plus the boundary density along the boundary.  Should return 1 up to
-    quadrature and truncation error.
+    Integrates the interior density over a box truncated 8.5 standard
+    deviations out (composite 12-point Gauss-Legendre on 8 panels per axis,
+    radial in the tangential direction for d = 3) plus the boundary density
+    along the boundary.  Should return 1 up to quadrature and truncation error.
     """
     if params.d not in (2, 3):
         raise ValueError("total-mass quadrature implemented for d = 2 and 3")
+    panels, extent = 8, 8.5
     x1 = x.x1
     spread = math.sqrt(t) * max(1.0, math.sqrt(params.a))
     y1_max = x1 + extent * math.sqrt(t)
     v_max = extent * spread
 
-    nodes01, w01 = gauss_legendre(order)
+    nodes01, w01 = gauss_legendre(12)
     edges = np.linspace(0.0, 1.0, panels + 1)
     u = (edges[:-1, None] + np.diff(edges)[:, None] * nodes01[None, :]).ravel()
     wu = (np.diff(edges)[:, None] * w01[None, :]).ravel()
@@ -481,10 +480,10 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint,
     else:
         w_ang = 2.0 * math.pi * v  # radial measure in the tangential plane
 
-    logq = _grid_densities(params, t, x1, y1, v, order=order, depth=12).interior
+    logq = _grid_densities(params, t, x1, y1, v, depth=12).interior
     interior = float(w_y1 @ np.exp(logq) @ (w_v * w_ang))
 
-    log_b = _grid_densities(params, t, x1, [0.0], v, order=order).boundary[0]
+    log_b = _grid_densities(params, t, x1, [0.0], v).boundary[0]
     boundary = float(np.exp(log_b) @ (w_v * w_ang))
     return interior + boundary
 
@@ -502,12 +501,12 @@ class CkResult:
 
 def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
                                 s: float, t: float, x: HalfSpacePoint,
-                                y: HalfSpacePoint, n1: int = 400, np_: int = 200,
-                                z1_max: float = None, zp_halfwidth: float = None) -> CkResult:
+                                y: HalfSpacePoint, n1: int = 400, np_: int = 200) -> CkResult:
     """|p_{s+t}(x,y) - int p_s(x,.) p_t(.,y) dmu| on a midpoint grid (d = 2).
 
-    The intermediate integral runs over an interior midpoint grid plus the
-    boundary line with atom weight 1/(2 theta); densities are mu-densities.
+    The intermediate integral runs over an interior midpoint grid, 7.5
+    standard deviations out in each axis, plus the boundary line with atom
+    weight 1/(2 theta); densities are mu-densities.
     A grid too coarse to reproduce the mass of ``p_s(x, .)`` raises the
     ``coarse_warning`` flag instead of failing.
     """
@@ -517,10 +516,8 @@ def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
         raise ValueError("need s, t > 0")
     horizon = max(s, t)
     spread = math.sqrt(horizon) * max(1.0, math.sqrt(params.a))
-    if z1_max is None:
-        z1_max = max(x.x1, y.x1) + 7.5 * math.sqrt(horizon)
-    if zp_halfwidth is None:
-        zp_halfwidth = 7.5 * spread
+    z1_max = max(x.x1, y.x1) + 7.5 * math.sqrt(horizon)
+    zp_halfwidth = 7.5 * spread
 
     xp = x.xp[0]
     yp = y.xp[0]
@@ -600,19 +597,17 @@ def fp_residuals_from_fields(params: ModelParams, u_at, v_at, t: float, h: float
 
 
 def fokker_planck_residual(params: ModelParams, spec: QuadratureSpec, t: float,
-                           x: HalfSpacePoint, h: float, test_points=None,
-                           boundary_points=None):
+                           x: HalfSpacePoint, h: float):
     """Residuals of the forward equations for the kernel started at ``x``.
 
     Builds the interior/boundary density fields of ``p_t(x, .)`` from the
-    kernel and hands them to :func:`fp_residuals_from_fields`.
+    kernel and hands them to :func:`fp_residuals_from_fields`, at three
+    interior ``(y1, tangential gap)`` and three boundary gap test points.
     """
     if t < 0.1:
         raise ValueError("Fokker-Planck residuals need t >= 0.1 for stable differences")
-    if test_points is None:
-        test_points = [(0.45, 0.15), (0.8, -0.3), (1.1, 0.45)]
-    if boundary_points is None:
-        boundary_points = [0.1, -0.35, 0.6]
+    test_points = [(0.45, 0.15), (0.8, -0.3), (1.1, 0.45)]
+    boundary_points = [0.1, -0.35, 0.6]
 
     xp = np.asarray(x.xp, dtype=float)
 

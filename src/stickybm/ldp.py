@@ -14,6 +14,7 @@ rates, so each infimum is the smallest of a few convex programs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +43,6 @@ __all__ = [
     "discrete_waypoint_cost",
     "min_sliced_cost",
     "sliced_ldp",
-    "SlicedEstimate",
 ]
 
 
@@ -52,7 +52,6 @@ class Ball:
 
     center: HalfSpacePoint
     radius: float
-    closed: bool = True
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -62,9 +61,7 @@ class Ball:
         d1 = np.asarray(x1) - self.center.x1
         dp = np.asarray(xp) - np.asarray(self.center.xp)
         r2 = d1 * d1 + np.sum(np.atleast_2d(dp) ** 2, axis=-1).reshape(np.shape(d1))
-        if self.closed:
-            return r2 <= self.radius ** 2
-        return r2 < self.radius ** 2
+        return r2 <= self.radius ** 2
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,6 @@ class BoundaryPatch:
 
     center_tangential: tuple
     radius: float
-    closed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "center_tangential",
@@ -85,9 +81,7 @@ class BoundaryPatch:
         on_b = np.asarray(x1) == 0.0
         dp = np.asarray(xp) - np.asarray(self.center_tangential)
         r2 = np.sum(np.atleast_2d(dp) ** 2, axis=-1).reshape(np.shape(on_b))
-        if self.closed:
-            return on_b & (r2 <= self.radius ** 2)
-        return on_b & (r2 < self.radius ** 2)
+        return on_b & (r2 <= self.radius ** 2)
 
 
 @dataclass(frozen=True)
@@ -100,10 +94,7 @@ class StaticExperiment:
     n_paths: int = 100000
 
     def __post_init__(self):
-        eps = tuple(_fit_epsilons(self.epsilons))
-        object.__setattr__(self, "epsilons", eps)
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ValueError(f"epsilons must be strictly decreasing, got {list(eps)}")
+        object.__setattr__(self, "epsilons", _fit_epsilons(self.epsilons))
         if self.method not in ("quadrature", "monte_carlo"):
             raise ValueError("method must be 'quadrature' or 'monte_carlo'")
         if self.n_paths < 1:
@@ -112,7 +103,8 @@ class StaticExperiment:
 
 @dataclass(frozen=True)
 class LdpEstimate:
-    """Slope-extraction outcome for one experiment."""
+    """Slope-extraction outcome of every experiment; quadrature probabilities
+    carry ``(nan, nan)`` Wilson bounds."""
 
     epsilons: tuple
     log_probs: tuple            # eps * log rho per epsilon
@@ -120,9 +112,9 @@ class LdpEstimate:
     reference_rate: float
     beta: float
     gamma: float
-    probs: tuple = ()
-    wilson_bounds: tuple = ()
-    dropped_epsilons: tuple = ()
+    probs: tuple
+    wilson_bounds: tuple
+    dropped_epsilons: tuple
 
 
 def wilson_interval(hits: int, n: int, z: float = 2.5758293035489004):
@@ -137,13 +129,14 @@ def wilson_interval(hits: int, n: int, z: float = 2.5758293035489004):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _fit_epsilons(epsilons) -> list:
-    """Epsilons for fit_rate's three unknowns: at least three, distinct, positive, finite."""
+def _fit_epsilons(epsilons) -> tuple:
+    """Epsilons for fit_rate's three unknowns (at least three, distinct,
+    positive, finite) in decreasing order; the i-th draws Monte Carlo stream i."""
     eps = [float(e) for e in epsilons]
     if not all(0.0 < e < math.inf for e in eps) or len(set(eps)) < max(len(eps), 3):
         raise ValueError(f"epsilons must be at least three distinct positive finite "
                          f"numbers, got {eps}")
-    return eps
+    return tuple(sorted(eps, reverse=True))
 
 
 def fit_rate(epsilons, scaled_log_probs):
@@ -153,6 +146,28 @@ def fit_rate(epsilons, scaled_log_probs):
     design = np.stack([-np.ones_like(eps), eps * np.log(1.0 / eps), eps], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(coef[0]), float(coef[1]), float(coef[2])
+
+
+def _estimate(epsilons, reference, log_probs=None, hits=None, n_paths=None) -> LdpEstimate:
+    """The one rate fit behind every experiment, from ``log_probs`` or from
+    ``hits`` out of ``n_paths`` (probabilities exactly ``k / n``, with Wilson
+    bounds).  Epsilons with a non-finite log probability are dropped; fewer
+    than three left raise.  ``reference()`` runs only once the fit can."""
+    if hits is not None:
+        probs = [k / n_paths for k in hits]
+        wilsons = [wilson_interval(k, n_paths) for k in hits]
+        log_probs = [math.log(p) if p else -math.inf for p in probs]
+    else:
+        probs = [math.exp(lp) for lp in log_probs]
+        wilsons = [(math.nan, math.nan)] * len(probs)
+    keep = [i for i, lp in enumerate(log_probs) if math.isfinite(lp)]
+    if len(keep) < 3:
+        raise RuntimeError(f"too few usable epsilons ({len(keep)}) for slope extraction")
+    used, scaled = [epsilons[i] for i in keep], [epsilons[i] * log_probs[i] for i in keep]
+    rate, beta, gamma = fit_rate(used, scaled)
+    return LdpEstimate(tuple(used), tuple(scaled), rate, reference(), beta, gamma,
+                       tuple(probs[i] for i in keep), tuple(wilsons[i] for i in keep),
+                       tuple(e for e, lp in zip(epsilons, log_probs) if not math.isfinite(lp)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +180,8 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
 
     Gauss-Legendre over the set, with the kernel at all of its interior
     nodes, and at all of its boundary nodes, evaluated as one batch of
-    adaptive log-domain quadratures each; open and closed variants agree
-    (they differ on a mu-null set).
+    adaptive log-domain quadratures each.  The sets are closed; their
+    boundaries are mu-null, so the open sets have the same mass.
     """
     if params.d != 2:
         raise ValueError("quadrature target probabilities implemented for d = 2")
@@ -297,36 +312,34 @@ def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
 
 def static_ldp(exp: StaticExperiment, spec: QuadratureSpec, seed: int = 0) -> LdpEstimate:
     """Probabilities per epsilon, slope extraction, and the reference rate."""
-    params, eps, n = exp.params, exp.epsilons, exp.n_paths
+    params, x, target, eps = exp.params, exp.x, exp.target, exp.epsilons
+    reference = functools.partial(min_cost_over_target, params, x, target)
     if exp.method == "monte_carlo":
-        hits = _hit_counts(params, exp.x, np.ones(1), [exp.target], eps, n, seed)
-        probs, wilsons = [k / n for k in hits], [wilson_interval(k, n) for k in hits]
-        log_probs = [math.log(p) if p else -math.inf for p in probs]
-    else:
-        log_probs = [log_target_probability(params, spec, e, exp.x, exp.target) for e in eps]
-        probs, wilsons = [math.exp(lp) for lp in log_probs], [(math.nan, math.nan)] * len(eps)
-    keep = [i for i, lp in enumerate(log_probs) if np.isfinite(lp)]
-    if len(keep) < 3:
-        raise RuntimeError(f"too few usable epsilons ({len(keep)}) for slope extraction")
-    used, scaled = [eps[i] for i in keep], [eps[i] * log_probs[i] for i in keep]
-    rate, beta, gamma = fit_rate(used, scaled)
-    ref = min_cost_over_target(params, exp.x, exp.target)
-    return LdpEstimate(tuple(used), tuple(scaled), rate, ref, beta, gamma,
-                       tuple(probs[i] for i in keep), tuple(wilsons[i] for i in keep),
-                       tuple(e for e, lp in zip(eps, log_probs) if not np.isfinite(lp)))
+        hits = _hit_counts(params, x, np.ones(1), [target], eps, exp.n_paths, seed)
+        return _estimate(eps, reference, hits=hits, n_paths=exp.n_paths)
+    return _estimate(eps, reference, log_probs=[log_target_probability(params, spec, e, x, target)
+                                                for e in eps])
 
 
 # ---------------------------------------------------------------------------
 # Phase transition scan
 # ---------------------------------------------------------------------------
 
-def cone_crossing_value(x: HalfSpacePoint, y: HalfSpacePoint,
-                        a_max: float = 1e6) -> float:
-    """Root in a of the cone equality |y'-x'| = [s + 2 sqrt(a x1 y1)] / sqrt(a-1)."""
+_SCAN_ORDER = 24     # Gauss-Legendre nodes per axis of each scan ball
+
+
+def cone_crossing_value(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
+    """Root in a of the cone equality |y'-x'| = [s + 2 sqrt(a x1 y1)] / sqrt(a-1).
+    The right side falls toward 2 sqrt(x1 y1) as a grows; it is 0 for every
+    a > 1 when x1 = y1 = 0, and the crossing is then a = 1."""
     v = float(np.linalg.norm(np.asarray(y.xp) - np.asarray(x.xp)))
     s = x.x1 + y.x1
     if v <= 0:
         raise ValueError("cone crossing undefined for v = 0")
+    if v <= 2.0 * math.sqrt(x.x1 * y.x1):
+        raise ValueError("no cone crossing: y stays inside the cone for every a > 1")
+    if s == 0.0:
+        return 1.0
 
     def gap(a):
         return (s + 2.0 * math.sqrt(a * x.x1 * y.x1)) / math.sqrt(a - 1.0) - v
@@ -334,8 +347,6 @@ def cone_crossing_value(x: HalfSpacePoint, y: HalfSpacePoint,
     lo, hi = 1.0 + 1e-12, 2.0
     while gap(hi) > 0:
         hi *= 2.0
-        if hi > a_max:
-            raise ValueError("no cone crossing below a_max; is y ever outside the cone?")
     from scipy.optimize import brentq
     return float(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14))
 
@@ -357,26 +368,28 @@ class ScanResult:
 
 def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
                           y: HalfSpacePoint, epsilons, spec: QuadratureSpec,
-                          ball_radius: float = 0.1, order: int = 24) -> ScanResult:
+                          ball_radius: float = 0.1) -> ScanResult:
     """Extrapolated static rate versus a at a small ball around y.
 
     The rate is flat in a on a <= 1 (Euclidean regime) and strictly smaller
     past the cone-crossing value; the empirical kink is located by
     intersecting the flat level with a line through the first clearly
     dropped scan points, and reported next to the bisection root of the cone
-    equality at the pair (x, y).
+    equality at the pair (x, y).  Every input is checked before the first
+    quadrature.
     """
-    eps_t = tuple(sorted(_fit_epsilons(epsilons), reverse=True))
+    eps = _fit_epsilons(epsilons)
+    models = [ModelParams(float(a), theta, x.dim) for a in a_values]
+    if not models:
+        raise ValueError("the scan needs at least one value of a")
+    target = Ball(y, ball_radius)
+    root = cone_crossing_value(x, y)
     rows = []
-    for a in a_values:
-        params = ModelParams(float(a), theta, x.dim)
-        target = Ball(y, ball_radius)
-        scaled = []
-        for eps in eps_t:
-            lp = log_target_probability(params, spec, eps, x, target, order=order)
-            scaled.append(eps * lp)
-        rate, _, _ = fit_rate(eps_t, scaled)
-        rows.append(ScanRow(float(a), rate, min_cost_over_target(params, x, target)))
+    for params in models:
+        est = _estimate(eps, functools.partial(min_cost_over_target, params, x, target),
+                        log_probs=[log_target_probability(params, spec, e, x, target,
+                                                          order=_SCAN_ORDER) for e in eps])
+        rows.append(ScanRow(params.a, est.extrapolated_rate, est.reference_rate))
 
     flat_rates = [r.extrapolated_rate for r in rows if r.a <= 1.0]
     flat = float(np.mean(flat_rates)) if flat_rates else rows[0].extrapolated_rate
@@ -391,7 +404,6 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
         kink = dropped[0].a
     else:
         kink = math.nan
-    root = cone_crossing_value(x, y)
     return ScanResult(tuple(rows), flat, float(kink), root)
 
 
@@ -435,18 +447,8 @@ def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets) -> fl
                        [b for _, b in waypoint_sets])
 
 
-@dataclass(frozen=True)
-class SlicedEstimate:
-    epsilons: tuple
-    log_probs: tuple
-    extrapolated_rate: float
-    reference_rate: float
-    probs: tuple
-    dropped_epsilons: tuple
-
-
 def sliced_ldp(params: ModelParams, x: HalfSpacePoint, waypoint_sets, epsilons,
-               n_paths: int, seed: int) -> SlicedEstimate:
+               n_paths: int, seed: int) -> LdpEstimate:
     """Monte Carlo probability that the slowed path visits every waypoint ball.
 
     The slowed path is sampled exactly at the waypoint times (one exact step
@@ -456,14 +458,7 @@ def sliced_ldp(params: ModelParams, x: HalfSpacePoint, waypoint_sets, epsilons,
     infimum over the product of balls.
     """
     dts = _waypoint_dts([t for t, _ in waypoint_sets])
-    epsilons = sorted(_fit_epsilons(epsilons), reverse=True)
-    hits = _hit_counts(params, x, dts, [b for _, b in waypoint_sets], epsilons, n_paths, seed)
-    used = [e for e, k in zip(epsilons, hits) if k]
-    if len(used) < 3:
-        raise RuntimeError("too few usable epsilons for the sliced slope fit")
-    probs = [k / n_paths for k in hits if k]
-    scaled = [e * math.log(p) for e, p in zip(used, probs)]
-    rate, _, _ = fit_rate(used, scaled)
-    ref = min_sliced_cost(params, x, waypoint_sets)
-    return SlicedEstimate(tuple(used), tuple(scaled), rate, ref, tuple(probs),
-                          tuple(e for e, k in zip(epsilons, hits) if not k))
+    eps = _fit_epsilons(epsilons)
+    hits = _hit_counts(params, x, dts, [b for _, b in waypoint_sets], eps, n_paths, seed)
+    return _estimate(eps, functools.partial(min_sliced_cost, params, x, waypoint_sets),
+                     hits=hits, n_paths=n_paths)

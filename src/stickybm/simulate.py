@@ -459,16 +459,15 @@ def modulus_statistics(paths, delta: float, eta: float, time_scale: float = 1.0)
 
 
 def euler_thin_layer(params: ModelParams, x0: HalfSpacePoint, dt: float,
-                     n_steps: int, seed: int, layer: float = None) -> SamplePath:
+                     n_steps: int, seed: int) -> SamplePath:
     """Crude thin-layer Euler scheme for the degenerate SDE.  BIASED.
 
-    Test oracle only: treats positions below a layer ~ sqrt(dt) as boundary
+    Test oracle only: treats positions below a layer sqrt(dt) as boundary
     sojourn (tangential volatility sqrt(a), inward drift theta), standard BM
     with reflection otherwise.  The boundary occupation it produces is biased
     at any finite step; use for qualitative comparisons only.
     """
-    if layer is None:
-        layer = math.sqrt(dt)
+    layer = math.sqrt(dt)
     rng = np.random.default_rng(seed)
     d = params.d
     x1 = np.empty(n_steps + 1)

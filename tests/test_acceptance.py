@@ -176,7 +176,10 @@ def test_criterion_06_simulator_exactness():
         sigma = np.sqrt(dt + params.big_a * ln / th)
         return out + np.sum((dens * wn)[None, :] * ndtr(w[:, None] / sigma[None, :]), axis=1)
 
-    cdf_v = mixture_cdf(subsample)
+    # The mixture CDF on a 4001-node grid, interpolated at the draws (as for
+    # the horizontal KS): a dense draws-by-nodes ndtr matrix costs seconds.
+    wg = np.linspace(float(subsample[0]), float(subsample[-1]), 4001)
+    cdf_v = np.interp(subsample, wg, mixture_cdf(wg))
     kv = subsample.size
     ks_v = max(np.max(np.abs(np.arange(1, kv + 1) / kv - cdf_v)),
                np.max(np.abs(np.arange(0, kv) / kv - cdf_v)))

@@ -355,6 +355,40 @@ class TestLdpCli:
         assert err.startswith("error: usage:") and "three distinct" in err
         assert not (tmp_path / "ldp-scan.json").exists()
 
+    @pytest.mark.parametrize("a_grid, y, message", [
+        (",", "1,5", "at least one value of a"),
+        ("0.5,2.0,-1", "1,5", "diffusivity a must be positive"),
+        ("0.5,2.0", "1,0", "v = 0"),
+    ])
+    def test_scan_checks_every_input_before_quadrature(self, tmp_path, capsys, monkeypatch,
+                                                       a_grid, y, message):
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        code = run(tmp_path, "ldp-scan", "--a-grid", a_grid, "--x", "1,0", "--y", y,
+                   "--epsilons", "0.2,0.1,0.05")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and message in err
+        assert not (tmp_path / "ldp-scan.json").exists()
+
+    def test_scan_between_boundary_points_crosses_at_one(self, tmp_path, capsys):
+        code = run(tmp_path, "ldp-scan", "--a-grid", "0.5,1,1.5", "--x", "0,0", "--y", "0,5",
+                   "--epsilons", "0.2,0.1,0.05")
+        assert code == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "ldp-scan.json").read_text())
+        assert float(summary["crossing_root"]) == 1.0
+
+    def test_static_epsilon_order_does_not_matter(self, tmp_path, capsys):
+        outputs = []
+        for eps in ("0.2,0.1,0.05", "0.05,0.1,0.2"):
+            code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
+                       "--target", "patch:0.8:0.15", "--epsilons", eps,
+                       "--method", "monte_carlo", "--n-paths", "3000", "--seed", "2")
+            assert code == 0
+            outputs.append((tmp_path / "ldp-static.csv").read_text())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
     def test_scan_small(self, tmp_path, capsys):
         code = run(tmp_path, "ldp-scan", "--a-grid", "0.5,1.0,2.5,3.0", "--x", "1,0",
                    "--y", "1,5", "--epsilons", "0.2,0.1,0.05", "--radius", "0.1")

@@ -4,10 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import stickybm.ldp
 from stickybm.geometry import HalfSpacePoint, ModelParams, cost, cost_batch
 from stickybm.ldp import (
     Ball,
     BoundaryPatch,
+    LdpEstimate,
     StaticExperiment,
     cone_crossing_value,
     discrete_waypoint_cost,
@@ -15,6 +17,7 @@ from stickybm.ldp import (
     log_target_probability,
     min_cost_over_target,
     min_sliced_cost,
+    phase_transition_scan,
     sliced_ldp,
     static_ldp,
     wilson_interval,
@@ -58,6 +61,14 @@ class TestPlumbing:
                 StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), bad)
         with pytest.raises(ValueError):
             Ball(P(1.0, 0.0), 0.0)
+
+    def test_estimator_keeps_monte_carlo_frequencies_exact(self):
+        # Zero hits are dropped; the rest stay exactly k / n, with Wilson bounds.
+        est = stickybm.ldp._estimate((0.2, 0.1, 0.05, 0.025), lambda: 1.0,
+                                     hits=[900, 300, 30, 0], n_paths=3000)
+        assert est.probs == (0.3, 0.1, 0.01) and est.dropped_epsilons == (0.025,)
+        assert est.wilson_bounds == tuple(wilson_interval(k, 3000) for k in (900, 300, 30))
+        assert est.log_probs == tuple(e * math.log(p) for e, p in zip(est.epsilons, est.probs))
 
     def test_set_membership(self):
         ball = Ball(P(0.05, 0.0), 0.1)
@@ -206,11 +217,6 @@ class TestStaticLdp:
                                          n_paths=40000), SPEC, seed=5)
         for q, (lo, hi) in zip(quad.probs, mc.wilson_bounds):
             assert lo <= q <= hi
-        # open vs closed quadrature: equal up to a mu-null set
-        open_target = BoundaryPatch((0.8,), 0.15, closed=False)
-        lp_open = log_target_probability(params, SPEC, 0.1, x, open_target)
-        lp_closed = log_target_probability(params, SPEC, 0.1, x, target)
-        assert lp_open <= lp_closed + 1e-12
 
     def test_beta_is_bounded(self):
         params = ModelParams(4.0, 1.0)
@@ -229,6 +235,33 @@ class TestPhaseTransition:
         from stickybm.geometry import cone_threshold
         thr = cone_threshold(ModelParams(root, 1.0), x, y)
         assert thr == pytest.approx(5.0, rel=1e-9)
+
+    def test_crossing_between_boundary_points_is_one(self):
+        # x1 = y1 = 0: the cone threshold is 0 for every a > 1.
+        assert cone_crossing_value(P(0.0, 0.0), P(0.0, 5.0)) == 1.0
+
+    def test_crossing_rejects_pairs_without_one(self):
+        with pytest.raises(ValueError, match="v = 0"):
+            cone_crossing_value(P(1.0, 2.0), P(1.0, 2.0))
+        # The threshold falls to 2 sqrt(x1 y1) = 2 as a grows, never below |y'-x'| = 1.
+        with pytest.raises(ValueError, match="inside the cone"):
+            cone_crossing_value(P(1.0, 0.0), P(1.0, 1.0))
+
+    def test_scan_row_drops_a_zero_probability(self, monkeypatch):
+        # A vanishing probability at the smallest epsilon is dropped from the
+        # row's fit, never fitted as -inf into a nan rate.
+        true_lp = log_target_probability
+        x, y, eps = P(1.0, 0.0), P(1.0, 5.0), (0.2, 0.1, 0.05, 0.025)
+
+        def lp(params, spec, t, *args, **kwargs):
+            return -math.inf if t == 0.025 else true_lp(params, spec, t, *args, **kwargs)
+
+        monkeypatch.setattr(stickybm.ldp, "log_target_probability", lp)
+        res = phase_transition_scan((0.5,), 1.0, x, y, eps, SPEC)
+        full = phase_transition_scan((0.5,), 1.0, x, y, eps[:3], SPEC)
+        assert res.rows == full.rows and math.isfinite(res.rows[0].extrapolated_rate)
+        with pytest.raises(RuntimeError, match="too few usable epsilons"):
+            phase_transition_scan((0.5,), 1.0, x, y, (0.2, 0.1, 0.025), SPEC)
 
     def test_rate_nonincreasing_in_a(self):
         x, y = P(1.0, 0.0), P(1.0, 5.0)
@@ -272,8 +305,13 @@ class TestSliced:
         sl = sliced_ldp(params, x, [(1.0, ball)], eps, n_paths=n, seed=4)
         st = static_ldp(StaticExperiment(params, x, ball, eps, method="monte_carlo",
                                          n_paths=n), SPEC, seed=4)
+        # Both are one LdpEstimate from one fit; only the reference programs differ.
+        assert isinstance(sl, LdpEstimate)
         assert sl.epsilons == st.epsilons and sl.probs == st.probs
         assert sl.log_probs == st.log_probs and sl.dropped_epsilons == st.dropped_epsilons
+        assert sl.wilson_bounds == st.wilson_bounds
+        assert (sl.extrapolated_rate, sl.beta, sl.gamma) == (st.extrapolated_rate, st.beta,
+                                                            st.gamma)
 
     def test_additivity_along_geodesic(self):
         params = ModelParams(4.0, 1.0)
