@@ -49,8 +49,6 @@ __all__ = [
     "transition_kernel",
     "log_transition_kernel",
     "log_densities",
-    "log_interior_density",
-    "log_boundary_density",
     "log_mu_density",
     "mu_density",
     "log_sticky_integral",
@@ -392,20 +390,6 @@ def transition_kernel(params: ModelParams, spec: QuadratureSpec, t: float,
     return KernelValue(*(math.exp(p) for p in _point_densities(params, spec, t, x, y)))
 
 
-def log_interior_density(params: ModelParams, spec: QuadratureSpec, t: float,
-                         x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    """log of the interior density (interior limit at boundary targets)."""
-    return float(_point_densities(params, spec, t, x, y).interior)
-
-
-def log_boundary_density(params: ModelParams, spec: QuadratureSpec, t: float,
-                         x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    """log of the boundary density at a boundary target."""
-    if not y.on_boundary():
-        raise ValueError("boundary density is only defined for boundary targets")
-    return float(_point_densities(params, spec, t, x, y).boundary)
-
-
 def log_mu_density(params: ModelParams, spec: QuadratureSpec, t: float,
                    x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     """log density w.r.t. the stationary measure; symmetric in (x, y).
@@ -413,7 +397,7 @@ def log_mu_density(params: ModelParams, spec: QuadratureSpec, t: float,
     It is the interior density, whose interior limit at a boundary target is
     the boundary density times the atom weight ``2 theta``.
     """
-    return log_interior_density(params, spec, t, x, y)
+    return float(_point_densities(params, spec, t, x, y).interior)
 
 
 def mu_density(params: ModelParams, spec: QuadratureSpec, t: float,

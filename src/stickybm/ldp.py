@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import HalfSpacePoint, ModelParams, _sticky_rate_core, cost
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
-from .simulate import walk
+from .simulate import _path_blocks, walk
 
 __all__ = [
     "Ball",
@@ -302,11 +302,15 @@ def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
     ``targets[j]`` after each step ``eps * dt_j``; epsilon ``i`` draws stream ``i``."""
     counts = []
     for i, eps in enumerate(epsilons):
-        steps = walk(params, x, eps * np.asarray(dts), n_paths, seed, stream=i, resolution=512)
-        hits = np.ones(n_paths, dtype=bool)
-        for (x1, xp, _), target in zip(steps, targets):
-            hits &= np.asarray(target.contains(x1, xp))
-        counts.append(int(np.sum(hits)))
+        hits = 0
+        for first, count in _path_blocks(n_paths, len(dts), params.d):
+            steps = walk(params, x, eps * np.asarray(dts), count, seed, stream=i,
+                         first_index=first, resolution=512)
+            inside = np.ones(count, dtype=bool)
+            for (x1, xp, _), target in zip(steps, targets):
+                inside &= np.asarray(target.contains(x1, xp))
+            hits += int(np.sum(inside))
+        counts.append(hits)
     return counts
 
 

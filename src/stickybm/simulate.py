@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf as _erf, ndtr as _ndtr, ndtri as _ndtri
 
 from .geometry import HalfSpacePoint, ModelParams
 from .kernel import _log_g, _log_h
@@ -40,6 +39,7 @@ _XI_MAX = 8.5
 _XI_NODES = 512
 _XI = np.linspace(0.0, _XI_MAX, _XI_NODES)
 _ROW_BATCH = 64        # rows per vectorised build, which bounds its temporaries
+_BLOCK_UNIFORMS = 2 ** 22   # uniforms per walk over a block of paths, which bounds its draws
 
 
 class TabulationError(RuntimeError):
@@ -118,10 +118,10 @@ def _graded_unit_grid(k: int) -> np.ndarray:
 def _cumulative_gl(density, grid: np.ndarray) -> np.ndarray:
     """Cumulative integral of a vectorized density at the grid nodes.
 
-    Per-cell 4-point Gauss-Legendre, so the node values are exact to
-    rounding; the piecewise-linear inversion between nodes is then the only
-    tabulation error (O(1/K^2) in CDF sup-norm).  A density broadcasting
-    leading axes against the ``(cells, 4)`` nodes gives one row per index.
+    Per-cell 4-point Gauss-Legendre: the local-time quadrature of the oracle
+    :func:`horizontal_cdf`, independent of the sampler's closed-form rows.  A
+    density broadcasting leading axes against the ``(cells, 4)`` nodes gives
+    one row per index.
     """
     x, w = gauss_legendre(4)
     lo = grid[:-1, None]
@@ -159,31 +159,43 @@ def _unit_rows(xi: np.ndarray, theta1: float, k: int):
     Returns the no-visit masses ``erf(xi / sqrt 2)``, the boundary masses and
     the CDFs ``(3, xi.size, K)``: no visit on :func:`_z_grid`, then boundary
     and diffuse local time on the ``K`` nodes ``theta1 * _graded_unit_grid(k)``.
-    The no-visit mass is exact; the local-time masses fill the rest.
+    Every CDF is in closed form, and the three masses sum to 1 up to rounding.
     """
+    from scipy.special import erf, log_ndtr, ndtr
+
     col = xi[:, None]
-    l_grid = theta1 * _graded_unit_grid(k)
-    z = _z_grid(col, np.arange(l_grid.size), l_grid.size)
-    m0 = _erf(xi / math.sqrt(2.0))
-    killed = (_ndtr(z - col) - _ndtr(-col)) - (_ndtr(z + col) - _ndtr(col))
+    g = _graded_unit_grid(k)
+    z = _z_grid(col, np.arange(g.size), g.size)
+    m0 = erf(xi / math.sqrt(2.0))
+    z_cdf = (ndtr(z - col) - ndtr(-col)) - (ndtr(z + col) - ndtr(col))
     # At xi = 0 the no-visit part has no mass; its xi -> 0 limit, the Rayleigh
     # law, lets rows be mixed across the first node interval.
-    z_cdf = np.where(col > 0, killed, -np.expm1(-0.5 * z * z))
+    at0 = xi == 0
+    z_cdf[at0] = -np.expm1(-0.5 * z[at0] ** 2)
     z_cdf = np.maximum.accumulate(np.maximum(z_cdf, 0.0), axis=1)
     end = z_cdf[:, -1]
     if np.any((xi > 0) & ((end <= 0) | (np.abs(end - m0) > 1e-9 + 1e-6 * m0))):
         raise TabulationError("no-visit CDF inconsistent with its closed-form mass")
-    s = col[:, :, None]
-    cdf_b = _cumulative_gl(lambda l: _h_density(1.0 - l / theta1, l + s) / theta1, l_grid)
-    cdf_d = _cumulative_gl(lambda l: 2.0 * _phi(1.0 - l / theta1, l + s), l_grid)
-    if np.any(np.diff(cdf_b, axis=1) < 0) or np.any(np.diff(cdf_d, axis=1) < 0):
+    # Local time l = theta1 (1 - v) is a first-passage time of Brownian motion
+    # with drift: with c = xi + theta1, the boundary CDF at l is F(1) - F(v) and
+    # the diffuse one 2 [D(1) - D(v)], for F(v) = 2 e^{2 theta1 c} Phi(-(theta1 v
+    # + c) / sqrt v) and D(v) = Phi((theta1 v - c) / sqrt v) - F(v) / 2; both
+    # vanish at v = 0, and m0 + F(1) + 2 D(1) = 1.
+    c, v = col + theta1, 1.0 - g
+    with np.errstate(divide="ignore"):
+        rv = np.sqrt(v)
+        f = 2.0 * np.exp(2.0 * theta1 * c + log_ndtr(-(theta1 * v + c) / rv))
+        dd = ndtr((theta1 * v - c) / rv) - 0.5 * f
+    cdfs = np.stack([f[:, :1] - f, 2.0 * (dd[:, :1] - dd)])
+    # Rounding alone makes the closed forms dip by up to about 1e-13 between nodes.
+    if np.any(np.diff(cdfs, axis=2) < -1e-12):
         raise TabulationError("local-time CDF is not monotone")
-    mb, mj = cdf_b[:, -1], cdf_d[:, -1]
+    cdfs = np.maximum.accumulate(cdfs, axis=2)
+    mb, mj = cdfs[0, :, -1], cdfs[1, :, -1]
     total = m0 + mb + mj
     if np.any(np.abs(total - 1.0) > 1e-7):
         raise TabulationError(f"component masses sum to {total[np.argmax(np.abs(total - 1))]}")
-    share = np.divide(1.0 - m0, mb + mj, out=np.zeros_like(m0), where=mb + mj > 0)
-    return m0, mb * share, np.stack([z_cdf / end[:, None], cdf_b, cdf_d])
+    return m0, mb, np.stack([z_cdf / end[:, None], *cdfs])
 
 
 class _Family:
@@ -239,12 +251,14 @@ def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 
     latter two integrate in closed form over z at fixed local time, with the
     local-time integral done by per-cell Gauss-Legendre on a graded grid.
     """
+    from scipy.special import ndtr
+
     z = np.atleast_1d(np.asarray(z, dtype=float))
     sd, th = math.sqrt(dt), params.theta
     cdf = np.zeros_like(z)
     if x1 > 0:      # no-visit part
-        cdf += np.maximum((_ndtr((z - x1) / sd) - _ndtr(-x1 / sd))
-                          - (_ndtr((z + x1) / sd) - _ndtr(x1 / sd)), 0.0)
+        cdf += np.maximum((ndtr((z - x1) / sd) - ndtr(-x1 / sd))
+                          - (ndtr((z + x1) / sd) - ndtr(x1 / sd)), 0.0)
     # boundary atom, and the diffuse part at local time l, where
     # int_0^z 2 h(tau, s + w) dw = 2 [phi(tau, s) - phi(tau, s + z)].
     zc = z[:, None, None]
@@ -285,11 +299,13 @@ def _horizontal(params: ModelParams, x1: np.ndarray, dt: float, u: np.ndarray,
     no-visit mass and the node-interpolated boundary mass pick the component,
     whose two bracketing rows' inverse CDFs are mixed linearly in ``xi``.
     """
+    from scipy.special import erf, ndtri
+
     if not dt > 0:
         raise ValueError("dt must be positive")
     sd = math.sqrt(dt)
     xi = np.asarray(x1, dtype=float) / sd
-    z = np.maximum(xi + _ndtri(u[1]), 0.0)
+    z = np.maximum(xi + ndtri(u[1]), 0.0)
     l = np.zeros(xi.size)
     near = np.flatnonzero(xi < _XI_MAX)
     if near.size:
@@ -297,8 +313,10 @@ def _horizontal(params: ModelParams, x1: np.ndarray, dt: float, u: np.ndarray,
         x, u0 = xi[near], u[0, near]
         j = np.minimum(np.searchsorted(_XI, x, side="right") - 1, _XI_NODES - 2)
         w = (x - _XI[j]) / (_XI[j + 1] - _XI[j])
-        fam.build(np.unique(np.concatenate([j, j + 1])))
-        m0 = _erf(x / math.sqrt(2.0))
+        need = np.zeros(_XI_NODES, dtype=bool)
+        need[j] = need[j + 1] = True
+        fam.build(np.flatnonzero(need))
+        m0 = erf(x / math.sqrt(2.0))
         no_visit = u0 < m0
         boundary = ~no_visit & (u0 < m0 + (1.0 - w) * fam.mass_boundary[j]
                                 + w * fam.mass_boundary[j + 1])
@@ -349,6 +367,8 @@ def walk(params: ModelParams, x0: HalfSpacePoint, dts, n_paths: int, seed: int,
     padded to a multiple of 4, so ``advance`` reaches any path.  Inputs are
     checked and drawn at the call, the steps taken as the iterator runs.
     """
+    from scipy.special import ndtri
+
     _check_seed(seed)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -366,11 +386,21 @@ def walk(params: ModelParams, x0: HalfSpacePoint, dts, n_paths: int, seed: int,
         x1 = np.full(n_paths, float(x0.x1))
         xp = np.tile(np.asarray(x0.xp, dtype=float), (n_paths, 1))
         for j, dt in enumerate(dts):
-            x1, xp, d_o = step_batch(params, x1, xp, dt, u[:, j, :3].T, _ndtri(u[:, j, 3:]),
+            x1, xp, d_o = step_batch(params, x1, xp, dt, u[:, j, :3].T, ndtri(u[:, j, 3:]),
                                      resolution)
             yield x1, xp, d_o
 
     return steps()
+
+
+def _path_blocks(n_paths: int, n_steps: int, d: int):
+    """Contiguous ``(first, count)`` blocks of ``n_paths`` paths whose :func:`walk`
+    over ``n_steps`` steps in dimension ``d`` draws at most ``_BLOCK_UNIFORMS``
+    uniforms (one path per block if a single path needs more)."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    size = max(1, _BLOCK_UNIFORMS // (n_steps * (d + 2)))
+    return [(first, min(size, n_paths - first)) for first in range(0, n_paths, size)]
 
 
 @dataclass(frozen=True)
@@ -407,15 +437,18 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
     are those of :func:`simulate`.
     """
     params, n, dt = config.params, config.n_steps, config.step
-    steps = walk(params, config.x0, np.full(n, dt), n_paths, config.seed,
-                 first_index=first_index, resolution=config.tabulation_resolution)
+    blocks = _path_blocks(n_paths, n, params.d)
     x1 = np.empty((n_paths, n + 1))
     xp = np.empty((n_paths, n + 1, params.d - 1))
     occ = np.zeros((n_paths, n + 1))
     x1[:, 0] = config.x0.x1
     xp[:, 0, :] = np.asarray(config.x0.xp)
-    for j, (z, y, d_o) in enumerate(steps, 1):
-        x1[:, j], xp[:, j], occ[:, j] = z, y, occ[:, j - 1] + d_o
+    for first, count in blocks:
+        steps = walk(params, config.x0, np.full(n, dt), count, config.seed,
+                     first_index=first_index + first, resolution=config.tabulation_resolution)
+        b = slice(first, first + count)
+        for j, (z, y, d_o) in enumerate(steps, 1):
+            x1[b, j], xp[b, j], occ[b, j] = z, y, occ[b, j - 1] + d_o
     times = dt * np.arange(n + 1)
     return BatchPaths(times, x1, xp, occ, params.theta)
 

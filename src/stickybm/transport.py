@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .geometry import HalfSpacePoint, ModelParams, _check_dim, cost_batch, geodesic
 from .kernel import log_densities
@@ -119,6 +117,9 @@ def kantorovich(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure)
     ``(u, v)``, with ``u_i + v_j <= C_ij`` and equality on the plan's support.
     Raises ``RuntimeError`` with the solver's message if HiGHS fails.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     if mu0.size > _MAX_ATOMS or mu1.size > _MAX_ATOMS:
         raise ValueError(f"instances are limited to {_MAX_ATOMS} atoms per side")
     costm = cost_matrix(params, mu0, mu1)

@@ -3,6 +3,8 @@ import functools
 import importlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +39,18 @@ def forbid(monkeypatch, module, name):
 
 
 class TestDispatch:
+    def test_import_leaves_scipy_solvers_unloaded(self):
+        # Cold start: scipy.optimize and scipy.special are imported only by
+        # the functions that call them, so `stickybm cost` never pays for them.
+        src = os.path.dirname(os.path.dirname(stickybm.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, stickybm.cli; "
+             "print(sorted({'scipy.optimize', 'scipy.special'} & set(sys.modules)))"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
     def test_cost_prints_value(self, tmp_path, capsys):
         code = run(tmp_path, "cost", "--a", "4", "--theta", "1", "--x", "0,0", "--y", "0,2")
         assert code == 0

@@ -1,3 +1,4 @@
+import importlib
 import math
 from types import SimpleNamespace
 
@@ -312,6 +313,18 @@ class TestSliced:
         assert sl.wilson_bounds == st.wilson_bounds
         assert (sl.extrapolated_rate, sl.beta, sl.gamma) == (st.extrapolated_rate, st.beta,
                                                             st.gamma)
+
+    def test_path_blocks_count_the_same_hits(self, monkeypatch):
+        params = ModelParams(4.0, 1.0)
+        x = P(0.0, 0.0)
+        balls = [Ball(P(0.0, 0.5), 0.4), Ball(P(0.0, 1.0), 0.5)]
+        dts, eps, n = np.array([0.5, 0.5]), (0.2, 0.1), 3000
+        whole = stickybm.ldp._hit_counts(params, x, dts, balls, eps, n, seed=5)
+        monkeypatch.setattr(importlib.import_module("stickybm.simulate"), "_BLOCK_UNIFORMS",
+                            333 * 2 * 4)
+        assert len(stickybm.ldp._path_blocks(n, 2, 2)) == 10
+        assert stickybm.ldp._hit_counts(params, x, dts, balls, eps, n, seed=5) == whole
+        assert 0 < min(whole) and max(whole) < n
 
     def test_additivity_along_geodesic(self):
         params = ModelParams(4.0, 1.0)

@@ -97,6 +97,44 @@ class TestIncrementTables:
         assert (tab.mass_no_visit, tab.mass_boundary, tab.mass_diffuse) == (1.0, 0.0, 0.0)
 
 
+def quadrature_rows(xi, theta1, k, sub=4):
+    """The local-time CDFs of ``_unit_rows`` by per-cell Gauss-Legendre on its
+    grid with each cell cut in ``sub``, read at the table nodes."""
+    g = sim._graded_unit_grid(k)
+    fine = theta1 * np.append((g[:-1, None] + np.diff(g)[:, None] * np.arange(sub) / sub), 1.0)
+    s = xi[:, None, None]
+    cdf_b = sim._cumulative_gl(lambda l: sim._h_density(1.0 - l / theta1, l + s) / theta1, fine)
+    cdf_d = sim._cumulative_gl(lambda l: 2.0 * sim._phi(1.0 - l / theta1, l + s), fine)
+    return cdf_b[:, ::sub], cdf_d[:, ::sub]
+
+
+class TestClosedFormRows:
+    @pytest.mark.parametrize("k", [256, 1024])
+    @pytest.mark.parametrize("theta1", [1e-3, 0.01, math.sqrt(0.05), 1.0, 4.0, 20.0])
+    def test_rows_match_quadrature(self, theta1, k):
+        # Four Gauss nodes per table cell alone err by up to 2.7e-8 at K = 256
+        # and theta1 <= 0.01 (the boundary layer near l = theta1); cut in four
+        # they err by at most about 3.3e-11, where the rounding of 1 - l / theta1
+        # sets their floor, and the closed form agrees to that.
+        n = sim._XI_NODES
+        xi = sim._XI[np.r_[0:4, n // 2 - 2:n // 2 + 2, n - 4:n]]
+        m0, mb, cdf = sim._unit_rows(xi, theta1, k)
+        cdf_b, cdf_d = quadrature_rows(xi, theta1, k)
+        assert np.max(np.abs(cdf[1] - cdf_b)) < 1e-10
+        assert np.max(np.abs(cdf[2] - cdf_d)) < 1e-10
+        assert np.array_equal(mb, cdf[1, :, -1])
+        assert np.max(np.abs(m0 + mb + cdf[2, :, -1] - 1.0)) < 1e-13
+        assert np.all(np.diff(cdf, axis=2) >= 0)
+
+    def test_decrease_beyond_rounding_raises(self, monkeypatch):
+        # Two swapped grid nodes make both local-time CDFs step down.
+        g = sim._graded_unit_grid(256).copy()
+        g[[100, 101]] = g[[101, 100]]
+        monkeypatch.setattr(sim, "_graded_unit_grid", lambda k: g)
+        with pytest.raises(sim.TabulationError, match="monotone"):
+            sim._unit_rows(sim._XI[:8], 0.5, 256)
+
+
 class TestSteps:
     def test_horizontal_far_start_no_local_time(self):
         z, dl = one_step(ModelParams(1.0, 1.0), 10.0, 0.01, 200, 0)
@@ -274,6 +312,18 @@ class TestPaths:
             single = simulate(cfg, path_index=i)
             assert np.array_equal(single.x1, batch.path(i).x1)
             assert np.array_equal(single.xp, batch.path(i).xp)
+
+    def test_path_blocks_match_one_block(self, monkeypatch):
+        # d = 2 and 6 steps: 24 uniforms per path, so 7 paths per block here
+        # and, below one path's worth, one path per block.
+        cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 6, seed=3)
+        whole = simulate_batch(cfg, 30, first_index=2)
+        for limit in (7 * 24 + 5, 10):
+            monkeypatch.setattr(sim, "_BLOCK_UNIFORMS", limit)
+            assert len(sim._path_blocks(30, 6, 2)) > 1
+            blocked = simulate_batch(cfg, 30, first_index=2)
+            for name in ("x1", "xp", "occupation_time"):
+                assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
     def test_paths_read_their_own_rows(self):
         # d = 3 and 3 steps: 15 draws per row, padded to 16.

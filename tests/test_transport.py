@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import stickybm.transport
 from stickybm.geometry import HalfSpacePoint, ModelParams, cost, geodesic
 from stickybm.quadrature import QuadratureSpec
 from stickybm.transport import (
@@ -114,7 +113,7 @@ class TestKantorovich:
         assert dual_value == pytest.approx(plan.cost_value, rel=1e-10)
 
     def test_solver_failure_raises_with_its_message(self, monkeypatch):
-        monkeypatch.setattr(stickybm.transport, "linprog",
+        monkeypatch.setattr("scipy.optimize.linprog",
                             lambda *args, **kwargs: SimpleNamespace(
                                 status=2, message="The problem is infeasible."))
         with pytest.raises(RuntimeError, match="infeasible"):
