@@ -26,7 +26,7 @@ from .kernel import KernelPositivityError, log_densities
 from .ldp import (Ball, BoundaryPatch, StaticExperiment, phase_transition_scan,
                   sliced_ldp, static_ldp)
 from .quadrature import QuadratureError, QuadratureSpec
-from .simulate import SimConfig, TabulationError, simulate_batch
+from .simulate import SimConfig, simulate_batch
 from .transport import (DiscreteMeasure, TransportConvergenceError,
                         displacement_interpolation, gamma_limit_experiment,
                         kantorovich, schrodinger)
@@ -169,6 +169,10 @@ def _cmd_kernel(args) -> int:
         raise ValueError("the kernel grid needs d = 2 and a two-coordinate --x")
     n = args.grid
     extent = args.extent
+    if n < 2:
+        raise ValueError(f"grid needs at least 2 points per axis, got {n}")
+    if not 0.0 < extent < math.inf:
+        raise ValueError(f"extent must be a positive finite number, got {extent!r}")
     spread = math.sqrt(t) * max(1.0, math.sqrt(params.a))
     y1_max = x.x1 + extent * math.sqrt(t)
     w = extent * spread
@@ -195,8 +199,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_simulate(args) -> int:
     params = _params(args)
     x0 = _parse_point(args.x)
-    cfg = SimConfig(params, x0, args.step, args.n_steps, args.seed,
-                    tabulation_resolution=args.resolution)
+    cfg = SimConfig(params, x0, args.step, args.n_steps, args.seed)
     batch = simulate_batch(cfg, args.n_paths)
     csv_path, json_path = _outputs(args, "simulate")
     times, x1, xp = batch.times.tolist(), batch.x1.tolist(), batch.xp.tolist()
@@ -219,7 +222,8 @@ def _cmd_ldp_static(args) -> int:
                            n_paths=args.n_paths)
     est = static_ldp(exp, spec, seed=args.seed)
     csv_path, json_path = _outputs(args, "ldp-static")
-    rows = [[eps, p, math.log(p), s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
+    # log p from eps log p: p itself may underflow to 0 where its logarithm is finite.
+    rows = [[eps, p, s / eps, s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
     rows.append(["summary", est.extrapolated_rate, est.reference_rate, est.beta])
     _write_csv(csv_path, ["epsilon", "prob", "log_prob", "eps_log_prob"], rows)
     _write_json(json_path, {
@@ -403,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--step", type=float, required=True)
     s.add_argument("--n-steps", type=int, required=True, dest="n_steps")
     s.add_argument("--n-paths", type=int, default=1, dest="n_paths")
-    s.add_argument("--resolution", type=int, default=1024)
     s.set_defaults(func=_cmd_simulate)
 
     s = subs.add_parser("ldp-static", help="static rate extraction for a target set")
@@ -478,7 +481,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, TabulationError, KernelPositivityError,
+    except (QuadratureError, KernelPositivityError,
             TransportConvergenceError, RuntimeError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -305,7 +305,7 @@ def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
         hits = 0
         for first, count in _path_blocks(n_paths, len(dts), params.d):
             steps = walk(params, x, eps * np.asarray(dts), count, seed, stream=i,
-                         first_index=first, resolution=512)
+                         first_index=first)
             inside = np.ones(count, dtype=bool)
             for (x1, xp, _), target in zip(steps, targets):
                 inside &= np.asarray(target.contains(x1, xp))

@@ -164,6 +164,13 @@ def _round_to_polytope(pi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return pi
 
 
+def _check_sinkhorn_options(max_iter: int, tol: float) -> None:
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+
+
 def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
                 mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                 max_iter: int = 20000, tol: float = 1e-9) -> TransportPlan:
@@ -187,6 +194,7 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
+    _check_sinkhorn_options(max_iter, tol)
     for p in mu0.atoms + mu1.atoms:
         _check_dim(params, p)
     n, m = mu0.size, mu1.size
@@ -267,6 +275,7 @@ def gamma_limit_experiment(params: ModelParams, spec: QuadratureSpec,
     eps_list.sort(reverse=True)
     if eps_list[-1] < 1e-3:
         raise ValueError("smallest epsilon must be at least 1e-3")
+    _check_sinkhorn_options(max_iter, tol)
     exact = kantorovich(params, mu0, mu1)
     rows = []
     failed = []

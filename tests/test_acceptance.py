@@ -19,8 +19,8 @@ from stickybm.ldp import (Ball, BoundaryPatch, StaticExperiment,
                           static_ldp)
 from stickybm.pathopt import minimize_path_action
 from stickybm.quadrature import QuadratureSpec
-from stickybm.simulate import (SimConfig, horizontal_cdf, increment_tables,
-                               simulate_batch, _graded_unit_grid, _h_density, _phi)
+from stickybm.simulate import (SimConfig, horizontal_cdf, simulate_batch,
+                               _graded_unit_grid, _h_density, _phi)
 from stickybm.transport import (DiscreteMeasure, cost_matrix, gamma_limit_experiment,
                                 kantorovich)
 
@@ -135,22 +135,23 @@ def test_criterion_06_simulator_exactness():
     params = ModelParams(2.0, 1.5, 2)
     x1_0, dt = 0.25, 0.25
     n = 100000
-    cfg = SimConfig(params, P(x1_0, 0.0), dt, 1, seed=606, tabulation_resolution=1024)
+    cfg = SimConfig(params, P(x1_0, 0.0), dt, 1, seed=606)
     batch = simulate_batch(cfg, n)
     z = batch.x1[:, -1]
     xp = batch.xp[:, -1, 0]
-    tab = increment_tables(params, x1_0, dt)
+    mass_boundary = horizontal_cdf(params, x1_0, dt, 0.0)
+    mass_no_visit = math.erf(x1_0 / math.sqrt(2.0 * dt))
 
     # boundary-atom frequency within 3 binomial standard errors
     freq = float(np.mean(z == 0.0))
-    se = math.sqrt(tab.mass_boundary * (1 - tab.mass_boundary) / n)
-    ok_atom = abs(freq - tab.mass_boundary) <= 3 * se
+    se = math.sqrt(mass_boundary * (1 - mass_boundary) / n)
+    ok_atom = abs(freq - mass_boundary) <= 3 * se
 
     # horizontal interior KS against the quadrature marginal
     interior = np.sort(z[z > 0])
     zg = np.linspace(0.0, float(interior[-1]) * 1.0001, 4001)
-    cdf_grid = horizontal_cdf(params, tab.x1, dt, zg)
-    cond = (np.interp(interior, zg, cdf_grid) - tab.mass_boundary) / (1 - tab.mass_boundary)
+    cdf_grid = horizontal_cdf(params, x1_0, dt, zg)
+    cond = (np.interp(interior, zg, cdf_grid) - mass_boundary) / (1 - mass_boundary)
     k = interior.size
     ks_h = max(np.max(np.abs(np.arange(1, k + 1) / k - cond)),
                np.max(np.abs(np.arange(0, k) / k - cond)))
@@ -164,7 +165,7 @@ def test_criterion_06_simulator_exactness():
     subsample = sorted_xp[:: max(1, sorted_xp.size // 20000)]
 
     def mixture_cdf(w):
-        out = tab.mass_no_visit * ndtr(w / math.sqrt(dt))
+        out = mass_no_visit * ndtr(w / math.sqrt(dt))
         x4, w4 = np.polynomial.legendre.leggauss(4)
         x4 = 0.5 * (x4 + 1.0)
         w4 = 0.5 * w4
@@ -186,14 +187,14 @@ def test_criterion_06_simulator_exactness():
     crit_v = 1.628 / math.sqrt(kv)
 
     # exact clock identity on a multi-step run
-    path_cfg = SimConfig(params, P(x1_0, 0.0), 0.1, 50, seed=607, tabulation_resolution=512)
+    path_cfg = SimConfig(params, P(x1_0, 0.0), 0.1, 50, seed=607)
     multi = simulate_batch(path_cfg, 200)
     ok_clock = bool(np.all(multi.local_time == params.theta * multi.occupation_time))
 
     elapsed = time.time() - t0
     ok = ok_atom and ks_h < crit and ks_v < crit_v and ok_clock and elapsed <= 180
     report(6, ok, f"horizontal KS {ks_h:.4f} (crit {crit:.4f}), tangential KS {ks_v:.4f} "
-                  f"(crit {crit_v:.4f}), atom freq |{freq:.4f}-{tab.mass_boundary:.4f}| <= 3se, "
+                  f"(crit {crit_v:.4f}), atom freq |{freq:.4f}-{mass_boundary:.4f}| <= 3se, "
                   f"L = theta*O exact: {ok_clock}; {elapsed:.0f}s (limit 180s)")
 
 

@@ -3,6 +3,7 @@ import functools
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ import pytest
 import stickybm.cli
 import stickybm.kernel
 import stickybm.ldp
-from stickybm.cli import main
+import stickybm.transport
+from stickybm.cli import build_parser, main
 from stickybm.quadrature import QuadratureError
 from stickybm.transport import gamma_limit_experiment
 
@@ -87,6 +89,21 @@ class TestDispatch:
         assert code == 4
         capsys.readouterr()
 
+    def test_readme_examples_parse(self):
+        # Every `stickybm ...` line of README's CLI block names only flags
+        # the parser accepts; nothing runs.
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines
+                    if line.startswith("stickybm ")]
+        assert len(commands) >= 11
+        for argv in commands:
+            args = build_parser().parse_args(argv[1:])
+            assert args.command == argv[1]
+
     def test_geodesic(self, tmp_path, capsys):
         code = run(tmp_path, "geodesic", "--a", "2", "--theta", "1", "--x", "1,0", "--y", "1,5")
         assert code == 0
@@ -152,6 +169,23 @@ class TestKernelCli:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "t must be" in err
 
+    @pytest.mark.parametrize("option, message", [
+        (["--grid", "0"], "grid"),
+        (["--grid", "1"], "grid"),
+        (["--extent", "0"], "extent"),
+        (["--extent", "-1"], "extent"),
+        (["--extent", "inf"], "extent"),
+    ])
+    def test_degenerate_grid_exits_2_before_quadrature(self, tmp_path, capsys, monkeypatch,
+                                                       option, message):
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        code = run(tmp_path, "kernel", "--a", "1", "--theta", "1", "--t", "1",
+                   "--x", "0,0", *option)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and message in err
+        assert not (tmp_path / "kernel.csv").exists()
+
     def test_grid_mass(self, tmp_path, capsys):
         code = run(tmp_path, "kernel", "--a", "1", "--theta", "1", "--t", "1",
                    "--x", "0,0", "--grid", "64")
@@ -202,6 +236,23 @@ class TestTransportCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "epsilon" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sinkhorn", "--epsilon", "0.5", "--tol", "nan"], "tol"),
+        (["sinkhorn", "--epsilon", "0.5", "--tol", "0"], "tol"),
+        (["sinkhorn", "--epsilon", "0.5", "--tol", "inf"], "tol"),
+        (["sinkhorn", "--epsilon", "0.5", "--max-iter", "0"], "max_iter"),
+        (["gamma-limit", "--epsilons", "0.04,0.02,0.01", "--tol", "-1"], "tol"),
+    ])
+    def test_sinkhorn_options_exit_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                      measures, argv, message):
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        forbid(monkeypatch, stickybm.transport, "kantorovich")
+        mu0, mu1 = measures
+        code = run(tmp_path, *argv, "--a", "2", "--theta", "1", "--mu0", mu0, "--mu1", mu1)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and message in err
 
     @pytest.mark.parametrize("content, message", [
         ("", "line 1"),
@@ -271,6 +322,18 @@ class TestLdpCli:
         assert "reference=0.45" in out
         summary = json.loads((tmp_path / "ldp-static.json").read_text())
         assert float(summary["reference_rate"]) == pytest.approx(0.45125, rel=1e-6)
+
+    def test_static_probability_below_the_smallest_float(self, tmp_path, capsys):
+        # At eps = 0.01 the patch probability is about exp(-1234): p prints as
+        # 0, and log p comes from eps log p.
+        code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
+                   "--target", "patch:10:0.1", "--epsilons", "0.04,0.02,0.01")
+        assert code == 0
+        capsys.readouterr()
+        rows = read_csv(tmp_path / "ldp-static.csv")
+        eps, prob, log_prob, eps_log_prob = map(float, rows[3])
+        assert eps == 0.01 and prob == 0.0
+        assert log_prob == pytest.approx(eps_log_prob / eps, rel=1e-15) and log_prob < -1000
 
     def test_path(self, tmp_path, capsys):
         code = run(tmp_path, "ldp-path", "--a", "4", "--theta", "1", "--x", "0,0",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erf, ndtr, ndtri
 from scipy.stats import ks_2samp, kstest, qmc
 
@@ -12,7 +13,6 @@ from stickybm.simulate import (
     SimConfig,
     euler_thin_layer,
     horizontal_cdf,
-    increment_tables,
     modulus_statistics,
     simulate,
     simulate_batch,
@@ -37,20 +37,18 @@ def one_step(params, x1, dt, n, seed):
     return batch.x1[:, 1], batch.local_time[:, 1]
 
 
-def table_draw(tab, u):
-    """Inverse-CDF draw of (z, delta_L) from one start's tables, by ``np.interp``."""
-    u0, u1, u2 = u
-    if u0 < tab.mass_no_visit:
-        return np.interp(u1, tab.z_cdf, tab.z_grid), 0.0
-    theta_dt = tab.l_grid[-1]
-    if u0 < tab.mass_no_visit + tab.mass_boundary:
-        cdf = tab.l_cdf_boundary
-        return 0.0, min(np.interp(u1 * cdf[-1], cdf, tab.l_grid), theta_dt)
-    cdf = tab.l_cdf_diffuse
-    l = min(np.interp(u1 * cdf[-1], cdf, tab.l_grid), theta_dt)
-    tau = max(tab.dt - l / tab.theta, 0.0)
-    s = l + tab.x1
-    return max(np.sqrt(s * s - 2.0 * tau * np.log1p(-u2)) - s, 0.0), l
+def map_atom_probability(params, x1, dt):
+    """``P(z = 0)`` of the sampler's map: ``b / (b + 2 theta1 s)`` integrated over
+    the clock uniform ``u0`` up to the visit threshold ``2 Phi(-xi)``."""
+    sd = math.sqrt(dt)
+    theta1, xi = params.theta * sd, x1 / sd
+
+    def atom(u0):
+        s = sim._unstuck_time(ndtri(0.5 * u0), xi + theta1, theta1)
+        b = xi + theta1 * (1.0 - s)
+        return b / (b + 2.0 * theta1 * s)
+
+    return quad(atom, 0.0, 2.0 * ndtr(-xi), epsabs=1e-15, epsrel=1e-13, limit=200)[0]
 
 
 class TestConfig:
@@ -60,79 +58,73 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(PARAMS, P(0.0, 0.0), 0.1, 0, 1)
         with pytest.raises(ValueError):
-            SimConfig(PARAMS, P(0.0, 0.0), 0.1, 10, 1, tabulation_resolution=100)
-        with pytest.raises(ValueError):
             SimConfig(ModelParams(1.0, 1.0, 3), P(0.0, 0.0), 0.1, 10, 1)
         with pytest.raises(ValueError):
             SimConfig(PARAMS, P(0.0, 0.0), 0.1, 10, seed=-1)
 
 
-class TestIncrementTables:
-    def test_masses_sum_to_one(self):
-        tab = increment_tables(PARAMS, 0.25, 0.25)
-        assert tab.mass_no_visit + tab.mass_boundary + tab.mass_diffuse == pytest.approx(1.0, abs=1e-12)
-
-    def test_cdfs_monotone(self):
-        tab = increment_tables(PARAMS, 0.7, 0.1)
-        assert np.all(np.diff(tab.z_cdf) >= 0)
-        assert np.all(np.diff(tab.l_cdf_boundary) >= 0)
-        assert np.all(np.diff(tab.l_cdf_diffuse) >= 0)
-
-    def test_exact_start(self):
-        # No quantization: nearby starts get their own tables.
-        t1 = increment_tables(PARAMS, 0.250004, 0.25)
-        t2 = increment_tables(PARAMS, 0.250002, 0.25)
-        assert t1.x1 == 0.250004 and t2.x1 == 0.250002
-        assert t1.mass_no_visit == erf(0.250004 / math.sqrt(2 * 0.25))
-        assert t1.mass_no_visit != t2.mass_no_visit
-
-    def test_boundary_start(self):
-        tab = increment_tables(PARAMS, 0.0, 0.2)
-        assert tab.mass_no_visit == 0.0
-        assert tab.mass_boundary + tab.mass_diffuse == pytest.approx(1.0, abs=1e-12)
-
-    def test_far_start(self):
-        # Past xi = 8.5 the local-time parts underflow: no visit, exactly.
-        tab = increment_tables(PARAMS, 10.0, 0.01)
-        assert (tab.mass_no_visit, tab.mass_boundary, tab.mass_diffuse) == (1.0, 0.0, 0.0)
-
-
-def quadrature_rows(xi, theta1, k, sub=4):
-    """The local-time CDFs of ``_unit_rows`` by per-cell Gauss-Legendre on its
-    grid with each cell cut in ``sub``, read at the table nodes."""
+def clock_law_by_quadrature(xi, theta1, k=1024, sub=4):
+    """``P(s* <= 1 - g)`` at the nodes ``g`` of ``_graded_unit_grid(k)``, by the
+    oracle's per-cell Gauss-Legendre (each cell cut in ``sub``) of the
+    local-time density ``h / theta1 + 2 phi`` at ``l = theta1 g``."""
     g = sim._graded_unit_grid(k)
     fine = theta1 * np.append((g[:-1, None] + np.diff(g)[:, None] * np.arange(sub) / sub), 1.0)
-    s = xi[:, None, None]
-    cdf_b = sim._cumulative_gl(lambda l: sim._h_density(1.0 - l / theta1, l + s) / theta1, fine)
-    cdf_d = sim._cumulative_gl(lambda l: 2.0 * sim._phi(1.0 - l / theta1, l + s), fine)
-    return cdf_b[:, ::sub], cdf_d[:, ::sub]
+    s = np.asarray(xi, dtype=float)[:, None, None]
+    cdf = sim._cumulative_gl(lambda l: sim._h_density(1.0 - l / theta1, l + s) / theta1
+                             + 2.0 * sim._phi(1.0 - l / theta1, l + s), fine)[:, ::sub]
+    return 1.0 - g, cdf[:, -1:] - cdf
 
 
-class TestClosedFormRows:
-    @pytest.mark.parametrize("k", [256, 1024])
+class TestExactStep:
+    XI = np.array([1e-3, 0.0, 1.4, 8.0])
+
     @pytest.mark.parametrize("theta1", [1e-3, 0.01, math.sqrt(0.05), 1.0, 4.0, 20.0])
-    def test_rows_match_quadrature(self, theta1, k):
-        # Four Gauss nodes per table cell alone err by up to 2.7e-8 at K = 256
-        # and theta1 <= 0.01 (the boundary layer near l = theta1); cut in four
-        # they err by at most about 3.3e-11, where the rounding of 1 - l / theta1
-        # sets their floor, and the closed form agrees to that.
-        n = sim._XI_NODES
-        xi = sim._XI[np.r_[0:4, n // 2 - 2:n // 2 + 2, n - 4:n]]
-        m0, mb, cdf = sim._unit_rows(xi, theta1, k)
-        cdf_b, cdf_d = quadrature_rows(xi, theta1, k)
-        assert np.max(np.abs(cdf[1] - cdf_b)) < 1e-10
-        assert np.max(np.abs(cdf[2] - cdf_d)) < 1e-10
-        assert np.array_equal(mb, cdf[1, :, -1])
-        assert np.max(np.abs(m0 + mb + cdf[2, :, -1] - 1.0)) < 1e-13
-        assert np.all(np.diff(cdf, axis=2) >= 0)
+    def test_meeting_time_law(self, theta1):
+        # The clock runs out at s with P(s* <= s) = 2 Phi((theta1 s - c) / sqrt s):
+        # the unstuck time inverts it, and it is the law of l = theta1 (1 - s)
+        # under the local-time densities of the oracle.
+        c = self.XI[:, None] + theta1
+        u0 = np.concatenate([np.geomspace(1e-15, 0.5, 200), np.linspace(0.5, 1.0, 201)[1:-1]])
+        visit = u0[None, :] < 2.0 * ndtr(-self.XI[:, None])
+        s = sim._unstuck_time(ndtri(0.5 * u0)[None, :], c, theta1)
+        assert np.all((s[visit] > 0.0) & (s[visit] <= 1.0 + 1e-15))
+        back = 2.0 * ndtr((theta1 * s - c) / np.sqrt(s))
+        assert np.max(np.abs(back - u0)) < 1e-12
+        s, by_quadrature = clock_law_by_quadrature(self.XI, theta1)
+        with np.errstate(divide="ignore"):        # s = 0 at the last node
+            closed = 2.0 * ndtr((theta1 * s - c) / np.sqrt(s))
+        assert np.max(np.abs(closed - by_quadrature)) < 1e-10
 
-    def test_decrease_beyond_rounding_raises(self, monkeypatch):
-        # Two swapped grid nodes make both local-time CDFs step down.
-        g = sim._graded_unit_grid(256).copy()
-        g[[100, 101]] = g[[101, 100]]
-        monkeypatch.setattr(sim, "_graded_unit_grid", lambda k: g)
-        with pytest.raises(sim.TabulationError, match="monotone"):
-            sim._unit_rows(sim._XI[:8], 0.5, 256)
+    @pytest.mark.parametrize("theta, x1, dt", [
+        (1.5, 0.25, 0.25), (1.5, 0.0, 0.2), (1.5, 1.4 * math.sqrt(0.05), 0.05),
+        (1e-3 / math.sqrt(0.05), 0.01, 0.05), (20.0 / math.sqrt(0.1), 0.3, 0.1),
+    ])
+    def test_atom_probability(self, theta, x1, dt):
+        # The atom event is b / (b + 2 theta1 s) of each u0 below the visit
+        # threshold; integrated, it is the oracle's boundary mass.
+        params = ModelParams(2.0, theta, 2)
+        atom = horizontal_cdf(params, x1, dt, 0.0, l_cells=4096)
+        assert abs(map_atom_probability(params, x1, dt) - atom) < 1e-12
+
+    @pytest.mark.parametrize("xi, theta1", [(0.3, 0.2), (1.4, 1.0), (2.5, 0.05)])
+    def test_visit_threshold(self, xi, theta1):
+        # At u0 = 2 Phi(-xi) the clock runs out exactly at s = 1 with no
+        # local time, and off the atom the draw does not jump there.
+        s = sim._unstuck_time(np.array(-xi), xi + theta1, theta1)
+        assert s == pytest.approx(1.0, abs=1e-15)
+        params, dt = ModelParams(2.0, theta1, 2), 1.0
+        thr = 2.0 * ndtr(-xi)
+        u0 = thr * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+        u = np.stack([u0, np.full(3, 0.999), np.full(3, 0.4)])
+        z, dl = sim._horizontal(params, np.full(3, xi), dt, u)
+        assert np.all(z > 0.0) and dl[2] == 0.0
+        assert np.max(dl) < 1e-8 and np.ptp(z) < 1e-8
+
+    def test_boundary_start_always_visits(self):
+        # From x1 = 0 every step reaches the boundary: local time is positive.
+        z, dl = one_step(PARAMS, 0.0, 0.2, 20000, 3)
+        assert np.all(dl > 0.0) and np.all(z >= 0.0)
+        assert (z == 0.0).any() and (z > 0.0).any()
 
 
 class TestSteps:
@@ -142,8 +134,8 @@ class TestSteps:
         assert np.all(z > 0)
 
     def test_far_starts_take_the_killed_gaussian_step(self):
-        # Past xi = 8.5 no table is used: zero local time and the killed
-        # Gaussian law (the visit mass there is below 2e-17).
+        # From xi = 8.5 on, not even the smallest uniform (2^-53) reaches the
+        # boundary: zero local time and the killed Gaussian law.
         dt = 0.04
         for x1 in (8.5 * math.sqrt(dt), 0.3 + 8.5 * math.sqrt(dt), 3.0):
             z, dl = one_step(PARAMS, x1, dt, 20000, 8)
@@ -162,75 +154,45 @@ class TestSteps:
         assert np.all(z >= 0.0)
         assert np.all((0.0 <= dl) & (dl <= PARAMS.theta * dt * (1 + 1e-12)))
 
-    def test_node_starts_match_single_start_tables(self):
-        # At a table node the interpolation weight is 0, so a path draws
-        # exactly what that start's own tables give.  dt = 1/4 makes the
-        # Brownian rescaling by sqrt(dt) = 1/2 exact in floating point.
-        dt, k = 0.25, 512
-        nodes = [0, 1, 2, 37, 255, sim._XI_NODES - 2]
-        x1 = np.repeat(0.5 * sim._XI[nodes], 600)
-        n = x1.size
-        xp = np.arange(float(n))[:, None]
+    def test_mixed_starts_match_single_starts(self):
+        # Each path draws from its own start: one batch over many starts
+        # equals each start stepped alone, bit for bit.
+        dt, n = 0.25, 3000
         rng = np.random.default_rng(4)
+        x1 = np.repeat([0.0, 0.01, 0.3, 1.0, 4.0], n // 5)
+        xp = np.arange(float(n))[:, None]
         u = rng.random((3, n))
         g = rng.standard_normal((n, 1))
-        z, xp_new, d_o = step_batch(PARAMS, x1, xp, dt, u, g, k)
-        tabs = {s: increment_tables(PARAMS, s, dt, k) for s in np.unique(x1)}
-        seen = set()
-        for i in range(n):
-            tab = tabs[x1[i]]
-            zi, dli = table_draw(tab, u[:, i])
-            assert z[i] == zi
-            assert d_o[i] == min(dli / PARAMS.theta, dt)
-            assert xp_new[i, 0] == xp[i, 0] + math.sqrt(dt + PARAMS.big_a * d_o[i]) * g[i, 0]
-            seen.add((x1[i] > 0, u[0, i] < tab.mass_no_visit, z[i] == 0.0))
-        assert {(True, True, False), (True, False, True), (True, False, False),
-                (False, False, True), (False, False, False)} <= seen
+        z, xp_new, d_o = step_batch(PARAMS, x1, xp, dt, u, g)
+        for start in np.unique(x1):
+            i = x1 == start
+            alone = step_batch(PARAMS, x1[i], xp[i], dt, u[:, i], g[i])
+            assert all(np.array_equal(a, b) for a, b in zip(alone, (z[i], xp_new[i], d_o[i])))
+        assert np.array_equal(xp_new, xp + np.sqrt(dt + PARAMS.big_a * d_o)[:, None] * g)
+        assert (z == 0.0).any() and (d_o[x1 == 4.0] == 0.0).all()
 
 
 class TestScaledTables:
     def test_law_between_nodes(self):
-        # Starts midway between table nodes (xi near 0.075, 1.41 and 3.05)
-        # draw from the mix of the two bracketing rows.  2^20 scrambled Sobol
-        # points per start, fed to the sampler as its three uniforms, give an
-        # empirical law whose own distance to the exact one is about 3e-5;
-        # the interpolated sampler must stay within 1e-4 of horizontal_cdf
-        # everywhere and within 2e-5 on the atom (measured: 3.2e-5, 8.5e-6).
+        # The step is exact at every scaled start xi = x1 / sqrt(dt); here xi
+        # = 0.075, 1.41 and 3.05.  2^20 scrambled Sobol points per start, fed to the
+        # sampler as its three uniforms, give an empirical law whose own
+        # distance to the exact one is about 3e-5; it must stay within 1e-4
+        # of horizontal_cdf everywhere (measured: 4.2e-5, 4.0e-5, 4.0e-5).
+        # The atom event is curved in (u0, u1), so its Sobol frequency errs
+        # by up to 2.2e-5; its exact integral matches the oracle to 1e-12.
         dt, n = 0.05, 2 ** 20
         u = qmc.Sobol(3, scramble=True, seed=5).random_base2(20).T.copy()
         xp = np.zeros((n, 1))
-        for j in (4, 84, 183):        # midpoints, where interpolation errs most
-            xi = 0.5 * (sim._XI[j] + sim._XI[j + 1])
+        for xi in (0.075, 1.41, 3.05):
             x1 = xi * math.sqrt(dt)
-            z, _, _ = step_batch(PARAMS, np.full(n, x1), xp, dt, u, xp, 1024)
+            z, _, _ = step_batch(PARAMS, np.full(n, x1), xp, dt, u, xp)
             zs = np.sort(z)
             zg = np.linspace(0.0, zs[-1], 300)
             exact = horizontal_cdf(PARAMS, x1, dt, zg, l_cells=4096)
             empirical = np.searchsorted(zs, zg, side="right") / n
             assert np.max(np.abs(empirical - exact)) < 1e-4
-            atom = increment_tables(PARAMS, x1, dt).mass_boundary
-            assert abs(np.mean(z == 0.0) - atom) < 2e-5
-
-    def test_family_cache_is_bounded(self):
-        # One family per (theta sqrt(dt), resolution), at most maxsize of
-        # them, each at most one row per node, however many paths step.
-        sim._family.cache_clear()
-        info = sim._family.cache_info
-        rng = np.random.default_rng(6)
-        for dt in np.linspace(0.01, 0.2, info().maxsize + 3):
-            x1 = rng.uniform(0.0, 10 * math.sqrt(dt), 3000)
-            step_batch(PARAMS, x1, np.zeros((3000, 1)), dt, rng.random((3, 3000)),
-                       np.zeros((3000, 1)), 256)
-            assert info().currsize <= info().maxsize
-            fam = sim._family(PARAMS.theta * math.sqrt(dt), 256)
-            assert fam.cdf.shape == (3, sim._XI_NODES, 255)
-            assert fam.built.sum() <= sim._XI_NODES
-        assert info().currsize == info().maxsize
-        # a single start builds only its two bracketing rows
-        x1 = np.full(5000, 1.397 * math.sqrt(0.3))
-        step_batch(PARAMS, x1, np.zeros((5000, 1)), 0.3, rng.random((3, 5000)),
-                   np.zeros((5000, 1)), 256)
-        assert sim._family(PARAMS.theta * math.sqrt(0.3), 256).built.sum() == 2
+            assert abs(map_atom_probability(PARAMS, x1, dt) - exact[0]) < 1e-12
 
 
 class TestMarginalLaw:
@@ -238,17 +200,17 @@ class TestMarginalLaw:
         x1, dt = 0.25, 0.25
         n = 100000
         z, dl = one_step(PARAMS, x1, dt, n, 42)
-        tab = increment_tables(PARAMS, x1, dt)
+        mass_boundary = horizontal_cdf(PARAMS, x1, dt, 0.0)
         # boundary atom frequency within 3 binomial standard errors
         freq = float(np.mean(z == 0.0))
-        se = math.sqrt(tab.mass_boundary * (1 - tab.mass_boundary) / n)
-        assert abs(freq - tab.mass_boundary) <= 3 * se
+        se = math.sqrt(mass_boundary * (1 - mass_boundary) / n)
+        assert abs(freq - mass_boundary) <= 3 * se
         # interior Kolmogorov-Smirnov against the quadrature CDF, evaluated
         # on a fine grid and interpolated at the samples
         interior = np.sort(z[z > 0])
         zg = np.linspace(0.0, float(interior[-1]) * 1.0001, 4001)
-        cdf_grid = horizontal_cdf(PARAMS, tab.x1, dt, zg)
-        cond = (np.interp(interior, zg, cdf_grid) - tab.mass_boundary) / (1 - tab.mass_boundary)
+        cdf_grid = horizontal_cdf(PARAMS, x1, dt, zg)
+        cond = (np.interp(interior, zg, cdf_grid) - mass_boundary) / (1 - mass_boundary)
         k = interior.size
         ks = max(np.max(np.abs(np.arange(1, k + 1) / k - cond)),
                  np.max(np.abs(np.arange(0, k) / k - cond)))
@@ -258,9 +220,9 @@ class TestMarginalLaw:
 
     def test_composition_in_law(self):
         # four exact steps of dt/4 against one exact step of dt: the sampled
-        # chain satisfies Chapman-Kolmogorov up to tabulation error.
+        # chain satisfies Chapman-Kolmogorov.
         x1, dt = 0.25, 0.25
-        cfg = SimConfig(PARAMS, P(x1, 0.0), dt / 4, 4, seed=11, tabulation_resolution=512)
+        cfg = SimConfig(PARAMS, P(x1, 0.0), dt / 4, 4, seed=11)
         ends = simulate_batch(cfg, 15000).x1[:, -1]
         one, _ = one_step(PARAMS, x1, dt, 15000, 12)
         assert ks_2samp(ends, one).pvalue > 0.001
@@ -287,14 +249,15 @@ class TestPaths:
 
     def test_clock_identity_across_table_and_far_starts(self):
         # Starts on both sides of xi = 8.5: L = theta O exactly, and no
-        # clock moves on far steps.
-        cfg = SimConfig(PARAMS, P(0.5, 0.0), 0.001, 40, seed=9, tabulation_resolution=256)
+        # clock moves on far steps, which not even the smallest uniform
+        # takes to the boundary.
+        cfg = SimConfig(PARAMS, P(0.5, 0.0), 0.001, 40, seed=9)
         batch = simulate_batch(cfg, 300)
         assert np.array_equal(batch.local_time, PARAMS.theta * batch.occupation_time)
         for i in (0, 299):
             path = batch.path(i)
             assert np.array_equal(path.local_time, PARAMS.theta * path.occupation_time)
-        far = batch.x1[:, :-1] / math.sqrt(0.001) >= sim._XI_MAX
+        far = batch.x1[:, :-1] / math.sqrt(0.001) >= 8.5
         assert far.any() and (~far).any()
         assert np.all(np.diff(batch.occupation_time, axis=1)[far] == 0.0)
 
@@ -342,7 +305,7 @@ class TestPaths:
         dts = [0.1, 0.2]
         seen = []
 
-        def spy(params, x1, xp, dt, u, g, resolution):
+        def spy(params, x1, xp, dt, u, g):
             seen.append((u.copy(), g.copy()))
             return x1, xp, np.zeros_like(x1)
 
@@ -378,7 +341,7 @@ class TestPaths:
 
     def test_far_from_boundary_is_plain_bm(self):
         params = ModelParams(3.0, 1.0, 2)
-        cfg = SimConfig(params, P(50.0, 0.0), 0.01, 10, seed=5, tabulation_resolution=512)
+        cfg = SimConfig(params, P(50.0, 0.0), 0.01, 10, seed=5)
         batch = simulate_batch(cfg, 1500)
         assert np.all(batch.occupation_time == 0.0)
         incs = np.diff(batch.x1, axis=1).ravel()
@@ -417,8 +380,7 @@ class TestModulus:
         delta, eta = 0.2, 0.55
         points = []
         for eps in (0.2, 0.1, 0.05):
-            cfg = SimConfig(params, P(1.0, 0.0), eps * 0.05, 20, seed=23,
-                            tabulation_resolution=512)
+            cfg = SimConfig(params, P(1.0, 0.0), eps * 0.05, 20, seed=23)
             paths = simulate_many(cfg, 400)
             freq = modulus_statistics(paths, delta, eta, time_scale=eps)
             if freq > 0:
@@ -443,8 +405,7 @@ class TestLongRun:
         target = 0.5 / (m_win + 0.5)
         errs = []
         for horizon in (6.0, 60.0):
-            cfg = SimConfig(params, P(0.2, 0.0), 0.08, int(horizon / 0.08), seed=29,
-                            tabulation_resolution=512)
+            cfg = SimConfig(params, P(0.2, 0.0), 0.08, int(horizon / 0.08), seed=29)
             batch = simulate_batch(cfg, 24)
             on_b = batch.x1 == 0.0
             in_win = batch.x1 <= m_win
