@@ -80,9 +80,8 @@ class TestExactStep:
 
     @pytest.mark.parametrize("theta1", [1e-3, 0.01, math.sqrt(0.05), 1.0, 4.0, 20.0])
     def test_meeting_time_law(self, theta1):
-        # The clock runs out at s with P(s* <= s) = 2 Phi((theta1 s - c) / sqrt s):
-        # the unstuck time inverts it, and it is the law of l = theta1 (1 - s)
-        # under the local-time densities of the oracle.
+        # The clock runs out at s with P(s* <= s) = 2 Phi((theta1 s - c) / sqrt s),
+        # and the unstuck time inverts it on (0, 1] below the visit threshold.
         c = self.XI[:, None] + theta1
         u0 = np.concatenate([np.geomspace(1e-15, 0.5, 200), np.linspace(0.5, 1.0, 201)[1:-1]])
         visit = u0[None, :] < 2.0 * ndtr(-self.XI[:, None])
@@ -90,10 +89,6 @@ class TestExactStep:
         assert np.all((s[visit] > 0.0) & (s[visit] <= 1.0 + 1e-15))
         back = 2.0 * ndtr((theta1 * s - c) / np.sqrt(s))
         assert np.max(np.abs(back - u0)) < 1e-12
-        s, by_quadrature = clock_law_by_quadrature(self.XI, theta1)
-        with np.errstate(divide="ignore"):        # s = 0 at the last node
-            closed = 2.0 * ndtr((theta1 * s - c) / np.sqrt(s))
-        assert np.max(np.abs(closed - by_quadrature)) < 1e-10
 
     @pytest.mark.parametrize("theta, x1, dt", [
         (1.5, 0.25, 0.25), (1.5, 0.0, 0.2), (1.5, 1.4 * math.sqrt(0.05), 0.05),
@@ -120,11 +115,58 @@ class TestExactStep:
         assert np.all(z > 0.0) and dl[2] == 0.0
         assert np.max(dl) < 1e-8 and np.ptp(z) < 1e-8
 
-    def test_boundary_start_always_visits(self):
+class TestClosedFormRows:
+    XI = np.array([0.0, 1e-3, 0.05, 0.5, 1.4, 3.0, 8.0])
+
+    @pytest.mark.parametrize("k", [256, 1024])
+    @pytest.mark.parametrize("theta1", [1e-3, 0.01, math.sqrt(0.05), 1.0, 4.0, 20.0])
+    def test_rows_match_quadrature(self, theta1, k):
+        # The closed-form clock law, read at the nodes of the graded grid, is
+        # the law of l = theta1 (1 - s) under the oracle's local-time densities.
+        # Four Gauss nodes per cell, each cell cut in four, err by at most about
+        # 3.3e-11 (the rounding of 1 - l / theta1 sets that floor).
+        c = self.XI[:, None] + theta1
+        s, by_quadrature = clock_law_by_quadrature(self.XI, theta1, k)
+        with np.errstate(divide="ignore"):        # s = 0 at the last node
+            closed = 2.0 * ndtr((theta1 * s - c) / np.sqrt(s))
+        assert np.max(np.abs(closed - by_quadrature)) < 1e-10
+        assert np.all(np.diff(closed, axis=1) <= 0)          # s falls along the row
+        assert np.max(np.abs(closed[:, 0] - 2.0 * ndtr(-self.XI))) < 1e-15
+        assert np.all(closed[:, -1] == 0.0)
+
+
+class TestIncrementTables:
+    """The one-step increment law from a single start."""
+
+    def test_exact_start(self):
+        # No quantization: nearby starts each step from their own x1.  Off the
+        # boundary the same uniforms move both by the same amount.
+        x1, dt = np.array([0.250004, 0.250002]), 0.25
+        u = np.array([[0.9, 0.9], [0.5, 0.5], [0.3, 0.3]])
+        z, dl = sim._horizontal(PARAMS, x1, dt, u)
+        assert np.all(dl == 0.0)
+        assert z[0] - z[1] == pytest.approx(2e-6, rel=1e-9)
+        thr = 2.0 * ndtr(-x1 / math.sqrt(dt))
+        assert thr[0] < thr[1]
+        u = np.array([[thr[0] * (1 + 1e-9)] * 2, [0.5, 0.5], [0.3, 0.3]])
+        z, dl = sim._horizontal(PARAMS, x1, dt, u)
+        assert dl[0] == 0.0 and dl[1] > 0.0
+
+    def test_boundary_start(self):
         # From x1 = 0 every step reaches the boundary: local time is positive.
         z, dl = one_step(PARAMS, 0.0, 0.2, 20000, 3)
         assert np.all(dl > 0.0) and np.all(z >= 0.0)
         assert (z == 0.0).any() and (z > 0.0).any()
+
+    def test_far_start(self):
+        # Past xi = 8.5 the visit probability 2 Phi(-xi) is below the smallest
+        # uniform walk draws, 2^-53: no local time, exactly.
+        x1 = np.array([8.5, 10.0, 100.0]) * math.sqrt(0.01)
+        u = np.array([np.full(3, 2.0 ** -53), np.full(3, 0.5), np.full(3, 0.5)])
+        z, dl = sim._horizontal(PARAMS, x1, 0.01, u)
+        assert np.all(dl == 0.0) and np.all(z > 0.0)
+        z, dl = one_step(PARAMS, 10.0, 0.01, 2000, 1)
+        assert np.all(dl == 0.0) and np.all(z > 0.0)
 
 
 class TestSteps:
