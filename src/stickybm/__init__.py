@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .quadrature import QuadratureError, QuadratureSpec
 from .kernel import (
-    KernelValue,
     bivariate_density,
     chapman_kolmogorov_residual,
     fokker_planck_residual,
@@ -36,10 +35,6 @@ from .kernel import (
     hitting_density,
     kernel_total_mass,
     killed_kernel,
-    log_mu_density,
-    log_transition_kernel,
-    mu_density,
-    transition_kernel,
 )
 from .simulate import (
     SamplePath,

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams, cost, geodesic
-from .kernel import KernelPositivityError, log_densities
+from .kernel import log_densities
 from .ldp import (Ball, BoundaryPatch, StaticExperiment, phase_transition_scan,
                   sliced_ldp, static_ldp)
 from .quadrature import QuadratureError, QuadratureSpec
@@ -115,11 +115,6 @@ def _params(args) -> ModelParams:
     return ModelParams(args.a, args.theta, args.d)
 
 
-def _qspec(args) -> QuadratureSpec:
-    return QuadratureSpec(relative_tolerance=args.quad_tol,
-                          max_subdivisions=args.quad_subdiv)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -160,7 +155,6 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_kernel(args) -> int:
     params = _params(args)
-    spec = _qspec(args)
     x = _parse_point(args.x)
     t = args.t
     if not 0.0 < t < math.inf:
@@ -181,7 +175,7 @@ def _cmd_kernel(args) -> int:
     # The n x n grid row by row, then the boundary row.
     y1 = np.concatenate((np.repeat(y1s, n), np.zeros(n)))
     yp = np.concatenate((np.tile(yps, n), yps))
-    dens = log_densities(params, spec, t, x.x1, y1, np.abs(yp - x.xp[0]))
+    dens = log_densities(params, QuadratureSpec(), t, x.x1, y1, np.abs(yp - x.xp[0]))
     interior = np.exp(dens.interior)
     boundary = np.exp(dens.boundary)
     rows = [[t, x.x1, x.xp[0], *point] for point in zip(y1, yp, interior, boundary)]
@@ -216,11 +210,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ldp_static(args) -> int:
     params = _params(args)
-    spec = _qspec(args)
     exp = StaticExperiment(params, _parse_point(args.x), _parse_target(args.target),
                            _parse_floats(args.epsilons), method=args.method,
                            n_paths=args.n_paths)
-    est = static_ldp(exp, spec, seed=args.seed)
+    est = static_ldp(exp, QuadratureSpec(), seed=args.seed)
     csv_path, json_path = _outputs(args, "ldp-static")
     # log p from eps log p: p itself may underflow to 0 where its logarithm is finite.
     rows = [[eps, p, s / eps, s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
@@ -241,11 +234,10 @@ def _cmd_ldp_static(args) -> int:
 
 
 def _cmd_ldp_scan(args) -> int:
-    spec = _qspec(args)
     x = _parse_point(args.x)
     y = _parse_point(args.y)
     res = phase_transition_scan(_parse_floats(args.a_grid), args.theta, x, y,
-                                _parse_floats(args.epsilons), spec,
+                                _parse_floats(args.epsilons), QuadratureSpec(),
                                 ball_radius=args.radius)
     csv_path, json_path = _outputs(args, "ldp-scan")
     rows = [[r.a, r.extrapolated_rate, r.reference_rate] for r in res.rows]
@@ -305,7 +297,7 @@ def _cmd_ot(args) -> int:
 
 def _cmd_sinkhorn(args) -> int:
     params = _params(args)
-    plan = schrodinger(params, _qspec(args), args.epsilon,
+    plan = schrodinger(params, QuadratureSpec(), args.epsilon,
                        _read_measure(args.mu0), _read_measure(args.mu1),
                        max_iter=args.max_iter, tol=args.tol)
     csv_path, json_path = _outputs(args, "sinkhorn")
@@ -323,7 +315,7 @@ def _cmd_sinkhorn(args) -> int:
 
 def _cmd_gamma_limit(args) -> int:
     params = _params(args)
-    res = gamma_limit_experiment(params, _qspec(args), _read_measure(args.mu0),
+    res = gamma_limit_experiment(params, QuadratureSpec(), _read_measure(args.mu0),
                                  _read_measure(args.mu1), _parse_floats(args.epsilons),
                                  tol=args.tol)
     csv_path, json_path = _outputs(args, "gamma-limit")
@@ -359,15 +351,10 @@ def _cmd_interpolate(args) -> int:
 # Parser / dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, model=True, seed=False, quad=False):
+def _add_common(sub, model=True, seed=False):
     sub.add_argument("--output", "-o", default=".", help="output directory")
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="seed for stochastic outputs")
-    if quad:
-        sub.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
-                         help="quadrature relative tolerance")
-        sub.add_argument("--quad-subdiv", type=int, default=20, dest="quad_subdiv",
-                         help="quadrature max subdivisions")
     if model:
         sub.add_argument("--a", type=float, required=True, help="tangential diffusivity")
         sub.add_argument("--theta", type=float, required=True, help="stickiness")
@@ -394,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_geodesic)
 
     s = subs.add_parser("kernel", help="transition kernel on a grid")
-    _add_common(s, quad=True)
+    _add_common(s)
     s.add_argument("--t", type=float, required=True)
     s.add_argument("--x", required=True)
     s.add_argument("--grid", type=int, default=64)
@@ -410,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_simulate)
 
     s = subs.add_parser("ldp-static", help="static rate extraction for a target set")
-    _add_common(s, seed=True, quad=True)
+    _add_common(s, seed=True)
     s.add_argument("--x", required=True)
     s.add_argument("--target", required=True, help="ball:<point>:<r> or patch:<x'>:<r>")
     s.add_argument("--epsilons", required=True)
@@ -419,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_ldp_static)
 
     s = subs.add_parser("ldp-scan", help="rate versus diffusivity scan")
-    _add_common(s, model=False, quad=True)
+    _add_common(s, model=False)
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--a-grid", required=True, dest="a_grid", help="comma-separated a values")
     s.add_argument("--x", required=True)
@@ -444,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_ot)
 
     s = subs.add_parser("sinkhorn", help="entropic plan against the sticky kernel")
-    _add_common(s, quad=True)
+    _add_common(s)
     s.add_argument("--mu0", required=True)
     s.add_argument("--mu1", required=True)
     s.add_argument("--epsilon", type=float, required=True)
@@ -453,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_sinkhorn)
 
     s = subs.add_parser("gamma-limit", help="entropic-to-exact gap across epsilons")
-    _add_common(s, quad=True)
+    _add_common(s)
     s.add_argument("--mu0", required=True)
     s.add_argument("--mu1", required=True)
     s.add_argument("--epsilons", required=True)
@@ -481,8 +468,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, KernelPositivityError,
-            TransportConvergenceError, RuntimeError) as exc:
+    except (QuadratureError, TransportConvergenceError, RuntimeError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -65,10 +65,10 @@ class ModelParams:
     d: int = 2
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise ValueError(f"diffusivity a must be positive, got {self.a}")
-        if not (self.theta > 0):
-            raise ValueError(f"stickiness theta must be positive, got {self.theta}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"diffusivity a must be positive and finite, got {self.a}")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"stickiness theta must be positive and finite, got {self.theta}")
         if self.d < 2 or int(self.d) != self.d:
             raise ValueError(f"dimension d must be an integer >= 2, got {self.d}")
 
@@ -91,7 +91,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class HalfSpacePoint:
-    """A point ``(x1, x')`` of the closed half-space, ``x1 >= 0``.
+    """A point ``(x1, x')`` of the closed half-space, ``x1 >= 0``, with
+    finite coordinates.
 
     Boundary membership is exact: ``x1 == 0.0`` is a modeling statement, not
     a float comparison with tolerance.  Construct boundary points with a
@@ -102,11 +103,13 @@ class HalfSpacePoint:
     xp: tuple = field(default=())
 
     def __post_init__(self):
-        xp = np.atleast_1d(np.asarray(self.xp, dtype=float)).ravel()
-        object.__setattr__(self, "xp", tuple(float(v) for v in xp))
+        xp = tuple(float(v) for v in np.atleast_1d(np.asarray(self.xp, dtype=float)).ravel())
+        object.__setattr__(self, "xp", xp)
         object.__setattr__(self, "x1", float(self.x1))
-        if not self.x1 >= 0.0:
-            raise ValueError(f"x1 must be nonnegative, got {self.x1}")
+        if not 0.0 <= self.x1 < math.inf:
+            raise ValueError(f"x1 must be nonnegative and finite, got {self.x1}")
+        if not all(map(math.isfinite, xp)):
+            raise ValueError(f"tangential coordinates must be finite, got {xp}")
 
     @property
     def dim(self) -> int:
@@ -386,31 +389,23 @@ class GeodesicDescription:
 
     def point_at(self, t: float) -> HalfSpacePoint:
         """Position along the geodesic at time ``t`` in [0, 1]."""
-        t = float(t)
-        if t <= 0.0:
-            return self.segments[0].start
-        if t >= 1.0:
-            return self.segments[-1].end
-        acc = 0.0
-        for seg in self.segments:
-            if t <= acc + seg.duration or seg is self.segments[-1]:
-                u = (t - acc) / seg.duration if seg.duration > 0 else 1.0
-                u = min(max(u, 0.0), 1.0)
-                x1a, x1b = seg.start.x1, seg.end.x1
-                x1 = 0.0 if (x1a == 0.0 and x1b == 0.0) else max(0.0, (1 - u) * x1a + u * x1b)
-                xp = tuple((1 - u) * p + u * q for p, q in zip(seg.start.xp, seg.end.xp))
-                return HalfSpacePoint(x1, xp)
-            acc += seg.duration
-        return self.segments[-1].end
+        return self.to_path().at(t)
 
     def to_path(self) -> Path:
-        """Render the geodesic as a Path with knots at the segment breaks."""
+        """Render the geodesic as a Path with knots at the segment breaks.
+
+        A segment shorter than one ulp of time keeps one ulp, so that the
+        knot times increase strictly."""
         times = [0.0]
         knots = [self.segments[0].start]
         for seg in self.segments:
-            times.append(min(1.0, times[-1] + seg.duration))
+            times.append(times[-1] + seg.duration)
             knots.append(seg.end)
         times[-1] = 1.0
+        for i in range(1, len(times) - 1):
+            times[i] = max(times[i], math.nextafter(times[i - 1], 1.0))
+        for i in range(len(times) - 2, 0, -1):
+            times[i] = min(times[i], math.nextafter(times[i + 1], 0.0))
         return Path(tuple(times), tuple(knots))
 
 

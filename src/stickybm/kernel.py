@@ -20,8 +20,8 @@ representable.
 
 :func:`log_sticky_integral` takes arrays of gaps and integrates all of them
 in one breadth-first batch; :func:`log_densities` turns such a batch into
-interior and boundary densities, and the point-wise density functions are
-batches of one.  The tensor-grid checks (total mass, Chapman-Kolmogorov)
+interior and boundary densities, and it is the one way to evaluate the
+kernel.  The tensor-grid checks (total mass, Chapman-Kolmogorov)
 use the fixed-rule ``_sticky_log_grid`` instead: about 10^5 values cost
 hundredths of a second there against seconds adaptively.
 """
@@ -38,19 +38,13 @@ from .geometry import HalfSpacePoint, ModelParams
 from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre, log_integrate
 
 __all__ = [
-    "KernelValue",
     "LogDensities",
     "CkResult",
-    "KernelPositivityError",
     "hitting_density",
     "killed_kernel",
     "gaussian_density",
     "bivariate_density",
-    "transition_kernel",
-    "log_transition_kernel",
     "log_densities",
-    "log_mu_density",
-    "mu_density",
     "log_sticky_integral",
     "chapman_kolmogorov_residual",
     "fokker_planck_residual",
@@ -59,10 +53,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-class KernelPositivityError(RuntimeError):
-    """A log-density was requested where the computed density is zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +68,7 @@ def hitting_density(t: float, x1: float) -> float:
         raise ValueError("hitting_density needs t > 0")
     if x1 < 0:
         raise ValueError("x1 must be nonnegative")
-    return x1 / (math.sqrt(2.0 * math.pi) * t ** 1.5) * math.exp(-x1 * x1 / (2.0 * t))
+    return math.exp(_log_h(t, x1))
 
 
 def killed_kernel(t: float, x1: float, z: float) -> float:
@@ -98,8 +88,7 @@ def gaussian_density(t: float, zp, d: int = None) -> float:
     if t <= 0:
         raise ValueError("gaussian_density needs t > 0")
     zp = np.atleast_1d(np.asarray(zp, dtype=float))
-    k = zp.size if d is None else d - 1
-    return math.exp(-0.5 * k * math.log(2.0 * math.pi * t) - float(zp @ zp) / (2.0 * t))
+    return math.exp(_log_g(t, math.sqrt(float(zp @ zp)), zp.size + 1 if d is None else d))
 
 
 def _log_h(t, w):
@@ -317,23 +306,6 @@ def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals,
 # Transition kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelValue:
-    """Kernel of the process at one (t, x, y) triple.
-
-    ``interior_density`` is w.r.t. ``dy1 dy'`` (at boundary targets it is the
-    interior limit, of zero dy1-measure); ``boundary_density`` is w.r.t.
-    ``dy'`` on the boundary and already carries the stationary-measure atom
-    weight ``1/(2 theta)`` exactly once.  ``rho_int`` and ``rho_st`` split the
-    interior density into the boundary-avoiding and sticky parts.
-    """
-
-    interior_density: float
-    boundary_density: float
-    rho_int: float
-    rho_st: float
-
-
 class LogDensities(NamedTuple):
     """Log kernel densities, one entry per (x1, y1, v) triple.
 
@@ -370,55 +342,6 @@ def log_densities(params: ModelParams, spec: QuadratureSpec, t: float,
     """
     x1, y1, v = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (x1, y1, v)))
     return _compose(params, t, x1, y1, v, log_sticky_integral(params, spec, t, x1 + y1, v))
-
-
-def _point_densities(params: ModelParams, spec: QuadratureSpec, t: float,
-                     x: HalfSpacePoint, y: HalfSpacePoint) -> LogDensities:
-    v = float(np.linalg.norm(np.asarray(y.xp) - np.asarray(x.xp)))
-    return log_densities(params, spec, t, x.x1, y.x1, v)
-
-
-def transition_kernel(params: ModelParams, spec: QuadratureSpec, t: float,
-                      x: HalfSpacePoint, y: HalfSpacePoint) -> KernelValue:
-    """Evaluate the transition kernel at (t, x, y).
-
-    Boundary targets (``y1 == 0`` exactly) get the boundary density and the
-    interior limit; interior targets get ``boundary_density = 0``.
-    """
-    if x.dim != params.d or y.dim != params.d:
-        raise ValueError("point dimension does not match params.d")
-    return KernelValue(*(math.exp(p) for p in _point_densities(params, spec, t, x, y)))
-
-
-def log_mu_density(params: ModelParams, spec: QuadratureSpec, t: float,
-                   x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    """log density w.r.t. the stationary measure; symmetric in (x, y).
-
-    It is the interior density, whose interior limit at a boundary target is
-    the boundary density times the atom weight ``2 theta``.
-    """
-    return float(_point_densities(params, spec, t, x, y).interior)
-
-
-def mu_density(params: ModelParams, spec: QuadratureSpec, t: float,
-               x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    return math.exp(log_mu_density(params, spec, t, x, y))
-
-
-def log_transition_kernel(params: ModelParams, spec: QuadratureSpec, t: float,
-                          x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    """log of the density component appropriate to the target.
-
-    Interior targets report the interior density, boundary targets the
-    boundary density.  Raises :class:`KernelPositivityError` when the
-    computed density is exactly zero (impossible for valid inputs except
-    through underflow of every component).
-    """
-    dens = _point_densities(params, spec, t, x, y)
-    out = float(dens.boundary if y.on_boundary() else dens.interior)
-    if not np.isfinite(out):
-        raise KernelPositivityError(f"density vanished at t={t}, x={x}, y={y}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +444,8 @@ def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
     boundary = float(np.sum(np.exp(lb_left + lb_right))) * hp / (2.0 * params.theta)
 
     mass_left = float(np.sum(q_left)) * h1 * hp + float(np.sum(np.exp(lb_left))) * hp / (2.0 * params.theta)
-    reference = mu_density(params, spec, s + t, x, y)
+    reference = math.exp(float(
+        log_densities(params, spec, s + t, x.x1, y.x1, abs(yp - xp)).interior))
     value = interior + boundary
     return CkResult(abs(reference - value), reference, value,
                     abs(mass_left - 1.0), abs(mass_left - 1.0) > 1e-3)

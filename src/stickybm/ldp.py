@@ -54,8 +54,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     def contains(self, x1, xp):
         d1 = np.asarray(x1) - self.center.x1
@@ -72,10 +72,12 @@ class BoundaryPatch:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center_tangential",
-                           tuple(float(v) for v in np.atleast_1d(self.center_tangential)))
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        center = tuple(float(v) for v in np.atleast_1d(self.center_tangential))
+        object.__setattr__(self, "center_tangential", center)
+        if not all(map(math.isfinite, center)):
+            raise ValueError(f"patch center must be finite, got {center}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     def contains(self, x1, xp):
         on_b = np.asarray(x1) == 0.0
@@ -335,24 +337,22 @@ _SCAN_ORDER = 24     # Gauss-Legendre nodes per axis of each scan ball
 def cone_crossing_value(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     """Root in a of the cone equality |y'-x'| = [s + 2 sqrt(a x1 y1)] / sqrt(a-1).
     The right side falls toward 2 sqrt(x1 y1) as a grows; it is 0 for every
-    a > 1 when x1 = y1 = 0, and the crossing is then a = 1."""
+    a > 1 when x1 = y1 = 0, and the crossing is then a = 1.
+
+    With ``u = sqrt(a)``, ``r = sqrt(x1 y1)`` and every length divided by
+    ``v``, the equality squares to
+    ``(1 - 4 r^2) u^2 - 4 r s u - (s^2 + 1) = 0``, whose one positive root
+    is returned as ``a = u^2``."""
     v = float(np.linalg.norm(np.asarray(y.xp) - np.asarray(x.xp)))
-    s = x.x1 + y.x1
+    r = math.sqrt(x.x1) * math.sqrt(y.x1)
     if v <= 0:
         raise ValueError("cone crossing undefined for v = 0")
-    if v <= 2.0 * math.sqrt(x.x1 * y.x1):
+    if v <= 2.0 * r:
         raise ValueError("no cone crossing: y stays inside the cone for every a > 1")
-    if s == 0.0:
-        return 1.0
-
-    def gap(a):
-        return (s + 2.0 * math.sqrt(a * x.x1 * y.x1)) / math.sqrt(a - 1.0) - v
-
-    lo, hi = 1.0 + 1e-12, 2.0
-    while gap(hi) > 0:
-        hi *= 2.0
-    from scipy.optimize import brentq
-    return float(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14))
+    s, r = (x.x1 + y.x1) / v, r / v
+    lead = (1.0 - 2.0 * r) * (1.0 + 2.0 * r)
+    u = (2.0 * r * s + math.sqrt((2.0 * r * s) ** 2 + lead * (s * s + 1.0))) / lead
+    return u * u
 
 
 @dataclass(frozen=True)
@@ -378,8 +378,8 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
     The rate is flat in a on a <= 1 (Euclidean regime) and strictly smaller
     past the cone-crossing value; the empirical kink is located by
     intersecting the flat level with a line through the first clearly
-    dropped scan points, and reported next to the bisection root of the cone
-    equality at the pair (x, y).  Every input is checked before the first
+    dropped scan points, and reported next to the closed-form root of the
+    cone equality at the pair (x, y).  Every input is checked before the first
     quadrature.
     """
     eps = _fit_epsilons(epsilons)

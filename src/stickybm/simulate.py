@@ -44,8 +44,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         _check_seed(self.seed)

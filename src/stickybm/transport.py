@@ -55,8 +55,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", weights)
         if len(atoms) != len(weights) or not atoms:
             raise ValueError("need matching, nonempty atoms and weights")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
+        if not all(0 < w < math.inf for w in weights):
+            raise ValueError("weights must be positive and finite")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {sum(weights)}, not 1")
         for p in atoms:

@@ -82,6 +82,39 @@ class TestDispatch:
         assert run(tmp_path, *argv) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["cost", "--a", "4", "--theta", "1", "--x", "0,nan", "--y", "0,2"],
+        ["cost", "--a", "inf", "--theta", "1", "--x", "0,0", "--y", "0,2"],
+        ["cost", "--a", "4", "--theta", "1", "--x", "inf,0", "--y", "0,2"],
+        ["geodesic", "--a", "2", "--theta", "inf", "--x", "1,0", "--y", "1,inf"],
+        ["kernel", "--a", "1", "--theta", "inf", "--t", "1", "--x", "0,0", "--grid", "2"],
+        ["kernel", "--a", "1", "--theta", "1", "--t", "1", "--x", "0,inf", "--grid", "2"],
+        ["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "patch:inf:0.1",
+         "--epsilons", "0.2,0.1,0.05"],
+        ["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "patch:2:inf",
+         "--epsilons", "0.2,0.1,0.05"],
+        ["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "ball:0,2:inf",
+         "--epsilons", "0.2,0.1,0.05"],
+        ["simulate", "--a", "2", "--theta", "1", "--x", "0.3,0", "--step", "inf",
+         "--n-steps", "2"],
+        ["sinkhorn", "--a", "2", "--theta", "1", "--mu0", "{nan_measure}", "--mu1",
+         "{measure}", "--epsilon", "0.5"],
+    ], ids=["cost-xp-nan", "cost-a-inf", "cost-x1-inf", "geodesic-theta-inf", "kernel-theta-inf",
+            "kernel-xp-inf", "patch-center-inf", "patch-radius-inf", "ball-radius-inf",
+            "simulate-step-inf", "sinkhorn-weight-nan"])
+    def test_non_finite_value_exits_2_before_any_quadrature_or_step(self, tmp_path, capsys,
+                                                                    monkeypatch, argv):
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        forbid(monkeypatch, SIMULATE, "step_batch")
+        (tmp_path / "nan.csv").write_text("x1,xp1,weight\n0,0,nan\n0,1,1\n")
+        (tmp_path / "mu.csv").write_text("x1,xp1,weight\n0,0,1\n")
+        argv = [arg.format(nan_measure=tmp_path / "nan.csv", measure=tmp_path / "mu.csv")
+                for arg in argv]
+        assert run(tmp_path / "out", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "finite" in err
+        assert not (tmp_path / "out" / f"{argv[0]}.csv").exists()
+
     def test_io_failure_exits_4(self, capsys):
         code = main(["ot", "--a", "2", "--theta", "1",
                      "--mu0", "/nonexistent/mu0.csv", "--mu1", "/nonexistent/mu1.csv",

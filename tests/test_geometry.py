@@ -49,6 +49,13 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(0.5, 1.0).alpha
 
+    @pytest.mark.parametrize("a, theta", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+    ])
+    def test_rejects_non_finite(self, a, theta):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(a, theta)
+
 
 class TestHalfSpacePoint:
     def test_boundary_membership_is_exact(self):
@@ -58,6 +65,13 @@ class TestHalfSpacePoint:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             P(-1e-12, 0.0)
+
+    @pytest.mark.parametrize("x1, xp", [
+        (math.inf, (0.0,)), (math.nan, (0.0,)), (0.0, (math.inf,)), (1.0, (0.0, math.nan)),
+    ])
+    def test_rejects_non_finite(self, x1, xp):
+        with pytest.raises(ValueError, match="finite"):
+            HalfSpacePoint(x1, xp)
 
     def test_point_helper(self):
         q = point(1.0, 2.0, 3.0)
@@ -311,6 +325,23 @@ class TestGeodesic:
         z = g.point_at(t_break)
         assert z.x1 == 0.0
         assert z.xp[0] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("x, y", [
+        (P(1.0, 0.0), P(1e-300, 50.0)),
+        (P(1e-300, 0.0), P(1.0, 50.0)),
+        (P(5e-324, 0.0), P(1.0, 50.0)),
+    ], ids=["last-leg", "first-leg", "first-leg-subnormal"])
+    def test_leg_shorter_than_one_ulp_of_time(self, x, y):
+        # The slanted leg at the tiny end lasts less than one ulp of time; it
+        # keeps one ulp, and the boundary leg stays on the boundary.
+        params = ModelParams(4.0, 1.0)
+        g = geodesic(params, x, y)
+        path = g.to_path()
+        assert len(path.times) == 4 and path.knots == (x, *(s.end for s in g.segments))
+        assert all(t1 < t2 for t1, t2 in zip(path.times, path.times[1:]))
+        assert g.point_at(0.0) == x and g.point_at(1.0) == y
+        assert g.point_at(0.5).x1 == 0.0
+        assert action(params, path) == pytest.approx(g.total_cost, rel=1e-12)
 
     def test_higher_dimension_plane_reduction(self):
         params = ModelParams(3.0, 1.0, 4)

@@ -14,11 +14,8 @@ from stickybm.kernel import (
     hitting_density,
     kernel_total_mass,
     killed_kernel,
-    log_mu_density,
+    log_densities,
     log_sticky_integral,
-    log_transition_kernel,
-    mu_density,
-    transition_kernel,
     _sticky_log_grid,
 )
 from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre, log_integrate
@@ -31,6 +28,18 @@ SPEC = QuadratureSpec()
 
 def P(x1, *xp):
     return HalfSpacePoint(x1, tuple(xp))
+
+
+def log_kernel(params, t, x, y):
+    """The log densities at one pair (x, y): a log_densities batch of one."""
+    v = float(np.linalg.norm(np.asarray(y.xp) - np.asarray(x.xp)))
+    return log_densities(params, SPEC, t, x.x1, y.x1, v)
+
+
+def kernel(params, t, x, y):
+    """The densities of :func:`log_kernel`, exponentiated."""
+    logs = log_kernel(params, t, x, y)
+    return logs._make(math.exp(p) for p in logs)
 
 
 class TestBuildingBlocks:
@@ -161,25 +170,23 @@ class TestBivariate:
 class TestTransitionKernel:
     def test_boundary_target_conventions(self):
         params = ModelParams(2.0, 1.0)
-        kv_int = transition_kernel(params, SPEC, 0.5, P(0.3, 0.0), P(0.7, 0.4))
-        assert kv_int.boundary_density == 0.0
+        kv_int = kernel(params, 0.5, P(0.3, 0.0), P(0.7, 0.4))
+        assert kv_int.boundary == 0.0
         assert kv_int.rho_int > 0 and kv_int.rho_st > 0
-        assert kv_int.interior_density == pytest.approx(kv_int.rho_int + kv_int.rho_st, rel=1e-15)
+        assert kv_int.interior == pytest.approx(kv_int.rho_int + kv_int.rho_st, rel=1e-15)
 
-        kv_b = transition_kernel(params, SPEC, 0.5, P(0.3, 0.0), P(0.0, 0.4))
-        assert kv_b.boundary_density > 0
+        kv_b = kernel(params, 0.5, P(0.3, 0.0), P(0.0, 0.4))
+        assert kv_b.boundary > 0
         assert kv_b.rho_int == 0.0
         # trace relation between interior limit and the atom value
-        assert kv_b.interior_density == pytest.approx(
-            2 * params.theta * kv_b.boundary_density, rel=1e-12)
+        assert kv_b.interior == pytest.approx(2 * params.theta * kv_b.boundary, rel=1e-12)
 
     def test_atom_weight_counted_once(self):
-        # mu-density divided back by the atom weight reproduces boundary_density
+        # mu-density divided back by the atom weight reproduces the boundary density
         params = ModelParams(3.0, 0.7)
         x, y = P(0.4, 0.0), P(0.0, 1.0)
-        kv = transition_kernel(params, SPEC, 0.6, x, y)
-        q = mu_density(params, SPEC, 0.6, x, y)
-        assert kv.boundary_density == pytest.approx(q / (2 * params.theta), rel=1e-12)
+        kv = kernel(params, 0.6, x, y)
+        assert kv.boundary == pytest.approx(kv.interior / (2 * params.theta), rel=1e-12)
 
     def test_normalization_spot(self):
         for (a, th, t, x1) in [(2.0, 1.0, 0.5, 0.3), (0.5, 2.0, 1.0, 0.0)]:
@@ -200,8 +207,8 @@ class TestTransitionKernel:
             x = P(float(rng.uniform(0, 2)), float(rng.uniform(-2, 2)))
             y1 = 0.0 if rng.random() < 0.3 else float(rng.uniform(0, 2))
             y = P(y1, float(rng.uniform(-2, 2)))
-            q1 = log_mu_density(params, SPEC, t, x, y)
-            q2 = log_mu_density(params, SPEC, t, y, x)
+            q1 = float(log_kernel(params, t, x, y).interior)
+            q2 = float(log_kernel(params, t, y, x).interior)
             assert abs(q1 - q2) <= 1e-8 * max(abs(q1), 1.0)
 
     def test_flat_diffusivity_reference_quadrature(self):
@@ -209,7 +216,7 @@ class TestTransitionKernel:
         # boundary value matches a plain 200-point Gauss-Legendre reference.
         params = ModelParams(1.0, 1.3)
         t = 1.0
-        kv = transition_kernel(params, SPEC, t, P(0.0, 0.0), P(0.0, 0.0))
+        kv = kernel(params, t, P(0.0, 0.0), P(0.0, 0.0))
         th = params.theta
         g0 = gaussian_density(t, (0.0,))
 
@@ -219,23 +226,23 @@ class TestTransitionKernel:
                                   for tt, ll in zip(tau, l)])
 
         ref = fixed_gauss_legendre_integral(integrand, 0.0, th * t, n=200) / th
-        assert kv.boundary_density == pytest.approx(ref, rel=1e-8)
+        assert kv.boundary == pytest.approx(ref, rel=1e-8)
 
     def test_far_from_boundary_is_free_gaussian(self):
         params = ModelParams(3.0, 1.0)
         t = 0.01
         x = P(1.0, 0.0)   # x1^2 / t = 100 >= 50
         y = P(1.02, 0.03)
-        kv = transition_kernel(params, SPEC, t, x, y)
+        kv = kernel(params, t, x, y)
         free = math.exp(-((x.x1 - y.x1) ** 2 + (x.xp[0] - y.xp[0]) ** 2) / (2 * t)) / (2 * math.pi * t)
-        assert kv.interior_density == pytest.approx(free, rel=1e-8)
+        assert kv.interior == pytest.approx(free, rel=1e-8)
         # total boundary mass is the hitting probability, tiny here
         boundary_mass = 1.0 - math.erf(x.x1 / math.sqrt(2 * t))
         assert boundary_mass <= 1e-10
 
     def test_decomposition_nonnegative(self):
         params = ModelParams(0.5, 1.0)
-        kv = transition_kernel(params, SPEC, 0.3, P(0.5, 0.0), P(0.2, 0.6))
+        kv = kernel(params, 0.3, P(0.5, 0.0), P(0.2, 0.6))
         assert kv.rho_int >= 0 and kv.rho_st >= 0
 
     def test_time_rescaling_identity(self):
@@ -243,45 +250,32 @@ class TestTransitionKernel:
         # of the generator eps*Q at time t is the kernel at time eps*t.
         params = ModelParams(2.0, 1.0)
         x, y = P(0.3, 0.0), P(0.1, 0.5)
-        assert mu_density(params, SPEC, 0.25 * 0.8, x, y) == pytest.approx(
-            mu_density(params, SPEC, 0.2, x, y), rel=1e-14)
+        assert kernel(params, 0.25 * 0.8, x, y).interior == pytest.approx(
+            kernel(params, 0.2, x, y).interior, rel=1e-14)
 
     def test_invalid_t(self):
         with pytest.raises(ValueError):
-            transition_kernel(ModelParams(1.0, 1.0), SPEC, 0.0, P(0.0, 0.0), P(0.0, 0.0))
+            kernel(ModelParams(1.0, 1.0), 0.0, P(0.0, 0.0), P(0.0, 0.0))
 
 
 class TestLogKernel:
-    def test_exp_log_consistency(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            params = ModelParams(float(rng.uniform(0.3, 5)), float(rng.uniform(0.3, 2)))
-            t = float(rng.uniform(0.05, 1.0))
-            x = P(float(rng.uniform(0, 1.5)), 0.0)
-            y1 = 0.0 if rng.random() < 0.4 else float(rng.uniform(0, 1.5))
-            y = P(y1, float(rng.uniform(-2, 2)))
-            kv = transition_kernel(params, SPEC, t, x, y)
-            lp = log_transition_kernel(params, SPEC, t, x, y)
-            ref = kv.boundary_density if y.on_boundary() else kv.interior_density
-            assert math.exp(lp) == pytest.approx(ref, rel=1e-10)
-
     def test_varadhan_boundary_pair(self):
         params = ModelParams(4.0, 1.0)
         x, y = P(0.0, 0.0), P(0.0, 1.0)
         c = cost(params, x, y)
         assert c == 0.125
-        lp = log_transition_kernel(params, SPEC, 0.01, x, y)
+        lp = float(log_kernel(params, 0.01, x, y).boundary)
         assert abs(-0.01 * lp - c) <= 0.15 * c
 
     def test_monotone_in_t_far_pair(self):
         params = ModelParams(4.0, 1.0)
         x, y = P(0.5, 0.0), P(0.5, 6.0)
-        vals = [log_mu_density(params, SPEC, t, x, y) for t in (0.05, 0.1, 0.2, 0.4, 0.8)]
+        vals = [float(log_kernel(params, t, x, y).interior) for t in (0.05, 0.1, 0.2, 0.4, 0.8)]
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_small_horizon_stays_finite(self):
         params = ModelParams(0.5, 1.0)
-        lp = log_transition_kernel(params, SPEC, 1e-3, P(0.0, 0.0), P(0.0, 1.9))
+        lp = float(log_kernel(params, 1e-3, P(0.0, 0.0), P(0.0, 1.9)).boundary)
         assert np.isfinite(lp)
         assert lp < -1000     # exp underflows, the log does not
 

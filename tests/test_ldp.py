@@ -237,6 +237,21 @@ class TestPhaseTransition:
         thr = cone_threshold(ModelParams(root, 1.0), x, y)
         assert thr == pytest.approx(5.0, rel=1e-9)
 
+    def test_crossing_root_sweep(self):
+        # 200 seeded pairs, a quarter with x on the boundary and a quarter with
+        # y there: at the closed-form root the cone threshold is |y' - x'|.
+        from stickybm.geometry import cone_threshold
+        rng = np.random.default_rng(17)
+        for k in range(200):
+            x1 = 0.0 if k % 4 == 0 else float(rng.uniform(0.05, 2.0))
+            y1 = 0.0 if k % 4 == 1 else float(rng.uniform(0.05, 2.0))
+            xp = float(rng.uniform(-3.0, 3.0))
+            x = P(x1, xp)
+            y = P(y1, xp + 2.0 * math.sqrt(x1 * y1) + float(rng.uniform(0.05, 5.0)))
+            root = cone_crossing_value(x, y)
+            v = abs(y.xp[0] - x.xp[0])
+            assert cone_threshold(ModelParams(root, 1.0), x, y) == pytest.approx(v, rel=1e-12)
+
     def test_crossing_between_boundary_points_is_one(self):
         # x1 = y1 = 0: the cone threshold is 0 for every a > 1.
         assert cone_crossing_value(P(0.0, 0.0), P(0.0, 5.0)) == 1.0
