@@ -140,7 +140,8 @@ def _check_vec(params: ModelParams, v, name: str) -> np.ndarray:
 
 
 def _tangential_gap(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    return float(np.linalg.norm(np.asarray(y.xp) - np.asarray(x.xp)))
+    # hypot scales its arguments, so gaps below ~1e-154 do not square to zero
+    return math.hypot(*np.subtract(y.xp, x.xp))
 
 
 # ---------------------------------------------------------------------------

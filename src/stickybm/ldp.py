@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams, _sticky_rate_core, cost
+from .geometry import HalfSpacePoint, ModelParams, _sticky_rate_core, _tangential_gap, cost
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
 from .simulate import _path_blocks, walk
@@ -343,7 +343,7 @@ def cone_crossing_value(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     ``v``, the equality squares to
     ``(1 - 4 r^2) u^2 - 4 r s u - (s^2 + 1) = 0``, whose one positive root
     is returned as ``a = u^2``."""
-    v = float(np.linalg.norm(np.asarray(y.xp) - np.asarray(x.xp)))
+    v = _tangential_gap(x, y)
     r = math.sqrt(x.x1) * math.sqrt(y.x1)
     if v <= 0:
         raise ValueError("cone crossing undefined for v = 0")

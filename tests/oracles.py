@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the closed forms under test: the sticky
 rate is minimized by golden section, transport values by explicit
-enumeration, and reference integrals by fixed-order Gauss-Legendre.
+enumeration, entropic plans by plain log-domain Sinkhorn, and reference
+integrals by fixed-order Gauss-Legendre.
 """
 
 import itertools
@@ -98,3 +99,20 @@ def fixed_gauss_legendre_integral(f, a, b, n=200):
     x, w = np.polynomial.legendre.leggauss(n)
     nodes = a + (b - a) * 0.5 * (x + 1.0)
     return float(0.5 * (b - a) * np.sum(w * f(nodes)))
+
+
+def plain_sinkhorn_plan(log_k, a, b, tol=1e-12, max_iter=100000):
+    """Entropic plan ``exp(alpha + log_k + beta)`` by plain log-domain Sinkhorn,
+    run until both marginal errors are below ``tol``."""
+    def lse(x, axis):
+        top = x.max(axis=axis, keepdims=True)
+        return (top + np.log(np.exp(x - top).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+    beta = np.zeros(len(b))
+    for _ in range(max_iter):
+        alpha = np.log(a) - lse(log_k + beta[None, :], 1)
+        beta = np.log(b) - lse(log_k + alpha[:, None], 0)
+        pi = np.exp(alpha[:, None] + log_k + beta[None, :])
+        if max(np.abs(pi.sum(axis=1) - a).max(), np.abs(pi.sum(axis=0) - b).max()) < tol:
+            return pi
+    raise RuntimeError(f"plain Sinkhorn did not reach {tol} in {max_iter} sweeps")

@@ -256,6 +256,18 @@ class TestTransportCli:
         summary = json.loads((tmp_path / "sinkhorn.json").read_text())
         assert float(summary["marginal_error"]) < 1e-9
 
+    def test_sinkhorn_small_epsilon_converges(self, tmp_path, capsys):
+        # a numerically deterministic optimum: converged, not rounded
+        mu0, mu1 = tmp_path / "mu0.csv", tmp_path / "mu1.csv"
+        mu0.write_text("x1,xp1,weight\n0,0,0.5\n0,1.5,0.5\n")
+        mu1.write_text("x1,xp1,weight\n0,0.8,0.5\n0,2.75,0.5\n")
+        code = run(tmp_path, "sinkhorn", "--a", "4", "--theta", "1", "--mu0", str(mu0),
+                   "--mu1", str(mu1), "--epsilon", "0.001")
+        assert code == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "sinkhorn.json").read_text())
+        assert float(summary["marginal_error"]) < 1e-9
+
     @pytest.mark.parametrize("argv", [
         ["sinkhorn", "--epsilon", "nan"],
         ["sinkhorn", "--epsilon", "inf"],

@@ -8,6 +8,7 @@ from stickybm.geometry import (
     HalfSpacePoint,
     ModelParams,
     Path,
+    _tangential_gap,
     action,
     cone_contains,
     cone_threshold,
@@ -77,6 +78,12 @@ class TestHalfSpacePoint:
         q = point(1.0, 2.0, 3.0)
         assert q.dim == 3
         assert q.xp == (2.0, 3.0)
+
+    def test_tiny_tangential_gap_does_not_underflow(self):
+        # a squared 1e-200 underflows to 0; the gap must not
+        assert _tangential_gap(P(0.0, 0.0), P(0.0, 1e-200)) == 1e-200
+        assert _tangential_gap(P(0.0, 0.0, 0.0), P(1.0, 1e-200, 1e-200)) == pytest.approx(
+            math.sqrt(2.0) * 1e-200, rel=1e-15)
 
 
 class TestLagrangianHamiltonian:

@@ -253,8 +253,10 @@ class TestPhaseTransition:
             assert cone_threshold(ModelParams(root, 1.0), x, y) == pytest.approx(v, rel=1e-12)
 
     def test_crossing_between_boundary_points_is_one(self):
-        # x1 = y1 = 0: the cone threshold is 0 for every a > 1.
+        # x1 = y1 = 0: the cone threshold is 0 for every a > 1, also for a
+        # tangential gap whose square underflows.
         assert cone_crossing_value(P(0.0, 0.0), P(0.0, 5.0)) == 1.0
+        assert cone_crossing_value(P(0.0, 0.0), P(0.0, 1e-200)) == 1.0
 
     def test_crossing_rejects_pairs_without_one(self):
         with pytest.raises(ValueError, match="v = 0"):

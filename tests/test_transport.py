@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stickybm.geometry import HalfSpacePoint, ModelParams, cost, geodesic
+from stickybm.kernel import log_densities
 from stickybm.quadrature import QuadratureSpec
 from stickybm.transport import (
     DiscreteMeasure,
@@ -16,7 +17,7 @@ from stickybm.transport import (
     schrodinger,
 )
 
-from oracles import enumerate_assignment_value, enumerate_transport_value
+from oracles import enumerate_assignment_value, enumerate_transport_value, plain_sinkhorn_plan
 
 SPEC = QuadratureSpec()
 
@@ -27,6 +28,16 @@ def P(x1, *xp):
 
 def uniform(*atoms):
     return DiscreteMeasure(tuple(atoms), (1.0 / len(atoms),) * len(atoms))
+
+
+# criterion 10's fixture: eight boundary atoms on each side, shifted by one
+CRIT10 = (DiscreteMeasure(tuple(P(0.0, 0.25 * i) for i in range(8)), (0.125,) * 8),
+          DiscreteMeasure(tuple(P(0.0, 1.0 + 0.25 * i) for i in range(8)), (0.125,) * 8))
+# boundary and interior atoms on both sides, general weights
+MIXED = (DiscreteMeasure((P(0.0, 0.0), P(0.5, 0.3), P(0.0, 0.9), P(1.0, 1.2), P(0.2, 1.5)),
+                         (0.3, 0.1, 0.2, 0.25, 0.15)),
+         DiscreteMeasure((P(0.3, 0.5), P(0.0, 1.0), P(0.8, 1.8), P(0.0, 2.0), P(0.0, 2.5),
+                          P(0.6, 0.1)), (0.2, 0.15, 0.15, 0.2, 0.1, 0.2)))
 
 
 class TestDiscreteMeasure:
@@ -170,14 +181,38 @@ class TestSchrodinger:
     def test_small_epsilon_stays_finite(self):
         # kernel entries span hundreds of orders of magnitude at eps = 1e-3
         # and the entropic optimum is numerically deterministic: the
-        # log-domain iteration must not overflow and the rounding finisher
-        # must hand back exact marginals.
+        # log-domain iteration must not overflow, and Newton must meet the
+        # tolerance on its own, where plain Sinkhorn stalls near 1e-5.
         params = ModelParams(4.0, 1.0)
         mu0 = uniform(P(0.0, 0.0), P(0.0, 1.5))
         mu1 = uniform(P(0.0, 0.8), P(0.0, 2.75))
         plan = schrodinger(params, SPEC, 1e-3, mu0, mu1)
         assert np.isfinite(plan.cost_value)
         assert plan.marginal_defect() <= 1e-9
+        assert plan.marginal_error < 1e-9
+        assert plan.iterations <= 100
+
+    @pytest.mark.parametrize("eps", [0.0025, 1e-3])
+    def test_deterministic_optimum_converges_without_rounding(self, eps):
+        # plain Sinkhorn needs 1380 sweeps at 0.0025 and stalls near 1e-5 at 1e-3
+        plan = schrodinger(ModelParams(4.0, 1.0), SPEC, eps, *CRIT10)
+        assert plan.marginal_error < 1e-9
+        assert plan.marginal_defect() == pytest.approx(plan.marginal_error, abs=1e-15)
+        assert plan.iterations <= 100
+
+    @pytest.mark.parametrize("fixture", [CRIT10, MIXED], ids=["criterion10", "mixed"])
+    @pytest.mark.parametrize("eps", [0.04, 0.01])
+    def test_matches_plain_sinkhorn_fixed_point(self, fixture, eps):
+        params = ModelParams(4.0, 1.0)
+        mu0, mu1 = fixture
+        plan = schrodinger(params, SPEC, eps, mu0, mu1)
+        gap = np.abs(mu1.xp()[None, :, 0] - mu0.xp()[:, None, 0])
+        log_k = log_densities(params, SPEC, eps, mu0.x1()[:, None], mu1.x1()[None, :],
+                              gap).interior
+        ref = plain_sinkhorn_plan(log_k, np.asarray(mu0.weights), np.asarray(mu1.weights))
+        ref_value = eps * float(np.sum(ref * (np.log(ref) - log_k)))
+        assert np.max(np.abs(plan.matrix - ref)) <= 1e-8
+        assert plan.cost_value == pytest.approx(ref_value, abs=1e-8)
 
 
 class TestGammaLimit:
@@ -191,8 +226,7 @@ class TestGammaLimit:
 
     def test_boundary_fixture_gap_shrinks(self):
         params = ModelParams(4.0, 1.0)
-        src = DiscreteMeasure(tuple(P(0.0, 0.25 * i) for i in range(8)), (0.125,) * 8)
-        tgt = DiscreteMeasure(tuple(P(0.0, 1.0 + 0.25 * i) for i in range(8)), (0.125,) * 8)
+        src, tgt = CRIT10
         res = gamma_limit_experiment(params, SPEC, src, tgt, (0.04, 0.02, 0.01))
         assert res.kantorovich_value == pytest.approx(0.125, rel=1e-12)
         assert res.gaps_shrink
@@ -208,8 +242,7 @@ class TestGammaLimit:
         # With every epsilon failing there is no gap to fit; a slope read off
         # zero rows would be 0.
         params = ModelParams(4.0, 1.0)
-        src = DiscreteMeasure(tuple(P(0.0, 0.25 * i) for i in range(8)), (0.125,) * 8)
-        tgt = DiscreteMeasure(tuple(P(0.0, 1.0 + 0.25 * i) for i in range(8)), (0.125,) * 8)
+        src, tgt = CRIT10
         with pytest.raises(TransportConvergenceError) as err:
             gamma_limit_experiment(params, SPEC, src, tgt, (0.04, 0.02, 0.01),
                                    max_iter=3, tol=1e-12)
@@ -218,8 +251,7 @@ class TestGammaLimit:
 
     def test_plan_concentrates_near_exact_support(self):
         params = ModelParams(4.0, 1.0)
-        src = DiscreteMeasure(tuple(P(0.0, 0.25 * i) for i in range(8)), (0.125,) * 8)
-        tgt = DiscreteMeasure(tuple(P(0.0, 1.0 + 0.25 * i) for i in range(8)), (0.125,) * 8)
+        src, tgt = CRIT10
         exact = kantorovich(params, src, tgt)
         entropic = schrodinger(params, SPEC, 0.0025, src, tgt)
         off_support = float(np.sum(entropic.matrix[exact.matrix <= 1e-12]))
