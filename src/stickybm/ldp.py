@@ -228,17 +228,80 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
 # Reference rates: cost infima over targets
 # ---------------------------------------------------------------------------
 
+def _branch_cost(params: ModelParams, x: HalfSpacePoint, dts, sticky, v):
+    """Value and gradient in ``v`` (the ``k`` waypoints, flattened) of
+    ``sum_j r_j(y_{j-1}, y_j) / dt_j`` with ``y_0 = x``, where ``r_j`` is the
+    sticky rate where ``sticky[j]`` and the Euclidean one elsewhere.
+
+    With ``dx1 = y_j1 - y_{j-1,1}``, ``s = y_j1 + y_{j-1,1}`` and the gap
+    ``D = y_j' - y_{j-1}'``: the Euclidean rate has gradient ``(dx1, D)`` in
+    ``y_j`` and its negative in ``y_{j-1}``.  The sticky rate has
+    ``d/d(s, |D|) = (s, |D|)`` on its flat branch and ``(sqrt(A) l, l)``,
+    ``l = (sqrt(A) s + |D|) / a``, on its slanted branch (the two meet in C^1
+    on the cone ``sqrt(A) |D| = s``); ``s`` moves with both heights and
+    ``|D|`` along ``+-D/|D|``, taken as 0 at ``D = 0``."""
+    k, d = len(dts), x.dim
+    y = np.vstack([x.coords(), v.reshape(k, d)])
+    dx1, s = y[1:, 0] - y[:-1, 0], y[1:, 0] + y[:-1, 0]
+    gap = y[1:, 1:] - y[:-1, 1:]
+    v_t = np.linalg.norm(gap, axis=1)
+    a = params.a
+    root_a = math.sqrt(max(a - 1.0, 0.0))
+    ell = (root_a * s + v_t) / a
+    flat = (a <= 1.0) | (root_a * v_t <= s)
+    terms = np.where(sticky, _sticky_rate_core(a, s, v_t), 0.5 * (dx1 * dx1 + v_t * v_t))
+    unit = gap / np.where(v_t > 0.0, v_t, 1.0)[:, None]
+    # Per segment: derivatives in the later point's height and tangential
+    # coordinates, and in the earlier point's height.
+    d_s = np.where(flat, s, root_a * ell)
+    d_v = np.where(flat, v_t, ell)
+    g_late = np.where(sticky, d_s, dx1)
+    g_early = np.where(sticky, d_s, -dx1)
+    g_tan = np.where(sticky[:, None], d_v[:, None] * unit, gap)
+    seg = np.column_stack([g_late, g_tan]) / dts[:, None]
+    grad = seg.copy()
+    grad[:-1, 0] += g_early[1:] / dts[1:]
+    grad[:-1, 1:] -= seg[1:, 1:]
+    return float(np.sum(terms / dts)), grad.ravel()
+
+
+def _target_constraints(centres, radii, patch) -> list:
+    """SLSQP constraints, with their Jacobians, that put waypoint ``j`` in the
+    ball ``|y_j - centres[j]| <= radii[j]`` and, where ``patch[j]``, on
+    ``y_j1 = 0``.  The ball rows are ``-(y_j - c_j) / |y_j - c_j|`` (0 at the
+    centre), the patch rows constant unit rows."""
+    k, d = centres.shape
+
+    def ball_jac(v):
+        off = v.reshape(k, d) - centres
+        dist = np.linalg.norm(off, axis=1)
+        jac = np.zeros((k, k, d))
+        jac[np.arange(k), np.arange(k)] = -off / np.where(dist > 0.0, dist, 1.0)[:, None]
+        return jac.reshape(k, k * d)
+
+    constraints = [{"type": "ineq", "jac": ball_jac,
+                    "fun": lambda v: radii - np.linalg.norm(v.reshape(k, d) - centres, axis=1)}]
+    if any(patch):
+        on_b = np.eye(k * d)[np.flatnonzero(patch) * d]
+        constraints.append({"type": "eq", "fun": lambda v: v.reshape(k, d)[patch, 0],
+                            "jac": lambda v: on_b})
+    return constraints
+
+
 def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
     """Infimum of sum_j c(y_{j-1}, y_j) / dt_j over y_j in targets[j], y_0 = x.
 
     Each term is the smaller of the Euclidean and the sticky rate, both convex,
     and a Ball (``y1 >= 0, |y - c| <= r``) or BoundaryPatch (``y1 = 0,
     |y - (0, c')| <= r``) is convex, so the infimum is the smallest of ``2^k``
-    convex programs, one per branch choice.  SLSQP solves each from the centres
-    (objective scaled to 1 there) to ``ftol = 1e-11``, or to ``1e-8`` if it
-    stops at rounding level first.  Its answer meets the constraints only to
-    that tolerance, so the value is the sliced cost at the nearest points of the
-    targets and of their traces on ``y1 = 0``.
+    convex programs, one per branch choice.  For ``a <= 1`` the sticky rate is
+    ``(s^2 + |D|^2) / 2`` with ``s >= |dx1|``, never below the Euclidean one,
+    and the all-Euclidean program alone is solved.  SLSQP solves each from the
+    centres (objective scaled to 1 there) with the exact gradients of
+    :func:`_branch_cost` and of the constraints, to ``ftol = 1e-11``, or to
+    ``1e-8`` if it stops at rounding level first.  Its answer meets the
+    constraints only to that tolerance, so the value is the sliced cost at the
+    nearest points of the targets and of their traces on ``y1 = 0``.
     """
     from scipy.optimize import minimize
 
@@ -256,24 +319,20 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
         return [HalfSpacePoint(z[0], z[1:])
                 for z in (o + (p - o) * (h / max(np.linalg.norm(p - o), h)) for o, h, p in disks)]
 
-    constraints = [{"type": "ineq",
-                    "fun": lambda v: radii - np.linalg.norm(v.reshape(k, d) - centres, axis=1)}]
-    if any(patch):
-        constraints.append({"type": "eq", "fun": lambda v: v.reshape(k, d)[patch, 0]})
+    constraints = _target_constraints(centres, radii, patch)
     bounds = ([(0.0, None)] + [(None, None)] * (d - 1)) * k
+    branches = itertools.product((False, True), repeat=k) if params.a > 1.0 else [(False,) * k]
     best = math.inf
-    for sticky in itertools.product((False, True), repeat=k):
-        def branch_cost(v, sticky=np.array(sticky)):
-            y = np.vstack([x.coords(), v.reshape(k, d)])
-            dx1, s = y[1:, 0] - y[:-1, 0], y[1:, 0] + y[:-1, 0]
-            v_t = np.linalg.norm(y[1:, 1:] - y[:-1, 1:], axis=1)
-            terms = np.where(sticky, _sticky_rate_core(params.a, s, v_t),
-                             0.5 * (dx1 * dx1 + v_t * v_t))
-            return float(np.sum(terms / dts))
+    for sticky in branches:
+        branch = functools.partial(_branch_cost, params, x, dts, np.array(sticky))
+        scale = branch(centres.ravel())[0] or 1.0
 
-        scale = branch_cost(centres.ravel()) or 1.0
+        def scaled(v):
+            value, grad = branch(v)
+            return value / scale, grad / scale
+
         for ftol in (1e-11, 1e-8):
-            res = minimize(lambda v: branch_cost(v) / scale, centres.ravel(), method="SLSQP",
+            res = minimize(scaled, centres.ravel(), jac=True, method="SLSQP",
                            bounds=bounds, constraints=constraints, options={"ftol": ftol})
             if res.success:
                 break

@@ -231,7 +231,10 @@ def walk(params: ModelParams, x0: HalfSpacePoint, dts, n_paths: int, seed: int,
     gen.advance(first_index * width // 4)
     bits = gen.random_raw((n_paths, width))[:, :dts.size * per_step]
     bits >>= 12
-    u = ((bits + 0.5) * 2.0 ** -52).reshape(n_paths, dts.size, per_step)
+    u = bits.astype(float)
+    u += 0.5
+    u *= 2.0 ** -52
+    u = u.reshape(n_paths, dts.size, per_step)
 
     def steps():
         x1 = np.full(n_paths, float(x0.x1))

@@ -17,6 +17,9 @@ from stickybm.kernel import (
     log_densities,
     log_sticky_integral,
     _sticky_log_grid,
+    _sticky_log_integrand_m,
+    _sticky_log_slopes_m,
+    _sticky_peak_m,
 )
 from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre, log_integrate
 
@@ -329,6 +332,59 @@ class TestStickyIntegral:
         a, theta, d, t, s, v = _sweep_inputs()[index]
         got = log_sticky_integral(ModelParams(a, theta, d), SPEC, t, s, v)
         assert got == pytest.approx(reference, abs=1e-8)
+
+
+def _peak_sweep():
+    """Seeded (params, t, s, v) batches over a in {0.5, 1, 4, 8}, theta in
+    {0.2, 1, 2} and t in {1e-3, 0.01, 1}; a quarter of the gaps s are 0,
+    as at the nodes of a boundary patch."""
+    rng = np.random.default_rng(29)
+    for a in (0.5, 1.0, 4.0, 8.0):
+        for theta in (0.2, 1.0, 2.0):
+            for t in (1e-3, 0.01, 1.0):
+                s = rng.uniform(0.0, 4.0 * math.sqrt(t), 64)
+                s[::4] = 0.0
+                v = rng.uniform(0.0, 6.0 * math.sqrt(t * max(a, 1.0)), 64)
+                yield ModelParams(a, theta), t, s, v
+
+
+class TestPeakSearch:
+    def test_slopes_match_central_differences(self):
+        for params, t, s, v in _peak_sweep():
+            log_f = _sticky_log_integrand_m(params, t, s, v)
+            slopes = _sticky_log_slopes_m(params, t, s, v)
+            rows = np.arange(s.size)
+            m = np.linspace(0.05, 0.95, s.size)
+            h = 1e-6 * m
+            d1, d2 = slopes(rows, m)
+            fd1 = (log_f(rows, (m + h)[:, None]) - log_f(rows, (m - h)[:, None]))[:, 0] / (2 * h)
+            fd2 = (slopes(rows, m + h)[0] - slopes(rows, m - h)[0]) / (2 * h)
+            np.testing.assert_allclose(d1, fd1, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(d2, fd2, rtol=1e-6, atol=1e-6)
+
+    def test_newton_peaks_are_maxima_in_few_passes(self):
+        kinds = set()
+        for params, t, s, v in _peak_sweep():
+            log_f = _sticky_log_integrand_m(params, t, s, v)
+            slopes = _sticky_log_slopes_m(params, t, s, v)
+            passes = []
+
+            def counted(rows, m):
+                passes.append(rows.size)
+                return slopes(rows, m)
+
+            peak = _sticky_peak_m(log_f, counted, s.size)
+            assert len(passes) <= 12, (params, t)
+            # A peak at m = 1 is an endpoint maximum: f rises into it.
+            top = np.flatnonzero(peak == 1.0)
+            assert np.all(slopes(top, np.ones(top.size))[0] >= 0.0), (params, t)
+            # Any other peak is no lower than its neighbours at m (1 +- 1e-6).
+            inner = np.flatnonzero(peak < 1.0)
+            m = peak[inner, None] * np.array([1.0, 1.0 - 1e-6, 1.0 + 1e-6])
+            f = log_f(inner, np.minimum(m, 1.0))
+            assert np.all(f[:, :1] >= f[:, 1:]), (params, t)
+            kinds.update(peak == 1.0)
+        assert kinds == {False, True}
 
 
 def _kernel_grid_gaps(t, n=16, extent=4.0):

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 
 import stickybm.ldp
-from stickybm.geometry import HalfSpacePoint, ModelParams, cost, cost_batch
+from stickybm.geometry import (
+    HalfSpacePoint,
+    ModelParams,
+    cost,
+    cost_batch,
+    euclidean_rate,
+    sticky_rate,
+)
 from stickybm.ldp import (
     Ball,
     BoundaryPatch,
@@ -22,6 +30,8 @@ from stickybm.ldp import (
     sliced_ldp,
     static_ldp,
     wilson_interval,
+    _branch_cost,
+    _target_constraints,
 )
 from stickybm.quadrature import QuadratureSpec
 
@@ -181,6 +191,70 @@ class TestExactReferenceRates:
             costs = cost_batch(a, x.x1, np.array(x.xp), y1, yp[:, None])
             assert costs.min() >= rate - 1e-12, (a, x, target)
             assert costs.min() <= rate + 1e-3 * max(rate, 1.0), (a, x, target)
+
+
+def central_differences(f, v, h=1e-6):
+    """Central-difference Jacobian of the vector (or scalar) function f at v."""
+    cols = []
+    for i in range(v.size):
+        e = np.zeros(v.size)
+        e[i] = h
+        cols.append((np.asarray(f(v + e)) - np.asarray(f(v - e))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+class TestExactGradients:
+    """The reference programs' derivatives match central differences (step
+    1e-6) to 1e-6 of the largest entry."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_branch_gradient_matches_central_differences(self, k):
+        rng = np.random.default_rng(40 + k)
+        sides = set()
+        for i in range(60):
+            a = float(rng.choice([0.5, 2.0, 4.0, 7.0]))
+            params = ModelParams(a, 1.0)
+            x = P(0.0 if i % 2 else float(rng.uniform(0.0, 2.0)), float(rng.uniform(-2, 2)))
+            # Patch waypoints sit on y1 = 0, ball waypoints anywhere in y1 >= 0.
+            on_b = rng.random(k) < 0.5
+            y = np.column_stack([np.where(on_b, 0.0, rng.uniform(0.0, 2.0, k)),
+                                 rng.uniform(-4.0, 4.0, k)])
+            dts = np.diff(np.r_[0.0, np.sort(rng.uniform(0.1, 1.0, k))])
+            chain = np.vstack([x.coords(), y])
+            s = chain[1:, 0] + chain[:-1, 0]
+            v_t = np.abs(np.diff(chain[:, 1]))
+            cone = math.sqrt(max(a - 1.0, 0.0)) * v_t - s
+            if np.any(v_t < 1e-3) or (a > 1.0 and np.any(np.abs(cone) < 1e-3)):
+                continue    # |D| and the cone are kinks of the rate, not of its branches
+            points = [HalfSpacePoint(*row[:1], row[1:]) for row in chain]
+            for sticky in itertools.product((False, True), repeat=k):
+                value, grad = _branch_cost(params, x, dts, np.array(sticky), y.ravel())
+                expected = sum((sticky_rate(params, p, q) if st else euclidean_rate(p, q)) / dt
+                               for st, p, q, dt in zip(sticky, points, points[1:], dts))
+                assert value == pytest.approx(expected, rel=1e-14)
+                fd = central_differences(
+                    lambda w: _branch_cost(params, x, dts, np.array(sticky), w)[0], y.ravel())
+                np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+                sides.update((bool(o), a > 1.0 and c > 0.0)
+                             for o, st, c in zip(on_b, sticky, cone) if st)
+        # Sticky segments on both sides of the cone, ending on and off y1 = 0.
+        assert sides == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_constraint_jacobians_match_central_differences(self, k):
+        rng = np.random.default_rng(50 + k)
+        for _ in range(20):
+            patch = list(rng.random(k) < 0.5)
+            centres = np.column_stack([np.where(patch, 0.0, rng.uniform(0.0, 2.0, k)),
+                                       rng.uniform(-4.0, 4.0, k)])
+            radii = rng.uniform(0.1, 1.2, k)
+            v = (centres + rng.uniform(-1.0, 1.0, (k, 2))).ravel()
+            constraints = _target_constraints(centres, radii, patch)
+            assert len(constraints) == 1 + any(patch)
+            for con in constraints:
+                fd = central_differences(con["fun"], v)
+                np.testing.assert_allclose(con["jac"](v), fd, rtol=1e-6,
+                                           atol=1e-6 * np.abs(fd).max())
 
 
 class TestStaticLdp:
