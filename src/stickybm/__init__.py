@@ -36,19 +36,11 @@ from .kernel import (
     kernel_total_mass,
     killed_kernel,
 )
-from .simulate import (
-    SamplePath,
-    SimConfig,
-    modulus_statistics,
-    simulate,
-    simulate_batch,
-    simulate_many,
-)
+from .simulate import BatchPaths, SimConfig, modulus_statistics, simulate_batch
 from .ldp import (
     Ball,
     BoundaryPatch,
     LdpEstimate,
-    StaticExperiment,
     phase_transition_scan,
     sliced_ldp,
     static_ldp,

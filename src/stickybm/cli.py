@@ -23,8 +23,7 @@ import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams, cost, geodesic
 from .kernel import log_densities
-from .ldp import (Ball, BoundaryPatch, StaticExperiment, phase_transition_scan,
-                  sliced_ldp, static_ldp)
+from .ldp import Ball, BoundaryPatch, phase_transition_scan, sliced_ldp, static_ldp
 from .quadrature import QuadratureError, QuadratureSpec
 from .simulate import SimConfig, simulate_batch
 from .transport import (DiscreteMeasure, TransportConvergenceError,
@@ -209,11 +208,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ldp_static(args) -> int:
-    params = _params(args)
-    exp = StaticExperiment(params, _parse_point(args.x), _parse_target(args.target),
-                           _parse_floats(args.epsilons), method=args.method,
-                           n_paths=args.n_paths)
-    est = static_ldp(exp, QuadratureSpec(), seed=args.seed)
+    params, x, target = _params(args), _parse_point(args.x), _parse_target(args.target)
+    epsilons = _parse_floats(args.epsilons)
+    if args.method == "monte_carlo":
+        est = sliced_ldp(params, x, [(1.0, target)], epsilons, args.n_paths, args.seed)
+    else:
+        est = static_ldp(params, x, target, epsilons, QuadratureSpec())
     csv_path, json_path = _outputs(args, "ldp-static")
     # log p from eps log p: p itself may underflow to 0 where its logarithm is finite.
     rows = [[eps, p, s / eps, s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]

@@ -355,11 +355,15 @@ def sliced_cost(params: ModelParams, path: Path, partition) -> float:
         raise ValueError("partition must run from 0 to 1")
     if any(t1 >= t2 for t1, t2 in zip(ts, ts[1:])):
         raise ValueError("partition must be strictly increasing")
-    pts = [path.at(t) for t in ts]
+    return _sliced_sum(params, [path.at(t) for t in ts], np.diff(ts))
+
+
+def _sliced_sum(params: ModelParams, points, dts) -> float:
+    """``sum_j c(points[j], points[j+1]) / dts[j]``: the one time-sliced cost loop."""
     total = 0.0
-    for j in range(len(ts) - 1):
-        total += cost(params, pts[j], pts[j + 1]) / (ts[j + 1] - ts[j])
-    return total
+    for y0, y1, dt in zip(points, points[1:], dts):
+        total += cost(params, y0, y1) / dt
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams, _sticky_rate_core, _tangential_gap, cost
+from .geometry import HalfSpacePoint, ModelParams, _sliced_sum, _sticky_rate_core, _tangential_gap
+from .geometry import cost  # noqa: F401 -- perfbench traces and asserts the ``ldp.cost`` binding
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
 from .simulate import _path_blocks, walk
@@ -29,7 +30,6 @@ from .simulate import _path_blocks, walk
 __all__ = [
     "Ball",
     "BoundaryPatch",
-    "StaticExperiment",
     "LdpEstimate",
     "ScanRow",
     "ScanResult",
@@ -84,23 +84,6 @@ class BoundaryPatch:
         dp = np.asarray(xp) - np.asarray(self.center_tangential)
         r2 = np.sum(np.atleast_2d(dp) ** 2, axis=-1).reshape(np.shape(on_b))
         return on_b & (r2 <= self.radius ** 2)
-
-
-@dataclass(frozen=True)
-class StaticExperiment:
-    params: ModelParams
-    x: HalfSpacePoint
-    target: object
-    epsilons: tuple
-    method: str = "quadrature"      # "quadrature" | "monte_carlo"
-    n_paths: int = 100000
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilons", _fit_epsilons(self.epsilons))
-        if self.method not in ("quadrature", "monte_carlo"):
-            raise ValueError("method must be 'quadrature' or 'monte_carlo'")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -301,8 +284,11 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
     :func:`_branch_cost` and of the constraints, to ``ftol = 1e-11``, or to
     ``1e-8`` if it stops at rounding level first.  Its answer meets the
     constraints only to that tolerance, so the value is the sliced cost at the
-    nearest points of the targets and of their traces on ``y1 = 0``.
+    nearest points of the targets and of their traces on ``y1 = 0``.  When every
+    target holds ``x`` the infimum is exactly 0.0: the path may stay at ``x``.
     """
+    if all(t.contains(x.x1, np.asarray(x.xp)) for t in targets):
+        return 0.0
     from scipy.optimize import minimize
 
     k, d = len(targets), x.dim
@@ -340,16 +326,13 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
             raise RuntimeError(f"reference-rate program (sticky branches {sticky}) failed "
                                f"on {targets}: {res.message}")
         for ys in itertools.product(*map(near, centres, radii, patch, res.x.reshape(k, d))):
-            best = min(best, _sliced_sum(params, x, dts, ys))
+            best = min(best, _sliced_sum(params, [x, *ys], dts))
     return best
 
 
 def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target) -> float:
-    """Infimum of cost(x, .) over a Ball or BoundaryPatch: the smaller of
-    ``2^k = 2`` convex programs (one waypoint, at time 1), one per branch of the
-    cost; exactly 0.0 when the target holds ``x``."""
-    if target.contains(x.x1, np.asarray(x.xp)):
-        return 0.0
+    """Infimum of cost(x, .) over a Ball or BoundaryPatch: the sliced cost
+    ``min_sliced_cost(params, x, [(1.0, target)])`` of one waypoint at time 1."""
     return _min_sliced(params, x, np.ones(1), [target])
 
 
@@ -375,15 +358,14 @@ def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
     return counts
 
 
-def static_ldp(exp: StaticExperiment, spec: QuadratureSpec, seed: int = 0) -> LdpEstimate:
-    """Probabilities per epsilon, slope extraction, and the reference rate."""
-    params, x, target, eps = exp.params, exp.x, exp.target, exp.epsilons
-    reference = functools.partial(min_cost_over_target, params, x, target)
-    if exp.method == "monte_carlo":
-        hits = _hit_counts(params, x, np.ones(1), [target], eps, exp.n_paths, seed)
-        return _estimate(eps, reference, hits=hits, n_paths=exp.n_paths)
-    return _estimate(eps, reference, log_probs=[log_target_probability(params, spec, e, x, target)
-                                                for e in eps])
+def static_ldp(params: ModelParams, x: HalfSpacePoint, target, epsilons,
+               spec: QuadratureSpec) -> LdpEstimate:
+    """Quadrature probabilities of the target per epsilon, slope extraction, and
+    the reference rate.  Its Monte Carlo counterpart is :func:`sliced_ldp` with
+    the one waypoint ``(1.0, target)``."""
+    eps = _fit_epsilons(epsilons)
+    return _estimate(eps, functools.partial(min_cost_over_target, params, x, target),
+                     log_probs=[log_target_probability(params, spec, e, x, target) for e in eps])
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +464,6 @@ def _waypoint_dts(times) -> np.ndarray:
     return np.diff(t)
 
 
-def _sliced_sum(params: ModelParams, x: HalfSpacePoint, dts, points) -> float:
-    total = 0.0
-    for dt, y in zip(dts, points):
-        total += cost(params, x, y) / dt
-        x = y
-    return total
-
-
 def discrete_waypoint_cost(params: ModelParams, x: HalfSpacePoint, waypoints) -> float:
     """Time-sliced cost sum c(y_{j-1}, y_j) / (t_j - t_{j-1}) through points.
 
@@ -497,8 +471,8 @@ def discrete_waypoint_cost(params: ModelParams, x: HalfSpacePoint, waypoints) ->
     increasing times in (0, 1].  Additive along geodesics sampled at the
     waypoint times.
     """
-    return _sliced_sum(params, x, _waypoint_dts([t for t, _ in waypoints]),
-                       [y for _, y in waypoints])
+    return _sliced_sum(params, [x, *(y for _, y in waypoints)],
+                       _waypoint_dts([t for t, _ in waypoints]))
 
 
 def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets) -> float:
@@ -512,13 +486,13 @@ def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets) -> fl
 
 def sliced_ldp(params: ModelParams, x: HalfSpacePoint, waypoint_sets, epsilons,
                n_paths: int, seed: int) -> LdpEstimate:
-    """Monte Carlo probability that the slowed path visits every waypoint ball.
+    """Monte Carlo probability that the slowed path visits every waypoint target.
 
     The slowed path is sampled exactly at the waypoint times (one exact step
     per inter-waypoint interval), epsilon ``i`` in decreasing order on stream
-    ``(seed, i)``; one waypoint at ``t = 1`` gives the frequencies of the
-    Monte Carlo :func:`static_ldp`.  The reference rate is the sliced-cost
-    infimum over the product of balls.
+    ``(seed, i)``; one waypoint ``(1.0, target)`` is the Monte Carlo static
+    experiment (``stickybm ldp-static --method monte_carlo``).  The reference
+    rate is the sliced-cost infimum over the product of targets.
     """
     dts = _waypoint_dts([t for t, _ in waypoint_sets])
     eps = _fit_epsilons(epsilons)

@@ -10,27 +10,20 @@ vertical coordinates are conditionally Gaussian given the occupation
 increment, with per-coordinate variance ``dt + (a-1) * delta_O``.
 
 No Euler discretization of the degenerate SDE is involved (it has no strong
-solution); a crude thin-layer Euler scheme is provided only as a biased test
-oracle.
+solution).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams
-from .kernel import _log_g, _log_h
-from .quadrature import gauss_legendre
 
-__all__ = [
-    "SimConfig", "SamplePath", "BatchPaths", "step_batch", "walk", "simulate",
-    "simulate_batch", "simulate_many", "horizontal_cdf", "modulus_statistics",
-    "euler_thin_layer",
-]
+__all__ = ["SimConfig", "BatchPaths", "step_batch", "walk", "simulate_batch",
+           "modulus_statistics"]
 
 _BLOCK_UNIFORMS = 2 ** 22   # uniforms per walk over a block of paths, which bounds its draws
 
@@ -51,94 +44,6 @@ class SimConfig:
         _check_seed(self.seed)
         if self.x0.dim != self.params.d:
             raise ValueError("x0 dimension does not match params.d")
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """Sampled trajectory: times, states, and the two boundary clocks.
-
-    ``local_time = theta * occupation_time`` holds exactly elementwise by
-    construction, and ``x1`` is exactly 0.0 at every step where the boundary
-    atom was drawn.
-    """
-
-    times: np.ndarray
-    x1: np.ndarray
-    xp: np.ndarray
-    local_time: np.ndarray
-    occupation_time: np.ndarray
-
-    @property
-    def states(self):
-        return [HalfSpacePoint(float(self.x1[i]), tuple(self.xp[i]))
-                for i in range(self.x1.size)]
-
-    def coords(self) -> np.ndarray:
-        return np.concatenate([self.x1[:, None], self.xp], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Oracle
-# ---------------------------------------------------------------------------
-
-def _phi(tau, s):
-    """Centered normal density with variance tau at s, vectorized, 0 at tau <= 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.asarray(tau) > 0, np.exp(_log_g(tau, s, 2)), 0.0)
-
-
-def _h_density(tau, w):
-    """First-hitting density, vectorized, 0 at tau <= 0."""
-    return np.exp(_log_h(tau, w))
-
-
-@lru_cache(maxsize=8)
-def _graded_unit_grid(k: int) -> np.ndarray:
-    """Grid on [0, 1] with geometric refinement toward both endpoints."""
-    k_geo = max(k // 4, 16)
-    ends = np.geomspace(1e-12, 0.5, k_geo)
-    return np.unique(np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, k - 2 * k_geo),
-                                     ends, 1.0 - ends]))
-
-
-def _cumulative_gl(density, grid: np.ndarray) -> np.ndarray:
-    """Cumulative integral of a vectorized density at the grid nodes.
-
-    Per-cell 4-point Gauss-Legendre: the local-time quadrature of the oracle
-    :func:`horizontal_cdf`, independent of the sampler's closed forms.  A
-    density broadcasting leading axes against the ``(cells, 4)`` nodes gives
-    one row per index.
-    """
-    x, w = gauss_legendre(4)
-    lo = grid[:-1, None]
-    width = np.diff(grid)[:, None]
-    inc = (density(lo + width * x[None, :]) * w).sum(axis=-1) * width[:, 0]
-    return np.concatenate([np.zeros(inc.shape[:-1] + (1,)), np.cumsum(inc, axis=-1)], axis=-1)
-
-
-def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 1024):
-    """Closed-form-plus-quadrature CDF of the next horizontal position.
-
-    Used as the oracle against simulated marginals: P(X1 <= z) combining the
-    boundary atom, the no-visit part, and the jointly diffuse part; the
-    latter two integrate in closed form over z at fixed local time, with the
-    local-time integral done by per-cell Gauss-Legendre on a graded grid.
-    """
-    from scipy.special import ndtr
-
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    sd, th = math.sqrt(dt), params.theta
-    cdf = np.zeros_like(z)
-    if x1 > 0:      # no-visit part
-        cdf += np.maximum((ndtr((z - x1) / sd) - ndtr(-x1 / sd))
-                          - (ndtr((z + x1) / sd) - ndtr(x1 / sd)), 0.0)
-    # boundary atom, and the diffuse part at local time l, where
-    # int_0^z 2 h(tau, s + w) dw = 2 [phi(tau, s) - phi(tau, s + z)].
-    zc = z[:, None, None]
-    cdf += _cumulative_gl(lambda l: _h_density(dt - l / th, l + x1) / th + 2.0 * (
-        _phi(dt - l / th, l + x1) - _phi(dt - l / th, l + x1 + zc)),
-        th * dt * _graded_unit_grid(l_cells))[:, -1]
-    return cdf if cdf.size > 1 else float(cdf[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +163,13 @@ def _path_blocks(n_paths: int, n_steps: int, d: int):
 
 @dataclass(frozen=True)
 class BatchPaths:
-    """Paths stacked on the leading axis; ``path(i)`` extracts one of them."""
+    """Sampled paths stacked on the leading axis: times, states and the two
+    boundary clocks.
+
+    ``local_time = theta * occupation_time`` holds exactly elementwise by
+    construction, and ``x1`` is exactly 0.0 at every step where the boundary
+    atom was drawn.
+    """
 
     times: np.ndarray
     x1: np.ndarray
@@ -274,20 +185,14 @@ class BatchPaths:
     def n_paths(self) -> int:
         return self.x1.shape[0]
 
-    def path(self, i: int) -> SamplePath:
-        return SamplePath(self.times, self.x1[i], self.xp[i],
-                          self.theta * self.occupation_time[i], self.occupation_time[i])
-
-    def __iter__(self):
-        return (self.path(i) for i in range(self.n_paths))
-
 
 def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> BatchPaths:
     """Simulate paths ``first_index .. first_index + n_paths - 1``, vectorized.
 
     Stream 0 of :func:`walk` over ``n_steps`` equal steps: path ``i`` reads
-    its own row of draws whatever the batch, so the per-path law and values
-    are those of :func:`simulate`.
+    its own row of draws whatever the batch, so it takes the same values in
+    every batch that holds it, ``simulate_batch(config, 1, first_index=i)``
+    among them.
     """
     params, n, dt = config.params, config.n_steps, config.step
     blocks = _path_blocks(n_paths, n, params.d)
@@ -306,68 +211,24 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
     return BatchPaths(times, x1, xp, occ, params.theta)
 
 
-def simulate(config: SimConfig, path_index: int = 0) -> SamplePath:
-    """Simulate one path; deterministic given (seed, path_index)."""
-    return simulate_batch(config, 1, first_index=path_index).path(0)
-
-
-def simulate_many(config: SimConfig, n_paths: int, first_index: int = 0):
-    """Independent paths indexed ``first_index .. first_index + n_paths - 1``."""
-    return list(simulate_batch(config, n_paths, first_index=first_index))
-
-
 # ---------------------------------------------------------------------------
 # Path statistics
 # ---------------------------------------------------------------------------
 
-def modulus_statistics(paths, delta: float, eta: float, time_scale: float = 1.0) -> float:
+def modulus_statistics(paths: BatchPaths, delta: float, eta: float,
+                       time_scale: float = 1.0) -> float:
     """Empirical P(sup_{|t-s| <= delta} |w(t) - w(s)| >= eta) over sampled times.
 
     ``time_scale`` rescales the sampled times first (pass eps to measure the
     slowed path on its own clock).  Probes the exponential equicontinuity
-    bound C exp(-c eta^2 / (delta eps)).
+    bound C exp(-c eta^2 / (delta eps)).  Each lag up to ``delta`` (and at
+    most the whole path) takes its largest displacement over every path at once.
     """
-    if not paths:
-        raise ValueError("need at least one path")
-    hits = 0
-    for p in paths:
-        times = p.times / time_scale
-        dt = times[1] - times[0]
-        k_max = int(math.floor(delta / dt + 1e-9))
-        coords = p.coords()
-        worst = 0.0
-        for k in range(1, max(k_max, 0) + 1):
-            d = coords[k:] - coords[:-k]
-            worst = max(worst, float(np.max(np.linalg.norm(d, axis=1))))
-        if worst >= eta:
-            hits += 1
-    return hits / len(paths)
-
-
-def euler_thin_layer(params: ModelParams, x0: HalfSpacePoint, dt: float,
-                     n_steps: int, seed: int) -> SamplePath:
-    """Crude thin-layer Euler scheme for the degenerate SDE.  BIASED.
-
-    Test oracle only: treats positions below a layer sqrt(dt) as boundary
-    sojourn (tangential volatility sqrt(a), inward drift theta), standard BM
-    with reflection otherwise.  The boundary occupation it produces is biased
-    at any finite step; use for qualitative comparisons only.
-    """
-    layer = math.sqrt(dt)
-    rng = np.random.default_rng(seed)
-    d = params.d
-    x1 = np.empty(n_steps + 1)
-    xp = np.empty((n_steps + 1, d - 1))
-    occ = np.empty(n_steps + 1)
-    x1[0], xp[0], occ[0] = x0.x1, x0.xp, 0.0
-    for i in range(n_steps):
-        if x1[i] <= layer:      # stuck
-            x1[i + 1] = max(x1[i] + params.theta * dt, 0.0)
-            xp[i + 1] = xp[i] + math.sqrt(params.a * dt) * rng.standard_normal(d - 1)
-            occ[i + 1] = occ[i] + dt
-        else:
-            x1[i + 1] = abs(x1[i] + math.sqrt(dt) * rng.standard_normal())
-            xp[i + 1] = xp[i] + math.sqrt(dt) * rng.standard_normal(d - 1)
-            occ[i + 1] = occ[i]
-    times = dt * np.arange(n_steps + 1)
-    return SamplePath(times, x1, xp, params.theta * occ, occ)
+    times = paths.times / time_scale
+    k_max = min(int(math.floor(delta / (times[1] - times[0]) + 1e-9)), times.size - 1)
+    coords = np.concatenate([paths.x1[:, :, None], paths.xp], axis=2)
+    worst = np.zeros(paths.n_paths)
+    for k in range(1, k_max + 1):
+        lag = np.linalg.norm(coords[:, k:] - coords[:, :-k], axis=2)
+        np.maximum(worst, lag.max(axis=1), out=worst)
+    return np.count_nonzero(worst >= eta) / paths.n_paths

@@ -3,13 +3,23 @@
 Everything here deliberately avoids the closed forms under test: the sticky
 rate is minimized by golden section, transport values by explicit
 enumeration, entropic plans by plain log-domain Sinkhorn, and reference
-integrals by fixed-order Gauss-Legendre.
+integrals by fixed-order Gauss-Legendre.  The sampler's oracle
+:func:`horizontal_cdf` integrates the kernel's hitting and Gaussian log
+densities (``_log_h``, ``_log_g``) over local time by quadrature, apart from
+the sampler's inversion of the sticky clock; :func:`euler_thin_layer` is a
+deliberately crude, biased scheme for qualitative comparisons.
 """
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
+
+from stickybm.geometry import HalfSpacePoint, ModelParams
+from stickybm.kernel import _log_g, _log_h
+from stickybm.quadrature import gauss_legendre
+from stickybm.simulate import BatchPaths
 
 
 def golden_min_sticky_profile(a, s, v, tol=1e-14):
@@ -116,3 +126,97 @@ def plain_sinkhorn_plan(log_k, a, b, tol=1e-12, max_iter=100000):
         if max(np.abs(pi.sum(axis=1) - a).max(), np.abs(pi.sum(axis=0) - b).max()) < tol:
             return pi
     raise RuntimeError(f"plain Sinkhorn did not reach {tol} in {max_iter} sweeps")
+
+
+# ---------------------------------------------------------------------------
+# Sampler oracles
+# ---------------------------------------------------------------------------
+
+def _phi(tau, s):
+    """Centered normal density with variance tau at s, vectorized, 0 at tau <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.asarray(tau) > 0, np.exp(_log_g(tau, s, 2)), 0.0)
+
+
+def _h_density(tau, w):
+    """First-hitting density, vectorized, 0 at tau <= 0."""
+    return np.exp(_log_h(tau, w))
+
+
+@lru_cache(maxsize=8)
+def _graded_unit_grid(k: int) -> np.ndarray:
+    """Grid on [0, 1] with geometric refinement toward both endpoints."""
+    k_geo = max(k // 4, 16)
+    ends = np.geomspace(1e-12, 0.5, k_geo)
+    return np.unique(np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, k - 2 * k_geo),
+                                     ends, 1.0 - ends]))
+
+
+def _cumulative_gl(density, grid: np.ndarray) -> np.ndarray:
+    """Cumulative integral of a vectorized density at the grid nodes.
+
+    Per-cell 4-point Gauss-Legendre: the local-time quadrature of the oracle
+    :func:`horizontal_cdf`, independent of the sampler's closed forms.  A
+    density broadcasting leading axes against the ``(cells, 4)`` nodes gives
+    one row per index.
+    """
+    x, w = gauss_legendre(4)
+    lo = grid[:-1, None]
+    width = np.diff(grid)[:, None]
+    inc = (density(lo + width * x[None, :]) * w).sum(axis=-1) * width[:, 0]
+    return np.concatenate([np.zeros(inc.shape[:-1] + (1,)), np.cumsum(inc, axis=-1)], axis=-1)
+
+
+def horizontal_cdf(params: ModelParams, x1: float, dt: float, z, l_cells: int = 1024):
+    """Closed-form-plus-quadrature CDF of the next horizontal position.
+
+    Used as the oracle against simulated marginals: P(X1 <= z) combining the
+    boundary atom, the no-visit part, and the jointly diffuse part; the
+    latter two integrate in closed form over z at fixed local time, with the
+    local-time integral done by per-cell Gauss-Legendre on a graded grid.
+    """
+    from scipy.special import ndtr
+
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    sd, th = math.sqrt(dt), params.theta
+    cdf = np.zeros_like(z)
+    if x1 > 0:      # no-visit part
+        cdf += np.maximum((ndtr((z - x1) / sd) - ndtr(-x1 / sd))
+                          - (ndtr((z + x1) / sd) - ndtr(x1 / sd)), 0.0)
+    # boundary atom, and the diffuse part at local time l, where
+    # int_0^z 2 h(tau, s + w) dw = 2 [phi(tau, s) - phi(tau, s + z)].
+    zc = z[:, None, None]
+    cdf += _cumulative_gl(lambda l: _h_density(dt - l / th, l + x1) / th + 2.0 * (
+        _phi(dt - l / th, l + x1) - _phi(dt - l / th, l + x1 + zc)),
+        th * dt * _graded_unit_grid(l_cells))[:, -1]
+    return cdf if cdf.size > 1 else float(cdf[0])
+
+
+def euler_thin_layer(params: ModelParams, x0: HalfSpacePoint, dt: float,
+                     n_steps: int, seed: int) -> BatchPaths:
+    """Crude thin-layer Euler scheme for the degenerate SDE, as a one-path
+    batch.  BIASED.
+
+    Treats positions below a layer sqrt(dt) as boundary sojourn (tangential
+    volatility sqrt(a), inward drift theta), standard BM with reflection
+    otherwise.  The boundary occupation it produces is biased at any finite
+    step; use for qualitative comparisons only.
+    """
+    layer = math.sqrt(dt)
+    rng = np.random.default_rng(seed)
+    d = params.d
+    x1 = np.empty(n_steps + 1)
+    xp = np.empty((n_steps + 1, d - 1))
+    occ = np.empty(n_steps + 1)
+    x1[0], xp[0], occ[0] = x0.x1, x0.xp, 0.0
+    for i in range(n_steps):
+        if x1[i] <= layer:      # stuck
+            x1[i + 1] = max(x1[i] + params.theta * dt, 0.0)
+            xp[i + 1] = xp[i] + math.sqrt(params.a * dt) * rng.standard_normal(d - 1)
+            occ[i + 1] = occ[i] + dt
+        else:
+            x1[i + 1] = abs(x1[i] + math.sqrt(dt) * rng.standard_normal())
+            xp[i + 1] = xp[i] + math.sqrt(dt) * rng.standard_normal(d - 1)
+            occ[i + 1] = occ[i]
+    times = dt * np.arange(n_steps + 1)
+    return BatchPaths(times, x1[None], xp[None], occ[None], params.theta)

@@ -14,18 +14,17 @@ from stickybm.geometry import HalfSpacePoint, ModelParams, cost, cost_batch
 from stickybm.geometry import _sticky_rate_core
 from stickybm.kernel import (chapman_kolmogorov_residual, fokker_planck_residual,
                              kernel_total_mass, log_densities)
-from stickybm.ldp import (Ball, BoundaryPatch, StaticExperiment,
-                          discrete_waypoint_cost, phase_transition_scan, sliced_ldp,
-                          static_ldp)
+from stickybm.ldp import (Ball, BoundaryPatch, discrete_waypoint_cost, phase_transition_scan,
+                          sliced_ldp, static_ldp)
 from stickybm.pathopt import minimize_path_action
 from stickybm.quadrature import QuadratureSpec
-from stickybm.simulate import (SimConfig, horizontal_cdf, simulate_batch,
-                               _graded_unit_grid, _h_density, _phi)
+from stickybm.simulate import SimConfig, simulate_batch
 from stickybm.transport import (DiscreteMeasure, cost_matrix, gamma_limit_experiment,
                                 kantorovich)
 
 from oracles import (enumerate_assignment_value, enumerate_transport_value,
-                     golden_min_sticky_profile)
+                     golden_min_sticky_profile, horizontal_cdf, _graded_unit_grid, _h_density,
+                     _phi)
 
 SPEC = QuadratureSpec()
 
@@ -206,7 +205,7 @@ def test_criterion_07_static_ldp_slopes():
     lines = []
     ok = True
     for a, expected_ref in ((4.0, 0.45125), (0.5, 1.805)):
-        est = static_ldp(StaticExperiment(ModelParams(a, 1.0), P(0.0, 0.0), patch, eps), SPEC)
+        est = static_ldp(ModelParams(a, 1.0), P(0.0, 0.0), patch, eps, SPEC)
         rel = abs(est.extrapolated_rate - est.reference_rate) / est.reference_rate
         ok = ok and est.reference_rate == pytest.approx(expected_ref, rel=1e-6) and rel <= 0.10
         lines.append(f"a={a}: rate {est.extrapolated_rate:.4f} vs {est.reference_rate:.5f} "

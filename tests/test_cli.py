@@ -1,6 +1,5 @@
 import csv
 import functools
-import importlib
 import json
 import os
 import shlex
@@ -12,14 +11,11 @@ import pytest
 import stickybm.cli
 import stickybm.kernel
 import stickybm.ldp
+import stickybm.simulate
 import stickybm.transport
 from stickybm.cli import build_parser, main
 from stickybm.quadrature import QuadratureError
 from stickybm.transport import gamma_limit_experiment
-
-# The package re-exports the function `simulate`; every sampler step goes
-# through the module's `step_batch`.
-SIMULATE = importlib.import_module("stickybm.simulate")
 
 
 def run(tmp_path, *argv):
@@ -105,7 +101,7 @@ class TestDispatch:
     def test_non_finite_value_exits_2_before_any_quadrature_or_step(self, tmp_path, capsys,
                                                                     monkeypatch, argv):
         forbid(monkeypatch, stickybm.kernel, "log_integrate")
-        forbid(monkeypatch, SIMULATE, "step_batch")
+        forbid(monkeypatch, stickybm.simulate, "step_batch")
         (tmp_path / "nan.csv").write_text("x1,xp1,weight\n0,0,nan\n0,1,1\n")
         (tmp_path / "mu.csv").write_text("x1,xp1,weight\n0,0,1\n")
         argv = [arg.format(nan_measure=tmp_path / "nan.csv", measure=tmp_path / "mu.csv")
@@ -173,7 +169,7 @@ class TestSimulateCli:
             assert float(row[5]) == 1.5 * float(row[6])
 
     def test_zero_paths_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
-        forbid(monkeypatch, SIMULATE, "step_batch")
+        forbid(monkeypatch, stickybm.simulate, "step_batch")
         code = run(tmp_path, "simulate", "--a", "2", "--theta", "1", "--x", "0.3,0",
                    "--step", "0.1", "--n-steps", "5", "--n-paths", "0")
         assert code == 2
@@ -395,7 +391,7 @@ class TestLdpCli:
     ])
     def test_path_rejects_waypoint_times_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                          waypoints):
-        forbid(monkeypatch, SIMULATE, "step_batch")
+        forbid(monkeypatch, stickybm.simulate, "step_batch")
         code = run(tmp_path, "ldp-path", "--a", "4", "--theta", "1", "--x", "3,0",
                    "--waypoints", waypoints, "--epsilons", "0.2,0.1,0.05")
         assert code == 2
@@ -411,7 +407,7 @@ class TestLdpCli:
     ])
     def test_path_rejects_epsilons_and_paths_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                              epsilons, n_paths, message):
-        forbid(monkeypatch, SIMULATE, "step_batch")
+        forbid(monkeypatch, stickybm.simulate, "step_batch")
         code = run(tmp_path, "ldp-path", "--a", "4", "--theta", "1", "--x", "3,0",
                    "--waypoints", "0.5:3,0:2;1.0:3,0:2", "--epsilons", epsilons,
                    "--n-paths", n_paths)
@@ -428,7 +424,7 @@ class TestLdpCli:
     ])
     def test_seed_outside_64_bits_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                            argv, seed):
-        forbid(monkeypatch, SIMULATE, "step_batch")
+        forbid(monkeypatch, stickybm.simulate, "step_batch")
         code = run(tmp_path, *argv, "--a", "4", "--theta", "1", "--x", "0.3,0",
                    "--n-paths", "100", "--seed", seed)
         assert code == 2
@@ -448,7 +444,7 @@ class TestLdpCli:
     def test_static_two_epsilons_exit_2_before_quadrature_or_sampling(self, tmp_path, capsys,
                                                                       monkeypatch, method):
         forbid(monkeypatch, stickybm.kernel, "log_integrate")
-        forbid(monkeypatch, SIMULATE, "step_batch")
+        forbid(monkeypatch, stickybm.simulate, "step_batch")
         code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
                    "--target", "patch:2:0.1", "--epsilons", "0.2,0.1", "--method", method)
         assert code == 2
@@ -458,13 +454,22 @@ class TestLdpCli:
 
     def test_static_monte_carlo_zero_paths_exits_2_before_sampling(self, tmp_path, capsys,
                                                                     monkeypatch):
-        forbid(monkeypatch, SIMULATE, "step_batch")
+        forbid(monkeypatch, stickybm.simulate, "step_batch")
         code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
                    "--target", "patch:2:0.1", "--epsilons", "0.2,0.1,0.05",
                    "--method", "monte_carlo", "--n-paths", "0")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "n_paths" in err
+
+    def test_static_monte_carlo_ball_holding_x_has_zero_reference_rate(self, tmp_path, capsys):
+        code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0.5,0",
+                   "--target", "ball:0.5,0.1:0.2", "--epsilons", "0.2,0.1,0.05",
+                   "--method", "monte_carlo", "--n-paths", "2000", "--seed", "3")
+        assert code == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "ldp-static.json").read_text())
+        assert summary["reference_rate"] == 0.0 and summary["dropped_epsilons"] == []
 
     @pytest.mark.parametrize("epsilons", ["0.2,0.1", "0.2,0.2,0.1"])
     def test_scan_rejects_too_few_distinct_epsilons_before_quadrature(self, tmp_path, capsys,

@@ -1,18 +1,26 @@
-"""The package's export lists name only what exists.
+"""The package's export lists name only what exists, and the benchmark's calls bind.
 
 Every name in a module's ``__all__`` must be defined there, and every name
 the package ``__init__`` re-exports must be in its module's ``__all__``, so
-that a deleted function or type cannot linger in either list.
+that a deleted function or type cannot linger in either list.  Every library
+name, keyword and result field that ``perfbench/ops.py`` and ``perfbench/tests``
+use must still exist, so that a simplification cannot silently break a
+benchmark operation.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import stickybm
+from stickybm import cli, geometry, ldp, transport
+from stickybm.geometry import ModelParams, point
+from stickybm.pathopt import minimize_path_action
+from stickybm.simulate import SimConfig, simulate_batch
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(stickybm.__path__)
                  if m.name != "__main__")    # importing __main__ runs the CLI
@@ -33,3 +41,51 @@ def test_package_imports_only_listed_names():
         module = importlib.import_module(f"stickybm.{node.module}")
         unlisted = [a.name for a in node.names if a.name not in module.__all__]
         assert not unlisted, f"stickybm imports {unlisted} from {node.module}, not in its __all__"
+
+
+# (module, name, positional arguments, keywords) of every call the benchmark makes.
+BENCHMARK_CALLS = [
+    ("cli", "main", 1, ()),
+    ("geometry", "HalfSpacePoint", 2, ()),
+    ("geometry", "ModelParams", 2, ()),
+    ("geometry", "cone_contains", 3, ()),
+    ("geometry", "cost", 3, ()),
+    ("geometry", "point", 2, ()),
+    ("kernel", "kernel_total_mass", 3, ()),
+    ("ldp", "Ball", 2, ()),
+    ("ldp", "BoundaryPatch", 2, ()),
+    ("ldp", "fit_rate", 2, ()),
+    ("ldp", "log_target_probability", 5, ()),
+    ("ldp", "min_cost_over_target", 3, ()),
+    ("ldp", "min_sliced_cost", 3, ()),
+    ("pathopt", "minimize_path_action", 3, ("n_segments", "restarts", "seed")),
+    ("quadrature", "QuadratureSpec", 0, ()),
+    ("simulate", "SimConfig", 4, ("seed",)),
+    ("simulate", "simulate_batch", 2, ()),
+    ("transport", "DiscreteMeasure", 2, ()),
+    ("transport", "TransportPlan", 4, ()),
+    ("transport", "cost_matrix", 3, ()),
+    ("transport", "kantorovich", 3, ()),
+]
+
+
+@pytest.mark.parametrize("module, name, n_args, keywords", BENCHMARK_CALLS,
+                         ids=[f"{m}.{n}" for m, n, _, _ in BENCHMARK_CALLS])
+def test_benchmark_call_binds(module, name, n_args, keywords):
+    fn = getattr(importlib.import_module(f"stickybm.{module}"), name)
+    inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
+def test_benchmark_bindings_and_result_fields():
+    # Bindings the benchmark replaces or traces, and the result fields it reads.
+    assert cli.kantorovich is transport.kantorovich
+    assert ldp.cost is geometry.cost
+    params = ModelParams(2.0, 1.5)
+    batch = simulate_batch(SimConfig(params, point(0.3, 0.0), 0.05, 2, seed=1), 2)
+    for field in ("x1", "local_time", "occupation_time"):
+        assert getattr(batch, field).shape == (2, 3)
+    res = minimize_path_action(params, point(0.5, 0.0), point(0.5, 2.5), n_segments=4,
+                               restarts=2, seed=0)
+    assert res.value > 0.0
+    assert {"matrix", "cost_value", "source", "target"} <= set(
+        inspect.signature(transport.TransportPlan).parameters)

@@ -16,6 +16,7 @@ from stickybm.kernel import (
     killed_kernel,
     log_densities,
     log_sticky_integral,
+    _log_h,
     _sticky_log_grid,
     _sticky_log_integrand_m,
     _sticky_log_slopes_m,
@@ -23,7 +24,7 @@ from stickybm.kernel import (
 )
 from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre, log_integrate
 
-from oracles import fixed_gauss_legendre_integral
+from oracles import _h_density, fixed_gauss_legendre_integral
 
 
 SPEC = QuadratureSpec()
@@ -63,7 +64,7 @@ class TestBuildingBlocks:
         # density's maximum t = 1/3 so both panels are monotone.
         def log_h_in_t(rows, t):
             with np.errstate(divide="ignore"):
-                return np.log(hitting_density_vec(t, 1.0))
+                return np.log(_h_density(t, 1.0))
 
         for horizon in (0.05, 0.5, 2.0, 50.0, 1e4):
             got = math.exp(log_integrate(log_h_in_t, 1e-12, horizon, SPEC, split_points=(1.0 / 3.0,)))
@@ -91,14 +92,6 @@ class TestBuildingBlocks:
         zp = (0.4, -1.2)
         assert gaussian_density(2.0, zp) == pytest.approx(
             gaussian_density(1.0, tuple(z / math.sqrt(2) for z in zp)) / 2.0, rel=1e-14)
-
-
-def hitting_density_vec(t, x1):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = x1 / (math.sqrt(2 * math.pi) * t[pos] ** 1.5) * np.exp(-x1 * x1 / (2 * t[pos]))
-    return out
 
 
 class TestBivariate:
@@ -149,9 +142,7 @@ class TestBivariate:
         masses, mc = [], []
         for th in (0.5, 1.0, 2.0, 4.0):
             ls = np.linspace(0.0, th * t, 40001)
-            tau = t - ls / th
-            vals = np.array([hitting_density(tt, ll + x1) / th if tt > 0 and ll + x1 > 0 else 0.0
-                             for tt, ll in zip(tau, ls)])
+            vals = np.exp(_log_h(t - ls / th, ls + x1)) / th
             masses.append(np.trapezoid(vals, ls))
             cfg = SimConfig(ModelParams(1.0, th), P(x1, 0.0), t, 1, seed=3)
             mc.append(float(np.mean(simulate_batch(cfg, 20000).x1[:, 1] == 0.0)))

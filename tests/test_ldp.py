@@ -1,5 +1,6 @@
-import importlib
+import csv
 import itertools
+import json
 import math
 from types import SimpleNamespace
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 import stickybm.ldp
+import stickybm.simulate
+from stickybm.cli import main
 from stickybm.geometry import (
     HalfSpacePoint,
     ModelParams,
@@ -19,7 +22,6 @@ from stickybm.ldp import (
     Ball,
     BoundaryPatch,
     LdpEstimate,
-    StaticExperiment,
     cone_crossing_value,
     discrete_waypoint_cost,
     fit_rate,
@@ -60,16 +62,13 @@ class TestPlumbing:
     def test_experiment_validation(self):
         params = ModelParams(1.0, 1.0)
         with pytest.raises(ValueError):
-            StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), (0.1, 0.2))
-        with pytest.raises(ValueError, match="method"):
-            StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), (0.2, 0.1, 0.05),
-                             method="bogus")
+            static_ldp(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), (0.1, 0.2), SPEC)
         for few in ((0.2, 0.1), (0.2, 0.2, 0.1)):
             with pytest.raises(ValueError, match="three distinct"):
-                StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), few)
+                static_ldp(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), few, SPEC)
         for bad in ((math.nan, 0.1, 0.05), (math.inf, 0.1, 0.05), (0.2, 0.1, math.nan)):
             with pytest.raises(ValueError, match="finite"):
-                StaticExperiment(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), bad)
+                static_ldp(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), bad, SPEC)
         with pytest.raises(ValueError):
             Ball(P(1.0, 0.0), 0.0)
 
@@ -260,25 +259,22 @@ class TestExactGradients:
 class TestStaticLdp:
     def test_sticky_fixture_within_ten_percent(self):
         params = ModelParams(4.0, 1.0)
-        exp = StaticExperiment(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
-                               (0.2, 0.1, 0.05, 0.025))
-        est = static_ldp(exp, SPEC)
+        est = static_ldp(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
+                         (0.2, 0.1, 0.05, 0.025), SPEC)
         assert est.reference_rate == pytest.approx(0.45125, rel=1e-6)
         assert abs(est.extrapolated_rate - est.reference_rate) <= 0.1 * est.reference_rate
 
     def test_euclidean_fixture_within_ten_percent(self):
         params = ModelParams(0.5, 1.0)
-        exp = StaticExperiment(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
-                               (0.2, 0.1, 0.05, 0.025))
-        est = static_ldp(exp, SPEC)
+        est = static_ldp(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
+                         (0.2, 0.1, 0.05, 0.025), SPEC)
         assert est.reference_rate == pytest.approx(1.805, rel=1e-6)
         assert abs(est.extrapolated_rate - est.reference_rate) <= 0.1 * est.reference_rate
 
     def test_zero_rate_neighborhood(self):
         params = ModelParams(4.0, 1.0)
         x = P(0.5, 0.0)
-        exp = StaticExperiment(params, x, Ball(x, 0.2), (0.1, 0.05, 0.025))
-        est = static_ldp(exp, SPEC)
+        est = static_ldp(params, x, Ball(x, 0.2), (0.1, 0.05, 0.025), SPEC)
         assert est.reference_rate == 0.0
         assert abs(est.extrapolated_rate) <= 0.02
 
@@ -287,17 +283,15 @@ class TestStaticLdp:
         x = P(0.0, 0.0)
         target = BoundaryPatch((0.8,), 0.15)
         eps = (0.2, 0.1, 0.05)
-        quad = static_ldp(StaticExperiment(params, x, target, eps), SPEC)
-        mc = static_ldp(StaticExperiment(params, x, target, eps, method="monte_carlo",
-                                         n_paths=40000), SPEC, seed=5)
+        quad = static_ldp(params, x, target, eps, SPEC)
+        mc = sliced_ldp(params, x, [(1.0, target)], eps, n_paths=40000, seed=5)
         for q, (lo, hi) in zip(quad.probs, mc.wilson_bounds):
             assert lo <= q <= hi
 
     def test_beta_is_bounded(self):
         params = ModelParams(4.0, 1.0)
-        exp = StaticExperiment(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
-                               (0.2, 0.1, 0.05, 0.025))
-        est = static_ldp(exp, SPEC)
+        est = static_ldp(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
+                         (0.2, 0.1, 0.05, 0.025), SPEC)
         assert abs(est.beta) < 5.0
 
 
@@ -376,34 +370,48 @@ class TestSliced:
         ref_static = min_cost_over_target(params, x, ball)
         ref_sliced = min_sliced_cost(params, x, [(1.0, ball)])
         assert ref_sliced == pytest.approx(ref_static, rel=1e-6)
-        # the Monte Carlo event is the same one-step marginal event
+        # the Monte Carlo event is the one-step marginal event whose kernel
+        # mass the quadrature static experiment integrates
         eps = (0.2, 0.1, 0.05)
         n = 30000
         sl = sliced_ldp(params, x, [(1.0, ball)], eps, n_paths=n, seed=9)
-        st = static_ldp(StaticExperiment(params, x, ball, eps, method="monte_carlo",
-                                         n_paths=n), SPEC, seed=17)
+        st = static_ldp(params, x, ball, eps, SPEC)
         assert sl.reference_rate == pytest.approx(st.reference_rate, rel=1e-6)
         for p_sl, p_st in zip(sl.probs, st.probs):
-            se = math.sqrt(p_st * (1 - p_st) / n + p_sl * (1 - p_sl) / n)
-            assert abs(p_sl - p_st) <= 4 * se
+            assert abs(p_sl - p_st) <= 4 * math.sqrt(p_st * (1 - p_st) / n)
 
-    def test_single_waypoint_draws_the_static_streams(self):
+    def test_single_waypoint_draws_the_static_streams(self, tmp_path, capsys):
         # One waypoint at t = 1 is one step of horizon eps on stream (seed,
-        # eps index), as in the Monte Carlo static experiment: the same hits.
+        # eps index): what `ldp-static --method monte_carlo` reports.
         params = ModelParams(4.0, 1.0)
         x = P(0.0, 0.0)
         ball = Ball(P(0.0, 0.8), 0.3)
         eps, n = (0.2, 0.1, 0.05), 20000
         sl = sliced_ldp(params, x, [(1.0, ball)], eps, n_paths=n, seed=4)
-        st = static_ldp(StaticExperiment(params, x, ball, eps, method="monte_carlo",
-                                         n_paths=n), SPEC, seed=4)
-        # Both are one LdpEstimate from one fit; only the reference programs differ.
-        assert isinstance(sl, LdpEstimate)
-        assert sl.epsilons == st.epsilons and sl.probs == st.probs
-        assert sl.log_probs == st.log_probs and sl.dropped_epsilons == st.dropped_epsilons
-        assert sl.wilson_bounds == st.wilson_bounds
-        assert (sl.extrapolated_rate, sl.beta, sl.gamma) == (st.extrapolated_rate, st.beta,
-                                                            st.gamma)
+        assert isinstance(sl, LdpEstimate) and not sl.dropped_epsilons
+        code = main(["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
+                     "--target", "ball:0,0.8:0.3", "--epsilons", "0.2,0.1,0.05",
+                     "--method", "monte_carlo", "--n-paths", str(n), "--seed", "4",
+                     "-o", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        st = json.loads((tmp_path / "ldp-static.json").read_text())
+        rows = list(csv.reader((tmp_path / "ldp-static.csv").open(newline="")))[1:-1]
+        assert tuple(st["epsilons"]) == sl.epsilons and st["dropped_epsilons"] == []
+        assert tuple(st["eps_log_probs"]) == sl.log_probs
+        assert tuple(float(r[1]) for r in rows) == sl.probs
+        assert (st["extrapolated_rate"], st["beta"], st["gamma"], st["reference_rate"]) == (
+            sl.extrapolated_rate, sl.beta, sl.gamma, sl.reference_rate)
+
+    def test_zero_when_every_waypoint_set_holds_x(self):
+        # Staying at x costs nothing, so the infimum is exactly 0, with no program solved.
+        x = P(0.0, 0.5)
+        sets = [(0.5, Ball(P(0.1, 0.6), 0.3)), (1.0, BoundaryPatch((0.4,), 0.2))]
+        for a in (0.5, 4.0):
+            assert min_sliced_cost(ModelParams(a, 1.0), x, sets) == 0.0
+        # One set without x leaves a positive infimum.
+        assert min_sliced_cost(ModelParams(4.0, 1.0), x,
+                               [sets[0], (1.0, BoundaryPatch((1.0,), 0.2))]) > 0.0
 
     def test_path_blocks_count_the_same_hits(self, monkeypatch):
         params = ModelParams(4.0, 1.0)
@@ -411,7 +419,7 @@ class TestSliced:
         balls = [Ball(P(0.0, 0.5), 0.4), Ball(P(0.0, 1.0), 0.5)]
         dts, eps, n = np.array([0.5, 0.5]), (0.2, 0.1), 3000
         whole = stickybm.ldp._hit_counts(params, x, dts, balls, eps, n, seed=5)
-        monkeypatch.setattr(importlib.import_module("stickybm.simulate"), "_BLOCK_UNIFORMS",
+        monkeypatch.setattr(stickybm.simulate, "_BLOCK_UNIFORMS",
                             333 * 2 * 4)
         assert len(stickybm.ldp._path_blocks(n, 2, 2)) == 10
         assert stickybm.ldp._hit_counts(params, x, dts, balls, eps, n, seed=5) == whole

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -7,19 +6,19 @@ from scipy.integrate import quad
 from scipy.special import erf, ndtr, ndtri
 from scipy.stats import ks_2samp, kstest, qmc
 
+import stickybm.simulate as sim
 from stickybm.geometry import HalfSpacePoint, ModelParams
 from stickybm.simulate import (
-    SamplePath,
+    BatchPaths,
     SimConfig,
-    euler_thin_layer,
-    horizontal_cdf,
     modulus_statistics,
-    simulate,
     simulate_batch,
-    simulate_many,
     step_batch,
     walk,
 )
+
+from oracles import (_cumulative_gl, _graded_unit_grid, _h_density, _phi, euler_thin_layer,
+                     horizontal_cdf)
 
 
 def P(x1, *xp):
@@ -27,8 +26,6 @@ def P(x1, *xp):
 
 
 PARAMS = ModelParams(2.0, 1.5, 2)
-# The package re-exports the function `simulate`; reach the module itself.
-sim = importlib.import_module("stickybm.simulate")
 
 
 def one_step(params, x1, dt, n, seed):
@@ -67,11 +64,11 @@ def clock_law_by_quadrature(xi, theta1, k=1024, sub=4):
     """``P(s* <= 1 - g)`` at the nodes ``g`` of ``_graded_unit_grid(k)``, by the
     oracle's per-cell Gauss-Legendre (each cell cut in ``sub``) of the
     local-time density ``h / theta1 + 2 phi`` at ``l = theta1 g``."""
-    g = sim._graded_unit_grid(k)
+    g = _graded_unit_grid(k)
     fine = theta1 * np.append((g[:-1, None] + np.diff(g)[:, None] * np.arange(sub) / sub), 1.0)
     s = np.asarray(xi, dtype=float)[:, None, None]
-    cdf = sim._cumulative_gl(lambda l: sim._h_density(1.0 - l / theta1, l + s) / theta1
-                             + 2.0 * sim._phi(1.0 - l / theta1, l + s), fine)[:, ::sub]
+    cdf = _cumulative_gl(lambda l: _h_density(1.0 - l / theta1, l + s) / theta1
+                         + 2.0 * _phi(1.0 - l / theta1, l + s), fine)[:, ::sub]
     return 1.0 - g, cdf[:, -1:] - cdf
 
 
@@ -280,7 +277,7 @@ class TestMarginalLaw:
 class TestPaths:
     def test_invariants(self):
         cfg = SimConfig(PARAMS, P(0.3, 0.0), 0.05, 200, seed=7)
-        path = simulate(cfg)
+        path = simulate_batch(cfg, 1)
         assert np.all(path.local_time == PARAMS.theta * path.occupation_time)
         assert np.all(np.diff(path.occupation_time) >= 0)
         assert np.all(np.diff(path.occupation_time) <= 0.05 + 1e-15)
@@ -297,7 +294,8 @@ class TestPaths:
         batch = simulate_batch(cfg, 300)
         assert np.array_equal(batch.local_time, PARAMS.theta * batch.occupation_time)
         for i in (0, 299):
-            path = batch.path(i)
+            path = simulate_batch(cfg, 1, first_index=i)
+            assert np.array_equal(path.x1[0], batch.x1[i])
             assert np.array_equal(path.local_time, PARAMS.theta * path.occupation_time)
         far = batch.x1[:, :-1] / math.sqrt(0.001) >= 8.5
         assert far.any() and (~far).any()
@@ -305,18 +303,19 @@ class TestPaths:
 
     def test_determinism_contract(self):
         cfg = SimConfig(PARAMS, P(0.3, 0.0), 0.05, 50, seed=7)
-        p1, p2 = simulate(cfg), simulate(cfg)
+        p1, p2 = simulate_batch(cfg, 1), simulate_batch(cfg, 1)
         assert np.array_equal(p1.x1, p2.x1) and np.array_equal(p1.xp, p2.xp)
-        p3 = simulate(SimConfig(PARAMS, P(0.3, 0.0), 0.05, 50, seed=8))
+        p3 = simulate_batch(SimConfig(PARAMS, P(0.3, 0.0), 0.05, 50, seed=8), 1)
         assert not np.array_equal(p1.x1, p3.x1)
 
     def test_batch_matches_single(self):
         cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 5, seed=3)
         batch = simulate_batch(cfg, 4)
         for i in range(4):
-            single = simulate(cfg, path_index=i)
-            assert np.array_equal(single.x1, batch.path(i).x1)
-            assert np.array_equal(single.xp, batch.path(i).xp)
+            single = simulate_batch(cfg, 1, first_index=i)
+            assert np.array_equal(single.x1[0], batch.x1[i])
+            assert np.array_equal(single.xp[0], batch.xp[i])
+            assert np.array_equal(single.occupation_time[0], batch.occupation_time[i])
 
     def test_path_blocks_match_one_block(self, monkeypatch):
         # d = 2 and 6 steps: 24 uniforms per path, so 7 paths per block here
@@ -376,10 +375,12 @@ class TestPaths:
             walk(PARAMS, P(0.3, 0.0), [0.1], 5, seed)
 
     def test_simulate_many(self):
+        # Many paths are one batch, stacked on the leading axis.
         cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 3, seed=3)
-        paths = simulate_many(cfg, 3)
-        assert len(paths) == 3
-        assert all(isinstance(p, SamplePath) for p in paths)
+        paths = simulate_batch(cfg, 3)
+        assert isinstance(paths, BatchPaths) and paths.n_paths == 3
+        assert paths.x1.shape == (3, 4) and paths.xp.shape == (3, 4, 1)
+        assert paths.occupation_time.shape == (3, 4) and paths.times.shape == (4,)
 
     def test_far_from_boundary_is_plain_bm(self):
         params = ModelParams(3.0, 1.0, 2)
@@ -392,25 +393,45 @@ class TestPaths:
         vert = np.diff(batch.xp[:, :, 0], axis=1).ravel()
         assert vert.var() == pytest.approx(0.01, rel=0.05)
 
-    def test_states_property_exact_zeros(self):
-        cfg = SimConfig(PARAMS, P(0.05, 0.0), 0.2, 30, seed=13)
-        path = simulate(cfg)
-        for i, st in enumerate(path.states):
-            assert st.x1 == path.x1[i]
-            if path.x1[i] == 0.0:
-                assert st.on_boundary()
+
+def modulus_by_path(paths, delta, eta, time_scale):
+    """Reference for :func:`modulus_statistics`: path by path, lag by lag."""
+    hits = 0
+    for i in range(paths.n_paths):
+        times = paths.times / time_scale
+        k_max = int(math.floor(delta / (times[1] - times[0]) + 1e-9))
+        coords = np.column_stack([paths.x1[i], paths.xp[i]])
+        worst = 0.0
+        for k in range(1, min(k_max, times.size - 1) + 1):
+            worst = max(worst, float(np.max(np.linalg.norm(coords[k:] - coords[:-k], axis=1))))
+        hits += worst >= eta
+    return hits / paths.n_paths
 
 
 class TestModulus:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_batch_matches_a_loop_over_paths(self, d):
+        params = ModelParams(2.0, 1.5, d)
+        cfg = SimConfig(params, P(0.2, *[0.0] * (d - 1)), 0.05, 30, seed=37)
+        paths = simulate_batch(cfg, 50)
+        cases = [(0.2, 0.5, 1.0), (0.25, 0.8, 1.0), (0.01, 0.1, 1.0), (0.05, 0.3, 0.5),
+                 (1.0, 1.2, 0.25), (5.0, 1.0, 1.0), (0.1, 1e9, 1.0)]
+        freqs = []
+        for delta, eta, time_scale in cases:
+            freq = modulus_statistics(paths, delta, eta, time_scale=time_scale)
+            assert freq == modulus_by_path(paths, delta, eta, time_scale)
+            freqs.append(freq)
+        assert 0.0 in freqs and any(0.0 < f < 1.0 for f in freqs)
+
     def test_eta_limits(self):
         cfg = SimConfig(PARAMS, P(0.5, 0.0), 0.05, 40, seed=17)
-        paths = simulate_many(cfg, 40)
+        paths = simulate_batch(cfg, 40)
         assert modulus_statistics(paths, 0.2, 1e-9) == 1.0
         assert modulus_statistics(paths, 0.2, 1e9) == 0.0
 
     def test_monotone_in_eta(self):
         cfg = SimConfig(PARAMS, P(0.5, 0.0), 0.05, 40, seed=19)
-        paths = simulate_many(cfg, 60)
+        paths = simulate_batch(cfg, 60)
         etas = [0.1, 0.3, 0.6, 1.0]
         freqs = [modulus_statistics(paths, 0.25, e) for e in etas]
         assert all(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:]))
@@ -423,7 +444,7 @@ class TestModulus:
         points = []
         for eps in (0.2, 0.1, 0.05):
             cfg = SimConfig(params, P(1.0, 0.0), eps * 0.05, 20, seed=23)
-            paths = simulate_many(cfg, 400)
+            paths = simulate_batch(cfg, 400)
             freq = modulus_statistics(paths, delta, eta, time_scale=eps)
             if freq > 0:
                 points.append((1.0 / (delta * eps), math.log(freq)))
@@ -432,10 +453,6 @@ class TestModulus:
         ys = np.array([p[1] for p in points])
         slope = np.polyfit(xs, ys, 1)[0]
         assert slope < 0
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            modulus_statistics([], 0.1, 0.1)
 
 
 class TestLongRun:
@@ -468,6 +485,6 @@ class TestEulerOracle:
         euler_fracs = []
         for i in range(15):
             ep = euler_thin_layer(params, P(0.2, 0.0), 0.0025, 4000, seed=100 + i)
-            euler_fracs.append(ep.occupation_time[-1] / horizon)
+            euler_fracs.append(ep.occupation_time[0, -1] / horizon)
         frac_euler = float(np.mean(euler_fracs))
         assert 0.2 * frac_exact < frac_euler < 3.0 * frac_exact
