@@ -1,11 +1,11 @@
 """Command-line surface: experiments in, CSV data and JSON summaries out.
 
-Every subcommand validates its numeric inputs before any computation starts,
-writes ``<output>/<subcommand>.csv`` plus ``<output>/<subcommand>.json`` (the
-JSON echoes the fully resolved configuration so runs are round-trippable),
-and prints a one-line result.  ``--seed`` fully determines stochastic
-outputs; floats are emitted at 17 significant digits so determinism checks
-are bit-meaningful.
+Every subcommand validates its numeric inputs before any computation starts
+and ends in the one writer, ``_emit``: it writes ``<output>/<subcommand>.csv``
+plus ``<output>/<subcommand>.json`` (the JSON echoes the fully resolved
+configuration so runs are round-trippable) and prints a one-line result.
+``--seed`` fully determines stochastic outputs; floats are emitted at 17
+significant digits so determinism checks are bit-meaningful.
 
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure, 4 I/O.
 """
@@ -56,11 +56,10 @@ def _parse_floats(text: str):
 
 def _parse_target(text: str):
     kind, _, rest = text.partition(":")
+    center, _, radius = rest.rpartition(":")
     if kind == "ball":
-        center, _, radius = rest.rpartition(":")
         return Ball(_parse_point(center), float(radius))
     if kind == "patch":
-        center, _, radius = rest.rpartition(":")
         return BoundaryPatch(_parse_floats(center), float(radius))
     raise ValueError(f"unknown target kind {kind!r}; use ball:<point>:<r> or patch:<x'>:<r>")
 
@@ -86,32 +85,33 @@ def _read_measure(path: str) -> DiscreteMeasure:
     return DiscreteMeasure(tuple(atoms), tuple(weights))
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_json(path: str, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_fmt)
-        fh.write("\n")
-
-
-def _outputs(args, name: str):
-    os.makedirs(args.output, exist_ok=True)
-    return (os.path.join(args.output, f"{name}.csv"),
-            os.path.join(args.output, f"{name}.json"))
-
-
-def _resolved(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+def _coord_names(d: int, prefix: str = ""):
+    return [f"{prefix}x1"] + [f"{prefix}xp{i}" for i in range(1, d)]
 
 
 def _params(args) -> ModelParams:
     return ModelParams(args.a, args.theta, args.d)
+
+
+def _measures(args):
+    return _read_measure(args.mu0), _read_measure(args.mu1)
+
+
+def _emit(args, header, rows, summary: dict, line: str) -> int:
+    """Write ``<command>.csv`` (``header``, then ``rows`` through ``_fmt``) and
+    ``<command>.json`` (``summary`` plus the resolved ``config``), print ``line``."""
+    os.makedirs(args.output, exist_ok=True)
+    stem = os.path.join(args.output, args.command)
+    with open(stem + ".csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    with open(stem + ".json", "w") as fh:
+        json.dump({"config": config, **summary}, fh, sort_keys=True, indent=2, default=_fmt)
+        fh.write("\n")
+    print(line)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -120,36 +120,20 @@ def _params(args) -> ModelParams:
 
 def _cmd_cost(args) -> int:
     params = _params(args)
-    x = _parse_point(args.x)
-    y = _parse_point(args.y)
-    value = cost(params, x, y)
-    csv_path, json_path = _outputs(args, "cost")
-    _write_csv(csv_path, ["a", "theta", "x", "y", "cost"],
-               [[params.a, params.theta, args.x, args.y, value]])
-    _write_json(json_path, {"config": _resolved(args), "cost": value})
-    print(_fmt(value))
-    return EXIT_OK
+    value = cost(params, _parse_point(args.x), _parse_point(args.y))
+    return _emit(args, ["a", "theta", "x", "y", "cost"],
+                 [[params.a, params.theta, args.x, args.y, value]], {"cost": value}, _fmt(value))
 
 
 def _cmd_geodesic(args) -> int:
     params = _params(args)
-    x = _parse_point(args.x)
-    y = _parse_point(args.y)
-    g = geodesic(params, x, y)
-    csv_path, json_path = _outputs(args, "geodesic")
-    rows = []
-    for k, seg in enumerate(g.segments):
-        rows.append([k, seg.duration,
-                     *seg.start.coords().tolist(), *seg.end.coords().tolist()])
-    d = params.d
-    header = (["segment", "duration"]
-              + [f"start_{c}" for c in (["x1"] + [f"xp{i}" for i in range(1, d)])]
-              + [f"end_{c}" for c in (["x1"] + [f"xp{i}" for i in range(1, d)])])
-    _write_csv(csv_path, header, rows)
-    _write_json(json_path, {"config": _resolved(args), "case": g.case_tag,
-                            "total_cost": g.total_cost})
-    print(f"{g.case_tag} {_fmt(g.total_cost)}")
-    return EXIT_OK
+    g = geodesic(params, _parse_point(args.x), _parse_point(args.y))
+    rows = [[k, seg.duration, *seg.start.coords().tolist(), *seg.end.coords().tolist()]
+            for k, seg in enumerate(g.segments)]
+    header = ["segment", "duration", *_coord_names(params.d, "start_"),
+              *_coord_names(params.d, "end_")]
+    return _emit(args, header, rows, {"case": g.case_tag, "total_cost": g.total_cost},
+                 f"{g.case_tag} {_fmt(g.total_cost)}")
 
 
 def _cmd_kernel(args) -> int:
@@ -178,33 +162,25 @@ def _cmd_kernel(args) -> int:
     interior = np.exp(dens.interior)
     boundary = np.exp(dens.boundary)
     rows = [[t, x.x1, x.xp[0], *point] for point in zip(y1, yp, interior, boundary)]
-    csv_path, json_path = _outputs(args, "kernel")
-    _write_csv(csv_path, ["t", "x1", "xp1", "y1", "yp1", "interior_density", "boundary_density"], rows)
-
     # trapezoid mass over the emitted grid, for the summary
     mass = float(np.trapezoid(np.trapezoid(interior[: n * n].reshape(n, n), yps, axis=1), y1s)
                  + np.trapezoid(boundary[n * n:], yps))
-    _write_json(json_path, {"config": _resolved(args), "trapezoid_mass": mass})
-    print(f"rows={len(rows)} trapezoid_mass={_fmt(mass)}")
-    return EXIT_OK
+    return _emit(args, ["t", "x1", "xp1", "y1", "yp1", "interior_density", "boundary_density"],
+                 rows, {"trapezoid_mass": mass}, f"rows={len(rows)} trapezoid_mass={_fmt(mass)}")
 
 
 def _cmd_simulate(args) -> int:
     params = _params(args)
-    x0 = _parse_point(args.x)
-    cfg = SimConfig(params, x0, args.step, args.n_steps, args.seed)
+    cfg = SimConfig(params, _parse_point(args.x), args.step, args.n_steps, args.seed)
     batch = simulate_batch(cfg, args.n_paths)
-    csv_path, json_path = _outputs(args, "simulate")
     times, x1, xp = batch.times.tolist(), batch.x1.tolist(), batch.xp.tolist()
     local, occ = batch.local_time.tolist(), batch.occupation_time.tolist()
     rows = [[p, i, times[i], x1[p][i], *xp[p][i], local[p][i], occ[p][i]]
             for p in range(args.n_paths) for i in range(args.n_steps + 1)]
-    header = ["path", "step", "t", "x1"] + [f"xp{i}" for i in range(1, params.d)] + ["L", "O"]
-    _write_csv(csv_path, header, rows)
     frac = float(np.mean(batch.x1 == 0.0))
-    _write_json(json_path, {"config": _resolved(args), "boundary_fraction": frac})
-    print(f"paths={args.n_paths} steps={args.n_steps} boundary_fraction={_fmt(frac)}")
-    return EXIT_OK
+    return _emit(args, ["path", "step", "t", *_coord_names(params.d), "L", "O"], rows,
+                 {"boundary_fraction": frac},
+                 f"paths={args.n_paths} steps={args.n_steps} boundary_fraction={_fmt(frac)}")
 
 
 def _cmd_ldp_static(args) -> int:
@@ -214,13 +190,10 @@ def _cmd_ldp_static(args) -> int:
         est = sliced_ldp(params, x, [(1.0, target)], epsilons, args.n_paths, args.seed)
     else:
         est = static_ldp(params, x, target, epsilons, QuadratureSpec())
-    csv_path, json_path = _outputs(args, "ldp-static")
     # log p from eps log p: p itself may underflow to 0 where its logarithm is finite.
     rows = [[eps, p, s / eps, s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
     rows.append(["summary", est.extrapolated_rate, est.reference_rate, est.beta])
-    _write_csv(csv_path, ["epsilon", "prob", "log_prob", "eps_log_prob"], rows)
-    _write_json(json_path, {
-        "config": _resolved(args),
+    return _emit(args, ["epsilon", "prob", "log_prob", "eps_log_prob"], rows, {
         "epsilons": list(est.epsilons),
         "eps_log_probs": list(est.log_probs),
         "extrapolated_rate": est.extrapolated_rate,
@@ -228,28 +201,20 @@ def _cmd_ldp_static(args) -> int:
         "beta": est.beta,
         "gamma": est.gamma,
         "dropped_epsilons": list(est.dropped_epsilons),
-    })
-    print(f"extrapolated={_fmt(est.extrapolated_rate)} reference={_fmt(est.reference_rate)}")
-    return EXIT_OK
+    }, f"extrapolated={_fmt(est.extrapolated_rate)} reference={_fmt(est.reference_rate)}")
 
 
 def _cmd_ldp_scan(args) -> int:
-    x = _parse_point(args.x)
-    y = _parse_point(args.y)
+    x, y = _parse_point(args.x), _parse_point(args.y)
     res = phase_transition_scan(_parse_floats(args.a_grid), args.theta, x, y,
                                 _parse_floats(args.epsilons), QuadratureSpec(),
                                 ball_radius=args.radius)
-    csv_path, json_path = _outputs(args, "ldp-scan")
     rows = [[r.a, r.extrapolated_rate, r.reference_rate] for r in res.rows]
-    _write_csv(csv_path, ["a", "extrapolated_rate", "reference_rate"], rows)
-    _write_json(json_path, {
-        "config": _resolved(args),
+    return _emit(args, ["a", "extrapolated_rate", "reference_rate"], rows, {
         "flat_level": res.flat_level,
         "empirical_kink": res.empirical_kink,
         "crossing_root": res.crossing_root,
-    })
-    print(f"kink={_fmt(res.empirical_kink)} crossing_root={_fmt(res.crossing_root)}")
-    return EXIT_OK
+    }, f"kink={_fmt(res.empirical_kink)} crossing_root={_fmt(res.crossing_root)}")
 
 
 def _cmd_ldp_path(args) -> int:
@@ -257,94 +222,66 @@ def _cmd_ldp_path(args) -> int:
     waypoints = []
     for item in args.waypoints.split(";"):
         t_str, _, rest = item.partition(":")
-        center, _, radius = rest.rpartition(":")
-        waypoints.append((float(t_str), Ball(_parse_point(center), float(radius))))
+        waypoints.append((float(t_str), _parse_target("ball:" + rest)))
     est = sliced_ldp(params, _parse_point(args.x), waypoints,
                      _parse_floats(args.epsilons), args.n_paths, args.seed)
-    csv_path, json_path = _outputs(args, "ldp-path")
     rows = [[eps, p, s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
     rows.append(["summary", est.extrapolated_rate, est.reference_rate])
-    _write_csv(csv_path, ["epsilon", "prob", "eps_log_prob"], rows)
-    _write_json(json_path, {
-        "config": _resolved(args),
+    return _emit(args, ["epsilon", "prob", "eps_log_prob"], rows, {
         "extrapolated_rate": est.extrapolated_rate,
         "reference_rate": est.reference_rate,
         "dropped_epsilons": list(est.dropped_epsilons),
-    })
-    print(f"extrapolated={_fmt(est.extrapolated_rate)} reference={_fmt(est.reference_rate)}")
-    return EXIT_OK
+    }, f"extrapolated={_fmt(est.extrapolated_rate)} reference={_fmt(est.reference_rate)}")
 
 
 def _plan_rows(plan):
-    rows = []
-    for i in range(plan.matrix.shape[0]):
-        for j in range(plan.matrix.shape[1]):
-            if plan.matrix[i, j] > 0:
-                rows.append([i, j, plan.matrix[i, j]])
-    return rows
+    m = plan.matrix
+    return [[i, j, m[i, j]] for i, j in zip(*np.nonzero(m > 0))]
 
 
 def _cmd_ot(args) -> int:
     params = _params(args)
-    plan = kantorovich(params, _read_measure(args.mu0), _read_measure(args.mu1))
-    csv_path, json_path = _outputs(args, "ot")
-    _write_csv(csv_path, ["i", "j", "mass"], _plan_rows(plan))
-    _write_json(json_path, {"config": _resolved(args), "value": plan.cost_value,
-                            "marginal_defect": plan.marginal_defect()})
-    print(_fmt(plan.cost_value))
-    return EXIT_OK
+    plan = kantorovich(params, *_measures(args))
+    return _emit(args, ["i", "j", "mass"], _plan_rows(plan),
+                 {"value": plan.cost_value, "marginal_defect": plan.marginal_defect()},
+                 _fmt(plan.cost_value))
 
 
 def _cmd_sinkhorn(args) -> int:
     params = _params(args)
-    plan = schrodinger(params, QuadratureSpec(), args.epsilon,
-                       _read_measure(args.mu0), _read_measure(args.mu1),
+    plan = schrodinger(params, QuadratureSpec(), args.epsilon, *_measures(args),
                        max_iter=args.max_iter, tol=args.tol)
-    csv_path, json_path = _outputs(args, "sinkhorn")
-    _write_csv(csv_path, ["i", "j", "mass"], _plan_rows(plan))
-    _write_json(json_path, {
-        "config": _resolved(args),
+    return _emit(args, ["i", "j", "mass"], _plan_rows(plan), {
         "value": plan.cost_value,
         "log_normalization": plan.log_normalization,
         "iterations": plan.iterations,
         "marginal_error": plan.marginal_error,
-    })
-    print(f"value={_fmt(plan.cost_value)} iterations={plan.iterations}")
-    return EXIT_OK
+    }, f"value={_fmt(plan.cost_value)} iterations={plan.iterations}")
 
 
 def _cmd_gamma_limit(args) -> int:
     params = _params(args)
-    res = gamma_limit_experiment(params, QuadratureSpec(), _read_measure(args.mu0),
-                                 _read_measure(args.mu1), _parse_floats(args.epsilons),
-                                 tol=args.tol)
-    csv_path, json_path = _outputs(args, "gamma-limit")
+    res = gamma_limit_experiment(params, QuadratureSpec(), *_measures(args),
+                                 _parse_floats(args.epsilons), tol=args.tol)
     rows = [[r.epsilon, r.entropic_value, r.log_normalization, r.gap, r.iterations]
             for r in res.rows]
-    _write_csv(csv_path, ["epsilon", "entropic_value", "log_normalization", "gap", "iterations"], rows)
-    _write_json(json_path, {
-        "config": _resolved(args),
-        "kantorovich_value": res.kantorovich_value,
-        "gap_slope": res.gap_slope,
-        "gaps_shrink": res.gaps_shrink,
-        "failed_epsilons": list(res.failed_epsilons),
-    })
-    print(f"kantorovich={_fmt(res.kantorovich_value)} gaps_shrink={res.gaps_shrink}")
-    return EXIT_OK
+    return _emit(args, ["epsilon", "entropic_value", "log_normalization", "gap", "iterations"],
+                 rows, {
+                     "kantorovich_value": res.kantorovich_value,
+                     "gap_slope": res.gap_slope,
+                     "gaps_shrink": res.gaps_shrink,
+                     "failed_epsilons": list(res.failed_epsilons),
+                 }, f"kantorovich={_fmt(res.kantorovich_value)} gaps_shrink={res.gaps_shrink}")
 
 
 def _cmd_interpolate(args) -> int:
     params = _params(args)
-    plan = kantorovich(params, _read_measure(args.mu0), _read_measure(args.mu1))
+    plan = kantorovich(params, *_measures(args))
     mid = displacement_interpolation(params, plan, args.t)
-    csv_path, json_path = _outputs(args, "interpolate")
     rows = [[p.x1, *p.xp, w] for p, w in zip(mid.atoms, mid.weights)]
-    header = ["x1"] + [f"xp{i}" for i in range(1, params.d)] + ["weight"]
-    _write_csv(csv_path, header, rows)
-    _write_json(json_path, {"config": _resolved(args), "atoms": len(mid.atoms),
-                            "plan_value": plan.cost_value})
-    print(f"atoms={len(mid.atoms)}")
-    return EXIT_OK
+    return _emit(args, [*_coord_names(params.d), "weight"], rows,
+                 {"atoms": len(mid.atoms), "plan_value": plan.cost_value},
+                 f"atoms={len(mid.atoms)}")
 
 
 # ---------------------------------------------------------------------------

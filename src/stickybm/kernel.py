@@ -200,17 +200,13 @@ def _sticky_log_slopes_m(params: ModelParams, t: float, s: np.ndarray, v: np.nda
     return slopes
 
 
-_PEAK_GRID = None
-
-
-def _peak_grid() -> np.ndarray:
-    global _PEAK_GRID
-    if _PEAK_GRID is None:
-        _PEAK_GRID = np.unique(np.concatenate([
-            np.linspace(0.0, 1.0, 65)[1:],
-            np.geomspace(2.0 ** -40, 2.0 ** -7, 34),
-        ]))
-    return _PEAK_GRID
+# The peak search's bracketing grid, increasing: dyadic from 2^-40 to 2^-7,
+# then uniform on [1/64, 1].  (Not np.unique: it imports numpy.ma, which
+# would add to every cold start.)
+_PEAK_GRID = np.concatenate([
+    np.geomspace(2.0 ** -40, 2.0 ** -7, 34),
+    np.linspace(0.0, 1.0, 65)[1:],
+])
 
 
 # Cap on the peak search's Newton passes; every integrand of the tests'
@@ -232,7 +228,7 @@ def _sticky_peak_m(log_f, slopes, n: int) -> np.ndarray:
     within a panel of its true location, the adaptive integrator resolves
     the rest.
     """
-    grid = _peak_grid()
+    grid = _PEAK_GRID
     live = np.arange(n)
     i = np.argmax(log_f(live, np.broadcast_to(grid, (n, grid.size))), axis=1)
     lo = grid[np.maximum(i - 1, 0)]
@@ -300,8 +296,11 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float, s, 
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals,
-                     order: int = 12, depth: int = 14):
+# Gauss-Legendre nodes per panel of the fixed rule in _sticky_log_grid.
+_GRID_ORDER = 12
+
+
+def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals, depth: int = 14):
     """Batched fixed-rule log local-time integrals on the (s, v) product grid.
 
     Returns a ``(len(s), len(v))`` matrix of
@@ -317,7 +316,7 @@ def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals,
         2.0 ** -np.arange(1, depth + 1, dtype=float),
         1.0 - 2.0 ** -np.arange(1, depth + 1, dtype=float),
     ]))
-    nodes01, w01 = gauss_legendre(order)
+    nodes01, w01 = gauss_legendre(_GRID_ORDER)
     m = (edges[:-1, None] + np.diff(edges)[:, None] * nodes01[None, :]).ravel()
     w = (np.diff(edges)[:, None] * w01[None, :]).ravel()
 

@@ -21,9 +21,13 @@ __all__ = ["QuadratureSpec", "QuadratureError", "log_integrate", "gauss_legendre
 
 _NEG_INF = -math.inf
 
+# Gauss-Legendre nodes per panel of the adaptive rule.
+_ORDER = 15
+
 
 class QuadratureError(RuntimeError):
-    """Tolerance not met within the subdivision budget; never silently inaccurate.
+    """Tolerance not met within the subdivision budget, or a NaN integrand;
+    never silently inaccurate.
 
     ``index`` is the position of the failing integrand in its batch.
     """
@@ -56,7 +60,8 @@ def gauss_legendre(n: int):
 
 
 def logsumexp(values, axis=None):
-    """log of the sum of exp over the non-NaN values; -inf where there are none.
+    """log of the sum of exp over the values; -inf where there are none, NaN
+    where any value is NaN.
 
     With ``axis=None`` every value counts and the result is a float;
     otherwise the sum runs along ``axis`` and the result is an array.
@@ -64,7 +69,6 @@ def logsumexp(values, axis=None):
     values = np.asarray(values, dtype=float)
     if axis is None:
         values, axis = values.ravel(), 0
-    values = np.where(np.isnan(values), _NEG_INF, values)
     if values.shape[axis] == 0:
         out = np.full(np.delete(values.shape, axis), _NEG_INF)
     else:
@@ -97,26 +101,32 @@ def _panels(log_f, rows, lo, hi, nodes, log_w):
     the panel's left endpoint, its nodes and its right endpoint.  Returns the
     log of each fixed-order estimate and ``log(width) + max(log_f(lo),
     log_f(hi))``, which bounds the log integral when ``exp(log_f)`` is
-    monotone on the panel.
+    monotone on the panel.  Raises :class:`QuadratureError`, with the
+    integrand's flat index, where ``log_f`` returns NaN.
     """
     width = hi - lo
     x = np.concatenate((lo[:, None], lo[:, None] + width[:, None] * nodes, hi[:, None]), axis=1)
     vals = np.asarray(log_f(rows, x), dtype=float)
+    nan = np.isnan(vals)
+    if nan.any():
+        k, j = np.argwhere(nan)[0]
+        raise QuadratureError(f"log integrand is NaN at {x[k, j]:.6g}", index=int(rows[k]))
     log_width = np.log(width)
     est = logsumexp(vals[:, 1:-1] + log_w + log_width[:, None], axis=1)
     return est, log_width + np.max(vals[:, [0, -1]], axis=1)
 
 
-def log_integrate(log_f, a, b, spec: QuadratureSpec, order: int = 15, split_points=()):
+def log_integrate(log_f, a, b, spec: QuadratureSpec, split_points=()):
     """log of ``int_a^b exp(log_f(t)) dt`` for a batch of integrands, by
     breadth-first adaptive bisection.
 
     ``a`` and ``b`` broadcast to the batch shape; the result has that shape
     (a float for scalars).  ``log_f(rows, x)`` evaluates integrand
     ``rows[k]`` at the nodes ``x[k, :]``: ``rows`` is a 1-D integer array
-    of flat batch indices and ``x`` a ``(len(rows), order + 2)`` array.
-    Each level of the bisection makes one such call covering both halves of
-    every live panel of every integrand.
+    of flat batch indices and ``x`` a ``(len(rows), 17)`` array holding
+    each panel's left end, its 15 Gauss nodes and its right end.  Each level
+    of the bisection makes one such call covering both halves of every live
+    panel of every integrand.
 
     ``split_points`` seeds panel boundaries; it broadcasts to the batch
     shape plus one trailing axis, and points outside ``(a, b)`` are ignored.
@@ -133,7 +143,7 @@ def log_integrate(log_f, a, b, spec: QuadratureSpec, order: int = 15, split_poin
     two estimates agree to ``0.25 * rtol``.  Accepted panels are summed per
     integrand.  Raises :class:`QuadratureError`, with the integrand's flat
     index, when a relevant panel still disagrees at ``max_subdivisions``
-    levels.
+    levels or when ``log_f`` returns NaN.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a.shape
@@ -141,7 +151,7 @@ def log_integrate(log_f, a, b, spec: QuadratureSpec, order: int = 15, split_poin
     if not np.all(b > a):
         raise ValueError("need b > a")
     n = a.size
-    nodes, w = gauss_legendre(order)
+    nodes, w = gauss_legendre(_ORDER)
     log_w = np.log(w)
 
     splits = np.asarray(split_points, dtype=float)

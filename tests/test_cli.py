@@ -39,13 +39,14 @@ def forbid(monkeypatch, module, name):
 class TestDispatch:
     def test_import_leaves_scipy_solvers_unloaded(self):
         # Cold start: scipy.optimize and scipy.special are imported only by
-        # the functions that call them, so `stickybm cost` never pays for them.
+        # the functions that call them, so `stickybm cost` never pays for them;
+        # nothing at import time pulls in numpy.ma (np.unique does).
         src = os.path.dirname(os.path.dirname(stickybm.cli.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         out = subprocess.run(
             [sys.executable, "-c", "import sys, stickybm.cli; "
-             "print(sorted({'scipy.optimize', 'scipy.special'} & set(sys.modules)))"],
+             "print(sorted({'scipy.optimize', 'scipy.special', 'numpy.ma'} & set(sys.modules)))"],
             env=env, capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
 
@@ -140,6 +141,52 @@ class TestDispatch:
         assert "three_segment" in out and "12.25" in out
         rows = read_csv(tmp_path / "geodesic.csv")
         assert len(rows) == 4  # header + three segments
+
+
+# One small run of each subcommand; {mu0} and {mu1} name two-atom measures.
+SMALL_RUNS = [
+    ["cost", "--a", "4", "--theta", "1", "--x", "0,0", "--y", "0,2"],
+    ["geodesic", "--a", "2", "--theta", "1", "--x", "1,0", "--y", "1,5"],
+    ["kernel", "--a", "1", "--theta", "1", "--t", "1", "--x", "0,0", "--grid", "3"],
+    ["simulate", "--a", "2", "--theta", "1", "--x", "0.3,0", "--step", "0.1", "--n-steps", "2",
+     "--n-paths", "2", "--seed", "1"],
+    ["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "patch:2:0.1",
+     "--epsilons", "0.2,0.1,0.05"],
+    ["ldp-scan", "--a-grid", "0.5,1.5", "--x", "0,0", "--y", "0,5", "--epsilons", "0.2,0.1,0.05"],
+    ["ldp-path", "--a", "4", "--theta", "1", "--x", "0,0", "--waypoints",
+     "0.5:0,1:0.8;1.0:0,2:0.8", "--epsilons", "0.2,0.1,0.05", "--n-paths", "2000", "--seed", "3"],
+    ["ot", "--a", "2", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}"],
+    ["sinkhorn", "--a", "2", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}",
+     "--epsilon", "0.5"],
+    ["gamma-limit", "--a", "2", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}",
+     "--epsilons", "0.04,0.02,0.01"],
+    ["interpolate", "--a", "2", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}",
+     "--t", "0.5"],
+]
+
+
+class TestEmit:
+    def test_small_runs_cover_every_subcommand(self):
+        subs = build_parser()._subparsers._group_actions[0].choices
+        assert sorted(argv[0] for argv in SMALL_RUNS) == sorted(subs)
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=[argv[0] for argv in SMALL_RUNS])
+    def test_every_subcommand_writes_one_csv_one_json_one_line(self, tmp_path, capsys, argv):
+        (tmp_path / "mu0.csv").write_text("x1,xp1,weight\n0,0,0.5\n0.5,2,0.5\n")
+        (tmp_path / "mu1.csv").write_text("x1,xp1,weight\n0,1,0.5\n0.2,3,0.5\n")
+        argv = [arg.format(mu0=tmp_path / "mu0.csv", mu1=tmp_path / "mu1.csv") for arg in argv]
+        out = tmp_path / "out"
+        assert run(out, *argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0]
+        command = argv[0]
+        assert sorted(os.listdir(out)) == [f"{command}.csv", f"{command}.json"]
+        config = json.loads((out / f"{command}.json").read_text())["config"]
+        dests = set(vars(build_parser().parse_args([*argv, "-o", str(out)])))
+        assert set(config) == dests - {"func"}
+        assert config["command"] == command and config["output"] == str(out)
+        rows = read_csv(out / f"{command}.csv")
+        assert len(rows) >= 2 and all(rows[0])
 
 
 class TestSimulateCli:

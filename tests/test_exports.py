@@ -4,12 +4,15 @@ Every name in a module's ``__all__`` must be defined there, and every name
 the package ``__init__`` re-exports must be in its module's ``__all__``, so
 that a deleted function or type cannot linger in either list.  Every library
 name, keyword and result field that ``perfbench/ops.py`` and ``perfbench/tests``
-use must still exist, so that a simplification cannot silently break a
-benchmark operation.
+use must still exist, and every CLI output column and JSON key that
+``perfbench/ops.py`` reads must still be written, so that a simplification
+cannot silently break a benchmark operation.
 """
 
 import ast
+import csv
 import importlib
+import json
 import inspect
 import pkgutil
 from pathlib import Path
@@ -74,6 +77,54 @@ BENCHMARK_CALLS = [
 def test_benchmark_call_binds(module, name, n_args, keywords):
     fn = getattr(importlib.import_module(f"stickybm.{module}"), name)
     inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
+# Every CLI output field that perfbench/ops.py reads: a small run of the
+# subcommand, the CSV columns it reads by position ({index: header}) and by
+# header name, and the JSON keys.  {mu0} and {mu1} name two-atom measures.
+BENCHMARK_OUTPUTS = [
+    (["kernel", "--a", "1", "--theta", "1", "--x", "0,0", "--t", "1", "--grid", "2"],
+     {3: "y1", 5: "interior_density", 6: "boundary_density"}, (), ()),
+    (["simulate", "--a", "2", "--theta", "1.5", "--x", "0.3,0", "--step", "0.05",
+      "--n-steps", "2", "--n-paths", "2", "--seed", "1"], {}, ("x1", "L", "O"), ()),
+    (["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "patch:1:0.2",
+      "--epsilons", "0.2,0.1,0.05", "--method", "monte_carlo", "--n-paths", "2000"],
+     {0: "epsilon", 1: "prob"}, (), ("extrapolated_rate", "reference_rate", "dropped_epsilons")),
+    (["ldp-path", "--a", "4", "--theta", "1", "--x", "0,0", "--waypoints",
+      "0.5:0,1:0.8;1.0:0,2:0.8", "--epsilons", "0.2,0.1,0.05", "--n-paths", "2000"],
+     {0: "epsilon", 1: "prob"}, (), ("extrapolated_rate", "reference_rate", "dropped_epsilons")),
+    (["gamma-limit", "--a", "4", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}",
+      "--epsilons", "0.04,0.02,0.01"], {}, (), ("kantorovich_value", "failed_epsilons")),
+    (["ot", "--a", "4", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}"],
+     {0: "i", 1: "j", 2: "mass"}, (), ("value",)),
+    (["interpolate", "--a", "4", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}",
+      "--t", "0.5"], {}, (), ("plan_value",)),
+]
+
+
+@pytest.mark.parametrize("argv, at, named, keys", BENCHMARK_OUTPUTS,
+                         ids=[argv[0] for argv, *_ in BENCHMARK_OUTPUTS])
+def test_benchmark_reads_of_cli_outputs(tmp_path, capsys, argv, at, named, keys):
+    (tmp_path / "mu0.csv").write_text("x1,xp1,weight\n0,0,0.5\n0.5,2,0.5\n")
+    (tmp_path / "mu1.csv").write_text("x1,xp1,weight\n0,1,0.5\n0.2,3,0.5\n")
+    argv = [arg.format(mu0=tmp_path / "mu0.csv", mu1=tmp_path / "mu1.csv") for arg in argv]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "-o", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / f"{argv[0]}.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert {k: header[k] for k in at} == at and set(named) <= set(header)
+    if argv[0] == "ot":
+        assert len(header) == 3     # the benchmark unpacks (i, j, mass)
+    # Every data row parses at the columns the benchmark reads; the LDP
+    # commands close with a "summary" row, which the benchmark skips.
+    data = [row for row in rows if row[0] != "summary"]
+    assert data
+    for row in data:
+        for k in [*at, *map(header.index, named)]:
+            float(row[k])
+    summary = json.loads((out / f"{argv[0]}.json").read_text())
+    assert set(keys) <= set(summary)
 
 
 def test_benchmark_bindings_and_result_fields():

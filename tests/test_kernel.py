@@ -16,6 +16,7 @@ from stickybm.kernel import (
     killed_kernel,
     log_densities,
     log_sticky_integral,
+    _log_g,
     _log_h,
     _sticky_log_grid,
     _sticky_log_integrand_m,
@@ -85,7 +86,8 @@ class TestBuildingBlocks:
         assert gaussian_density(1.0, (0.0,)) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
         # d = 3: tensor quadrature of the 2-D Gaussian integrates to one
         nodes = np.linspace(-8.0, 8.0, 401)
-        vals = np.array([[gaussian_density(1.0, (u, v)) for v in nodes] for u in nodes])
+        u, v = np.meshgrid(nodes, nodes, indexing="ij")
+        vals = np.exp(_log_g(1.0, np.sqrt(u * u + v * v), 3))
         mass = np.trapezoid(np.trapezoid(vals, nodes, axis=1), nodes)
         assert mass == pytest.approx(1.0, abs=1e-8)
         # scaling identity
@@ -109,9 +111,7 @@ class TestBivariate:
         ls = np.linspace(0.0, th * t, 20001)
 
         def b_dens(l):
-            tau = t - l / th
-            return np.array([hitting_density(tt, ll + x1) / th if tt > 0 else 0.0
-                             for tt, ll in zip(tau, l)])
+            return _h_density(t - l / th, l + x1) / th
 
         def j_marginal(l):
             tau = t - l / th
@@ -215,9 +215,7 @@ class TestTransitionKernel:
         g0 = gaussian_density(t, (0.0,))
 
         def integrand(l):
-            tau = t - l / th
-            return g0 * np.array([hitting_density(tt, ll) if tt > 0 and ll > 0 else 0.0
-                                  for tt, ll in zip(tau, l)])
+            return g0 * _h_density(t - l / th, l)
 
         ref = fixed_gauss_legendre_integral(integrand, 0.0, th * t, n=200) / th
         assert kv.boundary == pytest.approx(ref, rel=1e-8)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre, log_integrate
+from stickybm.quadrature import (QuadratureError, QuadratureSpec, gauss_legendre, log_integrate,
+                                 logsumexp)
 
 
 def test_spec_validation():
@@ -103,3 +104,24 @@ def test_failure_names_the_integrand():
     with pytest.raises(QuadratureError) as err:
         log_integrate(log_f, np.zeros(3), 1.0, spec)
     assert err.value.index == 1
+
+
+def test_logsumexp_propagates_nan():
+    assert math.isnan(logsumexp([0.0, math.nan]))
+    assert logsumexp([]) == -math.inf
+    assert logsumexp([-math.inf, 0.0]) == 0.0
+
+
+def test_nan_integrand_raises_before_any_refinement():
+    # A NaN term is an error, not a dropped term, and it is reported on the
+    # first pass instead of being bisected down to max_subdivisions.
+    calls = []
+
+    def log_f(rows, x):
+        calls.append(rows.size)
+        return np.where((rows[:, None] == 1) & (x > 0.6), math.nan, -x)
+
+    with pytest.raises(QuadratureError, match="NaN") as err:
+        log_integrate(log_f, np.zeros(3), 1.0, QuadratureSpec())
+    assert err.value.index == 1
+    assert len(calls) == 1
