@@ -255,7 +255,7 @@ def _cmd_sinkhorn(args) -> int:
         "value": plan.cost_value,
         "log_normalization": plan.log_normalization,
         "iterations": plan.iterations,
-        "marginal_error": plan.marginal_error,
+        "marginal_error": plan.marginal_defect(),
     }, f"value={_fmt(plan.cost_value)} iterations={plan.iterations}")
 
 

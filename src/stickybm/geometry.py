@@ -442,14 +442,8 @@ def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> Geode
         return _single_segment("boundary_only", x, y, c)
 
     root_a = math.sqrt(params.big_a)
-    gap = ypa - xpa
-    v = float(np.linalg.norm(gap))
-    if v > 0.0:
-        u = gap / v
-    else:
-        # Defensive: outside the cone requires v > 0 whenever x1 + y1 > 0.
-        u = np.zeros(params.d - 1)
-        u[0] = 1.0
+    # Outside the cone the gap exceeds a nonnegative threshold, so it is positive.
+    u = (ypa - xpa) / _tangential_gap(x, y)
     z_in = HalfSpacePoint(0.0, tuple(xpa + (x.x1 / root_a) * u))
     z_out = HalfSpacePoint(0.0, tuple(ypa - (y.x1 / root_a) * u))
 
@@ -457,7 +451,7 @@ def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> Geode
     pieces = []
     if x.x1 > 0.0:
         pieces.append((x, z_in, x.x1 * math.sqrt(params.a / params.big_a)))
-    mid = float(np.linalg.norm(np.asarray(z_out.xp) - np.asarray(z_in.xp)))
+    mid = _tangential_gap(z_in, z_out)
     if mid > 0.0:
         pieces.append((z_in, z_out, mid / math.sqrt(params.a)))
     if y.x1 > 0.0:

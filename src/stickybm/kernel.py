@@ -25,6 +25,11 @@ interior and boundary densities, and it is the one way to evaluate the
 kernel.  The tensor-grid checks (total mass, Chapman-Kolmogorov)
 use the fixed-rule ``_sticky_log_grid`` instead: about 10^5 values cost
 hundredths of a second there against seconds adaptively.
+
+``LogDensities.interior`` is the kernel's density w.r.t. the stationary
+measure mu, ``dy1 dy'`` inside and ``dy' / (2 theta)`` on the boundary.  So
+each integral of the kernel over a region is one call on one node set whose
+boundary nodes carry mu's weight ``1 / (2 theta)``.
 """
 
 from __future__ import annotations
@@ -296,11 +301,13 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float, s, 
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
-# Gauss-Legendre nodes per panel of the fixed rule in _sticky_log_grid.
+# Gauss-Legendre nodes per panel, and dyadic panel levels toward each end of
+# [0, 1], of the fixed rule in _sticky_log_grid.
 _GRID_ORDER = 12
+_GRID_DEPTH = 14
 
 
-def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals, depth: int = 14):
+def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
     """Batched fixed-rule log local-time integrals on the (s, v) product grid.
 
     Returns a ``(len(s), len(v))`` matrix of
@@ -313,8 +320,8 @@ def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals, depth: int =
     """
     edges = np.unique(np.concatenate([
         [0.0, 1.0],
-        2.0 ** -np.arange(1, depth + 1, dtype=float),
-        1.0 - 2.0 ** -np.arange(1, depth + 1, dtype=float),
+        2.0 ** -np.arange(1, _GRID_DEPTH + 1, dtype=float),
+        1.0 - 2.0 ** -np.arange(1, _GRID_DEPTH + 1, dtype=float),
     ]))
     nodes01, w01 = gauss_legendre(_GRID_ORDER)
     m = (edges[:-1, None] + np.diff(edges)[:, None] * nodes01[None, :]).ravel()
@@ -383,22 +390,24 @@ def log_densities(params: ModelParams, spec: QuadratureSpec, t: float,
 # Grid-based consistency checks
 # ---------------------------------------------------------------------------
 
-def _grid_densities(params, t, x1, y1_grid, v_grid, depth=14) -> LogDensities:
+def _grid_densities(params, t, x1, y1_grid, v_grid) -> LogDensities:
     """Log kernel densities on the tensor grid (y1_grid, v_grid) from the
     fixed-rule local-time integrals of :func:`_sticky_log_grid`."""
     y1 = np.asarray(y1_grid, dtype=float)
     v = np.asarray(v_grid, dtype=float)
-    log_st = _sticky_log_grid(params, t, x1 + y1, v, depth=depth)
+    log_st = _sticky_log_grid(params, t, x1 + y1, v)
     return _compose(params, t, x1, y1[:, None], v[None, :], log_st)
 
 
 def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float:
     """Total mass of the kernel by tensor quadrature (d = 2 or 3).
 
-    Integrates the interior density over a box truncated 8.5 standard
-    deviations out (composite 12-point Gauss-Legendre on 8 panels per axis,
-    radial in the tangential direction for d = 3) plus the boundary density
-    along the boundary.  Should return 1 up to quadrature and truncation error.
+    Integrates the kernel's mu-density against mu over a box truncated 8.5
+    standard deviations out (composite 12-point Gauss-Legendre on 8 panels
+    per axis, radial in the tangential direction for d = 3): the interior
+    rows carry their ``y1`` weights and the boundary row ``y1 = 0`` the
+    weight ``1 / (2 theta)``, all in one fixed-rule grid.  Should return 1
+    up to quadrature and truncation error.
     """
     if params.d not in (2, 3):
         raise ValueError("total-mass quadrature implemented for d = 2 and 3")
@@ -413,8 +422,8 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float
     u = (edges[:-1, None] + np.diff(edges)[:, None] * nodes01[None, :]).ravel()
     wu = (np.diff(edges)[:, None] * w01[None, :]).ravel()
 
-    y1 = u * y1_max
-    w_y1 = wu * y1_max
+    y1 = np.r_[0.0, u * y1_max]
+    w_y1 = np.r_[0.5 / params.theta, wu * y1_max]
     v = u * v_max
     w_v = wu * v_max
     if params.d == 2:
@@ -422,12 +431,8 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float
     else:
         w_ang = 2.0 * math.pi * v  # radial measure in the tangential plane
 
-    logq = _grid_densities(params, t, x1, y1, v, depth=12).interior
-    interior = float(w_y1 @ np.exp(logq) @ (w_v * w_ang))
-
-    log_b = _grid_densities(params, t, x1, [0.0], v).boundary[0]
-    boundary = float(np.exp(log_b) @ (w_v * w_ang))
-    return interior + boundary
+    logq = _grid_densities(params, t, x1, y1, v).interior
+    return float(w_y1 @ np.exp(logq) @ (w_v * w_ang))
 
 
 @dataclass(frozen=True)
@@ -447,10 +452,10 @@ def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
     """|p_{s+t}(x,y) - int p_s(x,.) p_t(.,y) dmu| on a midpoint grid (d = 2).
 
     The intermediate integral runs over an interior midpoint grid, 7.5
-    standard deviations out in each axis, plus the boundary line with atom
-    weight 1/(2 theta); densities are mu-densities.
-    A grid too coarse to reproduce the mass of ``p_s(x, .)`` raises the
-    ``coarse_warning`` flag instead of failing.
+    standard deviations out in each axis, plus the boundary row ``z1 = 0``
+    with the weight ``1 / (2 theta)`` of mu; both factors are mu-densities
+    on that one grid.  A grid too coarse to reproduce the mass of
+    ``p_s(x, .)`` raises the ``coarse_warning`` flag instead of failing.
     """
     if params.d != 2:
         raise ValueError("Chapman-Kolmogorov residual implemented for d = 2")
@@ -465,23 +470,17 @@ def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
     yp = y.xp[0]
     center = 0.5 * (xp + yp)
     h1 = z1_max / n1
-    z1 = (np.arange(n1) + 0.5) * h1
+    z1 = np.r_[0.0, (np.arange(n1) + 0.5) * h1]
     hp = 2.0 * zp_halfwidth / np_
+    w1 = np.r_[0.5 / params.theta, np.full(n1, h1)] * hp
     zp = center - zp_halfwidth + (np.arange(np_) + 0.5) * hp
 
-    # mu-density of p_s(x, .) and p_t(., y) on the tensor grid.
-    q_left = np.exp(_grid_densities(params, s, x.x1, z1, np.abs(zp - xp), depth=12).interior)
-    q_right = np.exp(_grid_densities(params, t, y.x1, z1, np.abs(zp - yp), depth=12).interior)
-    interior = float(np.sum(q_left * q_right)) * h1 * hp
-
-    lb_left = _grid_densities(params, s, x.x1, [0.0], np.abs(zp - xp)).rho_st[0]
-    lb_right = _grid_densities(params, t, y.x1, [0.0], np.abs(zp - yp)).rho_st[0]
-    boundary = float(np.sum(np.exp(lb_left + lb_right))) * hp / (2.0 * params.theta)
-
-    mass_left = float(np.sum(q_left)) * h1 * hp + float(np.sum(np.exp(lb_left))) * hp / (2.0 * params.theta)
+    q_left = np.exp(_grid_densities(params, s, x.x1, z1, np.abs(zp - xp)).interior)
+    q_right = np.exp(_grid_densities(params, t, y.x1, z1, np.abs(zp - yp)).interior)
+    value = float(w1 @ np.sum(q_left * q_right, axis=1))
+    mass_left = float(w1 @ np.sum(q_left, axis=1))
     reference = math.exp(float(
         log_densities(params, spec, s + t, x.x1, y.x1, abs(yp - xp)).interior))
-    value = interior + boundary
     return CkResult(abs(reference - value), reference, value,
                     abs(mass_left - 1.0), abs(mass_left - 1.0) > 1e-3)
 

@@ -159,52 +159,52 @@ def _estimate(epsilons, reference, log_probs=None, hits=None, n_paths=None) -> L
 # Quadrature probabilities (d = 2)
 # ---------------------------------------------------------------------------
 
+def _trace(target):
+    """``(centre', radius)`` of the target's part of {y1 = 0}, or None.  A patch
+    is its own trace; a ball has one, of radius ``sqrt(r^2 - c1^2)``, when
+    ``c1 < r``, so a tangent ball has none.  The radius is formed as
+    ``sqrt(r - c1) sqrt(r + c1)``, which no underflow makes zero."""
+    if isinstance(target, BoundaryPatch):
+        return target.center_tangential, target.radius
+    c1, r = target.center.x1, target.radius
+    return (target.center.xp, math.sqrt(r - c1) * math.sqrt(r + c1)) if c1 < r else None
+
+
 def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
                            x: HalfSpacePoint, target, order: int = 32) -> float:
     """log of the kernel mass of the target at horizon t (quadrature, d = 2).
 
-    Gauss-Legendre over the set, with the kernel at all of its interior
-    nodes, and at all of its boundary nodes, evaluated as one batch of
-    adaptive log-domain quadratures each.  The sets are closed; their
-    boundaries are mu-null, so the open sets have the same mass.
+    The kernel's mu-density (``interior`` of :func:`log_densities`) is
+    integrated against mu over one node set, evaluated as one batch of
+    adaptive log-domain quadratures: Gauss-Legendre on ``order`` chords
+    across a ball (whose error falls only algebraically in ``order``: the
+    chord length has a square-root endpoint), and on the target's trace on
+    the boundary, where mu carries the weight ``1 / (2 theta)``.  The sets
+    are closed; their boundaries are mu-null, so the open sets have the same
+    mass.
     """
     if params.d != 2:
         raise ValueError("quadrature target probabilities implemented for d = 2")
     nodes, w = gauss_legendre(order)
-    parts = []
-
-    def log_boundary_line(lo, hi):
-        # log mass of [lo, hi] on the boundary line: one kernel batch.
-        yps = lo + (hi - lo) * nodes
-        vals = log_densities(params, spec, t, x.x1, 0.0, np.abs(yps - x.xp[0])).boundary
-        return logsumexp(vals + np.log(w * (hi - lo)))
-
-    if isinstance(target, BoundaryPatch):
-        c = target.center_tangential[0]
-        parts.append(log_boundary_line(c - target.radius, c + target.radius))
-    elif isinstance(target, Ball):
-        c1, cp = target.center.x1, target.center.xp[0]
-        r = target.radius
+    parts = []      # (y1, y', weight) of each node set
+    if isinstance(target, Ball):
+        c1, cp, r = target.center.x1, target.center.xp[0], target.radius
         y1_lo, y1_hi = max(0.0, c1 - r), c1 + r
-        if y1_hi > y1_lo:
-            y1s = y1_lo + (y1_hi - y1_lo) * nodes
-            w1 = w * (y1_hi - y1_lo)
-            half = np.sqrt(np.maximum(r * r - (y1s - c1) ** 2, 0.0))
-            keep = half > 0.0
-            y1s, w1, half = y1s[keep], w1[keep], half[keep]
-            # Every node of every chord across the ball: one kernel batch.
-            yps = (cp - half)[:, None] + (2.0 * half)[:, None] * nodes
-            vals = log_densities(params, spec, t, x.x1, y1s[:, None],
-                                 np.abs(yps - x.xp[0])).interior
-            inner = logsumexp(vals + np.log(w * 2.0 * half[:, None]), axis=1) + np.log(w1)
-            parts.append(logsumexp(inner))
-        if c1 <= r:
-            half_b = math.sqrt(max(r * r - c1 * c1, 0.0))
-            if half_b > 0:
-                parts.append(log_boundary_line(cp - half_b, cp + half_b))
-    else:
+        y1s = y1_lo + (y1_hi - y1_lo) * nodes
+        half = np.sqrt(np.maximum(r * r - (y1s - c1) ** 2, 0.0))
+        parts.append((np.repeat(y1s, order),
+                      ((cp - half)[:, None] + (2.0 * half)[:, None] * nodes).ravel(),
+                      np.outer(w * (y1_hi - y1_lo) * 2.0 * half, w).ravel()))
+    elif not isinstance(target, BoundaryPatch):
         raise TypeError("target must be a Ball or BoundaryPatch")
-    return logsumexp(parts)
+    trace = _trace(target)
+    if trace is not None:
+        (c,), h = trace
+        parts.append((np.zeros(order), c - h + 2.0 * h * nodes, w * h / params.theta))
+    y1, yp, weight = map(np.concatenate, zip(*parts))
+    keep = weight > 0.0
+    vals = log_densities(params, spec, t, x.x1, y1[keep], np.abs(yp[keep] - x.xp[0])).interior
+    return logsumexp(vals + np.log(weight[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +297,12 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
                         for t, p in zip(targets, patch)])
     radii = np.array([t.radius for t in targets])
 
-    def near(c, r, is_patch, y):
+    def near(c, r, target, y):
         # The nearest points of the target and of its trace on y1 = 0.
-        disks = [] if is_patch else [(c, r, y)]
-        if c[0] <= r:
-            disks.append((np.r_[0.0, c[1:]], math.sqrt(r * r - c[0] ** 2), np.r_[0.0, y[1:]]))
+        disks = [] if isinstance(target, BoundaryPatch) else [(c, r, y)]
+        trace = _trace(target)
+        if trace is not None:
+            disks.append((np.r_[0.0, trace[0]], trace[1], np.r_[0.0, y[1:]]))
         return [HalfSpacePoint(z[0], z[1:])
                 for z in (o + (p - o) * (h / max(np.linalg.norm(p - o), h)) for o, h, p in disks)]
 
@@ -325,7 +326,7 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
         else:
             raise RuntimeError(f"reference-rate program (sticky branches {sticky}) failed "
                                f"on {targets}: {res.message}")
-        for ys in itertools.product(*map(near, centres, radii, patch, res.x.reshape(k, d))):
+        for ys in itertools.product(*map(near, centres, radii, targets, res.x.reshape(k, d))):
             best = min(best, _sliced_sum(params, [x, *ys], dts))
     return best
 
@@ -419,12 +420,14 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
     The rate is flat in a on a <= 1 (Euclidean regime) and strictly smaller
     past the cone-crossing value; the empirical kink is located by
     intersecting the flat level with a line through the first clearly
-    dropped scan points, and reported next to the closed-form root of the
-    cone equality at the pair (x, y).  Every input is checked before the first
-    quadrature.
+    dropped scan points, clamped to the interval between the last undropped
+    and the first dropped value of a, and reported next to the closed-form
+    root of the cone equality at the pair (x, y).  The rows are in
+    increasing a, whatever the order of ``a_values``.  Every input is checked
+    before the first quadrature.
     """
     eps = _fit_epsilons(epsilons)
-    models = [ModelParams(float(a), theta, x.dim) for a in a_values]
+    models = sorted((ModelParams(float(a), theta, x.dim) for a in a_values), key=lambda m: m.a)
     if not models:
         raise ValueError("the scan needs at least one value of a")
     target = Ball(y, ball_radius)
@@ -438,17 +441,13 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
 
     flat_rates = [r.extrapolated_rate for r in rows if r.a <= 1.0]
     flat = float(np.mean(flat_rates)) if flat_rates else rows[0].extrapolated_rate
-    dropped = [r for r in rows if r.extrapolated_rate < flat * 0.98]
+    dropped = [i for i, r in enumerate(rows) if r.extrapolated_rate < flat * 0.98]
+    kink = rows[dropped[0]].a if dropped else math.nan
     if len(dropped) >= 2:
-        pts = dropped[:3]
-        aa = np.array([r.a for r in pts])
-        rr = np.array([r.extrapolated_rate for r in pts])
-        slope, intercept = np.polyfit(aa, rr, 1)
-        kink = (flat - intercept) / slope if slope != 0 else pts[0].a
-    elif dropped:
-        kink = dropped[0].a
-    else:
-        kink = math.nan
+        pts = [rows[i] for i in dropped[:3]]
+        slope, intercept = np.polyfit([r.a for r in pts], [r.extrapolated_rate for r in pts], 1)
+        if slope != 0:
+            kink = min(max((flat - intercept) / slope, rows[max(dropped[0] - 1, 0)].a), kink)
     return ScanResult(tuple(rows), flat, float(kink), root)
 
 

@@ -84,13 +84,16 @@ class TransportPlan:
     target: DiscreteMeasure
     dual_potentials: tuple = None
     iterations: int = None
-    marginal_error: float = None
     log_normalization: float = None
 
     def marginal_defect(self) -> float:
-        row = np.abs(self.matrix.sum(axis=1) - np.asarray(self.source.weights)).max()
-        col = np.abs(self.matrix.sum(axis=0) - np.asarray(self.target.weights)).max()
-        return float(max(row, col))
+        """Largest deviation of a row or column sum from its marginal weight."""
+        return _marginal_error(self.matrix, np.asarray(self.source.weights),
+                               np.asarray(self.target.weights))
+
+
+def _marginal_error(pi: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    return max(float(np.abs(pi.sum(axis=1) - a).max()), float(np.abs(pi.sum(axis=0) - b).max()))
 
 
 def cost_matrix(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> np.ndarray:
@@ -208,7 +211,7 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
     ``iterations`` counts the warm-start sweeps plus the Newton steps (each
     with its polishing sweep) and is capped by ``max_iter``.  The run stops
     once the full plan's largest marginal error is below ``tol``;
-    ``marginal_error`` is that error of the returned plan, which is not
+    ``marginal_defect()`` is that error of the returned plan, which is not
     rounded or otherwise repaired.  Raises
     :class:`TransportConvergenceError` when the cap is reached first.
 
@@ -236,8 +239,7 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
             alpha, beta = _newton_step(pi, a, b, alpha, beta)
         alpha, beta = _sweep(log_k, log_a, log_b, beta)
         pi = np.exp(alpha[:, None] + log_k + beta[None, :])
-        err = max(float(np.abs(pi.sum(axis=1) - a).max()),
-                  float(np.abs(pi.sum(axis=0) - b).max()))
+        err = _marginal_error(pi, a, b)
         if err < tol:
             break
     else:
@@ -246,8 +248,7 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
             f"(marginal error {err:.3e})", err)
     value = epsilon * float(np.sum(pi * (alpha[:, None] + beta[None, :])))
     return TransportPlan(pi, value, mu0, mu1, dual_potentials=(alpha, beta),
-                         iterations=it, marginal_error=err,
-                         log_normalization=epsilon * logsumexp(log_k))
+                         iterations=it, log_normalization=epsilon * logsumexp(log_k))
 
 
 # ---------------------------------------------------------------------------

@@ -518,6 +518,22 @@ class TestLdpCli:
         summary = json.loads((tmp_path / "ldp-static.json").read_text())
         assert summary["reference_rate"] == 0.0 and summary["dropped_epsilons"] == []
 
+    @pytest.mark.parametrize("a", ["4", "0.5"])
+    @pytest.mark.parametrize("argv", [
+        ["ldp-static", "--target", "ball:0.5,3:0.5", "--epsilons", "0.2,0.1,0.05"],
+        ["ldp-static", "--target", "ball:0.5,3:0.5", "--epsilons", "0.5,0.4,0.3",
+         "--method", "monte_carlo", "--n-paths", "2000"],
+        ["ldp-path", "--waypoints", "1.0:0.5,3:0.5", "--epsilons", "0.5,0.4,0.3",
+         "--n-paths", "2000"],
+    ], ids=["quadrature", "monte_carlo", "path"])
+    def test_ball_tangent_to_the_boundary(self, tmp_path, capsys, a, argv):
+        # The ball touches y1 = 0 in one point: it has no boundary trace.
+        code = run(tmp_path, *argv, "--a", a, "--theta", "1", "--x", "2,3")
+        assert code == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+        assert summary["reference_rate"] == pytest.approx(0.5, abs=1e-12)
+
     @pytest.mark.parametrize("epsilons", ["0.2,0.1", "0.2,0.2,0.1"])
     def test_scan_rejects_too_few_distinct_epsilons_before_quadrature(self, tmp_path, capsys,
                                                                       monkeypatch, epsilons):

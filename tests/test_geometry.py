@@ -350,6 +350,17 @@ class TestGeodesic:
         assert g.point_at(0.5).x1 == 0.0
         assert action(params, path) == pytest.approx(g.total_cost, rel=1e-12)
 
+    def test_tangential_gap_whose_square_underflows(self):
+        # |y' - x'| = 1e-200 squares to zero; the legs still chain, and the
+        # boundary leg runs toward negative x'.
+        x, y = P(1e-300, 0.0), P(2e-300, -1e-200)
+        g = geodesic(ModelParams(4.0, 1.0), x, y)
+        assert g.case_tag == "three_segment" and len(g.segments) == 3
+        assert g.segments[0].start == x and g.segments[-1].end == y
+        assert all(s1.end == s2.start for s1, s2 in zip(g.segments, g.segments[1:]))
+        z_in, z_out = g.segments[1].start, g.segments[1].end
+        assert z_in.x1 == z_out.x1 == 0.0 and z_out.xp[0] < z_in.xp[0] < 0.0
+
     def test_higher_dimension_plane_reduction(self):
         params = ModelParams(3.0, 1.0, 4)
         x = HalfSpacePoint(1.0, (0.0, 0.0, 0.0))

@@ -16,6 +16,7 @@ from stickybm.kernel import (
     killed_kernel,
     log_densities,
     log_sticky_integral,
+    _grid_densities,
     _log_g,
     _log_h,
     _sticky_log_grid,
@@ -190,6 +191,24 @@ class TestTransitionKernel:
     def test_normalization_d3(self):
         mass = kernel_total_mass(ModelParams(2.0, 1.0, 3), 0.5, HalfSpacePoint(0.2, (0.0, 0.0)))
         assert mass == pytest.approx(1.0, abs=1e-8)
+
+    def test_one_grid_call_per_kernel_holds_the_boundary_row(self, monkeypatch):
+        # The boundary row joins the interior rows: one fixed-rule grid per
+        # kernel, with y1 = 0 once in it.
+        grids = []
+
+        def counted(params, t, x1, y1_grid, v_grid):
+            grids.append(np.asarray(y1_grid))
+            return _grid_densities(params, t, x1, y1_grid, v_grid)
+
+        monkeypatch.setattr(stickybm.kernel, "_grid_densities", counted)
+        params = ModelParams(2.0, 1.0)
+        kernel_total_mass(params, 0.5, P(0.3, 0.0))
+        assert len(grids) == 1
+        chapman_kolmogorov_residual(params, SPEC, 0.5, 0.5, P(0.0, 0.0), P(0.0, 0.0),
+                                    n1=12, np_=6)
+        assert len(grids) == 3
+        assert all(np.count_nonzero(g == 0.0) == 1 for g in grids)
 
     def test_mu_symmetry(self):
         rng = np.random.default_rng(5)

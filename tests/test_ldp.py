@@ -35,7 +35,8 @@ from stickybm.ldp import (
     _branch_cost,
     _target_constraints,
 )
-from stickybm.quadrature import QuadratureSpec
+from stickybm.kernel import log_densities
+from stickybm.quadrature import QuadratureSpec, gauss_legendre, logsumexp
 
 SPEC = QuadratureSpec()
 
@@ -295,6 +296,74 @@ class TestStaticLdp:
         assert abs(est.beta) < 5.0
 
 
+def two_batch_log_probability(params, t, x, target, order=32):
+    """The target mass as two kernel batches: the chords across a ball through
+    the interior density, and the boundary trace through the boundary density."""
+    nodes, w = gauss_legendre(order)
+    parts = []
+    if isinstance(target, Ball):
+        c1, cp, r = target.center.x1, target.center.xp[0], target.radius
+        lo, hi = max(0.0, c1 - r), c1 + r
+        y1s = lo + (hi - lo) * nodes
+        half = np.sqrt(r * r - (y1s - c1) ** 2)
+        yps = (cp - half)[:, None] + (2.0 * half)[:, None] * nodes
+        vals = log_densities(params, SPEC, t, x.x1, y1s[:, None], np.abs(yps - x.xp[0])).interior
+        parts.append(logsumexp(vals + np.log(np.outer(w * (hi - lo) * 2.0 * half, w))))
+        c, h = cp, math.sqrt(max(r * r - c1 * c1, 0.0))
+    else:
+        c, h = target.center_tangential[0], target.radius
+    if h > 0.0:
+        yps = c - h + 2.0 * h * nodes
+        vals = log_densities(params, SPEC, t, x.x1, 0.0, np.abs(yps - x.xp[0])).boundary
+        parts.append(logsumexp(vals + np.log(w * 2.0 * h)))
+    return logsumexp(parts)
+
+
+# (x, target): a patch, a ball inside, a ball cut by the boundary, a tangent ball.
+TARGETS = [
+    (P(0.0, 0.0), BoundaryPatch((2.0,), 0.1)),
+    (P(1.0, 0.0), Ball(P(1.0, 5.0), 0.1)),
+    (P(0.0, 0.0), Ball(P(0.1, 2.0), 0.3)),
+    (P(2.0, 3.0), Ball(P(0.5, 3.0), 0.5)),
+]
+
+
+class TestTargetQuadrature:
+    @pytest.mark.parametrize("a", [4.0, 0.5])
+    @pytest.mark.parametrize("x, target", TARGETS, ids=["patch", "inside", "cut", "tangent"])
+    def test_one_kernel_batch_matches_the_two_batch_form(self, monkeypatch, a, x, target):
+        # Boundary nodes carry the interior density, the mu-density, at weight
+        # 1/(2 theta): the same mass as the boundary density at weight 1.
+        params = ModelParams(a, 0.7)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return log_densities(*args)
+
+        monkeypatch.setattr(stickybm.ldp, "log_densities", counted)
+        for eps in (0.2, 0.05):
+            calls.clear()
+            value = log_target_probability(params, SPEC, eps, x, target)
+            assert len(calls) == 1
+            assert value == pytest.approx(two_batch_log_probability(params, eps, x, target),
+                                          abs=1e-13)
+
+    @pytest.mark.parametrize("a, x, target, tol", [
+        (4.0, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1), 1e-12),   # criterion 7
+        (2.0, P(1.0, 0.0), Ball(P(1.0, 5.0), 0.1), 1e-4),        # criterion 8
+        (0.5, P(0.0, 0.0), Ball(P(0.1, 2.0), 0.3), 1e-4),        # cut by the boundary
+    ], ids=["patch", "ball", "cut-ball"])
+    @pytest.mark.parametrize("eps", [0.2, 0.025])
+    def test_default_order_against_three_times_that_order(self, a, x, target, tol, eps):
+        # A ball's chord rule converges only algebraically (the chord length
+        # has a square-root endpoint); a patch is a smooth boundary integral.
+        params = ModelParams(a, 1.0)
+        coarse = log_target_probability(params, SPEC, eps, x, target)
+        fine = log_target_probability(params, SPEC, eps, x, target, order=96)
+        assert abs(coarse - fine) <= tol
+
+
 class TestPhaseTransition:
     def test_crossing_root_closed_form(self):
         x, y = P(1.0, 0.0), P(1.0, 5.0)
@@ -348,6 +417,21 @@ class TestPhaseTransition:
         assert res.rows == full.rows and math.isfinite(res.rows[0].extrapolated_rate)
         with pytest.raises(RuntimeError, match="too few usable epsilons"):
             phase_transition_scan((0.5,), 1.0, x, y, (0.2, 0.1, 0.025), SPEC)
+
+    def test_scan_takes_its_a_values_in_any_order(self):
+        x, y, eps = P(1.0, 0.0), P(1.0, 5.0), (0.2, 0.1, 0.05)
+        up = phase_transition_scan((0.5, 2.5, 3.0), 1.0, x, y, eps, SPEC)
+        down = phase_transition_scan((3.0, 2.5, 0.5), 1.0, x, y, eps, SPEC)
+        assert [r.a for r in up.rows] == [0.5, 2.5, 3.0] and math.isfinite(up.empirical_kink)
+        assert down == up
+
+    def test_scan_kink_lies_in_its_bracket(self):
+        # Between boundary points the rate drops past a = 1: the line through
+        # the dropped rows meets the flat level far left of a = 0.5.
+        res = phase_transition_scan((0.5, 2.0, 4.0), 1.0, P(0.0, 0.0), P(0.0, 1.0),
+                                    (0.2, 0.1, 0.05), SPEC)
+        assert [r.a for r in res.rows if r.extrapolated_rate < 0.98 * res.flat_level] == [2.0, 4.0]
+        assert 0.5 <= res.empirical_kink <= 2.0 and res.crossing_root == 1.0
 
     def test_rate_nonincreasing_in_a(self):
         x, y = P(1.0, 0.0), P(1.0, 5.0)

@@ -188,16 +188,14 @@ class TestSchrodinger:
         mu1 = uniform(P(0.0, 0.8), P(0.0, 2.75))
         plan = schrodinger(params, SPEC, 1e-3, mu0, mu1)
         assert np.isfinite(plan.cost_value)
-        assert plan.marginal_defect() <= 1e-9
-        assert plan.marginal_error < 1e-9
+        assert plan.marginal_defect() < 1e-9
         assert plan.iterations <= 100
 
     @pytest.mark.parametrize("eps", [0.0025, 1e-3])
     def test_deterministic_optimum_converges_without_rounding(self, eps):
         # plain Sinkhorn needs 1380 sweeps at 0.0025 and stalls near 1e-5 at 1e-3
         plan = schrodinger(ModelParams(4.0, 1.0), SPEC, eps, *CRIT10)
-        assert plan.marginal_error < 1e-9
-        assert plan.marginal_defect() == pytest.approx(plan.marginal_error, abs=1e-15)
+        assert plan.marginal_defect() < 1e-9
         assert plan.iterations <= 100
 
     @pytest.mark.parametrize("fixture", [CRIT10, MIXED], ids=["criterion10", "mixed"])
