@@ -8,7 +8,6 @@ intrinsic cost.
 from .geometry import (
     INFINITE_ACTION,
     GeodesicDescription,
-    GeodesicSegment,
     HalfSpacePoint,
     ModelParams,
     Path,

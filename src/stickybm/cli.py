@@ -128,8 +128,9 @@ def _cmd_cost(args) -> int:
 def _cmd_geodesic(args) -> int:
     params = _params(args)
     g = geodesic(params, _parse_point(args.x), _parse_point(args.y))
-    rows = [[k, seg.duration, *seg.start.coords().tolist(), *seg.end.coords().tolist()]
-            for k, seg in enumerate(g.segments)]
+    times, knots = g.path.times, g.path.knots
+    rows = [[k, times[k + 1] - times[k], *knots[k].coords().tolist(),
+             *knots[k + 1].coords().tolist()] for k in range(len(knots) - 1)]
     header = ["segment", "duration", *_coord_names(params.d, "start_"),
               *_coord_names(params.d, "end_")]
     return _emit(args, header, rows, {"case": g.case_tag, "total_cost": g.total_cost},
@@ -158,9 +159,9 @@ def _cmd_kernel(args) -> int:
     # The n x n grid row by row, then the boundary row.
     y1 = np.concatenate((np.repeat(y1s, n), np.zeros(n)))
     yp = np.concatenate((np.tile(yps, n), yps))
-    dens = log_densities(params, QuadratureSpec(), t, x.x1, y1, np.abs(yp - x.xp[0]))
-    interior = np.exp(dens.interior)
-    boundary = np.exp(dens.boundary)
+    interior = np.exp(log_densities(params, QuadratureSpec(), t, x.x1, y1, np.abs(yp - x.xp[0])))
+    # mu's boundary weight: the density w.r.t. dy' on y1 = 0 is q / (2 theta)
+    boundary = np.where(y1 == 0.0, interior / (2.0 * params.theta), 0.0)
     rows = [[t, x.x1, x.xp[0], *point] for point in zip(y1, yp, interior, boundary)]
     # trapezoid mass over the emitted grid, for the summary
     mass = float(np.trapezoid(np.trapezoid(interior[: n * n].reshape(n, n), yps, axis=1), y1s)

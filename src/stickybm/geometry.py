@@ -23,7 +23,6 @@ __all__ = [
     "HalfSpacePoint",
     "point",
     "Path",
-    "GeodesicSegment",
     "GeodesicDescription",
     "lagrangian",
     "hamiltonian",
@@ -127,9 +126,9 @@ def point(x1, *xp) -> HalfSpacePoint:
     return HalfSpacePoint(x1, tuple(xp))
 
 
-def _check_dim(params: ModelParams, p: HalfSpacePoint):
+def _check_dim(params: ModelParams, p, name: str = "point"):
     if p.dim != params.d:
-        raise ValueError(f"point has dimension {p.dim}, model expects {params.d}")
+        raise ValueError(f"{name} has dimension {p.dim}, model expects {params.d}")
 
 
 def _check_vec(params: ModelParams, v, name: str) -> np.ndarray:
@@ -197,7 +196,15 @@ def sticky_rate_profile(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoin
 
 
 def _sticky_rate_core(a, s, v):
-    """Branch formula for the sticky rate, vectorized over (a, s, v)."""
+    """The sticky rate at ``s = x1 + y1`` and ``v = |x' - y'|`` with its
+    partials ``(d/ds, d/dv)``, vectorized over (a, s, v): the one branch rule.
+
+    The flat branch ``(s^2 + v^2) / 2``, with partials ``(s, v)``, holds when
+    ``a <= 1`` or ``sqrt(A) v <= s``; elsewhere the slanted branch
+    ``(sqrt(A) s + v)^2 / (2a)`` holds, with partials ``(sqrt(A) l, l)``,
+    ``l = (sqrt(A) s + v) / a``.  The two meet in C^1 on the cone
+    ``sqrt(A) v = s``.
+    """
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -205,9 +212,12 @@ def _sticky_rate_core(a, s, v):
     flat = 0.5 * (s * s + v * v)
     with np.errstate(invalid="ignore"):
         root_a = np.sqrt(np.where(big_a > 0.0, big_a, 0.0))
-        slanted = (root_a * s + v) ** 2 / (2.0 * a)
+        reach = root_a * s + v
+        slanted = reach ** 2 / (2.0 * a)
+        ell = reach / a
     use_flat = (a <= 1.0) | (root_a * v <= s)
-    return np.where(use_flat, flat, slanted)
+    return (np.where(use_flat, flat, slanted), np.where(use_flat, s, root_a * ell),
+            np.where(use_flat, v, ell))
 
 
 def sticky_rate(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
@@ -219,7 +229,7 @@ def sticky_rate(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> fl
     """
     _check_dim(params, x)
     _check_dim(params, y)
-    return float(_sticky_rate_core(params.a, x.x1 + y.x1, _tangential_gap(x, y)))
+    return float(_sticky_rate_core(params.a, x.x1 + y.x1, _tangential_gap(x, y))[0])
 
 
 def euclidean_rate(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
@@ -249,7 +259,7 @@ def _cost_core(a, dx1, s, v):
     ``dx1 = x1-y1``, ``s = x1+y1``, ``v = |x'-y'|``."""
     dx1 = np.asarray(dx1, dtype=float)
     v = np.asarray(v, dtype=float)
-    return np.minimum(0.5 * (dx1 * dx1 + v * v), _sticky_rate_core(a, s, v))
+    return np.minimum(0.5 * (dx1 * dx1 + v * v), _sticky_rate_core(a, s, v)[0])
 
 
 def cost(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> float:
@@ -371,51 +381,19 @@ def _sliced_sum(params: ModelParams, points, dts) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GeodesicSegment:
-    start: HalfSpacePoint
-    end: HalfSpacePoint
-    duration: float
-
-
-@dataclass(frozen=True)
 class GeodesicDescription:
     """Explicit minimizer of the path action between two points.
 
     ``case_tag`` is one of ``euclidean``, ``boundary_only``,
     ``one_touch_exit`` (start on the boundary), ``one_touch_entry`` (end on
-    the boundary), ``three_segment``.  Segments chain continuously, durations
-    sum to one, and the constant-Lagrangian time allocation makes the action
-    equal ``total_cost``.
+    the boundary), ``three_segment``.  ``path`` runs from the start to the
+    end through the boundary entry and exit points, if any; its knot times
+    keep the Lagrangian constant, so its action equals ``total_cost``.
     """
 
     case_tag: str
-    segments: tuple
+    path: Path
     total_cost: float
-
-    def point_at(self, t: float) -> HalfSpacePoint:
-        """Position along the geodesic at time ``t`` in [0, 1]."""
-        return self.to_path().at(t)
-
-    def to_path(self) -> Path:
-        """Render the geodesic as a Path with knots at the segment breaks.
-
-        A segment shorter than one ulp of time keeps one ulp, so that the
-        knot times increase strictly."""
-        times = [0.0]
-        knots = [self.segments[0].start]
-        for seg in self.segments:
-            times.append(times[-1] + seg.duration)
-            knots.append(seg.end)
-        times[-1] = 1.0
-        for i in range(1, len(times) - 1):
-            times[i] = max(times[i], math.nextafter(times[i - 1], 1.0))
-        for i in range(len(times) - 2, 0, -1):
-            times[i] = min(times[i], math.nextafter(times[i + 1], 0.0))
-        return Path(tuple(times), tuple(knots))
-
-
-def _single_segment(tag: str, x: HalfSpacePoint, y: HalfSpacePoint, c: float) -> GeodesicDescription:
-    return GeodesicDescription(tag, (GeodesicSegment(x, y, 1.0),), c)
 
 
 def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> GeodesicDescription:
@@ -426,7 +404,7 @@ def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> Geode
     ``z_in = (0, x' + (x1/sqrt(A)) u)`` and leaves at
     ``z_out = (0, y' - (y1/sqrt(A)) u)`` with ``u`` the unit tangential
     direction from ``x'`` to ``y'``: both slanted legs make the contact angle
-    with the normal.  Durations are allocated so the Lagrangian is constant
+    with the normal.  Knot times are allocated so the Lagrangian is constant
     in time, which also makes the action additive along the geodesic.
     """
     _check_dim(params, x)
@@ -434,12 +412,13 @@ def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> Geode
     c = cost(params, x, y)
     xpa = np.asarray(x.xp)
     ypa = np.asarray(y.xp)
+    straight = Path((0.0, 1.0), (x, y))
     if x.x1 == y.x1 and bool(np.all(xpa == ypa)):
-        return _single_segment("euclidean", x, y, 0.0)
+        return GeodesicDescription("euclidean", straight, 0.0)
     if params.a <= 1.0 or cone_contains(params, x, y):
-        return _single_segment("euclidean", x, y, c)
+        return GeodesicDescription("euclidean", straight, c)
     if x.x1 == 0.0 and y.x1 == 0.0:
-        return _single_segment("boundary_only", x, y, c)
+        return GeodesicDescription("boundary_only", straight, c)
 
     root_a = math.sqrt(params.big_a)
     # Outside the cone the gap exceeds a nonnegative threshold, so it is positive.
@@ -448,16 +427,28 @@ def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> Geode
     z_out = HalfSpacePoint(0.0, tuple(ypa - (y.x1 / root_a) * u))
 
     # Speed-normalized lengths: slanted legs at weight 1, boundary leg at 1/sqrt(a).
-    pieces = []
+    knots, lengths = [x], []
     if x.x1 > 0.0:
-        pieces.append((x, z_in, x.x1 * math.sqrt(params.a / params.big_a)))
+        knots.append(z_in)
+        lengths.append(x.x1 * math.sqrt(params.a / params.big_a))
     mid = _tangential_gap(z_in, z_out)
     if mid > 0.0:
-        pieces.append((z_in, z_out, mid / math.sqrt(params.a)))
+        knots.append(z_out)
+        lengths.append(mid / math.sqrt(params.a))
     if y.x1 > 0.0:
-        pieces.append((z_out, y, y.x1 * math.sqrt(params.a / params.big_a)))
-    total = sum(w for (_, _, w) in pieces)
-    segments = tuple(GeodesicSegment(p, q, w / total) for (p, q, w) in pieces)
+        knots.append(y)
+        lengths.append(y.x1 * math.sqrt(params.a / params.big_a))
+    total = sum(lengths)
+    # Knot times at the cumulative shares of the length; a leg shorter than
+    # one ulp of time keeps one ulp, so that the times increase strictly.
+    times = [0.0]
+    for w in lengths:
+        times.append(times[-1] + w / total)
+    times[-1] = 1.0
+    for i in range(1, len(times) - 1):
+        times[i] = max(times[i], math.nextafter(times[i - 1], 1.0))
+    for i in range(len(times) - 2, 0, -1):
+        times[i] = min(times[i], math.nextafter(times[i + 1], 0.0))
 
     if x.x1 == 0.0:
         tag = "one_touch_exit"
@@ -465,4 +456,4 @@ def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> Geode
         tag = "one_touch_entry"
     else:
         tag = "three_segment"
-    return GeodesicDescription(tag, segments, c)
+    return GeodesicDescription(tag, Path(tuple(times), tuple(knots)), c)

@@ -1,34 +1,30 @@
 """Exact transition kernel of sticky-reflecting Brownian motion in half-spaces.
 
-The kernel at horizon ``t`` started from ``x = (x1, x')`` has an interior
-density (w.r.t. ``dy1 dy'``)
+The kernel at horizon ``t`` started from ``x = (x1, x')`` has a density
+w.r.t. the stationary measure mu, ``dy1 dy'`` inside and ``dy' / (2 theta)``
+on the boundary ``{y1 = 0}``:
 
-    rho_int + rho_st = g0_t(x1, y1) g(t, y'-x')
-                       + 2 * int_0^{theta t} h(t - l/theta, l + x1 + y1)
-                                             g(t + A l/theta, y'-x') dl
-
-and a boundary density (w.r.t. ``dy'`` on ``{y1 = 0}``)
-
-    (1/theta) * int_0^{theta t} h(t - l/theta, l + x1) g(t + A l/theta, y'-x') dl,
+    q_t(x, y) = g0_t(x1, y1) g(t, y'-x')
+                + 2 * int_0^{theta t} h(t - l/theta, l + x1 + y1)
+                                      g(t + A l/theta, y'-x') dl,
 
 with ``A = a - 1``, ``h`` the 1-D first-hitting density and ``g0`` the killed
-kernel.  The local-time integral is computed after the substitution
-``L = l / (theta t)`` on [0, 1], in the variable ``m = 1 - L``, by one
-adaptive quadrature split at the integrand's peak, which safeguarded Newton
-steps on the closed-form m-derivatives of the log integrand locate.  It works
-in the log domain with max-exponent shifts, so horizons down to ``t ~ 1e-3``
-stay representable.
+kernel.  At ``y1 = 0`` the first term vanishes, and the kernel's boundary
+density w.r.t. ``dy'`` is ``q / (2 theta)``.  The local-time integral is
+computed after the substitution ``L = l / (theta t)`` on [0, 1], in the
+variable ``m = 1 - L``, by one adaptive quadrature split at the integrand's
+peak, which safeguarded Newton steps on the closed-form m-derivatives of the
+log integrand locate.  It works in the log domain with max-exponent shifts,
+so horizons down to ``t ~ 1e-3`` stay representable.
 
 :func:`log_sticky_integral` takes arrays of gaps and integrates all of them
 in one breadth-first batch; :func:`log_densities` turns such a batch into
-interior and boundary densities, and it is the one way to evaluate the
-kernel.  The tensor-grid checks (total mass, Chapman-Kolmogorov)
-use the fixed-rule ``_sticky_log_grid`` instead: about 10^5 values cost
-hundredths of a second there against seconds adaptively.
+``log q``, and it is the one way to evaluate the kernel.  The tensor-grid
+checks (total mass, Chapman-Kolmogorov) use the fixed-rule
+``_sticky_log_grid`` instead: about 10^5 values cost hundredths of a second
+there against seconds adaptively.
 
-``LogDensities.interior`` is the kernel's density w.r.t. the stationary
-measure mu, ``dy1 dy'`` inside and ``dy' / (2 theta)`` on the boundary.  So
-each integral of the kernel over a region is one call on one node set whose
+Each integral of the kernel over a region is one call on one node set whose
 boundary nodes carry mu's weight ``1 / (2 theta)``.
 """
 
@@ -36,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +39,6 @@ from .geometry import HalfSpacePoint, ModelParams
 from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre, log_integrate
 
 __all__ = [
-    "LogDensities",
     "CkResult",
     "hitting_density",
     "killed_kernel",
@@ -348,39 +342,23 @@ def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
 # Transition kernel
 # ---------------------------------------------------------------------------
 
-class LogDensities(NamedTuple):
-    """Log kernel densities, one entry per (x1, y1, v) triple.
-
-    ``interior`` is ``log(rho_int + rho_st)``, the interior density (the
-    interior limit at boundary targets); ``boundary`` is the log boundary
-    density at boundary targets (``y1 == 0``) and ``-inf`` elsewhere.
-    ``rho_int`` and ``rho_st`` are the logs of the boundary-avoiding and
-    sticky parts.  At every target ``interior`` is also the log density
-    w.r.t. the stationary measure: on the boundary ``rho_int`` vanishes and
-    ``rho_st = 2 theta * boundary density``.
-    """
-
-    interior: np.ndarray
-    boundary: np.ndarray
-    rho_int: np.ndarray
-    rho_st: np.ndarray
-
-
-def _compose(params: ModelParams, t: float, x1, y1, v, log_st) -> LogDensities:
-    """The kernel densities from the log local-time integral ``log_st``."""
-    log_rho_int = _log_killed_kernel(t, x1, y1) + _log_g(t, v, params.d)
-    log_rho_st = math.log(2.0) + log_st
-    log_boundary = np.where(np.asarray(y1) == 0.0, log_st - math.log(params.theta), -np.inf)
-    return LogDensities(np.logaddexp(log_rho_st, log_rho_int), log_boundary,
-                        log_rho_int, log_rho_st)
+def _compose(params: ModelParams, t: float, x1, y1, v, log_st) -> np.ndarray:
+    """``log q`` from the log local-time integral ``log_st``: the sticky part
+    ``2 exp(log_st)`` plus the boundary-avoiding part, which vanishes at
+    ``y1 = 0``."""
+    log_avoiding = _log_killed_kernel(t, x1, y1) + _log_g(t, v, params.d)
+    return np.logaddexp(math.log(2.0) + log_st, log_avoiding)
 
 
 def log_densities(params: ModelParams, spec: QuadratureSpec, t: float,
-                  x1, y1, v) -> LogDensities:
-    """Log kernel densities at broadcast arrays of source height ``x1``,
-    target height ``y1`` and tangential distance ``v = |y' - x'|``.
+                  x1, y1, v) -> np.ndarray:
+    """Log of the kernel's mu-density ``q_t`` at broadcast arrays of source
+    height ``x1``, target height ``y1`` and tangential distance
+    ``v = |y' - x'|``.
 
-    All local-time integrals go to :func:`log_sticky_integral` as one batch.
+    At a boundary target the kernel's density w.r.t. ``dy'`` is
+    ``q / (2 theta)``.  All local-time integrals go to
+    :func:`log_sticky_integral` as one batch.
     """
     x1, y1, v = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (x1, y1, v)))
     return _compose(params, t, x1, y1, v, log_sticky_integral(params, spec, t, x1 + y1, v))
@@ -390,8 +368,8 @@ def log_densities(params: ModelParams, spec: QuadratureSpec, t: float,
 # Grid-based consistency checks
 # ---------------------------------------------------------------------------
 
-def _grid_densities(params, t, x1, y1_grid, v_grid) -> LogDensities:
-    """Log kernel densities on the tensor grid (y1_grid, v_grid) from the
+def _grid_densities(params, t, x1, y1_grid, v_grid) -> np.ndarray:
+    """Log kernel mu-densities on the tensor grid (y1_grid, v_grid) from the
     fixed-rule local-time integrals of :func:`_sticky_log_grid`."""
     y1 = np.asarray(y1_grid, dtype=float)
     v = np.asarray(v_grid, dtype=float)
@@ -431,7 +409,7 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float
     else:
         w_ang = 2.0 * math.pi * v  # radial measure in the tangential plane
 
-    logq = _grid_densities(params, t, x1, y1, v).interior
+    logq = _grid_densities(params, t, x1, y1, v)
     return float(w_y1 @ np.exp(logq) @ (w_v * w_ang))
 
 
@@ -475,108 +453,92 @@ def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
     w1 = np.r_[0.5 / params.theta, np.full(n1, h1)] * hp
     zp = center - zp_halfwidth + (np.arange(np_) + 0.5) * hp
 
-    q_left = np.exp(_grid_densities(params, s, x.x1, z1, np.abs(zp - xp)).interior)
-    q_right = np.exp(_grid_densities(params, t, y.x1, z1, np.abs(zp - yp)).interior)
+    q_left = np.exp(_grid_densities(params, s, x.x1, z1, np.abs(zp - xp)))
+    q_right = np.exp(_grid_densities(params, t, y.x1, z1, np.abs(zp - yp)))
     value = float(w1 @ np.sum(q_left * q_right, axis=1))
     mass_left = float(w1 @ np.sum(q_left, axis=1))
-    reference = math.exp(float(
-        log_densities(params, spec, s + t, x.x1, y.x1, abs(yp - xp)).interior))
+    reference = math.exp(float(log_densities(params, spec, s + t, x.x1, y.x1, abs(yp - xp))))
     return CkResult(abs(reference - value), reference, value,
                     abs(mass_left - 1.0), abs(mass_left - 1.0) > 1e-3)
 
 
-def fp_residuals_from_fields(params: ModelParams, u_at, v_at, t: float, h: float,
+def fp_residuals_from_fields(params: ModelParams, q_at, t: float, h: float,
                              test_points, boundary_points):
     """Finite-difference residuals of the coupled forward equations.
 
-    ``u_at(t, y1, gap_vec)`` and ``v_at(t, gap_vec)`` evaluate the interior
-    and boundary densities at tangential offset ``gap_vec`` from the source
-    column.  Reports max-norm residuals of the interior heat equation
-    ``d_t u = Laplacian(u)/2``, of the boundary equation
+    ``q_at(t, y1, gaps)`` evaluates a mu-density field at arrays of heights
+    ``y1`` and tangential offsets ``gaps`` (one row each) from the source
+    column.  The interior density is ``u = q``, the boundary density
+    ``v = q / (2 theta)`` at ``y1 = 0``.  Reports max-norm residuals of the
+    interior heat equation ``d_t u = Laplacian(u)/2`` at the ``(y1, gap)``
+    test points, and at the boundary gaps of the boundary equation
     ``d_t v = (a/2) Laplacian_tan(v) + d_{y1} u / 2`` (the outer normal points
-    toward negative y1), and of the trace relation ``u/2 = theta v`` with u
+    toward negative y1) and of the trace relation ``u/2 = theta v`` with u
     linearly extrapolated to the boundary.  Central differences use the same
     step ``h`` in time and space, so smooth solutions give residuals of
-    second order in ``h``.
+    second order in ``h``.  The stencils at each time level go to ``q_at`` as
+    one batch: three calls in all.
     """
     if h <= 1e-6:
         raise ValueError("step too small; finite differences would cancel")
     d = params.d
+    y1, g0 = np.asarray(test_points, dtype=float).reshape(-1, 2).T
+    b0 = np.asarray(boundary_points, dtype=float)
+    n = y1.size
+    # Centres as (y1, gap) rows, the interior test points first.
+    centres = np.zeros((n + b0.size, d))
+    centres[:n, 0] = y1
+    centres[:, 1] = np.r_[g0, b0]
+    step = h * np.eye(d)
+    # Interior stencil: the centre, then +h and -h along each axis.  Boundary
+    # stencil: the centre, heights h and 2h, then +h and -h along each
+    # tangential axis.
+    shifts_int = np.vstack([np.zeros(d), step, -step])
+    shifts_bnd = np.vstack([np.zeros(d), step[0], 2.0 * step[0], step[1:], -step[1:]])
+    stencil = np.concatenate([(centres[:n, None, :] + shifts_int).reshape(-1, d),
+                              (centres[n:, None, :] + shifts_bnd).reshape(-1, d)])
 
-    interior_res = 0.0
-    for (y1, g0) in test_points:
-        gap = np.zeros(d - 1)
-        gap[0] = g0
-        du_dt = (u_at(t + h, y1, gap) - u_at(t - h, y1, gap)) / (2.0 * h)
-        u0 = u_at(t, y1, gap)
-        lap = (u_at(t, y1 + h, gap) - 2.0 * u0 + u_at(t, y1 - h, gap)) / (h * h)
-        for axis in range(d - 1):
-            e = np.zeros(d - 1)
-            e[axis] = h
-            lap += (u_at(t, y1, gap + e) - 2.0 * u0 + u_at(t, y1, gap - e)) / (h * h)
-        interior_res = max(interior_res, abs(du_dt - 0.5 * lap))
+    def field(tt, pts):
+        return q_at(tt, pts[:, 0], pts[:, 1:])
 
-    boundary_res = 0.0
-    trace_res = 0.0
-    for g0 in boundary_points:
-        gap = np.zeros(d - 1)
-        gap[0] = g0
-        dv_dt = (v_at(t + h, gap) - v_at(t - h, gap)) / (2.0 * h)
-        v0 = v_at(t, gap)
-        lap_t = 0.0
-        for axis in range(d - 1):
-            e = np.zeros(d - 1)
-            e[axis] = h
-            lap_t += (v_at(t, gap + e) - 2.0 * v0 + v_at(t, gap - e)) / (h * h)
-        u_bnd = u_at(t, 0.0, gap)
-        u_h = u_at(t, h, gap)
-        u_2h = u_at(t, 2.0 * h, gap)
-        dn_u = (-3.0 * u_bnd + 4.0 * u_h - u_2h) / (2.0 * h)
-        boundary_res = max(boundary_res, abs(dv_dt - 0.5 * params.a * lap_t - 0.5 * dn_u))
-        trace_res = max(trace_res, abs(0.5 * (2.0 * u_h - u_2h) - params.theta * v0))
+    q = field(t, stencil)
+    u = q[:n * len(shifts_int)].reshape(n, -1).T
+    qb = q[n * len(shifts_int):].reshape(b0.size, -1).T
+    q_next, q_prev = field(t + h, centres), field(t - h, centres)
 
-    return interior_res, boundary_res, trace_res
+    def worst(r):
+        return float(np.max(np.abs(r), initial=0.0))
+
+    du_dt = (q_next[:n] - q_prev[:n]) / (2.0 * h)
+    lap = sum((u[1 + k] - 2.0 * u[0] + u[1 + d + k]) / (h * h) for k in range(d))
+
+    two_theta = 2.0 * params.theta
+    v = qb / two_theta
+    dv_dt = (q_next[n:] / two_theta - q_prev[n:] / two_theta) / (2.0 * h)
+    lap_t = sum((v[3 + k] - 2.0 * v[0] + v[2 + d + k]) / (h * h) for k in range(d - 1))
+    dn_u = (-3.0 * qb[0] + 4.0 * qb[1] - qb[2]) / (2.0 * h)
+    return (worst(du_dt - 0.5 * lap),
+            worst(dv_dt - 0.5 * params.a * lap_t - 0.5 * dn_u),
+            worst(0.5 * (2.0 * qb[1] - qb[2]) - params.theta * v[0]))
 
 
 def fokker_planck_residual(params: ModelParams, spec: QuadratureSpec, t: float,
                            x: HalfSpacePoint, h: float):
     """Residuals of the forward equations for the kernel started at ``x``.
 
-    Builds the interior/boundary density fields of ``p_t(x, .)`` from the
-    kernel and hands them to :func:`fp_residuals_from_fields`, at three
-    interior ``(y1, tangential gap)`` and three boundary gap test points.
+    Hands the kernel's mu-density ``q_t(x, .)`` to
+    :func:`fp_residuals_from_fields`, at three interior ``(y1, tangential
+    gap)`` and three boundary gap test points: one :func:`log_densities`
+    batch per time level.
     """
     if t < 0.1:
         raise ValueError("Fokker-Planck residuals need t >= 0.1 for stable differences")
     test_points = [(0.45, 0.15), (0.8, -0.3), (1.1, 0.45)]
     boundary_points = [0.1, -0.35, 0.6]
-
     xp = np.asarray(x.xp, dtype=float)
 
-    def key(tt, y1, gap_vec):
-        return tt, y1, float(np.linalg.norm((xp + gap_vec) - xp))
+    def q_at(tt, y1, gaps):
+        v = np.linalg.norm((xp + gaps) - xp, axis=-1)
+        return np.exp(log_densities(params, spec, tt, x.x1, y1, v))
 
-    # A first pass with placeholder fields collects the stencil; then one
-    # log_densities batch per horizon evaluates it.
-    stencil = set()
-
-    def record(tt, y1, gap_vec):
-        stencil.add(key(tt, y1, gap_vec))
-        return 1.0
-
-    fp_residuals_from_fields(params, record, lambda tt, g: record(tt, 0.0, g),
-                             t, h, test_points, boundary_points)
-    dens = {}
-    for tt in {k[0] for k in stencil}:
-        pts = sorted(k for k in stencil if k[0] == tt)
-        _, y1, v = np.array(pts).T
-        logs = log_densities(params, spec, tt, x.x1, y1, v)
-        dens.update(zip(pts, zip(np.exp(logs.interior), np.exp(logs.boundary))))
-
-    def u_at(tt, y1, gap_vec):
-        return float(dens[key(tt, y1, gap_vec)][0])
-
-    def v_at(tt, gap_vec):
-        return float(dens[key(tt, 0.0, gap_vec)][1])
-
-    return fp_residuals_from_fields(params, u_at, v_at, t, h, test_points, boundary_points)
+    return fp_residuals_from_fields(params, q_at, t, h, test_points, boundary_points)

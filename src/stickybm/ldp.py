@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams, _sliced_sum, _sticky_rate_core, _tangential_gap
+from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _sliced_sum, _sticky_rate_core,
+                       _tangential_gap)
 from .geometry import cost  # noqa: F401 -- perfbench traces and asserts the ``ldp.cost`` binding
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
@@ -57,6 +58,10 @@ class Ball:
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
+    @property
+    def dim(self) -> int:
+        return self.center.dim
+
     def contains(self, x1, xp):
         d1 = np.asarray(x1) - self.center.x1
         dp = np.asarray(xp) - np.asarray(self.center.xp)
@@ -78,6 +83,10 @@ class BoundaryPatch:
             raise ValueError(f"patch center must be finite, got {center}")
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
+
+    @property
+    def dim(self) -> int:
+        return 1 + len(self.center_tangential)
 
     def contains(self, x1, xp):
         on_b = np.asarray(x1) == 0.0
@@ -155,6 +164,16 @@ def _estimate(epsilons, reference, log_probs=None, hits=None, n_paths=None) -> L
                        tuple(e for e, lp in zip(epsilons, log_probs) if not math.isfinite(lp)))
 
 
+def _check_experiment(params: ModelParams, x: HalfSpacePoint, targets):
+    """Raise unless the start point and every target live in the model's
+    dimension; every experiment calls this before it samples or integrates."""
+    _check_dim(params, x, "start point")
+    for target in targets:
+        if not isinstance(target, (Ball, BoundaryPatch)):
+            raise TypeError("target must be a Ball or BoundaryPatch")
+        _check_dim(params, target, "target")
+
+
 # ---------------------------------------------------------------------------
 # Quadrature probabilities (d = 2)
 # ---------------------------------------------------------------------------
@@ -174,17 +193,17 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
                            x: HalfSpacePoint, target, order: int = 32) -> float:
     """log of the kernel mass of the target at horizon t (quadrature, d = 2).
 
-    The kernel's mu-density (``interior`` of :func:`log_densities`) is
-    integrated against mu over one node set, evaluated as one batch of
-    adaptive log-domain quadratures: Gauss-Legendre on ``order`` chords
-    across a ball (whose error falls only algebraically in ``order``: the
-    chord length has a square-root endpoint), and on the target's trace on
-    the boundary, where mu carries the weight ``1 / (2 theta)``.  The sets
-    are closed; their boundaries are mu-null, so the open sets have the same
-    mass.
+    The kernel's mu-density, :func:`log_densities`, is integrated against mu
+    over one node set, evaluated as one batch of adaptive log-domain
+    quadratures: Gauss-Legendre on ``order`` chords across a ball (whose
+    error falls only algebraically in ``order``: the chord length has a
+    square-root endpoint), and on the target's trace on the boundary, where
+    mu carries the weight ``1 / (2 theta)``.  The sets are closed; their
+    boundaries are mu-null, so the open sets have the same mass.
     """
     if params.d != 2:
         raise ValueError("quadrature target probabilities implemented for d = 2")
+    _check_experiment(params, x, [target])
     nodes, w = gauss_legendre(order)
     parts = []      # (y1, y', weight) of each node set
     if isinstance(target, Ball):
@@ -195,15 +214,13 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
         parts.append((np.repeat(y1s, order),
                       ((cp - half)[:, None] + (2.0 * half)[:, None] * nodes).ravel(),
                       np.outer(w * (y1_hi - y1_lo) * 2.0 * half, w).ravel()))
-    elif not isinstance(target, BoundaryPatch):
-        raise TypeError("target must be a Ball or BoundaryPatch")
     trace = _trace(target)
     if trace is not None:
         (c,), h = trace
         parts.append((np.zeros(order), c - h + 2.0 * h * nodes, w * h / params.theta))
     y1, yp, weight = map(np.concatenate, zip(*parts))
     keep = weight > 0.0
-    vals = log_densities(params, spec, t, x.x1, y1[keep], np.abs(yp[keep] - x.xp[0])).interior
+    vals = log_densities(params, spec, t, x.x1, y1[keep], np.abs(yp[keep] - x.xp[0]))
     return logsumexp(vals + np.log(weight[keep]))
 
 
@@ -218,26 +235,19 @@ def _branch_cost(params: ModelParams, x: HalfSpacePoint, dts, sticky, v):
 
     With ``dx1 = y_j1 - y_{j-1,1}``, ``s = y_j1 + y_{j-1,1}`` and the gap
     ``D = y_j' - y_{j-1}'``: the Euclidean rate has gradient ``(dx1, D)`` in
-    ``y_j`` and its negative in ``y_{j-1}``.  The sticky rate has
-    ``d/d(s, |D|) = (s, |D|)`` on its flat branch and ``(sqrt(A) l, l)``,
-    ``l = (sqrt(A) s + |D|) / a``, on its slanted branch (the two meet in C^1
-    on the cone ``sqrt(A) |D| = s``); ``s`` moves with both heights and
-    ``|D|`` along ``+-D/|D|``, taken as 0 at ``D = 0``."""
+    ``y_j`` and its negative in ``y_{j-1}``.  The sticky rate and its partials
+    in ``(s, |D|)`` come from ``geometry._sticky_rate_core``; ``s`` moves with
+    both heights and ``|D|`` along ``+-D/|D|``, taken as 0 at ``D = 0``."""
     k, d = len(dts), x.dim
     y = np.vstack([x.coords(), v.reshape(k, d)])
     dx1, s = y[1:, 0] - y[:-1, 0], y[1:, 0] + y[:-1, 0]
     gap = y[1:, 1:] - y[:-1, 1:]
     v_t = np.linalg.norm(gap, axis=1)
-    a = params.a
-    root_a = math.sqrt(max(a - 1.0, 0.0))
-    ell = (root_a * s + v_t) / a
-    flat = (a <= 1.0) | (root_a * v_t <= s)
-    terms = np.where(sticky, _sticky_rate_core(a, s, v_t), 0.5 * (dx1 * dx1 + v_t * v_t))
+    rate, d_s, d_v = _sticky_rate_core(params.a, s, v_t)
+    terms = np.where(sticky, rate, 0.5 * (dx1 * dx1 + v_t * v_t))
     unit = gap / np.where(v_t > 0.0, v_t, 1.0)[:, None]
     # Per segment: derivatives in the later point's height and tangential
     # coordinates, and in the earlier point's height.
-    d_s = np.where(flat, s, root_a * ell)
-    d_v = np.where(flat, v_t, ell)
     g_late = np.where(sticky, d_s, dx1)
     g_early = np.where(sticky, d_s, -dx1)
     g_tan = np.where(sticky[:, None], d_v[:, None] * unit, gap)
@@ -287,6 +297,7 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
     nearest points of the targets and of their traces on ``y1 = 0``.  When every
     target holds ``x`` the infimum is exactly 0.0: the path may stay at ``x``.
     """
+    _check_experiment(params, x, targets)
     if all(t.contains(x.x1, np.asarray(x.xp)) for t in targets):
         return 0.0
     from scipy.optimize import minimize
@@ -431,6 +442,7 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
     if not models:
         raise ValueError("the scan needs at least one value of a")
     target = Ball(y, ball_radius)
+    _check_experiment(models[0], x, [target])
     root = cone_crossing_value(x, y)
     rows = []
     for params in models:
@@ -495,6 +507,8 @@ def sliced_ldp(params: ModelParams, x: HalfSpacePoint, waypoint_sets, epsilons,
     """
     dts = _waypoint_dts([t for t, _ in waypoint_sets])
     eps = _fit_epsilons(epsilons)
-    hits = _hit_counts(params, x, dts, [b for _, b in waypoint_sets], eps, n_paths, seed)
+    targets = [b for _, b in waypoint_sets]
+    _check_experiment(params, x, targets)
+    hits = _hit_counts(params, x, dts, targets, eps, n_paths, seed)
     return _estimate(eps, functools.partial(min_sliced_cost, params, x, waypoint_sets),
                      hits=hits, n_paths=n_paths)

@@ -227,10 +227,8 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
     for p in mu0.atoms + mu1.atoms:
         _check_dim(params, p)
     gap = np.linalg.norm(mu1.xp()[None, :, :] - mu0.xp()[:, None, :], axis=-1)
-    # log mu-densities: the interior density, which on the boundary is the
-    # boundary density times the atom weight 2 theta.
-    log_k = log_densities(params, spec, epsilon, mu0.x1()[:, None], mu1.x1()[None, :],
-                          gap).interior
+    # the kernel's log mu-densities between the atoms
+    log_k = log_densities(params, spec, epsilon, mu0.x1()[:, None], mu1.x1()[None, :], gap)
     a, b = np.asarray(mu0.weights), np.asarray(mu1.weights)
     log_a, log_b = np.log(a), np.log(b)
     alpha, beta = np.zeros(mu0.size), np.zeros(mu1.size)
@@ -324,7 +322,7 @@ def displacement_interpolation(params: ModelParams, plan: TransportPlan,
                                t: float) -> DiscreteMeasure:
     """Push every plan cell along its geodesic to time t.
 
-    Evaluation respects the per-segment durations of the geodesics, so the
+    Each cell is evaluated on its geodesic's path at its knot times, so the
     interpolant of a boundary pair stays on the boundary with x1 exactly 0.
     """
     if not (0.0 <= t <= 1.0):
@@ -337,7 +335,7 @@ def displacement_interpolation(params: ModelParams, plan: TransportPlan,
             if mass <= 1e-15:
                 continue
             gamma = geodesic(params, xi, yj)
-            atoms.append(gamma.point_at(t))
+            atoms.append(gamma.path.at(t))
             weights.append(mass)
     total = sum(weights)
     weights = [w / total for w in weights]

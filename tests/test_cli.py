@@ -142,6 +142,26 @@ class TestDispatch:
         rows = read_csv(tmp_path / "geodesic.csv")
         assert len(rows) == 4  # header + three segments
 
+    @pytest.mark.parametrize("argv", [
+        ["--a", "2", "--x", "1,0", "--y", "1,5"],
+        ["--a", "2", "--x", "0,0,0", "--y", "0.4,5,1", "--d", "3"],
+        ["--a", "4", "--x", "1,0", "--y", "1e-300,50"],
+    ], ids=["three-segment", "one-touch-d3", "ulp-leg"])
+    def test_geodesic_durations_sum_to_one_and_knots_chain(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "geodesic", "--theta", "1", *argv) == 0
+        capsys.readouterr()
+        header, *rows = read_csv(tmp_path / "geodesic.csv")
+        d = (len(header) - 2) // 2
+        starts = [[float(v) for v in row[2:2 + d]] for row in rows]
+        ends = [[float(v) for v in row[2 + d:]] for row in rows]
+        assert [int(row[0]) for row in rows] == list(range(len(rows)))
+        assert all(float(row[1]) > 0.0 for row in rows)
+        assert sum(float(row[1]) for row in rows) == pytest.approx(1.0, abs=1e-15)
+        assert ends[:-1] == starts[1:]
+        x, y = (argv[argv.index(k) + 1] for k in ("--x", "--y"))
+        assert starts[0] == [float(v) for v in x.split(",")]
+        assert ends[-1] == [float(v) for v in y.split(",")]
+
 
 # One small run of each subcommand; {mu0} and {mu1} name two-atom measures.
 SMALL_RUNS = [
@@ -271,6 +291,23 @@ class TestKernelCli:
         assert len(rows) == 1 + 64 * 64 + 64
         summary = json.loads((tmp_path / "kernel.json").read_text())
         assert abs(float(summary["trapezoid_mass"]) - 1.0) <= 1e-4
+
+    def test_boundary_density_is_mu_weight(self, tmp_path, capsys):
+        # The boundary density w.r.t. dy' is the mu-density over 2 theta on
+        # y1 = 0, and there is none at interior targets.
+        theta = 0.7
+        code = run(tmp_path, "kernel", "--a", "2", "--theta", str(theta), "--t", "0.5",
+                   "--x", "0.3,0.2", "--grid", "8")
+        assert code == 0
+        capsys.readouterr()
+        header, *rows = read_csv(tmp_path / "kernel.csv")
+        assert header[3:] == ["y1", "yp1", "interior_density", "boundary_density"]
+        on_boundary = [row for row in rows if float(row[3]) == 0.0]
+        assert len(on_boundary) == 2 * 8     # the grid's first row and the boundary row
+        for row in rows:
+            interior, boundary = float(row[5]), float(row[6])
+            assert interior > 0.0
+            assert boundary == (interior / (2.0 * theta) if float(row[3]) == 0.0 else 0.0)
 
 
 class TestTransportCli:
@@ -533,6 +570,27 @@ class TestLdpCli:
         capsys.readouterr()
         summary = json.loads((tmp_path / f"{argv[0]}.json").read_text())
         assert summary["reference_rate"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0,0", "--d", "3",
+          "--target", "ball:0,1:1.5", "--epsilons", "0.2,0.1,0.05", "--method", "monte_carlo",
+          "--n-paths", "20000"], "target has dimension 2, model expects 3"),
+        (["ldp-path", "--a", "4", "--theta", "1", "--x", "0,0,0",
+          "--waypoints", "0.5:0,1,0:0.8;1.0:0,2,0:0.8", "--epsilons", "0.2,0.1,0.05"],
+         "start point has dimension 3, model expects 2"),
+        (["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "patch:2,9:0.1",
+          "--epsilons", "0.2,0.1,0.05"], "target has dimension 3, model expects 2"),
+        (["ldp-scan", "--x", "1,0", "--y", "1,5,0", "--a-grid", "0.5,2,4",
+          "--epsilons", "0.2,0.1,0.05"], "target has dimension 3, model expects 2"),
+    ], ids=["static-mc-target", "path-start", "static-patch", "scan-target"])
+    def test_dimension_mismatch_exits_2_before_sampling_or_quadrature(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        forbid(monkeypatch, stickybm.ldp, "walk")
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and message in err
+        assert not (tmp_path / f"{argv[0]}.json").exists()
 
     @pytest.mark.parametrize("epsilons", ["0.2,0.1", "0.2,0.2,0.1"])
     def test_scan_rejects_too_few_distinct_epsilons_before_quadrature(self, tmp_path, capsys,

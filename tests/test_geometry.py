@@ -153,7 +153,7 @@ class TestStickyRate:
         y1 = rng.uniform(0.0, 3.0, n)
         v = rng.uniform(0.0, 6.0, n)
         from stickybm.geometry import _sticky_rate_core
-        ours = _sticky_rate_core(a, x1 + y1, v)
+        ours = _sticky_rate_core(a, x1 + y1, v)[0]
         ref = golden_min_sticky_profile(a, x1 + y1, v)
         assert np.max(np.abs(ours - ref)) < 1e-10
 
@@ -264,31 +264,32 @@ class TestGeodesic:
         g = geodesic(params, P(1.0, 0.0), P(1.0, 5.0))
         assert g.case_tag == "three_segment"
         assert g.total_cost == pytest.approx(12.25, abs=1e-12)
-        z_in, z_out = g.segments[0].end, g.segments[1].end
+        knots = g.path.knots
+        z_in, z_out = knots[1], knots[2]
         assert z_in.x1 == 0.0 and z_in.xp == (1.0,)
         assert z_out.x1 == 0.0 and z_out.xp == (4.0,)
         # both slanted legs make the contact angle: sin^2 = 1/a
-        for seg in (g.segments[0], g.segments[2]):
-            d = seg.end.coords() - seg.start.coords()
+        for start, end in ((knots[0], knots[1]), (knots[2], knots[3])):
+            d = end.coords() - start.coords()
             sin2 = (d[1] ** 2) / (d @ d)
             assert sin2 == pytest.approx(1.0 / params.a, rel=1e-12)
 
     def test_boundary_only(self):
         g = geodesic(ModelParams(4.0, 1.0), P(0.0, 0.0), P(0.0, 2.0))
         assert g.case_tag == "boundary_only"
-        assert len(g.segments) == 1
+        assert len(g.path.knots) == 2
         assert g.total_cost == 0.5
 
     def test_identity(self):
         g = geodesic(ModelParams(3.0, 1.0), P(1.0, 2.0), P(1.0, 2.0))
         assert g.total_cost == 0.0
-        assert len(g.segments) == 1
+        assert len(g.path.knots) == 2
 
     def test_one_touch_tags(self):
         params = ModelParams(4.0, 1.0)
         g = geodesic(params, P(0.0, 0.0), P(1.0, 4.0))
         assert g.case_tag == "one_touch_exit"
-        assert len(g.segments) == 2
+        assert len(g.path.knots) == 3
         g2 = geodesic(params, P(1.0, 4.0), P(0.0, 0.0))
         assert g2.case_tag == "one_touch_entry"
 
@@ -306,10 +307,8 @@ class TestGeodesic:
             x = P(float(rng.uniform(0, 2)) if rng.random() > 0.25 else 0.0, float(rng.uniform(-4, 4)))
             y = P(float(rng.uniform(0, 2)) if rng.random() > 0.25 else 0.0, float(rng.uniform(-4, 4)))
             g = geodesic(params, x, y)
-            assert sum(s.duration for s in g.segments) == pytest.approx(1.0, abs=1e-12)
-            for s1, s2 in zip(g.segments, g.segments[1:]):
-                assert s1.end == s2.start
-            assert g.segments[0].start == x and g.segments[-1].end == y
+            assert sum(np.diff(g.path.times)) == pytest.approx(1.0, abs=1e-12)
+            assert g.path.knots[0] == x and g.path.knots[-1] == y
 
     def test_action_equals_cost(self):
         rng = np.random.default_rng(31)
@@ -323,13 +322,13 @@ class TestGeodesic:
             g = geodesic(params, x, y)
             c = cost(params, x, y)
             assert g.total_cost == pytest.approx(c, rel=1e-12, abs=1e-15)
-            assert action(params, g.to_path()) == pytest.approx(c, rel=1e-12, abs=1e-13)
+            assert action(params, g.path) == pytest.approx(c, rel=1e-12, abs=1e-13)
 
     def test_point_at_breakpoint(self):
         g = geodesic(ModelParams(2.0, 1.0), P(1.0, 0.0), P(1.0, 5.0))
-        t_break = g.segments[0].duration
+        t_break = g.path.times[1]
         assert t_break == pytest.approx(2.0 / 7.0, rel=1e-14)
-        z = g.point_at(t_break)
+        z = g.path.at(t_break)
         assert z.x1 == 0.0
         assert z.xp[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -343,11 +342,11 @@ class TestGeodesic:
         # keeps one ulp, and the boundary leg stays on the boundary.
         params = ModelParams(4.0, 1.0)
         g = geodesic(params, x, y)
-        path = g.to_path()
-        assert len(path.times) == 4 and path.knots == (x, *(s.end for s in g.segments))
+        path = g.path
+        assert len(path.times) == 4 and path.knots[0] == x and path.knots[-1] == y
         assert all(t1 < t2 for t1, t2 in zip(path.times, path.times[1:]))
-        assert g.point_at(0.0) == x and g.point_at(1.0) == y
-        assert g.point_at(0.5).x1 == 0.0
+        assert path.at(0.0) == x and path.at(1.0) == y
+        assert path.at(0.5).x1 == 0.0
         assert action(params, path) == pytest.approx(g.total_cost, rel=1e-12)
 
     def test_tangential_gap_whose_square_underflows(self):
@@ -355,10 +354,9 @@ class TestGeodesic:
         # boundary leg runs toward negative x'.
         x, y = P(1e-300, 0.0), P(2e-300, -1e-200)
         g = geodesic(ModelParams(4.0, 1.0), x, y)
-        assert g.case_tag == "three_segment" and len(g.segments) == 3
-        assert g.segments[0].start == x and g.segments[-1].end == y
-        assert all(s1.end == s2.start for s1, s2 in zip(g.segments, g.segments[1:]))
-        z_in, z_out = g.segments[1].start, g.segments[1].end
+        assert g.case_tag == "three_segment" and len(g.path.knots) == 4
+        assert g.path.knots[0] == x and g.path.knots[-1] == y
+        z_in, z_out = g.path.knots[1], g.path.knots[2]
         assert z_in.x1 == z_out.x1 == 0.0 and z_out.xp[0] < z_in.xp[0] < 0.0
 
     def test_higher_dimension_plane_reduction(self):
@@ -367,12 +365,12 @@ class TestGeodesic:
         y = HalfSpacePoint(0.5, (4.0, -3.0, 1.0))
         g = geodesic(params, x, y)
         assert g.total_cost == pytest.approx(cost(params, x, y), rel=1e-12)
-        assert action(params, g.to_path()) == pytest.approx(g.total_cost, rel=1e-12)
+        assert action(params, g.path) == pytest.approx(g.total_cost, rel=1e-12)
         # tangential displacements stay collinear with y' - x'
         u = np.asarray(y.xp) - np.asarray(x.xp)
         u = u / np.linalg.norm(u)
-        for seg in g.segments:
-            d = np.asarray(seg.end.xp) - np.asarray(seg.start.xp)
+        for start, end in zip(g.path.knots, g.path.knots[1:]):
+            d = np.asarray(end.xp) - np.asarray(start.xp)
             residual = d - (d @ u) * u
             assert np.linalg.norm(residual) < 1e-12
 
@@ -391,7 +389,7 @@ class TestPathAndAction:
         chord = Path((0.0, 1.0), (P(1.0, 0.0), P(1.0, 5.0)))
         assert action(params, chord) == 12.5
         g = geodesic(params, P(1.0, 0.0), P(1.0, 5.0))
-        assert action(params, g.to_path()) == pytest.approx(12.25, rel=1e-14)
+        assert action(params, g.path) == pytest.approx(12.25, rel=1e-14)
         bdry = Path((0.0, 1.0), (P(0.0, 0.0), P(0.0, 2.0)))
         assert action(ModelParams(4.0, 1.0), bdry) == 0.5
 

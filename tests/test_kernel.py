@@ -37,15 +37,14 @@ def P(x1, *xp):
 
 
 def log_kernel(params, t, x, y):
-    """The log densities at one pair (x, y): a log_densities batch of one."""
+    """The log mu-density at one pair (x, y): a log_densities batch of one."""
     v = float(np.linalg.norm(np.asarray(y.xp) - np.asarray(x.xp)))
-    return log_densities(params, SPEC, t, x.x1, y.x1, v)
+    return float(log_densities(params, SPEC, t, x.x1, y.x1, v))
 
 
 def kernel(params, t, x, y):
-    """The densities of :func:`log_kernel`, exponentiated."""
-    logs = log_kernel(params, t, x, y)
-    return logs._make(math.exp(p) for p in logs)
+    """The mu-density of :func:`log_kernel`, exponentiated."""
+    return math.exp(log_kernel(params, t, x, y))
 
 
 class TestBuildingBlocks:
@@ -163,25 +162,14 @@ class TestBivariate:
 
 
 class TestTransitionKernel:
-    def test_boundary_target_conventions(self):
-        params = ModelParams(2.0, 1.0)
-        kv_int = kernel(params, 0.5, P(0.3, 0.0), P(0.7, 0.4))
-        assert kv_int.boundary == 0.0
-        assert kv_int.rho_int > 0 and kv_int.rho_st > 0
-        assert kv_int.interior == pytest.approx(kv_int.rho_int + kv_int.rho_st, rel=1e-15)
-
-        kv_b = kernel(params, 0.5, P(0.3, 0.0), P(0.0, 0.4))
-        assert kv_b.boundary > 0
-        assert kv_b.rho_int == 0.0
-        # trace relation between interior limit and the atom value
-        assert kv_b.interior == pytest.approx(2 * params.theta * kv_b.boundary, rel=1e-12)
-
     def test_atom_weight_counted_once(self):
-        # mu-density divided back by the atom weight reproduces the boundary density
+        # mu-density divided back by the atom weight reproduces the boundary
+        # density (1/theta) int_0^{theta t} h(t - l/theta, l + x1) g dl
         params = ModelParams(3.0, 0.7)
         x, y = P(0.4, 0.0), P(0.0, 1.0)
         kv = kernel(params, 0.6, x, y)
-        assert kv.boundary == pytest.approx(kv.interior / (2 * params.theta), rel=1e-12)
+        boundary = math.exp(log_sticky_integral(params, SPEC, 0.6, x.x1, 1.0)) / params.theta
+        assert boundary == pytest.approx(kv / (2 * params.theta), rel=1e-12)
 
     def test_normalization_spot(self):
         for (a, th, t, x1) in [(2.0, 1.0, 0.5, 0.3), (0.5, 2.0, 1.0, 0.0)]:
@@ -220,8 +208,8 @@ class TestTransitionKernel:
             x = P(float(rng.uniform(0, 2)), float(rng.uniform(-2, 2)))
             y1 = 0.0 if rng.random() < 0.3 else float(rng.uniform(0, 2))
             y = P(y1, float(rng.uniform(-2, 2)))
-            q1 = float(log_kernel(params, t, x, y).interior)
-            q2 = float(log_kernel(params, t, y, x).interior)
+            q1 = log_kernel(params, t, x, y)
+            q2 = log_kernel(params, t, y, x)
             assert abs(q1 - q2) <= 1e-8 * max(abs(q1), 1.0)
 
     def test_flat_diffusivity_reference_quadrature(self):
@@ -237,7 +225,7 @@ class TestTransitionKernel:
             return g0 * _h_density(t - l / th, l)
 
         ref = fixed_gauss_legendre_integral(integrand, 0.0, th * t, n=200) / th
-        assert kv.boundary == pytest.approx(ref, rel=1e-8)
+        assert kv / (2 * th) == pytest.approx(ref, rel=1e-8)
 
     def test_far_from_boundary_is_free_gaussian(self):
         params = ModelParams(3.0, 1.0)
@@ -246,23 +234,18 @@ class TestTransitionKernel:
         y = P(1.02, 0.03)
         kv = kernel(params, t, x, y)
         free = math.exp(-((x.x1 - y.x1) ** 2 + (x.xp[0] - y.xp[0]) ** 2) / (2 * t)) / (2 * math.pi * t)
-        assert kv.interior == pytest.approx(free, rel=1e-8)
+        assert kv == pytest.approx(free, rel=1e-8)
         # total boundary mass is the hitting probability, tiny here
         boundary_mass = 1.0 - math.erf(x.x1 / math.sqrt(2 * t))
         assert boundary_mass <= 1e-10
-
-    def test_decomposition_nonnegative(self):
-        params = ModelParams(0.5, 1.0)
-        kv = kernel(params, 0.3, P(0.5, 0.0), P(0.2, 0.6))
-        assert kv.rho_int >= 0 and kv.rho_st >= 0
 
     def test_time_rescaling_identity(self):
         # The slowed kernel is evaluated by rescaling the horizon: the kernel
         # of the generator eps*Q at time t is the kernel at time eps*t.
         params = ModelParams(2.0, 1.0)
         x, y = P(0.3, 0.0), P(0.1, 0.5)
-        assert kernel(params, 0.25 * 0.8, x, y).interior == pytest.approx(
-            kernel(params, 0.2, x, y).interior, rel=1e-14)
+        assert kernel(params, 0.25 * 0.8, x, y) == pytest.approx(
+            kernel(params, 0.2, x, y), rel=1e-14)
 
     def test_invalid_t(self):
         with pytest.raises(ValueError):
@@ -275,18 +258,18 @@ class TestLogKernel:
         x, y = P(0.0, 0.0), P(0.0, 1.0)
         c = cost(params, x, y)
         assert c == 0.125
-        lp = float(log_kernel(params, 0.01, x, y).boundary)
+        lp = log_kernel(params, 0.01, x, y) - math.log(2 * params.theta)
         assert abs(-0.01 * lp - c) <= 0.15 * c
 
     def test_monotone_in_t_far_pair(self):
         params = ModelParams(4.0, 1.0)
         x, y = P(0.5, 0.0), P(0.5, 6.0)
-        vals = [float(log_kernel(params, t, x, y).interior) for t in (0.05, 0.1, 0.2, 0.4, 0.8)]
+        vals = [log_kernel(params, t, x, y) for t in (0.05, 0.1, 0.2, 0.4, 0.8)]
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_small_horizon_stays_finite(self):
         params = ModelParams(0.5, 1.0)
-        lp = float(log_kernel(params, 1e-3, P(0.0, 0.0), P(0.0, 1.9)).boundary)
+        lp = log_kernel(params, 1e-3, P(0.0, 0.0), P(0.0, 1.9)) - math.log(2 * params.theta)
         assert np.isfinite(lp)
         assert lp < -1000     # exp underflows, the log does not
 
@@ -499,15 +482,28 @@ class TestChapmanKolmogorov:
 
 class TestFokkerPlanck:
     def test_stationarity_of_mu(self):
-        # constant mu-density: u = 1, v = 1/(2 theta) annihilates all three
-        # residual operators exactly
+        # constant mu-density q = 1: u = 1, v = 1/(2 theta) annihilates all
+        # three residual operators exactly
         params = ModelParams(2.0, 1.3)
-        u = lambda t, y1, gap: 1.0
-        v = lambda t, gap: 1.0 / (2 * params.theta)
-        r1, r2, r3 = fp_residuals_from_fields(params, u, v, 0.5, 0.01,
-                                              [(0.5, 0.2)], [0.1])
+        q = lambda t, y1, gaps: np.ones_like(y1)
+        r1, r2, r3 = fp_residuals_from_fields(params, q, 0.5, 0.01, [(0.5, 0.2)], [0.1])
         assert r1 == 0.0 and r2 == 0.0
         assert abs(r3) < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_kernel_batch_per_time_level(self, monkeypatch, d):
+        # t - h, t and t + h: three log_densities calls, whatever the stencil
+        calls = []
+
+        def counted(params, spec, t, x1, y1, v):
+            calls.append(t)
+            return log_densities(params, spec, t, x1, y1, v)
+
+        monkeypatch.setattr(stickybm.kernel, "log_densities", counted)
+        x = HalfSpacePoint(0.3, (0.0,) * (d - 1))
+        res = fokker_planck_residual(ModelParams(1.0, 1.0, d), SPEC, 0.5, x, 0.04)
+        assert sorted(calls) == [0.5 - 0.04, 0.5, 0.5 + 0.04]
+        assert all(np.isfinite(res))
 
     def test_residuals_small_and_second_order(self):
         params = ModelParams(1.0, 1.0)

@@ -307,14 +307,15 @@ def two_batch_log_probability(params, t, x, target, order=32):
         y1s = lo + (hi - lo) * nodes
         half = np.sqrt(r * r - (y1s - c1) ** 2)
         yps = (cp - half)[:, None] + (2.0 * half)[:, None] * nodes
-        vals = log_densities(params, SPEC, t, x.x1, y1s[:, None], np.abs(yps - x.xp[0])).interior
+        vals = log_densities(params, SPEC, t, x.x1, y1s[:, None], np.abs(yps - x.xp[0]))
         parts.append(logsumexp(vals + np.log(np.outer(w * (hi - lo) * 2.0 * half, w))))
         c, h = cp, math.sqrt(max(r * r - c1 * c1, 0.0))
     else:
         c, h = target.center_tangential[0], target.radius
     if h > 0.0:
         yps = c - h + 2.0 * h * nodes
-        vals = log_densities(params, SPEC, t, x.x1, 0.0, np.abs(yps - x.xp[0])).boundary
+        vals = (log_densities(params, SPEC, t, x.x1, 0.0, np.abs(yps - x.xp[0]))
+                - math.log(2.0 * params.theta))
         parts.append(logsumexp(vals + np.log(w * 2.0 * h)))
     return logsumexp(parts)
 

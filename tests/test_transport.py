@@ -205,8 +205,7 @@ class TestSchrodinger:
         mu0, mu1 = fixture
         plan = schrodinger(params, SPEC, eps, mu0, mu1)
         gap = np.abs(mu1.xp()[None, :, 0] - mu0.xp()[:, None, 0])
-        log_k = log_densities(params, SPEC, eps, mu0.x1()[:, None], mu1.x1()[None, :],
-                              gap).interior
+        log_k = log_densities(params, SPEC, eps, mu0.x1()[:, None], mu1.x1()[None, :], gap)
         ref = plain_sinkhorn_plan(log_k, np.asarray(mu0.weights), np.asarray(mu1.weights))
         ref_value = eps * float(np.sum(ref * (np.log(ref) - log_k)))
         assert np.max(np.abs(plan.matrix - ref)) <= 1e-8
@@ -295,7 +294,7 @@ class TestDisplacement:
         x, y = P(1.0, 0.0), P(1.0, 5.0)
         plan = kantorovich(params, uniform(x), uniform(y))
         g = geodesic(params, x, y)
-        t_break = g.segments[0].duration
+        t_break = g.path.times[1]
         mid = displacement_interpolation(params, plan, t_break)
         assert mid.atoms[0].x1 == 0.0
         assert mid.atoms[0].xp[0] == pytest.approx(1.0, rel=1e-12)
@@ -344,4 +343,4 @@ class TestGeodesicSpace:
             c = cost(params, x, y)
             g = geodesic(params, x, y)
             for t in (0.25, 0.5, 0.8):
-                assert cost(params, x, g.point_at(t)) == pytest.approx(t * t * c, rel=1e-12)
+                assert cost(params, x, g.path.at(t)) == pytest.approx(t * t * c, rel=1e-12)
