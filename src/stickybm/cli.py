@@ -299,104 +299,100 @@ def _add_common(sub, model=True, seed=False):
         sub.add_argument("--d", type=int, default=2, help="ambient dimension")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``stickybm`` parser.  Every subcommand is registered, so the
+    top-level usage, help and errors are always the same; given a known
+    ``command``, only that subcommand gets its arguments (all that parsing
+    its own argv needs), and any other ``command`` gets the full parser."""
     parser = argparse.ArgumentParser(
         prog="stickybm",
         description="Sticky-reflecting Brownian motion: kernel, geodesics, "
                     "simulation, large-deviation and transport experiments.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("cost", help="two-point intrinsic cost")
-    _add_common(s)
-    s.add_argument("--x", required=True, help="point as comma-separated coords, first is normal")
-    s.add_argument("--y", required=True)
-    s.set_defaults(func=_cmd_cost)
+    def sub(name, help, func, **common):
+        s = subs.add_parser(name, help=help)
+        if command not in (None, name):
+            return None
+        _add_common(s, **common)
+        s.set_defaults(func=func)
+        return s
 
-    s = subs.add_parser("geodesic", help="explicit geodesic between two points")
-    _add_common(s)
-    s.add_argument("--x", required=True)
-    s.add_argument("--y", required=True)
-    s.set_defaults(func=_cmd_geodesic)
+    if s := sub("cost", "two-point intrinsic cost", _cmd_cost):
+        s.add_argument("--x", required=True, help="point as comma-separated coords, first is normal")
+        s.add_argument("--y", required=True)
 
-    s = subs.add_parser("kernel", help="transition kernel on a grid")
-    _add_common(s)
-    s.add_argument("--t", type=float, required=True)
-    s.add_argument("--x", required=True)
-    s.add_argument("--grid", type=int, default=64)
-    s.add_argument("--extent", type=float, default=4.0, help="grid extent in standard deviations")
-    s.set_defaults(func=_cmd_kernel)
+    if s := sub("geodesic", "explicit geodesic between two points", _cmd_geodesic):
+        s.add_argument("--x", required=True)
+        s.add_argument("--y", required=True)
 
-    s = subs.add_parser("simulate", help="exact path sampling")
-    _add_common(s, seed=True)
-    s.add_argument("--x", required=True)
-    s.add_argument("--step", type=float, required=True)
-    s.add_argument("--n-steps", type=int, required=True, dest="n_steps")
-    s.add_argument("--n-paths", type=int, default=1, dest="n_paths")
-    s.set_defaults(func=_cmd_simulate)
+    if s := sub("kernel", "transition kernel on a grid", _cmd_kernel):
+        s.add_argument("--t", type=float, required=True)
+        s.add_argument("--x", required=True)
+        s.add_argument("--grid", type=int, default=64)
+        s.add_argument("--extent", type=float, default=4.0,
+                       help="grid extent in standard deviations")
 
-    s = subs.add_parser("ldp-static", help="static rate extraction for a target set")
-    _add_common(s, seed=True)
-    s.add_argument("--x", required=True)
-    s.add_argument("--target", required=True, help="ball:<point>:<r> or patch:<x'>:<r>")
-    s.add_argument("--epsilons", required=True)
-    s.add_argument("--method", choices=("quadrature", "monte_carlo"), default="quadrature")
-    s.add_argument("--n-paths", type=int, default=100000, dest="n_paths")
-    s.set_defaults(func=_cmd_ldp_static)
+    if s := sub("simulate", "exact path sampling", _cmd_simulate, seed=True):
+        s.add_argument("--x", required=True)
+        s.add_argument("--step", type=float, required=True)
+        s.add_argument("--n-steps", type=int, required=True, dest="n_steps")
+        s.add_argument("--n-paths", type=int, default=1, dest="n_paths")
 
-    s = subs.add_parser("ldp-scan", help="rate versus diffusivity scan")
-    _add_common(s, model=False)
-    s.add_argument("--theta", type=float, default=1.0)
-    s.add_argument("--a-grid", required=True, dest="a_grid", help="comma-separated a values")
-    s.add_argument("--x", required=True)
-    s.add_argument("--y", required=True)
-    s.add_argument("--radius", type=float, default=0.1)
-    s.add_argument("--epsilons", required=True)
-    s.set_defaults(func=_cmd_ldp_scan)
+    if s := sub("ldp-static", "static rate extraction for a target set", _cmd_ldp_static,
+                seed=True):
+        s.add_argument("--x", required=True)
+        s.add_argument("--target", required=True, help="ball:<point>:<r> or patch:<x'>:<r>")
+        s.add_argument("--epsilons", required=True)
+        s.add_argument("--method", choices=("quadrature", "monte_carlo"), default="quadrature")
+        s.add_argument("--n-paths", type=int, default=100000, dest="n_paths")
 
-    s = subs.add_parser("ldp-path", help="path-slicing rate via Monte Carlo")
-    _add_common(s, seed=True)
-    s.add_argument("--x", required=True)
-    s.add_argument("--waypoints", required=True,
-                   help="semicolon-separated t:<point>:<radius> entries")
-    s.add_argument("--epsilons", required=True)
-    s.add_argument("--n-paths", type=int, default=100000, dest="n_paths")
-    s.set_defaults(func=_cmd_ldp_path)
+    if s := sub("ldp-scan", "rate versus diffusivity scan", _cmd_ldp_scan, model=False):
+        s.add_argument("--theta", type=float, default=1.0)
+        s.add_argument("--a-grid", required=True, dest="a_grid", help="comma-separated a values")
+        s.add_argument("--x", required=True)
+        s.add_argument("--y", required=True)
+        s.add_argument("--radius", type=float, default=0.1)
+        s.add_argument("--epsilons", required=True)
 
-    s = subs.add_parser("ot", help="exact optimal transport between two measures")
-    _add_common(s)
-    s.add_argument("--mu0", required=True, help="CSV of x1, xp..., weight")
-    s.add_argument("--mu1", required=True)
-    s.set_defaults(func=_cmd_ot)
+    if s := sub("ldp-path", "path-slicing rate via Monte Carlo", _cmd_ldp_path, seed=True):
+        s.add_argument("--x", required=True)
+        s.add_argument("--waypoints", required=True,
+                       help="semicolon-separated t:<point>:<radius> entries")
+        s.add_argument("--epsilons", required=True)
+        s.add_argument("--n-paths", type=int, default=100000, dest="n_paths")
 
-    s = subs.add_parser("sinkhorn", help="entropic plan against the sticky kernel")
-    _add_common(s)
-    s.add_argument("--mu0", required=True)
-    s.add_argument("--mu1", required=True)
-    s.add_argument("--epsilon", type=float, required=True)
-    s.add_argument("--max-iter", type=int, default=20000, dest="max_iter")
-    s.add_argument("--tol", type=float, default=1e-9)
-    s.set_defaults(func=_cmd_sinkhorn)
+    if s := sub("ot", "exact optimal transport between two measures", _cmd_ot):
+        s.add_argument("--mu0", required=True, help="CSV of x1, xp..., weight")
+        s.add_argument("--mu1", required=True)
 
-    s = subs.add_parser("gamma-limit", help="entropic-to-exact gap across epsilons")
-    _add_common(s)
-    s.add_argument("--mu0", required=True)
-    s.add_argument("--mu1", required=True)
-    s.add_argument("--epsilons", required=True)
-    s.add_argument("--tol", type=float, default=1e-9)
-    s.set_defaults(func=_cmd_gamma_limit)
+    if s := sub("sinkhorn", "entropic plan against the sticky kernel", _cmd_sinkhorn):
+        s.add_argument("--mu0", required=True)
+        s.add_argument("--mu1", required=True)
+        s.add_argument("--epsilon", type=float, required=True)
+        s.add_argument("--max-iter", type=int, default=20000, dest="max_iter")
+        s.add_argument("--tol", type=float, default=1e-9)
 
-    s = subs.add_parser("interpolate", help="displacement interpolation of the exact plan")
-    _add_common(s)
-    s.add_argument("--mu0", required=True)
-    s.add_argument("--mu1", required=True)
-    s.add_argument("--t", type=float, required=True)
-    s.set_defaults(func=_cmd_interpolate)
+    if s := sub("gamma-limit", "entropic-to-exact gap across epsilons", _cmd_gamma_limit):
+        s.add_argument("--mu0", required=True)
+        s.add_argument("--mu1", required=True)
+        s.add_argument("--epsilons", required=True)
+        s.add_argument("--tol", type=float, default=1e-9)
 
+    if s := sub("interpolate", "displacement interpolation of the exact plan", _cmd_interpolate):
+        s.add_argument("--mu0", required=True)
+        s.add_argument("--mu1", required=True)
+        s.add_argument("--t", type=float, required=True)
+
+    if command not in (None, *subs.choices):
+        return build_parser()
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Arguments for argv[0]'s subcommand only: building all eleven takes twice as long.
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -47,6 +47,16 @@ __all__ = [
 ]
 
 
+def _tangential_offset(target, xp, centre) -> np.ndarray:
+    """``xp - centre``, once the last axis of ``xp`` is checked to hold the
+    target's ``dim - 1`` tangential coordinates (a shape check, O(1))."""
+    xp = np.asarray(xp)
+    if xp.shape[-1:] != (target.dim - 1,):
+        raise ValueError(f"coordinates have dimension {1 + sum(xp.shape[-1:])}, "
+                         f"target has dimension {target.dim}")
+    return xp - np.asarray(centre)
+
+
 @dataclass(frozen=True)
 class Ball:
     """Euclidean ball intersected with the closed half-space."""
@@ -63,8 +73,10 @@ class Ball:
         return self.center.dim
 
     def contains(self, x1, xp):
+        """Whether each ``(x1, xp)`` lies in the ball; ``xp`` holds the
+        ``dim - 1`` tangential coordinates on its last axis."""
+        dp = _tangential_offset(self, xp, self.center.xp)
         d1 = np.asarray(x1) - self.center.x1
-        dp = np.asarray(xp) - np.asarray(self.center.xp)
         r2 = d1 * d1 + np.sum(np.atleast_2d(dp) ** 2, axis=-1).reshape(np.shape(d1))
         return r2 <= self.radius ** 2
 
@@ -89,8 +101,9 @@ class BoundaryPatch:
         return 1 + len(self.center_tangential)
 
     def contains(self, x1, xp):
+        """Whether each ``(x1, xp)`` lies in the patch, as :meth:`Ball.contains`."""
+        dp = _tangential_offset(self, xp, self.center_tangential)
         on_b = np.asarray(x1) == 0.0
-        dp = np.asarray(xp) - np.asarray(self.center_tangential)
         r2 = np.sum(np.atleast_2d(dp) ** 2, axis=-1).reshape(np.shape(on_b))
         return on_b & (r2 <= self.radius ** 2)
 
@@ -355,17 +368,24 @@ def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target) -> floa
 def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
                 n_paths: int, seed: int) -> list:
     """Per epsilon, how many of ``n_paths`` exact paths from ``x`` lie in
-    ``targets[j]`` after each step ``eps * dt_j``; epsilon ``i`` draws stream ``i``."""
+    ``targets[j]`` after each step ``eps * dt_j``; epsilon ``i`` draws stream ``i``.
+
+    Only the paths inside every target so far take the next step, and a
+    block stops at the first target that none of its paths reach."""
     counts = []
     for i, eps in enumerate(epsilons):
         hits = 0
         for first, count in _path_blocks(n_paths, len(dts), params.d):
             steps = walk(params, x, eps * np.asarray(dts), count, seed, stream=i,
                          first_index=first)
-            inside = np.ones(count, dtype=bool)
-            for (x1, xp, _), target in zip(steps, targets):
-                inside &= np.asarray(target.contains(x1, xp))
-            hits += int(np.sum(inside))
+            x1, xp, _ = next(steps)
+            for target in targets[:-1]:
+                inside = target.contains(x1, xp)
+                if not inside.any():
+                    break
+                x1, xp, _ = steps.send(inside)
+            else:
+                hits += int(np.count_nonzero(targets[-1].contains(x1, xp)))
         counts.append(hits)
     return counts
 

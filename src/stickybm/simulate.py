@@ -25,7 +25,13 @@ from .geometry import HalfSpacePoint, ModelParams
 __all__ = ["SimConfig", "BatchPaths", "step_batch", "walk", "simulate_batch",
            "modulus_statistics"]
 
-_BLOCK_UNIFORMS = 2 ** 22   # uniforms per walk over a block of paths, which bounds its draws
+# Uniforms one walk over a block of paths draws at once.  The Monte Carlo
+# hit counter (``ldp._hit_counts``) keeps nothing but counts, so its blocks
+# are small: their raw bits take 512 kB.  simulate_batch keeps every step
+# of every path, so narrower blocks would save it little memory and repeat
+# each step's fixed cost (about 60 us) once per block.
+_BLOCK_UNIFORMS = 2 ** 16
+_BATCH_UNIFORMS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,10 @@ def walk(params: ModelParams, x0: HalfSpacePoint, dts, n_paths: int, seed: int,
     stream * 2^64``: per step three uniforms, then ``d - 1`` that ``ndtri``
     makes normal, each ``(k + 1/2) 2^-52`` for 52 random bits ``k``; rows are
     padded to a multiple of 4, so ``advance`` reaches any path.  Inputs are
-    checked and drawn at the call, the steps taken as the iterator runs.
+    checked and the raw bits drawn at the call; the steps are taken as the
+    iterator runs, each converting only its own draws.  A caller may
+    ``send`` a boolean mask over the rows just yielded: later steps then take
+    only the rows it keeps, whose values do not change.
     """
     from scipy.special import ndtri
 
@@ -134,30 +143,34 @@ def walk(params: ModelParams, x0: HalfSpacePoint, dts, n_paths: int, seed: int,
     width = -(-dts.size * per_step // 4) * 4
     gen = np.random.Philox(key=int(seed) + (int(stream) << 64))
     gen.advance(first_index * width // 4)
-    bits = gen.random_raw((n_paths, width))[:, :dts.size * per_step]
-    bits >>= 12
-    u = bits.astype(float)
-    u += 0.5
-    u *= 2.0 ** -52
-    u = u.reshape(n_paths, dts.size, per_step)
+    bits = gen.random_raw((n_paths, width))
 
     def steps():
         x1 = np.full(n_paths, float(x0.x1))
         xp = np.tile(np.asarray(x0.xp, dtype=float), (n_paths, 1))
+        rows = slice(None)
         for j, dt in enumerate(dts):
-            x1, xp, d_o = step_batch(params, x1, xp, dt, u[:, j, :3].T, ndtri(u[:, j, 3:]))
-            yield x1, xp, d_o
+            u = (bits[rows, j * per_step:(j + 1) * per_step] >> 12).astype(float)
+            u += 0.5
+            u *= 2.0 ** -52
+            x1, xp, d_o = step_batch(params, x1, xp, dt, u[:, :3].T, ndtri(u[:, 3:]))
+            keep = yield x1, xp, d_o
+            if keep is not None:
+                rows = np.arange(n_paths)[rows][keep]
+                x1, xp = x1[keep], xp[keep]
 
     return steps()
 
 
-def _path_blocks(n_paths: int, n_steps: int, d: int):
+def _path_blocks(n_paths: int, n_steps: int, d: int, uniforms: int | None = None):
     """Contiguous ``(first, count)`` blocks of ``n_paths`` paths whose :func:`walk`
-    over ``n_steps`` steps in dimension ``d`` draws at most ``_BLOCK_UNIFORMS``
-    uniforms (one path per block if a single path needs more)."""
+    over ``n_steps`` steps in dimension ``d`` draws at most ``uniforms``
+    (default ``_BLOCK_UNIFORMS``) uniforms, one path per block if a single
+    path needs more."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    size = max(1, _BLOCK_UNIFORMS // (n_steps * (d + 2)))
+    uniforms = _BLOCK_UNIFORMS if uniforms is None else uniforms
+    size = max(1, uniforms // (n_steps * (d + 2)))
     return [(first, min(size, n_paths - first)) for first in range(0, n_paths, size)]
 
 
@@ -195,7 +208,7 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
     among them.
     """
     params, n, dt = config.params, config.n_steps, config.step
-    blocks = _path_blocks(n_paths, n, params.d)
+    blocks = _path_blocks(n_paths, n, params.d, _BATCH_UNIFORMS)
     x1 = np.empty((n_paths, n + 1))
     xp = np.empty((n_paths, n + 1, params.d - 1))
     occ = np.zeros((n_paths, n + 1))

@@ -7,7 +7,9 @@ integrals by fixed-order Gauss-Legendre.  The sampler's oracle
 :func:`horizontal_cdf` integrates the kernel's hitting and Gaussian log
 densities (``_log_h``, ``_log_g``) over local time by quadrature, apart from
 the sampler's inversion of the sticky clock; :func:`euler_thin_layer` is a
-deliberately crude, biased scheme for qualitative comparisons.
+deliberately crude, biased scheme for qualitative comparisons.  Monte Carlo
+hit counts have the unpruned :func:`unpruned_hit_counts`, which steps every
+path through every waypoint in one walk.
 """
 
 import itertools
@@ -19,7 +21,7 @@ import numpy as np
 from stickybm.geometry import HalfSpacePoint, ModelParams
 from stickybm.kernel import _log_g, _log_h
 from stickybm.quadrature import gauss_legendre
-from stickybm.simulate import BatchPaths
+from stickybm.simulate import BatchPaths, walk
 
 
 def golden_min_sticky_profile(a, s, v, tol=1e-14):
@@ -220,3 +222,16 @@ def euler_thin_layer(params: ModelParams, x0: HalfSpacePoint, dt: float,
             occ[i + 1] = occ[i]
     times = dt * np.arange(n_steps + 1)
     return BatchPaths(times, x1[None], xp[None], occ[None], params.theta)
+
+
+def unpruned_hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
+                        n_paths: int, seed: int) -> list:
+    """Per epsilon ``i`` (stream ``i``), how many of ``n_paths`` paths lie in
+    every ``targets[j]`` after step ``j``: all paths in one walk, each taking
+    every step, with membership tested only after the last."""
+    counts = []
+    for i, eps in enumerate(epsilons):
+        steps = list(walk(params, x, eps * np.asarray(dts, dtype=float), n_paths, seed, stream=i))
+        inside = np.logical_and.reduce([t.contains(x1, xp) for (x1, xp, _), t in zip(steps, targets)])
+        counts.append(int(np.count_nonzero(inside)))
+    return counts

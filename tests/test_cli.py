@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import stickybm.cli
@@ -13,7 +14,7 @@ import stickybm.kernel
 import stickybm.ldp
 import stickybm.simulate
 import stickybm.transport
-from stickybm.cli import build_parser, main
+from stickybm.cli import _fmt, build_parser, main
 from stickybm.quadrature import QuadratureError
 from stickybm.transport import gamma_limit_experiment
 
@@ -207,6 +208,81 @@ class TestEmit:
         assert config["command"] == command and config["output"] == str(out)
         rows = read_csv(out / f"{command}.csv")
         assert len(rows) >= 2 and all(rows[0])
+
+
+class TestWriter:
+    def test_numpy_floats_are_written_at_17_digits(self):
+        # Library results are NumPy scalars; the writer must not print their shortest repr.
+        assert _fmt(np.float64(0.1)) == "0.10000000000000001" == _fmt(0.1)
+        assert _fmt(np.float64(0.0)) == "0" and _fmt(3) == "3" and _fmt("summary") == "summary"
+
+    def test_kernel_csv_bytes(self, tmp_path, capsys):
+        assert run(tmp_path, "kernel", "--a", "2", "--theta", "1", "--t", "1",
+                   "--x", "0.3,0", "--grid", "2") == 0
+        assert capsys.readouterr().out == "rows=6 trapezoid_mass=0.00021129215415714321\n"
+        lines = (tmp_path / "kernel.csv").read_text().splitlines()
+        assert lines[1] == ("1,0.29999999999999999,0,0,-5.6568542494923806,"
+                            "7.0474530930099423e-06,3.5237265465049712e-06")
+
+
+def _full_parser_exit(argv):
+    """What the full parser prints and exits with on ``argv``."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    raise AssertionError(f"{argv} parsed without exiting")
+
+
+class TestParser:
+    """``main`` builds the arguments of ``argv[0]``'s subcommand only; what it
+    parses and prints must be what the full parser gives."""
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=[argv[0] for argv in SMALL_RUNS])
+    def test_main_parses_what_the_full_parser_parses(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(stickybm.cli, "_cmd_" + argv[0].replace("-", "_"),
+                            lambda args: seen.append(args) or 0)
+        assert main([*argv, "-o", "out"]) == 0
+        assert seen == [build_parser().parse_args([*argv, "-o", "out"])]
+
+    def test_main_builds_one_subcommand(self, monkeypatch):
+        commands, inner = [], stickybm.cli.build_parser
+
+        def spy(command=None):
+            commands.append(command)
+            return inner(command)
+
+        monkeypatch.setattr(stickybm.cli, "build_parser", spy)
+        monkeypatch.setattr(stickybm.cli, "_cmd_cost", lambda args: 0)
+        assert main(SMALL_RUNS[0]) == 0
+        assert commands == ["cost"]
+        subs = inner("cost")._subparsers._group_actions[0].choices
+        assert sorted(subs) == sorted(argv[0] for argv in SMALL_RUNS)
+        assert [name for name, sub in subs.items() if len(sub._actions) > 1] == ["cost"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], *([argv[0], "--help"] for argv in SMALL_RUNS), ["kernel", "-h"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_help_is_the_full_parsers(self, capsys, argv):
+        code = _full_parser_exit(argv)
+        expected = capsys.readouterr()
+        assert code == 0 and expected.out.startswith("usage: stickybm")
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["--bogus", "cost", "--a", "1"], ["cost"], ["cost", "--a", "x"],
+        ["cost", "--a", "1", "--theta", "1", "--x", "0,0", "--y", "0,1", "extra"],
+        ["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "patch:2:0.1",
+         "--epsilons", "0.2,0.1,0.05", "--method", "exact"],
+    ], ids=["none", "unknown", "option-first", "missing", "bad-type", "extra", "bad-choice"])
+    def test_usage_errors_are_the_full_parsers(self, capsys, argv):
+        assert _full_parser_exit(argv) == 2
+        expected = capsys.readouterr()
+        assert expected.err.startswith("usage: stickybm")
+        assert main(argv) == 2
+        assert capsys.readouterr() == expected
 
 
 class TestSimulateCli:

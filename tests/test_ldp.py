@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +38,9 @@ from stickybm.ldp import (
 )
 from stickybm.kernel import log_densities
 from stickybm.quadrature import QuadratureSpec, gauss_legendre, logsumexp
+from stickybm.simulate import walk
+
+from oracles import unpruned_hit_counts
 
 SPEC = QuadratureSpec()
 
@@ -89,6 +93,16 @@ class TestPlumbing:
         assert patch.contains(0.0, np.array([1.2]))
         assert not patch.contains(1e-12, np.array([1.0]))   # boundary is exact
         assert not patch.contains(0.0, np.array([1.3]))
+
+    def test_membership_rejects_coordinates_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimension 3, target has dimension 2"):
+            Ball(P(0, 1), 1.5).contains(0.0, np.array([0.0, 0.0]))
+        with pytest.raises(ValueError, match="dimension 2, target has dimension 3"):
+            BoundaryPatch((1.0, 0.0), 0.5).contains(np.zeros(4), np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="dimension 1, target has dimension 2"):
+            Ball(P(0, 1), 1.5).contains(0.0, 0.0)
+        inside = Ball(P(0, 1, 0), 1.5).contains(np.zeros(3), np.array([[0, 0], [1, 1], [3, 0]]))
+        assert inside.tolist() == [True, True, False]
 
 
 class TestReferenceRates:
@@ -510,6 +524,26 @@ class TestSliced:
         assert stickybm.ldp._hit_counts(params, x, dts, balls, eps, n, seed=5) == whole
         assert 0 < min(whole) and max(whole) < n
 
+    def test_benchmark_configuration_counts(self):
+        # The benchmark's ldp-path op: criterion-9 balls, seed 3, 60 000 paths.
+        balls = [Ball(P(0.0, 1.0), 0.8), Ball(P(0.0, 2.0), 0.8)]
+        hits = stickybm.ldp._hit_counts(ModelParams(4.0, 1.0), P(0.0, 0.0), np.array([0.5, 0.5]),
+                                        balls, (0.2, 0.1, 0.05), 60000, seed=3)
+        assert hits == [3024, 1063, 151]
+
+    def test_hit_counts_hold_bounded_memory(self):
+        # The draws of one block of paths at a time, whatever the number of paths.
+        args = (ModelParams(4.0, 1.0), P(0.0, 0.0), np.array([0.5, 0.5]),
+                [Ball(P(0.0, 1.0), 0.8), Ball(P(0.0, 2.0), 0.8)], (0.2,), 200000, 3)
+        stickybm.ldp._hit_counts(*args)
+        tracemalloc.start()
+        try:
+            stickybm.ldp._hit_counts(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_additivity_along_geodesic(self):
         params = ModelParams(4.0, 1.0)
         x = P(0.0, 0.0)
@@ -554,3 +588,69 @@ class TestSliced:
         coarse = [(1.0, Ball(P(0.0, 2.0), 0.15))]
         fine = [(0.5, Ball(P(0.0, 1.0), 0.15)), (1.0, Ball(P(0.0, 2.0), 0.15))]
         assert min_sliced_cost(params, x, fine) >= min_sliced_cost(params, x, coarse) - 1e-8
+
+
+# Seeded hit-count experiments: (params, start, dts, targets, epsilons, paths, seed).
+HIT_CASES = {
+    "patch": (ModelParams(4.0, 1.0), P(0.0, 0.0), [1.0], [BoundaryPatch((1.0,), 0.3)],
+              (0.2, 0.1, 0.05), 3000, 4),
+    "two-balls": (ModelParams(4.0, 1.0), P(0.0, 0.0), [0.5, 0.5],
+                  [Ball(P(0.0, 1.0), 0.8), Ball(P(0.0, 2.0), 0.8)], (0.2, 0.1), 3000, 7),
+    "ball-patch-ball-d3": (ModelParams(2.0, 0.7, 3), P(0.2, 0.0, 0.0), [0.3, 0.3, 0.4],
+                           [Ball(P(0.1, 0.5, 0.0), 0.7), BoundaryPatch((1.0, 0.2), 0.8),
+                            Ball(P(0.3, 1.5, 0.0), 0.9)], (0.3, 0.2, 0.1), 3000, 9),
+    "unreachable-first": (ModelParams(4.0, 1.0), P(0.0, 0.0), [0.5, 0.5],
+                          [Ball(P(0.0, 50.0), 0.1), Ball(P(0.0, 2.0), 0.8)],
+                          (0.2, 0.1, 0.05), 3000, 5),
+}
+
+
+class TestPrunedHitCounts:
+    """``_hit_counts`` steps only the paths inside every target so far; the
+    counts must be those of stepping every path (``unpruned_hit_counts``)."""
+
+    @pytest.mark.parametrize("block_uniforms", [None, 100], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("case", HIT_CASES)
+    def test_pruned_counts_match_unpruned_oracle(self, monkeypatch, case, block_uniforms):
+        if block_uniforms is not None:
+            monkeypatch.setattr(stickybm.simulate, "_BLOCK_UNIFORMS", block_uniforms)
+        params, x, dts, targets, eps, n, seed = HIT_CASES[case]
+        hits = stickybm.ldp._hit_counts(params, x, np.array(dts), targets, eps, n, seed)
+        assert hits == unpruned_hit_counts(params, x, dts, targets, eps, n, seed)
+        if case == "unreachable-first":
+            assert hits == [0] * len(eps)
+        else:
+            assert 0 < hits[0] < n
+
+    def test_paths_outside_a_target_take_no_further_step(self, monkeypatch):
+        params, x, dts, targets, _, n, seed = HIT_CASES["ball-patch-ball-d3"]
+        eps = 0.3
+        live = [n]
+        inside = np.ones(n, dtype=bool)
+        for (x1, xp, _), target in zip(walk(params, x, eps * np.array(dts), n, seed), targets):
+            inside &= target.contains(x1, xp)
+            live.append(int(np.count_nonzero(inside)))
+        assert n > live[1] > live[2] > 0
+        sizes = self._step_sizes(monkeypatch)
+        stickybm.ldp._hit_counts(params, x, np.array(dts), targets, (eps,), n, seed)
+        assert sizes == live[:3]
+
+    def test_block_stops_at_a_target_no_path_reaches(self, monkeypatch):
+        monkeypatch.setattr(stickybm.simulate, "_BLOCK_UNIFORMS", 100)
+        params, x, dts, targets, eps, n, seed = HIT_CASES["unreachable-first"]
+        blocks = stickybm.ldp._path_blocks(n, len(dts), params.d)
+        sizes = self._step_sizes(monkeypatch)
+        assert stickybm.ldp._hit_counts(params, x, np.array(dts), targets, eps, n, seed) == [0] * 3
+        assert sizes == [count for _ in eps for _, count in blocks]
+
+    @staticmethod
+    def _step_sizes(monkeypatch) -> list:
+        """Record how many paths each ``step_batch`` call steps."""
+        sizes, inner = [], stickybm.simulate.step_batch
+
+        def spy(params, x1, *args):
+            sizes.append(x1.size)
+            return inner(params, x1, *args)
+
+        monkeypatch.setattr(stickybm.simulate, "step_batch", spy)
+        return sizes

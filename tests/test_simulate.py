@@ -323,8 +323,8 @@ class TestPaths:
         cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 6, seed=3)
         whole = simulate_batch(cfg, 30, first_index=2)
         for limit in (7 * 24 + 5, 10):
-            monkeypatch.setattr(sim, "_BLOCK_UNIFORMS", limit)
-            assert len(sim._path_blocks(30, 6, 2)) > 1
+            monkeypatch.setattr(sim, "_BATCH_UNIFORMS", limit)
+            assert len(sim._path_blocks(30, 6, 2, sim._BATCH_UNIFORMS)) > 1
             blocked = simulate_batch(cfg, 30, first_index=2)
             for name in ("x1", "xp", "occupation_time"):
                 assert np.array_equal(getattr(blocked, name), getattr(whole, name))
@@ -361,6 +361,19 @@ class TestPaths:
             assert np.array_equal(u_j, step[:, :3].T)
             assert np.array_equal(g_j, ndtri(step[:, 3:]))
         assert len(seen) == len(dts)
+
+    def test_sent_masks_keep_the_rows_values(self):
+        # A walk told to drop rows steps the rest exactly as the full walk does.
+        params, dts, n = ModelParams(2.0, 1.5, 3), [0.1, 0.2, 0.05], 40
+        full = list(walk(params, P(0.2, 0.0, 0.0), dts, n, 5, stream=2, first_index=3))
+        steps = walk(params, P(0.2, 0.0, 0.0), dts, n, 5, stream=2, first_index=3)
+        got, rows = next(steps), np.arange(n)
+        for j in (1, 2):
+            keep = (np.arange(rows.size) + j) % 3 != 0
+            rows = rows[keep]
+            got = steps.send(keep)
+            assert all(np.array_equal(a, b[rows]) for a, b in zip(got, full[j]))
+        assert rows.size == 18
 
     def test_streams_do_not_overlap_across_seeds(self):
         # (seed 0, stream 1) and (seed 1, stream 0) are different keys.
