@@ -21,21 +21,12 @@ from .geometry import (
     hamiltonian,
     lagrangian,
     point,
-    sliced_cost,
     sticky_rate,
     sticky_rate_profile,
 )
 from .quadrature import QuadratureError, QuadratureSpec
-from .kernel import (
-    bivariate_density,
-    chapman_kolmogorov_residual,
-    fokker_planck_residual,
-    gaussian_density,
-    hitting_density,
-    kernel_total_mass,
-    killed_kernel,
-)
-from .simulate import BatchPaths, SimConfig, modulus_statistics, simulate_batch
+from .kernel import kernel_total_mass
+from .simulate import BatchPaths, SimConfig, simulate_batch
 from .ldp import (
     Ball,
     BoundaryPatch,

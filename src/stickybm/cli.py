@@ -55,13 +55,16 @@ def _parse_floats(text: str):
 
 
 def _parse_target(text: str):
-    kind, _, rest = text.partition(":")
-    center, _, radius = rest.rpartition(":")
+    kind, *fields = text.split(":")
+    if kind not in ("ball", "patch"):
+        raise ValueError(f"unknown target kind {kind!r}; use ball:<point>:<r> or patch:<x'>:<r>")
+    if len(fields) != 2:
+        raise ValueError(f"target {text!r} is not kind:centre:radius; "
+                         f"use ball:<point>:<r> or patch:<x'>:<r>")
+    center, radius = fields
     if kind == "ball":
         return Ball(_parse_point(center), float(radius))
-    if kind == "patch":
-        return BoundaryPatch(_parse_floats(center), float(radius))
-    raise ValueError(f"unknown target kind {kind!r}; use ball:<point>:<r> or patch:<x'>:<r>")
+    return BoundaryPatch(_parse_floats(center), float(radius))
 
 
 def _read_measure(path: str) -> DiscreteMeasure:

@@ -5,7 +5,8 @@ tangential diffusivity ``a`` on the boundary ``{x1 = 0}``.  This module holds
 the closed-form two-point cost, the cone separating Euclidean from
 through-the-boundary optimal strategies, the (relaxed) Lagrangian and
 Hamiltonian, explicit geodesics, the action of piecewise-linear paths, and the
-discrete time-slicing cost.
+one time-sliced cost loop ``_sliced_sum`` behind the LDP module's waypoint
+costs.
 
 All functions are pure; nothing here owns mutable state.
 """
@@ -35,7 +36,6 @@ __all__ = [
     "euclidean_rate",
     "geodesic",
     "action",
-    "sliced_cost",
 ]
 
 # The Lagrangian genuinely takes the value +infinity on the boundary for
@@ -352,20 +352,6 @@ def action(params: ModelParams, path: Path) -> float:
         else:
             total += sq / (2.0 * dt)
     return total
-
-
-def sliced_cost(params: ModelParams, path: Path, partition) -> float:
-    """Discrete slicing cost ``sum_j c(w(t_j), w(t_{j+1})) / (t_{j+1}-t_j)``.
-
-    ``w`` is the piecewise-linear interpolation of the path; the partition
-    must start at 0 and end at 1, strictly increasing.
-    """
-    ts = [float(t) for t in partition]
-    if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0:
-        raise ValueError("partition must run from 0 to 1")
-    if any(t1 >= t2 for t1, t2 in zip(ts, ts[1:])):
-        raise ValueError("partition must be strictly increasing")
-    return _sliced_sum(params, [path.at(t) for t in ts], np.diff(ts))
 
 
 def _sliced_sum(params: ModelParams, points, dts) -> float:

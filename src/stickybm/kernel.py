@@ -19,10 +19,13 @@ so horizons down to ``t ~ 1e-3`` stay representable.
 
 :func:`log_sticky_integral` takes arrays of gaps and integrates all of them
 in one breadth-first batch; :func:`log_densities` turns such a batch into
-``log q``, and it is the one way to evaluate the kernel.  The tensor-grid
-checks (total mass, Chapman-Kolmogorov) use the fixed-rule
-``_sticky_log_grid`` instead: about 10^5 values cost hundredths of a second
-there against seconds adaptively.
+``log q``, and it is the one way to evaluate the kernel.  The building
+blocks ``h``, ``g`` and ``g0`` exist only as their logarithms (``_log_h``,
+``_log_g``, ``_log_killed_kernel``).  The total-mass check
+:func:`kernel_total_mass` uses the fixed-rule ``_sticky_log_grid`` instead:
+about 10^5 values cost hundredths of a second there against seconds
+adaptively.  The Chapman-Kolmogorov and Fokker-Planck residuals, which only
+the tests run, live in the test suite's oracles.
 
 Each integral of the kernel over a region is one call on one node set whose
 boundary nodes carry mu's weight ``1 / (2 theta)``.
@@ -31,65 +34,20 @@ boundary nodes carry mu's weight ``1 / (2 theta)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams
 from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre, log_integrate
 
-__all__ = [
-    "CkResult",
-    "hitting_density",
-    "killed_kernel",
-    "gaussian_density",
-    "bivariate_density",
-    "log_densities",
-    "log_sticky_integral",
-    "chapman_kolmogorov_residual",
-    "fokker_planck_residual",
-    "fp_residuals_from_fields",
-    "kernel_total_mass",
-]
+__all__ = ["log_densities", "log_sticky_integral", "kernel_total_mass"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# Building-block densities
+# Building-block log densities
 # ---------------------------------------------------------------------------
-
-def hitting_density(t: float, x1: float) -> float:
-    """First-hitting density at the origin for 1-D Brownian motion from x1.
-
-    ``h(t, x1) = x1 / (sqrt(2 pi) t^{3/2}) exp(-x1^2 / (2t))``.
-    """
-    if t <= 0:
-        raise ValueError("hitting_density needs t > 0")
-    if x1 < 0:
-        raise ValueError("x1 must be nonnegative")
-    return math.exp(_log_h(t, x1))
-
-
-def killed_kernel(t: float, x1: float, z: float) -> float:
-    """Kernel of Brownian motion killed at the origin.
-
-    ``g0_t(x1, z) = (2 pi t)^{-1/2} [exp(-(x1-z)^2/2t) - exp(-(x1+z)^2/2t)]``;
-    vanishes when either argument sits on the boundary.
-    """
-    if t <= 0:
-        raise ValueError("killed_kernel needs t > 0")
-    lg = _log_killed_kernel(t, x1, z)
-    return math.exp(lg) if lg > -math.inf else 0.0
-
-
-def gaussian_density(t: float, zp, d: int = None) -> float:
-    """Standard (d-1)-dimensional Gaussian density at tangential vector zp."""
-    if t <= 0:
-        raise ValueError("gaussian_density needs t > 0")
-    zp = np.atleast_1d(np.asarray(zp, dtype=float))
-    return math.exp(_log_g(t, math.sqrt(float(zp @ zp)), zp.size + 1 if d is None else d))
-
 
 def _log_h(t, w):
     """log h(t, w), vectorized, -inf where the density vanishes."""
@@ -121,31 +79,6 @@ def _log_killed_kernel(t, x1, z):
     with np.errstate(divide="ignore"):
         correction = np.where(cross > 0, np.log1p(-np.exp(-np.where(cross > 0, cross, 1.0))), -np.inf)
     return -0.5 * (math.log(t) + _LOG_2PI) - (x1 - z) ** 2 / (2.0 * t) + correction
-
-
-# ---------------------------------------------------------------------------
-# Bivariate horizontal law (position, local time)
-# ---------------------------------------------------------------------------
-
-def bivariate_density(params: ModelParams, t: float, x1: float, z: float, l: float):
-    """Components of the joint law of (horizontal position, local time).
-
-    Returns ``(diffuse, boundary_atom_in_z, zero_local_time_atom)``:
-    the jointly diffuse part ``2 h(t - l/theta, l + x1 + z)`` (density in
-    ``dz dl``), the boundary atom ``(1/theta) h(t - l/theta, l + x1)``
-    (density in ``dl`` on ``{z = 0}``), and the no-visit part
-    ``g0_t(x1, z)`` (density in ``dz`` on ``{l = 0}``).
-    """
-    th = params.theta
-    if t <= 0:
-        raise ValueError("bivariate_density needs t > 0")
-    if z < 0 or l < 0 or l > th * t * (1 + 1e-12):
-        raise ValueError("need z >= 0 and 0 <= l <= theta * t")
-    tau = t - l / th
-    diffuse = 2.0 * (hitting_density(tau, l + x1 + z) if tau > 0 else 0.0)
-    boundary = (hitting_density(tau, l + x1) if tau > 0 else 0.0) / th
-    zero_l = killed_kernel(t, x1, z)
-    return diffuse, boundary, zero_l
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +298,7 @@ def log_densities(params: ModelParams, spec: QuadratureSpec, t: float,
 
 
 # ---------------------------------------------------------------------------
-# Grid-based consistency checks
+# Fixed-rule grids and the total-mass check
 # ---------------------------------------------------------------------------
 
 def _grid_densities(params, t, x1, y1_grid, v_grid) -> np.ndarray:
@@ -411,134 +344,3 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float
 
     logq = _grid_densities(params, t, x1, y1, v)
     return float(w_y1 @ np.exp(logq) @ (w_v * w_ang))
-
-
-@dataclass(frozen=True)
-class CkResult:
-    """Chapman-Kolmogorov check: residual, exact value, grid value, status."""
-
-    residual: float
-    reference: float
-    quadrature_value: float
-    grid_mass_defect: float
-    coarse_warning: bool
-
-
-def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
-                                s: float, t: float, x: HalfSpacePoint,
-                                y: HalfSpacePoint, n1: int = 400, np_: int = 200) -> CkResult:
-    """|p_{s+t}(x,y) - int p_s(x,.) p_t(.,y) dmu| on a midpoint grid (d = 2).
-
-    The intermediate integral runs over an interior midpoint grid, 7.5
-    standard deviations out in each axis, plus the boundary row ``z1 = 0``
-    with the weight ``1 / (2 theta)`` of mu; both factors are mu-densities
-    on that one grid.  A grid too coarse to reproduce the mass of
-    ``p_s(x, .)`` raises the ``coarse_warning`` flag instead of failing.
-    """
-    if params.d != 2:
-        raise ValueError("Chapman-Kolmogorov residual implemented for d = 2")
-    if s <= 0 or t <= 0:
-        raise ValueError("need s, t > 0")
-    horizon = max(s, t)
-    spread = math.sqrt(horizon) * max(1.0, math.sqrt(params.a))
-    z1_max = max(x.x1, y.x1) + 7.5 * math.sqrt(horizon)
-    zp_halfwidth = 7.5 * spread
-
-    xp = x.xp[0]
-    yp = y.xp[0]
-    center = 0.5 * (xp + yp)
-    h1 = z1_max / n1
-    z1 = np.r_[0.0, (np.arange(n1) + 0.5) * h1]
-    hp = 2.0 * zp_halfwidth / np_
-    w1 = np.r_[0.5 / params.theta, np.full(n1, h1)] * hp
-    zp = center - zp_halfwidth + (np.arange(np_) + 0.5) * hp
-
-    q_left = np.exp(_grid_densities(params, s, x.x1, z1, np.abs(zp - xp)))
-    q_right = np.exp(_grid_densities(params, t, y.x1, z1, np.abs(zp - yp)))
-    value = float(w1 @ np.sum(q_left * q_right, axis=1))
-    mass_left = float(w1 @ np.sum(q_left, axis=1))
-    reference = math.exp(float(log_densities(params, spec, s + t, x.x1, y.x1, abs(yp - xp))))
-    return CkResult(abs(reference - value), reference, value,
-                    abs(mass_left - 1.0), abs(mass_left - 1.0) > 1e-3)
-
-
-def fp_residuals_from_fields(params: ModelParams, q_at, t: float, h: float,
-                             test_points, boundary_points):
-    """Finite-difference residuals of the coupled forward equations.
-
-    ``q_at(t, y1, gaps)`` evaluates a mu-density field at arrays of heights
-    ``y1`` and tangential offsets ``gaps`` (one row each) from the source
-    column.  The interior density is ``u = q``, the boundary density
-    ``v = q / (2 theta)`` at ``y1 = 0``.  Reports max-norm residuals of the
-    interior heat equation ``d_t u = Laplacian(u)/2`` at the ``(y1, gap)``
-    test points, and at the boundary gaps of the boundary equation
-    ``d_t v = (a/2) Laplacian_tan(v) + d_{y1} u / 2`` (the outer normal points
-    toward negative y1) and of the trace relation ``u/2 = theta v`` with u
-    linearly extrapolated to the boundary.  Central differences use the same
-    step ``h`` in time and space, so smooth solutions give residuals of
-    second order in ``h``.  The stencils at each time level go to ``q_at`` as
-    one batch: three calls in all.
-    """
-    if h <= 1e-6:
-        raise ValueError("step too small; finite differences would cancel")
-    d = params.d
-    y1, g0 = np.asarray(test_points, dtype=float).reshape(-1, 2).T
-    b0 = np.asarray(boundary_points, dtype=float)
-    n = y1.size
-    # Centres as (y1, gap) rows, the interior test points first.
-    centres = np.zeros((n + b0.size, d))
-    centres[:n, 0] = y1
-    centres[:, 1] = np.r_[g0, b0]
-    step = h * np.eye(d)
-    # Interior stencil: the centre, then +h and -h along each axis.  Boundary
-    # stencil: the centre, heights h and 2h, then +h and -h along each
-    # tangential axis.
-    shifts_int = np.vstack([np.zeros(d), step, -step])
-    shifts_bnd = np.vstack([np.zeros(d), step[0], 2.0 * step[0], step[1:], -step[1:]])
-    stencil = np.concatenate([(centres[:n, None, :] + shifts_int).reshape(-1, d),
-                              (centres[n:, None, :] + shifts_bnd).reshape(-1, d)])
-
-    def field(tt, pts):
-        return q_at(tt, pts[:, 0], pts[:, 1:])
-
-    q = field(t, stencil)
-    u = q[:n * len(shifts_int)].reshape(n, -1).T
-    qb = q[n * len(shifts_int):].reshape(b0.size, -1).T
-    q_next, q_prev = field(t + h, centres), field(t - h, centres)
-
-    def worst(r):
-        return float(np.max(np.abs(r), initial=0.0))
-
-    du_dt = (q_next[:n] - q_prev[:n]) / (2.0 * h)
-    lap = sum((u[1 + k] - 2.0 * u[0] + u[1 + d + k]) / (h * h) for k in range(d))
-
-    two_theta = 2.0 * params.theta
-    v = qb / two_theta
-    dv_dt = (q_next[n:] / two_theta - q_prev[n:] / two_theta) / (2.0 * h)
-    lap_t = sum((v[3 + k] - 2.0 * v[0] + v[2 + d + k]) / (h * h) for k in range(d - 1))
-    dn_u = (-3.0 * qb[0] + 4.0 * qb[1] - qb[2]) / (2.0 * h)
-    return (worst(du_dt - 0.5 * lap),
-            worst(dv_dt - 0.5 * params.a * lap_t - 0.5 * dn_u),
-            worst(0.5 * (2.0 * qb[1] - qb[2]) - params.theta * v[0]))
-
-
-def fokker_planck_residual(params: ModelParams, spec: QuadratureSpec, t: float,
-                           x: HalfSpacePoint, h: float):
-    """Residuals of the forward equations for the kernel started at ``x``.
-
-    Hands the kernel's mu-density ``q_t(x, .)`` to
-    :func:`fp_residuals_from_fields`, at three interior ``(y1, tangential
-    gap)`` and three boundary gap test points: one :func:`log_densities`
-    batch per time level.
-    """
-    if t < 0.1:
-        raise ValueError("Fokker-Planck residuals need t >= 0.1 for stable differences")
-    test_points = [(0.45, 0.15), (0.8, -0.3), (1.1, 0.45)]
-    boundary_points = [0.1, -0.35, 0.6]
-    xp = np.asarray(x.xp, dtype=float)
-
-    def q_at(tt, y1, gaps):
-        v = np.linalg.norm((xp + gaps) - xp, axis=-1)
-        return np.exp(log_densities(params, spec, tt, x.x1, y1, v))
-
-    return fp_residuals_from_fields(params, q_at, t, h, test_points, boundary_points)

@@ -10,7 +10,9 @@ vertical coordinates are conditionally Gaussian given the occupation
 increment, with per-coordinate variance ``dt + (a-1) * delta_O``.
 
 No Euler discretization of the degenerate SDE is involved (it has no strong
-solution).
+solution).  The module holds the sampler only: ``step_batch`` steps many
+paths at once, ``walk`` owns the stream layout and the stepping loop, and
+``simulate_batch`` keeps every step as one ``BatchPaths``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams
 
-__all__ = ["SimConfig", "BatchPaths", "step_batch", "walk", "simulate_batch",
-           "modulus_statistics"]
+__all__ = ["SimConfig", "BatchPaths", "step_batch", "walk", "simulate_batch"]
 
 # Uniforms one walk over a block of paths draws at once.  The Monte Carlo
 # hit counter (``ldp._hit_counts``) keeps nothing but counts, so its blocks
@@ -222,26 +223,3 @@ def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> Bat
             x1[b, j], xp[b, j], occ[b, j] = z, y, occ[b, j - 1] + d_o
     times = dt * np.arange(n + 1)
     return BatchPaths(times, x1, xp, occ, params.theta)
-
-
-# ---------------------------------------------------------------------------
-# Path statistics
-# ---------------------------------------------------------------------------
-
-def modulus_statistics(paths: BatchPaths, delta: float, eta: float,
-                       time_scale: float = 1.0) -> float:
-    """Empirical P(sup_{|t-s| <= delta} |w(t) - w(s)| >= eta) over sampled times.
-
-    ``time_scale`` rescales the sampled times first (pass eps to measure the
-    slowed path on its own clock).  Probes the exponential equicontinuity
-    bound C exp(-c eta^2 / (delta eps)).  Each lag up to ``delta`` (and at
-    most the whole path) takes its largest displacement over every path at once.
-    """
-    times = paths.times / time_scale
-    k_max = min(int(math.floor(delta / (times[1] - times[0]) + 1e-9)), times.size - 1)
-    coords = np.concatenate([paths.x1[:, :, None], paths.xp], axis=2)
-    worst = np.zeros(paths.n_paths)
-    for k in range(1, k_max + 1):
-        lag = np.linalg.norm(coords[:, k:] - coords[:, :-k], axis=2)
-        np.maximum(worst, lag.max(axis=1), out=worst)
-    return np.count_nonzero(worst >= eta) / paths.n_paths

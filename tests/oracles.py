@@ -1,4 +1,4 @@
-"""Independent numerical oracles shared across the test suite.
+"""Independent numerical oracles and test-only checks shared across the suite.
 
 Everything here deliberately avoids the closed forms under test: the sticky
 rate is minimized by golden section, transport values by explicit
@@ -10,17 +10,26 @@ the sampler's inversion of the sticky clock; :func:`euler_thin_layer` is a
 deliberately crude, biased scheme for qualitative comparisons.  Monte Carlo
 hit counts have the unpruned :func:`unpruned_hit_counts`, which steps every
 path through every waypoint in one walk.
-"""
 
+The kernel's own consistency checks run the kernel under test against the
+semigroup property (:func:`chapman_kolmogorov_residual`) and the forward
+equations (:func:`fokker_planck_residual`); they read ``kernel.log_densities``
+and ``kernel._grid_densities`` through the module, so a test that wraps
+either there sees every call.  :func:`bivariate_density` is the joint law of
+(horizontal position, local time) from the kernel's log building blocks, and
+:func:`modulus_statistics` the path-oscillation frequency of a sampled batch.
+"""
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from stickybm import kernel
 from stickybm.geometry import HalfSpacePoint, ModelParams
-from stickybm.kernel import _log_g, _log_h
-from stickybm.quadrature import gauss_legendre
+from stickybm.kernel import _log_g, _log_h, _log_killed_kernel
+from stickybm.quadrature import QuadratureSpec, gauss_legendre
 from stickybm.simulate import BatchPaths, walk
 
 
@@ -235,3 +244,174 @@ def unpruned_hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, ep
         inside = np.logical_and.reduce([t.contains(x1, xp) for (x1, xp, _), t in zip(steps, targets)])
         counts.append(int(np.count_nonzero(inside)))
     return counts
+
+
+def modulus_statistics(paths: BatchPaths, delta: float, eta: float,
+                       time_scale: float = 1.0) -> float:
+    """Empirical P(sup_{|t-s| <= delta} |w(t) - w(s)| >= eta) over sampled times.
+
+    ``time_scale`` rescales the sampled times first (pass eps to measure the
+    slowed path on its own clock).  Probes the exponential equicontinuity
+    bound C exp(-c eta^2 / (delta eps)).  Each lag up to ``delta`` (and at
+    most the whole path) takes its largest displacement over every path at once.
+    """
+    times = paths.times / time_scale
+    k_max = min(int(math.floor(delta / (times[1] - times[0]) + 1e-9)), times.size - 1)
+    coords = np.concatenate([paths.x1[:, :, None], paths.xp], axis=2)
+    worst = np.zeros(paths.n_paths)
+    for k in range(1, k_max + 1):
+        lag = np.linalg.norm(coords[:, k:] - coords[:, :-k], axis=2)
+        np.maximum(worst, lag.max(axis=1), out=worst)
+    return np.count_nonzero(worst >= eta) / paths.n_paths
+
+
+# ---------------------------------------------------------------------------
+# Kernel checks
+# ---------------------------------------------------------------------------
+
+def bivariate_density(params: ModelParams, t: float, x1: float, z: float, l: float):
+    """Components of the joint law of (horizontal position, local time).
+
+    Returns ``(diffuse, boundary_atom_in_z, zero_local_time_atom)``:
+    the jointly diffuse part ``2 h(t - l/theta, l + x1 + z)`` (density in
+    ``dz dl``), the boundary atom ``(1/theta) h(t - l/theta, l + x1)``
+    (density in ``dl`` on ``{z = 0}``), and the no-visit part
+    ``g0_t(x1, z)`` (density in ``dz`` on ``{l = 0}``), each the ``exp`` of
+    the kernel's log form, 0 where it vanishes.
+    """
+    th = params.theta
+    tau = t - l / th
+    return (2.0 * float(_h_density(tau, l + x1 + z)), float(_h_density(tau, l + x1)) / th,
+            float(np.exp(_log_killed_kernel(t, x1, z))))
+
+
+@dataclass(frozen=True)
+class CkResult:
+    """Chapman-Kolmogorov check: residual, exact value, grid value, status."""
+
+    residual: float
+    reference: float
+    quadrature_value: float
+    grid_mass_defect: float
+    coarse_warning: bool
+
+
+def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
+                                s: float, t: float, x: HalfSpacePoint,
+                                y: HalfSpacePoint, n1: int = 400, np_: int = 200) -> CkResult:
+    """|p_{s+t}(x,y) - int p_s(x,.) p_t(.,y) dmu| on a midpoint grid (d = 2).
+
+    The intermediate integral runs over an interior midpoint grid, 7.5
+    standard deviations out in each axis, plus the boundary row ``z1 = 0``
+    with the weight ``1 / (2 theta)`` of mu; both factors are mu-densities
+    on that one grid.  A grid too coarse to reproduce the mass of
+    ``p_s(x, .)`` raises the ``coarse_warning`` flag instead of failing.
+    """
+    if params.d != 2:
+        raise ValueError("Chapman-Kolmogorov residual implemented for d = 2")
+    if s <= 0 or t <= 0:
+        raise ValueError("need s, t > 0")
+    horizon = max(s, t)
+    spread = math.sqrt(horizon) * max(1.0, math.sqrt(params.a))
+    z1_max = max(x.x1, y.x1) + 7.5 * math.sqrt(horizon)
+    zp_halfwidth = 7.5 * spread
+
+    xp = x.xp[0]
+    yp = y.xp[0]
+    center = 0.5 * (xp + yp)
+    h1 = z1_max / n1
+    z1 = np.r_[0.0, (np.arange(n1) + 0.5) * h1]
+    hp = 2.0 * zp_halfwidth / np_
+    w1 = np.r_[0.5 / params.theta, np.full(n1, h1)] * hp
+    zp = center - zp_halfwidth + (np.arange(np_) + 0.5) * hp
+
+    q_left = np.exp(kernel._grid_densities(params, s, x.x1, z1, np.abs(zp - xp)))
+    q_right = np.exp(kernel._grid_densities(params, t, y.x1, z1, np.abs(zp - yp)))
+    value = float(w1 @ np.sum(q_left * q_right, axis=1))
+    mass_left = float(w1 @ np.sum(q_left, axis=1))
+    reference = math.exp(float(kernel.log_densities(params, spec, s + t, x.x1, y.x1,
+                                                    abs(yp - xp))))
+    return CkResult(abs(reference - value), reference, value,
+                    abs(mass_left - 1.0), abs(mass_left - 1.0) > 1e-3)
+
+
+def fp_residuals_from_fields(params: ModelParams, q_at, t: float, h: float,
+                             test_points, boundary_points):
+    """Finite-difference residuals of the coupled forward equations.
+
+    ``q_at(t, y1, gaps)`` evaluates a mu-density field at arrays of heights
+    ``y1`` and tangential offsets ``gaps`` (one row each) from the source
+    column.  The interior density is ``u = q``, the boundary density
+    ``v = q / (2 theta)`` at ``y1 = 0``.  Reports max-norm residuals of the
+    interior heat equation ``d_t u = Laplacian(u)/2`` at the ``(y1, gap)``
+    test points, and at the boundary gaps of the boundary equation
+    ``d_t v = (a/2) Laplacian_tan(v) + d_{y1} u / 2`` (the outer normal points
+    toward negative y1) and of the trace relation ``u/2 = theta v`` with u
+    linearly extrapolated to the boundary.  Central differences use the same
+    step ``h`` in time and space, so smooth solutions give residuals of
+    second order in ``h``.  The stencils at each time level go to ``q_at`` as
+    one batch: three calls in all.
+    """
+    if h <= 1e-6:
+        raise ValueError("step too small; finite differences would cancel")
+    d = params.d
+    y1, g0 = np.asarray(test_points, dtype=float).reshape(-1, 2).T
+    b0 = np.asarray(boundary_points, dtype=float)
+    n = y1.size
+    # Centres as (y1, gap) rows, the interior test points first.
+    centres = np.zeros((n + b0.size, d))
+    centres[:n, 0] = y1
+    centres[:, 1] = np.r_[g0, b0]
+    step = h * np.eye(d)
+    # Interior stencil: the centre, then +h and -h along each axis.  Boundary
+    # stencil: the centre, heights h and 2h, then +h and -h along each
+    # tangential axis.
+    shifts_int = np.vstack([np.zeros(d), step, -step])
+    shifts_bnd = np.vstack([np.zeros(d), step[0], 2.0 * step[0], step[1:], -step[1:]])
+    stencil = np.concatenate([(centres[:n, None, :] + shifts_int).reshape(-1, d),
+                              (centres[n:, None, :] + shifts_bnd).reshape(-1, d)])
+
+    def field(tt, pts):
+        return q_at(tt, pts[:, 0], pts[:, 1:])
+
+    q = field(t, stencil)
+    u = q[:n * len(shifts_int)].reshape(n, -1).T
+    qb = q[n * len(shifts_int):].reshape(b0.size, -1).T
+    q_next, q_prev = field(t + h, centres), field(t - h, centres)
+
+    def worst(r):
+        return float(np.max(np.abs(r), initial=0.0))
+
+    du_dt = (q_next[:n] - q_prev[:n]) / (2.0 * h)
+    lap = sum((u[1 + k] - 2.0 * u[0] + u[1 + d + k]) / (h * h) for k in range(d))
+
+    two_theta = 2.0 * params.theta
+    v = qb / two_theta
+    dv_dt = (q_next[n:] / two_theta - q_prev[n:] / two_theta) / (2.0 * h)
+    lap_t = sum((v[3 + k] - 2.0 * v[0] + v[2 + d + k]) / (h * h) for k in range(d - 1))
+    dn_u = (-3.0 * qb[0] + 4.0 * qb[1] - qb[2]) / (2.0 * h)
+    return (worst(du_dt - 0.5 * lap),
+            worst(dv_dt - 0.5 * params.a * lap_t - 0.5 * dn_u),
+            worst(0.5 * (2.0 * qb[1] - qb[2]) - params.theta * v[0]))
+
+
+def fokker_planck_residual(params: ModelParams, spec: QuadratureSpec, t: float,
+                           x: HalfSpacePoint, h: float):
+    """Residuals of the forward equations for the kernel started at ``x``.
+
+    Hands the kernel's mu-density ``q_t(x, .)`` to
+    :func:`fp_residuals_from_fields`, at three interior ``(y1, tangential
+    gap)`` and three boundary gap test points: one ``kernel.log_densities``
+    batch per time level.
+    """
+    if t < 0.1:
+        raise ValueError("Fokker-Planck residuals need t >= 0.1 for stable differences")
+    test_points = [(0.45, 0.15), (0.8, -0.3), (1.1, 0.45)]
+    boundary_points = [0.1, -0.35, 0.6]
+    xp = np.asarray(x.xp, dtype=float)
+
+    def q_at(tt, y1, gaps):
+        v = np.linalg.norm((xp + gaps) - xp, axis=-1)
+        return np.exp(kernel.log_densities(params, spec, tt, x.x1, y1, v))
+
+    return fp_residuals_from_fields(params, q_at, t, h, test_points, boundary_points)

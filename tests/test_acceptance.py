@@ -12,8 +12,7 @@ import pytest
 
 from stickybm.geometry import HalfSpacePoint, ModelParams, cost, cost_batch
 from stickybm.geometry import _sticky_rate_core
-from stickybm.kernel import (chapman_kolmogorov_residual, fokker_planck_residual,
-                             kernel_total_mass, log_densities)
+from stickybm.kernel import kernel_total_mass, log_densities
 from stickybm.ldp import (Ball, BoundaryPatch, discrete_waypoint_cost, phase_transition_scan,
                           sliced_ldp, static_ldp)
 from stickybm.pathopt import minimize_path_action
@@ -22,7 +21,8 @@ from stickybm.simulate import SimConfig, simulate_batch
 from stickybm.transport import (DiscreteMeasure, cost_matrix, gamma_limit_experiment,
                                 kantorovich)
 
-from oracles import (enumerate_assignment_value, enumerate_transport_value,
+from oracles import (chapman_kolmogorov_residual, enumerate_assignment_value,
+                     enumerate_transport_value, fokker_planck_residual,
                      golden_min_sticky_profile, horizontal_cdf, _graded_unit_grid, _h_density,
                      _phi)
 

@@ -558,6 +558,23 @@ class TestLdpCli:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "strictly increasing" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["ldp-path", "--waypoints", "0.5:0,1"],
+        ["ldp-static", "--target", "ball:1,2"],
+        ["ldp-path", "--waypoints", "0.5:0,1:0.8:1"],
+        ["ldp-static", "--target", "patch:1:0.2:3"],
+    ], ids=["path-no-radius", "static-no-radius", "path-extra-field", "static-extra-field"])
+    def test_target_without_centre_and_radius_exits_2_naming_the_form(
+            self, tmp_path, capsys, monkeypatch, argv):
+        forbid(monkeypatch, stickybm.simulate, "step_batch")
+        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+        code = run(tmp_path, *argv, "--a", "4", "--theta", "1", "--x", "0,0",
+                   "--epsilons", "0.2,0.1,0.05")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "ball:<point>:<r>" in err
+        assert "patch:<x'>:<r>" in err
+
     @pytest.mark.parametrize("epsilons, n_paths, message", [
         ("0.2,0.1,0", "1000", "epsilons"),
         ("0.2,nan,0.05", "1000", "epsilons"),

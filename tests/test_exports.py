@@ -1,8 +1,12 @@
-"""The package's export lists name only what exists, and the benchmark's calls bind.
+"""The package's export lists name only what exists and what runs, and the
+benchmark's calls bind.
 
 Every name in a module's ``__all__`` must be defined there, and every name
 the package ``__init__`` re-exports must be in its module's ``__all__``, so
-that a deleted function or type cannot linger in either list.  Every library
+that a deleted function or type cannot linger in either list.  Every listed
+name must be used by the library or the benchmark outside its own
+definition, apart from the paper's variational definitions, so that a check
+only the tests run lives with the tests.  Every library
 name, keyword and result field that ``perfbench/ops.py`` and ``perfbench/tests``
 use must still exist, and every CLI output column and JSON key that
 ``perfbench/ops.py`` reads must still be written, so that a simplification
@@ -44,6 +48,49 @@ def test_package_imports_only_listed_names():
         module = importlib.import_module(f"stickybm.{node.module}")
         unlisted = [a.name for a in node.names if a.name not in module.__all__]
         assert not unlisted, f"stickybm imports {unlisted} from {node.module}, not in its __all__"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The paper's variational definitions: exported to state the model, whether
+# or not the library itself evaluates them.
+PAPER_DEFINITIONS = ("lagrangian", "hamiltonian", "sticky_rate", "sticky_rate_profile",
+                     "euclidean_rate", "action", "discrete_waypoint_cost")
+
+
+def _all(tree):
+    """The names a module's ``__all__`` lists, none if it has no list."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    return []
+
+
+def _uses(tree):
+    """``(owners, name)`` for every name a module loads or imports, ``owners``
+    being the names the enclosing top-level statement defines."""
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        owners = {getattr(stmt, "name", None), *(getattr(t, "id", None) for t in targets)}
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                yield owners, getattr(node, "id", None) or node.attr
+            elif isinstance(node, ast.alias):
+                yield owners, node.name
+
+
+def test_library_names_run_outside_tests():
+    library = [p for p in sorted((ROOT / "src" / "stickybm").glob("*.py"))
+               if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text())
+             for p in [*library, *sorted((ROOT / "perfbench").glob("*.py"))]}
+    uses = [(p, owners, name) for p, tree in trees.items() for owners, name in _uses(tree)]
+    unused = [f"{path.stem}.{name}" for path in library for name in _all(trees[path])
+              if name not in PAPER_DEFINITIONS
+              and not any(n == name and not (p == path and name in owners)
+                          for p, owners, n in uses)]
+    assert not unused, f"exported but run only by the tests: {unused}"
 
 
 # (module, name, positional arguments, keywords) of every call the benchmark makes.

@@ -6,19 +6,13 @@ import pytest
 import stickybm.kernel
 from stickybm.geometry import HalfSpacePoint, ModelParams, cost
 from stickybm.kernel import (
-    bivariate_density,
-    chapman_kolmogorov_residual,
-    fokker_planck_residual,
-    fp_residuals_from_fields,
-    gaussian_density,
-    hitting_density,
     kernel_total_mass,
-    killed_kernel,
     log_densities,
     log_sticky_integral,
     _grid_densities,
     _log_g,
     _log_h,
+    _log_killed_kernel,
     _sticky_log_grid,
     _sticky_log_integrand_m,
     _sticky_log_slopes_m,
@@ -26,7 +20,9 @@ from stickybm.kernel import (
 )
 from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre, log_integrate
 
-from oracles import _h_density, fixed_gauss_legendre_integral
+from oracles import (_h_density, bivariate_density, chapman_kolmogorov_residual,
+                     fixed_gauss_legendre_integral, fokker_planck_residual,
+                     fp_residuals_from_fields)
 
 
 SPEC = QuadratureSpec()
@@ -49,15 +45,13 @@ def kernel(params, t, x, y):
 
 class TestBuildingBlocks:
     def test_hitting_density(self):
-        assert hitting_density(1.0, 0.0) == 0.0
-        assert hitting_density(0.37, 0.0) == 0.0
+        assert _log_h(1.0, 0.0) == -math.inf
+        assert _log_h(0.37, 0.0) == -math.inf
         # closed form; the Monte Carlo oracle value 0.241971 carries
         # histogram noise of a few 1e-4
         exact = math.exp(-0.5) / math.sqrt(2 * math.pi)
-        assert hitting_density(1.0, 1.0) == pytest.approx(exact, rel=1e-15)
-        assert hitting_density(1.0, 1.0) == pytest.approx(0.241971, abs=5e-4)
-        with pytest.raises(ValueError):
-            hitting_density(0.0, 1.0)
+        assert math.exp(_log_h(1.0, 1.0)) == pytest.approx(exact, rel=1e-15)
+        assert math.exp(_log_h(1.0, 1.0)) == pytest.approx(0.241971, abs=5e-4)
 
     def test_hitting_time_is_proper(self):
         # int_0^T h(t, 1) dt = P(hit before T) = erfc(1 / sqrt(2T)), which
@@ -72,18 +66,18 @@ class TestBuildingBlocks:
             assert got == pytest.approx(math.erfc(1.0 / math.sqrt(2.0 * horizon)), rel=1e-9)
 
     def test_killed_kernel(self):
-        assert killed_kernel(1.0, 1.0, 0.0) == 0.0
-        assert killed_kernel(1.0, 0.0, 1.0) == 0.0
+        assert _log_killed_kernel(1.0, 1.0, 0.0) == -math.inf
+        assert _log_killed_kernel(1.0, 0.0, 1.0) == -math.inf
         exact = (1.0 - math.exp(-2.0)) / math.sqrt(2 * math.pi)
-        assert killed_kernel(1.0, 1.0, 1.0) == pytest.approx(exact, rel=1e-14)
-        assert killed_kernel(1.0, 1.0, 1.0) == pytest.approx(0.344954, abs=5e-4)
+        assert math.exp(_log_killed_kernel(1.0, 1.0, 1.0)) == pytest.approx(exact, rel=1e-14)
+        assert math.exp(_log_killed_kernel(1.0, 1.0, 1.0)) == pytest.approx(0.344954, abs=5e-4)
         for (t, x1, z) in [(0.7, 0.3, 1.1), (2.0, 1.5, 0.2)]:
-            assert killed_kernel(t, x1, z) == pytest.approx(killed_kernel(t, z, x1), rel=1e-14)
-        with pytest.raises(ValueError):
-            killed_kernel(-1.0, 1.0, 1.0)
+            assert math.exp(_log_killed_kernel(t, x1, z)) == pytest.approx(
+                math.exp(_log_killed_kernel(t, z, x1)), rel=1e-14)
 
     def test_gaussian_density(self):
-        assert gaussian_density(1.0, (0.0,)) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
+        assert math.exp(_log_g(1.0, 0.0, 2)) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
+                                                              rel=1e-15)
         # d = 3: tensor quadrature of the 2-D Gaussian integrates to one
         nodes = np.linspace(-8.0, 8.0, 401)
         u, v = np.meshgrid(nodes, nodes, indexing="ij")
@@ -91,9 +85,9 @@ class TestBuildingBlocks:
         mass = np.trapezoid(np.trapezoid(vals, nodes, axis=1), nodes)
         assert mass == pytest.approx(1.0, abs=1e-8)
         # scaling identity
-        zp = (0.4, -1.2)
-        assert gaussian_density(2.0, zp) == pytest.approx(
-            gaussian_density(1.0, tuple(z / math.sqrt(2) for z in zp)) / 2.0, rel=1e-14)
+        r = math.hypot(0.4, -1.2)
+        assert math.exp(_log_g(2.0, r, 3)) == pytest.approx(
+            math.exp(_log_g(1.0, r / math.sqrt(2), 3)) / 2.0, rel=1e-14)
 
 
 class TestBivariate:
@@ -102,9 +96,10 @@ class TestBivariate:
         t, x1 = 0.8, 0.4
         diffuse, boundary, zero_l = bivariate_density(params, t, x1, 0.3, 0.5)
         th = params.theta
-        assert diffuse == pytest.approx(2 * hitting_density(t - 0.5 / th, 0.5 + x1 + 0.3), rel=1e-14)
-        assert boundary == pytest.approx(hitting_density(t - 0.5 / th, 0.5 + x1) / th, rel=1e-14)
-        assert zero_l == pytest.approx(killed_kernel(t, x1, 0.3), rel=1e-14)
+        assert diffuse == pytest.approx(2 * math.exp(_log_h(t - 0.5 / th, 0.5 + x1 + 0.3)),
+                                        rel=1e-14)
+        assert boundary == pytest.approx(math.exp(_log_h(t - 0.5 / th, 0.5 + x1)) / th, rel=1e-14)
+        assert zero_l == pytest.approx(math.exp(_log_killed_kernel(t, x1, 0.3)), rel=1e-14)
 
         # total mass: erf(x1/sqrt(2t)) + int (1/th) h + int int 2 h = 1
         mass = math.erf(x1 / math.sqrt(2 * t))
@@ -129,7 +124,7 @@ class TestBivariate:
         # mass of the zero-local-time component is erf(x1 / sqrt(2t))
         assert math.erf(10.0 / math.sqrt(2 * 0.01)) >= 1.0 - 1e-10
         d, b, z = bivariate_density(params, 0.01, 10.0, 10.0, 0.0)
-        assert z == pytest.approx(killed_kernel(0.01, 10.0, 10.0), rel=1e-14)
+        assert z == pytest.approx(math.exp(_log_killed_kernel(0.01, 10.0, 10.0)), rel=1e-14)
 
     def test_boundary_atom_mass_monotone_in_theta(self):
         # Larger stickiness pushes the process off the boundary faster
@@ -150,15 +145,6 @@ class TestBivariate:
         assert all(m2 < m1 for m1, m2 in zip(mc, mc[1:]))
         for q, m in zip(masses, mc):
             assert abs(q - m) < 3 * math.sqrt(q * (1 - q) / 20000) + 1e-3
-
-    def test_argument_validation(self):
-        params = ModelParams(1.0, 1.0)
-        with pytest.raises(ValueError):
-            bivariate_density(params, -1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            bivariate_density(params, 1.0, 0.0, -0.1, 0.0)
-        with pytest.raises(ValueError):
-            bivariate_density(params, 1.0, 0.0, 0.0, 2.0)
 
 
 class TestTransitionKernel:
@@ -219,7 +205,7 @@ class TestTransitionKernel:
         t = 1.0
         kv = kernel(params, t, P(0.0, 0.0), P(0.0, 0.0))
         th = params.theta
-        g0 = gaussian_density(t, (0.0,))
+        g0 = math.exp(_log_g(t, 0.0, 2))
 
         def integrand(l):
             return g0 * _h_density(t - l / th, l)

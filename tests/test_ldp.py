@@ -368,7 +368,10 @@ class TestTargetQuadrature:
         (4.0, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1), 1e-12),   # criterion 7
         (2.0, P(1.0, 0.0), Ball(P(1.0, 5.0), 0.1), 1e-4),        # criterion 8
         (0.5, P(0.0, 0.0), Ball(P(0.1, 2.0), 0.3), 1e-4),        # cut by the boundary
-    ], ids=["patch", "ball", "cut-ball"])
+        # High above the boundary, cheapest near its bottom pole, where the
+        # chord length has its square-root end: 3.8e-4 off at eps = 0.025.
+        (4.0, P(0.2, 0.0), Ball(P(2.0, 0.5), 0.3), 1.14e-3),
+    ], ids=["patch", "ball", "cut-ball", "high-ball"])
     @pytest.mark.parametrize("eps", [0.2, 0.025])
     def test_default_order_against_three_times_that_order(self, a, x, target, tol, eps):
         # A ball's chord rule converges only algebraically (the chord length

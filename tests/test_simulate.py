@@ -11,14 +11,13 @@ from stickybm.geometry import HalfSpacePoint, ModelParams
 from stickybm.simulate import (
     BatchPaths,
     SimConfig,
-    modulus_statistics,
     simulate_batch,
     step_batch,
     walk,
 )
 
 from oracles import (_cumulative_gl, _graded_unit_grid, _h_density, _phi, euler_thin_layer,
-                     horizontal_cdf)
+                     horizontal_cdf, modulus_statistics)
 
 
 def P(x1, *xp):
