@@ -67,6 +67,18 @@ def _parse_target(text: str):
     return BoundaryPatch(_parse_floats(center), float(radius))
 
 
+def _parse_waypoint(text: str):
+    """``(t, Ball)`` from one ``--waypoints`` item, exactly ``t:<point>:<r>``."""
+    form = f"bad waypoint {text!r} (use t:<point>:<r>)"
+    fields = text.split(":")
+    if len(fields) != 3:
+        raise ValueError(form)
+    try:
+        return float(fields[0]), Ball(_parse_point(fields[1]), float(fields[2]))
+    except ValueError as exc:
+        raise ValueError(f"{form}: {exc}") from None
+
+
 def _read_measure(path: str) -> DiscreteMeasure:
     """Atoms and weights from a CSV with a header and one ``x1, xp..., weight`` row each."""
     atoms, weights = [], []
@@ -223,10 +235,7 @@ def _cmd_ldp_scan(args) -> int:
 
 def _cmd_ldp_path(args) -> int:
     params = _params(args)
-    waypoints = []
-    for item in args.waypoints.split(";"):
-        t_str, _, rest = item.partition(":")
-        waypoints.append((float(t_str), _parse_target("ball:" + rest)))
+    waypoints = [_parse_waypoint(item) for item in args.waypoints.split(";")]
     est = sliced_ldp(params, _parse_point(args.x), waypoints,
                      _parse_floats(args.epsilons), args.n_paths, args.seed)
     rows = [[eps, p, s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]

@@ -114,9 +114,6 @@ class HalfSpacePoint:
     def dim(self) -> int:
         return 1 + len(self.xp)
 
-    def on_boundary(self) -> bool:
-        return self.x1 == 0.0
-
     def coords(self) -> np.ndarray:
         return np.concatenate(([self.x1], self.xp))
 

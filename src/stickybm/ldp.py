@@ -34,7 +34,6 @@ __all__ = [
     "LdpEstimate",
     "ScanRow",
     "ScanResult",
-    "wilson_interval",
     "fit_rate",
     "log_target_probability",
     "min_cost_over_target",
@@ -110,8 +109,8 @@ class BoundaryPatch:
 
 @dataclass(frozen=True)
 class LdpEstimate:
-    """Slope-extraction outcome of every experiment; quadrature probabilities
-    carry ``(nan, nan)`` Wilson bounds."""
+    """Slope-extraction outcome of every experiment: the fit over the epsilons
+    it kept, and the probability at each (exactly ``k / n`` from Monte Carlo)."""
 
     epsilons: tuple
     log_probs: tuple            # eps * log rho per epsilon
@@ -120,20 +119,7 @@ class LdpEstimate:
     beta: float
     gamma: float
     probs: tuple
-    wilson_bounds: tuple
     dropped_epsilons: tuple
-
-
-def wilson_interval(hits: int, n: int, z: float = 2.5758293035489004):
-    """Wilson score interval (default z for 99% coverage)."""
-    if n <= 0:
-        raise ValueError("need n > 0")
-    p = hits / n
-    z2 = z * z
-    den = 1.0 + z2 / n
-    center = (p + z2 / (2 * n)) / den
-    half = z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / den
-    return max(0.0, center - half), min(1.0, center + half)
 
 
 def _fit_epsilons(epsilons) -> tuple:
@@ -157,23 +143,21 @@ def fit_rate(epsilons, scaled_log_probs):
 
 def _estimate(epsilons, reference, log_probs=None, hits=None, n_paths=None) -> LdpEstimate:
     """The one rate fit behind every experiment, from ``log_probs`` or from
-    ``hits`` out of ``n_paths`` (probabilities exactly ``k / n``, with Wilson
-    bounds).  Epsilons with a non-finite log probability are dropped; fewer
-    than three left raise.  ``reference()`` runs only once the fit can."""
+    ``hits`` out of ``n_paths``, whose probabilities are exactly ``k / n``.
+    Epsilons with a non-finite log probability are dropped; fewer than three
+    left raise.  ``reference()`` runs only once the fit can."""
     if hits is not None:
         probs = [k / n_paths for k in hits]
-        wilsons = [wilson_interval(k, n_paths) for k in hits]
         log_probs = [math.log(p) if p else -math.inf for p in probs]
     else:
         probs = [math.exp(lp) for lp in log_probs]
-        wilsons = [(math.nan, math.nan)] * len(probs)
     keep = [i for i, lp in enumerate(log_probs) if math.isfinite(lp)]
     if len(keep) < 3:
         raise RuntimeError(f"too few usable epsilons ({len(keep)}) for slope extraction")
     used, scaled = [epsilons[i] for i in keep], [epsilons[i] * log_probs[i] for i in keep]
     rate, beta, gamma = fit_rate(used, scaled)
     return LdpEstimate(tuple(used), tuple(scaled), rate, reference(), beta, gamma,
-                       tuple(probs[i] for i in keep), tuple(wilsons[i] for i in keep),
+                       tuple(probs[i] for i in keep),
                        tuple(e for e, lp in zip(epsilons, log_probs) if not math.isfinite(lp)))
 
 

@@ -195,29 +195,22 @@ class BatchPaths:
     def local_time(self) -> np.ndarray:
         return self.theta * self.occupation_time
 
-    @property
-    def n_paths(self) -> int:
-        return self.x1.shape[0]
 
-
-def simulate_batch(config: SimConfig, n_paths: int, first_index: int = 0) -> BatchPaths:
-    """Simulate paths ``first_index .. first_index + n_paths - 1``, vectorized.
+def simulate_batch(config: SimConfig, n_paths: int) -> BatchPaths:
+    """Simulate paths ``0 .. n_paths - 1``, vectorized.
 
     Stream 0 of :func:`walk` over ``n_steps`` equal steps: path ``i`` reads
-    its own row of draws whatever the batch, so it takes the same values in
-    every batch that holds it, ``simulate_batch(config, 1, first_index=i)``
-    among them.
+    its own row of draws whatever the batch, so a batch is the prefix of
+    every larger one, and its blocks do not change its values.
     """
     params, n, dt = config.params, config.n_steps, config.step
-    blocks = _path_blocks(n_paths, n, params.d, _BATCH_UNIFORMS)
     x1 = np.empty((n_paths, n + 1))
     xp = np.empty((n_paths, n + 1, params.d - 1))
     occ = np.zeros((n_paths, n + 1))
     x1[:, 0] = config.x0.x1
     xp[:, 0, :] = np.asarray(config.x0.xp)
-    for first, count in blocks:
-        steps = walk(params, config.x0, np.full(n, dt), count, config.seed,
-                     first_index=first_index + first)
+    for first, count in _path_blocks(n_paths, n, params.d, _BATCH_UNIFORMS):
+        steps = walk(params, config.x0, np.full(n, dt), count, config.seed, first_index=first)
         b = slice(first, first + count)
         for j, (z, y, d_o) in enumerate(steps, 1):
             x1[b, j], xp[b, j], occ[b, j] = z, y, occ[b, j - 1] + d_o

@@ -149,9 +149,7 @@ _ARMIJO = 1e-4      # sufficient-increase constant of the Newton line search
 _HALVINGS = 40      # backtracking halvings before a Newton step is given up
 
 
-def _check_sinkhorn_options(max_iter: int, tol: float) -> None:
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+def _check_tol(tol: float) -> None:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
@@ -223,7 +221,9 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
-    _check_sinkhorn_options(max_iter, tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_tol(tol)
     for p in mu0.atoms + mu1.atoms:
         _check_dim(params, p)
     gap = np.linalg.norm(mu1.xp()[None, :, :] - mu0.xp()[:, None, :], axis=-1)
@@ -276,8 +276,7 @@ class GammaLimitResult:
 
 def gamma_limit_experiment(params: ModelParams, spec: QuadratureSpec,
                            mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                           epsilons, max_iter: int = 20000,
-                           tol: float = 1e-9) -> GammaLimitResult:
+                           epsilons, tol: float = 1e-9) -> GammaLimitResult:
     """Entropic values against the exact value across decreasing eps.
 
     Reports the gap per eps, whether the gap shrinks monotonically toward
@@ -291,14 +290,14 @@ def gamma_limit_experiment(params: ModelParams, spec: QuadratureSpec,
     eps_list.sort(reverse=True)
     if eps_list[-1] < 1e-3:
         raise ValueError("smallest epsilon must be at least 1e-3")
-    _check_sinkhorn_options(max_iter, tol)
+    _check_tol(tol)
     exact = kantorovich(params, mu0, mu1)
     rows = []
     failed = []
     errors = []
     for eps in eps_list:
         try:
-            plan = schrodinger(params, spec, eps, mu0, mu1, max_iter=max_iter, tol=tol)
+            plan = schrodinger(params, spec, eps, mu0, mu1, tol=tol)
         except TransportConvergenceError as exc:
             failed.append(eps)
             errors.append(exc.marginal_error)

@@ -9,7 +9,9 @@ densities (``_log_h``, ``_log_g``) over local time by quadrature, apart from
 the sampler's inversion of the sticky clock; :func:`euler_thin_layer` is a
 deliberately crude, biased scheme for qualitative comparisons.  Monte Carlo
 hit counts have the unpruned :func:`unpruned_hit_counts`, which steps every
-path through every waypoint in one walk.
+path through every waypoint in one walk, and a hit frequency, which the
+library reports as the exact ``k / n``, gets its Wilson score interval from
+:func:`wilson_interval`.
 
 The kernel's own consistency checks run the kernel under test against the
 semigroup property (:func:`chapman_kolmogorov_residual`) and the forward
@@ -246,6 +248,18 @@ def unpruned_hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, ep
     return counts
 
 
+def wilson_interval(hits: int, n: int, z: float = 2.5758293035489004):
+    """Wilson score interval for ``hits`` out of ``n`` (default z for 99% coverage)."""
+    if n <= 0:
+        raise ValueError("need n > 0")
+    p = hits / n
+    z2 = z * z
+    den = 1.0 + z2 / n
+    center = (p + z2 / (2 * n)) / den
+    half = z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / den
+    return max(0.0, center - half), min(1.0, center + half)
+
+
 def modulus_statistics(paths: BatchPaths, delta: float, eta: float,
                        time_scale: float = 1.0) -> float:
     """Empirical P(sup_{|t-s| <= delta} |w(t) - w(s)| >= eta) over sampled times.
@@ -258,11 +272,11 @@ def modulus_statistics(paths: BatchPaths, delta: float, eta: float,
     times = paths.times / time_scale
     k_max = min(int(math.floor(delta / (times[1] - times[0]) + 1e-9)), times.size - 1)
     coords = np.concatenate([paths.x1[:, :, None], paths.xp], axis=2)
-    worst = np.zeros(paths.n_paths)
+    worst = np.zeros(paths.x1.shape[0])
     for k in range(1, k_max + 1):
         lag = np.linalg.norm(coords[:, k:] - coords[:, :-k], axis=2)
         np.maximum(worst, lag.max(axis=1), out=worst)
-    return np.count_nonzero(worst >= eta) / paths.n_paths
+    return np.count_nonzero(worst >= eta) / worst.size
 
 
 # ---------------------------------------------------------------------------

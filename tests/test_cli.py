@@ -16,7 +16,7 @@ import stickybm.simulate
 import stickybm.transport
 from stickybm.cli import _fmt, build_parser, main
 from stickybm.quadrature import QuadratureError
-from stickybm.transport import gamma_limit_experiment
+from stickybm.transport import schrodinger
 
 
 def run(tmp_path, *argv):
@@ -494,8 +494,8 @@ class TestTransportCli:
         mu0.write_text("x1,xp1,weight\n" + "".join(f"0,{0.25 * i},0.125\n" for i in range(8)))
         mu1.write_text("x1,xp1,weight\n"
                        + "".join(f"0,{1.0 + 0.25 * i},0.125\n" for i in range(8)))
-        monkeypatch.setattr(stickybm.cli, "gamma_limit_experiment",
-                            functools.partial(gamma_limit_experiment, max_iter=3))
+        monkeypatch.setattr(stickybm.transport, "schrodinger",
+                            functools.partial(schrodinger, max_iter=3))
         code = run(tmp_path, "gamma-limit", "--a", "4", "--theta", "1", "--mu0", str(mu0),
                    "--mu1", str(mu1), "--epsilons", "0.04,0.02,0.01", "--tol", "1e-12")
         assert code == 3
@@ -558,22 +558,26 @@ class TestLdpCli:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "strictly increasing" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["ldp-path", "--waypoints", "0.5:0,1"],
-        ["ldp-static", "--target", "ball:1,2"],
-        ["ldp-path", "--waypoints", "0.5:0,1:0.8:1"],
-        ["ldp-static", "--target", "patch:1:0.2:3"],
-    ], ids=["path-no-radius", "static-no-radius", "path-extra-field", "static-extra-field"])
+    # A target is ball:<point>:<r> or patch:<x'>:<r>; a waypoint is t:<point>:<r>,
+    # quoted as typed.
+    @pytest.mark.parametrize("argv, forms", [
+        (["ldp-path", "--waypoints", "0.5:0,1"], ("'0.5:0,1' (use t:<point>:<r>)",)),
+        (["ldp-static", "--target", "ball:1,2"], ("ball:<point>:<r>", "patch:<x'>:<r>")),
+        (["ldp-path", "--waypoints", "0.5:0,1:0.8:1"], ("'0.5:0,1:0.8:1' (use t:<point>:<r>)",)),
+        (["ldp-static", "--target", "patch:1:0.2:3"], ("ball:<point>:<r>", "patch:<x'>:<r>")),
+        (["ldp-path", "--waypoints", "0.5:0,1:0.8;"], ("'' (use t:<point>:<r>)",)),
+        (["ldp-path", "--waypoints", "x:0,1:0.8"], ("'x:0,1:0.8' (use t:<point>:<r>)",)),
+    ], ids=["path-no-radius", "static-no-radius", "path-extra-field", "static-extra-field",
+            "path-trailing-separator", "path-non-numeric-time"])
     def test_target_without_centre_and_radius_exits_2_naming_the_form(
-            self, tmp_path, capsys, monkeypatch, argv):
+            self, tmp_path, capsys, monkeypatch, argv, forms):
         forbid(monkeypatch, stickybm.simulate, "step_batch")
         forbid(monkeypatch, stickybm.kernel, "log_integrate")
         code = run(tmp_path, *argv, "--a", "4", "--theta", "1", "--x", "0,0",
                    "--epsilons", "0.2,0.1,0.05")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: usage:") and "ball:<point>:<r>" in err
-        assert "patch:<x'>:<r>" in err
+        assert err.startswith("error: usage:") and all(form in err for form in forms)
 
     @pytest.mark.parametrize("epsilons, n_paths, message", [
         ("0.2,0.1,0", "1000", "epsilons"),

@@ -6,7 +6,11 @@ the package ``__init__`` re-exports must be in its module's ``__all__``, so
 that a deleted function or type cannot linger in either list.  Every listed
 name must be used by the library or the benchmark outside its own
 definition, apart from the paper's variational definitions, so that a check
-only the tests run lives with the tests.  Every library
+only the tests run lives with the tests; a use is a load through an import
+or a module attribute, so a local variable of the same name is none.  Every
+defaulted parameter of a library function must be passed by some call in
+the library or the benchmark, so that no option exists for the tests alone.
+Every library
 name, keyword and result field that ``perfbench/ops.py`` and ``perfbench/tests``
 use must still exist, and every CLI output column and JSON key that
 ``perfbench/ops.py`` reads must still be written, so that a simplification
@@ -67,30 +71,140 @@ def _all(tree):
     return []
 
 
-def _uses(tree):
-    """``(owners, name)`` for every name a module loads or imports, ``owners``
-    being the names the enclosing top-level statement defines."""
+def _dotted(node):
+    """``a.b.c`` for a chain of attribute loads on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and (base := _dotted(node.value)):
+        return f"{base}.{node.attr}"
+    return None
+
+
+def _uses(tree, module=None):
+    """``(defining module, name)`` for every use of a library name in ``tree``,
+    the library module ``module`` or a benchmark file: a load of a name
+    imported from its defining module, ``<module>.<name>``, and, in the
+    defining module, a load outside the top-level statement that defines it.
+    A local variable that shares an export's name is none of these."""
+    imported, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0:
+                if not (source + ".").startswith("stickybm."):
+                    continue
+                source = source[len("stickybm."):]
+            for alias in node.names:
+                if source:
+                    imported[alias.asname or alias.name] = (source, alias.name)
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("stickybm."):
+                    modules[alias.asname or alias.name] = alias.name[len("stickybm."):]
     for stmt in tree.body:
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
         owners = {getattr(stmt, "name", None), *(getattr(t, "id", None) for t in targets)}
         for node in ast.walk(stmt):
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-                yield owners, getattr(node, "id", None) or node.attr
-            elif isinstance(node, ast.alias):
-                yield owners, node.name
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name) and node.id in imported:
+                yield imported[node.id]
+            elif isinstance(node, ast.Name) and module and node.id not in owners:
+                yield module, node.id
+            elif isinstance(node, ast.Attribute) and _dotted(node.value) in modules:
+                yield modules[_dotted(node.value)], node.attr
+
+
+def _sources():
+    """``{module: tree}`` for ``src/stickybm/*.py`` without ``__init__.py``, and
+    ``{path: tree}`` for ``perfbench/**/*.py``."""
+    library = {p.stem: ast.parse(p.read_text())
+               for p in sorted((ROOT / "src" / "stickybm").glob("*.py")) if p.name != "__init__.py"}
+    bench = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").rglob("*.py"))}
+    return library, bench
+
+
+def _unused_exports(library, bench):
+    """``module.name`` for every exported name that neither the library nor the
+    benchmark uses, the paper's definitions apart."""
+    used = {use for m, tree in library.items() for use in _uses(tree, m)}
+    used.update(use for tree in bench.values() for use in _uses(tree))
+    return [f"{m}.{name}" for m, tree in library.items() for name in _all(tree)
+            if name not in PAPER_DEFINITIONS and (m, name) not in used]
 
 
 def test_library_names_run_outside_tests():
-    library = [p for p in sorted((ROOT / "src" / "stickybm").glob("*.py"))
-               if p.name != "__init__.py"]
-    trees = {p: ast.parse(p.read_text())
-             for p in [*library, *sorted((ROOT / "perfbench").glob("*.py"))]}
-    uses = [(p, owners, name) for p, tree in trees.items() for owners, name in _uses(tree)]
-    unused = [f"{path.stem}.{name}" for path in library for name in _all(trees[path])
-              if name not in PAPER_DEFINITIONS
-              and not any(n == name and not (p == path and name in owners)
-                          for p, owners, n in uses)]
+    unused = _unused_exports(*_sources())
     assert not unused, f"exported but run only by the tests: {unused}"
+
+
+def test_a_local_variable_is_not_a_use_of_an_export():
+    library = {
+        "shapes": ast.parse("__all__ = ['point', 'area']\n"
+                            "def point(x):\n    return x\n"
+                            "def area(x):\n    return point(x)\n"),
+        "draw": ast.parse("from .shapes import area\n"
+                          "def draw(points):\n"
+                          "    for point in points:\n        area(point)\n"),
+    }
+    assert _unused_exports(library, {}) == []      # ``area`` calls ``point``
+    library["shapes"] = ast.parse("__all__ = ['point', 'area']\n"
+                                  "def point(x):\n    return x\n"
+                                  "def area(x):\n    return x\n")
+    assert _unused_exports(library, {}) == ["shapes.point"]
+    bench = {"bench.py": ast.parse("from stickybm import shapes\nshapes.point(1)\n")}
+    assert _unused_exports(library, bench) == []
+
+
+def _defaulted(fn):
+    """``(name, position)`` for each parameter of ``fn`` that has a default;
+    the position counts the caller's arguments (after ``self`` or ``cls``) and
+    is None for a keyword-only parameter."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    skip = int(bool(positional) and positional[0].arg in ("self", "cls"))
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position):
+    """Whether ``call`` passes the parameter ``name`` at ``position``: by
+    keyword, through ``**``, or by position (a ``*`` argument counting as one)."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or position is not None and len(call.args) > position)
+
+
+def _unset_options(library, bench):
+    """``module.function(parameter)`` for every defaulted parameter of a library
+    ``def`` that no call in the library or the benchmark passes; a call
+    matches by its callee's name, plain or as an attribute, and a class's
+    name calls its ``__init__``."""
+    calls = {}
+    for tree in [*library.values(), *bench.values()]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unset = []
+    for m, tree in library.items():
+        classes = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if getattr(fn, "name", None) == "__init__"}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = classes.get(fn, fn.name)
+                unset += [f"{m}.{callee}({name})" for name, position in _defaulted(fn)
+                          if not any(_passes(c, name, position) for c in calls.get(callee, ()))]
+    return unset
+
+
+def test_library_options_are_set_outside_tests():
+    unset = _unset_options(*_sources())
+    assert not unset, f"options only the tests set: {unset}"
 
 
 # (module, name, positional arguments, keywords) of every call the benchmark makes.

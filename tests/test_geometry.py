@@ -23,7 +23,7 @@ from stickybm.geometry import (
     sticky_rate_profile,
 )
 
-from stickybm.ldp import discrete_waypoint_cost
+from stickybm.ldp import BoundaryPatch, discrete_waypoint_cost
 
 from oracles import golden_min_sticky_profile
 
@@ -61,8 +61,9 @@ class TestModelParams:
 
 class TestHalfSpacePoint:
     def test_boundary_membership_is_exact(self):
-        assert P(0.0, 1.0).on_boundary()
-        assert not P(1e-300, 1.0).on_boundary()
+        patch = BoundaryPatch((1.0,), 0.5)
+        for x, on_boundary in ((P(0.0, 1.0), True), (P(1e-300, 1.0), False)):
+            assert bool(patch.contains(x.x1, np.asarray(x.xp))) is on_boundary
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -359,6 +360,24 @@ class TestGeodesic:
         assert g.path.knots[0] == x and g.path.knots[-1] == y
         z_in, z_out = g.path.knots[1], g.path.knots[2]
         assert z_in.x1 == z_out.x1 == 0.0 and z_out.xp[0] < z_in.xp[0] < 0.0
+
+    def test_action_matches_cost_at_the_cone_surface(self):
+        # The route follows cone_contains, a length threshold that squares
+        # nothing, while the cost is the smaller rate; within 1e-13 of the
+        # cone the two disagree on about one pair in ten.  Either route has
+        # the cost as its action: the rates meet on the cone.
+        rng = np.random.default_rng(22)
+        eps = np.finfo(float).eps
+        straight = set()
+        for _ in range(2000):
+            params = ModelParams(float(rng.choice([1.01, 1.5, 2.0, 4.0, 9.0])), 1.0)
+            x = P(0.0 if rng.random() < 0.2 else float(rng.uniform(0, 3)), float(rng.uniform(-2, 2)))
+            y1 = float(rng.uniform(0, 3))
+            gap = cone_threshold(params, x, P(y1, x.xp[0])) * (1 + rng.uniform(-1e-13, 1e-13))
+            g = geodesic(params, x, P(y1, x.xp[0] + gap))
+            straight.add(g.case_tag == "euclidean")
+            assert abs(action(params, g.path) - g.total_cost) <= 4 * eps * g.total_cost
+        assert straight == {True, False}
 
     def test_higher_dimension_plane_reduction(self):
         params = ModelParams(3.0, 1.0, 4)

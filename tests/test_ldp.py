@@ -32,7 +32,6 @@ from stickybm.ldp import (
     phase_transition_scan,
     sliced_ldp,
     static_ldp,
-    wilson_interval,
     _branch_cost,
     _target_constraints,
 )
@@ -40,7 +39,7 @@ from stickybm.kernel import log_densities
 from stickybm.quadrature import QuadratureSpec, gauss_legendre, logsumexp
 from stickybm.simulate import walk
 
-from oracles import unpruned_hit_counts
+from oracles import unpruned_hit_counts, wilson_interval
 
 SPEC = QuadratureSpec()
 
@@ -78,11 +77,13 @@ class TestPlumbing:
             Ball(P(1.0, 0.0), 0.0)
 
     def test_estimator_keeps_monte_carlo_frequencies_exact(self):
-        # Zero hits are dropped; the rest stay exactly k / n, with Wilson bounds.
+        # Zero hits are dropped; the rest stay exactly k / n, so their hit
+        # counts, and the Wilson bounds on them, come back exactly.
         est = stickybm.ldp._estimate((0.2, 0.1, 0.05, 0.025), lambda: 1.0,
                                      hits=[900, 300, 30, 0], n_paths=3000)
         assert est.probs == (0.3, 0.1, 0.01) and est.dropped_epsilons == (0.025,)
-        assert est.wilson_bounds == tuple(wilson_interval(k, 3000) for k in (900, 300, 30))
+        assert ([wilson_interval(round(p * 3000), 3000) for p in est.probs]
+                == [wilson_interval(k, 3000) for k in (900, 300, 30)])
         assert est.log_probs == tuple(e * math.log(p) for e, p in zip(est.epsilons, est.probs))
 
     def test_set_membership(self):
@@ -300,7 +301,8 @@ class TestStaticLdp:
         eps = (0.2, 0.1, 0.05)
         quad = static_ldp(params, x, target, eps, SPEC)
         mc = sliced_ldp(params, x, [(1.0, target)], eps, n_paths=40000, seed=5)
-        for q, (lo, hi) in zip(quad.probs, mc.wilson_bounds):
+        for q, p in zip(quad.probs, mc.probs):
+            lo, hi = wilson_interval(round(p * 40000), 40000)
             assert lo <= q <= hi
 
     def test_beta_is_bounded(self):

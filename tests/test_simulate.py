@@ -33,6 +33,19 @@ def one_step(params, x1, dt, n, seed):
     return batch.x1[:, 1], batch.local_time[:, 1]
 
 
+def walk_rows(cfg, first, count):
+    """Paths ``first .. first + count - 1`` of ``cfg``'s batch, stepped by
+    :func:`walk` alone: ``(x1, xp, occupation_time)`` after every step, as
+    :func:`simulate_batch` accumulates them."""
+    x1, xp = np.empty((count, cfg.n_steps)), np.empty((count, cfg.n_steps, cfg.params.d - 1))
+    occ = np.zeros((count, cfg.n_steps + 1))
+    steps = walk(cfg.params, cfg.x0, np.full(cfg.n_steps, cfg.step), count, cfg.seed,
+                 first_index=first)
+    for j, (z, y, d_o) in enumerate(steps):
+        x1[:, j], xp[:, j], occ[:, j + 1] = z, y, occ[:, j] + d_o
+    return x1, xp, occ[:, 1:]
+
+
 def map_atom_probability(params, x1, dt):
     """``P(z = 0)`` of the sampler's map: ``b / (b + 2 theta1 s)`` integrated over
     the clock uniform ``u0`` up to the visit threshold ``2 Phi(-xi)``."""
@@ -292,10 +305,10 @@ class TestPaths:
         cfg = SimConfig(PARAMS, P(0.5, 0.0), 0.001, 40, seed=9)
         batch = simulate_batch(cfg, 300)
         assert np.array_equal(batch.local_time, PARAMS.theta * batch.occupation_time)
-        for i in (0, 299):
-            path = simulate_batch(cfg, 1, first_index=i)
-            assert np.array_equal(path.x1[0], batch.x1[i])
-            assert np.array_equal(path.local_time, PARAMS.theta * path.occupation_time)
+        first = simulate_batch(cfg, 1)
+        assert np.array_equal(first.x1[0], batch.x1[0])
+        assert np.array_equal(first.local_time, PARAMS.theta * first.occupation_time)
+        assert np.array_equal(walk_rows(cfg, 299, 1)[0][0], batch.x1[299, 1:])
         far = batch.x1[:, :-1] / math.sqrt(0.001) >= 8.5
         assert far.any() and (~far).any()
         assert np.all(np.diff(batch.occupation_time, axis=1)[far] == 0.0)
@@ -311,20 +324,20 @@ class TestPaths:
         cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 5, seed=3)
         batch = simulate_batch(cfg, 4)
         for i in range(4):
-            single = simulate_batch(cfg, 1, first_index=i)
-            assert np.array_equal(single.x1[0], batch.x1[i])
-            assert np.array_equal(single.xp[0], batch.xp[i])
-            assert np.array_equal(single.occupation_time[0], batch.occupation_time[i])
+            x1, xp, occ = walk_rows(cfg, i, 1)
+            assert np.array_equal(x1[0], batch.x1[i, 1:])
+            assert np.array_equal(xp[0], batch.xp[i, 1:])
+            assert np.array_equal(occ[0], batch.occupation_time[i, 1:])
 
     def test_path_blocks_match_one_block(self, monkeypatch):
         # d = 2 and 6 steps: 24 uniforms per path, so 7 paths per block here
         # and, below one path's worth, one path per block.
         cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 6, seed=3)
-        whole = simulate_batch(cfg, 30, first_index=2)
+        whole = simulate_batch(cfg, 30)
         for limit in (7 * 24 + 5, 10):
             monkeypatch.setattr(sim, "_BATCH_UNIFORMS", limit)
             assert len(sim._path_blocks(30, 6, 2, sim._BATCH_UNIFORMS)) > 1
-            blocked = simulate_batch(cfg, 30, first_index=2)
+            blocked = simulate_batch(cfg, 30)
             for name in ("x1", "xp", "occupation_time"):
                 assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
@@ -333,9 +346,11 @@ class TestPaths:
         params = ModelParams(2.0, 1.5, 3)
         cfg = SimConfig(params, P(0.1, 0.0, 0.0), 0.1, 3, seed=3)
         full = simulate_batch(cfg, 10)
-        tail = simulate_batch(cfg, 5, first_index=5)
-        for name in ("x1", "xp", "occupation_time"):
-            assert np.array_equal(getattr(tail, name), getattr(full, name)[5:])
+        head = simulate_batch(cfg, 5)
+        tail = walk_rows(cfg, 5, 5)
+        for k, name in enumerate(("x1", "xp", "occupation_time")):
+            assert np.array_equal(getattr(head, name), getattr(full, name)[:5])
+            assert np.array_equal(tail[k], getattr(full, name)[5:, 1:])
 
     def test_layout_reads_philox_rows(self, monkeypatch):
         # Row r of the generator keyed on seed + stream * 2^64 holds path r's
@@ -390,7 +405,7 @@ class TestPaths:
         # Many paths are one batch, stacked on the leading axis.
         cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 3, seed=3)
         paths = simulate_batch(cfg, 3)
-        assert isinstance(paths, BatchPaths) and paths.n_paths == 3
+        assert isinstance(paths, BatchPaths)
         assert paths.x1.shape == (3, 4) and paths.xp.shape == (3, 4, 1)
         assert paths.occupation_time.shape == (3, 4) and paths.times.shape == (4,)
 
@@ -409,7 +424,7 @@ class TestPaths:
 def modulus_by_path(paths, delta, eta, time_scale):
     """Reference for :func:`modulus_statistics`: path by path, lag by lag."""
     hits = 0
-    for i in range(paths.n_paths):
+    for i in range(len(paths.x1)):
         times = paths.times / time_scale
         k_max = int(math.floor(delta / (times[1] - times[0]) + 1e-9))
         coords = np.column_stack([paths.x1[i], paths.xp[i]])
@@ -417,7 +432,7 @@ def modulus_by_path(paths, delta, eta, time_scale):
         for k in range(1, min(k_max, times.size - 1) + 1):
             worst = max(worst, float(np.max(np.linalg.norm(coords[k:] - coords[:-k], axis=1))))
         hits += worst >= eta
-    return hits / paths.n_paths
+    return hits / len(paths.x1)
 
 
 class TestModulus:

@@ -1,9 +1,11 @@
+import functools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import stickybm.transport
 from stickybm.geometry import HalfSpacePoint, ModelParams, cost, geodesic
 from stickybm.kernel import log_densities
 from stickybm.quadrature import QuadratureSpec
@@ -235,14 +237,15 @@ class TestGammaLimit:
         assert viol[-1] < viol[0]
         assert viol[-1] <= abs(res.gap_slope) * 0.01 * math.log(1 / 0.01) + 1e-9
 
-    def test_no_converged_epsilon_raises(self):
+    def test_no_converged_epsilon_raises(self, monkeypatch):
         # With every epsilon failing there is no gap to fit; a slope read off
         # zero rows would be 0.
         params = ModelParams(4.0, 1.0)
         src, tgt = CRIT10
+        monkeypatch.setattr(stickybm.transport, "schrodinger",
+                            functools.partial(schrodinger, max_iter=3))
         with pytest.raises(TransportConvergenceError) as err:
-            gamma_limit_experiment(params, SPEC, src, tgt, (0.04, 0.02, 0.01),
-                                   max_iter=3, tol=1e-12)
+            gamma_limit_experiment(params, SPEC, src, tgt, (0.04, 0.02, 0.01), tol=1e-12)
         assert "[0.04, 0.02, 0.01]" in str(err.value)
         assert err.value.marginal_error > 0
 
