@@ -4,8 +4,11 @@ Every subcommand validates its numeric inputs before any computation starts
 and ends in the one writer, ``_emit``: it writes ``<output>/<subcommand>.csv``
 plus ``<output>/<subcommand>.json`` (the JSON echoes the fully resolved
 configuration so runs are round-trippable) and prints a one-line result.
-``--seed`` fully determines stochastic outputs; floats are emitted at 17
-significant digits so determinism checks are bit-meaningful.
+``--seed`` fully determines stochastic outputs.  The CSV and the printed line
+write floats at 17 significant digits, so determinism checks are
+bit-meaningful; the JSON summary writes them as ``json`` does, in the shortest
+repr that reads back exactly (``0.18`` where the CSV has
+``0.17999999999999999``).
 
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure, 4 I/O.
 """
@@ -16,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -40,6 +44,35 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
+
+
+def _quote(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row of several."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+class _RowFormats(dict):
+    """The writer of a row, a tuple, by its shape (the types of its cells),
+    built on the first row of that shape: one ``%``-format with ``%.17g`` for
+    a float cell and ``%s`` for any other, so that a row is written as
+    ``csv.writer`` writes it after ``_fmt`` on each cell.  A cell that is not
+    a number is quoted as ``csv.writer`` quotes it."""
+
+    def __missing__(self, shape):
+        fmt = ",".join("%.17g" if issubclass(t, float) else "%s" for t in shape) + "\r\n"
+        text = [k for k, t in enumerate(shape) if not issubclass(t, numbers.Number)]
+        if not text:
+            write = fmt.__mod__
+        else:
+            def write(row):
+                cells = list(row)
+                for k in text:
+                    cells[k] = _quote(str(cells[k]))
+                return fmt % tuple(cells)
+        self[shape] = write
+        return write
 
 
 def _parse_point(text: str) -> HalfSpacePoint:
@@ -112,15 +145,17 @@ def _measures(args):
     return _read_measure(args.mu0), _read_measure(args.mu1)
 
 
-def _emit(args, header, rows, summary: dict, line: str) -> int:
-    """Write ``<command>.csv`` (``header``, then ``rows`` through ``_fmt``) and
-    ``<command>.json`` (``summary`` plus the resolved ``config``), print ``line``."""
+def _emit(args, header, table, summary: dict, line: str) -> int:
+    """Write ``<command>.csv`` (``header``, then each row of ``table``, an
+    iterable of tuples such as ``zip(*columns)``, one ``%``-format per row
+    shape; see ``_RowFormats``) and ``<command>.json`` (``summary`` plus the
+    resolved ``config``), print ``line``."""
     os.makedirs(args.output, exist_ok=True)
     stem = os.path.join(args.output, args.command)
+    formats = _RowFormats()
+    lines = [formats[tuple(map(type, row))](row) for row in (tuple(header), *table)]
     with open(stem + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write("".join(lines))
     config = {k: v for k, v in vars(args).items() if k != "func"}
     with open(stem + ".json", "w") as fh:
         json.dump({"config": config, **summary}, fh, sort_keys=True, indent=2, default=_fmt)
@@ -137,15 +172,15 @@ def _cmd_cost(args) -> int:
     params = _params(args)
     value = cost(params, _parse_point(args.x), _parse_point(args.y))
     return _emit(args, ["a", "theta", "x", "y", "cost"],
-                 [[params.a, params.theta, args.x, args.y, value]], {"cost": value}, _fmt(value))
+                 [(params.a, params.theta, args.x, args.y, value)], {"cost": value}, _fmt(value))
 
 
 def _cmd_geodesic(args) -> int:
     params = _params(args)
     g = geodesic(params, _parse_point(args.x), _parse_point(args.y))
     times, knots = g.path.times, g.path.knots
-    rows = [[k, times[k + 1] - times[k], *knots[k].coords().tolist(),
-             *knots[k + 1].coords().tolist()] for k in range(len(knots) - 1)]
+    rows = [(k, times[k + 1] - times[k], *knots[k].coords().tolist(),
+             *knots[k + 1].coords().tolist()) for k in range(len(knots) - 1)]
     header = ["segment", "duration", *_coord_names(params.d, "start_"),
               *_coord_names(params.d, "end_")]
     return _emit(args, header, rows, {"case": g.case_tag, "total_cost": g.total_cost},
@@ -177,24 +212,28 @@ def _cmd_kernel(args) -> int:
     interior = np.exp(log_densities(params, QuadratureSpec(), t, x.x1, y1, np.abs(yp - x.xp[0])))
     # mu's boundary weight: the density w.r.t. dy' on y1 = 0 is q / (2 theta)
     boundary = np.where(y1 == 0.0, interior / (2.0 * params.theta), 0.0)
-    rows = [[t, x.x1, x.xp[0], *point] for point in zip(y1, yp, interior, boundary)]
+    columns = [[t] * len(y1), [x.x1] * len(y1), [x.xp[0]] * len(y1),
+               *(c.tolist() for c in (y1, yp, interior, boundary))]
     # trapezoid mass over the emitted grid, for the summary
     mass = float(np.trapezoid(np.trapezoid(interior[: n * n].reshape(n, n), yps, axis=1), y1s)
                  + np.trapezoid(boundary[n * n:], yps))
     return _emit(args, ["t", "x1", "xp1", "y1", "yp1", "interior_density", "boundary_density"],
-                 rows, {"trapezoid_mass": mass}, f"rows={len(rows)} trapezoid_mass={_fmt(mass)}")
+                 zip(*columns), {"trapezoid_mass": mass},
+                 f"rows={len(y1)} trapezoid_mass={_fmt(mass)}")
 
 
 def _cmd_simulate(args) -> int:
     params = _params(args)
     cfg = SimConfig(params, _parse_point(args.x), args.step, args.n_steps, args.seed)
     batch = simulate_batch(cfg, args.n_paths)
-    times, x1, xp = batch.times.tolist(), batch.x1.tolist(), batch.xp.tolist()
-    local, occ = batch.local_time.tolist(), batch.occupation_time.tolist()
-    rows = [[p, i, times[i], x1[p][i], *xp[p][i], local[p][i], occ[p][i]]
-            for p in range(args.n_paths) for i in range(args.n_steps + 1)]
+    n_times = len(batch.times)
+    columns = [np.repeat(np.arange(args.n_paths), n_times).tolist(),
+               np.tile(np.arange(n_times), args.n_paths).tolist(),
+               np.tile(batch.times, args.n_paths).tolist(), batch.x1.ravel().tolist(),
+               *(batch.xp[..., k].ravel().tolist() for k in range(params.d - 1)),
+               batch.local_time.ravel().tolist(), batch.occupation_time.ravel().tolist()]
     frac = float(np.mean(batch.x1 == 0.0))
-    return _emit(args, ["path", "step", "t", *_coord_names(params.d), "L", "O"], rows,
+    return _emit(args, ["path", "step", "t", *_coord_names(params.d), "L", "O"], zip(*columns),
                  {"boundary_fraction": frac},
                  f"paths={args.n_paths} steps={args.n_steps} boundary_fraction={_fmt(frac)}")
 
@@ -207,8 +246,8 @@ def _cmd_ldp_static(args) -> int:
     else:
         est = static_ldp(params, x, target, epsilons, QuadratureSpec())
     # log p from eps log p: p itself may underflow to 0 where its logarithm is finite.
-    rows = [[eps, p, s / eps, s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
-    rows.append(["summary", est.extrapolated_rate, est.reference_rate, est.beta])
+    rows = [(eps, p, s / eps, s) for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
+    rows.append(("summary", est.extrapolated_rate, est.reference_rate, est.beta))
     return _emit(args, ["epsilon", "prob", "log_prob", "eps_log_prob"], rows, {
         "epsilons": list(est.epsilons),
         "eps_log_probs": list(est.log_probs),
@@ -225,7 +264,7 @@ def _cmd_ldp_scan(args) -> int:
     res = phase_transition_scan(_parse_floats(args.a_grid), args.theta, x, y,
                                 _parse_floats(args.epsilons), QuadratureSpec(),
                                 ball_radius=args.radius)
-    rows = [[r.a, r.extrapolated_rate, r.reference_rate] for r in res.rows]
+    rows = [(r.a, r.extrapolated_rate, r.reference_rate) for r in res.rows]
     return _emit(args, ["a", "extrapolated_rate", "reference_rate"], rows, {
         "flat_level": res.flat_level,
         "empirical_kink": res.empirical_kink,
@@ -238,8 +277,8 @@ def _cmd_ldp_path(args) -> int:
     waypoints = [_parse_waypoint(item) for item in args.waypoints.split(";")]
     est = sliced_ldp(params, _parse_point(args.x), waypoints,
                      _parse_floats(args.epsilons), args.n_paths, args.seed)
-    rows = [[eps, p, s] for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
-    rows.append(["summary", est.extrapolated_rate, est.reference_rate])
+    rows = [(eps, p, s) for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
+    rows.append(("summary", est.extrapolated_rate, est.reference_rate))
     return _emit(args, ["epsilon", "prob", "eps_log_prob"], rows, {
         "extrapolated_rate": est.extrapolated_rate,
         "reference_rate": est.reference_rate,
@@ -249,7 +288,7 @@ def _cmd_ldp_path(args) -> int:
 
 def _plan_rows(plan):
     m = plan.matrix
-    return [[i, j, m[i, j]] for i, j in zip(*np.nonzero(m > 0))]
+    return [(i, j, m[i, j]) for i, j in zip(*np.nonzero(m > 0))]
 
 
 def _cmd_ot(args) -> int:
@@ -276,7 +315,7 @@ def _cmd_gamma_limit(args) -> int:
     params = _params(args)
     res = gamma_limit_experiment(params, QuadratureSpec(), *_measures(args),
                                  _parse_floats(args.epsilons), tol=args.tol)
-    rows = [[r.epsilon, r.entropic_value, r.log_normalization, r.gap, r.iterations]
+    rows = [(r.epsilon, r.entropic_value, r.log_normalization, r.gap, r.iterations)
             for r in res.rows]
     return _emit(args, ["epsilon", "entropic_value", "log_normalization", "gap", "iterations"],
                  rows, {
@@ -291,7 +330,7 @@ def _cmd_interpolate(args) -> int:
     params = _params(args)
     plan = kantorovich(params, *_measures(args))
     mid = displacement_interpolation(params, plan, args.t)
-    rows = [[p.x1, *p.xp, w] for p, w in zip(mid.atoms, mid.weights)]
+    rows = [(p.x1, *p.xp, w) for p, w in zip(mid.atoms, mid.weights)]
     return _emit(args, [*_coord_names(params.d), "weight"], rows,
                  {"atoms": len(mid.atoms), "plan_value": plan.cost_value},
                  f"atoms={len(mid.atoms)}")

@@ -20,7 +20,11 @@ and ``kernel._grid_densities`` through the module, so a test that wraps
 either there sees every call.  :func:`bivariate_density` is the joint law of
 (horizontal position, local time) from the kernel's log building blocks, and
 :func:`modulus_statistics` the path-oscillation frequency of a sampled batch.
+The CLI's CSV writer has :func:`reference_csv`, which formats and quotes one
+value at a time through ``csv.writer``.
 """
+import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -429,3 +433,19 @@ def fokker_planck_residual(params: ModelParams, spec: QuadratureSpec, t: float,
         return np.exp(kernel.log_densities(params, spec, tt, x.x1, y1, v))
 
     return fp_residuals_from_fields(params, q_at, t, h, test_points, boundary_points)
+
+
+def reference_csv(header, rows) -> str:
+    """The CSV text of ``header`` and ``rows`` as ``csv.writer`` writes it
+    with each value formatted on its own: a float at 17 significant digits,
+    anything else by ``str``."""
+    def fmt(v) -> str:
+        if isinstance(v, float):
+            return f"{v:.17g}"
+        return str(v)
+
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    return fh.getvalue()

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import functools
 import json
@@ -18,9 +19,21 @@ from stickybm.cli import _fmt, build_parser, main
 from stickybm.quadrature import QuadratureError
 from stickybm.transport import schrodinger
 
+from oracles import reference_csv
+
 
 def run(tmp_path, *argv):
     return main([*argv, "-o", str(tmp_path)])
+
+
+def readme_cli_lines():
+    """The ``stickybm ...`` lines of README's CLI block, continuations joined."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("stickybm ")]
 
 
 def read_csv(path):
@@ -123,17 +136,22 @@ class TestDispatch:
     def test_readme_examples_parse(self):
         # Every `stickybm ...` line of README's CLI block names only flags
         # the parser accepts; nothing runs.
-        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
-        with open(readme) as fh:
-            text = fh.read()
-        block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-        lines = block.replace("\\\n", " ").splitlines()
-        commands = [shlex.split(line, comments=True) for line in lines
-                    if line.startswith("stickybm ")]
+        commands = [shlex.split(line, comments=True) for line in readme_cli_lines()]
         assert len(commands) >= 11
         for argv in commands:
             args = build_parser().parse_args(argv[1:])
             assert args.command == argv[1]
+
+    def test_readme_annotated_examples_print_their_annotation(self, tmp_path, capsys):
+        # A README example with a trailing comment prints that comment
+        # (after an optional "prints ") as its one line.
+        annotated = [line for line in readme_cli_lines() if "#" in line]
+        assert len(annotated) == 2
+        for line in annotated:
+            argv = shlex.split(line, comments=True)[1:]
+            note = line.split("#", 1)[1].strip().removeprefix("prints ")
+            assert run(tmp_path, *argv) == 0
+            assert capsys.readouterr().out == note + "\n"
 
     def test_geodesic(self, tmp_path, capsys):
         code = run(tmp_path, "geodesic", "--a", "2", "--theta", "1", "--x", "1,0", "--y", "1,5")
@@ -186,6 +204,25 @@ SMALL_RUNS = [
 ]
 
 
+def with_measures(tmp_path, argv):
+    """``argv`` with ``{mu0}`` and ``{mu1}`` naming two-atom measure files in ``tmp_path``."""
+    (tmp_path / "mu0.csv").write_text("x1,xp1,weight\n0,0,0.5\n0.5,2,0.5\n")
+    (tmp_path / "mu1.csv").write_text("x1,xp1,weight\n0,1,0.5\n0.2,3,0.5\n")
+    return [arg.format(mu0=tmp_path / "mu0.csv", mu1=tmp_path / "mu1.csv") for arg in argv]
+
+
+# Every small run, `simulate` with two tangential coordinates, and the
+# benchmark's `simulate` (40 paths x 50 steps).
+WRITER_RUNS = [
+    *SMALL_RUNS,
+    ["simulate", "--a", "2", "--theta", "1", "--x", "0.3,0,0", "--d", "3", "--step", "0.1",
+     "--n-steps", "3", "--n-paths", "2", "--seed", "2"],
+    ["simulate", "--a", "2", "--theta", "1.5", "--x", "0.3,0", "--step", "0.05",
+     "--n-steps", "50", "--n-paths", "40", "--seed", "1"],
+]
+WRITER_IDS = [argv[0] for argv in SMALL_RUNS] + ["simulate-d3", "simulate-40x50"]
+
+
 class TestEmit:
     def test_small_runs_cover_every_subcommand(self):
         subs = build_parser()._subparsers._group_actions[0].choices
@@ -193,9 +230,7 @@ class TestEmit:
 
     @pytest.mark.parametrize("argv", SMALL_RUNS, ids=[argv[0] for argv in SMALL_RUNS])
     def test_every_subcommand_writes_one_csv_one_json_one_line(self, tmp_path, capsys, argv):
-        (tmp_path / "mu0.csv").write_text("x1,xp1,weight\n0,0,0.5\n0.5,2,0.5\n")
-        (tmp_path / "mu1.csv").write_text("x1,xp1,weight\n0,1,0.5\n0.2,3,0.5\n")
-        argv = [arg.format(mu0=tmp_path / "mu0.csv", mu1=tmp_path / "mu1.csv") for arg in argv]
+        argv = with_measures(tmp_path, argv)
         out = tmp_path / "out"
         assert run(out, *argv) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -215,6 +250,50 @@ class TestWriter:
         # Library results are NumPy scalars; the writer must not print their shortest repr.
         assert _fmt(np.float64(0.1)) == "0.10000000000000001" == _fmt(0.1)
         assert _fmt(np.float64(0.0)) == "0" and _fmt(3) == "3" and _fmt("summary") == "summary"
+
+    @pytest.mark.parametrize("argv", WRITER_RUNS, ids=WRITER_IDS)
+    def test_csv_bytes_are_the_reference_writers(self, tmp_path, capsys, monkeypatch, argv):
+        # The table each subcommand hands the writer, written one value at a
+        # time through csv.writer, is the file the writer wrote.
+        tables = []
+        emit = stickybm.cli._emit
+
+        def spy(args, header, table, summary, line):
+            tables.append((header, list(table)))
+            return emit(args, header, tables[-1][1], summary, line)
+
+        monkeypatch.setattr(stickybm.cli, "_emit", spy)
+        assert run(tmp_path / "out", *with_measures(tmp_path, argv)) == 0
+        capsys.readouterr()
+        [(header, table)] = tables
+        if "--d" in argv:
+            assert header[3:6] == ["x1", "xp1", "xp2"]
+        written = (tmp_path / "out" / f"{argv[0]}.csv").read_bytes()
+        assert written == reference_csv(header, table).encode()
+
+    def test_hostile_cells_match_the_reference_writer(self, tmp_path, capsys):
+        # Text that csv.writer quotes, numbers that are not floats, and floats
+        # whose shortest repr differs from 17 digits, in rows that mix them;
+        # rows of one shape recur, so a cached format is reused.
+        inf, nan = float("inf"), float("nan")
+        header = ["label", "x,y", 'say "value"']
+        rows = [
+            ("1,0", 0.1, np.int64(3)),
+            ('a"b', -0.0, True),
+            ("summary", nan, 1e308),
+            (np.float64(0.1), inf, -inf),
+            (5e-324, "a\nb", ""),
+            ("1,0", 0.1, np.int64(3)),
+            (True, False, np.float64(-0.0)),
+            (np.float64(0.1), inf, -inf),
+        ]
+        args = argparse.Namespace(output=str(tmp_path), command="hostile")
+        assert stickybm.cli._emit(args, header, rows, {}, "done") == 0
+        assert capsys.readouterr().out == "done\n"
+        written = (tmp_path / "hostile.csv").read_bytes()
+        assert written == reference_csv(header, rows).encode()
+        assert b'"1,0",0.10000000000000001,3\r\n' in written
+        assert b"\r\nTrue,False,-0\r\n" in written
 
     def test_kernel_csv_bytes(self, tmp_path, capsys):
         assert run(tmp_path, "kernel", "--a", "2", "--theta", "1", "--t", "1",
