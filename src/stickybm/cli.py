@@ -350,21 +350,31 @@ def _add_common(sub, model=True, seed=False):
         sub.add_argument("--d", type=int, default=2, help="ambient dimension")
 
 
+_COMMANDS = ("cost", "geodesic", "kernel", "simulate", "ldp-static", "ldp-scan", "ldp-path", "ot",
+             "sinkhorn", "gamma-limit", "interpolate")
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The ``stickybm`` parser.  Every subcommand is registered, so the
-    top-level usage, help and errors are always the same; given a known
-    ``command``, only that subcommand gets its arguments (all that parsing
-    its own argv needs), and any other ``command`` gets the full parser."""
+    """The ``stickybm`` parser, with every subcommand of ``_COMMANDS``.  Given
+    one of them as ``command``, only that subcommand is registered (all that
+    parsing its own argv needs), under the full list as its metavar, so that
+    the top-level usage and errors read the same; any other ``command`` gets
+    the full parser, whose help and choice errors need every subcommand."""
+    if command not in _COMMANDS:
+        command = None
     parser = argparse.ArgumentParser(
         prog="stickybm",
         description="Sticky-reflecting Brownian motion: kernel, geodesics, "
                     "simulation, large-deviation and transport experiments.")
-    subs = parser.add_subparsers(dest="command", required=True)
+    # The metavar argparse would build from all of _COMMANDS; the full parser
+    # keeps none, since a missing command is reported under its dest.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def sub(name, help, func, **common):
-        s = subs.add_parser(name, help=help)
         if command not in (None, name):
             return None
+        s = subs.add_parser(name, help=help)
         _add_common(s, **common)
         s.set_defaults(func=func)
         return s
@@ -435,14 +445,12 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         s.add_argument("--mu1", required=True)
         s.add_argument("--t", type=float, required=True)
 
-    if command not in (None, *subs.choices):
-        return build_parser()
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Arguments for argv[0]'s subcommand only: building all eleven takes twice as long.
+    # argv[0]'s subcommand only: building all eleven takes several times as long.
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)

@@ -8,8 +8,10 @@ Carlo with exact one-step sampling; rates are extracted by fitting
 
 the middle term absorbing the Gaussian ``eps^{-d/2}`` prefactors that make
 raw two-point slopes converge too slowly.  Reference rates are infima of the
-closed-form cost over the target sets; the cost is the smaller of two convex
-rates, so each infimum is the smallest of a few convex programs.
+closed-form cost over the target sets.  Over one target the infimum is in
+closed form; over two or more waypoint targets, where the cost is the smaller
+of two convex rates on each segment, it is the smallest of a few convex
+programs.
 """
 
 from __future__ import annotations
@@ -278,9 +280,59 @@ def _target_constraints(centres, radii, patch) -> list:
     return constraints
 
 
+def _min_cost_closed(params: ModelParams, x: HalfSpacePoint, target) -> float:
+    """Infimum of cost(x, .) over a Ball or BoundaryPatch, in closed form.
+
+    The cost is ``min(E, S)``: the Euclidean rate ``E``, or the sticky rate
+    ``S``, flat where ``sqrt(A) v <= s`` and never below ``E`` there (``s >=
+    |dx1|``), and slanted, ``P = (sqrt(A) s + v)^2 / (2a)``, elsewhere.  So the
+    infimum is ``min(inf E, inf P)``, the second over the target's part of the
+    slanted region (``a > 1`` only).  Both depend on ``y`` through ``y1`` and
+    ``rho = |y' - x'|``, and a target through the tangential distance ``D =
+    |c' - x'|`` alone, in every dimension.  ``inf E`` over a ball is ``max(0,
+    |x - c| - r)^2 / 2`` (its nearest point has ``y1 >= 0``, between ``c1``
+    and ``x1``); over the trace on ``y1 = 0`` it is at ``rho = max(0, D -
+    h)``.  ``P`` grows with ``sqrt(A) y1 + rho``, a linear form to minimize
+    over the disc ``(y1 - c1)^2 + (rho - D)^2 <= r^2`` cut by ``y1 >= 0`` and
+    the cone line ``sqrt(A) rho >= x1 + y1``.  Its minimum lies at the disc's
+    own minimizer, at the near end of the chord on ``y1 = 0``, or on the cone
+    line, where ``P`` is the flat value and so no lower than ``E``: the first
+    two candidates are the only ones, each kept when it meets both cuts.  When
+    the target holds ``x`` the infimum is exactly 0.0.
+    """
+    _check_experiment(params, x, [target])
+    if target.contains(x.x1, np.asarray(x.xp)):
+        return 0.0
+    x1 = x.x1
+    centre = target.center_tangential if isinstance(target, BoundaryPatch) else target.center.xp
+    gap = math.hypot(*np.subtract(centre, x.xp))
+    best, points = math.inf, []         # points: the (y1, rho) candidates for P
+    if isinstance(target, Ball):
+        c1, r = target.center.x1, target.radius
+        # |x - c| - r, without the cancellation of a start close to the sphere
+        u = x1 - c1
+        best = 0.5 * max(0.0, ((u - r) * (u + r) + gap * gap) / (math.hypot(u, gap) + r)) ** 2
+        if params.a > 1.0:
+            points.append((c1 - r * math.sqrt(params.big_a / params.a),
+                           gap - r / math.sqrt(params.a)))
+    trace = _trace(target)
+    if trace is not None:
+        rho = max(0.0, gap - trace[1])
+        best = min(best, 0.5 * (x1 * x1 + rho * rho))
+        points.append((0.0, rho))
+    if params.a > 1.0:
+        root_a = math.sqrt(params.big_a)
+        for y1, rho in points:
+            if y1 >= 0.0 and root_a * rho >= x1 + y1:
+                best = min(best, (root_a * (x1 + y1) + rho) ** 2 / (2.0 * params.a))
+    return best
+
+
 def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
     """Infimum of sum_j c(y_{j-1}, y_j) / dt_j over y_j in targets[j], y_0 = x.
 
+    :func:`min_sliced_cost` solves it this way for two or more waypoints; with
+    one, these programs are the test oracle of :func:`_min_cost_closed`.
     Each term is the smaller of the Euclidean and the sticky rate, both convex,
     and a Ball (``y1 >= 0, |y - c| <= r``) or BoundaryPatch (``y1 = 0,
     |y - (0, c')| <= r``) is convex, so the infimum is the smallest of ``2^k``
@@ -340,9 +392,10 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
 
 
 def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target) -> float:
-    """Infimum of cost(x, .) over a Ball or BoundaryPatch: the sliced cost
-    ``min_sliced_cost(params, x, [(1.0, target)])`` of one waypoint at time 1."""
-    return _min_sliced(params, x, np.ones(1), [target])
+    """Infimum of cost(x, .) over a Ball or BoundaryPatch, in closed form (see
+    :func:`_min_cost_closed`): the sliced cost ``min_sliced_cost(params, x,
+    [(1.0, target)])`` of one waypoint at time 1."""
+    return _min_cost_closed(params, x, target)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +544,16 @@ def discrete_waypoint_cost(params: ModelParams, x: HalfSpacePoint, waypoints) ->
 
 
 def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets) -> float:
-    """Infimum of the sliced cost over the product of waypoint targets: the
-    smallest of ``2^k`` convex programs in all ``k`` waypoints at once, one per
-    choice of the Euclidean or sticky branch on each segment (``k <= 2`` for
-    every caller here)."""
-    return _min_sliced(params, x, _waypoint_dts([t for t, _ in waypoint_sets]),
-                       [b for _, b in waypoint_sets])
+    """Infimum of the sliced cost over the product of waypoint targets.  One
+    waypoint at time ``t`` costs the closed form of :func:`_min_cost_closed`
+    over ``t``; ``k >= 2`` take the smallest of ``2^k`` convex programs in all
+    waypoints at once, one per choice of the Euclidean or sticky branch on each
+    segment (``k <= 2`` for every caller here)."""
+    dts = _waypoint_dts([t for t, _ in waypoint_sets])
+    targets = [b for _, b in waypoint_sets]
+    if len(targets) == 1:
+        return _min_cost_closed(params, x, targets[0]) / dts[0]
+    return _min_sliced(params, x, dts, targets)
 
 
 def sliced_ldp(params: ModelParams, x: HalfSpacePoint, waypoint_sets, epsilons,

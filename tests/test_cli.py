@@ -50,19 +50,35 @@ def forbid(monkeypatch, module, name):
     monkeypatch.setattr(module, name, not_yet)
 
 
+def fresh_python(code: str) -> str:
+    """What ``code`` prints in a new interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(stickybm.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout.strip()
+
+
 class TestDispatch:
     def test_import_leaves_scipy_solvers_unloaded(self):
         # Cold start: scipy.optimize and scipy.special are imported only by
         # the functions that call them, so `stickybm cost` never pays for them;
         # nothing at import time pulls in numpy.ma (np.unique does).
-        src = os.path.dirname(os.path.dirname(stickybm.cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, stickybm.cli; "
-             "print(sorted({'scipy.optimize', 'scipy.special', 'numpy.ma'} & set(sys.modules)))"],
-            env=env, capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+        assert fresh_python(
+            "import sys, stickybm.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.special', 'numpy.ma'} & set(sys.modules)))"
+        ) == "[]"
+
+    def test_static_commands_leave_scipy_optimize_unloaded(self, tmp_path):
+        # One-waypoint reference rates are closed form, so quadrature
+        # `ldp-static` and `ldp-scan` never import the SLSQP solver.
+        argvs = [[*argv, "-o", str(tmp_path)] for argv in SMALL_RUNS
+                 if argv[0] in ("ldp-static", "ldp-scan")]
+        assert len(argvs) == 2
+        assert fresh_python(
+            "import sys; from stickybm.cli import main; "
+            f"print([main(argv) for argv in {argvs!r}], 'scipy.optimize' in sys.modules)"
+        ).splitlines()[-1] == "[0, 0] False"
 
     def test_cost_prints_value(self, tmp_path, capsys):
         code = run(tmp_path, "cost", "--a", "4", "--theta", "1", "--x", "0,0", "--y", "0,2")
@@ -336,9 +352,12 @@ class TestParser:
         monkeypatch.setattr(stickybm.cli, "_cmd_cost", lambda args: 0)
         assert main(SMALL_RUNS[0]) == 0
         assert commands == ["cost"]
-        subs = inner("cost")._subparsers._group_actions[0].choices
-        assert sorted(subs) == sorted(argv[0] for argv in SMALL_RUNS)
-        assert [name for name, sub in subs.items() if len(sub._actions) > 1] == ["cost"]
+        parser = inner("cost")
+        assert list(parser._subparsers._group_actions[0].choices) == ["cost"]
+        usage = parser.format_usage()
+        assert usage == build_parser().format_usage()
+        listed = usage.split("{", 1)[1].split("}", 1)[0].split(",")
+        assert sorted(listed) == sorted(argv[0] for argv in SMALL_RUNS)
 
     @pytest.mark.parametrize("argv", [
         ["--help"], ["-h"], *([argv[0], "--help"] for argv in SMALL_RUNS), ["kernel", "-h"],

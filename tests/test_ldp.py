@@ -33,6 +33,8 @@ from stickybm.ldp import (
     sliced_ldp,
     static_ldp,
     _branch_cost,
+    _min_cost_closed,
+    _min_sliced,
     _target_constraints,
 )
 from stickybm.kernel import log_densities
@@ -188,8 +190,9 @@ class TestExactReferenceRates:
 
         monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs: SimpleNamespace(
             success=False, message="Iteration limit reached"))
+        sets = [(0.5, Ball(P(0.0, 1.0), 0.1)), (1.0, Ball(P(0.0, 2.0), 0.1))]
         with pytest.raises(RuntimeError, match=r"failed on \[Ball\(.*Iteration limit reached"):
-            min_cost_over_target(ModelParams(4.0, 1.0), P(0.0, 0.0), Ball(P(0.0, 1.0), 0.1))
+            min_sliced_cost(ModelParams(4.0, 1.0), P(0.0, 0.0), sets)
 
     def test_no_target_point_undercuts_the_rate(self):
         rng = np.random.default_rng(11)
@@ -206,6 +209,92 @@ class TestExactReferenceRates:
             costs = cost_batch(a, x.x1, np.array(x.xp), y1, yp[:, None])
             assert costs.min() >= rate - 1e-12, (a, x, target)
             assert costs.min() <= rate + 1e-3 * max(rate, 1.0), (a, x, target)
+
+
+def closed_form_cases(n, seed):
+    """``n`` seeded one-waypoint problems ``(params, x, target)``: d = 2 and 3,
+    every value of ``a`` in turn, balls centred on the boundary, tangent to it,
+    crossing it and high above it, and patches; half the starts on y1 = 0."""
+    rng = np.random.default_rng(seed)
+    kinds = ("on", "tangent", "crossing", "high", "patch")
+    for i in range(n):
+        d, a, kind = 2 + i % 2, (0.5, 1.0, 1.01, 1.5, 2.0, 4.0, 9.0)[i % 7], kinds[i % 5]
+        x = HalfSpacePoint(0.0 if i % 4 < 2 else float(rng.uniform(0.0, 2.0)),
+                           tuple(rng.uniform(-3.0, 3.0, d - 1)))
+        r, cp = float(rng.uniform(0.05, 1.2)), tuple(rng.uniform(-3.0, 3.0, d - 1))
+        c1 = {"on": 0.0, "tangent": r, "crossing": float(rng.uniform(0.0, r)),
+              "high": r + float(rng.uniform(0.3, 3.0))}.get(kind)
+        target = BoundaryPatch(cp, r) if kind == "patch" else Ball(HalfSpacePoint(c1, cp), r)
+        yield ModelParams(a, 1.0, d), x, target
+
+
+def ball_euclidean_infimum(x, ball):
+    """max(0, |x - c| - r)^2 / 2, the Euclidean rate's infimum over a ball."""
+    return 0.5 * max(0.0, math.dist(x.coords(), ball.center.coords()) - ball.radius) ** 2
+
+
+class TestClosedFormReferenceRates:
+    """One-waypoint reference rates are closed form; the SLSQP programs of
+    ``_min_sliced``, called with one waypoint, are their oracle."""
+
+    def test_matches_the_programs_on_a_seeded_sweep(self):
+        eps = np.finfo(float).eps
+        slanted_wins = 0
+        for params, x, target in closed_form_cases(420, seed=24):
+            closed = _min_cost_closed(params, x, target)
+            oracle = _min_sliced(params, x, np.ones(1), [target])
+            # The oracle evaluates the cost at its own points, whose coordinates
+            # (of size up to L) round at eps L; that moves a cost c by up to
+            # |grad c| eps L = sqrt(2c) eps L, which dominates 1e-14 c on
+            # starts close to the target.
+            centre = (target.center.coords() if isinstance(target, Ball)
+                      else target.center_tangential)
+            size = max(1.0, *np.abs(x.coords()), *np.abs(centre))
+            slack = 1e-14 * oracle + 4.0 * eps * size * math.sqrt(2.0 * oracle)
+            assert closed <= oracle + slack, (params, x, target, closed, oracle)
+            assert abs(closed - oracle) <= 1e-10 * max(oracle, 1.0), (params, x, target)
+            if isinstance(target, Ball):
+                slanted_wins += closed < ball_euclidean_infimum(x, target) * (1.0 - 1e-9)
+        assert slanted_wins >= 50
+
+    def test_start_inside_the_target_is_exactly_zero(self):
+        cases = [(ModelParams(4.0, 1.0), P(0.0, 1.0), BoundaryPatch((1.05,), 0.1)),
+                 (ModelParams(0.5, 1.0), P(0.3, 1.0), Ball(P(0.2, 1.1), 0.2)),
+                 (ModelParams(2.0, 1.0, 3), P(0.0, 0.5, 0.5), Ball(P(0.0, 0.5, 0.6), 0.2)),
+                 (ModelParams(9.0, 1.0, 3), P(0.0, 1.0, 2.0), BoundaryPatch((1.0, 2.0), 0.5)),
+                 # On the sphere, where |x - c| - r rounds to 2e-33 above zero.
+                 (ModelParams(2.0, 1.0), P(0.5508023224879263, 0.0359075232503866),
+                  Ball(P(0.5436249914654229, 0.8701448475755365), 0.834268198709379))]
+        for params, x, target in cases:
+            assert _min_cost_closed(params, x, target) == 0.0
+            assert min_sliced_cost(params, x, [(0.5, target)]) == 0.0
+
+    def test_one_waypoint_at_time_t_is_the_closed_form_over_t(self, monkeypatch):
+        cases = [(ModelParams(2.0, 1.0), P(1.0, 0.0), Ball(P(1.0, 5.0), 0.1)),
+                 (ModelParams(4.0, 1.0, 3), P(0.3, 0.0, 0.0), BoundaryPatch((2.0, 1.0), 0.2))]
+        # No program runs for one waypoint.
+        monkeypatch.setattr(stickybm.ldp, "_min_sliced", None)
+        for params, x, target in cases:
+            closed = _min_cost_closed(params, x, target)
+            assert min_sliced_cost(params, x, [(0.5, target)]) == closed / 0.5
+            assert min_cost_over_target(params, x, target) == closed
+
+    def test_neither_bound_can_be_dropped(self):
+        params, x = ModelParams(2.0, 1.0), P(1.0, 0.0)
+        # Inside the cone the slanted formula P undercuts the cost: from x =
+        # (1, 0) to y = (0, 0.1) at a = 2 it gives 0.3025 against c = 0.505.
+        # So P counts only on the slanted region, and this ball, inside the
+        # cone, keeps the Euclidean infimum, not P's 0.295 at its lowest point.
+        near = Ball(P(0.0, 0.1), 0.01)
+        closed = _min_cost_closed(params, x, near)
+        assert (1.1 - 0.01 * math.sqrt(2.0)) ** 2 / 4.0 < 0.6 * closed
+        assert closed == pytest.approx(ball_euclidean_infimum(x, near), rel=1e-14)
+        assert closed == pytest.approx(_min_sliced(params, x, np.ones(1), [near]), rel=1e-10)
+        # Outside the cone P undercuts the Euclidean infimum.
+        far = Ball(P(1.0, 5.0), 0.1)
+        closed = _min_cost_closed(params, x, far)
+        assert closed < 0.98 * ball_euclidean_infimum(x, far)
+        assert closed == pytest.approx(_min_sliced(params, x, np.ones(1), [far]), rel=1e-10)
 
 
 def central_differences(f, v, h=1e-6):
