@@ -8,7 +8,8 @@ configuration so runs are round-trippable) and prints a one-line result.
 write floats at 17 significant digits, so determinism checks are
 bit-meaningful; the JSON summary writes them as ``json`` does, in the shortest
 repr that reads back exactly (``0.18`` where the CSV has
-``0.17999999999999999``).
+``0.17999999999999999``), and a non-finite float as ``null``, so that strict
+JSON parsers read it (the CSV and the printed line keep ``nan``).
 
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure, 4 I/O.
 """
@@ -145,11 +146,23 @@ def _measures(args):
     return _read_measure(args.mu0), _read_measure(args.mu1)
 
 
+def _finite_or_null(v):
+    """``v`` with each non-finite float in it, at any depth of dicts, lists
+    and tuples, replaced by ``None``."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
 def _emit(args, header, table, summary: dict, line: str) -> int:
     """Write ``<command>.csv`` (``header``, then each row of ``table``, an
     iterable of tuples such as ``zip(*columns)``, one ``%``-format per row
     shape; see ``_RowFormats``) and ``<command>.json`` (``summary`` plus the
-    resolved ``config``), print ``line``."""
+    resolved ``config``, non-finite floats as ``null``), print ``line``."""
     os.makedirs(args.output, exist_ok=True)
     stem = os.path.join(args.output, args.command)
     formats = _RowFormats()
@@ -158,7 +171,8 @@ def _emit(args, header, table, summary: dict, line: str) -> int:
         fh.write("".join(lines))
     config = {k: v for k, v in vars(args).items() if k != "func"}
     with open(stem + ".json", "w") as fh:
-        json.dump({"config": config, **summary}, fh, sort_keys=True, indent=2, default=_fmt)
+        json.dump(_finite_or_null({"config": config, **summary}), fh, sort_keys=True,
+                  indent=2, default=_fmt)
         fh.write("\n")
     print(line)
     return EXIT_OK

@@ -12,10 +12,11 @@ with ``A = a - 1``, ``h`` the 1-D first-hitting density and ``g0`` the killed
 kernel.  At ``y1 = 0`` the first term vanishes, and the kernel's boundary
 density w.r.t. ``dy'`` is ``q / (2 theta)``.  The local-time integral is
 computed after the substitution ``L = l / (theta t)`` on [0, 1], in the
-variable ``m = 1 - L``, by one adaptive quadrature split at the integrand's
-peak, which safeguarded Newton steps on the closed-form m-derivatives of the
-log integrand locate.  It works in the log domain with max-exponent shifts,
-so horizons down to ``t ~ 1e-3`` stay representable.
+variable ``m = 1 - L``, by one adaptive quadrature split at the largest of
+the integrand's values on a fixed grid; the adaptive bisection locates the
+true peak within the grid cell next to the split.  It works in the log
+domain with max-exponent shifts, so horizons down to ``t ~ 1e-3`` stay
+representable.
 
 :func:`log_sticky_integral` takes arrays of gaps and integrates all of them
 in one breadth-first batch; :func:`log_densities` turns such a batch into
@@ -37,7 +38,7 @@ import math
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams
+from .geometry import HalfSpacePoint, ModelParams, _check_dim
 from .quadrature import QuadratureSpec, QuadratureError, gauss_legendre, log_integrate
 
 __all__ = ["log_densities", "log_sticky_integral", "kernel_total_mass"]
@@ -105,35 +106,8 @@ def _sticky_log_integrand_m(params: ModelParams, t: float, s: np.ndarray, v: np.
     return log_f
 
 
-def _sticky_log_slopes_m(params: ModelParams, t: float, s: np.ndarray, v: np.ndarray):
-    """First and second m-derivatives of :func:`_sticky_log_integrand_m`.
-
-    Returns ``slopes(rows, m)`` giving ``(f', f'')`` of integrand ``rows[k]``
-    at ``m[k]``.  With ``u = theta t + s - theta t m`` and
-    ``T = t (1 + A (1 - m))``,
-
-        f'(m) = -theta t/u - 1.5/m + theta u/m + u^2/(2 t m^2)
-                + (d-1) t A/(2T) - v^2 t A/(2 T^2).
-    """
-    th, big_a, d = params.theta, params.big_a, params.d
-    w_top = th * t + s
-    v2 = v * v
-
-    def slopes(rows, m):
-        u = w_top[rows] - th * t * m
-        big_t = t * (1.0 + big_a) - t * big_a * m
-        ta = t * big_a / big_t
-        d1 = (-th * t / u - 1.5 / m + th * u / m + u * u / (2.0 * t * m * m)
-              + (0.5 * (d - 1) - 0.5 * v2[rows] / big_t) * ta)
-        d2 = (-(th * t / u) ** 2 + 1.5 / (m * m) - th * th * t / m - 2.0 * th * u / (m * m)
-              - u * u / (t * m ** 3) + (0.5 * (d - 1) - v2[rows] / big_t) * ta * ta)
-        return d1, d2
-
-    return slopes
-
-
-# The peak search's bracketing grid, increasing: dyadic from 2^-40 to 2^-7,
-# then uniform on [1/64, 1].  (Not np.unique: it imports numpy.ma, which
+# The peak split's grid, increasing: dyadic from 2^-40 to 2^-7, then
+# uniform on [1/64, 1].  (Not np.unique: it imports numpy.ma, which
 # would add to every cold start.)
 _PEAK_GRID = np.concatenate([
     np.geomspace(2.0 ** -40, 2.0 ** -7, 34),
@@ -141,52 +115,19 @@ _PEAK_GRID = np.concatenate([
 ])
 
 
-# Cap on the peak search's Newton passes; every integrand of the tests'
-# sweeps stops within 13 and every benchmark batch within 8.
-_PEAK_PASSES = 40
+def _sticky_peak_m(log_f, n: int) -> np.ndarray:
+    """The node of ``_PEAK_GRID`` where each of n integrands is largest.
 
-
-def _sticky_peak_m(log_f, slopes, n: int) -> np.ndarray:
-    """Locate the interior maximum over m in (0, 1] of each of n integrands.
-
-    A coarse grid brackets each maximum between the neighbours of its largest
-    value; a safeguarded Newton iteration on ``slopes = (f', f'')`` then
-    refines all integrands at once.  The sign of ``f'`` at each iterate
-    shrinks the bracket, and a step that leaves the bracket or meets
-    ``f'' >= 0`` bisects it instead.  An integrand whose grid maximum is at
-    ``m = 1`` with ``f'(1) >= 0`` peaks there.  Each integrand stops on its
-    own, once its Newton step is below ``1e-10`` of the iterate or its
-    bracket below ``1e-9`` of its upper end.  The peak only needs to land
-    within a panel of its true location, the adaptive integrator resolves
-    the rest.
+    For a unimodal integrand the true maximum lies within one grid cell of
+    that node, so each side of a split there is monotone except on the
+    cell next to the split, where the adaptive bisection isolates the peak.
+    An integrand largest at ``m = 1`` gets no split.
     """
     grid = _PEAK_GRID
-    live = np.arange(n)
-    i = np.argmax(log_f(live, np.broadcast_to(grid, (n, grid.size))), axis=1)
-    lo = grid[np.maximum(i - 1, 0)]
-    hi = grid[np.minimum(i + 1, grid.size - 1)]
-    m = grid[i]
-    peak = np.empty(n)
-    for _ in range(_PEAK_PASSES):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d1, d2 = slopes(live, m)
-            step = -d1 / d2
-        lo, hi = np.where(d1 > 0.0, m, lo), np.where(d1 < 0.0, m, hi)
-        newton = m + step
-        ok = (d2 < 0.0) & (newton >= lo) & (newton <= hi)
-        m = np.where(ok, newton, 0.5 * (lo + hi))
-        stop = (ok & (np.abs(step) <= 1e-10 * m)) | (hi - lo < 1e-9 * hi)
-        if stop.any():
-            peak[live[stop]] = m[stop]
-            go = ~stop
-            live, lo, hi, m = (z[go] for z in (live, lo, hi, m))
-            if live.size == 0:
-                break
-    peak[live] = m
-    return peak
+    return grid[np.argmax(log_f(np.arange(n), np.broadcast_to(grid, (n, grid.size))), axis=1)]
 
 
-# Integrands per breadth-first pass: bounds the peak search's and the
+# Integrands per breadth-first pass: bounds the peak grid's and the
 # quadrature's working arrays whatever the size of the batch.
 _MAX_BATCH = 4096
 
@@ -197,13 +138,15 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float, s, 
     ``s`` and ``v`` broadcast against each other; the result has their
     shape (a float for scalars).  Each integrand is integrated in the
     variable m = 1-L over [0, 1] by one breadth-first adaptive quadrature
-    over the whole batch, split at the integrand's own peak so that each
-    panel is monotone and boundary layers sit at panel ends.  Batches larger
-    than ``_MAX_BATCH`` run in passes of that size; every value is the same
-    as when its integrand is evaluated alone.  Raises ``ValueError`` unless
-    ``0 < t < inf``; a quadrature failure is re-raised as
-    :class:`QuadratureError` naming ``a``, ``theta``, ``t`` and the failing
-    integrand's ``s`` and ``v``.
+    over the whole batch, split at the integrand's largest value on
+    ``_PEAK_GRID``.  For a unimodal integrand each panel is then monotone
+    except on the grid cell next to the split, which holds the peak; the
+    bisection confines it to ever smaller panels and puts boundary layers at
+    panel ends.  Batches larger than ``_MAX_BATCH`` run in passes of that
+    size; every value is the same as when its integrand is evaluated alone.
+    Raises ``ValueError`` unless ``0 < t < inf``; a quadrature failure is
+    re-raised as :class:`QuadratureError` naming ``a``, ``theta``, ``t`` and
+    the failing integrand's ``s`` and ``v``.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"log_sticky_integral needs 0 < t < inf, got t={t!r}")
@@ -215,8 +158,7 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float, s, 
     for start in range(0, s.size, _MAX_BATCH):
         part = slice(start, start + _MAX_BATCH)
         log_f = _sticky_log_integrand_m(params, t, s[part], v[part])
-        peaks = _sticky_peak_m(log_f, _sticky_log_slopes_m(params, t, s[part], v[part]),
-                               s[part].size)
+        peaks = _sticky_peak_m(log_f, s[part].size)
         try:
             out[part] = math.log(th * t) + log_integrate(
                 log_f, np.zeros(peaks.size), 1.0, spec, split_points=peaks[:, None])
@@ -318,10 +260,14 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float
     per axis, radial in the tangential direction for d = 3): the interior
     rows carry their ``y1`` weights and the boundary row ``y1 = 0`` the
     weight ``1 / (2 theta)``, all in one fixed-rule grid.  Should return 1
-    up to quadrature and truncation error.
+    up to quadrature and truncation error.  Raises ``ValueError`` unless
+    ``0 < t < inf`` and ``x`` has dimension ``params.d``.
     """
     if params.d not in (2, 3):
         raise ValueError("total-mass quadrature implemented for d = 2 and 3")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"kernel_total_mass needs 0 < t < inf, got t={t!r}")
+    _check_dim(params, x)
     panels, extent = 8, 8.5
     x1 = x.x1
     spread = math.sqrt(t) * max(1.0, math.sqrt(params.a))

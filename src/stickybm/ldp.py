@@ -280,8 +280,10 @@ def _target_constraints(centres, radii, patch) -> list:
     return constraints
 
 
-def _min_cost_closed(params: ModelParams, x: HalfSpacePoint, target) -> float:
-    """Infimum of cost(x, .) over a Ball or BoundaryPatch, in closed form.
+def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target) -> float:
+    """Infimum of cost(x, .) over a Ball or BoundaryPatch, in closed form: the
+    sliced cost ``min_sliced_cost(params, x, [(1.0, target)])`` of one
+    waypoint at time 1.
 
     The cost is ``min(E, S)``: the Euclidean rate ``E``, or the sticky rate
     ``S``, flat where ``sqrt(A) v <= s`` and never below ``E`` there (``s >=
@@ -332,7 +334,7 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
     """Infimum of sum_j c(y_{j-1}, y_j) / dt_j over y_j in targets[j], y_0 = x.
 
     :func:`min_sliced_cost` solves it this way for two or more waypoints; with
-    one, these programs are the test oracle of :func:`_min_cost_closed`.
+    one, these programs are the test oracle of :func:`min_cost_over_target`.
     Each term is the smaller of the Euclidean and the sticky rate, both convex,
     and a Ball (``y1 >= 0, |y - c| <= r``) or BoundaryPatch (``y1 = 0,
     |y - (0, c')| <= r``) is convex, so the infimum is the smallest of ``2^k``
@@ -389,13 +391,6 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
         for ys in itertools.product(*map(near, centres, radii, targets, res.x.reshape(k, d))):
             best = min(best, _sliced_sum(params, [x, *ys], dts))
     return best
-
-
-def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target) -> float:
-    """Infimum of cost(x, .) over a Ball or BoundaryPatch, in closed form (see
-    :func:`_min_cost_closed`): the sliced cost ``min_sliced_cost(params, x,
-    [(1.0, target)])`` of one waypoint at time 1."""
-    return _min_cost_closed(params, x, target)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +540,15 @@ def discrete_waypoint_cost(params: ModelParams, x: HalfSpacePoint, waypoints) ->
 
 def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets) -> float:
     """Infimum of the sliced cost over the product of waypoint targets.  One
-    waypoint at time ``t`` costs the closed form of :func:`_min_cost_closed`
-    over ``t``; ``k >= 2`` take the smallest of ``2^k`` convex programs in all
-    waypoints at once, one per choice of the Euclidean or sticky branch on each
-    segment (``k <= 2`` for every caller here)."""
+    waypoint at time ``t`` costs the closed form of
+    :func:`min_cost_over_target` over ``t``; ``k >= 2`` take the smallest of
+    ``2^k`` convex programs in all waypoints at once, one per choice of the
+    Euclidean or sticky branch on each segment (``k <= 2`` for every caller
+    here)."""
     dts = _waypoint_dts([t for t, _ in waypoint_sets])
     targets = [b for _, b in waypoint_sets]
     if len(targets) == 1:
-        return _min_cost_closed(params, x, targets[0]) / dts[0]
+        return min_cost_over_target(params, x, targets[0]) / dts[0]
     return _min_sliced(params, x, dts, targets)
 
 

@@ -130,8 +130,10 @@ def log_integrate(log_f, a, b, spec: QuadratureSpec, split_points=()):
 
     ``split_points`` seeds panel boundaries; it broadcasts to the batch
     shape plus one trailing axis, and points outside ``(a, b)`` are ignored.
-    Pass the interior maxima, so every panel is monotone and its boundary
-    layers sit at panel ends, where dyadic refinement resolves them.
+    Pass points at or near the interior maxima: a panel that holds no
+    maximum is monotone, and its boundary layers sit at panel ends, where
+    dyadic refinement resolves them; a panel that holds one is bisected
+    until the halves agree.
 
     Each integrand's panels follow their own rules, whatever else is in the
     batch.  A panel counts as negligible, and is accepted without

@@ -311,13 +311,36 @@ class TestWriter:
         assert b'"1,0",0.10000000000000001,3\r\n' in written
         assert b"\r\nTrue,False,-0\r\n" in written
 
+    def test_summary_writes_non_finite_floats_as_null(self, tmp_path, capsys):
+        # Strict parsers reject NaN and Infinity; the CSV and the line keep nan.
+        def strict(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert run(tmp_path, "ldp-scan", "--a-grid", "0.5,1", "--x", "1,0", "--y", "1,5",
+                   "--epsilons", "0.2,0.1,0.05") == 0
+        assert capsys.readouterr().out.startswith("kink=nan crossing_root=")
+        summary = json.loads((tmp_path / "ldp-scan.json").read_text(), parse_constant=strict)
+        assert summary["empirical_kink"] is None
+        assert summary["flat_level"] == pytest.approx(12.019458267, rel=1e-9)
+
+        nan, inf = float("nan"), float("inf")
+        args = argparse.Namespace(output=str(tmp_path), command="nested")
+        assert stickybm.cli._emit(args, ["x"], [(nan,), (inf,)], {
+            "values": [0.5, nan, (np.float64(-inf), 2)], "by": {"inner": inf}, "n": 3,
+        }, f"x={_fmt(nan)}") == 0
+        assert capsys.readouterr().out == "x=nan\n"
+        assert (tmp_path / "nested.csv").read_bytes() == b"x\r\nnan\r\ninf\r\n"
+        summary = json.loads((tmp_path / "nested.json").read_text(), parse_constant=strict)
+        assert summary["values"] == [0.5, None, [None, 2]]
+        assert summary["by"] == {"inner": None} and summary["n"] == 3
+
     def test_kernel_csv_bytes(self, tmp_path, capsys):
         assert run(tmp_path, "kernel", "--a", "2", "--theta", "1", "--t", "1",
                    "--x", "0.3,0", "--grid", "2") == 0
-        assert capsys.readouterr().out == "rows=6 trapezoid_mass=0.00021129215415714321\n"
+        assert capsys.readouterr().out == "rows=6 trapezoid_mass=0.00021129215415714286\n"
         lines = (tmp_path / "kernel.csv").read_text().splitlines()
         assert lines[1] == ("1,0.29999999999999999,0,0,-5.6568542494923806,"
-                            "7.0474530930099423e-06,3.5237265465049712e-06")
+                            "7.0474530930099305e-06,3.5237265465049652e-06")
 
 
 def _full_parser_exit(argv):

@@ -8,13 +8,15 @@ name must be used by the library or the benchmark outside its own
 definition, apart from the paper's variational definitions, so that a check
 only the tests run lives with the tests; a use is a load through an import
 or a module attribute, so a local variable of the same name is none.  Every
-defaulted parameter of a library function must be passed by some call in
-the library or the benchmark, so that no option exists for the tests alone.
-Every library
-name, keyword and result field that ``perfbench/ops.py`` and ``perfbench/tests``
-use must still exist, and every CLI output column and JSON key that
-``perfbench/ops.py`` reads must still be written, so that a simplification
-cannot silently break a benchmark operation.
+module-level private function or class must be loaded by the library
+outside its own definition, so that a helper whose last caller is gone does
+not linger for its tests.  Every defaulted parameter of a library function
+must be passed by some call in the library or the benchmark, so that no
+option exists for the tests alone.  Every library name, keyword and result
+field that ``perfbench/ops.py`` and ``perfbench/tests`` use must still
+exist, and every CLI output column and JSON key that ``perfbench/ops.py``
+reads must still be written, so that a simplification cannot silently
+break a benchmark operation.
 """
 
 import ast
@@ -156,6 +158,38 @@ def test_a_local_variable_is_not_a_use_of_an_export():
     assert _unused_exports(library, {}) == ["shapes.point"]
     bench = {"bench.py": ast.parse("from stickybm import shapes\nshapes.point(1)\n")}
     assert _unused_exports(library, bench) == []
+
+
+def _unused_private(library):
+    """``module.name`` for every module-level private function or class of the
+    library that no library code loads outside its own definition."""
+    used = {use for m, tree in library.items() for use in _uses(tree, m)}
+    return [f"{m}.{node.name}" for m, tree in library.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and (m, node.name) not in used]
+
+
+def test_private_helpers_run_in_the_library():
+    unused = _unused_private(_sources()[0])
+    assert not unused, f"private helpers that only the tests load: {unused}"
+
+
+def test_a_helper_nothing_calls_is_caught():
+    # A derivative helper kept after its only caller stops calling it.
+    library, _ = _sources()
+    helper = ("def _sticky_log_slopes_m(params, t, s, v):\n"
+              "    def slopes(rows, m):\n        return m, m\n    return slopes\n")
+    kernel = (ROOT / "src" / "stickybm" / "kernel.py").read_text()
+    library["kernel"] = ast.parse(kernel + "\n\n" + helper)
+    assert _unused_private(library) == ["kernel._sticky_log_slopes_m"]
+    # A load from another function of the module counts; a recursive one does not.
+    library["kernel"] = ast.parse(kernel + "\n\n" + helper
+                                  + "\n\ndef _user():\n    return _sticky_log_slopes_m\n")
+    assert _unused_private(library) == ["kernel._user"]
+    library["kernel"] = ast.parse(kernel + "\n\n" + helper.replace(
+        "return slopes", "return _sticky_log_slopes_m"))
+    assert _unused_private(library) == ["kernel._sticky_log_slopes_m"]
 
 
 def _defaulted(fn):

@@ -15,8 +15,7 @@ from stickybm.kernel import (
     _log_killed_kernel,
     _sticky_log_grid,
     _sticky_log_integrand_m,
-    _sticky_log_slopes_m,
-    _sticky_peak_m,
+    _PEAK_GRID,
 )
 from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre, log_integrate
 
@@ -165,6 +164,18 @@ class TestTransitionKernel:
     def test_normalization_d3(self):
         mass = kernel_total_mass(ModelParams(2.0, 1.0, 3), 0.5, HalfSpacePoint(0.2, (0.0, 0.0)))
         assert mass == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, math.inf, math.nan])
+    def test_total_mass_rejects_a_horizon_outside_zero_to_inf(self, t):
+        with pytest.raises(ValueError, match=r"kernel_total_mass needs 0 < t < inf, got t="):
+            kernel_total_mass(ModelParams(2.0, 1.0), t, P(0.3, 0.0))
+
+    @pytest.mark.parametrize("d, x", [(2, HalfSpacePoint(0.3, (0.0, 0.0))),
+                                      (3, HalfSpacePoint(0.3, (0.0,)))],
+                             ids=["3d-point-d2", "2d-point-d3"])
+    def test_total_mass_rejects_a_point_of_another_dimension(self, d, x):
+        with pytest.raises(ValueError, match=f"point has dimension {5 - d}, model expects {d}"):
+            kernel_total_mass(ModelParams(2.0, 1.0, d), 0.5, x)
 
     def test_one_grid_call_per_kernel_holds_the_boundary_row(self, monkeypatch):
         # The boundary row joins the interior rows: one fixed-rule grid per
@@ -325,43 +336,36 @@ def _peak_sweep():
                 yield ModelParams(a, theta), t, s, v
 
 
-class TestPeakSearch:
-    def test_slopes_match_central_differences(self):
+def _located_maxima(log_f, n):
+    """Each integrand's maximum over m in [0, 1], by bisection on the sign of
+    a central difference inside the bracket around its largest grid value."""
+    rows = np.arange(n)
+    i = np.argmax(log_f(rows, np.broadcast_to(_PEAK_GRID, (n, _PEAK_GRID.size))), axis=1)
+    lo = np.where(i > 0, _PEAK_GRID[np.maximum(i - 1, 0)], 0.0)
+    hi = _PEAK_GRID[np.minimum(i + 1, _PEAK_GRID.size - 1)]
+    for _ in range(80):
+        m = 0.5 * (lo + hi)
+        f = log_f(rows, m[:, None] * np.array([1.0 - 1e-7, 1.0 + 1e-7]))
+        rising = f[:, 1] > f[:, 0]
+        lo, hi = np.where(rising, m, lo), np.where(rising, hi, m)
+    return 0.5 * (lo + hi)
+
+
+class TestPeakSplit:
+    def test_grid_split_matches_split_at_located_maximum(self):
+        # The grid node only seeds a panel boundary: the bisection resolves
+        # the grid cell around the true maximum, so splitting exactly at the
+        # maximum gives the same integral.
+        off_grid = 0
         for params, t, s, v in _peak_sweep():
             log_f = _sticky_log_integrand_m(params, t, s, v)
-            slopes = _sticky_log_slopes_m(params, t, s, v)
-            rows = np.arange(s.size)
-            m = np.linspace(0.05, 0.95, s.size)
-            h = 1e-6 * m
-            d1, d2 = slopes(rows, m)
-            fd1 = (log_f(rows, (m + h)[:, None]) - log_f(rows, (m - h)[:, None]))[:, 0] / (2 * h)
-            fd2 = (slopes(rows, m + h)[0] - slopes(rows, m - h)[0]) / (2 * h)
-            np.testing.assert_allclose(d1, fd1, rtol=1e-6, atol=1e-6)
-            np.testing.assert_allclose(d2, fd2, rtol=1e-6, atol=1e-6)
-
-    def test_newton_peaks_are_maxima_in_few_passes(self):
-        kinds = set()
-        for params, t, s, v in _peak_sweep():
-            log_f = _sticky_log_integrand_m(params, t, s, v)
-            slopes = _sticky_log_slopes_m(params, t, s, v)
-            passes = []
-
-            def counted(rows, m):
-                passes.append(rows.size)
-                return slopes(rows, m)
-
-            peak = _sticky_peak_m(log_f, counted, s.size)
-            assert len(passes) <= 12, (params, t)
-            # A peak at m = 1 is an endpoint maximum: f rises into it.
-            top = np.flatnonzero(peak == 1.0)
-            assert np.all(slopes(top, np.ones(top.size))[0] >= 0.0), (params, t)
-            # Any other peak is no lower than its neighbours at m (1 +- 1e-6).
-            inner = np.flatnonzero(peak < 1.0)
-            m = peak[inner, None] * np.array([1.0, 1.0 - 1e-6, 1.0 + 1e-6])
-            f = log_f(inner, np.minimum(m, 1.0))
-            assert np.all(f[:, :1] >= f[:, 1:]), (params, t)
-            kinds.update(peak == 1.0)
-        assert kinds == {False, True}
+            peak = _located_maxima(log_f, s.size)
+            split = math.log(params.theta * t) + log_integrate(
+                log_f, np.zeros(s.size), 1.0, SPEC, split_points=peak[:, None])
+            got = log_sticky_integral(params, SPEC, t, s, v)
+            np.testing.assert_allclose(got, split, rtol=0.0, atol=1e-11, err_msg=str((params, t)))
+            off_grid += np.sum(~np.isin(peak, _PEAK_GRID) & (peak < 1.0 - 1e-9))
+        assert off_grid > 1000
 
 
 def _kernel_grid_gaps(t, n=16, extent=4.0):

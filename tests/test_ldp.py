@@ -33,7 +33,6 @@ from stickybm.ldp import (
     sliced_ldp,
     static_ldp,
     _branch_cost,
-    _min_cost_closed,
     _min_sliced,
     _target_constraints,
 )
@@ -241,7 +240,7 @@ class TestClosedFormReferenceRates:
         eps = np.finfo(float).eps
         slanted_wins = 0
         for params, x, target in closed_form_cases(420, seed=24):
-            closed = _min_cost_closed(params, x, target)
+            closed = min_cost_over_target(params, x, target)
             oracle = _min_sliced(params, x, np.ones(1), [target])
             # The oracle evaluates the cost at its own points, whose coordinates
             # (of size up to L) round at eps L; that moves a cost c by up to
@@ -266,7 +265,7 @@ class TestClosedFormReferenceRates:
                  (ModelParams(2.0, 1.0), P(0.5508023224879263, 0.0359075232503866),
                   Ball(P(0.5436249914654229, 0.8701448475755365), 0.834268198709379))]
         for params, x, target in cases:
-            assert _min_cost_closed(params, x, target) == 0.0
+            assert min_cost_over_target(params, x, target) == 0.0
             assert min_sliced_cost(params, x, [(0.5, target)]) == 0.0
 
     def test_one_waypoint_at_time_t_is_the_closed_form_over_t(self, monkeypatch):
@@ -275,7 +274,7 @@ class TestClosedFormReferenceRates:
         # No program runs for one waypoint.
         monkeypatch.setattr(stickybm.ldp, "_min_sliced", None)
         for params, x, target in cases:
-            closed = _min_cost_closed(params, x, target)
+            closed = min_cost_over_target(params, x, target)
             assert min_sliced_cost(params, x, [(0.5, target)]) == closed / 0.5
             assert min_cost_over_target(params, x, target) == closed
 
@@ -286,13 +285,13 @@ class TestClosedFormReferenceRates:
         # So P counts only on the slanted region, and this ball, inside the
         # cone, keeps the Euclidean infimum, not P's 0.295 at its lowest point.
         near = Ball(P(0.0, 0.1), 0.01)
-        closed = _min_cost_closed(params, x, near)
+        closed = min_cost_over_target(params, x, near)
         assert (1.1 - 0.01 * math.sqrt(2.0)) ** 2 / 4.0 < 0.6 * closed
         assert closed == pytest.approx(ball_euclidean_infimum(x, near), rel=1e-14)
         assert closed == pytest.approx(_min_sliced(params, x, np.ones(1), [near]), rel=1e-10)
         # Outside the cone P undercuts the Euclidean infimum.
         far = Ball(P(1.0, 5.0), 0.1)
-        closed = _min_cost_closed(params, x, far)
+        closed = min_cost_over_target(params, x, far)
         assert closed < 0.98 * ball_euclidean_infimum(x, far)
         assert closed == pytest.approx(_min_sliced(params, x, np.ones(1), [far]), rel=1e-10)
 
