@@ -3,7 +3,9 @@
 Everything here integrates ``exp(log_f)`` for a vectorized ``log_f`` and
 returns the log of the integral.  Working in the log domain with running
 max-exponent shifts keeps integrals of densities like ``exp(-c/eps)`` finite
-down to ``eps ~ 1e-3``, where the raw formulas underflow.  The adaptive
+where the raw formulas underflow, whatever the magnitude of the log integral
+(the tests reach 1e6); whether every panel converges within the subdivision
+budget is a separate matter (see the kernel module).  The adaptive
 integrator runs breadth-first over a batch of integrands: each bisection
 level evaluates every live panel of every integrand in one ``log_f`` call.
 """
@@ -23,6 +25,12 @@ _NEG_INF = -math.inf
 
 # Gauss-Legendre nodes per panel of the adaptive rule.
 _ORDER = 15
+
+# Ulps of the log integral within which a panel's two estimates agree
+# whatever the tolerance: a log of magnitude 2^17 is resolved only to
+# 2^-35 ~ 2.9e-11 relative, so 0.25 * rtol = 2.5e-11 alone would accept
+# such a panel only where both estimates round to the same float.
+_ULPS = 16
 
 
 class QuadratureError(RuntimeError):
@@ -142,7 +150,10 @@ def log_integrate(log_f, a, b, spec: QuadratureSpec, split_points=()):
     at or below ``rtol / 64`` of its integrand's first-pass total.  The
     bound is rigorous on a monotone panel, so a boundary layer that the
     Gauss nodes miss is never dropped.  Any other panel is accepted once its
-    two estimates agree to ``0.25 * rtol``.  Accepted panels are summed per
+    two estimates agree to ``0.25 * rtol``, or to 16 ulps of its log
+    integral, the finest agreement that a log of that magnitude can show;
+    the ulp bound is the larger only where the log exceeds 2^13 = 8192 in
+    magnitude at ``rtol = 1e-10``.  Accepted panels are summed per
     integrand.  Raises :class:`QuadratureError`, with the integrand's flat
     index, when a relevant panel still disagrees at ``max_subdivisions``
     levels or when ``log_f`` returns NaN.
@@ -184,8 +195,9 @@ def log_integrate(log_f, a, b, spec: QuadratureSpec, split_points=()):
         with np.errstate(invalid="ignore"):
             err = np.where(fine == _NEG_INF, math.inf,
                            np.abs(np.expm1(np.minimum(est - fine, 700.0))))
+            agree = np.maximum(0.25 * rtol, _ULPS * np.spacing(np.abs(fine)))
         done = (((fine <= p) & (est <= p) & (bound <= p))
-                | (err <= 0.25 * rtol))
+                | (err <= agree))
         accepted_rows.append(rows[done])
         accepted.append(fine[done])
         refine = ~done

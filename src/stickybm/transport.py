@@ -1,8 +1,9 @@
 """Discrete optimal transport with the intrinsic sticky cost.
 
-Exact Kantorovich plans (the transportation linear program, solved by the
-HiGHS dual simplex), entropic plans by Sinkhorn-Newton against the
-sticky transition kernel at horizon eps, the entropic-to-deterministic gap
+Exact Kantorovich plans (an assignment problem for two uniform measures of
+the same size, the transportation linear program solved by the HiGHS dual
+simplex otherwise), entropic plans by Sinkhorn-Newton against the sticky
+transition kernel at horizon eps, the entropic-to-deterministic gap
 experiment, and displacement interpolation along the explicit geodesics.
 """
 
@@ -76,13 +77,13 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Coupling matrix with value and (for entropic plans) log potentials."""
+    """Coupling matrix with its value; entropic plans also carry their
+    iteration count and log normalization."""
 
     matrix: np.ndarray
     cost_value: float
     source: DiscreteMeasure
     target: DiscreteMeasure
-    dual_potentials: tuple = None
     iterations: int = None
     log_normalization: float = None
 
@@ -107,37 +108,43 @@ def cost_matrix(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure)
 
 
 # ---------------------------------------------------------------------------
-# Exact solver: HiGHS dual simplex
+# Exact solver: assignment or HiGHS dual simplex
 # ---------------------------------------------------------------------------
 
 def kantorovich(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> TransportPlan:
     """Exact optimal plan for the intrinsic cost.
 
-    Solves the transportation linear program, with one equality row per
-    source and per target marginal, by the HiGHS dual simplex.  The plan is a
-    basic solution, so uniform equal-size marginals give a permutation plan
-    with entries 1/n.  ``dual_potentials`` are the equality multipliers
-    ``(u, v)``, with ``u_i + v_j <= C_ij`` and equality on the plan's support.
-    Raises ``RuntimeError`` with the solver's message if HiGHS fails.
+    When both measures have the same number of atoms and each measure's
+    weights are all the same float, the transportation linear program is an
+    assignment problem: by Birkhoff-von Neumann some optimal plan is a
+    permutation, so ``scipy.optimize.linear_sum_assignment`` (a
+    Jonker-Volgenant solver) finds an exact optimum, returned as that
+    permutation with the common source weight in each of its cells.  Any
+    other pair is solved as the linear program, with one equality row per
+    source and per target marginal, by the HiGHS dual simplex.  Raises
+    ``RuntimeError`` with the solver's message if HiGHS fails.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import linear_sum_assignment, linprog
     from scipy.sparse import coo_matrix
 
     if mu0.size > _MAX_ATOMS or mu1.size > _MAX_ATOMS:
         raise ValueError(f"instances are limited to {_MAX_ATOMS} atoms per side")
     costm = cost_matrix(params, mu0, mu1)
     n, m = costm.shape
-    rows = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
-    cols = np.tile(np.arange(n * m), 2)
-    a_eq = coo_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m)).tocsr()
-    res = linprog(costm.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu0.weights, mu1.weights]),
-                  bounds=(0, None), method="highs-ds")
-    if res.status != 0:
-        raise RuntimeError(f"exact transport solve failed: {res.message}")
-    flow = res.x.reshape(n, m)
-    duals = res.eqlin.marginals
-    value = float(np.sum(flow * costm))
-    return TransportPlan(flow, value, mu0, mu1, dual_potentials=(duals[:n], duals[n:]))
+    w0, w1 = mu0.weights[0], mu1.weights[0]
+    if n == m and all(w == w0 for w in mu0.weights) and all(w == w1 for w in mu1.weights):
+        flow = np.zeros((n, m))
+        flow[linear_sum_assignment(costm)] = w0
+    else:
+        rows = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
+        cols = np.tile(np.arange(n * m), 2)
+        a_eq = coo_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m)).tocsr()
+        res = linprog(costm.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu0.weights, mu1.weights]),
+                      bounds=(0, None), method="highs-ds")
+        if res.status != 0:
+            raise RuntimeError(f"exact transport solve failed: {res.message}")
+        flow = res.x.reshape(n, m)
+    return TransportPlan(flow, float(np.sum(flow * costm)), mu0, mu1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +252,8 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
             f"Sinkhorn-Newton did not reach tol={tol} in {max_iter} iterations "
             f"(marginal error {err:.3e})", err)
     value = epsilon * float(np.sum(pi * (alpha[:, None] + beta[None, :])))
-    return TransportPlan(pi, value, mu0, mu1, dual_potentials=(alpha, beta),
-                         iterations=it, log_normalization=epsilon * logsumexp(log_k))
+    return TransportPlan(pi, value, mu0, mu1, iterations=it,
+                         log_normalization=epsilon * logsumexp(log_k))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the closed forms under test: the sticky
 rate is minimized by golden section, transport values by explicit
-enumeration, entropic plans by plain log-domain Sinkhorn, and reference
-integrals by fixed-order Gauss-Legendre.  The sampler's oracle
+enumeration or, with their duals, by the HiGHS linear program, entropic
+plans by plain log-domain Sinkhorn, and reference integrals by fixed-order
+Gauss-Legendre.  The sampler's oracle
 :func:`horizontal_cdf` integrates the kernel's hitting and Gaussian log
 densities (``_log_h``, ``_log_g``) over local time by quadrature, apart from
 the sampler's inversion of the sticky clock; :func:`euler_thin_layer` is a
@@ -119,6 +120,21 @@ def enumerate_transport_value(cost_matrix, supplies, demands):
 
     fill_row(0)
     return best[0]
+
+
+def highs_transport(cost_matrix, supplies, demands):
+    """Optimal value and dual potentials ``(u, v)`` of the transportation
+    linear program, by HiGHS on the dense equality constraints; the duals
+    are its ``eqlin`` multipliers, one per source and per target row."""
+    from scipy.optimize import linprog
+
+    n, m = cost_matrix.shape
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    res = linprog(cost_matrix.ravel(), A_eq=a_eq, b_eq=np.concatenate([supplies, demands]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    duals = res.eqlin.marginals
+    return float(res.fun), duals[:n], duals[n:]
 
 
 def fixed_gauss_legendre_integral(f, a, b, n=200):

@@ -80,6 +80,16 @@ class TestDispatch:
             f"print([main(argv) for argv in {argvs!r}], 'scipy.optimize' in sys.modules)"
         ).splitlines()[-1] == "[0, 0] False"
 
+    def test_total_mass_leaves_numpy_ma_unloaded(self):
+        # The fixed rule's panel edges are built sorted, not by np.unique,
+        # which imports numpy.ma.
+        assert fresh_python(
+            "import sys, stickybm; from stickybm.geometry import HalfSpacePoint, ModelParams; "
+            "from stickybm.kernel import kernel_total_mass; "
+            "kernel_total_mass(ModelParams(4.0, 1.0), 0.5, HalfSpacePoint(0.3, (0.0,))); "
+            "print('numpy.ma' in sys.modules)"
+        ) == "False"
+
     def test_cost_prints_value(self, tmp_path, capsys):
         code = run(tmp_path, "cost", "--a", "4", "--theta", "1", "--x", "0,0", "--y", "0,2")
         assert code == 0

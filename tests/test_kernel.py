@@ -321,6 +321,15 @@ class TestStickyIntegral:
         got = log_sticky_integral(ModelParams(a, theta, d), SPEC, t, s, v)
         assert got == pytest.approx(reference, abs=1e-8)
 
+    def test_large_log_integrals_match_reference(self):
+        # Beyond |log I| = 2^17 a converged panel's two estimates may differ
+        # by whole ulps of the log, more than 0.25 * rtol, as they do on one
+        # panel of each of these integrands.  50-digit mpmath references.
+        got = log_sticky_integral(ModelParams(4.55, 2.32), SPEC, 1e-4, 3.71, 5.91)
+        assert got == pytest.approx(-182873.12636649254, abs=1e-8)
+        got = float(log_densities(ModelParams(4.0, 1.0), SPEC, 1e-5, 1.0, 1.0, 5.0))
+        assert got == pytest.approx(-895509.52943073637, abs=1e-8)
+
 
 def _peak_sweep():
     """Seeded (params, t, s, v) batches over a in {0.5, 1, 4, 8}, theta in

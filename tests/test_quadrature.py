@@ -52,6 +52,19 @@ def test_extreme_scaling_stays_finite():
     assert got == pytest.approx(-2000.0, abs=1e-12)
 
 
+def test_large_log_integrals_converge_whatever_their_rounding():
+    # Beyond |log I| = 2^17 one ulp of the log is 2.9e-11 relative, more than
+    # 0.25 * rtol: a converged panel's two estimates may still differ by it.
+    # At -2e5 the two estimates of this bump's panel near 0.3389 still round
+    # one ulp apart after the 20 subdivisions allowed.
+    spec = QuadratureSpec()
+    log_mass = math.log(math.sqrt(math.pi / 30.0) / 2.0
+                        * (math.erf(math.sqrt(30.0) * 0.7) + math.erf(math.sqrt(30.0) * 0.3)))
+    for shift in (-2e5, -5e5, -1e6, 1e6):
+        got = log_integrate(lambda rows, x: shift - 30.0 * (x - 0.3) ** 2, 0.0, 1.0, spec)
+        assert got == pytest.approx(shift + log_mass, abs=1e-8)
+
+
 def test_failure_is_reported():
     spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
 

@@ -19,7 +19,8 @@ from stickybm.transport import (
     schrodinger,
 )
 
-from oracles import enumerate_assignment_value, enumerate_transport_value, plain_sinkhorn_plan
+from oracles import (enumerate_assignment_value, enumerate_transport_value, highs_transport,
+                     plain_sinkhorn_plan)
 
 SPEC = QuadratureSpec()
 
@@ -107,30 +108,74 @@ class TestKantorovich:
             assert plan.marginal_defect() <= 1e-12
 
     def test_dual_feasibility_with_support_equality(self):
+        # Any optimal dual certifies any optimal plan: HiGHS's multipliers
+        # must be feasible, tight on the library plan's support and equal in
+        # value, for a general pair (the linear program) and a uniform one
+        # (the assignment).
         rng = np.random.default_rng(7)
         params = ModelParams(2.0, 1.0)
         atoms0 = tuple(P(float(rng.uniform(0, 2)), float(rng.uniform(-3, 3))) for _ in range(6))
         atoms1 = tuple(P(float(rng.uniform(0, 2)), float(rng.uniform(-3, 3))) for _ in range(6))
         w0 = rng.multinomial(14, np.ones(6) / 6) + 1
         w1 = rng.multinomial(14, np.ones(6) / 6) + 1
-        mu0 = DiscreteMeasure(atoms0, tuple(w0 / 20))
-        mu1 = DiscreteMeasure(atoms1, tuple(w1 / 20))
+        pairs = ((DiscreteMeasure(atoms0, tuple(w0 / 20)), DiscreteMeasure(atoms1, tuple(w1 / 20))),
+                 (uniform(*atoms0), uniform(*atoms1)))
+        for mu0, mu1 in pairs:
+            plan = kantorovich(params, mu0, mu1)
+            c = cost_matrix(params, mu0, mu1)
+            _, u, v = highs_transport(c, mu0.weights, mu1.weights)
+            slack = u[:, None] + v[None, :] - c
+            assert np.max(slack) <= 1e-9
+            assert np.max(np.abs(slack[plan.matrix > 1e-12])) <= 1e-9
+            # strong duality
+            dual_value = float(u @ mu0.weights + v @ np.asarray(mu1.weights))
+            assert dual_value == pytest.approx(plan.cost_value, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [0.5, 4.0])
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 64])
+    def test_uniform_equal_sizes_give_an_exact_permutation(self, n, a):
+        rng = np.random.default_rng([n, int(2 * a)])
+        params = ModelParams(a, 1.0)
+        mu0, mu1 = uniform(*mixed_atoms(rng, n)), uniform(*mixed_atoms(rng, n))
         plan = kantorovich(params, mu0, mu1)
-        u, v = plan.dual_potentials
         c = cost_matrix(params, mu0, mu1)
-        slack = u[:, None] + v[None, :] - c
-        assert np.max(slack) <= 1e-9
-        assert np.max(np.abs(slack[plan.matrix > 1e-12])) <= 1e-9
-        # strong duality
-        dual_value = float(u @ mu0.weights + v @ np.asarray(mu1.weights))
-        assert dual_value == pytest.approx(plan.cost_value, rel=1e-10)
+        value, _, _ = highs_transport(c, mu0.weights, mu1.weights)
+        assert plan.cost_value == pytest.approx(value, rel=1e-12)
+        support = plan.matrix != 0.0
+        assert np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1)
+        assert np.all(plan.matrix[support] == mu0.weights[0])
+        assert plan.marginal_defect() <= 1e-15
+
+    def test_only_uniform_equal_sizes_skip_the_linear_program(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("scipy.optimize.linprog", refuse)
+        params = ModelParams(2.0, 1.0)
+        rng = np.random.default_rng(17)
+        for n in (1, 3, 8):
+            kantorovich(params, uniform(*mixed_atoms(rng, n)), uniform(*mixed_atoms(rng, n)))
+        atoms = mixed_atoms(rng, 4)
+        # a weight one ulp below the others is not uniform: there is no tolerance
+        nearly = (0.25, 0.25, 0.25, math.nextafter(0.25, 0.0))
+        for mu0, mu1 in ((uniform(*atoms[:3]), uniform(*atoms)),
+                         (uniform(*atoms), uniform(*atoms[:3])),
+                         (uniform(*atoms), DiscreteMeasure(atoms, (0.4, 0.3, 0.2, 0.1))),
+                         (DiscreteMeasure(atoms, (0.4, 0.3, 0.2, 0.1)), uniform(*atoms)),
+                         (uniform(*atoms), DiscreteMeasure(atoms, nearly))):
+            with pytest.raises(Reached):
+                kantorovich(params, mu0, mu1)
 
     def test_solver_failure_raises_with_its_message(self, monkeypatch):
         monkeypatch.setattr("scipy.optimize.linprog",
                             lambda *args, **kwargs: SimpleNamespace(
                                 status=2, message="The problem is infeasible."))
+        mu0 = DiscreteMeasure((P(0.0, 0.0), P(0.0, 1.0)), (0.25, 0.75))
         with pytest.raises(RuntimeError, match="infeasible"):
-            kantorovich(ModelParams(2.0, 1.0), uniform(P(0.0, 0.0)), uniform(P(0.0, 1.0)))
+            kantorovich(ModelParams(2.0, 1.0), mu0, uniform(P(0.0, 1.0), P(0.0, 2.0)))
 
     def test_size_cap(self):
         params = ModelParams(2.0, 1.0)
