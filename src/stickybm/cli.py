@@ -258,7 +258,7 @@ def _cmd_ldp_static(args) -> int:
     if args.method == "monte_carlo":
         est = sliced_ldp(params, x, [(1.0, target)], epsilons, args.n_paths, args.seed)
     else:
-        est = static_ldp(params, x, target, epsilons, QuadratureSpec())
+        est = static_ldp(params, x, target, epsilons)
     # log p from eps log p: p itself may underflow to 0 where its logarithm is finite.
     rows = [(eps, p, s / eps, s) for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
     rows.append(("summary", est.extrapolated_rate, est.reference_rate, est.beta))
@@ -276,8 +276,7 @@ def _cmd_ldp_static(args) -> int:
 def _cmd_ldp_scan(args) -> int:
     x, y = _parse_point(args.x), _parse_point(args.y)
     res = phase_transition_scan(_parse_floats(args.a_grid), args.theta, x, y,
-                                _parse_floats(args.epsilons), QuadratureSpec(),
-                                ball_radius=args.radius)
+                                _parse_floats(args.epsilons), ball_radius=args.radius)
     rows = [(r.a, r.extrapolated_rate, r.reference_rate) for r in res.rows]
     return _emit(args, ["a", "extrapolated_rate", "reference_rate"], rows, {
         "flat_level": res.flat_level,
@@ -315,8 +314,8 @@ def _cmd_ot(args) -> int:
 
 def _cmd_sinkhorn(args) -> int:
     params = _params(args)
-    plan = schrodinger(params, QuadratureSpec(), args.epsilon, *_measures(args),
-                       max_iter=args.max_iter, tol=args.tol)
+    plan = schrodinger(params, args.epsilon, *_measures(args), max_iter=args.max_iter,
+                       tol=args.tol)
     return _emit(args, ["i", "j", "mass"], _plan_rows(plan), {
         "value": plan.cost_value,
         "log_normalization": plan.log_normalization,
@@ -327,8 +326,8 @@ def _cmd_sinkhorn(args) -> int:
 
 def _cmd_gamma_limit(args) -> int:
     params = _params(args)
-    res = gamma_limit_experiment(params, QuadratureSpec(), *_measures(args),
-                                 _parse_floats(args.epsilons), tol=args.tol)
+    res = gamma_limit_experiment(params, *_measures(args), _parse_floats(args.epsilons),
+                                 tol=args.tol)
     rows = [(r.epsilon, r.entropic_value, r.log_normalization, r.gap, r.iterations)
             for r in res.rows]
     return _emit(args, ["epsilon", "entropic_value", "log_normalization", "gap", "iterations"],

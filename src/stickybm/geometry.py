@@ -68,8 +68,9 @@ class ModelParams:
             raise ValueError(f"diffusivity a must be positive and finite, got {self.a}")
         if not 0 < self.theta < math.inf:
             raise ValueError(f"stickiness theta must be positive and finite, got {self.theta}")
-        if self.d < 2 or int(self.d) != self.d:
+        if not 2 <= self.d < math.inf or int(self.d) != self.d:
             raise ValueError(f"dimension d must be an integer >= 2, got {self.d}")
+        object.__setattr__(self, "d", int(self.d))
 
     @property
     def big_a(self) -> float:
@@ -396,8 +397,6 @@ def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> Geode
     xpa = np.asarray(x.xp)
     ypa = np.asarray(y.xp)
     straight = Path((0.0, 1.0), (x, y))
-    if x.x1 == y.x1 and bool(np.all(xpa == ypa)):
-        return GeodesicDescription("euclidean", straight, 0.0)
     if params.a <= 1.0 or cone_contains(params, x, y):
         return GeodesicDescription("euclidean", straight, c)
     if x.x1 == 0.0 and y.x1 == 0.0:

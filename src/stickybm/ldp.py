@@ -1,8 +1,9 @@
 """Numerical verification of the static and path-slicing large deviations.
 
 Probabilities of rare targets under the slowed kernel are computed either by
-log-domain quadrature of the transition kernel at horizon eps or by Monte
-Carlo with exact one-step sampling; rates are extracted by fitting
+log-domain quadrature of the transition kernel at horizon eps (the default
+:class:`QuadratureSpec`; only :func:`log_target_probability` takes one) or by
+Monte Carlo with exact one-step sampling; rates are extracted by fitting
 
     eps log rho = -rate + beta * eps log(1/eps) + gamma * eps,
 
@@ -198,7 +199,8 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
     error falls only algebraically in ``order``: the chord length has a
     square-root endpoint), and on the target's trace on the boundary, where
     mu carries the weight ``1 / (2 theta)``.  The sets are closed; their
-    boundaries are mu-null, so the open sets have the same mass.
+    boundaries are mu-null, so the open sets have the same mass.  The
+    experiments pass the default ``spec``.
     """
     if params.d != 2:
         raise ValueError("quadrature target probabilities implemented for d = 2")
@@ -422,12 +424,11 @@ def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
     return counts
 
 
-def static_ldp(params: ModelParams, x: HalfSpacePoint, target, epsilons,
-               spec: QuadratureSpec) -> LdpEstimate:
-    """Quadrature probabilities of the target per epsilon, slope extraction, and
-    the reference rate.  Its Monte Carlo counterpart is :func:`sliced_ldp` with
-    the one waypoint ``(1.0, target)``."""
-    eps = _fit_epsilons(epsilons)
+def static_ldp(params: ModelParams, x: HalfSpacePoint, target, epsilons) -> LdpEstimate:
+    """Quadrature probabilities of the target per epsilon (at the default
+    :class:`QuadratureSpec`), slope extraction, and the reference rate.  Its
+    Monte Carlo counterpart is :func:`sliced_ldp` with ``[(1.0, target)]``."""
+    eps, spec = _fit_epsilons(epsilons), QuadratureSpec()
     return _estimate(eps, functools.partial(min_cost_over_target, params, x, target),
                      log_probs=[log_target_probability(params, spec, e, x, target) for e in eps])
 
@@ -476,8 +477,7 @@ class ScanResult:
 
 
 def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
-                          y: HalfSpacePoint, epsilons, spec: QuadratureSpec,
-                          ball_radius: float = 0.1) -> ScanResult:
+                          y: HalfSpacePoint, epsilons, ball_radius: float = 0.1) -> ScanResult:
     """Extrapolated static rate versus a at a small ball around y.
 
     The rate is flat in a on a <= 1 (Euclidean regime) and strictly smaller
@@ -487,9 +487,9 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
     and the first dropped value of a, and reported next to the closed-form
     root of the cone equality at the pair (x, y).  The rows are in
     increasing a, whatever the order of ``a_values``.  Every input is checked
-    before the first quadrature.
+    before the first quadrature, each at the default :class:`QuadratureSpec`.
     """
-    eps = _fit_epsilons(epsilons)
+    eps, spec = _fit_epsilons(epsilons), QuadratureSpec()
     models = sorted((ModelParams(float(a), theta, x.dim) for a in a_values), key=lambda m: m.a)
     if not models:
         raise ValueError("the scan needs at least one value of a")

@@ -115,7 +115,8 @@ def step_batch(params: ModelParams, x1: np.ndarray, xp: np.ndarray, dt: float,
 
 
 def _check_seed(seed) -> None:
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 

@@ -3,8 +3,9 @@
 Exact Kantorovich plans (an assignment problem for two uniform measures of
 the same size, the transportation linear program solved by the HiGHS dual
 simplex otherwise), entropic plans by Sinkhorn-Newton against the sticky
-transition kernel at horizon eps, the entropic-to-deterministic gap
-experiment, and displacement interpolation along the explicit geodesics.
+transition kernel at horizon eps (default :class:`QuadratureSpec`), the
+entropic-to-deterministic gap experiment, and displacement interpolation
+along the explicit geodesics.
 """
 
 from __future__ import annotations
@@ -197,17 +198,16 @@ def _newton_step(pi, a, b, alpha, beta):
     return alpha, beta
 
 
-def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
-                mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                max_iter: int = 20000, tol: float = 1e-9) -> TransportPlan:
+def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
+                mu1: DiscreteMeasure, max_iter: int = 20000, tol: float = 1e-9) -> TransportPlan:
     """Entropy minimization against the eps-horizon kernel, by Sinkhorn-Newton.
 
     The Gibbs weights are log densities w.r.t. the stationary measure,
-    ``log K_ij = log q_eps(x_i, y_j)``, and the plan is
-    ``pi_ij = exp(alpha_i + log K_ij + beta_j)`` in the dual potentials, so
-    kernel entries spanning hundreds of orders of magnitude at eps ~ 1e-3
-    are harmless.  ``_WARM`` log-domain Sinkhorn sweeps are followed by
-    Newton steps on the dual with an Armijo line search, each followed by
+    ``log K_ij = log q_eps(x_i, y_j)`` at the default :class:`QuadratureSpec`,
+    and the plan is ``pi_ij = exp(alpha_i + log K_ij + beta_j)`` in the dual
+    potentials, so kernel entries spanning hundreds of orders of magnitude at
+    eps ~ 1e-3 are harmless.  ``_WARM`` log-domain Sinkhorn sweeps are followed
+    by Newton steps on the dual with an Armijo line search, each followed by
     one polishing sweep (Brauer, Clason, Lorenz and Wirth, *A Sinkhorn-Newton
     method for entropic optimal transport*, arXiv:1710.06635).  Near the
     optimum Newton converges quadratically, where plain scaling on a
@@ -235,7 +235,8 @@ def schrodinger(params: ModelParams, spec: QuadratureSpec, epsilon: float,
         _check_dim(params, p)
     gap = np.linalg.norm(mu1.xp()[None, :, :] - mu0.xp()[:, None, :], axis=-1)
     # the kernel's log mu-densities between the atoms
-    log_k = log_densities(params, spec, epsilon, mu0.x1()[:, None], mu1.x1()[None, :], gap)
+    log_k = log_densities(params, QuadratureSpec(), epsilon, mu0.x1()[:, None],
+                          mu1.x1()[None, :], gap)
     a, b = np.asarray(mu0.weights), np.asarray(mu1.weights)
     log_a, log_b = np.log(a), np.log(b)
     alpha, beta = np.zeros(mu0.size), np.zeros(mu1.size)
@@ -281,8 +282,7 @@ class GammaLimitResult:
     failed_epsilons: tuple
 
 
-def gamma_limit_experiment(params: ModelParams, spec: QuadratureSpec,
-                           mu0: DiscreteMeasure, mu1: DiscreteMeasure,
+def gamma_limit_experiment(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                            epsilons, tol: float = 1e-9) -> GammaLimitResult:
     """Entropic values against the exact value across decreasing eps.
 
@@ -304,7 +304,7 @@ def gamma_limit_experiment(params: ModelParams, spec: QuadratureSpec,
     errors = []
     for eps in eps_list:
         try:
-            plan = schrodinger(params, spec, eps, mu0, mu1, tol=tol)
+            plan = schrodinger(params, eps, mu0, mu1, tol=tol)
         except TransportConvergenceError as exc:
             failed.append(eps)
             errors.append(exc.marginal_error)

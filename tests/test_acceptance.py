@@ -205,7 +205,7 @@ def test_criterion_07_static_ldp_slopes():
     lines = []
     ok = True
     for a, expected_ref in ((4.0, 0.45125), (0.5, 1.805)):
-        est = static_ldp(ModelParams(a, 1.0), P(0.0, 0.0), patch, eps, SPEC)
+        est = static_ldp(ModelParams(a, 1.0), P(0.0, 0.0), patch, eps)
         rel = abs(est.extrapolated_rate - est.reference_rate) / est.reference_rate
         ok = ok and est.reference_rate == pytest.approx(expected_ref, rel=1e-6) and rel <= 0.10
         lines.append(f"a={a}: rate {est.extrapolated_rate:.4f} vs {est.reference_rate:.5f} "
@@ -218,8 +218,7 @@ def test_criterion_07_static_ldp_slopes():
 def test_criterion_08_phase_transition_kink():
     x, y = P(1.0, 0.0), P(1.0, 5.0)
     a_grid = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0)
-    res = phase_transition_scan(a_grid, 1.0, x, y, (0.2, 0.1, 0.05, 0.025), SPEC,
-                                ball_radius=0.1)
+    res = phase_transition_scan(a_grid, 1.0, x, y, (0.2, 0.1, 0.05, 0.025), ball_radius=0.1)
     flat_rates = [r.extrapolated_rate for r in res.rows if r.a <= 1.0]
     flat_ok = max(abs(r - res.flat_level) for r in flat_rates) <= 0.03 * res.flat_level
     past = [r.extrapolated_rate for r in res.rows if r.a > res.crossing_root + 0.05]
@@ -251,7 +250,7 @@ def test_criterion_10_gamma_trend_and_exact_solver():
     params = ModelParams(4.0, 1.0)
     src = DiscreteMeasure(tuple(P(0.0, 0.25 * i) for i in range(8)), (0.125,) * 8)
     tgt = DiscreteMeasure(tuple(P(0.0, 1.0 + 0.25 * i) for i in range(8)), (0.125,) * 8)
-    res = gamma_limit_experiment(params, SPEC, src, tgt, (0.04, 0.02, 0.01))
+    res = gamma_limit_experiment(params, src, tgt, (0.04, 0.02, 0.01))
     factor = res.rows[0].gap / res.rows[-1].gap
 
     # exact solver vs brute-force enumeration on <= 5x5 instances

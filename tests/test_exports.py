@@ -10,13 +10,14 @@ only the tests run lives with the tests; a use is a load through an import
 or a module attribute, so a local variable of the same name is none.  Every
 module-level private function or class must be loaded by the library
 outside its own definition, so that a helper whose last caller is gone does
-not linger for its tests.  Every defaulted parameter of a library function
-must be passed by some call in the library or the benchmark, so that no
-option exists for the tests alone.  Every library name, keyword and result
-field that ``perfbench/ops.py`` and ``perfbench/tests`` use must still
-exist, and every CLI output column and JSON key that ``perfbench/ops.py``
-reads must still be written, so that a simplification cannot silently
-break a benchmark operation.
+not linger for its tests.  Every defaulted parameter of a library function,
+and every defaulted field of a library dataclass, must be passed by some
+call in the library or the benchmark, so that no option exists for the
+tests alone.  Only the kernel layer takes a quadrature spec.  Every library
+name, keyword and result field that ``perfbench/ops.py`` and
+``perfbench/tests`` use must still exist, and every CLI output column and
+JSON key that ``perfbench/ops.py`` reads must still be written, so that a
+simplification cannot silently break a benchmark operation.
 """
 
 import ast
@@ -213,11 +214,31 @@ def _passes(call, name, position):
             or position is not None and len(call.args) > position)
 
 
+def _defaulted_fields(cls):
+    """``(name, position)`` for each field of a ``@dataclass`` class body that
+    has a default, ``x: T = v`` or ``x: T = field(default=v)``; the position
+    counts the class's fields in order, as its generated ``__init__`` does."""
+    fields = [stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+    for i, stmt in enumerate(fields):
+        value = stmt.value
+        if isinstance(value, ast.Call) and _dotted(value.func) in ("field", "dataclasses.field"):
+            value = next((k for k in value.keywords if k.arg in ("default", "default_factory")),
+                         None)
+        if value is not None:
+            yield stmt.target.id, i
+
+
+def _is_dataclass(cls):
+    return any(_dotted(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")
+               for d in cls.decorator_list)
+
+
 def _unset_options(library, bench):
     """``module.function(parameter)`` for every defaulted parameter of a library
-    ``def`` that no call in the library or the benchmark passes; a call
+    ``def``, and ``module.Class(field)`` for every defaulted field of a library
+    dataclass, that no call in the library or the benchmark passes; a call
     matches by its callee's name, plain or as an attribute, and a class's
-    name calls its ``__init__``."""
+    name calls its ``__init__`` or, for a dataclass, its fields."""
     calls = {}
     for tree in [*library.values(), *bench.values()]:
         for node in ast.walk(tree):
@@ -233,12 +254,50 @@ def _unset_options(library, bench):
                 callee = classes.get(fn, fn.name)
                 unset += [f"{m}.{callee}({name})" for name, position in _defaulted(fn)
                           if not any(_passes(c, name, position) for c in calls.get(callee, ()))]
+            elif isinstance(fn, ast.ClassDef) and _is_dataclass(fn):
+                unset += [f"{m}.{fn.name}({name})" for name, position in _defaulted_fields(fn)
+                          if not any(_passes(c, name, position) for c in calls.get(fn.name, ()))]
     return unset
+
+
+# The benchmark builds ``QuadratureSpec()``, so its fields stay until the next
+# change to the benchmark turns them into constants (ROADMAP item 1); only the
+# quadrature tests set them.
+BENCHMARK_PINNED_OPTIONS = ("quadrature.QuadratureSpec(relative_tolerance)",
+                            "quadrature.QuadratureSpec(max_subdivisions)")
 
 
 def test_library_options_are_set_outside_tests():
     unset = _unset_options(*_sources())
+    assert set(BENCHMARK_PINNED_OPTIONS) <= set(unset), "a listed exception no longer applies"
+    unset = [u for u in unset if u not in BENCHMARK_PINNED_OPTIONS]
     assert not unset, f"options only the tests set: {unset}"
+
+
+def test_a_dataclass_field_only_the_tests_set_is_caught():
+    # A defaulted field, plain or through ``field``, that no call passes.
+    shapes = ("from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\nclass Disc:\n    radius: float\n"
+              "    center: tuple = field(default=(0.0, 0.0))\n    label: str = ''\n"
+              "class Plain:\n    size: int = 1\n"
+              "def unit():\n    return Disc(1.0)\n")
+    library = {"shapes": ast.parse(shapes)}
+    assert _unset_options(library, {}) == ["shapes.Disc(center)", "shapes.Disc(label)"]
+    # A benchmark call sets a field by position or by keyword.
+    bench = {"bench.py": ast.parse("from stickybm.shapes import Disc\n"
+                                   "Disc(2.0, (1.0, 1.0), label='b')\n")}
+    assert _unset_options(library, bench) == []
+    bench = {"bench.py": ast.parse("from stickybm import shapes\nshapes.Disc(2.0, (1.0, 1.0))\n")}
+    assert _unset_options(library, bench) == ["shapes.Disc(label)"]
+
+
+def test_only_the_kernel_layer_takes_a_quadrature_spec():
+    # The experiments build ``QuadratureSpec()`` at their one kernel call.
+    takes = sorted(f"{m}.{fn.name}" for m, tree in _sources()[0].items() for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and "spec" in {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)})
+    assert takes == ["kernel.log_densities", "kernel.log_sticky_integral",
+                     "ldp.log_target_probability", "quadrature.log_integrate"]
 
 
 # (module, name, positional arguments, keywords) of every call the benchmark makes.

@@ -24,6 +24,7 @@ from stickybm.geometry import (
 )
 
 from stickybm.ldp import BoundaryPatch, discrete_waypoint_cost
+from stickybm.simulate import SimConfig, simulate_batch
 
 from oracles import golden_min_sticky_profile
 
@@ -40,6 +41,15 @@ class TestModelParams:
             ModelParams(1.0, -1.0)
         with pytest.raises(ValueError):
             ModelParams(1.0, 1.0, 1)
+        for d in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="integer"):
+                ModelParams(2.0, 1.0, d)
+        # An integral float dimension is stored as an int, so that the model
+        # sizes arrays and ranges wherever it goes.
+        p = ModelParams(2.0, 1.0, 2.0)
+        assert p.d == 2 and type(p.d) is int and p == ModelParams(2.0, 1.0)
+        batch = simulate_batch(SimConfig(p, point(0.3, 0.0), 0.05, 3, 1), 2)
+        assert batch.xp.shape == (2, 4, 1)
 
     def test_derived(self):
         p = ModelParams(4.0, 2.0, 3)
@@ -283,9 +293,13 @@ class TestGeodesic:
         assert g.total_cost == 0.5
 
     def test_identity(self):
-        g = geodesic(ModelParams(3.0, 1.0), P(1.0, 2.0), P(1.0, 2.0))
-        assert g.total_cost == 0.0
-        assert len(g.path.knots) == 2
+        # The general path: cost(x, x) is exactly 0 and x lies in its own cone.
+        for a in (0.5, 3.0):
+            for x in (P(1.0, 2.0), P(0.0, 2.0), P(0.0, 0.0), P(0.4, -1.0, 3.0)):
+                g = geodesic(ModelParams(a, 1.0, x.dim), x, x)
+                assert g.case_tag == "euclidean"
+                assert g.total_cost == 0.0
+                assert len(g.path.knots) == 2
 
     def test_one_touch_tags(self):
         params = ModelParams(4.0, 1.0)

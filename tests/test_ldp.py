@@ -67,13 +67,13 @@ class TestPlumbing:
     def test_experiment_validation(self):
         params = ModelParams(1.0, 1.0)
         with pytest.raises(ValueError):
-            static_ldp(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), (0.1, 0.2), SPEC)
+            static_ldp(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), (0.1, 0.2))
         for few in ((0.2, 0.1), (0.2, 0.2, 0.1)):
             with pytest.raises(ValueError, match="three distinct"):
-                static_ldp(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), few, SPEC)
+                static_ldp(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), few)
         for bad in ((math.nan, 0.1, 0.05), (math.inf, 0.1, 0.05), (0.2, 0.1, math.nan)):
             with pytest.raises(ValueError, match="finite"):
-                static_ldp(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), bad, SPEC)
+                static_ldp(params, P(0.0, 0.0), Ball(P(1.0, 0.0), 0.1), bad)
         with pytest.raises(ValueError):
             Ball(P(1.0, 0.0), 0.0)
 
@@ -364,21 +364,21 @@ class TestStaticLdp:
     def test_sticky_fixture_within_ten_percent(self):
         params = ModelParams(4.0, 1.0)
         est = static_ldp(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
-                         (0.2, 0.1, 0.05, 0.025), SPEC)
+                         (0.2, 0.1, 0.05, 0.025))
         assert est.reference_rate == pytest.approx(0.45125, rel=1e-6)
         assert abs(est.extrapolated_rate - est.reference_rate) <= 0.1 * est.reference_rate
 
     def test_euclidean_fixture_within_ten_percent(self):
         params = ModelParams(0.5, 1.0)
         est = static_ldp(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
-                         (0.2, 0.1, 0.05, 0.025), SPEC)
+                         (0.2, 0.1, 0.05, 0.025))
         assert est.reference_rate == pytest.approx(1.805, rel=1e-6)
         assert abs(est.extrapolated_rate - est.reference_rate) <= 0.1 * est.reference_rate
 
     def test_zero_rate_neighborhood(self):
         params = ModelParams(4.0, 1.0)
         x = P(0.5, 0.0)
-        est = static_ldp(params, x, Ball(x, 0.2), (0.1, 0.05, 0.025), SPEC)
+        est = static_ldp(params, x, Ball(x, 0.2), (0.1, 0.05, 0.025))
         assert est.reference_rate == 0.0
         assert abs(est.extrapolated_rate) <= 0.02
 
@@ -387,7 +387,7 @@ class TestStaticLdp:
         x = P(0.0, 0.0)
         target = BoundaryPatch((0.8,), 0.15)
         eps = (0.2, 0.1, 0.05)
-        quad = static_ldp(params, x, target, eps, SPEC)
+        quad = static_ldp(params, x, target, eps)
         mc = sliced_ldp(params, x, [(1.0, target)], eps, n_paths=40000, seed=5)
         for q, p in zip(quad.probs, mc.probs):
             lo, hi = wilson_interval(round(p * 40000), 40000)
@@ -396,7 +396,7 @@ class TestStaticLdp:
     def test_beta_is_bounded(self):
         params = ModelParams(4.0, 1.0)
         est = static_ldp(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
-                         (0.2, 0.1, 0.05, 0.025), SPEC)
+                         (0.2, 0.1, 0.05, 0.025))
         assert abs(est.beta) < 5.0
 
 
@@ -520,16 +520,16 @@ class TestPhaseTransition:
             return -math.inf if t == 0.025 else true_lp(params, spec, t, *args, **kwargs)
 
         monkeypatch.setattr(stickybm.ldp, "log_target_probability", lp)
-        res = phase_transition_scan((0.5,), 1.0, x, y, eps, SPEC)
-        full = phase_transition_scan((0.5,), 1.0, x, y, eps[:3], SPEC)
+        res = phase_transition_scan((0.5,), 1.0, x, y, eps)
+        full = phase_transition_scan((0.5,), 1.0, x, y, eps[:3])
         assert res.rows == full.rows and math.isfinite(res.rows[0].extrapolated_rate)
         with pytest.raises(RuntimeError, match="too few usable epsilons"):
-            phase_transition_scan((0.5,), 1.0, x, y, (0.2, 0.1, 0.025), SPEC)
+            phase_transition_scan((0.5,), 1.0, x, y, (0.2, 0.1, 0.025))
 
     def test_scan_takes_its_a_values_in_any_order(self):
         x, y, eps = P(1.0, 0.0), P(1.0, 5.0), (0.2, 0.1, 0.05)
-        up = phase_transition_scan((0.5, 2.5, 3.0), 1.0, x, y, eps, SPEC)
-        down = phase_transition_scan((3.0, 2.5, 0.5), 1.0, x, y, eps, SPEC)
+        up = phase_transition_scan((0.5, 2.5, 3.0), 1.0, x, y, eps)
+        down = phase_transition_scan((3.0, 2.5, 0.5), 1.0, x, y, eps)
         assert [r.a for r in up.rows] == [0.5, 2.5, 3.0] and math.isfinite(up.empirical_kink)
         assert down == up
 
@@ -537,7 +537,7 @@ class TestPhaseTransition:
         # Between boundary points the rate drops past a = 1: the line through
         # the dropped rows meets the flat level far left of a = 0.5.
         res = phase_transition_scan((0.5, 2.0, 4.0), 1.0, P(0.0, 0.0), P(0.0, 1.0),
-                                    (0.2, 0.1, 0.05), SPEC)
+                                    (0.2, 0.1, 0.05))
         assert [r.a for r in res.rows if r.extrapolated_rate < 0.98 * res.flat_level] == [2.0, 4.0]
         assert 0.5 <= res.empirical_kink <= 2.0 and res.crossing_root == 1.0
 
@@ -567,7 +567,7 @@ class TestSliced:
         eps = (0.2, 0.1, 0.05)
         n = 30000
         sl = sliced_ldp(params, x, [(1.0, ball)], eps, n_paths=n, seed=9)
-        st = static_ldp(params, x, ball, eps, SPEC)
+        st = static_ldp(params, x, ball, eps)
         assert sl.reference_rate == pytest.approx(st.reference_rate, rel=1e-6)
         for p_sl, p_st in zip(sl.probs, st.probs):
             assert abs(p_sl - p_st) <= 4 * math.sqrt(p_st * (1 - p_st) / n)

@@ -71,6 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(PARAMS, P(0.0, 0.0), 0.1, 10, seed=-1)
 
+    def test_seed_rejects_a_bool(self):
+        # ``True == 1``, but a flag passed as a seed is a mistake, as it is
+        # for ``minimize_path_action``'s ``n_segments``.
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(PARAMS, P(0.0, 0.0), 0.1, 10, seed=True)
+
 
 def clock_law_by_quadrature(xi, theta1, k=1024, sub=4):
     """``P(s* <= 1 - g)`` at the nodes ``g`` of ``_graded_unit_grid(k)``, by the

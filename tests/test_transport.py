@@ -188,7 +188,7 @@ class TestKantorovich:
 class TestSchrodinger:
     def test_single_atoms(self):
         params = ModelParams(4.0, 1.0)
-        plan = schrodinger(params, SPEC, 0.5, uniform(P(0.0, 0.0)), uniform(P(0.0, 1.0)))
+        plan = schrodinger(params, 0.5, uniform(P(0.0, 0.0)), uniform(P(0.0, 1.0)))
         assert plan.matrix.shape == (1, 1)
         assert plan.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert plan.iterations <= 5
@@ -206,14 +206,14 @@ class TestSchrodinger:
             w1 = rng.dirichlet(np.ones(n))
             mu0 = DiscreteMeasure(atoms0, tuple(w0 / w0.sum()))
             mu1 = DiscreteMeasure(atoms1, tuple(w1 / w1.sum()))
-            plan = schrodinger(params, SPEC, 0.25, mu0, mu1, tol=1e-9)
+            plan = schrodinger(params, 0.25, mu0, mu1, tol=1e-9)
             assert plan.marginal_defect() <= 2e-9
 
     def test_large_epsilon_product_coupling(self):
         params = ModelParams(4.0, 1.0)
         mu0 = uniform(P(0.0, 0.0), P(0.0, 0.7))
         mu1 = uniform(P(0.0, 0.3), P(0.0, 1.0))
-        plan = schrodinger(params, SPEC, 10.0, mu0, mu1)
+        plan = schrodinger(params, 10.0, mu0, mu1)
         prod = np.outer(mu0.weights, mu1.weights)
         assert np.max(np.abs(plan.matrix - prod)) <= 1e-2
 
@@ -222,7 +222,7 @@ class TestSchrodinger:
         mu0 = uniform(P(0.0, 0.0), P(0.0, 2.0))
         mu1 = uniform(P(0.0, 1.0), P(0.0, 3.0))
         with pytest.raises(TransportConvergenceError) as err:
-            schrodinger(params, SPEC, 0.05, mu0, mu1, max_iter=3, tol=1e-12)
+            schrodinger(params, 0.05, mu0, mu1, max_iter=3, tol=1e-12)
         assert err.value.marginal_error > 0
 
     def test_small_epsilon_stays_finite(self):
@@ -233,7 +233,7 @@ class TestSchrodinger:
         params = ModelParams(4.0, 1.0)
         mu0 = uniform(P(0.0, 0.0), P(0.0, 1.5))
         mu1 = uniform(P(0.0, 0.8), P(0.0, 2.75))
-        plan = schrodinger(params, SPEC, 1e-3, mu0, mu1)
+        plan = schrodinger(params, 1e-3, mu0, mu1)
         assert np.isfinite(plan.cost_value)
         assert plan.marginal_defect() < 1e-9
         assert plan.iterations <= 100
@@ -241,7 +241,7 @@ class TestSchrodinger:
     @pytest.mark.parametrize("eps", [0.0025, 1e-3])
     def test_deterministic_optimum_converges_without_rounding(self, eps):
         # plain Sinkhorn needs 1380 sweeps at 0.0025 and stalls near 1e-5 at 1e-3
-        plan = schrodinger(ModelParams(4.0, 1.0), SPEC, eps, *CRIT10)
+        plan = schrodinger(ModelParams(4.0, 1.0), eps, *CRIT10)
         assert plan.marginal_defect() < 1e-9
         assert plan.iterations <= 100
 
@@ -250,7 +250,7 @@ class TestSchrodinger:
     def test_matches_plain_sinkhorn_fixed_point(self, fixture, eps):
         params = ModelParams(4.0, 1.0)
         mu0, mu1 = fixture
-        plan = schrodinger(params, SPEC, eps, mu0, mu1)
+        plan = schrodinger(params, eps, mu0, mu1)
         gap = np.abs(mu1.xp()[None, :, 0] - mu0.xp()[:, None, 0])
         log_k = log_densities(params, SPEC, eps, mu0.x1()[:, None], mu1.x1()[None, :], gap)
         ref = plain_sinkhorn_plan(log_k, np.asarray(mu0.weights), np.asarray(mu1.weights))
@@ -263,7 +263,7 @@ class TestGammaLimit:
     def test_identical_measures(self):
         params = ModelParams(4.0, 1.0)
         mu = uniform(P(0.0, 0.0), P(0.0, 0.5))
-        res = gamma_limit_experiment(params, SPEC, mu, mu, (0.04, 0.02, 0.01))
+        res = gamma_limit_experiment(params, mu, mu, (0.04, 0.02, 0.01))
         assert res.kantorovich_value == 0.0
         assert abs(res.rows[-1].entropic_value) < abs(res.rows[0].entropic_value) + 1e-9
         assert abs(res.rows[-1].entropic_value) < 0.05
@@ -271,7 +271,7 @@ class TestGammaLimit:
     def test_boundary_fixture_gap_shrinks(self):
         params = ModelParams(4.0, 1.0)
         src, tgt = CRIT10
-        res = gamma_limit_experiment(params, SPEC, src, tgt, (0.04, 0.02, 0.01))
+        res = gamma_limit_experiment(params, src, tgt, (0.04, 0.02, 0.01))
         assert res.kantorovich_value == pytest.approx(0.125, rel=1e-12)
         assert res.gaps_shrink
         assert res.rows[0].gap / res.rows[-1].gap >= 2.0
@@ -290,7 +290,7 @@ class TestGammaLimit:
         monkeypatch.setattr(stickybm.transport, "schrodinger",
                             functools.partial(schrodinger, max_iter=3))
         with pytest.raises(TransportConvergenceError) as err:
-            gamma_limit_experiment(params, SPEC, src, tgt, (0.04, 0.02, 0.01), tol=1e-12)
+            gamma_limit_experiment(params, src, tgt, (0.04, 0.02, 0.01), tol=1e-12)
         assert "[0.04, 0.02, 0.01]" in str(err.value)
         assert err.value.marginal_error > 0
 
@@ -298,7 +298,7 @@ class TestGammaLimit:
         params = ModelParams(4.0, 1.0)
         src, tgt = CRIT10
         exact = kantorovich(params, src, tgt)
-        entropic = schrodinger(params, SPEC, 0.0025, src, tgt)
+        entropic = schrodinger(params, 0.0025, src, tgt)
         off_support = float(np.sum(entropic.matrix[exact.matrix <= 1e-12]))
         assert off_support <= 0.1
         assert entropic.marginal_defect() <= 1e-9
@@ -307,16 +307,16 @@ class TestGammaLimit:
         params = ModelParams(4.0, 1.0)
         mu = uniform(P(0.0, 0.0))
         with pytest.raises(ValueError):
-            gamma_limit_experiment(params, SPEC, mu, mu, (0.01, 1e-4))
+            gamma_limit_experiment(params, mu, mu, (0.01, 1e-4))
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_epsilon_rejected(self, eps):
         params = ModelParams(4.0, 1.0)
         mu = uniform(P(0.0, 0.0))
         with pytest.raises(ValueError, match="finite"):
-            schrodinger(params, SPEC, eps, mu, mu)
+            schrodinger(params, eps, mu, mu)
         with pytest.raises(ValueError, match="finite"):
-            gamma_limit_experiment(params, SPEC, mu, mu, (0.04, eps, 0.01))
+            gamma_limit_experiment(params, mu, mu, (0.04, eps, 0.01))
 
 
 class TestDisplacement:
