@@ -252,13 +252,9 @@ def _cmd_simulate(args) -> int:
                  f"paths={args.n_paths} steps={args.n_steps} boundary_fraction={_fmt(frac)}")
 
 
-def _cmd_ldp_static(args) -> int:
-    params, x, target = _params(args), _parse_point(args.x), _parse_target(args.target)
-    epsilons = _parse_floats(args.epsilons)
-    if args.method == "monte_carlo":
-        est = sliced_ldp(params, x, [(1.0, target)], epsilons, args.n_paths, args.seed)
-    else:
-        est = static_ldp(params, x, target, epsilons)
+def _emit_estimate(args, est) -> int:
+    """Write the ``LdpEstimate`` of ``ldp-static`` or ``ldp-path`` (a row per
+    kept epsilon, then a summary row) and print its two rates."""
     # log p from eps log p: p itself may underflow to 0 where its logarithm is finite.
     rows = [(eps, p, s / eps, s) for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
     rows.append(("summary", est.extrapolated_rate, est.reference_rate, est.beta))
@@ -271,6 +267,15 @@ def _cmd_ldp_static(args) -> int:
         "gamma": est.gamma,
         "dropped_epsilons": list(est.dropped_epsilons),
     }, f"extrapolated={_fmt(est.extrapolated_rate)} reference={_fmt(est.reference_rate)}")
+
+
+def _cmd_ldp_static(args) -> int:
+    params, x, target = _params(args), _parse_point(args.x), _parse_target(args.target)
+    epsilons = _parse_floats(args.epsilons)
+    if args.method == "monte_carlo":
+        return _emit_estimate(args, sliced_ldp(params, x, [(1.0, target)], epsilons,
+                                               args.n_paths, args.seed))
+    return _emit_estimate(args, static_ldp(params, x, target, epsilons))
 
 
 def _cmd_ldp_scan(args) -> int:
@@ -288,15 +293,9 @@ def _cmd_ldp_scan(args) -> int:
 def _cmd_ldp_path(args) -> int:
     params = _params(args)
     waypoints = [_parse_waypoint(item) for item in args.waypoints.split(";")]
-    est = sliced_ldp(params, _parse_point(args.x), waypoints,
-                     _parse_floats(args.epsilons), args.n_paths, args.seed)
-    rows = [(eps, p, s) for eps, p, s in zip(est.epsilons, est.probs, est.log_probs)]
-    rows.append(("summary", est.extrapolated_rate, est.reference_rate))
-    return _emit(args, ["epsilon", "prob", "eps_log_prob"], rows, {
-        "extrapolated_rate": est.extrapolated_rate,
-        "reference_rate": est.reference_rate,
-        "dropped_epsilons": list(est.dropped_epsilons),
-    }, f"extrapolated={_fmt(est.extrapolated_rate)} reference={_fmt(est.reference_rate)}")
+    return _emit_estimate(args, sliced_ldp(params, _parse_point(args.x), waypoints,
+                                           _parse_floats(args.epsilons), args.n_paths,
+                                           args.seed))
 
 
 def _plan_rows(plan):

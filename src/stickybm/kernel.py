@@ -24,8 +24,10 @@ domain with max-exponent shifts, so no value underflows however small
 after the 20 subdivisions allowed.
 
 :func:`log_sticky_integral` takes arrays of gaps and integrates all of them
-in one breadth-first batch; :func:`log_densities` turns such a batch into
-``log q``, and it is the one way to evaluate the kernel.  The building
+in one breadth-first batch; it is the one place that handles their shapes,
+and it hands ``log_integrate`` a flat batch of integrands on ``[0, 1]``, one
+peak split each.  :func:`log_densities` turns such a batch into ``log q``,
+and it is the one way to evaluate the kernel.  The building
 blocks ``h``, ``g`` and ``g0`` exist only as their logarithms (``_log_h``,
 ``_log_g``, ``_log_killed_kernel``).  The total-mass check
 :func:`kernel_total_mass` uses the fixed-rule ``_sticky_log_grid`` instead:
@@ -165,8 +167,7 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float, s, 
         log_f = _sticky_log_integrand_m(params, t, s[part], v[part])
         peaks = _sticky_peak_m(log_f, s[part].size)
         try:
-            out[part] = math.log(th * t) + log_integrate(
-                log_f, np.zeros(peaks.size), 1.0, spec, split_points=peaks[:, None])
+            out[part] = math.log(th * t) + log_integrate(log_f, peaks, spec)
         except QuadratureError as exc:
             k = start + exc.index
             raise QuadratureError(

@@ -5,9 +5,11 @@ returns the log of the integral.  Working in the log domain with running
 max-exponent shifts keeps integrals of densities like ``exp(-c/eps)`` finite
 where the raw formulas underflow, whatever the magnitude of the log integral
 (the tests reach 1e6); whether every panel converges within the subdivision
-budget is a separate matter (see the kernel module).  The adaptive
-integrator runs breadth-first over a batch of integrands: each bisection
-level evaluates every live panel of every integrand in one ``log_f`` call.
+budget is a separate matter (see the kernel module).  The one integral
+shape is the kernel's: each integrand of a batch runs over ``[0, 1]``, split
+at one point of its own.  The adaptive integrator runs breadth-first over
+the batch: each bisection level evaluates every live panel of every
+integrand in one ``log_f`` call.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def _panels(log_f, rows, lo, hi, nodes, log_w):
     log of each fixed-order estimate and ``log(width) + max(log_f(lo),
     log_f(hi))``, which bounds the log integral when ``exp(log_f)`` is
     monotone on the panel.  Raises :class:`QuadratureError`, with the
-    integrand's flat index, where ``log_f`` returns NaN.
+    integrand's index, where ``log_f`` returns NaN.
     """
     width = hi - lo
     x = np.concatenate((lo[:, None], lo[:, None] + width[:, None] * nodes, hi[:, None]), axis=1)
@@ -124,24 +126,22 @@ def _panels(log_f, rows, lo, hi, nodes, log_w):
     return est, log_width + np.max(vals[:, [0, -1]], axis=1)
 
 
-def log_integrate(log_f, a, b, spec: QuadratureSpec, split_points=()):
-    """log of ``int_a^b exp(log_f(t)) dt`` for a batch of integrands, by
-    breadth-first adaptive bisection.
+def log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
+    """log of ``int_0^1 exp(log_f(t)) dt`` for each of ``len(splits)``
+    integrands, by breadth-first adaptive bisection; a 1-D array.
 
-    ``a`` and ``b`` broadcast to the batch shape; the result has that shape
-    (a float for scalars).  ``log_f(rows, x)`` evaluates integrand
-    ``rows[k]`` at the nodes ``x[k, :]``: ``rows`` is a 1-D integer array
-    of flat batch indices and ``x`` a ``(len(rows), 17)`` array holding
-    each panel's left end, its 15 Gauss nodes and its right end.  Each level
-    of the bisection makes one such call covering both halves of every live
-    panel of every integrand.
+    ``log_f(rows, x)`` evaluates integrand ``rows[k]`` at the nodes
+    ``x[k, :]``: ``rows`` is a 1-D integer array of integrand indices and
+    ``x`` a ``(len(rows), 17)`` array holding each panel's left end, its 15
+    Gauss nodes and its right end.  Each level of the bisection makes one
+    such call covering both halves of every live panel of every integrand.
 
-    ``split_points`` seeds panel boundaries; it broadcasts to the batch
-    shape plus one trailing axis, and points outside ``(a, b)`` are ignored.
-    Pass points at or near the interior maxima: a panel that holds no
-    maximum is monotone, and its boundary layers sit at panel ends, where
-    dyadic refinement resolves them; a panel that holds one is bisected
-    until the halves agree.
+    Integrand ``k`` starts as the panels ``[0, splits[k]]`` and
+    ``[splits[k], 1]``; a split outside ``(0, 1)``, NaN included, is
+    ignored.  Pass the integrand's interior maximum, or a point near it: a
+    panel that holds no maximum is monotone, and its boundary layers sit at
+    panel ends, where dyadic refinement resolves them; a panel that holds
+    one is bisected until the halves agree.
 
     Each integrand's panels follow their own rules, whatever else is in the
     batch.  A panel counts as negligible, and is accepted without
@@ -154,25 +154,21 @@ def log_integrate(log_f, a, b, spec: QuadratureSpec, split_points=()):
     integral, the finest agreement that a log of that magnitude can show;
     the ulp bound is the larger only where the log exceeds 2^13 = 8192 in
     magnitude at ``rtol = 1e-10``.  Accepted panels are summed per
-    integrand.  Raises :class:`QuadratureError`, with the integrand's flat
+    integrand.  Raises :class:`QuadratureError`, with the integrand's
     index, when a relevant panel still disagrees at ``max_subdivisions``
     levels or when ``log_f`` returns NaN.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    shape = a.shape
-    a, b = a.ravel(), b.ravel()
-    if not np.all(b > a):
-        raise ValueError("need b > a")
-    n = a.size
+    splits = np.asarray(splits, dtype=float)
+    n = splits.size
     nodes, w = gauss_legendre(_ORDER)
     log_w = np.log(w)
 
-    splits = np.asarray(split_points, dtype=float)
-    splits = np.broadcast_to(splits, shape + splits.shape[-1:]).reshape(n, -1)
-    splits = np.where((splits > a[:, None]) & (splits < b[:, None]), splits, a[:, None])
-    edges = np.sort(np.concatenate((a[:, None], splits, b[:, None]), axis=1), axis=1)
-    rows = np.repeat(np.arange(n), edges.shape[1] - 1)
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    # Panels [0, split] and [split, 1] per integrand, in that order; an
+    # ignored split leaves the empty panel [0, 0], which is dropped.
+    inner = np.where((splits > 0.0) & (splits < 1.0), splits, 0.0)
+    rows = np.repeat(np.arange(n), 2)
+    lo = np.stack((np.zeros(n), inner), axis=1).ravel()
+    hi = np.stack((inner, np.ones(n)), axis=1).ravel()
     keep = hi > lo
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     est, bound = _panels(log_f, rows, lo, hi, nodes, log_w)
@@ -212,5 +208,4 @@ def log_integrate(log_f, a, b, spec: QuadratureSpec, split_points=()):
         est = np.concatenate((left[refine], right[refine]))
         bound = np.concatenate((left_bound[refine], right_bound[refine]))
         depth += 1
-    out = _grouped_logsumexp(np.concatenate(accepted_rows), np.concatenate(accepted), n)
-    return float(out[0]) if shape == () else out.reshape(shape)
+    return _grouped_logsumexp(np.concatenate(accepted_rows), np.concatenate(accepted), n)

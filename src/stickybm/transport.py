@@ -288,12 +288,14 @@ def gamma_limit_experiment(params: ModelParams, mu0: DiscreteMeasure, mu1: Discr
 
     Reports the gap per eps, whether the gap shrinks monotonically toward
     the smallest eps, and the coefficient of an ``eps log(1/eps)`` fit to
-    the gaps.  Raises :class:`TransportConvergenceError` when Sinkhorn-Newton
-    fails at every eps, since there is then no gap to fit.
+    the gaps.  Raises ``ValueError``, before any solve, unless ``epsilons``
+    holds one or more positive finite numbers, the smallest at least 1e-3.
+    Raises :class:`TransportConvergenceError` when Sinkhorn-Newton fails at
+    every eps, since there is then no gap to fit.
     """
     eps_list = [float(e) for e in epsilons]
-    if not all(0.0 < e < math.inf for e in eps_list):
-        raise ValueError(f"epsilons must be positive finite numbers, got {eps_list}")
+    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
+        raise ValueError(f"epsilons must be one or more positive finite numbers, got {eps_list}")
     eps_list.sort(reverse=True)
     if eps_list[-1] < 1e-3:
         raise ValueError("smallest epsilon must be at least 1e-3")

@@ -63,9 +63,10 @@ class TestDispatch:
     def test_import_leaves_scipy_solvers_unloaded(self):
         # Cold start: scipy.optimize and scipy.special are imported only by
         # the functions that call them, so `stickybm cost` never pays for them;
-        # nothing at import time pulls in numpy.ma (np.unique does).
+        # nothing at import time pulls in numpy.ma (np.unique does).  The CLI
+        # does not import pathopt, so it is imported here to cover it too.
         assert fresh_python(
-            "import sys, stickybm.cli; "
+            "import sys, stickybm.cli, stickybm.pathopt; "
             "print(sorted({'scipy.optimize', 'scipy.special', 'numpy.ma'} & set(sys.modules)))"
         ) == "[]"
 
@@ -586,6 +587,18 @@ class TestTransportCli:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and message in err
 
+    @pytest.mark.parametrize("epsilons", [",", ""])
+    def test_empty_gamma_limit_epsilons_exit_2_before_any_solve(self, tmp_path, capsys,
+                                                                monkeypatch, measures, epsilons):
+        forbid(monkeypatch, stickybm.transport, "kantorovich")
+        forbid(monkeypatch, stickybm.transport, "schrodinger")
+        mu0, mu1 = measures
+        code = run(tmp_path, "gamma-limit", "--epsilons", epsilons, "--a", "2", "--theta", "1",
+                   "--mu0", mu0, "--mu1", mu1)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "epsilon" in err
+
     @pytest.mark.parametrize("content, message", [
         ("", "line 1"),
         ("x1,xp1,weight\n", "line 2"),
@@ -674,6 +687,26 @@ class TestLdpCli:
         # two epsilons only: the slope fit has three unknowns, a usage error
         assert code == 2
         capsys.readouterr()
+
+    def test_path_with_one_waypoint_writes_the_monte_carlo_static_outputs(self, tmp_path,
+                                                                           capsys):
+        # One waypoint at t = 1 is the Monte Carlo static experiment, and both
+        # commands write their estimate through one helper.
+        common = ["--a", "4", "--theta", "1", "--x", "0,0", "--epsilons", "0.2,0.1,0.05",
+                  "--n-paths", "2000", "--seed", "3"]
+        assert run(tmp_path, "ldp-static", *common, "--target", "ball:0.5,1:0.8",
+                   "--method", "monte_carlo") == 0
+        assert run(tmp_path, "ldp-path", *common, "--waypoints", "1.0:0.5,1:0.8") == 0
+        static, path = capsys.readouterr().out.splitlines()
+        assert static == path
+        csvs = [(tmp_path / f"{c}.csv").read_text() for c in ("ldp-static", "ldp-path")]
+        assert csvs[0] == csvs[1]
+        assert csvs[0].startswith("epsilon,prob,log_prob,eps_log_prob\n")
+        summaries = [json.loads((tmp_path / f"{c}.json").read_text())
+                     for c in ("ldp-static", "ldp-path")]
+        for summary in summaries:
+            del summary["config"]
+        assert summaries[0] == summaries[1]
 
     @pytest.mark.parametrize("waypoints", [
         "0.5:3,0:2;0.5:3,0:2",      # repeated time

@@ -54,14 +54,18 @@ class TestBuildingBlocks:
 
     def test_hitting_time_is_proper(self):
         # int_0^T h(t, 1) dt = P(hit before T) = erfc(1 / sqrt(2T)), which
-        # tends to one: hitting is almost sure in one dimension.  Split at the
-        # density's maximum t = 1/3 so both panels are monotone.
-        def log_h_in_t(rows, t):
-            with np.errstate(divide="ignore"):
-                return np.log(_h_density(t, 1.0))
-
+        # tends to one: hitting is almost sure in one dimension.  The integral
+        # over [1e-12, T] runs in m on [0, 1], t = 1e-12 + (T - 1e-12) m,
+        # split at the density's maximum t = 1/3 so both panels are monotone.
         for horizon in (0.05, 0.5, 2.0, 50.0, 1e4):
-            got = math.exp(log_integrate(log_h_in_t, 1e-12, horizon, SPEC, split_points=(1.0 / 3.0,)))
+            width = horizon - 1e-12
+
+            def log_h_in_m(rows, m):
+                with np.errstate(divide="ignore"):
+                    return np.log(_h_density(1e-12 + width * m, 1.0)) + math.log(width)
+
+            split = (1.0 / 3.0 - 1e-12) / width
+            got = math.exp(log_integrate(log_h_in_m, [split], SPEC)[0])
             assert got == pytest.approx(math.erfc(1.0 / math.sqrt(2.0 * horizon)), rel=1e-9)
 
     def test_killed_kernel(self):
@@ -369,8 +373,7 @@ class TestPeakSplit:
         for params, t, s, v in _peak_sweep():
             log_f = _sticky_log_integrand_m(params, t, s, v)
             peak = _located_maxima(log_f, s.size)
-            split = math.log(params.theta * t) + log_integrate(
-                log_f, np.zeros(s.size), 1.0, SPEC, split_points=peak[:, None])
+            split = math.log(params.theta * t) + log_integrate(log_f, peak, SPEC)
             got = log_sticky_integral(params, SPEC, t, s, v)
             np.testing.assert_allclose(got, split, rtol=0.0, atol=1e-11, err_msg=str((params, t)))
             off_grid += np.sum(~np.isin(peak, _PEAK_GRID) & (peak < 1.0 - 1e-9))

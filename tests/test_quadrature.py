@@ -28,7 +28,7 @@ def test_gauss_legendre_normalized():
 def test_exponential_integral():
     spec = QuadratureSpec()
     for alpha in (0.5, 3.0, 40.0):
-        got = log_integrate(lambda rows, x: -alpha * x, 0.0, 1.0, spec)
+        got = log_integrate(lambda rows, x: -alpha * x, [math.nan], spec)[0]
         expected = math.log((1.0 - math.exp(-alpha)) / alpha)
         assert got == pytest.approx(expected, abs=1e-11)
 
@@ -40,7 +40,7 @@ def test_sharp_gaussian_bump_with_split():
     def log_f(rows, x):
         return -((x - center) / width) ** 2 / 2.0
 
-    got = log_integrate(log_f, 0.0, 1.0, spec, split_points=(center,))
+    got = log_integrate(log_f, [center], spec)[0]
     expected = math.log(width * math.sqrt(2 * math.pi))
     assert got == pytest.approx(expected, abs=1e-9)
 
@@ -48,7 +48,7 @@ def test_sharp_gaussian_bump_with_split():
 def test_extreme_scaling_stays_finite():
     # Integrals of exp(-c/eps) magnitude must survive in the log domain.
     spec = QuadratureSpec()
-    got = log_integrate(lambda rows, x: -2000.0 + 0.0 * x, 0.0, 1.0, spec)
+    got = log_integrate(lambda rows, x: -2000.0 + 0.0 * x, [math.nan], spec)[0]
     assert got == pytest.approx(-2000.0, abs=1e-12)
 
 
@@ -61,7 +61,8 @@ def test_large_log_integrals_converge_whatever_their_rounding():
     log_mass = math.log(math.sqrt(math.pi / 30.0) / 2.0
                         * (math.erf(math.sqrt(30.0) * 0.7) + math.erf(math.sqrt(30.0) * 0.3)))
     for shift in (-2e5, -5e5, -1e6, 1e6):
-        got = log_integrate(lambda rows, x: shift - 30.0 * (x - 0.3) ** 2, 0.0, 1.0, spec)
+        got = log_integrate(lambda rows, x: shift - 30.0 * (x - 0.3) ** 2, [math.nan],
+                            spec)[0]
         assert got == pytest.approx(shift + log_mass, abs=1e-8)
 
 
@@ -72,7 +73,7 @@ def test_failure_is_reported():
         return 30.0 * np.sin(1000.0 * x) ** 2
 
     with pytest.raises(QuadratureError):
-        log_integrate(nasty, 0.0, 1.0, spec)
+        log_integrate(nasty, [math.nan], spec)
 
 
 
@@ -86,26 +87,29 @@ def test_boundary_layer_missed_by_the_nodes_is_kept():
     def log_f(rows, x):
         return np.where(x <= 0.5, 0.0, -(x - 0.5) / width)
 
-    got = log_integrate(log_f, 0.0, 1.0, spec, split_points=(0.5,))
+    got = log_integrate(log_f, [0.5], spec)[0]
     assert got == pytest.approx(math.log(0.5 + width), abs=1e-10)
 
 
 def test_batch_matches_each_integrand_alone():
     # Each integrand keeps its own prune scale, splits and panels, so a batch
     # gives exactly the values of its integrands integrated one at a time.
+    # A split of 1.0 or outside (0, 1) is ignored: that integrand equals its
+    # unsplit integral.
     spec = QuadratureSpec()
-    centers = np.array([0.37, 0.5, 0.9])
-    widths = np.array([1e-4, 1e-2, 0.3])
+    centers = np.array([0.37, 0.5, 0.9, 0.6, 0.2])
+    widths = np.array([1e-4, 1e-2, 0.3, 0.05, 0.1])
+    splits = np.array([0.37, 0.5, 0.9, 1.0, -0.25])
 
     def log_f(rows, x):
         return -((x - centers[rows, None]) / widths[rows, None]) ** 2 / 2.0
 
-    batch = log_integrate(log_f, 0.0, np.ones(3), spec, split_points=centers[:, None])
-    assert batch.shape == (3,)
-    for k, (c, w) in enumerate(zip(centers, widths)):
-        alone = log_integrate(lambda rows, x: -((x - c) / w) ** 2 / 2.0, 0.0, 1.0, spec,
-                              split_points=(c,))
-        assert batch[k] == alone
+    batch = log_integrate(log_f, splits, spec)
+    assert batch.shape == (5,)
+    for k, (c, w, split) in enumerate(zip(centers, widths, splits)):
+        alone = log_integrate(lambda rows, x: -((x - c) / w) ** 2 / 2.0,
+                              [split if 0.0 < split < 1.0 else math.nan], spec)
+        assert batch[k] == alone[0]
 
 
 def test_failure_names_the_integrand():
@@ -115,7 +119,7 @@ def test_failure_names_the_integrand():
         return np.where(rows[:, None] == 1, 30.0 * np.sin(1000.0 * x) ** 2, -x)
 
     with pytest.raises(QuadratureError) as err:
-        log_integrate(log_f, np.zeros(3), 1.0, spec)
+        log_integrate(log_f, np.full(3, math.nan), spec)
     assert err.value.index == 1
 
 
@@ -135,6 +139,6 @@ def test_nan_integrand_raises_before_any_refinement():
         return np.where((rows[:, None] == 1) & (x > 0.6), math.nan, -x)
 
     with pytest.raises(QuadratureError, match="NaN") as err:
-        log_integrate(log_f, np.zeros(3), 1.0, QuadratureSpec())
+        log_integrate(log_f, np.full(3, math.nan), QuadratureSpec())
     assert err.value.index == 1
     assert len(calls) == 1
