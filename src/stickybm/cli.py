@@ -201,6 +201,9 @@ def _cmd_geodesic(args) -> int:
                  f"{g.case_tag} {_fmt(g.total_cost)}")
 
 
+_KERNEL_EXTENT = 4.0    # the kernel grid's half-width, in standard deviations
+
+
 def _cmd_kernel(args) -> int:
     params = _params(args)
     x = _parse_point(args.x)
@@ -210,14 +213,11 @@ def _cmd_kernel(args) -> int:
     if params.d != 2 or x.dim != 2:
         raise ValueError("the kernel grid needs d = 2 and a two-coordinate --x")
     n = args.grid
-    extent = args.extent
     if n < 2:
         raise ValueError(f"grid needs at least 2 points per axis, got {n}")
-    if not 0.0 < extent < math.inf:
-        raise ValueError(f"extent must be a positive finite number, got {extent!r}")
     spread = math.sqrt(t) * max(1.0, math.sqrt(params.a))
-    y1_max = x.x1 + extent * math.sqrt(t)
-    w = extent * spread
+    y1_max = x.x1 + _KERNEL_EXTENT * math.sqrt(t)
+    w = _KERNEL_EXTENT * spread
     y1s = np.linspace(0.0, y1_max, n)
     yps = np.linspace(x.xp[0] - w, x.xp[0] + w, n)
     # The n x n grid row by row, then the boundary row.
@@ -281,7 +281,7 @@ def _cmd_ldp_static(args) -> int:
 def _cmd_ldp_scan(args) -> int:
     x, y = _parse_point(args.x), _parse_point(args.y)
     res = phase_transition_scan(_parse_floats(args.a_grid), args.theta, x, y,
-                                _parse_floats(args.epsilons), ball_radius=args.radius)
+                                _parse_floats(args.epsilons))
     rows = [(r.a, r.extrapolated_rate, r.reference_rate) for r in res.rows]
     return _emit(args, ["a", "extrapolated_rate", "reference_rate"], rows, {
         "flat_level": res.flat_level,
@@ -313,8 +313,7 @@ def _cmd_ot(args) -> int:
 
 def _cmd_sinkhorn(args) -> int:
     params = _params(args)
-    plan = schrodinger(params, args.epsilon, *_measures(args), max_iter=args.max_iter,
-                       tol=args.tol)
+    plan = schrodinger(params, args.epsilon, *_measures(args))
     return _emit(args, ["i", "j", "mass"], _plan_rows(plan), {
         "value": plan.cost_value,
         "log_normalization": plan.log_normalization,
@@ -325,8 +324,7 @@ def _cmd_sinkhorn(args) -> int:
 
 def _cmd_gamma_limit(args) -> int:
     params = _params(args)
-    res = gamma_limit_experiment(params, *_measures(args), _parse_floats(args.epsilons),
-                                 tol=args.tol)
+    res = gamma_limit_experiment(params, *_measures(args), _parse_floats(args.epsilons))
     rows = [(r.epsilon, r.entropic_value, r.log_normalization, r.gap, r.iterations)
             for r in res.rows]
     return _emit(args, ["epsilon", "entropic_value", "log_normalization", "gap", "iterations"],
@@ -403,8 +401,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         s.add_argument("--t", type=float, required=True)
         s.add_argument("--x", required=True)
         s.add_argument("--grid", type=int, default=64)
-        s.add_argument("--extent", type=float, default=4.0,
-                       help="grid extent in standard deviations")
 
     if s := sub("simulate", "exact path sampling", _cmd_simulate, seed=True):
         s.add_argument("--x", required=True)
@@ -425,7 +421,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         s.add_argument("--a-grid", required=True, dest="a_grid", help="comma-separated a values")
         s.add_argument("--x", required=True)
         s.add_argument("--y", required=True)
-        s.add_argument("--radius", type=float, default=0.1)
         s.add_argument("--epsilons", required=True)
 
     if s := sub("ldp-path", "path-slicing rate via Monte Carlo", _cmd_ldp_path, seed=True):
@@ -443,14 +438,11 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         s.add_argument("--mu0", required=True)
         s.add_argument("--mu1", required=True)
         s.add_argument("--epsilon", type=float, required=True)
-        s.add_argument("--max-iter", type=int, default=20000, dest="max_iter")
-        s.add_argument("--tol", type=float, default=1e-9)
 
     if s := sub("gamma-limit", "entropic-to-exact gap across epsilons", _cmd_gamma_limit):
         s.add_argument("--mu0", required=True)
         s.add_argument("--mu1", required=True)
         s.add_argument("--epsilons", required=True)
-        s.add_argument("--tol", type=float, default=1e-9)
 
     if s := sub("interpolate", "displacement interpolation of the exact plan", _cmd_interpolate):
         s.add_argument("--mu0", required=True)

@@ -438,6 +438,7 @@ def static_ldp(params: ModelParams, x: HalfSpacePoint, target, epsilons) -> LdpE
 # ---------------------------------------------------------------------------
 
 _SCAN_ORDER = 24     # Gauss-Legendre nodes per axis of each scan ball
+_SCAN_RADIUS = 0.1   # radius of the scan ball around y
 
 
 def cone_crossing_value(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
@@ -477,8 +478,9 @@ class ScanResult:
 
 
 def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
-                          y: HalfSpacePoint, epsilons, ball_radius: float = 0.1) -> ScanResult:
-    """Extrapolated static rate versus a at a small ball around y.
+                          y: HalfSpacePoint, epsilons) -> ScanResult:
+    """Extrapolated static rate versus a at the ball of radius ``_SCAN_RADIUS``
+    (0.1) around y.
 
     The rate is flat in a on a <= 1 (Euclidean regime) and strictly smaller
     past the cone-crossing value; the empirical kink is located by
@@ -486,14 +488,17 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
     dropped scan points, clamped to the interval between the last undropped
     and the first dropped value of a, and reported next to the closed-form
     root of the cone equality at the pair (x, y).  The rows are in
-    increasing a, whatever the order of ``a_values``.  Every input is checked
-    before the first quadrature, each at the default :class:`QuadratureSpec`.
+    increasing a, whatever the order of ``a_values``, which must be distinct
+    as floats.  Every input is checked before the first quadrature, each at
+    the default :class:`QuadratureSpec`.
     """
     eps, spec = _fit_epsilons(epsilons), QuadratureSpec()
     models = sorted((ModelParams(float(a), theta, x.dim) for a in a_values), key=lambda m: m.a)
     if not models:
         raise ValueError("the scan needs at least one value of a")
-    target = Ball(y, ball_radius)
+    if len({m.a for m in models}) < len(models):
+        raise ValueError(f"the scan's values of a must be distinct, got {[m.a for m in models]}")
+    target = Ball(y, _SCAN_RADIUS)
     _check_experiment(models[0], x, [target])
     root = cone_crossing_value(x, y)
     rows = []

@@ -36,7 +36,8 @@ _MAX_ATOMS = 512
 
 
 class TransportConvergenceError(RuntimeError):
-    """Sinkhorn-Newton failed to meet the marginal tolerance within max_iter."""
+    """Sinkhorn-Newton failed to bring the marginal error below ``_TOL`` within
+    ``_MAX_ITER`` iterations."""
 
     def __init__(self, message: str, marginal_error: float):
         super().__init__(message)
@@ -155,11 +156,8 @@ def kantorovich(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure)
 _WARM = 20          # log-domain Sinkhorn sweeps before the first Newton step
 _ARMIJO = 1e-4      # sufficient-increase constant of the Newton line search
 _HALVINGS = 40      # backtracking halvings before a Newton step is given up
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+_MAX_ITER = 20000   # warm-up sweeps plus Newton steps before a solve is given up
+_TOL = 1e-9         # largest marginal error of a converged plan
 
 
 def _sweep(log_k, log_a, log_b, beta):
@@ -199,7 +197,7 @@ def _newton_step(pi, a, b, alpha, beta):
 
 
 def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
-                mu1: DiscreteMeasure, max_iter: int = 20000, tol: float = 1e-9) -> TransportPlan:
+                mu1: DiscreteMeasure) -> TransportPlan:
     """Entropy minimization against the eps-horizon kernel, by Sinkhorn-Newton.
 
     The Gibbs weights are log densities w.r.t. the stationary measure,
@@ -214,8 +212,8 @@ def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
     numerically deterministic optimum decays only harmonically.
 
     ``iterations`` counts the warm-start sweeps plus the Newton steps (each
-    with its polishing sweep) and is capped by ``max_iter``.  The run stops
-    once the full plan's largest marginal error is below ``tol``;
+    with its polishing sweep) and is capped by ``_MAX_ITER`` (20 000).  The run
+    stops once the full plan's largest marginal error is below ``_TOL`` (1e-9);
     ``marginal_defect()`` is that error of the returned plan, which is not
     rounded or otherwise repaired.  Raises
     :class:`TransportConvergenceError` when the cap is reached first.
@@ -228,9 +226,6 @@ def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    _check_tol(tol)
     for p in mu0.atoms + mu1.atoms:
         _check_dim(params, p)
     gap = np.linalg.norm(mu1.xp()[None, :, :] - mu0.xp()[:, None, :], axis=-1)
@@ -240,17 +235,17 @@ def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
     a, b = np.asarray(mu0.weights), np.asarray(mu1.weights)
     log_a, log_b = np.log(a), np.log(b)
     alpha, beta = np.zeros(mu0.size), np.zeros(mu1.size)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if it > _WARM:
             alpha, beta = _newton_step(pi, a, b, alpha, beta)
         alpha, beta = _sweep(log_k, log_a, log_b, beta)
         pi = np.exp(alpha[:, None] + log_k + beta[None, :])
         err = _marginal_error(pi, a, b)
-        if err < tol:
+        if err < _TOL:
             break
     else:
         raise TransportConvergenceError(
-            f"Sinkhorn-Newton did not reach tol={tol} in {max_iter} iterations "
+            f"Sinkhorn-Newton did not reach tol={_TOL} in {_MAX_ITER} iterations "
             f"(marginal error {err:.3e})", err)
     value = epsilon * float(np.sum(pi * (alpha[:, None] + beta[None, :])))
     return TransportPlan(pi, value, mu0, mu1, iterations=it,
@@ -283,30 +278,32 @@ class GammaLimitResult:
 
 
 def gamma_limit_experiment(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                           epsilons, tol: float = 1e-9) -> GammaLimitResult:
+                           epsilons) -> GammaLimitResult:
     """Entropic values against the exact value across decreasing eps.
 
     Reports the gap per eps, whether the gap shrinks monotonically toward
     the smallest eps, and the coefficient of an ``eps log(1/eps)`` fit to
-    the gaps.  Raises ``ValueError``, before any solve, unless ``epsilons``
-    holds one or more positive finite numbers, the smallest at least 1e-3.
-    Raises :class:`TransportConvergenceError` when Sinkhorn-Newton fails at
-    every eps, since there is then no gap to fit.
+    the gaps.  Each eps is one :func:`schrodinger` solve, to its fixed
+    marginal tolerance.  Raises ``ValueError``, before any solve, unless
+    ``epsilons`` holds one or more distinct positive finite numbers, the
+    smallest at least 1e-3.  Raises :class:`TransportConvergenceError` when
+    Sinkhorn-Newton fails at every eps, since there is then no gap to fit.
     """
     eps_list = [float(e) for e in epsilons]
-    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
-        raise ValueError(f"epsilons must be one or more positive finite numbers, got {eps_list}")
+    distinct = 0 < len(set(eps_list)) == len(eps_list)
+    if not distinct or not all(0.0 < e < math.inf for e in eps_list):
+        raise ValueError(f"epsilons must be one or more distinct positive finite numbers, "
+                         f"got {eps_list}")
     eps_list.sort(reverse=True)
     if eps_list[-1] < 1e-3:
         raise ValueError("smallest epsilon must be at least 1e-3")
-    _check_tol(tol)
     exact = kantorovich(params, mu0, mu1)
     rows = []
     failed = []
     errors = []
     for eps in eps_list:
         try:
-            plan = schrodinger(params, eps, mu0, mu1, tol=tol)
+            plan = schrodinger(params, eps, mu0, mu1)
         except TransportConvergenceError as exc:
             failed.append(eps)
             errors.append(exc.marginal_error)

@@ -22,7 +22,8 @@ either there sees every call.  :func:`bivariate_density` is the joint law of
 (horizontal position, local time) from the kernel's log building blocks, and
 :func:`modulus_statistics` the path-oscillation frequency of a sampled batch.
 The CLI's CSV writer has :func:`reference_csv`, which formats and quotes one
-value at a time through ``csv.writer``.
+value at a time through ``csv.writer``, and the CLI's documented use has
+:func:`readme_cli_lines`, the examples of README's CLI block.
 """
 import csv
 import io
@@ -30,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -465,3 +467,11 @@ def reference_csv(header, rows) -> str:
     writer.writerow(header)
     writer.writerows([fmt(v) for v in row] for row in rows)
     return fh.getvalue()
+
+
+def readme_cli_lines():
+    """The ``stickybm ...`` lines of README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("stickybm ")]

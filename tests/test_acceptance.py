@@ -218,7 +218,7 @@ def test_criterion_07_static_ldp_slopes():
 def test_criterion_08_phase_transition_kink():
     x, y = P(1.0, 0.0), P(1.0, 5.0)
     a_grid = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0)
-    res = phase_transition_scan(a_grid, 1.0, x, y, (0.2, 0.1, 0.05, 0.025), ball_radius=0.1)
+    res = phase_transition_scan(a_grid, 1.0, x, y, (0.2, 0.1, 0.05, 0.025))
     flat_rates = [r.extrapolated_rate for r in res.rows if r.a <= 1.0]
     flat_ok = max(abs(r - res.flat_level) for r in flat_rates) <= 0.03 * res.flat_level
     past = [r.extrapolated_rate for r in res.rows if r.a > res.crossing_root + 0.05]

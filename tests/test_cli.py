@@ -1,6 +1,5 @@
 import argparse
 import csv
-import functools
 import json
 import os
 import shlex
@@ -17,23 +16,12 @@ import stickybm.simulate
 import stickybm.transport
 from stickybm.cli import _fmt, build_parser, main
 from stickybm.quadrature import QuadratureError
-from stickybm.transport import schrodinger
 
-from oracles import reference_csv
+from oracles import readme_cli_lines, reference_csv
 
 
 def run(tmp_path, *argv):
     return main([*argv, "-o", str(tmp_path)])
-
-
-def readme_cli_lines():
-    """The ``stickybm ...`` lines of README's CLI block, continuations joined."""
-    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
-    with open(readme) as fh:
-        text = fh.read()
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("stickybm ")]
 
 
 def read_csv(path):
@@ -408,7 +396,10 @@ class TestParser:
         ["cost", "--a", "1", "--theta", "1", "--x", "0,0", "--y", "0,1", "extra"],
         ["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "patch:2:0.1",
          "--epsilons", "0.2,0.1,0.05", "--method", "exact"],
-    ], ids=["none", "unknown", "option-first", "missing", "bad-type", "extra", "bad-choice"])
+        ["sinkhorn", "--a", "4", "--theta", "1", "--mu0", "mu0.csv", "--mu1", "mu1.csv",
+         "--epsilon", "0.05", "--tol", "1e-6"],
+    ], ids=["none", "unknown", "option-first", "missing", "bad-type", "extra", "bad-choice",
+            "removed-flag"])
     def test_usage_errors_are_the_full_parsers(self, capsys, argv):
         assert _full_parser_exit(argv) == 2
         expected = capsys.readouterr()
@@ -476,9 +467,6 @@ class TestKernelCli:
     @pytest.mark.parametrize("option, message", [
         (["--grid", "0"], "grid"),
         (["--grid", "1"], "grid"),
-        (["--extent", "0"], "extent"),
-        (["--extent", "-1"], "extent"),
-        (["--extent", "inf"], "extent"),
     ])
     def test_degenerate_grid_exits_2_before_quadrature(self, tmp_path, capsys, monkeypatch,
                                                        option, message):
@@ -570,22 +558,19 @@ class TestTransportCli:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "epsilon" in err
 
-    @pytest.mark.parametrize("argv, message", [
-        (["sinkhorn", "--epsilon", "0.5", "--tol", "nan"], "tol"),
-        (["sinkhorn", "--epsilon", "0.5", "--tol", "0"], "tol"),
-        (["sinkhorn", "--epsilon", "0.5", "--tol", "inf"], "tol"),
-        (["sinkhorn", "--epsilon", "0.5", "--max-iter", "0"], "max_iter"),
-        (["gamma-limit", "--epsilons", "0.04,0.02,0.01", "--tol", "-1"], "tol"),
-    ])
-    def test_sinkhorn_options_exit_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
-                                                      measures, argv, message):
-        forbid(monkeypatch, stickybm.kernel, "log_integrate")
+    @pytest.mark.parametrize("epsilons", ["0.04,0.04", "0.04,0.02,4e-2"])
+    def test_repeated_gamma_limit_epsilons_exit_2_before_any_solve(self, tmp_path, capsys,
+                                                                   monkeypatch, measures,
+                                                                   epsilons):
         forbid(monkeypatch, stickybm.transport, "kantorovich")
+        forbid(monkeypatch, stickybm.transport, "schrodinger")
         mu0, mu1 = measures
-        code = run(tmp_path, *argv, "--a", "2", "--theta", "1", "--mu0", mu0, "--mu1", mu1)
+        code = run(tmp_path, "gamma-limit", "--epsilons", epsilons, "--a", "2", "--theta", "1",
+                   "--mu0", mu0, "--mu1", mu1)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: usage:") and message in err
+        assert err.startswith("error: usage:") and "distinct" in err
+        assert not (tmp_path / "gamma-limit.json").exists()
 
     @pytest.mark.parametrize("epsilons", [",", ""])
     def test_empty_gamma_limit_epsilons_exit_2_before_any_solve(self, tmp_path, capsys,
@@ -638,10 +623,9 @@ class TestTransportCli:
         mu0.write_text("x1,xp1,weight\n" + "".join(f"0,{0.25 * i},0.125\n" for i in range(8)))
         mu1.write_text("x1,xp1,weight\n"
                        + "".join(f"0,{1.0 + 0.25 * i},0.125\n" for i in range(8)))
-        monkeypatch.setattr(stickybm.transport, "schrodinger",
-                            functools.partial(schrodinger, max_iter=3))
+        monkeypatch.setattr(stickybm.transport, "_MAX_ITER", 3)
         code = run(tmp_path, "gamma-limit", "--a", "4", "--theta", "1", "--mu0", str(mu0),
-                   "--mu1", str(mu1), "--epsilons", "0.04,0.02,0.01", "--tol", "1e-12")
+                   "--mu1", str(mu1), "--epsilons", "0.04,0.02,0.01")
         assert code == 3
         assert capsys.readouterr().err.startswith("error: numerical:")
         assert not (tmp_path / "gamma-limit.json").exists()
@@ -868,6 +852,8 @@ class TestLdpCli:
         (",", "1,5", "at least one value of a"),
         ("0.5,2.0,-1", "1,5", "diffusivity a must be positive"),
         ("0.5,2.0", "1,0", "v = 0"),
+        ("0.5,3,3,3", "1,5", "distinct"),
+        ("1,1.0", "1,5", "distinct"),
     ])
     def test_scan_checks_every_input_before_quadrature(self, tmp_path, capsys, monkeypatch,
                                                        a_grid, y, message):
@@ -900,7 +886,7 @@ class TestLdpCli:
 
     def test_scan_small(self, tmp_path, capsys):
         code = run(tmp_path, "ldp-scan", "--a-grid", "0.5,1.0,2.5,3.0", "--x", "1,0",
-                   "--y", "1,5", "--epsilons", "0.2,0.1,0.05", "--radius", "0.1")
+                   "--y", "1,5", "--epsilons", "0.2,0.1,0.05")
         assert code == 0
         capsys.readouterr()
         summary = json.loads((tmp_path / "ldp-scan.json").read_text())

@@ -14,19 +14,24 @@ outside its own definition, so that a helper whose last caller is gone does
 not linger for its tests.  Every defaulted parameter of a library function,
 and every defaulted field of a library dataclass, must be passed by some
 call in the library or the benchmark, so that no option exists for the
-tests alone.  Only the kernel layer takes a quadrature spec.  Every library
+tests alone, and every optional CLI flag must be set by a README example of
+its subcommand or by a string of the benchmark's operations, since the
+library call behind a flag counts as a use even when nothing sets the flag.
+Only the kernel layer takes a quadrature spec.  Every library
 name, keyword and result field that ``perfbench/ops.py`` and
 ``perfbench/tests`` use must still exist, and every CLI output column and
 JSON key that ``perfbench/ops.py`` reads must still be written, so that a
 simplification cannot silently break a benchmark operation.
 """
 
+import argparse
 import ast
 import csv
 import importlib
 import json
 import inspect
 import pkgutil
+import shlex
 from pathlib import Path
 
 import pytest
@@ -36,6 +41,8 @@ from stickybm import cli, geometry, ldp, transport
 from stickybm.geometry import ModelParams, point
 from stickybm.pathopt import minimize_path_action
 from stickybm.simulate import SimConfig, simulate_batch
+
+from oracles import readme_cli_lines
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(stickybm.__path__)
                  if m.name != "__main__")    # importing __main__ runs the CLI
@@ -292,6 +299,48 @@ def test_a_dataclass_field_only_the_tests_set_is_caught():
     assert _unset_options(library, bench) == []
     bench = {"bench.py": ast.parse("from stickybm import shapes\nshapes.Disc(2.0, (1.0, 1.0))\n")}
     assert _unset_options(library, bench) == ["shapes.Disc(label)"]
+
+
+# The model's parameters: every run states its model, whether or not a
+# subcommand gives a parameter a default.
+MODEL_FLAGS = ("--a", "--theta", "--d")
+
+
+def _unset_flags(parser, examples, constants):
+    """``<subcommand> <flag>`` for every optional flag of ``parser``'s
+    subcommands, the model's apart, that neither an example of that
+    subcommand (an argv list, subcommand first) nor a string of
+    ``constants`` sets, under any of its names."""
+    unset = []
+    for name, sub in parser._subparsers._group_actions[0].choices.items():
+        given = {arg for argv in examples if argv[0] == name for arg in argv}
+        for action in sub._actions:
+            names = set(action.option_strings)
+            if (names and not action.required and action.dest != "help"
+                    and not names & {*MODEL_FLAGS, *given, *constants}):
+                unset.append(f"{name} {action.option_strings[0]}")
+    return unset
+
+
+def test_every_optional_flag_is_set_outside_tests():
+    examples = [shlex.split(line, comments=True)[1:] for line in readme_cli_lines()]
+    ops = ast.parse((ROOT / "perfbench" / "ops.py").read_text())
+    constants = {node.value for node in ast.walk(ops)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unset = _unset_flags(cli.build_parser(), examples, constants)
+    assert not unset, f"flags that no README example or benchmark operation sets: {unset}"
+
+
+def test_a_flag_only_the_tests_set_is_caught():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers().add_parser("solve")
+    sub.add_argument("--x", required=True)
+    sub.add_argument("--output", "-o", default=".")
+    sub.add_argument("--theta", type=float, default=1.0)
+    sub.add_argument("--tol", type=float, default=1e-9)
+    assert _unset_flags(parser, [["solve", "--x", "1", "-o", "out"]], set()) == ["solve --tol"]
+    # A benchmark string sets a flag for every subcommand; an example only for its own.
+    assert _unset_flags(parser, [["other", "-o", "out"]], {"--tol"}) == ["solve --output"]
 
 
 def test_only_the_kernel_layer_takes_a_quadrature_spec():

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import stickybm.kernel
 import stickybm.ldp
 import stickybm.simulate
 from stickybm.cli import main
@@ -532,6 +533,17 @@ class TestPhaseTransition:
         down = phase_transition_scan((3.0, 2.5, 0.5), 1.0, x, y, eps)
         assert [r.a for r in up.rows] == [0.5, 2.5, 3.0] and math.isfinite(up.empirical_kink)
         assert down == up
+
+    @pytest.mark.parametrize("a_values", [(0.5, 3, 3, 3), (1, 1.0), (2.0, 0.5, 2)])
+    def test_scan_rejects_repeated_a_before_any_quadrature(self, monkeypatch, a_values):
+        # A repeated a would scan the same row again, and three equal dropped
+        # rows make the kink's line fit singular.
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before the a values were checked")
+
+        monkeypatch.setattr(stickybm.kernel, "log_integrate", refuse)
+        with pytest.raises(ValueError, match="distinct"):
+            phase_transition_scan(a_values, 1.0, P(1.0, 0.0), P(1.0, 5.0), (0.2, 0.1, 0.05))
 
     def test_scan_kink_lies_in_its_bracket(self):
         # Between boundary points the rate drops past a = 1: the line through

@@ -1,4 +1,3 @@
-import functools
 import math
 from types import SimpleNamespace
 
@@ -206,7 +205,7 @@ class TestSchrodinger:
             w1 = rng.dirichlet(np.ones(n))
             mu0 = DiscreteMeasure(atoms0, tuple(w0 / w0.sum()))
             mu1 = DiscreteMeasure(atoms1, tuple(w1 / w1.sum()))
-            plan = schrodinger(params, 0.25, mu0, mu1, tol=1e-9)
+            plan = schrodinger(params, 0.25, mu0, mu1)
             assert plan.marginal_defect() <= 2e-9
 
     def test_large_epsilon_product_coupling(self):
@@ -217,12 +216,13 @@ class TestSchrodinger:
         prod = np.outer(mu0.weights, mu1.weights)
         assert np.max(np.abs(plan.matrix - prod)) <= 1e-2
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         params = ModelParams(4.0, 1.0)
         mu0 = uniform(P(0.0, 0.0), P(0.0, 2.0))
         mu1 = uniform(P(0.0, 1.0), P(0.0, 3.0))
+        monkeypatch.setattr(stickybm.transport, "_MAX_ITER", 3)
         with pytest.raises(TransportConvergenceError) as err:
-            schrodinger(params, 0.05, mu0, mu1, max_iter=3, tol=1e-12)
+            schrodinger(params, 0.05, mu0, mu1)
         assert err.value.marginal_error > 0
 
     def test_small_epsilon_stays_finite(self):
@@ -287,10 +287,9 @@ class TestGammaLimit:
         # zero rows would be 0.
         params = ModelParams(4.0, 1.0)
         src, tgt = CRIT10
-        monkeypatch.setattr(stickybm.transport, "schrodinger",
-                            functools.partial(schrodinger, max_iter=3))
+        monkeypatch.setattr(stickybm.transport, "_MAX_ITER", 3)
         with pytest.raises(TransportConvergenceError) as err:
-            gamma_limit_experiment(params, src, tgt, (0.04, 0.02, 0.01), tol=1e-12)
+            gamma_limit_experiment(params, src, tgt, (0.04, 0.02, 0.01))
         assert "[0.04, 0.02, 0.01]" in str(err.value)
         assert err.value.marginal_error > 0
 
@@ -302,6 +301,19 @@ class TestGammaLimit:
         off_support = float(np.sum(entropic.matrix[exact.matrix <= 1e-12]))
         assert off_support <= 0.1
         assert entropic.marginal_defect() <= 1e-9
+
+    def test_repeated_epsilon_rejected_before_any_solve(self, monkeypatch):
+        # A repeated eps would solve the same problem twice, and its zero
+        # step would read as a shrinking gap.
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the epsilons were checked")
+
+        monkeypatch.setattr(stickybm.transport, "kantorovich", refuse)
+        monkeypatch.setattr(stickybm.transport, "schrodinger", refuse)
+        mu = uniform(P(0.0, 0.0), P(0.0, 0.5))
+        for eps in [(0.04, 0.04), (0.04, 0.02, 0.04), (0.01, 1e-2)]:
+            with pytest.raises(ValueError, match="distinct"):
+                gamma_limit_experiment(ModelParams(4.0, 1.0), mu, mu, eps)
 
     def test_epsilon_floor(self):
         params = ModelParams(4.0, 1.0)
