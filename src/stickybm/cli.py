@@ -220,10 +220,13 @@ def _cmd_kernel(args) -> int:
     w = _KERNEL_EXTENT * spread
     y1s = np.linspace(0.0, y1_max, n)
     yps = np.linspace(x.xp[0] - w, x.xp[0] + w, n)
-    # The n x n grid row by row, then the boundary row.
+    # The n x n grid row by row, then the boundary row, which repeats the
+    # first (y1s[0] = 0) and so reuses its densities.
     y1 = np.concatenate((np.repeat(y1s, n), np.zeros(n)))
     yp = np.concatenate((np.tile(yps, n), yps))
-    interior = np.exp(log_densities(params, QuadratureSpec(), t, x.x1, y1, np.abs(yp - x.xp[0])))
+    grid = np.exp(log_densities(params, QuadratureSpec(), t, x.x1, y1[: n * n],
+                                np.abs(yp[: n * n] - x.xp[0])))
+    interior = np.concatenate((grid, grid[:n]))
     # mu's boundary weight: the density w.r.t. dy' on y1 = 0 is q / (2 theta)
     boundary = np.where(y1 == 0.0, interior / (2.0 * params.theta), 0.0)
     columns = [[t] * len(y1), [x.x1] * len(y1), [x.xp[0]] * len(y1),

@@ -29,7 +29,7 @@ from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _sliced_sum, _st
 from .geometry import cost  # noqa: F401 -- perfbench traces and asserts the ``ldp.cost`` binding
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
-from .simulate import _path_blocks, walk
+from .simulate import walk
 
 __all__ = [
     "Ball",
@@ -399,19 +399,29 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
 # Static LDP
 # ---------------------------------------------------------------------------
 
+# Uniforms one walk of the hit counter draws at once: it keeps nothing but
+# counts, so its blocks of paths are small and their raw bits take 512 kB.
+_BLOCK_UNIFORMS = 2 ** 16
+
+
 def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
                 n_paths: int, seed: int) -> list:
     """Per epsilon, how many of ``n_paths`` exact paths from ``x`` lie in
     ``targets[j]`` after each step ``eps * dt_j``; epsilon ``i`` draws stream ``i``.
 
+    The paths are walked in contiguous blocks that draw at most
+    ``_BLOCK_UNIFORMS`` uniforms (one path if a single path needs more).
     Only the paths inside every target so far take the next step, and a
     block stops at the first target that none of its paths reach."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    size = max(1, _BLOCK_UNIFORMS // (len(dts) * (params.d + 2)))
     counts = []
     for i, eps in enumerate(epsilons):
         hits = 0
-        for first, count in _path_blocks(n_paths, len(dts), params.d):
-            steps = walk(params, x, eps * np.asarray(dts), count, seed, stream=i,
-                         first_index=first)
+        for first in range(0, n_paths, size):
+            steps = walk(params, x, eps * np.asarray(dts), min(size, n_paths - first), seed,
+                         stream=i, first_index=first)
             x1, xp, _ = next(steps)
             for target in targets[:-1]:
                 inside = target.contains(x1, xp)

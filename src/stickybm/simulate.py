@@ -22,17 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams
+from .geometry import HalfSpacePoint, ModelParams, _check_dim
 
 __all__ = ["SimConfig", "BatchPaths", "step_batch", "walk", "simulate_batch"]
-
-# Uniforms one walk over a block of paths draws at once.  The Monte Carlo
-# hit counter (``ldp._hit_counts``) keeps nothing but counts, so its blocks
-# are small: their raw bits take 512 kB.  simulate_batch keeps every step
-# of every path, so narrower blocks would save it little memory and repeat
-# each step's fixed cost (about 60 us) once per block.
-_BLOCK_UNIFORMS = 2 ** 16
-_BATCH_UNIFORMS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -137,11 +129,14 @@ def walk(params: ModelParams, x0: HalfSpacePoint, dts, n_paths: int, seed: int,
     from scipy.special import ndtri
 
     _check_seed(seed)
+    _check_dim(params, x0, "start point")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if first_index < 0 or stream < 0:
         raise ValueError("first_index and stream must be non-negative")
     dts, per_step = np.asarray(dts, dtype=float), params.d + 2
+    if not np.all((dts > 0) & (dts < math.inf)):
+        raise ValueError(f"steps must be positive and finite, got {dts}")
     width = -(-dts.size * per_step // 4) * 4
     gen = np.random.Philox(key=int(seed) + (int(stream) << 64))
     gen.advance(first_index * width // 4)
@@ -162,18 +157,6 @@ def walk(params: ModelParams, x0: HalfSpacePoint, dts, n_paths: int, seed: int,
                 x1, xp = x1[keep], xp[keep]
 
     return steps()
-
-
-def _path_blocks(n_paths: int, n_steps: int, d: int, uniforms: int | None = None):
-    """Contiguous ``(first, count)`` blocks of ``n_paths`` paths whose :func:`walk`
-    over ``n_steps`` steps in dimension ``d`` draws at most ``uniforms``
-    (default ``_BLOCK_UNIFORMS``) uniforms, one path per block if a single
-    path needs more."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    uniforms = _BLOCK_UNIFORMS if uniforms is None else uniforms
-    size = max(1, uniforms // (n_steps * (d + 2)))
-    return [(first, min(size, n_paths - first)) for first in range(0, n_paths, size)]
 
 
 @dataclass(frozen=True)
@@ -200,20 +183,19 @@ class BatchPaths:
 def simulate_batch(config: SimConfig, n_paths: int) -> BatchPaths:
     """Simulate paths ``0 .. n_paths - 1``, vectorized.
 
-    Stream 0 of :func:`walk` over ``n_steps`` equal steps: path ``i`` reads
-    its own row of draws whatever the batch, so a batch is the prefix of
-    every larger one, and its blocks do not change its values.
+    Stream 0 of :func:`walk` over ``n_steps`` equal steps, all paths in one
+    call: path ``i`` reads its own row of draws whatever the batch, so a
+    batch is the prefix of every larger one.  The raw bits of the whole
+    batch (``8 (d + 2)`` bytes per path-step, padded) are held while it steps.
     """
     params, n, dt = config.params, config.n_steps, config.step
+    steps = walk(params, config.x0, np.full(n, dt), n_paths, config.seed)
     x1 = np.empty((n_paths, n + 1))
     xp = np.empty((n_paths, n + 1, params.d - 1))
     occ = np.zeros((n_paths, n + 1))
     x1[:, 0] = config.x0.x1
     xp[:, 0, :] = np.asarray(config.x0.xp)
-    for first, count in _path_blocks(n_paths, n, params.d, _BATCH_UNIFORMS):
-        steps = walk(params, config.x0, np.full(n, dt), count, config.seed, first_index=first)
-        b = slice(first, first + count)
-        for j, (z, y, d_o) in enumerate(steps, 1):
-            x1[b, j], xp[b, j], occ[b, j] = z, y, occ[b, j - 1] + d_o
+    for j, (z, y, d_o) in enumerate(steps, 1):
+        x1[:, j], xp[:, j], occ[:, j] = z, y, occ[:, j - 1] + d_o
     times = dt * np.arange(n + 1)
     return BatchPaths(times, x1, xp, occ, params.theta)

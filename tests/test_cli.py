@@ -436,12 +436,13 @@ class TestSimulateCli:
 
     def test_zero_paths_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
         forbid(monkeypatch, stickybm.simulate, "step_batch")
-        code = run(tmp_path, "simulate", "--a", "2", "--theta", "1", "--x", "0.3,0",
-                   "--step", "0.1", "--n-steps", "5", "--n-paths", "0")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: usage:") and "n_paths" in err
-        assert not (tmp_path / "simulate.json").exists()
+        for n_paths in ("0", "-1"):
+            code = run(tmp_path, "simulate", "--a", "2", "--theta", "1", "--x", "0.3,0",
+                       "--step", "0.1", "--n-steps", "5", "--n-paths", n_paths)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: usage:") and "n_paths must be at least 1" in err
+            assert not (tmp_path / "simulate.json").exists()
 
 
 class TestKernelCli:
@@ -487,6 +488,23 @@ class TestKernelCli:
         assert len(rows) == 1 + 64 * 64 + 64
         summary = json.loads((tmp_path / "kernel.json").read_text())
         assert abs(float(summary["trapezoid_mass"]) - 1.0) <= 1e-4
+
+    def test_each_grid_node_evaluated_once(self, tmp_path, capsys, monkeypatch):
+        # The boundary row is the grid's first row (y1 = 0), so only the
+        # n x n grid reaches the kernel.
+        seen, inner = [], stickybm.cli.log_densities
+
+        def spy(params, spec, t, x1, y1, gap):
+            seen.append(len(y1))
+            return inner(params, spec, t, x1, y1, gap)
+
+        monkeypatch.setattr(stickybm.cli, "log_densities", spy)
+        code = run(tmp_path, "kernel", "--a", "2", "--theta", "1", "--t", "0.5",
+                   "--x", "0.3,0", "--grid", "6")
+        assert code == 0
+        capsys.readouterr()
+        assert seen == [36]
+        assert len(read_csv(tmp_path / "kernel.csv")) == 1 + 36 + 6
 
     def test_boundary_density_is_mu_weight(self, tmp_path, capsys):
         # The boundary density w.r.t. dy' is the mu-density over 2 theta on

@@ -623,10 +623,17 @@ class TestSliced:
         balls = [Ball(P(0.0, 0.5), 0.4), Ball(P(0.0, 1.0), 0.5)]
         dts, eps, n = np.array([0.5, 0.5]), (0.2, 0.1), 3000
         whole = stickybm.ldp._hit_counts(params, x, dts, balls, eps, n, seed=5)
-        monkeypatch.setattr(stickybm.simulate, "_BLOCK_UNIFORMS",
-                            333 * 2 * 4)
-        assert len(stickybm.ldp._path_blocks(n, 2, 2)) == 10
+        # d = 2 and 2 steps: 8 uniforms per path, so 333 paths per block.
+        monkeypatch.setattr(stickybm.ldp, "_BLOCK_UNIFORMS", 333 * 2 * 4)
+        sizes, inner = [], stickybm.ldp.walk
+
+        def spy(params, x, dts, count, *args, **kwargs):
+            sizes.append(count)
+            return inner(params, x, dts, count, *args, **kwargs)
+
+        monkeypatch.setattr(stickybm.ldp, "walk", spy)
         assert stickybm.ldp._hit_counts(params, x, dts, balls, eps, n, seed=5) == whole
+        assert sizes == ([333] * 9 + [3]) * len(eps)
         assert 0 < min(whole) and max(whole) < n
 
     def test_benchmark_configuration_counts(self):
@@ -718,7 +725,7 @@ class TestPrunedHitCounts:
     @pytest.mark.parametrize("case", HIT_CASES)
     def test_pruned_counts_match_unpruned_oracle(self, monkeypatch, case, block_uniforms):
         if block_uniforms is not None:
-            monkeypatch.setattr(stickybm.simulate, "_BLOCK_UNIFORMS", block_uniforms)
+            monkeypatch.setattr(stickybm.ldp, "_BLOCK_UNIFORMS", block_uniforms)
         params, x, dts, targets, eps, n, seed = HIT_CASES[case]
         hits = stickybm.ldp._hit_counts(params, x, np.array(dts), targets, eps, n, seed)
         assert hits == unpruned_hit_counts(params, x, dts, targets, eps, n, seed)
@@ -741,12 +748,15 @@ class TestPrunedHitCounts:
         assert sizes == live[:3]
 
     def test_block_stops_at_a_target_no_path_reaches(self, monkeypatch):
-        monkeypatch.setattr(stickybm.simulate, "_BLOCK_UNIFORMS", 100)
+        monkeypatch.setattr(stickybm.ldp, "_BLOCK_UNIFORMS", 100)
         params, x, dts, targets, eps, n, seed = HIT_CASES["unreachable-first"]
-        blocks = stickybm.ldp._path_blocks(n, len(dts), params.d)
+        # d = 2 and 2 steps: 8 uniforms per path, so 12 paths per block.
+        size = 100 // (len(dts) * (params.d + 2))
+        blocks = [min(size, n - first) for first in range(0, n, size)]
+        assert size == 12 and len(blocks) == 250
         sizes = self._step_sizes(monkeypatch)
         assert stickybm.ldp._hit_counts(params, x, np.array(dts), targets, eps, n, seed) == [0] * 3
-        assert sizes == [count for _ in eps for _, count in blocks]
+        assert sizes == blocks * len(eps)
 
     @staticmethod
     def _step_sizes(monkeypatch) -> list:

@@ -335,18 +335,6 @@ class TestPaths:
             assert np.array_equal(xp[0], batch.xp[i, 1:])
             assert np.array_equal(occ[0], batch.occupation_time[i, 1:])
 
-    def test_path_blocks_match_one_block(self, monkeypatch):
-        # d = 2 and 6 steps: 24 uniforms per path, so 7 paths per block here
-        # and, below one path's worth, one path per block.
-        cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 6, seed=3)
-        whole = simulate_batch(cfg, 30)
-        for limit in (7 * 24 + 5, 10):
-            monkeypatch.setattr(sim, "_BATCH_UNIFORMS", limit)
-            assert len(sim._path_blocks(30, 6, 2, sim._BATCH_UNIFORMS)) > 1
-            blocked = simulate_batch(cfg, 30)
-            for name in ("x1", "xp", "occupation_time"):
-                assert np.array_equal(getattr(blocked, name), getattr(whole, name))
-
     def test_paths_read_their_own_rows(self):
         # d = 3 and 3 steps: 15 draws per row, padded to 16.
         params = ModelParams(2.0, 1.5, 3)
@@ -406,6 +394,17 @@ class TestPaths:
     def test_seed_range(self, seed):
         with pytest.raises(ValueError, match="seed"):
             walk(PARAMS, P(0.3, 0.0), [0.1], 5, seed)
+
+    def test_start_point_dimension_checked(self):
+        # One tangential coordinate would broadcast against d = 3's two.
+        with pytest.raises(ValueError, match="start point"):
+            walk(ModelParams(2.0, 1.0, 3), P(0.3, 0.5), [0.1, 0.1], 3, 0)
+
+    @pytest.mark.parametrize("dts", [[0.1, -0.1], [0.1, 0.0], [math.inf], [math.nan]])
+    def test_steps_checked_at_the_call(self, dts):
+        # walk raises at the call; its iterator is never advanced.
+        with pytest.raises(ValueError, match="steps must be positive and finite"):
+            walk(PARAMS, P(0.3, 0.0), dts, 3, 0)
 
     def test_simulate_many(self):
         # Many paths are one batch, stacked on the leading axis.
