@@ -7,8 +7,8 @@ configuration so runs are round-trippable) and prints a one-line result.
 ``--seed`` fully determines stochastic outputs.  The CSV and the printed line
 write floats at 17 significant digits, so determinism checks are
 bit-meaningful; the JSON summary writes them as ``json`` does, in the shortest
-repr that reads back exactly (``0.18`` where the CSV has
-``0.17999999999999999``), and a non-finite float as ``null``, so that strict
+repr that reads back exactly (``0.45125`` where the CSV has
+``0.45124999999999998``), and a non-finite float as ``null``, so that strict
 JSON parsers read it (the CSV and the printed line keep ``nan``).
 
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure, 4 I/O.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+_CHUNK_ROWS = 8192      # CSV rows formatted and written at a time
 
 
 def _fmt(v) -> str:
@@ -161,14 +164,16 @@ def _finite_or_null(v):
 def _emit(args, header, table, summary: dict, line: str) -> int:
     """Write ``<command>.csv`` (``header``, then each row of ``table``, an
     iterable of tuples such as ``zip(*columns)``, one ``%``-format per row
-    shape; see ``_RowFormats``) and ``<command>.json`` (``summary`` plus the
-    resolved ``config``, non-finite floats as ``null``), print ``line``."""
+    shape; see ``_RowFormats``; ``_CHUNK_ROWS`` rows are formatted at a time)
+    and ``<command>.json`` (``summary`` plus the resolved ``config``,
+    non-finite floats as ``null``), print ``line``."""
     os.makedirs(args.output, exist_ok=True)
     stem = os.path.join(args.output, args.command)
     formats = _RowFormats()
-    lines = [formats[tuple(map(type, row))](row) for row in (tuple(header), *table)]
+    rows = itertools.chain([tuple(header)], table)
     with open(stem + ".csv", "w", newline="") as fh:
-        fh.write("".join(lines))
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            fh.write("".join([formats[tuple(map(type, row))](row) for row in chunk]))
     config = {k: v for k, v in vars(args).items() if k != "func"}
     with open(stem + ".json", "w") as fh:
         json.dump(_finite_or_null({"config": config, **summary}), fh, sort_keys=True,
@@ -244,13 +249,21 @@ def _cmd_simulate(args) -> int:
     cfg = SimConfig(params, _parse_point(args.x), args.step, args.n_steps, args.seed)
     batch = simulate_batch(cfg, args.n_paths)
     n_times = len(batch.times)
-    columns = [np.repeat(np.arange(args.n_paths), n_times).tolist(),
-               np.tile(np.arange(n_times), args.n_paths).tolist(),
-               np.tile(batch.times, args.n_paths).tolist(), batch.x1.ravel().tolist(),
-               *(batch.xp[..., k].ravel().tolist() for k in range(params.d - 1)),
-               batch.local_time.ravel().tolist(), batch.occupation_time.ravel().tolist()]
+    per = max(1, _CHUNK_ROWS // n_times)
+
+    def rows():
+        # Rows of ``per`` paths at a time, from slices of the batch's arrays.
+        for first in range(0, args.n_paths, per):
+            paths, m = slice(first, first + per), min(per, args.n_paths - first)
+            occ = batch.occupation_time[paths]
+            columns = [np.repeat(np.arange(first, first + m), n_times),
+                       np.tile(np.arange(n_times), m), np.tile(batch.times, m),
+                       batch.x1[paths], *(batch.xp[paths, :, k] for k in range(params.d - 1)),
+                       batch.theta * occ, occ]
+            yield from zip(*(c.ravel().tolist() for c in columns))
+
     frac = float(np.mean(batch.x1 == 0.0))
-    return _emit(args, ["path", "step", "t", *_coord_names(params.d), "L", "O"], zip(*columns),
+    return _emit(args, ["path", "step", "t", *_coord_names(params.d), "L", "O"], rows(),
                  {"boundary_fraction": frac},
                  f"paths={args.n_paths} steps={args.n_steps} boundary_fraction={_fmt(frac)}")
 

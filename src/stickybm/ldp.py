@@ -10,9 +10,10 @@ Monte Carlo with exact one-step sampling; rates are extracted by fitting
 the middle term absorbing the Gaussian ``eps^{-d/2}`` prefactors that make
 raw two-point slopes converge too slowly.  Reference rates are infima of the
 closed-form cost over the target sets.  Over one target the infimum is in
-closed form; over two or more waypoint targets, where the cost is the smaller
-of two convex rates on each segment, it is the smallest of a few convex
-programs.
+closed form.  Over two or more waypoint targets it is the closed-form lower
+bound of the binding target when the geodesic to that target's nearest point
+threads the others; otherwise, where the cost is the smaller of two convex
+rates on each segment, it is the smallest of a few convex programs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _sliced_sum, _sticky_rate_core,
-                       _tangential_gap)
+                       _tangential_gap, geodesic)
 from .geometry import cost  # noqa: F401 -- perfbench traces and asserts the ``ldp.cost`` binding
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
@@ -304,39 +305,60 @@ def min_cost_over_target(params: ModelParams, x: HalfSpacePoint, target) -> floa
     two candidates are the only ones, each kept when it meets both cuts.  When
     the target holds ``x`` the infimum is exactly 0.0.
     """
+    return _nearest(params, x, target)[0]
+
+
+def _nearest(params: ModelParams, x: HalfSpacePoint, target):
+    """``(value, point)``: :func:`min_cost_over_target`'s infimum and a point
+    of the target's closure that attains it, ``x`` itself when the target
+    holds ``x``.  The point is the winning candidate ``(y1, rho)`` placed at
+    ``y' = x' + rho (c' - x') / D``; it lies on the target's surface, so
+    rounding can put it just outside."""
     _check_experiment(params, x, [target])
     if target.contains(x.x1, np.asarray(x.xp)):
-        return 0.0
+        return 0.0, x
     x1 = x.x1
     centre = target.center_tangential if isinstance(target, BoundaryPatch) else target.center.xp
-    gap = math.hypot(*np.subtract(centre, x.xp))
+    offset = np.subtract(centre, x.xp)
+    gap = math.hypot(*offset)
     best, points = math.inf, []         # points: the (y1, rho) candidates for P
     if isinstance(target, Ball):
         c1, r = target.center.x1, target.radius
         # |x - c| - r, without the cancellation of a start close to the sphere
         u = x1 - c1
-        best = 0.5 * max(0.0, ((u - r) * (u + r) + gap * gap) / (math.hypot(u, gap) + r)) ** 2
+        norm = math.hypot(u, gap)
+        out = max(0.0, ((u - r) * (u + r) + gap * gap) / (norm + r))
+        best = 0.5 * out ** 2
+        # The ball's nearest point: x moved by out along (c - x) / |x - c|.
+        where = (max(0.0, x1 - u * (out / norm)), gap * (out / norm))
         if params.a > 1.0:
             points.append((c1 - r * math.sqrt(params.big_a / params.a),
                            gap - r / math.sqrt(params.a)))
     trace = _trace(target)
     if trace is not None:
         rho = max(0.0, gap - trace[1])
-        best = min(best, 0.5 * (x1 * x1 + rho * rho))
+        value = 0.5 * (x1 * x1 + rho * rho)
+        if value < best:
+            best, where = value, (0.0, rho)
         points.append((0.0, rho))
     if params.a > 1.0:
         root_a = math.sqrt(params.big_a)
         for y1, rho in points:
             if y1 >= 0.0 and root_a * rho >= x1 + y1:
-                best = min(best, (root_a * (x1 + y1) + rho) ** 2 / (2.0 * params.a))
-    return best
+                value = (root_a * (x1 + y1) + rho) ** 2 / (2.0 * params.a)
+                if value < best:
+                    best, where = value, (y1, rho)
+    y1, rho = where
+    unit = offset / gap if gap > 0.0 else offset
+    return best, HalfSpacePoint(y1, tuple(np.asarray(x.xp) + rho * unit))
 
 
 def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
     """Infimum of sum_j c(y_{j-1}, y_j) / dt_j over y_j in targets[j], y_0 = x.
 
-    :func:`min_sliced_cost` solves it this way for two or more waypoints; with
-    one, these programs are the test oracle of :func:`min_cost_over_target`.
+    :func:`min_sliced_cost` solves it this way for two or more waypoints that
+    its closed-form bounds leave open; these programs are the test oracle of
+    those bounds and, with one waypoint, of :func:`min_cost_over_target`.
     Each term is the smaller of the Euclidean and the sticky rate, both convex,
     and a Ball (``y1 >= 0, |y - c| <= r``) or BoundaryPatch (``y1 = 0,
     |y - (0, c')| <= r``) is convex, so the infimum is the smallest of ``2^k``
@@ -556,14 +578,36 @@ def discrete_waypoint_cost(params: ModelParams, x: HalfSpacePoint, waypoints) ->
 def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets) -> float:
     """Infimum of the sliced cost over the product of waypoint targets.  One
     waypoint at time ``t`` costs the closed form of
-    :func:`min_cost_over_target` over ``t``; ``k >= 2`` take the smallest of
-    ``2^k`` convex programs in all waypoints at once, one per choice of the
-    Euclidean or sticky branch on each segment (``k <= 2`` for every caller
-    here)."""
-    dts = _waypoint_dts([t for t, _ in waypoint_sets])
+    :func:`min_cost_over_target` over ``t``.
+
+    For ``k >= 2`` waypoints the cost is half a squared distance that obeys
+    the triangle inequality, so by Cauchy-Schwarz every target ``j`` bounds
+    the infimum below by its own closed form ``v_j / t_j``; let ``j*`` attain
+    the largest (the later on a tie) at the point ``y*``.  The constant-speed
+    geodesic from ``x`` to ``y*``, read at ``t_i / t_{j*}`` for ``i < j*`` and
+    held at ``y*`` after, costs that bound.  When each of its points other
+    than ``y*`` itself lies in its target and their sliced cost is within
+    1e-12 relative of the bound, that cost is the infimum and no program
+    runs.  Otherwise it is the smallest of the ``2^k`` convex programs of
+    :func:`_min_sliced`, one per choice of the Euclidean or sticky branch on
+    each segment."""
+    times = [float(t) for t, _ in waypoint_sets]
+    dts = _waypoint_dts(times)
     targets = [b for _, b in waypoint_sets]
     if len(targets) == 1:
         return min_cost_over_target(params, x, targets[0]) / dts[0]
+    lower, star, y_star = -math.inf, 0, x
+    for j, (t, target) in enumerate(zip(times, targets)):
+        value, point = _nearest(params, x, target)
+        if value / t >= lower:
+            lower, star, y_star = value / t, j, point
+    path = geodesic(params, x, y_star).path
+    ys = [path.at(t / times[star]) for t in times[:star]] + [y_star] * (len(targets) - star)
+    if all(target.contains(y.x1, np.asarray(y.xp))
+           for i, (y, target) in enumerate(zip(ys, targets)) if i != star):
+        total = _sliced_sum(params, [x, *ys], dts)
+        if abs(total - lower) <= 1e-12 * lower:
+            return total
     return _min_sliced(params, x, dts, targets)
 
 

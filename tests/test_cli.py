@@ -69,6 +69,17 @@ class TestDispatch:
             f"print([main(argv) for argv in {argvs!r}], 'scipy.optimize' in sys.modules)"
         ).splitlines()[-1] == "[0, 0] False"
 
+    def test_readme_ldp_path_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # The closed-form bounds settle README's waypoints, so `ldp-path`
+        # runs no SLSQP program and never imports the solver.
+        line = next(line for line in readme_cli_lines() if line.startswith("stickybm ldp-path"))
+        argv = shlex.split(line, comments=True)[1:]
+        argv[argv.index("-o") + 1] = str(tmp_path)
+        assert fresh_python(
+            "import sys; from stickybm.cli import main; "
+            f"print(main({argv!r}), 'scipy.optimize' in sys.modules)"
+        ).splitlines()[-1] == "0 False"
+
     def test_total_mass_leaves_numpy_ma_unloaded(self):
         # The fixed rule's panel edges are built sorted, not by np.unique,
         # which imports numpy.ma.
@@ -433,6 +444,34 @@ class TestSimulateCli:
         # L = theta * O in every row
         for row in rows[1:]:
             assert float(row[5]) == 1.5 * float(row[6])
+
+    def test_chunks_write_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        # 3 paths x 6 times: chunks of one path for the rows, of 4 rows for
+        # the writer, so neither lines up with the other or with the table.
+        args = ["simulate", "--a", "2", "--theta", "1", "--x", "0.3,0",
+                "--step", "0.1", "--n-steps", "5", "--n-paths", "3", "--seed", "7"]
+        run(tmp_path / "whole", *args)
+        monkeypatch.setattr(stickybm.cli, "_CHUNK_ROWS", 4)
+        run(tmp_path / "chunks", *args)
+        capsys.readouterr()
+        whole = (tmp_path / "whole" / "simulate.csv").read_bytes()
+        assert (tmp_path / "chunks" / "simulate.csv").read_bytes() == whole
+        assert whole.count(b"\n") == 1 + 3 * 6
+
+    def test_large_run_holds_bounded_memory(self, tmp_path):
+        # 250 paths x 1 000 steps, 250 250 rows: the batch's arrays and the
+        # walk's draws take about 14 MB; holding the table as Python lists
+        # took the peak up by 115-157 MB.
+        argv = ["simulate", "--a", "2", "--theta", "1.5", "--x", "0.3,0", "--step", "0.01",
+                "--n-steps", "1000", "--n-paths", "250", "--seed", "7", "-o", str(tmp_path)]
+        growth = float(fresh_python(
+            "import resource, scipy.special; from stickybm.cli import main; "
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            f"before = peak(); main({argv!r}); print((peak() - before) / 1024)"
+        ).splitlines()[-1])
+        rows = (tmp_path / "simulate.csv").read_bytes().count(b"\n")
+        assert rows == 1 + 250 * 1001
+        assert growth < 40.0
 
     def test_zero_paths_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
         forbid(monkeypatch, stickybm.simulate, "step_batch")

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import shlex
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,13 +12,14 @@ import pytest
 import stickybm.kernel
 import stickybm.ldp
 import stickybm.simulate
-from stickybm.cli import main
+from stickybm.cli import _parse_waypoint, main
 from stickybm.geometry import (
     HalfSpacePoint,
     ModelParams,
     cost,
     cost_batch,
     euclidean_rate,
+    geodesic,
     sticky_rate,
 )
 from stickybm.ldp import (
@@ -35,13 +37,14 @@ from stickybm.ldp import (
     static_ldp,
     _branch_cost,
     _min_sliced,
+    _nearest,
     _target_constraints,
 )
 from stickybm.kernel import log_densities
 from stickybm.quadrature import QuadratureSpec, gauss_legendre, logsumexp
 from stickybm.simulate import walk
 
-from oracles import unpruned_hit_counts, wilson_interval
+from oracles import readme_cli_lines, unpruned_hit_counts, wilson_interval
 
 SPEC = QuadratureSpec()
 
@@ -190,7 +193,9 @@ class TestExactReferenceRates:
 
         monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs: SimpleNamespace(
             success=False, message="Iteration limit reached"))
-        sets = [(0.5, Ball(P(0.0, 1.0), 0.1)), (1.0, Ball(P(0.0, 2.0), 0.1))]
+        # The first ball is off the geodesic to the second, so the bounds
+        # leave the rate open and the programs run.
+        sets = [(0.5, Ball(P(0.5, 1.0), 0.1)), (1.0, Ball(P(0.0, 2.0), 0.1))]
         with pytest.raises(RuntimeError, match=r"failed on \[Ball\(.*Iteration limit reached"):
             min_sliced_cost(ModelParams(4.0, 1.0), P(0.0, 0.0), sets)
 
@@ -295,6 +300,136 @@ class TestClosedFormReferenceRates:
         closed = min_cost_over_target(params, x, far)
         assert closed < 0.98 * ball_euclidean_infimum(x, far)
         assert closed == pytest.approx(_min_sliced(params, x, np.ones(1), [far]), rel=1e-10)
+
+
+def multi_waypoint_cases(n, seed):
+    """``n`` seeded problems ``(params, x, waypoint_sets)`` of two and three
+    waypoints: d = 2 and 3, several ``a``, balls on, across and above the
+    boundary, and patches, anywhere; a third of the starts on y1 = 0."""
+    rng = np.random.default_rng(seed)
+    kinds = ("on", "crossing", "high", "patch")
+    for i in range(n):
+        d, a, k = 2 + i % 2, (0.5, 1.5, 2.0, 4.0, 9.0)[i % 5], 2 + (i // 2) % 2
+        x = HalfSpacePoint(0.0 if i % 3 == 0 else float(rng.uniform(0.0, 1.5)),
+                           tuple(rng.uniform(-2.0, 2.0, d - 1)))
+        times = np.sort(rng.uniform(0.05, 1.0, k))
+        sets = []
+        for t, kind in zip(times.tolist(), rng.choice(kinds, k)):
+            r, cp = float(rng.uniform(0.1, 1.0)), tuple(rng.uniform(-3.0, 3.0, d - 1))
+            c1 = {"on": 0.0, "crossing": float(rng.uniform(0.0, r)),
+                  "high": r + float(rng.uniform(0.2, 2.0))}.get(kind)
+            sets.append((t, BoundaryPatch(cp, r) if kind == "patch"
+                         else Ball(HalfSpacePoint(c1, cp), r)))
+        yield ModelParams(a, 1.0, d), x, sets
+
+
+def geodesic_waypoint_cases(n, seed):
+    """``n`` seeded problems whose waypoint balls sit around the points of
+    one geodesic at the waypoint times, each centre jittered by a normal of
+    scale 0.3 r (and lifted to y1 >= 0)."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        d, a, k = 2 + i % 2, (0.5, 1.5, 2.0, 4.0, 9.0)[i % 5], 2 + (i // 2) % 2
+        params = ModelParams(a, 1.0, d)
+        x = HalfSpacePoint(0.0 if i % 3 == 0 else float(rng.uniform(0.0, 1.5)),
+                           tuple(rng.uniform(-2.0, 2.0, d - 1)))
+        y = HalfSpacePoint(0.0 if i % 3 == 1 else float(rng.uniform(0.0, 1.5)),
+                           tuple(rng.uniform(-4.0, 4.0, d - 1)))
+        times = np.sort(rng.uniform(0.1, 1.0, k))
+        times[-1] = 1.0
+        path = geodesic(params, x, y).path
+        sets = []
+        for t in times.tolist():
+            r = float(rng.uniform(0.1, 0.6))
+            c = path.at(t).coords() + rng.normal(0.0, 0.3 * r, d)
+            sets.append((t, Ball(HalfSpacePoint(max(c[0], 0.0), tuple(c[1:])), r)))
+        yield params, x, sets
+
+
+def programs(params, x, sets):
+    """``_min_sliced`` on waypoint sets."""
+    return _min_sliced(params, x, np.diff([0.0, *(t for t, _ in sets)]), [b for _, b in sets])
+
+
+class TestSlicedBounds:
+    """Two or more waypoints: the closed-form lower bound ``max_j v_j / t_j``
+    and the geodesic to the binding target's nearest point settle the rate
+    when they meet, and the programs run only when they do not."""
+
+    CRITERION_9 = [(0.5, Ball(P(0.0, 1.0), 0.8)), (1.0, Ball(P(0.0, 2.0), 0.8))]
+
+    def test_benchmark_and_readme_waypoints_settle_without_programs(self, monkeypatch):
+        line = next(line for line in readme_cli_lines() if line.startswith("stickybm ldp-path"))
+        argv = shlex.split(line, comments=True)
+        readme = [_parse_waypoint(w) for w in argv[argv.index("--waypoints") + 1].split(";")]
+        monkeypatch.setattr(stickybm.ldp, "_min_sliced", None)
+        for sets in (self.CRITERION_9, readme):
+            rate = min_sliced_cost(ModelParams(4.0, 1.0), P(0.0, 0.0), sets)
+            assert abs(rate - 1.2 ** 2 / 8.0) <= 4 * math.ulp(0.18), rate
+
+    def test_nearest_point_attains_the_closed_form(self):
+        outside = 0
+        for params, x, target in closed_form_cases(3000, 7):
+            value, point = _nearest(params, x, target)
+            assert value == min_cost_over_target(params, x, target)
+            assert cost(params, x, point) == pytest.approx(value, rel=1e-11, abs=0.0)
+            outside += not target.contains(point.x1, np.asarray(point.xp))
+        # The nearest point lies on the target's surface, and rounding puts
+        # many just outside; so the bounds never test it for membership.
+        assert outside > 500
+
+    def test_nearest_point_outside_by_rounding_still_settles(self, monkeypatch):
+        for params, x, target in closed_form_cases(3000, 7):
+            value, point = _nearest(params, x, target)
+            if (params.d == 2 and isinstance(target, Ball) and value > 0.0
+                    and not target.contains(point.x1, np.asarray(point.xp))):
+                break
+        else:
+            pytest.fail("every nearest point of a d = 2 ball lies in its ball")
+        # A small ball around the geodesic's midpoint binds less (at most
+        # value / 4 over 0.5), so the last target binds at its nearest point.
+        halfway = geodesic(params, x, point).path.at(0.5)
+        sets = [(0.5, Ball(halfway, 0.1)), (1.0, target)]
+        monkeypatch.setattr(stickybm.ldp, "_min_sliced", None)
+        assert min_sliced_cost(params, x, sets) == pytest.approx(value, rel=1e-12)
+
+    def test_lower_bound_never_above_the_programs(self):
+        for params, x, sets in multi_waypoint_cases(60, 31):
+            lower = max(min_cost_over_target(params, x, b) / t for t, b in sets)
+            assert lower <= programs(params, x, sets) * (1.0 + 1e-12), (params, x, sets)
+
+    def test_settled_rates_match_the_programs(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _min_sliced(*args)
+
+        monkeypatch.setattr(stickybm.ldp, "_min_sliced", spy)
+        settled = 0
+        for params, x, sets in geodesic_waypoint_cases(60, 41):
+            calls.clear()
+            rate = min_sliced_cost(params, x, sets)
+            if calls:
+                continue
+            settled += 1
+            oracle = programs(params, x, sets)
+            # Never above the programs by more than rounding; the programs
+            # stop at ftol = 1e-11 and so sit up to 1e-10 above.
+            assert rate <= oracle * (1.0 + 8.0 * np.finfo(float).eps), (params, x, sets)
+            assert rate >= oracle * (1.0 - 1e-10), (params, x, sets)
+        assert settled >= 30
+
+    def test_binding_target_before_the_last_holds_its_point(self, monkeypatch):
+        # Reaching the first ball by t = 0.5 binds (1.9^2 / 8 over 0.5); the
+        # second ball holds that nearest point, where the path then stays.
+        params, x = ModelParams(4.0, 1.0), P(0.0, 0.0)
+        sets = [(0.5, Ball(P(0.0, 2.0), 0.1)), (1.0, Ball(P(0.0, 1.9), 0.5))]
+        oracle = programs(params, x, sets)
+        monkeypatch.setattr(stickybm.ldp, "_min_sliced", None)
+        rate = min_sliced_cost(params, x, sets)
+        assert rate == pytest.approx(1.9 ** 2 / 4.0, rel=1e-14)
+        assert rate == pytest.approx(oracle, rel=1e-10)
 
 
 def central_differences(f, v, h=1e-6):
