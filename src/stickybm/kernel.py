@@ -26,10 +26,15 @@ after the 20 subdivisions allowed.
 :func:`log_sticky_integral` takes arrays of gaps and integrates all of them
 in one breadth-first batch; it is the one place that handles their shapes,
 and it hands ``log_integrate`` a flat batch of integrands on ``[0, 1]``, one
-peak split each.  :func:`log_densities` turns such a batch into ``log q``,
-and it is the one way to evaluate the kernel.  The building
-blocks ``h``, ``g`` and ``g0`` exist only as their logarithms (``_log_h``,
-``_log_g``, ``_log_killed_kernel``).  The total-mass check
+peak split each and one integrand per distinct ``(s, v)`` pair, so a pair
+that repeats (``|y' - x'|`` across a grid's symmetric axis) is integrated
+once.  :func:`log_densities` turns such a batch into ``log q``, and it is
+the one way to evaluate the kernel.  The building blocks ``h``, ``g`` and
+``g0`` exist only as their logarithms (``_log_h``, ``_log_g``,
+``_log_killed_kernel``); ``_log_h``, ``_log_g``, the integrand and the
+fixed rule write into one output array per call, not a temporary per
+operator, in the order of the plain expressions (the tests' oracles), so
+their values are the same bits.  The total-mass check
 :func:`kernel_total_mass` uses the fixed-rule ``_sticky_log_grid`` instead:
 about 10^5 values cost hundredths of a second there against seconds
 adaptively.  The Chapman-Kolmogorov and Fokker-Planck residuals, which only
@@ -57,18 +62,30 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # Building-block log densities
 # ---------------------------------------------------------------------------
 
-def _log_h(t, w):
-    """log h(t, w), vectorized, -inf where the density vanishes."""
+def _log_h(t, w, out=None):
+    """log h(t, w), vectorized, -inf where the density vanishes.
+
+    Writes into ``out`` when given: an array of the broadcast shape, which
+    may be ``w`` itself.
+    """
     t = np.asarray(t, dtype=float)
     w = np.asarray(w, dtype=float)
+    t_pos, w_pos = t > 0, w > 0
+    t_safe = np.where(t_pos, t, 1.0)
+    shape = np.broadcast(t, w).shape
+    if out is None:
+        out = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            (t > 0) & (w > 0),
-            np.log(np.where(w > 0, w, 1.0)) - 0.5 * _LOG_2PI
-            - 1.5 * np.log(np.where(t > 0, t, 1.0))
-            - w * w / (2.0 * np.where(t > 0, t, 1.0)),
-            -np.inf,
-        )
+        tail = np.multiply(w, w, out=np.empty(shape))
+        tail /= 2.0 * t_safe
+        if out is not w:
+            np.copyto(out, w)
+        np.copyto(out, 1.0, where=~w_pos)
+        np.log(out, out=out)
+        out -= 0.5 * _LOG_2PI
+        out -= 1.5 * np.log(t_safe)
+        out -= tail
+    np.copyto(out, -np.inf, where=~(t_pos & w_pos))
     return out
 
 
@@ -76,7 +93,11 @@ def _log_g(t, v, d):
     """log of the (d-1)-Gaussian at radius v, vectorized."""
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
-    return -0.5 * (d - 1) * (np.log(t) + _LOG_2PI) - v * v / (2.0 * t)
+    out = np.divide(v * v, 2.0 * t, out=np.empty(np.broadcast(t, v).shape))
+    lead = np.log(t)
+    lead += _LOG_2PI
+    lead *= -0.5 * (d - 1)
+    return np.subtract(lead, out, out=out)
 
 
 def _log_killed_kernel(t, x1, z):
@@ -107,8 +128,13 @@ def _sticky_log_integrand_m(params: ModelParams, t: float, s: np.ndarray, v: np.
 
     def log_f(rows, m):
         m = np.asarray(m, dtype=float)
-        return (_log_h(t * m, w_top[rows, None] - th * t * m)
-                + _log_g(t * (1.0 + big_a) - t * big_a * m, v[rows, None], d))
+        w = np.multiply(th * t, m)
+        np.subtract(w_top[rows, None], w, out=w)
+        out = _log_h(t * m, w, out=w)
+        t_g = np.multiply(t * big_a, m)
+        np.subtract(t * (1.0 + big_a), t_g, out=t_g)
+        out += _log_g(t_g, v[rows, None], d)
+        return out
 
     return log_f
 
@@ -159,20 +185,29 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float, s, 
         raise ValueError(f"log_sticky_integral needs 0 < t < inf, got t={t!r}")
     s, v = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(v, dtype=float))
     shape = s.shape
-    s, v = s.ravel(), v.ravel()
+    # Each distinct (s, v) pair is integrated once: sorted by (s, v), a pair
+    # opens a group where it differs from the one before it.
+    order = np.lexsort((v.ravel(), s.ravel()))
+    s, v = s.ravel()[order], v.ravel()[order]
+    opens = np.ones(s.size, dtype=bool)
+    opens[1:] = (s[1:] != s[:-1]) | (v[1:] != v[:-1])
+    caller = order[opens]
+    s, v = s[opens], v[opens]
     th = params.theta
-    out = np.empty(s.size)
+    values = np.empty(s.size)
     for start in range(0, s.size, _MAX_BATCH):
         part = slice(start, start + _MAX_BATCH)
         log_f = _sticky_log_integrand_m(params, t, s[part], v[part])
         peaks = _sticky_peak_m(log_f, s[part].size)
         try:
-            out[part] = math.log(th * t) + log_integrate(log_f, peaks, spec)
+            values[part] = math.log(th * t) + log_integrate(log_f, peaks, spec)
         except QuadratureError as exc:
             k = start + exc.index
             raise QuadratureError(
                 f"sticky integral at a={params.a!r}, theta={th!r}, t={t!r}, "
-                f"s={float(s[k])!r}, v={float(v[k])!r}: {exc}", index=k) from exc
+                f"s={float(s[k])!r}, v={float(v[k])!r}: {exc}", index=int(caller[k])) from exc
+    out = np.empty(order.size)
+    out[order] = values[np.cumsum(opens) - 1]
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -209,17 +244,22 @@ def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
     v_vals = np.asarray(v_vals, dtype=float).ravel()
     th, big_a, d = params.theta, params.big_a, params.d
 
-    f1 = _log_h((t * m)[None, :], (th * t + s_vals[:, None]) - (th * t * m)[None, :])
-    f1 = f1 + np.log(w)[None, :] + math.log(th * t)
+    w_h = (th * t + s_vals[:, None]) - (th * t * m)[None, :]
+    f1 = _log_h((t * m)[None, :], w_h, out=w_h)
+    f1 += np.log(w)[None, :]
+    f1 += math.log(th * t)
     f2 = _log_g((t * (1.0 + big_a) - t * big_a * m)[None, :], v_vals[:, None], d)
 
     m1 = np.max(f1, axis=1)
     m2 = np.max(f2, axis=1)
-    e1 = np.exp(f1 - m1[:, None])
-    e2 = np.exp(f2 - m2[:, None])
-    prod = e1 @ e2.T
+    f1 -= m1[:, None]
+    f2 -= m2[:, None]
+    prod = np.exp(f1, out=f1) @ np.exp(f2, out=f2).T
     with np.errstate(divide="ignore"):
-        return m1[:, None] + m2[None, :] + np.log(prod)
+        np.log(prod, out=prod)
+    out = m1[:, None] + m2[None, :]
+    out += prod
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +282,18 @@ def log_densities(params: ModelParams, spec: QuadratureSpec, t: float,
 
     At a boundary target the kernel's density w.r.t. ``dy'`` is
     ``q / (2 theta)``.  All local-time integrals go to
-    :func:`log_sticky_integral` as one batch.
+    :func:`log_sticky_integral` as one batch.  Raises ``ValueError``, naming
+    the argument and its first bad value, unless ``x1`` and ``y1`` are finite
+    and at least 0 and ``v`` is at least 0 (``v = inf`` is a zero density).
     """
-    x1, y1, v = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (x1, y1, v)))
+    x1, y1, v = (np.asarray(z, dtype=float) for z in (x1, y1, v))
+    for name, z, ok in (("x1", x1, (x1 >= 0.0) & (x1 < math.inf)),
+                        ("y1", y1, (y1 >= 0.0) & (y1 < math.inf)),
+                        ("v", v, v >= 0.0)):
+        if not ok.all():
+            need = "at least 0" if name == "v" else "finite and at least 0"
+            raise ValueError(f"log_densities needs {name} {need}, got {name}={float(z[~ok][0])!r}")
+    x1, y1, v = np.broadcast_arrays(x1, y1, v)
     return _compose(params, t, x1, y1, v, log_sticky_integral(params, spec, t, x1 + y1, v))
 
 

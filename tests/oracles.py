@@ -21,6 +21,9 @@ and ``kernel._grid_densities`` through the module, so a test that wraps
 either there sees every call.  :func:`bivariate_density` is the joint law of
 (horizontal position, local time) from the kernel's log building blocks, and
 :func:`modulus_statistics` the path-oscillation frequency of a sampled batch.
+The kernel's in-place building blocks have their plain numpy expressions,
+:func:`reference_log_h`, :func:`reference_log_g` and
+:func:`reference_sticky_log_grid`, which they must match bit for bit.
 The CLI's CSV writer has :func:`reference_csv`, which formats and quotes one
 value at a time through ``csv.writer``, and the CLI's documented use has
 :func:`readme_cli_lines`, the examples of README's CLI block.
@@ -161,6 +164,56 @@ def plain_sinkhorn_plan(log_k, a, b, tol=1e-12, max_iter=100000):
         if max(np.abs(pi.sum(axis=1) - a).max(), np.abs(pi.sum(axis=0) - b).max()) < tol:
             return pi
     raise RuntimeError(f"plain Sinkhorn did not reach {tol} in {max_iter} sweeps")
+
+
+# ---------------------------------------------------------------------------
+# Kernel building blocks, one numpy expression each
+# ---------------------------------------------------------------------------
+# The kernel writes these in place, into one output array per call; here each
+# is the plain expression, with its floating-point operations in the same
+# order, so the two must agree bit for bit.
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def reference_log_h(t, w):
+    """log h(t, w), -inf where the density vanishes."""
+    t = np.asarray(t, dtype=float)
+    w = np.asarray(w, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            (t > 0) & (w > 0),
+            np.log(np.where(w > 0, w, 1.0)) - 0.5 * _LOG_2PI
+            - 1.5 * np.log(np.where(t > 0, t, 1.0))
+            - w * w / (2.0 * np.where(t > 0, t, 1.0)),
+            -np.inf,
+        )
+
+
+def reference_log_g(t, v, d):
+    """log of the (d-1)-Gaussian at radius v."""
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return -0.5 * (d - 1) * (np.log(t) + _LOG_2PI) - v * v / (2.0 * t)
+
+
+def reference_sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
+    """``kernel._sticky_log_grid``'s fixed-rule matrix, one expression a step."""
+    edges = kernel._GRID_EDGES
+    nodes01, w01 = gauss_legendre(kernel._GRID_ORDER)
+    m = (edges[:-1, None] + np.diff(edges)[:, None] * nodes01[None, :]).ravel()
+    w = (np.diff(edges)[:, None] * w01[None, :]).ravel()
+    s_vals = np.asarray(s_vals, dtype=float).ravel()
+    v_vals = np.asarray(v_vals, dtype=float).ravel()
+    th, big_a, d = params.theta, params.big_a, params.d
+    f1 = reference_log_h((t * m)[None, :], (th * t + s_vals[:, None]) - (th * t * m)[None, :])
+    f1 = f1 + np.log(w)[None, :] + math.log(th * t)
+    f2 = reference_log_g((t * (1.0 + big_a) - t * big_a * m)[None, :], v_vals[:, None], d)
+    m1 = np.max(f1, axis=1)
+    m2 = np.max(f2, axis=1)
+    prod = np.exp(f1 - m1[:, None]) @ np.exp(f2 - m2[:, None]).T
+    with np.errstate(divide="ignore"):
+        return m1[:, None] + m2[None, :] + np.log(prod)
 
 
 # ---------------------------------------------------------------------------

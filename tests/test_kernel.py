@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre,
 
 from oracles import (_h_density, bivariate_density, chapman_kolmogorov_residual,
                      fixed_gauss_legendre_integral, fokker_planck_residual,
-                     fp_residuals_from_fields)
+                     fp_residuals_from_fields, reference_log_g, reference_log_h,
+                     reference_sticky_log_grid)
 
 
 SPEC = QuadratureSpec()
@@ -91,6 +93,56 @@ class TestBuildingBlocks:
         r = math.hypot(0.4, -1.2)
         assert math.exp(_log_g(2.0, r, 3)) == pytest.approx(
             math.exp(_log_g(1.0, r / math.sqrt(2), 3)) / 2.0, rel=1e-14)
+
+
+def _block_inputs():
+    """Seeded (t, w) pairs for the building blocks: scalars, 0-d arrays, row
+    against column broadcasts, and arrays seeded with t <= 0, w <= 0, NaN
+    and +-inf."""
+    rng = np.random.default_rng(3207)
+    special = np.array([0.0, -0.0, -0.7, math.nan, math.inf, -math.inf, 1e-300])
+    row = np.concatenate((rng.uniform(-0.5, 2.0, 9), special))[None, :]
+    col = np.concatenate((rng.uniform(-0.5, 3.0, 5), special))[:, None]
+    t = rng.uniform(-0.2, 2.0, (6, 11))
+    w = rng.uniform(-0.3, 3.0, (6, 11))
+    t.flat[::7] = special[rng.integers(0, special.size, t.flat[::7].size)]
+    w.flat[::5] = special[rng.integers(0, special.size, w.flat[::5].size)]
+    return [(1.0, 1.0), (0.37, 0.0), (-1.0, 2.0), (2.0, math.nan), (math.inf, 1.0),
+            (np.array(0.8), np.array(1.3)), (np.array(0.8), 1.3), (0.8, col),
+            (row, col), (col, row), (row, 0.4), (t, w), (t[:1], w)]
+
+
+class TestInPlaceBlocks:
+    """The in-place building blocks against their plain numpy expressions:
+    the same floating-point operations in the same order, so the same
+    bits."""
+
+    @pytest.mark.parametrize("k", range(len(_block_inputs())))
+    def test_log_h(self, k):
+        t, w = _block_inputs()[k]
+        got, ref = _log_h(t, w), reference_log_h(t, w)
+        assert np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", range(len(_block_inputs())))
+    def test_log_g(self, k, d):
+        t, v = _block_inputs()[k]
+        with np.errstate(all="ignore"):
+            got, ref = _log_g(t, v, d), reference_log_g(t, v, d)
+        assert np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("a, theta, d, t", [
+        (0.5, 2.0, 2, 0.25), (1.0, 0.5, 2, 1.0), (4.0, 0.5, 3, 0.05), (4.0, 2.0, 2, 1.0)])
+    def test_sticky_log_grid(self, a, theta, d, t):
+        rng = np.random.default_rng(3208)
+        params = ModelParams(a, theta, d)
+        s = np.concatenate(([0.0], rng.uniform(0.0, 4.0 * math.sqrt(t), 9)))
+        v = np.concatenate(([0.0], rng.uniform(0.0, 6.0 * math.sqrt(t * a), 7)))
+        got, ref = _sticky_log_grid(params, t, s, v), reference_sticky_log_grid(params, t, s, v)
+        assert got.shape == (10, 8)
+        assert np.array_equal(got, ref)
 
 
 class TestBivariate:
@@ -164,6 +216,19 @@ class TestTransitionKernel:
         for (a, th, t, x1) in [(2.0, 1.0, 0.5, 0.3), (0.5, 2.0, 1.0, 0.0)]:
             mass = kernel_total_mass(ModelParams(a, th, 2), t, P(x1, 0.0))
             assert mass == pytest.approx(1.0, abs=1e-9)
+
+    def test_total_mass_peak_memory(self):
+        # The fixed rule's 97 x 336 working arrays are written in place: one
+        # warm call peaks at 1.0 MB at most under tracemalloc.
+        params, x = ModelParams(4.0, 0.5), P(0.3, 0.0)
+        kernel_total_mass(params, 0.25, x)
+        tracemalloc.start()
+        try:
+            kernel_total_mass(params, 0.25, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
     def test_normalization_d3(self):
         mass = kernel_total_mass(ModelParams(2.0, 1.0, 3), 0.5, HalfSpacePoint(0.2, (0.0, 0.0)))
@@ -254,6 +319,28 @@ class TestTransitionKernel:
 
 
 class TestLogKernel:
+    @pytest.mark.parametrize("x1, y1, v, name, bad", [
+        (0.3, -0.2, 1.0, "y1", "-0.2"),
+        (-0.3, 0.2, 1.0, "x1", "-0.3"),
+        (0.3, 0.2, -1.0, "v", "-1.0"),
+        (0.3, math.nan, 1.0, "y1", "nan"),
+        (math.inf, 0.2, 1.0, "x1", "inf"),
+        (0.3, [0.1, -math.inf, -1.0], 1.0, "y1", "-inf"),
+        (0.3, 0.2, [0.5, math.nan, -2.0], "v", "nan"),
+    ], ids=["y1-negative", "x1-negative", "v-negative", "y1-nan", "x1-inf", "y1-minus-inf",
+            "v-nan"])
+    def test_rejects_points_outside_the_half_space(self, monkeypatch, x1, y1, v, name, bad):
+        def not_yet(*args, **kwargs):
+            raise AssertionError("quadrature ran before the input was validated")
+
+        monkeypatch.setattr(stickybm.kernel, "log_sticky_integral", not_yet)
+        with pytest.raises(ValueError, match=rf"log_densities needs {name} .*, got {name}={bad}$"):
+            log_densities(ModelParams(2.0, 1.0), SPEC, 0.5, x1, y1, v)
+
+    def test_infinite_tangential_distance_is_a_zero_density(self):
+        got = log_densities(ModelParams(2.0, 1.0), SPEC, 0.5, [0.3, 0.0], 0.2, math.inf)
+        assert np.array_equal(got, [-math.inf, -math.inf])
+
     def test_varadhan_boundary_pair(self):
         params = ModelParams(4.0, 1.0)
         x, y = P(0.0, 0.0), P(0.0, 1.0)
@@ -435,6 +522,38 @@ class TestBatch:
         with pytest.raises(ValueError, match="0 < t < inf"):
             log_sticky_integral(ModelParams(2.0, 1.5), SPEC, t, [0.5, 1.0], 0.75)
 
+    def test_repeated_and_mirrored_pairs_match_one_at_a_time_bit_for_bit(self):
+        # Rows of a grid symmetric in y': |y' - x'| repeats across the axis,
+        # and two rows are the same row.
+        params, t = ModelParams(2.0, 1.5), 0.25
+        s = np.repeat([0.0, 0.3, 0.3, 1.2], 7)[:, None] * np.ones((1, 2))
+        v = np.abs(np.tile(np.linspace(-1.0, 1.0, 7), 4))[:, None] * np.array([1.0, 0.5])
+        batch = log_sticky_integral(params, SPEC, t, s, v)
+        alone = np.array([log_sticky_integral(params, SPEC, t, float(si), float(vi))
+                          for si, vi in zip(s.ravel(), v.ravel())]).reshape(s.shape)
+        assert np.array_equal(batch, alone)
+        repeated = log_sticky_integral(params, SPEC, t, np.full(5, 0.3), 0.5)
+        assert np.array_equal(repeated, np.full(5, alone[7, 1]))
+
+    @pytest.mark.parametrize("gaps, n_pairs, n_distinct", [
+        (lambda: _kernel_grid_gaps(1.0), 256, 176),
+        (lambda: (np.full(9, 0.4), np.full(9, 1.1)), 9, 1),
+        (lambda: (0.4, 1.1), 1, 1),
+    ], ids=["kernel-grid-t1", "one-pair-repeated", "scalar"])
+    def test_one_integrand_per_distinct_pair(self, monkeypatch, gaps, n_pairs, n_distinct):
+        seen = []
+
+        def spy(params, t, s, v):
+            seen.extend(zip(s.tolist(), v.tolist()))
+            return _sticky_log_integrand_m(params, t, s, v)
+
+        monkeypatch.setattr(stickybm.kernel, "_sticky_log_integrand_m", spy)
+        s, v = np.broadcast_arrays(*gaps())
+        s, v = s.ravel()[:n_pairs], v.ravel()[:n_pairs]
+        log_sticky_integral(ModelParams(1.0, 1.0), SPEC, 1.0, s, v)
+        assert len(seen) == len(set(seen)) == n_distinct
+        assert set(seen) == set(zip(s.tolist(), v.tolist()))
+
 
 class TestQuadratureFailure:
     def test_batch_error_names_the_failing_integrand(self):
@@ -445,6 +564,14 @@ class TestQuadratureFailure:
                                 [0.3, 1.0, 0.0], [1.0, 0.3, 3.0])
         msg = str(err.value)
         assert "s=0.0, v=3.0" in msg and "s=0.3" not in msg
+        assert err.value.index == 2
+
+    def test_error_carries_the_first_caller_index_of_a_repeated_pair(self):
+        spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+        with pytest.raises(QuadratureError) as err:
+            log_sticky_integral(ModelParams(2.0, 1.5), spec, 1e-3,
+                                [[0.3, 1.0], [0.0, 0.0]], [[1.0, 0.3], [3.0, 3.0]])
+        assert "s=0.0, v=3.0" in str(err.value)
         assert err.value.index == 2
 
     def test_error_names_the_evaluation(self, monkeypatch):
