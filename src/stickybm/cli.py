@@ -30,10 +30,9 @@ import numpy as np
 from .geometry import HalfSpacePoint, ModelParams, cost, geodesic
 from .kernel import log_densities
 from .ldp import Ball, BoundaryPatch, phase_transition_scan, sliced_ldp, static_ldp
-from .quadrature import QuadratureError, QuadratureSpec
+from .quadrature import QuadratureSpec
 from .simulate import SimConfig, simulate_batch
-from .transport import (DiscreteMeasure, TransportConvergenceError,
-                        displacement_interpolation, gamma_limit_experiment,
+from .transport import (DiscreteMeasure, displacement_interpolation, gamma_limit_experiment,
                         kantorovich, schrodinger)
 
 EXIT_OK = 0
@@ -226,12 +225,10 @@ def _cmd_kernel(args) -> int:
     y1s = np.linspace(0.0, y1_max, n)
     yps = np.linspace(x.xp[0] - w, x.xp[0] + w, n)
     # The n x n grid row by row, then the boundary row, which repeats the
-    # first (y1s[0] = 0) and so reuses its densities.
+    # first (y1s[0] = 0); log_densities integrates each repeated pair once.
     y1 = np.concatenate((np.repeat(y1s, n), np.zeros(n)))
     yp = np.concatenate((np.tile(yps, n), yps))
-    grid = np.exp(log_densities(params, QuadratureSpec(), t, x.x1, y1[: n * n],
-                                np.abs(yp[: n * n] - x.xp[0])))
-    interior = np.concatenate((grid, grid[:n]))
+    interior = np.exp(log_densities(params, QuadratureSpec(), t, x.x1, y1, np.abs(yp - x.xp[0])))
     # mu's boundary weight: the density w.r.t. dy' on y1 = 0 is q / (2 theta)
     boundary = np.where(y1 == 0.0, interior / (2.0 * params.theta), 0.0)
     columns = [[t] * len(y1), [x.x1] * len(y1), [x.xp[0]] * len(y1),
@@ -481,7 +478,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, TransportConvergenceError, RuntimeError) as exc:
+    except RuntimeError as exc:    # QuadratureError and TransportConvergenceError too
         print(f"error: numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

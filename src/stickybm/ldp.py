@@ -433,8 +433,8 @@ def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
 
     The paths are walked in contiguous blocks that draw at most
     ``_BLOCK_UNIFORMS`` uniforms (one path if a single path needs more).
-    Only the paths inside every target so far take the next step, and a
-    block stops at the first target that none of its paths reach."""
+    Only the paths inside every target so far take the next step: each
+    target's mask goes to the walk, which steps no path once none is left."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     size = max(1, _BLOCK_UNIFORMS // (len(dts) * (params.d + 2)))
@@ -446,12 +446,8 @@ def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
                          stream=i, first_index=first)
             x1, xp, _ = next(steps)
             for target in targets[:-1]:
-                inside = target.contains(x1, xp)
-                if not inside.any():
-                    break
-                x1, xp, _ = steps.send(inside)
-            else:
-                hits += int(np.count_nonzero(targets[-1].contains(x1, xp)))
+                x1, xp, _ = steps.send(target.contains(x1, xp))
+            hits += int(np.count_nonzero(targets[-1].contains(x1, xp)))
         counts.append(hits)
     return counts
 

@@ -124,7 +124,7 @@ def walk(params: ModelParams, x0: HalfSpacePoint, dts, n_paths: int, seed: int,
     checked and the raw bits drawn at the call; the steps are taken as the
     iterator runs, each converting only its own draws.  A caller may
     ``send`` a boolean mask over the rows just yielded: later steps then take
-    only the rows it keeps, whose values do not change.
+    only the rows it keeps, whose values do not change, and none if it keeps none.
     """
     from scipy.special import ndtri
 

@@ -529,21 +529,34 @@ class TestKernelCli:
         assert abs(float(summary["trapezoid_mass"]) - 1.0) <= 1e-4
 
     def test_each_grid_node_evaluated_once(self, tmp_path, capsys, monkeypatch):
-        # The boundary row is the grid's first row (y1 = 0), so only the
-        # n x n grid reaches the kernel.
-        seen, inner = [], stickybm.cli.log_densities
+        # All n^2 + n targets go to one log_densities call; the boundary row
+        # repeats the grid's first row (y1 = 0), whose pairs are integrated once.
+        n, calls, integrands = 6, [], []
+        densities, integrate = stickybm.cli.log_densities, stickybm.kernel.log_integrate
 
-        def spy(params, spec, t, x1, y1, gap):
-            seen.append(len(y1))
-            return inner(params, spec, t, x1, y1, gap)
+        def densities_spy(*args):
+            calls.append(args)
+            return densities(*args)
 
-        monkeypatch.setattr(stickybm.cli, "log_densities", spy)
+        def integrate_spy(log_f, splits, spec):
+            integrands.append(len(splits))
+            return integrate(log_f, splits, spec)
+
+        monkeypatch.setattr(stickybm.cli, "log_densities", densities_spy)
+        monkeypatch.setattr(stickybm.kernel, "log_integrate", integrate_spy)
         code = run(tmp_path, "kernel", "--a", "2", "--theta", "1", "--t", "0.5",
-                   "--x", "0.3,0", "--grid", "6")
+                   "--x", "0.3,0", "--grid", str(n))
         assert code == 0
         capsys.readouterr()
-        assert seen == [36]
-        assert len(read_csv(tmp_path / "kernel.csv")) == 1 + 36 + 6
+        assert [len(args[4]) for args in calls] == [n * n + n]
+        params, spec, t, x1, y1, gap = calls[0]
+        on_all = sum(integrands)
+        integrands.clear()
+        densities(params, spec, t, x1, y1[: n * n], gap[: n * n])
+        assert on_all == sum(integrands) > 0
+        rows = read_csv(tmp_path / "kernel.csv")[1:]
+        assert len(rows) == n * n + n
+        assert rows[n * n:] == rows[:n]     # 17 digits: the same bits
 
     def test_boundary_density_is_mu_weight(self, tmp_path, capsys):
         # The boundary density w.r.t. dy' is the mu-density over 2 theta on
@@ -708,6 +721,17 @@ class TestLdpCli:
         assert "reference=0.45" in out
         summary = json.loads((tmp_path / "ldp-static.json").read_text())
         assert float(summary["reference_rate"]) == pytest.approx(0.45125, rel=1e-6)
+
+    def test_plain_runtime_error_exits_3(self, tmp_path, capsys):
+        # One path never reaches the patch: every log probability is -inf,
+        # and the slope fit raises a plain RuntimeError.
+        code = run(tmp_path, "ldp-static", "--a", "4", "--theta", "1", "--x", "0,0",
+                   "--target", "patch:2:0.1", "--epsilons", "0.2,0.1,0.05",
+                   "--method", "monte_carlo", "--n-paths", "1", "--seed", "0")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and "too few usable epsilons" in err
+        assert not (tmp_path / "ldp-static.json").exists()
 
     def test_static_probability_below_the_smallest_float(self, tmp_path, capsys):
         # At eps = 0.01 the patch probability is about exp(-1234): p prints as

@@ -882,7 +882,7 @@ class TestPrunedHitCounts:
         stickybm.ldp._hit_counts(params, x, np.array(dts), targets, (eps,), n, seed)
         assert sizes == live[:3]
 
-    def test_block_stops_at_a_target_no_path_reaches(self, monkeypatch):
+    def test_an_all_missed_block_steps_no_path(self, monkeypatch):
         monkeypatch.setattr(stickybm.ldp, "_BLOCK_UNIFORMS", 100)
         params, x, dts, targets, eps, n, seed = HIT_CASES["unreachable-first"]
         # d = 2 and 2 steps: 8 uniforms per path, so 12 paths per block.
@@ -891,7 +891,9 @@ class TestPrunedHitCounts:
         assert size == 12 and len(blocks) == 250
         sizes = self._step_sizes(monkeypatch)
         assert stickybm.ldp._hit_counts(params, x, np.array(dts), targets, eps, n, seed) == [0] * 3
-        assert sizes == blocks * len(eps)
+        # Each block takes its first step, misses the first target with every
+        # path, and takes its second step with none.
+        assert sizes == [k for b in blocks for k in (b, 0)] * len(eps)
 
     @staticmethod
     def _step_sizes(monkeypatch) -> list:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +383,17 @@ class TestPaths:
             got = steps.send(keep)
             assert all(np.array_equal(a, b[rows]) for a, b in zip(got, full[j]))
         assert rows.size == 18
+
+    def test_a_mask_that_keeps_no_row_steps_none(self):
+        # After an all-False mask the walk goes on with zero rows, silently.
+        params, dts, n = ModelParams(2.0, 1.5, 3), [0.1, 0.2, 0.05], 7
+        steps = walk(params, P(0.2, 0.0, 0.0), dts, n, 5)
+        next(steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rest = [steps.send(np.zeros(n, dtype=bool)), next(steps)]
+        for x1, xp, d_o in rest:
+            assert x1.shape == (0,) and xp.shape == (0, 2) and d_o.shape == (0,)
 
     def test_streams_do_not_overlap_across_seeds(self):
         # (seed 0, stream 1) and (seed 1, stream 0) are different keys.
