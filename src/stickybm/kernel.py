@@ -23,16 +23,20 @@ domain with max-exponent shifts, so no value underflows however small
 ``theta`` below 0.19, and a panel inside ``m < 1.1e-6`` still disagrees
 after the 20 subdivisions allowed.
 
-:func:`log_sticky_integral` takes arrays of gaps and integrates all of them
-in one breadth-first batch; it is the one place that handles their shapes,
-and it hands ``log_integrate`` a flat batch of integrands on ``[0, 1]``, one
-peak split each and one integrand per distinct ``(s, v)`` pair, so a pair
-that repeats (``|y' - x'|`` across a grid's symmetric axis) is integrated
-once.  :func:`log_densities` turns such a batch into ``log q``, and it is
-the one way to evaluate the kernel.  The building blocks ``h``, ``g`` and
-``g0`` exist only as their logarithms (``_log_h``, ``_log_g``,
-``_log_killed_kernel``); ``_log_h``, ``_log_g``, the integrand and the
-fixed rule write into one output array per call, not a temporary per
+:func:`log_sticky_integral` takes arrays of horizons and gaps, which
+broadcast against each other, and integrates all of them in one
+breadth-first batch; it is the one place that handles their shapes, and it
+hands ``log_integrate`` a flat batch of integrands on ``[0, 1]``, one peak
+split each and one integrand per distinct ``(t, s, v)`` triple, so a pair
+that repeats at one horizon (``|y' - x'|`` across a grid's symmetric axis)
+is integrated once, and an experiment's horizons share one batch.
+``log(theta t)`` and the killed kernel's ``log t`` are formed with
+``math.log``, once per distinct horizon, so a value does not depend on the
+other horizons of its batch.  :func:`log_densities` turns such a batch into
+``log q``, and it is the one way to evaluate the kernel.  The building
+blocks ``h``, ``g`` and ``g0`` exist only as their logarithms (``_log_h``,
+``_log_g``, ``_log_killed_kernel``); ``_log_h``, ``_log_g``, the integrand
+and the fixed rule write into one output array per call, not a temporary per
 operator, in the order of the plain expressions (the tests' oracles), so
 their values are the same bits.  The total-mass check
 :func:`kernel_total_mass` uses the fixed-rule ``_sticky_log_grid`` instead:
@@ -100,6 +104,18 @@ def _log_g(t, v, d):
     return np.subtract(lead, out, out=out)
 
 
+def _math_log(x):
+    """``math.log`` of each value of ``x``, formed once per distinct value.
+
+    ``np.log`` differs from ``math.log`` in the last bit on some horizons, and
+    the logs of ``theta t`` and ``t`` keep the bits that ``math.log`` gives a
+    single horizon.
+    """
+    x = np.asarray(x, dtype=float)
+    logs = {h: math.log(h) for h in set(x.ravel().tolist())}
+    return np.array([logs[h] for h in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _log_killed_kernel(t, x1, z):
     """log g0_t(x1, z) computed as a stable product, -inf on the boundary."""
     x1 = np.asarray(x1, dtype=float)
@@ -107,33 +123,43 @@ def _log_killed_kernel(t, x1, z):
     cross = 2.0 * x1 * z / t
     with np.errstate(divide="ignore"):
         correction = np.where(cross > 0, np.log1p(-np.exp(-np.where(cross > 0, cross, 1.0))), -np.inf)
-    return -0.5 * (math.log(t) + _LOG_2PI) - (x1 - z) ** 2 / (2.0 * t) + correction
+    return -0.5 * (_math_log(t) + _LOG_2PI) - (x1 - z) ** 2 / (2.0 * t) + correction
 
 
 # ---------------------------------------------------------------------------
 # The local-time integral, adaptive and fixed-grid variants
 # ---------------------------------------------------------------------------
 
-def _sticky_log_integrand_m(params: ModelParams, t: float, s: np.ndarray, v: np.ndarray):
+def _sticky_log_integrand_m(params: ModelParams, t, s, v):
     """Batched log of h(t(1-L), theta t L + s) g(t(1+A L), v) in m = 1-L.
 
-    Returns ``log_f(rows, m)`` evaluating integrand ``rows[k]``, with gaps
-    ``s[rows[k]]`` and ``v[rows[k]]``, at the nodes ``m[k, :]``.  The
-    singular endpoint L = 1 becomes m = 0, where floating-point nodes are
-    exact; forming ``1 - L`` directly loses up to ten digits in the exponent
-    once the integrand concentrates there.
+    ``t``, ``s`` and ``v`` broadcast to 1-D arrays.  Returns
+    ``log_f(rows, m)`` evaluating integrand ``rows[k]``, with horizon
+    ``t[rows[k]]`` and gaps ``s[rows[k]]`` and ``v[rows[k]]``, at the nodes
+    ``m[k, :]``.  The singular endpoint L = 1 becomes m = 0, where
+    floating-point nodes are exact; forming ``1 - L`` directly loses up to
+    ten digits in the exponent once the integrand concentrates there.
     """
     th, big_a, d = params.theta, params.big_a, params.d
-    w_top = th * t + s
+    t, s, v = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (t, s, v)))
+    # Each integrand's coefficients, gathered for a call's rows in one step.
+    # A batch with one horizon keeps the horizon's four as scalars, which
+    # numpy applies to every node faster than a column of equal values.
+    coefficients = np.stack((th * t + s, v, th * t, t, t * big_a, t * (1.0 + big_a)))
+    shared = []
+    if t.size and (t == t[0]).all():
+        shared, coefficients = coefficients[2:, 0].tolist(), coefficients[:2]
 
     def log_f(rows, m):
         m = np.asarray(m, dtype=float)
-        w = np.multiply(th * t, m)
-        np.subtract(w_top[rows, None], w, out=w)
-        out = _log_h(t * m, w, out=w)
-        t_g = np.multiply(t * big_a, m)
-        np.subtract(t * (1.0 + big_a), t_g, out=t_g)
-        out += _log_g(t_g, v[rows, None], d)
+        w_top, v_rows, *per_row = coefficients[:, rows, None]
+        th_t, t_rows, t_slope, t_top = shared or per_row
+        w = np.multiply(th_t, m)
+        np.subtract(w_top, w, out=w)
+        out = _log_h(t_rows * m, w, out=w)
+        t_g = np.multiply(t_slope, m)
+        np.subtract(t_top, t_g, out=t_g)
+        out += _log_g(t_g, v_rows, d)
         return out
 
     return log_f
@@ -165,46 +191,55 @@ def _sticky_peak_m(log_f, n: int) -> np.ndarray:
 _MAX_BATCH = 4096
 
 
-def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t: float, s, v):
+def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t, s, v):
     """log of ``theta t * int_0^1 h(t(1-L), theta t L + s) g(t(1+AL), v) dL``.
 
-    ``s`` and ``v`` broadcast against each other; the result has their
-    shape (a float for scalars).  Each integrand is integrated in the
-    variable m = 1-L over [0, 1] by one breadth-first adaptive quadrature
-    over the whole batch, split at the integrand's largest value on
-    ``_PEAK_GRID``.  For a unimodal integrand each panel is then monotone
-    except on the grid cell next to the split, which holds the peak; the
-    bisection confines it to ever smaller panels and puts boundary layers at
-    panel ends.  Batches larger than ``_MAX_BATCH`` run in passes of that
-    size; every value is the same as when its integrand is evaluated alone.
-    Raises ``ValueError`` unless ``0 < t < inf``; a quadrature failure is
-    re-raised as :class:`QuadratureError` naming ``a``, ``theta``, ``t`` and
-    the failing integrand's ``s`` and ``v``.
+    The horizon ``t`` and the gaps ``s`` and ``v`` broadcast against each
+    other; the result has their shape (a float for scalars).  Each integrand
+    is integrated in the variable m = 1-L over [0, 1] by one breadth-first
+    adaptive quadrature over the whole batch, split at the integrand's
+    largest value on ``_PEAK_GRID``.  For a unimodal integrand each panel is
+    then monotone except on the grid cell next to the split, which holds the
+    peak; the bisection confines it to ever smaller panels and puts boundary
+    layers at panel ends.  Batches larger than ``_MAX_BATCH`` run in passes
+    of that size; every value is the same as when its integrand is evaluated
+    alone.  Raises ``ValueError`` unless every ``t`` lies in ``(0, inf)``; a
+    quadrature failure is re-raised as :class:`QuadratureError` naming
+    ``a``, ``theta`` and the failing integrand's ``t``, ``s`` and ``v``, with
+    its caller's flat index.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"log_sticky_integral needs 0 < t < inf, got t={t!r}")
-    s, v = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(v, dtype=float))
+    t = np.asarray(t, dtype=float)
+    ok = (t > 0.0) & (t < math.inf)
+    if not ok.all():
+        raise ValueError(f"log_sticky_integral needs 0 < t < inf, got t={float(t[~ok][0])!r}")
+    t, s, v = np.broadcast_arrays(t, np.asarray(s, dtype=float), np.asarray(v, dtype=float))
     shape = s.shape
-    # Each distinct (s, v) pair is integrated once: sorted by (s, v), a pair
-    # opens a group where it differs from the one before it.
-    order = np.lexsort((v.ravel(), s.ravel()))
-    s, v = s.ravel()[order], v.ravel()[order]
-    opens = np.ones(s.size, dtype=bool)
-    opens[1:] = (s[1:] != s[:-1]) | (v[1:] != v[:-1])
+    # Each distinct (t, s, v) triple is integrated once: sorted by (t, s, v),
+    # a triple opens a group where it differs from the one before it.
+    t, s, v = t.ravel(), s.ravel(), v.ravel()
+    order = np.lexsort((v, s, t))
+    t, s, v = t[order], s[order], v[order]
+    opens = np.ones(order.size, dtype=bool)
+    opens[1:] = (t[1:] != t[:-1]) | (s[1:] != s[:-1]) | (v[1:] != v[:-1])
     caller = order[opens]
-    s, v = s[opens], v[opens]
+    t, s, v = t[opens], s[opens], v[opens]
     th = params.theta
+    # log(theta t) once per distinct horizon, each of which opens a run.
+    starts = np.ones(t.size, dtype=bool)
+    starts[1:] = t[1:] != t[:-1]
+    starts = np.flatnonzero(starts)
+    log_th_t = np.repeat(_math_log(th * t[starts]), np.diff(np.append(starts, t.size)))
     values = np.empty(s.size)
     for start in range(0, s.size, _MAX_BATCH):
         part = slice(start, start + _MAX_BATCH)
-        log_f = _sticky_log_integrand_m(params, t, s[part], v[part])
+        log_f = _sticky_log_integrand_m(params, t[part], s[part], v[part])
         peaks = _sticky_peak_m(log_f, s[part].size)
         try:
-            values[part] = math.log(th * t) + log_integrate(log_f, peaks, spec)
+            values[part] = log_th_t[part] + log_integrate(log_f, peaks, spec)
         except QuadratureError as exc:
             k = start + exc.index
             raise QuadratureError(
-                f"sticky integral at a={params.a!r}, theta={th!r}, t={t!r}, "
+                f"sticky integral at a={params.a!r}, theta={th!r}, t={float(t[k])!r}, "
                 f"s={float(s[k])!r}, v={float(v[k])!r}: {exc}", index=int(caller[k])) from exc
     out = np.empty(order.size)
     out[order] = values[np.cumsum(opens) - 1]
@@ -266,7 +301,7 @@ def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
 # Transition kernel
 # ---------------------------------------------------------------------------
 
-def _compose(params: ModelParams, t: float, x1, y1, v, log_st) -> np.ndarray:
+def _compose(params: ModelParams, t, x1, y1, v, log_st) -> np.ndarray:
     """``log q`` from the log local-time integral ``log_st``: the sticky part
     ``2 exp(log_st)`` plus the boundary-avoiding part, which vanishes at
     ``y1 = 0``."""
@@ -274,24 +309,24 @@ def _compose(params: ModelParams, t: float, x1, y1, v, log_st) -> np.ndarray:
     return np.logaddexp(math.log(2.0) + log_st, log_avoiding)
 
 
-def log_densities(params: ModelParams, spec: QuadratureSpec, t: float,
-                  x1, y1, v) -> np.ndarray:
-    """Log of the kernel's mu-density ``q_t`` at broadcast arrays of source
-    height ``x1``, target height ``y1`` and tangential distance
-    ``v = |y' - x'|``.
+def log_densities(params: ModelParams, spec: QuadratureSpec, t, x1, y1, v) -> np.ndarray:
+    """Log of the kernel's mu-density ``q_t`` at broadcast arrays of horizon
+    ``t``, source height ``x1``, target height ``y1`` and tangential
+    distance ``v = |y' - x'|``.
 
     At a boundary target the kernel's density w.r.t. ``dy'`` is
-    ``q / (2 theta)``.  All local-time integrals go to
+    ``q / (2 theta)``.  All local-time integrals, at every horizon, go to
     :func:`log_sticky_integral` as one batch.  Raises ``ValueError``, naming
-    the argument and its first bad value, unless ``x1`` and ``y1`` are finite
-    and at least 0 and ``v`` is at least 0 (``v = inf`` is a zero density).
+    the argument and its first bad value, unless ``t`` is positive and
+    finite, ``x1`` and ``y1`` are finite and at least 0, and ``v`` is at
+    least 0 (``v = inf`` is a zero density).
     """
-    x1, y1, v = (np.asarray(z, dtype=float) for z in (x1, y1, v))
-    for name, z, ok in (("x1", x1, (x1 >= 0.0) & (x1 < math.inf)),
-                        ("y1", y1, (y1 >= 0.0) & (y1 < math.inf)),
-                        ("v", v, v >= 0.0)):
+    t, x1, y1, v = (np.asarray(z, dtype=float) for z in (t, x1, y1, v))
+    for name, z, ok, need in (("t", t, (t > 0.0) & (t < math.inf), "positive and finite"),
+                              ("x1", x1, (x1 >= 0.0) & (x1 < math.inf), "finite and at least 0"),
+                              ("y1", y1, (y1 >= 0.0) & (y1 < math.inf), "finite and at least 0"),
+                              ("v", v, v >= 0.0, "at least 0")):
         if not ok.all():
-            need = "at least 0" if name == "v" else "finite and at least 0"
             raise ValueError(f"log_densities needs {name} {need}, got {name}={float(z[~ok][0])!r}")
     x1, y1, v = np.broadcast_arrays(x1, y1, v)
     return _compose(params, t, x1, y1, v, log_sticky_integral(params, spec, t, x1 + y1, v))

@@ -190,17 +190,18 @@ def _trace(target):
     return (target.center.xp, math.sqrt(r - c1) * math.sqrt(r + c1)) if c1 < r else None
 
 
-def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
-                           x: HalfSpacePoint, target, order: int = 32) -> float:
-    """log of the kernel mass of the target at horizon t (quadrature, d = 2).
+def log_target_probability(params: ModelParams, spec: QuadratureSpec, t,
+                           x: HalfSpacePoint, target, order: int = 32):
+    """log of the kernel mass of the target at each horizon t (quadrature,
+    d = 2): a float for a scalar ``t``, else an array of ``t``'s shape.
 
     The kernel's mu-density, :func:`log_densities`, is integrated against mu
-    over one node set, evaluated as one batch of adaptive log-domain
-    quadratures: Gauss-Legendre on ``order`` chords across a ball (whose
-    error falls only algebraically in ``order``: the chord length has a
-    square-root endpoint), and on the target's trace on the boundary, where
-    mu carries the weight ``1 / (2 theta)``.  The sets are closed; their
-    boundaries are mu-null, so the open sets have the same mass.  The
+    over one node set, evaluated at every horizon as one batch of adaptive
+    log-domain quadratures: Gauss-Legendre on ``order`` chords across a ball
+    (whose error falls only algebraically in ``order``: the chord length has
+    a square-root endpoint), and on the target's trace on the boundary,
+    where mu carries the weight ``1 / (2 theta)``.  The sets are closed;
+    their boundaries are mu-null, so the open sets have the same mass.  The
     experiments pass the default ``spec``.
     """
     if params.d != 2:
@@ -222,8 +223,9 @@ def log_target_probability(params: ModelParams, spec: QuadratureSpec, t: float,
         parts.append((np.zeros(order), c - h + 2.0 * h * nodes, w * h / params.theta))
     y1, yp, weight = map(np.concatenate, zip(*parts))
     keep = weight > 0.0
-    vals = log_densities(params, spec, t, x.x1, y1[keep], np.abs(yp[keep] - x.xp[0]))
-    return logsumexp(vals + np.log(weight[keep]))
+    vals = log_densities(params, spec, np.asarray(t, dtype=float)[..., None], x.x1, y1[keep],
+                         np.abs(yp[keep] - x.xp[0]))
+    return logsumexp(vals + np.log(weight[keep]), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +455,13 @@ def _hit_counts(params: ModelParams, x: HalfSpacePoint, dts, targets, epsilons,
 
 
 def static_ldp(params: ModelParams, x: HalfSpacePoint, target, epsilons) -> LdpEstimate:
-    """Quadrature probabilities of the target per epsilon (at the default
-    :class:`QuadratureSpec`), slope extraction, and the reference rate.  Its
-    Monte Carlo counterpart is :func:`sliced_ldp` with ``[(1.0, target)]``."""
+    """Quadrature probabilities of the target at every epsilon, one batch at
+    the default :class:`QuadratureSpec`, slope extraction, and the reference
+    rate.  Its Monte Carlo counterpart is :func:`sliced_ldp` with
+    ``[(1.0, target)]``."""
     eps, spec = _fit_epsilons(epsilons), QuadratureSpec()
     return _estimate(eps, functools.partial(min_cost_over_target, params, x, target),
-                     log_probs=[log_target_probability(params, spec, e, x, target) for e in eps])
+                     log_probs=log_target_probability(params, spec, eps, x, target).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +521,7 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
     root of the cone equality at the pair (x, y).  The rows are in
     increasing a, whatever the order of ``a_values``, which must be distinct
     as floats.  Every input is checked before the first quadrature, each at
-    the default :class:`QuadratureSpec`.
+    the default :class:`QuadratureSpec`; each row's epsilons are one batch.
     """
     eps, spec = _fit_epsilons(epsilons), QuadratureSpec()
     models = sorted((ModelParams(float(a), theta, x.dim) for a in a_values), key=lambda m: m.a)
@@ -532,8 +535,8 @@ def phase_transition_scan(a_values, theta: float, x: HalfSpacePoint,
     rows = []
     for params in models:
         est = _estimate(eps, functools.partial(min_cost_over_target, params, x, target),
-                        log_probs=[log_target_probability(params, spec, e, x, target,
-                                                          order=_SCAN_ORDER) for e in eps])
+                        log_probs=log_target_probability(params, spec, eps, x, target,
+                                                         order=_SCAN_ORDER).tolist())
         rows.append(ScanRow(params.a, est.extrapolated_rate, est.reference_rate))
 
     flat_rates = [r.extrapolated_rate for r in rows if r.a <= 1.0]

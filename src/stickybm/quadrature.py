@@ -9,7 +9,7 @@ budget is a separate matter (see the kernel module).  The one integral
 shape is the kernel's: each integrand of a batch runs over ``[0, 1]``, split
 at one point of its own.  The adaptive integrator runs breadth-first over
 the batch: each bisection level evaluates every live panel of every
-integrand in one ``log_f`` call.
+integrand in one ``log_f`` call, at points no earlier call evaluated.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ _ORDER = 15
 # 2^-35 ~ 2.9e-11 relative, so 0.25 * rtol = 2.5e-11 alone would accept
 # such a panel only where both estimates round to the same float.
 _ULPS = 16
+
+# What the bisection keeps of each half panel: its ends, its Gauss estimate,
+# its endpoint bound, and the log integrand at its ends.
+_HALF_FIELDS = 6
 
 
 class QuadratureError(RuntimeError):
@@ -103,38 +107,95 @@ def _grouped_logsumexp(rows, values, n: int) -> np.ndarray:
         return shift + np.log(total)
 
 
-def _panels(log_f, rows, lo, hi, nodes, log_w):
-    """Gauss-Legendre estimates and endpoint bounds of ``int exp(log_f)`` on
-    the panels ``[lo[k], hi[k]]`` of integrands ``rows[k]``.
-
-    One ``log_f(rows, x)`` call covers every panel; row ``k`` of ``x`` holds
-    the panel's left endpoint, its nodes and its right endpoint.  Returns the
-    log of each fixed-order estimate and ``log(width) + max(log_f(lo),
-    log_f(hi))``, which bounds the log integral when ``exp(log_f)`` is
-    monotone on the panel.  Raises :class:`QuadratureError`, with the
-    integrand's index, where ``log_f`` returns NaN.
-    """
-    width = hi - lo
-    x = np.concatenate((lo[:, None], lo[:, None] + width[:, None] * nodes, hi[:, None]), axis=1)
+def _evaluate(log_f, rows, x):
+    """``log_f(rows, x)`` as floats.  Raises :class:`QuadratureError`, with
+    the integrand's index, where it returns NaN."""
     vals = np.asarray(log_f(rows, x), dtype=float)
     nan = np.isnan(vals)
     if nan.any():
         k, j = np.argwhere(nan)[0]
         raise QuadratureError(f"log integrand is NaN at {x[k, j]:.6g}", index=int(rows[k]))
+    return vals
+
+
+def _gauss(vals, width, log_w):
+    """log of each panel's fixed-order estimate from the values ``vals`` at
+    its Gauss nodes (the last axis), and the log of its width."""
     log_width = np.log(width)
-    est = logsumexp(vals[:, 1:-1] + log_w + log_width[:, None], axis=1)
-    return est, log_width + np.max(vals[:, [0, -1]], axis=1)
+    return logsumexp(vals + log_w + log_width[..., None], axis=-1), log_width
+
+
+def _first_panels(log_f, rows, lo, hi, n, nodes, log_w):
+    """Gauss estimates, endpoint bounds and end values of the first panels
+    ``[lo[k], hi[k]]`` of integrands ``rows[k]`` (each integrand's panels in
+    order, the last ending at 1).
+
+    One ``log_f`` call evaluates each panel's left end and nodes, another
+    each integrand's right end 1; every other panel's right end is the next
+    panel's left end.  The bound ``log(width) + max(log_f(lo), log_f(hi))``
+    bounds the log integral when ``exp(log_f)`` is monotone on the panel.
+    """
+    width = hi - lo
+    vals = _evaluate(log_f, rows,
+                     np.concatenate((lo[:, None], lo[:, None] + width[:, None] * nodes), axis=1))
+    f_lo, f_hi = vals[:, 0].copy(), np.empty(rows.size)
+    f_hi[:-1] = f_lo[1:]
+    last = np.ones(rows.size, dtype=bool)
+    last[:-1] = rows[1:] != rows[:-1]
+    f_hi[last] = _evaluate(log_f, np.arange(n), np.ones((n, 1)))[:, 0]
+    est, log_width = _gauss(vals[:, 1:], width, log_w)
+    return est, log_width + np.maximum(f_lo, f_hi), f_lo, f_hi
+
+
+def _halves(log_f, rows, lo, hi, f_lo, f_hi, nodes, log_w):
+    """Both halves of each panel ``[lo[k], hi[k]]`` of integrand ``rows[k]``,
+    whose end values ``f_lo`` and ``f_hi`` are known, from one ``log_f``
+    call at the left half's nodes, the midpoint and the right half's nodes.
+
+    Returns a ``(_HALF_FIELDS, 2, len(rows))`` array: the halves' left and
+    right ends, Gauss estimates, endpoint bounds and end values, each with
+    the left halves in row 0 and the right halves in row 1.
+    """
+    # Each value is formed as the panel rule forms it (``0.5 * (lo + hi)``,
+    # ``start + width * node``, ``log(width) + max(...)``), in place: IEEE
+    # addition and multiplication commute exactly, so the bits are the same.
+    half = np.empty((_HALF_FIELDS, 2, rows.size))
+    starts, stops, est, bound, f_starts, f_stops = half
+    mid = np.add(lo, hi, out=starts[1])
+    mid *= 0.5
+    starts[0], stops[0], stops[1] = lo, mid, hi
+    width = stops - starts
+    x = np.empty((rows.size, 2 * _ORDER + 1))
+    for side, cols in enumerate((x[:, :_ORDER], x[:, _ORDER + 1:])):
+        np.multiply(width[side, :, None], nodes, out=cols)
+        cols += starts[side, :, None]
+    x[:, _ORDER] = mid
+    vals = _evaluate(log_f, rows, x)
+    f_starts[0], f_starts[1] = f_lo, vals[:, _ORDER]
+    f_stops[0], f_stops[1] = vals[:, _ORDER], f_hi
+    est[:], log_width = _gauss(np.stack((vals[:, :_ORDER], vals[:, _ORDER + 1:])), width, log_w)
+    np.maximum(f_starts, f_stops, out=bound)
+    bound += log_width
+    return half
 
 
 def log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
     """log of ``int_0^1 exp(log_f(t)) dt`` for each of ``len(splits)``
     integrands, by breadth-first adaptive bisection; a 1-D array.
 
-    ``log_f(rows, x)`` evaluates integrand ``rows[k]`` at the nodes
+    ``log_f(rows, x)`` evaluates integrand ``rows[k]`` at the points
     ``x[k, :]``: ``rows`` is a 1-D integer array of integrand indices and
-    ``x`` a ``(len(rows), 17)`` array holding each panel's left end, its 15
-    Gauss nodes and its right end.  Each level of the bisection makes one
-    such call covering both halves of every live panel of every integrand.
+    ``x`` a 2-D array with one row per entry of ``rows``.  No call evaluates
+    a point twice, and a later call evaluates a point again only where a
+    panel's midpoint equals its middle Gauss node (15-point Gauss-Legendre
+    has a node at the centre).  The first pass makes two calls: a
+    ``(len(rows), 16)`` array holds each first panel's left end and its 15
+    Gauss nodes, and a ``(n, 1)`` array every integrand's right end 1.  Each
+    level of the bisection then makes one call with a ``(len(rows), 31)``
+    array holding, for every live panel of every integrand, the 15 Gauss
+    nodes of its left half, its midpoint and the 15 Gauss nodes of its right
+    half; the values at the panel's ends are carried from the calls that
+    evaluated them.
 
     Integrand ``k`` starts as the panels ``[0, splits[k]]`` and
     ``[splits[k], 1]``; a split outside ``(0, 1)``, NaN included, is
@@ -171,7 +232,7 @@ def log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
     hi = np.stack((inner, np.ones(n)), axis=1).ravel()
     keep = hi > lo
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
-    est, bound = _panels(log_f, rows, lo, hi, nodes, log_w)
+    est, bound, f_lo, f_hi = _first_panels(log_f, rows, lo, hi, n, nodes, log_w)
 
     # Panels contributing less than rtol * total never need refining; use a
     # coarse first-pass total per integrand as the pruning scale.
@@ -181,12 +242,10 @@ def log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
     accepted_rows, accepted = [], []
     depth = 0
     while rows.size:
-        mid = 0.5 * (lo + hi)
-        halves, half_bounds = _panels(log_f, np.concatenate((rows, rows)),
-                                      np.concatenate((lo, mid)), np.concatenate((mid, hi)),
-                                      nodes, log_w)
-        left, right = np.split(halves, 2)
-        fine = np.logaddexp(left, right)
+        # A refined panel's halves are the next level's panels, the left
+        # halves first.
+        half = _halves(log_f, rows, lo, hi, f_lo, f_hi, nodes, log_w)
+        fine = np.logaddexp(half[2, 0], half[2, 1])
         p = prune[rows]
         with np.errstate(invalid="ignore"):
             err = np.where(fine == _NEG_INF, math.inf,
@@ -202,10 +261,7 @@ def log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
             raise QuadratureError(
                 f"panel [{lo[k]:.6g}, {hi[k]:.6g}] disagrees by {err[k]:.3e} after "
                 f"{depth} subdivisions (tolerance {rtol:.1e})", index=int(rows[k]))
-        left_bound, right_bound = np.split(half_bounds, 2)
         rows = np.concatenate((rows[refine], rows[refine]))
-        lo, hi = np.concatenate((lo[refine], mid[refine])), np.concatenate((mid[refine], hi[refine]))
-        est = np.concatenate((left[refine], right[refine]))
-        bound = np.concatenate((left_bound[refine], right_bound[refine]))
+        lo, hi, est, bound, f_lo, f_hi = half[:, :, refine].reshape(_HALF_FIELDS, -1)
         depth += 1
     return _grouped_logsumexp(np.concatenate(accepted_rows), np.concatenate(accepted), n)

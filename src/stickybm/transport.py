@@ -11,7 +11,7 @@ along the explicit geodesics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,7 +80,9 @@ class DiscreteMeasure:
 @dataclass(frozen=True)
 class TransportPlan:
     """Coupling matrix with its value; entropic plans also carry their
-    iteration count and log normalization."""
+    iteration count and log normalization, and their column potential
+    ``_beta``, from which :func:`gamma_limit_experiment` starts the next
+    epsilon."""
 
     matrix: np.ndarray
     cost_value: float
@@ -88,6 +90,7 @@ class TransportPlan:
     target: DiscreteMeasure
     iterations: int = None
     log_normalization: float = None
+    _beta: np.ndarray = field(default=None, repr=False, compare=False)
 
     def marginal_defect(self) -> float:
         """Largest deviation of a row or column sum from its marginal weight."""
@@ -153,7 +156,7 @@ def kantorovich(params: ModelParams, mu0: DiscreteMeasure, mu1: DiscreteMeasure)
 # Entropic solver
 # ---------------------------------------------------------------------------
 
-_WARM = 20          # log-domain Sinkhorn sweeps before the first Newton step
+_WARM = 20          # log-domain Sinkhorn sweeps before a cold start's first Newton step
 _ARMIJO = 1e-4      # sufficient-increase constant of the Newton line search
 _HALVINGS = 40      # backtracking halvings before a Newton step is given up
 _MAX_ITER = 20000   # warm-up sweeps plus Newton steps before a solve is given up
@@ -197,22 +200,28 @@ def _newton_step(pi, a, b, alpha, beta):
 
 
 def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
-                mu1: DiscreteMeasure) -> TransportPlan:
+                mu1: DiscreteMeasure, _beta=None) -> TransportPlan:
     """Entropy minimization against the eps-horizon kernel, by Sinkhorn-Newton.
 
     The Gibbs weights are log densities w.r.t. the stationary measure,
     ``log K_ij = log q_eps(x_i, y_j)`` at the default :class:`QuadratureSpec`,
     and the plan is ``pi_ij = exp(alpha_i + log K_ij + beta_j)`` in the dual
     potentials, so kernel entries spanning hundreds of orders of magnitude at
-    eps ~ 1e-3 are harmless.  ``_WARM`` log-domain Sinkhorn sweeps are followed
-    by Newton steps on the dual with an Armijo line search, each followed by
+    eps ~ 1e-3 are harmless.  On a cold start, ``_WARM`` log-domain Sinkhorn
+    sweeps are followed by Newton steps on the dual with an Armijo line search, each followed by
     one polishing sweep (Brauer, Clason, Lorenz and Wirth, *A Sinkhorn-Newton
     method for entropic optimal transport*, arXiv:1710.06635).  Near the
     optimum Newton converges quadratically, where plain scaling on a
     numerically deterministic optimum decays only harmonically.
 
-    ``iterations`` counts the warm-start sweeps plus the Newton steps (each
-    with its polishing sweep) and is capped by ``_MAX_ITER`` (20 000).  The run
+    A solve starts cold, from zero potentials, unless it is given the column
+    potential ``_beta`` to start from, as :func:`gamma_limit_experiment`
+    does from its previous epsilon.  A warm start fits its potentials with
+    one sweep, not ``_WARM``, before its first Newton step.
+
+    ``iterations`` counts the sweeps before the first Newton step plus the
+    Newton steps (each with its polishing sweep) and is capped by
+    ``_MAX_ITER`` (20 000).  The run
     stops once the full plan's largest marginal error is below ``_TOL`` (1e-9);
     ``marginal_defect()`` is that error of the returned plan, which is not
     rounded or otherwise repaired.  Raises
@@ -234,9 +243,10 @@ def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
                           mu1.x1()[None, :], gap)
     a, b = np.asarray(mu0.weights), np.asarray(mu1.weights)
     log_a, log_b = np.log(a), np.log(b)
-    alpha, beta = np.zeros(mu0.size), np.zeros(mu1.size)
+    alpha = np.zeros(mu0.size)
+    beta, warm = (np.zeros(mu1.size), _WARM) if _beta is None else (_beta, 1)
     for it in range(1, _MAX_ITER + 1):
-        if it > _WARM:
+        if it > warm:
             alpha, beta = _newton_step(pi, a, b, alpha, beta)
         alpha, beta = _sweep(log_k, log_a, log_b, beta)
         pi = np.exp(alpha[:, None] + log_k + beta[None, :])
@@ -249,7 +259,7 @@ def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
             f"(marginal error {err:.3e})", err)
     value = epsilon * float(np.sum(pi * (alpha[:, None] + beta[None, :])))
     return TransportPlan(pi, value, mu0, mu1, iterations=it,
-                         log_normalization=epsilon * logsumexp(log_k))
+                         log_normalization=epsilon * logsumexp(log_k), _beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +269,7 @@ def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
 @dataclass(frozen=True)
 class GammaRow:
     """One converged eps; ``iterations`` is :func:`schrodinger`'s count of
-    warm-start sweeps plus Newton steps."""
+    sweeps before the first Newton step plus Newton steps."""
 
     epsilon: float
     entropic_value: float
@@ -284,7 +294,13 @@ def gamma_limit_experiment(params: ModelParams, mu0: DiscreteMeasure, mu1: Discr
     Reports the gap per eps, whether the gap shrinks monotonically toward
     the smallest eps, and the coefficient of an ``eps log(1/eps)`` fit to
     the gaps.  Each eps is one :func:`schrodinger` solve, to its fixed
-    marginal tolerance.  Raises ``ValueError``, before any solve, unless
+    marginal tolerance, in decreasing order of eps.  Every solve after the
+    first converged one starts warm from that solve's column potential
+    ``beta``, scaled by ``eps_prev / eps``: the potentials in cost units,
+    ``eps * beta``, converge as eps falls (Schmitzer, *Stabilized sparse
+    scaling algorithms for entropy regularized transport problems*, SIAM J.
+    Sci. Comput. 2019), so the warm start skips the cold start's ``_WARM``
+    sweeps and most of its Newton steps.  Raises ``ValueError``, before any solve, unless
     ``epsilons`` holds one or more distinct positive finite numbers, the
     smallest at least 1e-3.  Raises :class:`TransportConvergenceError` when
     Sinkhorn-Newton fails at every eps, since there is then no gap to fit.
@@ -301,13 +317,16 @@ def gamma_limit_experiment(params: ModelParams, mu0: DiscreteMeasure, mu1: Discr
     rows = []
     failed = []
     errors = []
+    warm = None     # (eps, beta) of the last converged solve
     for eps in eps_list:
+        start = None if warm is None else warm[1] * (warm[0] / eps)
         try:
-            plan = schrodinger(params, eps, mu0, mu1)
+            plan = schrodinger(params, eps, mu0, mu1, _beta=start)
         except TransportConvergenceError as exc:
             failed.append(eps)
             errors.append(exc.marginal_error)
             continue
+        warm = (eps, plan._beta)
         rows.append(GammaRow(eps, plan.cost_value, plan.log_normalization,
                              abs(plan.cost_value - exact.cost_value), plan.iterations))
     if not rows:

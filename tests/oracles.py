@@ -23,7 +23,9 @@ either there sees every call.  :func:`bivariate_density` is the joint law of
 :func:`modulus_statistics` the path-oscillation frequency of a sampled batch.
 The kernel's in-place building blocks have their plain numpy expressions,
 :func:`reference_log_h`, :func:`reference_log_g` and
-:func:`reference_sticky_log_grid`, which they must match bit for bit.
+:func:`reference_sticky_log_grid`, which they must match bit for bit, and
+the adaptive rule has :func:`reference_log_integrate`, which evaluates the
+ends and midpoints of its panels again at every level.
 The CLI's CSV writer has :func:`reference_csv`, which formats and quotes one
 value at a time through ``csv.writer``, and the CLI's documented use has
 :func:`readme_cli_lines`, the examples of README's CLI block.
@@ -41,7 +43,8 @@ import numpy as np
 from stickybm import kernel
 from stickybm.geometry import HalfSpacePoint, ModelParams
 from stickybm.kernel import _log_g, _log_h, _log_killed_kernel
-from stickybm.quadrature import QuadratureSpec, gauss_legendre
+from stickybm.quadrature import (QuadratureError, QuadratureSpec, _grouped_logsumexp,
+                                 gauss_legendre, logsumexp)
 from stickybm.simulate import BatchPaths, walk
 
 
@@ -219,6 +222,73 @@ def reference_sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
 # ---------------------------------------------------------------------------
 # Sampler oracles
 # ---------------------------------------------------------------------------
+
+def _reference_panels(log_f, rows, lo, hi, nodes, log_w):
+    """Gauss estimates and endpoint bounds of the panels ``[lo[k], hi[k]]``:
+    one ``log_f`` call whose row ``k`` holds the panel's left end, its nodes
+    and its right end."""
+    width = hi - lo
+    x = np.concatenate((lo[:, None], lo[:, None] + width[:, None] * nodes, hi[:, None]), axis=1)
+    vals = np.asarray(log_f(rows, x), dtype=float)
+    nan = np.isnan(vals)
+    if nan.any():
+        k, j = np.argwhere(nan)[0]
+        raise QuadratureError(f"log integrand is NaN at {x[k, j]:.6g}", index=int(rows[k]))
+    log_width = np.log(width)
+    est = logsumexp(vals[:, 1:-1] + log_w + log_width[:, None], axis=1)
+    return est, log_width + np.max(vals[:, [0, -1]], axis=1)
+
+
+def reference_log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
+    """The adaptive rule of ``quadrature.log_integrate`` as it was before each
+    point came to be evaluated once: every bisection level evaluates both
+    halves of every live panel as two 17-point rows (left end, 15 Gauss
+    nodes, right end), so ends and midpoints are evaluated again.  Its nodes,
+    estimates, bounds and acceptance tests are the library's, so the two
+    agree bit for bit."""
+    splits = np.asarray(splits, dtype=float)
+    n = splits.size
+    nodes, w = gauss_legendre(15)
+    log_w = np.log(w)
+    inner = np.where((splits > 0.0) & (splits < 1.0), splits, 0.0)
+    rows = np.repeat(np.arange(n), 2)
+    lo = np.stack((np.zeros(n), inner), axis=1).ravel()
+    hi = np.stack((inner, np.ones(n)), axis=1).ravel()
+    keep = hi > lo
+    rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    est, bound = _reference_panels(log_f, rows, lo, hi, nodes, log_w)
+    rtol = spec.relative_tolerance
+    prune = _grouped_logsumexp(rows, est, n) + math.log(rtol) - math.log(64.0)
+    accepted_rows, accepted = [], []
+    depth = 0
+    while rows.size:
+        mid = 0.5 * (lo + hi)
+        halves, half_bounds = _reference_panels(log_f, np.concatenate((rows, rows)),
+                                                np.concatenate((lo, mid)),
+                                                np.concatenate((mid, hi)), nodes, log_w)
+        left, right = np.split(halves, 2)
+        fine = np.logaddexp(left, right)
+        p = prune[rows]
+        with np.errstate(invalid="ignore"):
+            err = np.where(fine == -math.inf, math.inf,
+                           np.abs(np.expm1(np.minimum(est - fine, 700.0))))
+            agree = np.maximum(0.25 * rtol, 16 * np.spacing(np.abs(fine)))
+        done = ((fine <= p) & (est <= p) & (bound <= p)) | (err <= agree)
+        accepted_rows.append(rows[done])
+        accepted.append(fine[done])
+        refine = ~done
+        if depth >= spec.max_subdivisions and refine.any():
+            k = int(np.flatnonzero(refine)[0])
+            raise QuadratureError(f"panel [{lo[k]:.6g}, {hi[k]:.6g}] disagrees", index=int(rows[k]))
+        left_bound, right_bound = np.split(half_bounds, 2)
+        rows = np.concatenate((rows[refine], rows[refine]))
+        lo, hi = (np.concatenate((lo[refine], mid[refine])),
+                  np.concatenate((mid[refine], hi[refine])))
+        est = np.concatenate((left[refine], right[refine]))
+        bound = np.concatenate((left_bound[refine], right_bound[refine]))
+        depth += 1
+    return _grouped_logsumexp(np.concatenate(accepted_rows), np.concatenate(accepted), n)
+
 
 def _phi(tau, s):
     """Centered normal density with variance tau at s, vectorized, 0 at tau <= 0."""

@@ -16,6 +16,7 @@ from stickybm.kernel import (
     _log_killed_kernel,
     _sticky_log_grid,
     _sticky_log_integrand_m,
+    _sticky_peak_m,
     _PEAK_GRID,
 )
 from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre, log_integrate
@@ -23,7 +24,7 @@ from stickybm.quadrature import QuadratureError, QuadratureSpec, gauss_legendre,
 from oracles import (_h_density, bivariate_density, chapman_kolmogorov_residual,
                      fixed_gauss_legendre_integral, fokker_planck_residual,
                      fp_residuals_from_fields, reference_log_g, reference_log_h,
-                     reference_sticky_log_grid)
+                     reference_log_integrate, reference_sticky_log_grid)
 
 
 SPEC = QuadratureSpec()
@@ -337,6 +338,16 @@ class TestLogKernel:
         with pytest.raises(ValueError, match=rf"log_densities needs {name} .*, got {name}={bad}$"):
             log_densities(ModelParams(2.0, 1.0), SPEC, 0.5, x1, y1, v)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, monkeypatch, bad):
+        def not_yet(*args, **kwargs):
+            raise AssertionError("quadrature ran before the horizon was validated")
+
+        monkeypatch.setattr(stickybm.kernel, "log_sticky_integral", not_yet)
+        with pytest.raises(ValueError,
+                           match=rf"log_densities needs t positive and finite, got t={bad}$"):
+            log_densities(ModelParams(2.0, 1.0), SPEC, [[0.5], [bad], [0.25]], 0.3, 0.2, 1.0)
+
     def test_infinite_tangential_distance_is_a_zero_density(self):
         got = log_densities(ModelParams(2.0, 1.0), SPEC, 0.5, [0.3, 0.0], 0.2, math.inf)
         assert np.array_equal(got, [-math.inf, -math.inf])
@@ -396,6 +407,18 @@ class TestStickyIntegral:
         values = [log_sticky_integral(ModelParams(a, theta, d), SPEC, t, s, v)
                   for a, theta, d, t, s, v in _sweep_inputs()]
         assert np.all(np.isfinite(values))
+
+    def test_sweep_matches_the_rule_that_evaluates_ends_again(self, monkeypatch):
+        # Carrying each panel's end values instead of evaluating them again
+        # changes no bit of any integral of the sweep.
+        def both(log_f, splits, spec):
+            ours = log_integrate(log_f, splits, spec)
+            assert np.array_equal(ours, reference_log_integrate(log_f, splits, spec))
+            return ours
+
+        monkeypatch.setattr(stickybm.kernel, "log_integrate", both)
+        for a, theta, d, t, s, v in _sweep_inputs():
+            log_sticky_integral(ModelParams(a, theta, d), SPEC, t, s, v)
 
     # 50-digit mpmath references for the sweep inputs on which a boundary
     # layer next to the peak split hides from the Gauss nodes.
@@ -553,6 +576,66 @@ class TestBatch:
         log_sticky_integral(ModelParams(1.0, 1.0), SPEC, 1.0, s, v)
         assert len(seen) == len(set(seen)) == n_distinct
         assert set(seen) == set(zip(s.tolist(), v.tolist()))
+
+
+# Horizons at which numpy's vectorized log and math.log round differently on
+# some builds (AVX-512 among them); the kernel forms log(theta t) and log t
+# with math.log, once per distinct horizon.
+_HORIZONS = np.array([0.04, 0.020535, 0.02558, 0.01])
+
+
+class TestHorizonBatch:
+    def test_array_of_horizons_matches_each_horizon_bit_for_bit(self):
+        params = ModelParams(4.0, 1.0)
+        x1 = np.array([0.0, 0.4, 0.0, 0.9, 0.0, 0.2, 0.0, 1.3, 0.0, 0.6])
+        xp = np.linspace(-1.5, 1.5, 10)
+        x1, y1, v = x1[:, None], x1[None, ::-1], np.abs(xp[None, :] + 0.5 - xp[:, None])
+        batch = log_densities(params, SPEC, _HORIZONS[:, None, None], x1, y1, v)
+        assert batch.shape == (4, 10, 10)
+        for t, got in zip(_HORIZONS.tolist(), batch):
+            assert np.array_equal(got, log_densities(params, SPEC, t, x1, y1, v))
+
+    def test_log_theta_t_is_math_log_of_each_horizon(self):
+        params = ModelParams(2.0, 1.0)
+        s, v = _patch_gaps()
+        batch = log_sticky_integral(params, SPEC, _HORIZONS[:, None], s, v)
+        for t, got in zip(_HORIZONS.tolist(), batch):
+            log_f = _sticky_log_integrand_m(params, t, s, v)
+            expected = math.log(params.theta * t) + log_integrate(
+                log_f, _sticky_peak_m(log_f, s.size), SPEC)
+            assert np.array_equal(got, expected)
+
+    def test_one_integrand_per_distinct_triple(self, monkeypatch):
+        # (s, v) = (0.3, 1.0) at two horizons is two integrals; the repeated
+        # triple (0.1, 0.3, 1.0) is one.
+        seen, batches = [], []
+
+        def spy(params, t, s, v):
+            seen.extend(zip(t.tolist(), s.tolist(), v.tolist()))
+            return _sticky_log_integrand_m(params, t, s, v)
+
+        def count(log_f, splits, spec):
+            batches.append(len(splits))
+            return log_integrate(log_f, splits, spec)
+
+        monkeypatch.setattr(stickybm.kernel, "_sticky_log_integrand_m", spy)
+        monkeypatch.setattr(stickybm.kernel, "log_integrate", count)
+        t, s = [0.1, 0.2, 0.1, 0.1], [0.3, 0.3, 0.3, 0.5]
+        got = log_sticky_integral(ModelParams(1.0, 1.0), SPEC, t, s, 1.0)
+        assert sorted(seen) == [(0.1, 0.3, 1.0), (0.1, 0.5, 1.0), (0.2, 0.3, 1.0)]
+        assert batches == [3]
+        assert got[0] == got[2] != got[1]
+
+    def test_failure_names_its_horizon_and_the_caller_index(self):
+        # At 8 subdivisions only (t, s, v) = (1e-3, 0, 3) misses the
+        # tolerance; it first appears at flat index 3.
+        spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+        with pytest.raises(QuadratureError) as err:
+            log_sticky_integral(ModelParams(2.0, 1.5), spec,
+                                [[0.25, 0.5, 1e-3], [1e-3, 1e-3, 0.25]], 0.0,
+                                [[3.0, 3.0, 1.0], [3.0, 3.0, 3.0]])
+        assert "t=0.001, s=0.0, v=3.0" in str(err.value)
+        assert err.value.index == 3
 
 
 class TestQuadratureFailure:

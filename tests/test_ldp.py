@@ -529,6 +529,25 @@ class TestStaticLdp:
             lo, hi = wilson_interval(round(p * 40000), 40000)
             assert lo <= q <= hi
 
+    def test_every_epsilon_in_one_kernel_batch(self, monkeypatch):
+        # The quadrature probabilities at all epsilons are one batch, with the
+        # values of one batch per epsilon.
+        params, x, target = ModelParams(4.0, 1.0), P(0.0, 0.0), BoundaryPatch((2.0,), 0.1)
+        eps = (0.2, 0.1, 0.05, 0.025)
+        calls = []
+        integral = stickybm.kernel.log_sticky_integral
+
+        def counted(*args):
+            calls.append(args)
+            return integral(*args)
+
+        monkeypatch.setattr(stickybm.kernel, "log_sticky_integral", counted)
+        est = static_ldp(params, x, target, eps)
+        assert len(calls) == 1
+        one_by_one = [log_target_probability(params, SPEC, e, x, target) for e in eps]
+        assert list(est.probs) == [math.exp(lp) for lp in one_by_one]
+        assert all(type(p) is float for p in est.probs + est.log_probs)
+
     def test_beta_is_bounded(self):
         params = ModelParams(4.0, 1.0)
         est = static_ldp(params, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1),
@@ -589,6 +608,23 @@ class TestTargetQuadrature:
             assert len(calls) == 1
             assert value == pytest.approx(two_batch_log_probability(params, eps, x, target),
                                           abs=1e-13)
+
+    @pytest.mark.parametrize("x, target", TARGETS, ids=["patch", "inside", "cut", "tangent"])
+    def test_array_of_horizons_matches_each_horizon_bit_for_bit(self, monkeypatch, x, target):
+        # Every horizon goes to one kernel batch; a scalar horizon gives a float.
+        params, eps = ModelParams(4.0, 0.7), np.array([[0.2, 0.1], [0.05, 0.025]])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return log_densities(*args)
+
+        monkeypatch.setattr(stickybm.ldp, "log_densities", counted)
+        batch = log_target_probability(params, SPEC, eps, x, target)
+        assert len(calls) == 1 and batch.shape == eps.shape
+        for t, got in zip(eps.ravel().tolist(), batch.ravel()):
+            value = log_target_probability(params, SPEC, t, x, target)
+            assert type(value) is float and got == value
 
     @pytest.mark.parametrize("a, x, target, tol", [
         (4.0, P(0.0, 0.0), BoundaryPatch((2.0,), 0.1), 1e-12),   # criterion 7
@@ -653,7 +689,8 @@ class TestPhaseTransition:
         x, y, eps = P(1.0, 0.0), P(1.0, 5.0), (0.2, 0.1, 0.05, 0.025)
 
         def lp(params, spec, t, *args, **kwargs):
-            return -math.inf if t == 0.025 else true_lp(params, spec, t, *args, **kwargs)
+            return np.where(np.asarray(t) == 0.025, -math.inf,
+                            true_lp(params, spec, t, *args, **kwargs))
 
         monkeypatch.setattr(stickybm.ldp, "log_target_probability", lp)
         res = phase_transition_scan((0.5,), 1.0, x, y, eps)

@@ -6,6 +6,8 @@ import pytest
 from stickybm.quadrature import (QuadratureError, QuadratureSpec, gauss_legendre, log_integrate,
                                  logsumexp)
 
+from oracles import reference_log_integrate
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -142,3 +144,77 @@ def test_nan_integrand_raises_before_any_refinement():
         log_integrate(log_f, np.full(3, math.nan), QuadratureSpec())
     assert err.value.index == 1
     assert len(calls) == 1
+
+
+_CENTERS = np.array([0.37, 0.5, 0.9, 0.6, 0.2])
+_WIDTHS = np.array([1e-4, 1e-2, 0.3, 0.05, 0.1])
+
+
+def _bumps(rows, x):
+    return -((x - _CENTERS[rows, None]) / _WIDTHS[rows, None]) ** 2 / 2.0
+
+
+# (log_f, splits) of the cases above that converge, the batch of bumps last.
+CASES = [
+    *((lambda rows, x, alpha=alpha: -alpha * x, [math.nan]) for alpha in (0.5, 3.0, 40.0)),
+    (lambda rows, x: -((x - 0.37) / 1e-4) ** 2 / 2.0, [0.37]),
+    (lambda rows, x: -2000.0 + 0.0 * x, [math.nan]),
+    *((lambda rows, x, shift=shift: shift - 30.0 * (x - 0.3) ** 2, [math.nan])
+      for shift in (-2e5, -5e5, -1e6, 1e6)),
+    (lambda rows, x: np.where(x <= 0.5, 0.0, -(x - 0.5) / 1e-5), [0.5]),
+    (_bumps, [0.37, 0.5, 0.9, 1.0, -0.25]),
+]
+
+
+@pytest.mark.parametrize("log_f, splits", CASES, ids=[
+    "exp-0.5", "exp-3", "exp-40", "sharp-bump", "flat-2000", "large-2e5", "large-5e5",
+    "large-1e6", "large+1e6", "boundary-layer", "batch"])
+def test_matches_the_rule_that_evaluates_ends_again_bit_for_bit(log_f, splits):
+    # The same panels, estimates, bounds and acceptance tests as the rule
+    # that evaluates every panel's ends and midpoint again at each level.
+    spec = QuadratureSpec()
+    assert np.array_equal(log_integrate(log_f, splits, spec),
+                          reference_log_integrate(log_f, splits, spec))
+
+
+@pytest.mark.parametrize("log_f, rows", [
+    (lambda rows, x: 30.0 * np.sin(1000.0 * x) ** 2, 1),
+    (lambda rows, x: np.where(rows[:, None] == 1, 30.0 * np.sin(1000.0 * x) ** 2, -x), 3),
+], ids=["alone", "in-a-batch"])
+def test_fails_where_the_rule_that_evaluates_ends_again_fails(log_f, rows):
+    spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+    with pytest.raises(QuadratureError) as ours:
+        log_integrate(log_f, np.full(rows, math.nan), spec)
+    with pytest.raises(QuadratureError) as theirs:
+        reference_log_integrate(log_f, np.full(rows, math.nan), spec)
+    assert ours.value.index == theirs.value.index
+
+
+def _spy(log_f, calls):
+    def spy(rows, x):
+        calls.append((rows.copy(), x.copy()))
+        return log_f(rows, x)
+    return spy
+
+
+def test_each_point_once_per_call_and_31_per_bisected_panel():
+    # Both halves of a bisected panel cost one row of 31 points (the left
+    # half's 15 nodes, the midpoint, the right half's 15 nodes), not two of
+    # 17: its ends are carried from the calls that evaluated them.
+    spec, splits = QuadratureSpec(), [0.37, 0.5, 0.9, 1.0, -0.25]
+    ours, theirs = [], []
+    log_integrate(_spy(_bumps, ours), splits, spec)
+    reference_log_integrate(_spy(_bumps, theirs), splits, spec)
+    for rows, x in ours:
+        pairs = list(zip(np.broadcast_to(rows[:, None], x.shape).ravel().tolist(),
+                         x.ravel().tolist()))
+        assert len(set(pairs)) == len(pairs)
+    # Three integrands are split, two are not: 8 first panels, each 16 points
+    # (its left end and nodes), and the right end 1 of each of the 5.
+    assert [x.shape for _, x in ours[:2]] == [(8, 16), (5, 1)]
+    assert theirs[0][1].shape == (8, 17)
+    # The bisection visits the same panels at every level.
+    assert [x.shape[1] for _, x in ours[2:]] == [31] * (len(theirs) - 1)
+    assert [2 * x.shape[0] for _, x in ours[2:]] == [x.shape[0] for _, x in theirs[1:]]
+    assert all(np.array_equal(np.concatenate((r, r)), rows)
+               for (r, _), (rows, _) in zip(ours[2:], theirs[1:]))

@@ -282,6 +282,46 @@ class TestGammaLimit:
         assert viol[-1] < viol[0]
         assert viol[-1] <= abs(res.gap_slope) * 0.01 * math.log(1 / 0.01) + 1e-9
 
+    @pytest.mark.parametrize("fixture", [CRIT10, MIXED], ids=["criterion10", "mixed"])
+    def test_warm_starts_match_cold_solves_in_fewer_iterations(self, fixture, monkeypatch):
+        # Each epsilon after the first starts from the previous potential
+        # beta, scaled by eps_prev / eps; it converges to the cold solve's
+        # value within the marginal tolerance, in fewer iterations.
+        params, eps = ModelParams(4.0, 1.0), (0.04, 0.02, 0.01)
+        starts = []
+        solve = stickybm.transport.schrodinger
+
+        def spy(*args, _beta=None):
+            starts.append(_beta)
+            return solve(*args, _beta=_beta)
+
+        monkeypatch.setattr(stickybm.transport, "schrodinger", spy)
+        res = gamma_limit_experiment(params, *fixture, eps)
+        assert starts[0] is None and all(start is not None for start in starts[1:])
+        for k, row in enumerate(res.rows):
+            cold = solve(params, row.epsilon, *fixture)
+            assert row.entropic_value == pytest.approx(cold.cost_value, rel=1e-9, abs=0.0)
+            assert (row.iterations == cold.iterations if k == 0
+                    else row.iterations < cold.iterations)
+
+    def test_warm_start_from_the_last_converged_epsilon(self, monkeypatch):
+        # A failed solve leaves the next epsilon to start from the last
+        # converged one, scaled from its epsilon.
+        params, (src, tgt) = ModelParams(4.0, 1.0), CRIT10
+        solve, starts = stickybm.transport.schrodinger, []
+
+        def fail_at_002(params, eps, mu0, mu1, _beta=None):
+            starts.append((eps, _beta))
+            if eps == 0.02:
+                raise TransportConvergenceError("refused", 1.0)
+            return solve(params, eps, mu0, mu1, _beta=_beta)
+
+        monkeypatch.setattr(stickybm.transport, "schrodinger", fail_at_002)
+        res = gamma_limit_experiment(params, src, tgt, (0.04, 0.02, 0.01))
+        assert res.failed_epsilons == (0.02,)
+        first = solve(params, 0.04, src, tgt)
+        assert np.array_equal(starts[2][1], first._beta * (0.04 / 0.01))
+
     def test_no_converged_epsilon_raises(self, monkeypatch):
         # With every epsilon failing there is no gap to fit; a slope read off
         # zero rows would be 0.
