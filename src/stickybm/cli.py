@@ -175,8 +175,7 @@ def _emit(args, header, table, summary: dict, line: str) -> int:
             fh.write("".join([formats[tuple(map(type, row))](row) for row in chunk]))
     config = {k: v for k, v in vars(args).items() if k != "func"}
     with open(stem + ".json", "w") as fh:
-        json.dump(_finite_or_null({"config": config, **summary}), fh, sort_keys=True,
-                  indent=2, default=_fmt)
+        json.dump(_finite_or_null({"config": config, **summary}), fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(line)
     return EXIT_OK

@@ -224,11 +224,7 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t, s, v):
     caller = order[opens]
     t, s, v = t[opens], s[opens], v[opens]
     th = params.theta
-    # log(theta t) once per distinct horizon, each of which opens a run.
-    starts = np.ones(t.size, dtype=bool)
-    starts[1:] = t[1:] != t[:-1]
-    starts = np.flatnonzero(starts)
-    log_th_t = np.repeat(_math_log(th * t[starts]), np.diff(np.append(starts, t.size)))
+    log_th_t = _math_log(th * t)
     values = np.empty(s.size)
     for start in range(0, s.size, _MAX_BATCH):
         part = slice(start, start + _MAX_BATCH)
@@ -333,17 +329,8 @@ def log_densities(params: ModelParams, spec: QuadratureSpec, t, x1, y1, v) -> np
 
 
 # ---------------------------------------------------------------------------
-# Fixed-rule grids and the total-mass check
+# The total-mass check
 # ---------------------------------------------------------------------------
-
-def _grid_densities(params, t, x1, y1_grid, v_grid) -> np.ndarray:
-    """Log kernel mu-densities on the tensor grid (y1_grid, v_grid) from the
-    fixed-rule local-time integrals of :func:`_sticky_log_grid`."""
-    y1 = np.asarray(y1_grid, dtype=float)
-    v = np.asarray(v_grid, dtype=float)
-    log_st = _sticky_log_grid(params, t, x1 + y1, v)
-    return _compose(params, t, x1, y1[:, None], v[None, :], log_st)
-
 
 def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float:
     """Total mass of the kernel by tensor quadrature (d = 2 or 3).
@@ -381,5 +368,6 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float
     else:
         w_ang = 2.0 * math.pi * v  # radial measure in the tangential plane
 
-    logq = _grid_densities(params, t, x1, y1, v)
+    log_st = _sticky_log_grid(params, t, x1 + y1, v)
+    logq = _compose(params, t, x1, y1[:, None], v[None, :], log_st)
     return float(w_y1 @ np.exp(logq) @ (w_v * w_ang))

@@ -28,9 +28,12 @@ _NEG_INF = -math.inf
 # Gauss-Legendre nodes per panel of the adaptive rule.
 _ORDER = 15
 
+# Relative tolerance of every integral.
+_RTOL = 1e-10
+
 # Ulps of the log integral within which a panel's two estimates agree
 # whatever the tolerance: a log of magnitude 2^17 is resolved only to
-# 2^-35 ~ 2.9e-11 relative, so 0.25 * rtol = 2.5e-11 alone would accept
+# 2^-35 ~ 2.9e-11 relative, so 0.25 * _RTOL = 2.5e-11 alone would accept
 # such a panel only where both estimates round to the same float.
 _ULPS = 16
 
@@ -53,15 +56,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Adaptive panel control: the relative tolerance of the integral and the
-    maximum bisection depth of any panel."""
+    """Adaptive panel control: the maximum bisection depth of any panel."""
 
-    relative_tolerance: float = 1e-10
     max_subdivisions: int = 20
 
     def __post_init__(self):
-        if not (0.0 < self.relative_tolerance <= 1e-2):
-            raise ValueError("relative_tolerance must lie in (0, 1e-2]")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be at least 8")
 
@@ -208,13 +207,13 @@ def log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
     batch.  A panel counts as negligible, and is accepted without
     refinement, only when its Gauss estimate, the estimate from its two
     halves and the bound ``log(width) + max(log_f(lo), log_f(hi))`` all lie
-    at or below ``rtol / 64`` of its integrand's first-pass total.  The
+    at or below ``_RTOL / 64`` of its integrand's first-pass total.  The
     bound is rigorous on a monotone panel, so a boundary layer that the
     Gauss nodes miss is never dropped.  Any other panel is accepted once its
-    two estimates agree to ``0.25 * rtol``, or to 16 ulps of its log
+    two estimates agree to ``0.25 * _RTOL``, or to 16 ulps of its log
     integral, the finest agreement that a log of that magnitude can show;
     the ulp bound is the larger only where the log exceeds 2^13 = 8192 in
-    magnitude at ``rtol = 1e-10``.  Accepted panels are summed per
+    magnitude (``_RTOL`` is 1e-10).  Accepted panels are summed per
     integrand.  Raises :class:`QuadratureError`, with the integrand's
     index, when a relevant panel still disagrees at ``max_subdivisions``
     levels or when ``log_f`` returns NaN.
@@ -234,12 +233,11 @@ def log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     est, bound, f_lo, f_hi = _first_panels(log_f, rows, lo, hi, n, nodes, log_w)
 
-    # Panels contributing less than rtol * total never need refining; use a
+    # Panels contributing less than _RTOL * total never need refining; use a
     # coarse first-pass total per integrand as the pruning scale.
-    rtol = spec.relative_tolerance
-    prune = _grouped_logsumexp(rows, est, n) + math.log(rtol) - math.log(64.0)
+    prune = _grouped_logsumexp(rows, est, n) + math.log(_RTOL) - math.log(64.0)
 
-    accepted_rows, accepted = [], []
+    accepted_rows, accepted = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     depth = 0
     while rows.size:
         # A refined panel's halves are the next level's panels, the left
@@ -250,7 +248,7 @@ def log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             err = np.where(fine == _NEG_INF, math.inf,
                            np.abs(np.expm1(np.minimum(est - fine, 700.0))))
-            agree = np.maximum(0.25 * rtol, _ULPS * np.spacing(np.abs(fine)))
+            agree = np.maximum(0.25 * _RTOL, _ULPS * np.spacing(np.abs(fine)))
         done = (((fine <= p) & (est <= p) & (bound <= p))
                 | (err <= agree))
         accepted_rows.append(rows[done])
@@ -260,7 +258,7 @@ def log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
             k = int(np.flatnonzero(refine)[0])
             raise QuadratureError(
                 f"panel [{lo[k]:.6g}, {hi[k]:.6g}] disagrees by {err[k]:.3e} after "
-                f"{depth} subdivisions (tolerance {rtol:.1e})", index=int(rows[k]))
+                f"{depth} subdivisions (tolerance {_RTOL:.1e})", index=int(rows[k]))
         rows = np.concatenate((rows[refine], rows[refine]))
         lo, hi, est, bound, f_lo, f_hi = half[:, :, refine].reshape(_HALF_FIELDS, -1)
         depth += 1

@@ -232,6 +232,11 @@ def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
     ``log_normalization`` reports ``eps * log sum K`` separately so the
     relative entropy against the renormalized probability matrix is
     ``cost_value + log_normalization`` (in cost units).
+
+    The 1e-9 stop bounds the plan's largest marginal error, not the error
+    of ``cost_value``: a cold and a warm solve of the same problem stop at
+    different plans, and their values can differ by about 1e-9 relative
+    (1.8e-9 measured at eps = 0.02 on a 4-atom and a 3-atom measure).
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")

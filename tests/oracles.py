@@ -16,11 +16,12 @@ library reports as the exact ``k / n``, gets its Wilson score interval from
 
 The kernel's own consistency checks run the kernel under test against the
 semigroup property (:func:`chapman_kolmogorov_residual`) and the forward
-equations (:func:`fokker_planck_residual`); they read ``kernel.log_densities``
-and ``kernel._grid_densities`` through the module, so a test that wraps
-either there sees every call.  :func:`bivariate_density` is the joint law of
-(horizontal position, local time) from the kernel's log building blocks, and
-:func:`modulus_statistics` the path-oscillation frequency of a sampled batch.
+equations (:func:`fokker_planck_residual`); they read ``kernel.log_densities``,
+``kernel._sticky_log_grid`` and ``kernel._compose`` through the module, so a
+test that wraps one of them there sees every call.  :func:`bivariate_density`
+is the joint law of (horizontal position, local time) from the kernel's log
+building blocks, and :func:`modulus_statistics` the path-oscillation
+frequency of a sampled batch.
 The kernel's in-place building blocks have their plain numpy expressions,
 :func:`reference_log_h`, :func:`reference_log_g` and
 :func:`reference_sticky_log_grid`, which they must match bit for bit, and
@@ -43,7 +44,7 @@ import numpy as np
 from stickybm import kernel
 from stickybm.geometry import HalfSpacePoint, ModelParams
 from stickybm.kernel import _log_g, _log_h, _log_killed_kernel
-from stickybm.quadrature import (QuadratureError, QuadratureSpec, _grouped_logsumexp,
+from stickybm.quadrature import (_RTOL, QuadratureError, QuadratureSpec, _grouped_logsumexp,
                                  gauss_legendre, logsumexp)
 from stickybm.simulate import BatchPaths, walk
 
@@ -257,8 +258,7 @@ def reference_log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
     keep = hi > lo
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     est, bound = _reference_panels(log_f, rows, lo, hi, nodes, log_w)
-    rtol = spec.relative_tolerance
-    prune = _grouped_logsumexp(rows, est, n) + math.log(rtol) - math.log(64.0)
+    prune = _grouped_logsumexp(rows, est, n) + math.log(_RTOL) - math.log(64.0)
     accepted_rows, accepted = [], []
     depth = 0
     while rows.size:
@@ -272,7 +272,7 @@ def reference_log_integrate(log_f, splits, spec: QuadratureSpec) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             err = np.where(fine == -math.inf, math.inf,
                            np.abs(np.expm1(np.minimum(est - fine, 700.0))))
-            agree = np.maximum(0.25 * rtol, 16 * np.spacing(np.abs(fine)))
+            agree = np.maximum(0.25 * _RTOL, 16 * np.spacing(np.abs(fine)))
         done = ((fine <= p) & (est <= p) & (bound <= p)) | (err <= agree)
         accepted_rows.append(rows[done])
         accepted.append(fine[done])
@@ -484,8 +484,14 @@ def chapman_kolmogorov_residual(params: ModelParams, spec: QuadratureSpec,
     w1 = np.r_[0.5 / params.theta, np.full(n1, h1)] * hp
     zp = center - zp_halfwidth + (np.arange(np_) + 0.5) * hp
 
-    q_left = np.exp(kernel._grid_densities(params, s, x.x1, z1, np.abs(zp - xp)))
-    q_right = np.exp(kernel._grid_densities(params, t, y.x1, z1, np.abs(zp - yp)))
+    def grid_q(horizon, x1, v):
+        # The fixed-rule local-time integrals on the (z1, v) grid, composed
+        # into mu-densities as the total-mass check composes them.
+        log_st = kernel._sticky_log_grid(params, horizon, x1 + z1, v)
+        return np.exp(kernel._compose(params, horizon, x1, z1[:, None], v[None, :], log_st))
+
+    q_left = grid_q(s, x.x1, np.abs(zp - xp))
+    q_right = grid_q(t, y.x1, np.abs(zp - yp))
     value = float(w1 @ np.sum(q_left * q_right, axis=1))
     mass_left = float(w1 @ np.sum(q_left, axis=1))
     reference = math.exp(float(kernel.log_densities(params, spec, s + t, x.x1, y.x1,

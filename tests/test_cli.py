@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from stickybm.cli import _fmt, build_parser, main
 from stickybm.quadrature import QuadratureError
 
 from oracles import readme_cli_lines, reference_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(tmp_path, *argv):
@@ -104,6 +107,17 @@ class TestDispatch:
         assert main(["bogus"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["cost", "--a", "4", "--theta", "1", "--x", "0", "--y", "0,2"],
+         "point needs at least two coordinates, got '0'"),
+        (["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "ball:1:0.5",
+          "--epsilons", "0.2,0.1,0.05"], "point needs at least two coordinates, got '1'"),
+    ], ids=["cost-x", "ball-centre"])
+    def test_point_with_one_coordinate_exits_2(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: usage: {message}\n"
+
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         code = run(tmp_path, "cost", "--a", "-1", "--theta", "1", "--x", "0,0", "--y", "0,2")
         assert code == 2
@@ -167,6 +181,20 @@ class TestDispatch:
         for argv in commands:
             args = build_parser().parse_args(argv[1:])
             assert args.command == argv[1]
+
+    def test_readme_measure_examples_run_on_the_committed_measures(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # The measure lines name files under measures/; each runs as written
+        # from another directory once those are resolved against the repo.
+        lines = [line for line in readme_cli_lines() if "--mu0" in line]
+        assert [shlex.split(line)[1] for line in lines] == ["ot", "sinkhorn", "gamma-limit",
+                                                            "interpolate"]
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            argv = [str(ROOT / arg) if arg.startswith("measures/") else arg
+                    for arg in shlex.split(line, comments=True)[1:]]
+            assert main(argv) == 0, line
+        capsys.readouterr()
 
     def test_readme_annotated_examples_print_their_annotation(self, tmp_path, capsys):
         # A README example with a trailing comment prints that comment
@@ -507,6 +535,12 @@ class TestKernelCli:
     @pytest.mark.parametrize("option, message", [
         (["--grid", "0"], "grid"),
         (["--grid", "1"], "grid"),
+        pytest.param(["--d", "3"], "the kernel grid needs d = 2 and a two-coordinate --x",
+                     id="d3"),
+        pytest.param(["--x", "0,0,0"], "the kernel grid needs d = 2 and a two-coordinate --x",
+                     id="x-3d"),
+        pytest.param(["--d", "3", "--x", "0,0,0"],
+                     "the kernel grid needs d = 2 and a two-coordinate --x", id="d3-x-3d"),
     ])
     def test_degenerate_grid_exits_2_before_quadrature(self, tmp_path, capsys, monkeypatch,
                                                        option, message):
@@ -796,8 +830,10 @@ class TestLdpCli:
         (["ldp-static", "--target", "patch:1:0.2:3"], ("ball:<point>:<r>", "patch:<x'>:<r>")),
         (["ldp-path", "--waypoints", "0.5:0,1:0.8;"], ("'' (use t:<point>:<r>)",)),
         (["ldp-path", "--waypoints", "x:0,1:0.8"], ("'x:0,1:0.8' (use t:<point>:<r>)",)),
+        (["ldp-static", "--target", "disc:0,1:0.5"],
+         ("unknown target kind 'disc'", "ball:<point>:<r>", "patch:<x'>:<r>")),
     ], ids=["path-no-radius", "static-no-radius", "path-extra-field", "static-extra-field",
-            "path-trailing-separator", "path-non-numeric-time"])
+            "path-trailing-separator", "path-non-numeric-time", "static-unknown-kind"])
     def test_target_without_centre_and_radius_exits_2_naming_the_form(
             self, tmp_path, capsys, monkeypatch, argv, forms):
         forbid(monkeypatch, stickybm.simulate, "step_batch")

@@ -270,11 +270,10 @@ def _unset_options(library, bench):
     return unset
 
 
-# The benchmark builds ``QuadratureSpec()``, so its fields stay until the next
-# change to the benchmark turns them into constants (ROADMAP item 1); only the
-# quadrature tests set them.
-BENCHMARK_PINNED_OPTIONS = ("quadrature.QuadratureSpec(relative_tolerance)",
-                            "quadrature.QuadratureSpec(max_subdivisions)")
+# The benchmark builds ``QuadratureSpec()``, so its field stays until the next
+# change to the benchmark turns it into a constant (ROADMAP item 1); only the
+# quadrature and kernel tests set it.
+BENCHMARK_PINNED_OPTIONS = ("quadrature.QuadratureSpec(max_subdivisions)",)
 
 
 def test_library_options_are_set_outside_tests():

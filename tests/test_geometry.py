@@ -417,6 +417,10 @@ class TestPathAndAction:
             Path((0.0, 0.5, 0.5, 1.0), tuple(P(0.0, float(i)) for i in range(4)))
         with pytest.raises(ValueError):
             Path((0.1, 1.0), (P(0.0, 0.0), P(0.0, 1.0)))
+        with pytest.raises(ValueError, match="a path needs at least two knots"):
+            Path((0.0,), (P(0.0, 0.0),))
+        with pytest.raises(TypeError, match="knots must be HalfSpacePoint instances"):
+            Path((0.0, 1.0), (P(0.0, 0.0), (0.0, 1.0)))
 
     def test_action_examples(self):
         params = ModelParams(2.0, 1.0)

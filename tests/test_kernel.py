@@ -10,7 +10,6 @@ from stickybm.kernel import (
     kernel_total_mass,
     log_densities,
     log_sticky_integral,
-    _grid_densities,
     _log_g,
     _log_h,
     _log_killed_kernel,
@@ -247,23 +246,27 @@ class TestTransitionKernel:
         with pytest.raises(ValueError, match=f"point has dimension {5 - d}, model expects {d}"):
             kernel_total_mass(ModelParams(2.0, 1.0, d), 0.5, x)
 
+    def test_total_mass_rejects_d_4(self):
+        with pytest.raises(ValueError, match="total-mass quadrature implemented for d = 2 and 3"):
+            kernel_total_mass(ModelParams(2.0, 1.0, 4), 0.5, P(0.3, 0.0, 0.0, 0.0))
+
     def test_one_grid_call_per_kernel_holds_the_boundary_row(self, monkeypatch):
         # The boundary row joins the interior rows: one fixed-rule grid per
-        # kernel, with y1 = 0 once in it.
+        # kernel, with y1 = 0, the gap s = x1 + y1 = x1, once in it.
         grids = []
 
-        def counted(params, t, x1, y1_grid, v_grid):
-            grids.append(np.asarray(y1_grid))
-            return _grid_densities(params, t, x1, y1_grid, v_grid)
+        def counted(params, t, s_vals, v_vals):
+            grids.append(np.asarray(s_vals))
+            return _sticky_log_grid(params, t, s_vals, v_vals)
 
-        monkeypatch.setattr(stickybm.kernel, "_grid_densities", counted)
+        monkeypatch.setattr(stickybm.kernel, "_sticky_log_grid", counted)
         params = ModelParams(2.0, 1.0)
         kernel_total_mass(params, 0.5, P(0.3, 0.0))
         assert len(grids) == 1
         chapman_kolmogorov_residual(params, SPEC, 0.5, 0.5, P(0.0, 0.0), P(0.0, 0.0),
                                     n1=12, np_=6)
         assert len(grids) == 3
-        assert all(np.count_nonzero(g == 0.0) == 1 for g in grids)
+        assert [np.count_nonzero(g == x1) for g, x1 in zip(grids, (0.3, 0.0, 0.0))] == [1, 1, 1]
 
     def test_mu_symmetry(self):
         rng = np.random.default_rng(5)
@@ -629,7 +632,7 @@ class TestHorizonBatch:
     def test_failure_names_its_horizon_and_the_caller_index(self):
         # At 8 subdivisions only (t, s, v) = (1e-3, 0, 3) misses the
         # tolerance; it first appears at flat index 3.
-        spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+        spec = QuadratureSpec(max_subdivisions=8)
         with pytest.raises(QuadratureError) as err:
             log_sticky_integral(ModelParams(2.0, 1.5), spec,
                                 [[0.25, 0.5, 1e-3], [1e-3, 1e-3, 0.25]], 0.0,
@@ -641,7 +644,7 @@ class TestHorizonBatch:
 class TestQuadratureFailure:
     def test_batch_error_names_the_failing_integrand(self):
         # At 8 subdivisions only (s, v) = (0, 3) misses the tolerance.
-        spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+        spec = QuadratureSpec(max_subdivisions=8)
         with pytest.raises(QuadratureError) as err:
             log_sticky_integral(ModelParams(2.0, 1.5), spec, 1e-3,
                                 [0.3, 1.0, 0.0], [1.0, 0.3, 3.0])
@@ -650,7 +653,7 @@ class TestQuadratureFailure:
         assert err.value.index == 2
 
     def test_error_carries_the_first_caller_index_of_a_repeated_pair(self):
-        spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+        spec = QuadratureSpec(max_subdivisions=8)
         with pytest.raises(QuadratureError) as err:
             log_sticky_integral(ModelParams(2.0, 1.5), spec, 1e-3,
                                 [[0.3, 1.0], [0.0, 0.0]], [[1.0, 0.3], [3.0, 3.0]])

@@ -81,6 +81,16 @@ class TestPlumbing:
         with pytest.raises(ValueError):
             Ball(P(1.0, 0.0), 0.0)
 
+    @pytest.mark.parametrize("d, target, error, message", [
+        (3, Ball(P(1.0, 0.0, 0.0), 0.1), ValueError,
+         "quadrature target probabilities implemented for d = 2"),
+        (2, P(1.0, 0.0), TypeError, "target must be a Ball or BoundaryPatch"),
+    ], ids=["d3", "not-a-target"])
+    def test_target_probability_rejects_its_inputs(self, d, target, error, message):
+        x = P(0.0, *[0.0] * (d - 1))
+        with pytest.raises(error, match=message):
+            log_target_probability(ModelParams(1.0, 1.0, d), SPEC, 0.1, x, target)
+
     def test_estimator_keeps_monte_carlo_frequencies_exact(self):
         # Zero hits are dropped; the rest stay exactly k / n, so their hit
         # counts, and the Wilson bounds on them, come back exactly.

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stickybm import quadrature
 from stickybm.quadrature import (QuadratureError, QuadratureSpec, gauss_legendre, log_integrate,
                                  logsumexp)
 
@@ -10,15 +11,15 @@ from oracles import reference_log_integrate
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(relative_tolerance=0.5)
-    with pytest.raises(ValueError):
-        QuadratureSpec(relative_tolerance=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_subdivisions must be at least 8"):
         QuadratureSpec(max_subdivisions=4)
-    spec = QuadratureSpec()
-    assert spec.relative_tolerance == 1e-10
-    assert spec.max_subdivisions == 20
+    assert QuadratureSpec().max_subdivisions == 20
+    assert quadrature._RTOL == 1e-10
+
+
+def test_an_empty_batch_gives_an_empty_array():
+    got = log_integrate(lambda rows, x: -x, [], QuadratureSpec())
+    assert got.shape == (0,) and got.dtype == float
 
 
 def test_gauss_legendre_normalized():
@@ -69,7 +70,7 @@ def test_large_log_integrals_converge_whatever_their_rounding():
 
 
 def test_failure_is_reported():
-    spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+    spec = QuadratureSpec(max_subdivisions=8)
 
     def nasty(rows, x):
         return 30.0 * np.sin(1000.0 * x) ** 2
@@ -115,7 +116,7 @@ def test_batch_matches_each_integrand_alone():
 
 
 def test_failure_names_the_integrand():
-    spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+    spec = QuadratureSpec(max_subdivisions=8)
 
     def log_f(rows, x):
         return np.where(rows[:, None] == 1, 30.0 * np.sin(1000.0 * x) ** 2, -x)
@@ -182,7 +183,7 @@ def test_matches_the_rule_that_evaluates_ends_again_bit_for_bit(log_f, splits):
     (lambda rows, x: np.where(rows[:, None] == 1, 30.0 * np.sin(1000.0 * x) ** 2, -x), 3),
 ], ids=["alone", "in-a-batch"])
 def test_fails_where_the_rule_that_evaluates_ends_again_fails(log_f, rows):
-    spec = QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=8)
+    spec = QuadratureSpec(max_subdivisions=8)
     with pytest.raises(QuadratureError) as ours:
         log_integrate(log_f, np.full(rows, math.nan), spec)
     with pytest.raises(QuadratureError) as theirs:

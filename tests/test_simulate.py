@@ -418,6 +418,18 @@ class TestPaths:
         with pytest.raises(ValueError, match="steps must be positive and finite"):
             walk(PARAMS, P(0.3, 0.0), dts, 3, 0)
 
+    @pytest.mark.parametrize("stream, first_index", [(0, -1), (-1, 0)],
+                             ids=["first-index", "stream"])
+    def test_stream_layout_checked_at_the_call(self, stream, first_index):
+        with pytest.raises(ValueError, match="first_index and stream must be non-negative"):
+            walk(PARAMS, P(0.3, 0.0), [0.1], 3, 0, stream=stream, first_index=first_index)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    def test_step_batch_rejects_a_step_that_is_not_positive(self, dt):
+        u, g = np.full((3, 1), 0.5), np.zeros((1, 1))
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step_batch(PARAMS, np.array([0.3]), np.zeros((1, 1)), dt, u, g)
+
     def test_simulate_many(self):
         # Many paths are one batch, stacked on the leading axis.
         cfg = SimConfig(PARAMS, P(0.1, 0.0), 0.1, 3, seed=3)

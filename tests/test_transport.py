@@ -49,6 +49,17 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure((P(0.0, 0.0), P(1.0, 0.0)), (1.5, -0.5))
 
+    @pytest.mark.parametrize("atoms, weights, error, message", [
+        ((P(0.0, 0.0), P(1.0, 0.0)), (1.0,), ValueError,
+         "need matching, nonempty atoms and weights"),
+        ((), (), ValueError, "need matching, nonempty atoms and weights"),
+        ((P(0.0, 0.0), (1.0, 0.0)), (0.5, 0.5), TypeError,
+         "atoms must be HalfSpacePoint instances"),
+    ], ids=["mismatched", "empty", "not-a-point"])
+    def test_atoms_and_weights_checked(self, atoms, weights, error, message):
+        with pytest.raises(error, match=message):
+            DiscreteMeasure(atoms, weights)
+
 
 class TestKantorovich:
     def test_single_atoms_forced(self):
@@ -381,6 +392,12 @@ class TestDisplacement:
         end = displacement_interpolation(params, plan, 1.0)
         assert {(p.x1, p.xp) for p in start.atoms} == {(p.x1, p.xp) for p in mu0.atoms}
         assert {(p.x1, p.xp) for p in end.atoms} == {(p.x1, p.xp) for p in mu1.atoms}
+
+    def test_time_outside_zero_to_one_rejected(self):
+        params = ModelParams(2.0, 1.0)
+        plan = kantorovich(params, uniform(P(0.0, 0.0)), uniform(P(0.0, 2.0)))
+        with pytest.raises(ValueError, match=r"interpolation time must lie in \[0, 1\]"):
+            displacement_interpolation(params, plan, 1.5)
 
     def test_boundary_midpoint(self):
         params = ModelParams(4.0, 1.0)
