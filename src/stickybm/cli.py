@@ -126,14 +126,17 @@ def _read_measure(path: str) -> DiscreteMeasure:
                 if len(row) < 3 or len(row) != len(header):
                     raise ValueError(f"{len(row)} columns, the header has {len(header)}")
                 vals = [float(v) for v in row]
+                atoms.append(HalfSpacePoint(vals[0], tuple(vals[1:-1])))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-            atoms.append(HalfSpacePoint(vals[0], tuple(vals[1:-1])))
             weights.append(vals[-1])
     if not atoms:
         raise ValueError(f"{path}, line {reader.line_num + 1}: expected a header, then "
                          f"rows of x1, xp..., weight")
-    return DiscreteMeasure(tuple(atoms), tuple(weights))
+    try:
+        return DiscreteMeasure(tuple(atoms), tuple(weights))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _coord_names(d: int, prefix: str = ""):

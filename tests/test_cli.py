@@ -703,6 +703,20 @@ class TestTransportCli:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and str(bad) in err and message in err
 
+    @pytest.mark.parametrize("content, message", [
+        ("x1,xp1,weight\n0,0,0.5\n0,1,0.4\n", "weights sum to 0.9"),
+        ("x1,xp1,weight\n0,0,0.5\n-1,1,0.5\n", "line 3: x1 must be nonnegative"),
+    ], ids=["weights", "atom"])
+    def test_invalid_measure_file_exits_2_naming_the_file(self, tmp_path, capsys, measures,
+                                                         content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(content)
+        code = run(tmp_path, "ot", "--a", "2", "--theta", "1", "--mu0", measures[0],
+                   "--mu1", str(bad))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {bad}") and message in err
+
     @pytest.mark.parametrize("argv", [
         ["ot"],
         ["sinkhorn", "--epsilon", "0.5"],

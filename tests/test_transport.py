@@ -156,6 +156,35 @@ class TestKantorovich:
         assert np.all(plan.matrix[support] == mu0.weights[0])
         assert plan.marginal_defect() <= 1e-15
 
+    @pytest.mark.parametrize("n, m, weights", [
+        (2, 3, "float"), (3, 2, "units"), (5, 8, "float"), (13, 7, "units"), (24, 17, "float"),
+        (31, 64, "float"), (64, 48, "units"), (64, 2, "float"),
+        # a degenerate program: the partial sums 2/4 and 3/6 of the two sides tie
+        (4, 6, "equal"),
+    ])
+    def test_general_weights_match_highs_on_a_seeded_sweep(self, n, m, weights):
+        rng = np.random.default_rng([n, m])
+        params = ModelParams(float(rng.uniform(0.5, 6.0)), 1.0)
+
+        def measure(k):
+            """30-50% boundary atoms; float weights, whole units of 1/(3k), or equal."""
+            on_boundary = rng.permutation(k) < round(rng.uniform(0.3, 0.5) * k)
+            atoms = tuple(P(0.0 if b else float(rng.uniform(0.0, 2.0)),
+                            float(rng.uniform(-3.0, 3.0))) for b in on_boundary)
+            w = {"float": lambda: rng.uniform(0.2, 1.0, k),
+                 "units": lambda: rng.multinomial(2 * k, np.ones(k) / k) + 1.0,
+                 "equal": lambda: np.ones(k)}[weights]()
+            return DiscreteMeasure(atoms, tuple(w / w.sum()))
+
+        mu0, mu1 = measure(n), measure(m)
+        plan = kantorovich(params, mu0, mu1)
+        c = cost_matrix(params, mu0, mu1)
+        value, u, v = highs_transport(c, mu0.weights, mu1.weights)
+        assert plan.cost_value == pytest.approx(value, rel=1e-12)
+        assert plan.marginal_defect() <= 1e-12
+        assert np.all(plan.matrix >= 0.0)
+        assert np.max(np.abs((u[:, None] + v[None, :] - c)[plan.matrix > 1e-12])) <= 1e-9
+
     def test_only_uniform_equal_sizes_skip_the_linear_program(self, monkeypatch):
         class Reached(Exception):
             pass
@@ -163,7 +192,7 @@ class TestKantorovich:
         def refuse(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr("scipy.optimize.linprog", refuse)
+        monkeypatch.setattr("scipy.optimize.milp", refuse)
         params = ModelParams(2.0, 1.0)
         rng = np.random.default_rng(17)
         for n in (1, 3, 8):
@@ -180,7 +209,7 @@ class TestKantorovich:
                 kantorovich(params, mu0, mu1)
 
     def test_solver_failure_raises_with_its_message(self, monkeypatch):
-        monkeypatch.setattr("scipy.optimize.linprog",
+        monkeypatch.setattr("scipy.optimize.milp",
                             lambda *args, **kwargs: SimpleNamespace(
                                 status=2, message="The problem is infeasible."))
         mu0 = DiscreteMeasure((P(0.0, 0.0), P(0.0, 1.0)), (0.25, 0.75))
