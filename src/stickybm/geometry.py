@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,7 +104,10 @@ class HalfSpacePoint:
     xp: tuple = field(default=())
 
     def __post_init__(self):
-        xp = tuple(float(v) for v in np.atleast_1d(np.asarray(self.xp, dtype=float)).ravel())
+        xp = self.xp
+        if type(xp) is not tuple or not all(type(v) is float for v in xp):
+            # anything but a tuple of floats is read through numpy, flattened
+            xp = tuple(float(v) for v in np.atleast_1d(np.asarray(xp, dtype=float)).ravel())
         object.__setattr__(self, "xp", xp)
         object.__setattr__(self, "x1", float(self.x1))
         if not 0.0 <= self.x1 < math.inf:
@@ -136,9 +140,26 @@ def _check_vec(params: ModelParams, v, name: str) -> np.ndarray:
     return v
 
 
+def _gap(diff):
+    """``|x' - y'|`` from the tangential differences on the last axis: the one
+    gap rule of the cost, its batches and the geodesics.
+
+    Each row's gap is ``math.hypot`` of its differences, which scales its
+    arguments, so gaps below ~1e-154 do not square to zero.  One row is
+    that float; rows in d = 2 are ``|diff|``, which is what ``math.hypot``
+    returns for one argument, and in d >= 3 each row runs through it.
+    """
+    diff = np.asarray(diff, dtype=float)
+    if diff.ndim == 1:
+        return math.hypot(*diff.tolist())
+    if diff.shape[-1] == 1:
+        return np.abs(diff[..., 0])
+    rows = diff.reshape(-1, diff.shape[-1]).tolist()
+    return np.fromiter((math.hypot(*r) for r in rows), float, len(rows)).reshape(diff.shape[:-1])
+
+
 def _tangential_gap(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    # hypot scales its arguments, so gaps below ~1e-154 do not square to zero
-    return math.hypot(*np.subtract(y.xp, x.xp))
+    return _gap(np.subtract(y.xp, x.xp))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +232,7 @@ def _sticky_rate_core(a, s, v):
     with np.errstate(invalid="ignore"):
         root_a = np.sqrt(np.where(big_a > 0.0, big_a, 0.0))
         reach = root_a * s + v
-        slanted = reach ** 2 / (2.0 * a)
+        slanted = reach * reach / (2.0 * a)
         ell = reach / a
     use_flat = (a <= 1.0) | (root_a * v <= s)
     return (np.where(use_flat, flat, slanted), np.where(use_flat, s, root_a * ell),
@@ -277,7 +298,7 @@ def cost_batch(a, x1, xp, y1, yp):
     tangential axis; ``a`` scalar or broadcastable."""
     x1 = np.asarray(x1, dtype=float)
     y1 = np.asarray(y1, dtype=float)
-    v = np.linalg.norm(np.asarray(yp, dtype=float) - np.asarray(xp, dtype=float), axis=-1)
+    v = _gap(np.asarray(yp, dtype=float) - np.asarray(xp, dtype=float))
     return _cost_core(a, x1 - y1, x1 + y1, v)
 
 
@@ -311,20 +332,47 @@ class Path:
 
     def at(self, t: float) -> HalfSpacePoint:
         """Piecewise-linear interpolation, with x1 clamped against negative
-        rounding so interpolants stay feasible."""
-        t = float(t)
-        times = self.times
-        if t <= 0.0:
-            return self.knots[0]
-        if t >= 1.0:
-            return self.knots[-1]
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        t0, t1 = times[j], times[j + 1]
-        u = (t - t0) / (t1 - t0)
-        k0, k1 = self.knots[j], self.knots[j + 1]
-        x1 = max(0.0, (1.0 - u) * k0.x1 + u * k1.x1)
-        xp = tuple((1.0 - u) * a + u * b for a, b in zip(k0.xp, k1.xp))
-        return HalfSpacePoint(x1, xp)
+        rounding so interpolants stay feasible: :func:`_polyline_at` on this
+        one path."""
+        point = _polyline_at(np.array([self.times]),
+                             np.array([[(k.x1, *k.xp) for k in self.knots]]), float(t))[0]
+        return HalfSpacePoint(float(point[0]), point[1:])
+
+
+def _polyline_at(times, knots, t) -> np.ndarray:
+    """Points ``(x1, x')`` of piecewise-linear paths at times ``t``: the one
+    polyline interpolation.
+
+    Row ``r`` of ``times`` (n, K) and ``knots`` (n, K, d) is one path; a
+    path with fewer than K knots repeats its last knot at times past 1.
+    ``t`` is one time for every row, one per row, or, for one row, any
+    number of times.  At ``t <= 0`` and ``t >= 1`` a path returns its first
+    and last knot; in between, the segment ``j`` whose times bracket ``t``
+    (the later one at a knot time) is read at ``u = (t - t0) / (t1 - t0)``
+    as ``(1 - u) k_j + u k_{j+1}``, with x1 clamped at 0 against negative
+    rounding, so interpolants stay feasible.
+    """
+    t = np.asarray(t, dtype=float)
+    n, k = times.shape
+    # held inside [0, 1), where every segment it finds has positive length
+    inside = np.minimum(np.maximum(t, 0.0), _BELOW_ONE)
+    # the segment's first knot, in the rows' knots laid end to end: the
+    # times up to it are the leading ones not past ``inside``
+    i = np.arange(0, n * k, k) + np.argmin(times[:, 1:] <= inside[..., None], axis=1)
+    times, knots = times.ravel(), knots.reshape(n * k, -1)
+    t0, t1 = times.take(i), times.take(i + 1)
+    u = ((inside - t0) / (t1 - t0))[..., None]
+    points = (1.0 - u) * knots.take(i, axis=0) + u * knots.take(i + 1, axis=0)
+    points[:, 0] = np.where(points[:, 0] > 0.0, points[:, 0], 0.0)
+    start, end = t <= 0.0, t >= 1.0
+    if np.count_nonzero(start) or np.count_nonzero(end):
+        first = i - i % k
+        points = np.where(start[..., None], knots.take(first, axis=0),
+                          np.where(end[..., None], knots.take(first + k - 1, axis=0), points))
+    return points
+
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def action(params: ModelParams, path: Path) -> float:
@@ -380,8 +428,106 @@ class GeodesicDescription:
     total_cost: float
 
 
+_CASES = ("euclidean", "boundary_only", "one_touch_exit", "one_touch_entry", "three_segment")
+
+
+def _layouts() -> tuple:
+    """Knot layouts over the slots (x, z_in, z_out, y), one row per code.
+
+    A route outside the cone has code ``[x1 > 0] + 2 [|z_out - z_in| > 0]
+    + 4 [y1 > 0]``, whose set bits are the slots after x that it keeps: a
+    leg of zero length is dropped with its end knot.  Codes 0 and 2, both
+    ends on the boundary, and code 8, the cone's inside, keep x and y.  A
+    row of the first table holds the kept slots in order, the last repeated
+    to four, then the knot count and the index into ``_CASES``; a row of
+    the second holds per position the time 1, 2, 3, ... from the last kept
+    slot on, 0 before it.
+    """
+    rows, times = [], []
+    for code in range(9):
+        if code in (0, 2, 8):
+            slots, tag = [0, 3], "euclidean" if code == 8 else "boundary_only"
+        else:
+            slots = [0] + [i for i in (1, 2, 3) if code & 2 ** (i - 1)]
+            tag = ("one_touch_exit" if not code & 1 else "one_touch_entry" if not code & 4
+                   else "three_segment")
+        k = len(slots)
+        rows.append(slots + slots[-1:] * (4 - k) + [k, _CASES.index(tag)])
+        times.append([max(0, i - k + 2) for i in range(4)])
+    return np.array(rows), np.array(times, dtype=float)
+
+
+_LAYOUTS, _LAYOUT_TIMES = _layouts()
+_SIGNS = np.array([1.0, -1.0])
+_CODE_BITS = np.array([1, 2, 4])
+
+
+class _Geodesics(NamedTuple):
+    """The geodesics of n pairs, one row each.  ``case`` indexes ``_CASES``;
+    ``times`` (n, 4) and ``knots`` (n, 4, d) hold the path's ``count``
+    knots, the last repeated at times 2, 3, ... as :func:`_polyline_at`
+    reads them."""
+
+    case: np.ndarray
+    count: np.ndarray
+    times: np.ndarray
+    knots: np.ndarray
+
+
+def _geodesics(a: float, x1, xp, y1, yp) -> _Geodesics:
+    """The explicit geodesics from ``(x1[r], xp[r])`` to ``(y1[r], yp[r])``,
+    all rows at once: the one geodesic construction.  ``x1, y1`` have shape
+    (n,), ``xp, yp`` (n, d - 1); :func:`geodesic` states the rule.
+
+    Every row is built on the four slots (x, z_in, z_out, y) and keeps the
+    slots of its layout (``_layouts``).  When no row leaves the cone with an
+    end off the boundary, every path is straight and nothing else is built.
+    """
+    xp, yp = np.asarray(xp, dtype=float), np.asarray(yp, dtype=float)
+    n, m = xp.shape
+    slots = np.zeros((n, 4, 1 + m))
+    slots[:, 0, 0], slots[:, 3, 0] = x1, y1
+    slots[:, :2, 1:], slots[:, 2:, 1:] = xp[:, None], yp[:, None]
+    ends = slots[:, ::3, 0]
+    x1, y1 = ends[:, 0], ends[:, 1]
+    diff = yp - xp
+    gap = _gap(diff)
+    s = x1 + y1
+    # outside the cone, where cone_contains is false
+    outside = (gap > (s + 2.0 * np.sqrt(a * x1 * y1)) / math.sqrt(a - 1.0) if a > 1.0
+               else np.zeros(n, dtype=bool))
+    code, slot_times = np.where(outside, 2, 8), np.zeros((n, 4))
+    if np.count_nonzero(outside & (s > 0.0)):
+        with np.errstate(divide="ignore", invalid="ignore"):   # straight rows read none of it
+            root_a = math.sqrt(a - 1.0)
+            u = diff / gap[:, None]
+            slots[:, 1:3, 1:] += ((ends / root_a) * _SIGNS)[:, :, None] * u[:, None, :]
+            # Speed-normalized lengths: slanted legs at weight 1, boundary
+            # leg at 1/sqrt(a); knot times at their cumulative shares.
+            lengths = np.zeros((n, 4))
+            lengths[:, 1::2] = ends * math.sqrt(a / (a - 1.0))
+            lengths[:, 2] = _gap(slots[:, 2, 1:] - slots[:, 1, 1:])
+            code = np.where(outside, (lengths[:, 1:] > 0.0) @ _CODE_BITS, 8)
+            lengths[:, 2] /= math.sqrt(a)
+            total = lengths[:, 1] + lengths[:, 2] + lengths[:, 3]
+            slot_times = np.add.accumulate(lengths / total[:, None], axis=1)
+        slot_times[:, 0] = 0.0
+    layout, last = _LAYOUTS[code], _LAYOUT_TIMES[code]
+    rows, pick = np.arange(n)[:, None], layout[:, :4]
+    times = np.where(last > 0.0, last, slot_times[rows, pick])
+    # A leg shorter than one ulp of time keeps one ulp, so that the times
+    # increase strictly; where they already do, nothing moves.
+    if np.count_nonzero(times[:, 1:] <= times[:, :-1]):
+        for i in (1, 2):
+            times[:, i] = np.maximum(times[:, i], np.nextafter(times[:, i - 1], 1.0))
+        for i in (2, 1):
+            times[:, i] = np.minimum(times[:, i], np.nextafter(times[:, i + 1], 0.0))
+    return _Geodesics(layout[:, 5], layout[:, 4], times, slots[rows, pick])
+
+
 def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> GeodesicDescription:
-    """Explicit action minimizer from ``x`` to ``y``.
+    """Explicit action minimizer from ``x`` to ``y``: :func:`_geodesics` on
+    this one pair.
 
     Inside the cone (or for ``a <= 1``) the minimizer is the straight
     Euclidean interpolation.  Outside the cone it enters the boundary at
@@ -389,53 +535,13 @@ def geodesic(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> Geode
     ``z_out = (0, y' - (y1/sqrt(A)) u)`` with ``u`` the unit tangential
     direction from ``x'`` to ``y'``: both slanted legs make the contact angle
     with the normal.  Knot times are allocated so the Lagrangian is constant
-    in time, which also makes the action additive along the geodesic.
+    in time, which also makes the action additive along the geodesic; a leg
+    shorter than one ulp of time keeps one ulp.
     """
     _check_dim(params, x)
     _check_dim(params, y)
-    c = cost(params, x, y)
-    xpa = np.asarray(x.xp)
-    ypa = np.asarray(y.xp)
-    straight = Path((0.0, 1.0), (x, y))
-    if params.a <= 1.0 or cone_contains(params, x, y):
-        return GeodesicDescription("euclidean", straight, c)
-    if x.x1 == 0.0 and y.x1 == 0.0:
-        return GeodesicDescription("boundary_only", straight, c)
-
-    root_a = math.sqrt(params.big_a)
-    # Outside the cone the gap exceeds a nonnegative threshold, so it is positive.
-    u = (ypa - xpa) / _tangential_gap(x, y)
-    z_in = HalfSpacePoint(0.0, tuple(xpa + (x.x1 / root_a) * u))
-    z_out = HalfSpacePoint(0.0, tuple(ypa - (y.x1 / root_a) * u))
-
-    # Speed-normalized lengths: slanted legs at weight 1, boundary leg at 1/sqrt(a).
-    knots, lengths = [x], []
-    if x.x1 > 0.0:
-        knots.append(z_in)
-        lengths.append(x.x1 * math.sqrt(params.a / params.big_a))
-    mid = _tangential_gap(z_in, z_out)
-    if mid > 0.0:
-        knots.append(z_out)
-        lengths.append(mid / math.sqrt(params.a))
-    if y.x1 > 0.0:
-        knots.append(y)
-        lengths.append(y.x1 * math.sqrt(params.a / params.big_a))
-    total = sum(lengths)
-    # Knot times at the cumulative shares of the length; a leg shorter than
-    # one ulp of time keeps one ulp, so that the times increase strictly.
-    times = [0.0]
-    for w in lengths:
-        times.append(times[-1] + w / total)
-    times[-1] = 1.0
-    for i in range(1, len(times) - 1):
-        times[i] = max(times[i], math.nextafter(times[i - 1], 1.0))
-    for i in range(len(times) - 2, 0, -1):
-        times[i] = min(times[i], math.nextafter(times[i + 1], 0.0))
-
-    if x.x1 == 0.0:
-        tag = "one_touch_exit"
-    elif y.x1 == 0.0:
-        tag = "one_touch_entry"
-    else:
-        tag = "three_segment"
-    return GeodesicDescription(tag, Path(tuple(times), tuple(knots)), c)
+    g = _geodesics(params.a, [x.x1], [x.xp], [y.x1], [y.xp])
+    k = int(g.count[0])
+    knots = (x, *(HalfSpacePoint(x1, tuple(xp)) for x1, *xp in g.knots[0, 1:k].tolist()))
+    return GeodesicDescription(_CASES[g.case[0]], Path(tuple(g.times[0, :k].tolist()), knots),
+                               cost(params, x, y))

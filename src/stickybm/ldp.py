@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _sliced_sum, _sticky_rate_core,
-                       _tangential_gap, geodesic)
+from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _geodesics, _polyline_at,
+                       _sliced_sum, _sticky_rate_core, _tangential_gap)
 from .geometry import cost  # noqa: F401 -- perfbench traces and asserts the ``ldp.cost`` binding
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, gauss_legendre, logsumexp
@@ -600,8 +600,9 @@ def min_sliced_cost(params: ModelParams, x: HalfSpacePoint, waypoint_sets) -> fl
         value, point = _nearest(params, x, target)
         if value / t >= lower:
             lower, star, y_star = value / t, j, point
-    path = geodesic(params, x, y_star).path
-    ys = [path.at(t / times[star]) for t in times[:star]] + [y_star] * (len(targets) - star)
+    g = _geodesics(params.a, [x.x1], [x.xp], [y_star.x1], [y_star.xp])
+    points = _polyline_at(g.times, g.knots, [t / times[star] for t in times[:star]]).tolist()
+    ys = [HalfSpacePoint(y1, tuple(yp)) for y1, *yp in points] + [y_star] * (len(targets) - star)
     if all(target.contains(y.x1, np.asarray(y.xp))
            for i, (y, target) in enumerate(zip(ys, targets)) if i != star):
         total = _sliced_sum(params, [x, *ys], dts)

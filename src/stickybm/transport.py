@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import HalfSpacePoint, ModelParams, _check_dim, cost_batch, geodesic
+from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _geodesics, _polyline_at,
+                       cost_batch)
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, logsumexp
 
@@ -358,18 +359,23 @@ def displacement_interpolation(params: ModelParams, plan: TransportPlan,
     """Push every cell of the plan's support along its geodesic to time t.
 
     The support is the cells with mass above 1e-15, visited in row-major
-    order, one atom each.  Each cell is evaluated on its geodesic's path at
-    its knot times, so the interpolant of a boundary pair stays on the
-    boundary with x1 exactly 0.
+    order, one atom each, weighted by the cell's share of the support's
+    mass.  All cells go through one batched geodesic pass
+    (``geometry._geodesics``) and one polyline read at t
+    (``geometry._polyline_at``), the rule that :func:`geometry.geodesic`
+    and ``Path.at`` also run, so each atom has the bits of its scalar
+    geodesic; the interpolant of a boundary pair stays on the boundary
+    with x1 exactly 0.
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError("interpolation time must lie in [0, 1]")
-    atoms = []
-    weights = []
-    for i, j in zip(*np.nonzero(plan.matrix > 1e-15)):
-        gamma = geodesic(params, plan.source.atoms[i], plan.target.atoms[j])
-        atoms.append(gamma.path.at(t))
-        weights.append(float(plan.matrix[i, j]))
+    for p in plan.source.atoms + plan.target.atoms:
+        _check_dim(params, p)
+    rows, cols = np.nonzero(plan.matrix > 1e-15)
+    g = _geodesics(params.a, plan.source.x1()[rows], plan.source.xp()[rows],
+                   plan.target.x1()[cols], plan.target.xp()[cols])
+    points = _polyline_at(g.times, g.knots, t).tolist()
+    weights = plan.matrix[rows, cols].tolist()
     total = sum(weights)
-    weights = [w / total for w in weights]
-    return DiscreteMeasure(tuple(atoms), tuple(weights))
+    return DiscreteMeasure(tuple(HalfSpacePoint(x1, tuple(xp)) for x1, *xp in points),
+                           tuple(w / total for w in weights))

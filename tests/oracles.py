@@ -27,6 +27,11 @@ The kernel's in-place building blocks have their plain numpy expressions,
 :func:`reference_sticky_log_grid`, which they must match bit for bit, and
 the adaptive rule has :func:`reference_log_integrate`, which evaluates the
 ends and midpoints of its panels again at every level.
+The explicit geodesics have their scalar construction,
+:func:`reference_geodesic`, one pair at a time, and displacement
+interpolation its per-cell loop, :func:`reference_displacement_interpolation`,
+through the scalar :func:`reference_path_at`; the batched pass must match
+them bit for bit.
 The CLI's CSV writer has :func:`reference_csv`, which formats and quotes one
 value at a time through ``csv.writer``, and the CLI's documented use has
 :func:`readme_cli_lines`, the examples of README's CLI block.
@@ -41,8 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from stickybm import kernel
-from stickybm.geometry import HalfSpacePoint, ModelParams
+from stickybm import geometry, kernel
+from stickybm.geometry import GeodesicDescription, HalfSpacePoint, ModelParams, cone_contains, cost
 from stickybm.kernel import _log_g, _log_h, _log_killed_kernel
 from stickybm.quadrature import (_RTOL, QuadratureError, QuadratureSpec, _grouped_logsumexp,
                                  gauss_legendre, logsumexp)
@@ -144,6 +149,95 @@ def highs_transport(cost_matrix, supplies, demands):
     assert res.status == 0, res.message
     duals = res.eqlin.marginals
     return float(res.fun), duals[:n], duals[n:]
+
+
+def reference_geodesic(params: ModelParams, x: HalfSpacePoint,
+                       y: HalfSpacePoint) -> GeodesicDescription:
+    """The geodesic construction in scalar arithmetic, one pair at a time,
+    which ``geodesic`` and the batched ``_geodesics`` must match bit for
+    bit."""
+    def gap(p, q):
+        return math.hypot(*np.subtract(q.xp, p.xp))
+
+    c = cost(params, x, y)
+    xpa = np.asarray(x.xp)
+    ypa = np.asarray(y.xp)
+    straight = geometry.Path((0.0, 1.0), (x, y))
+    if params.a <= 1.0 or cone_contains(params, x, y):
+        return GeodesicDescription("euclidean", straight, c)
+    if x.x1 == 0.0 and y.x1 == 0.0:
+        return GeodesicDescription("boundary_only", straight, c)
+
+    root_a = math.sqrt(params.big_a)
+    u = (ypa - xpa) / gap(x, y)
+    z_in = HalfSpacePoint(0.0, tuple(xpa + (x.x1 / root_a) * u))
+    z_out = HalfSpacePoint(0.0, tuple(ypa - (y.x1 / root_a) * u))
+
+    knots, lengths = [x], []
+    if x.x1 > 0.0:
+        knots.append(z_in)
+        lengths.append(x.x1 * math.sqrt(params.a / params.big_a))
+    mid = gap(z_in, z_out)
+    if mid > 0.0:
+        knots.append(z_out)
+        lengths.append(mid / math.sqrt(params.a))
+    if y.x1 > 0.0:
+        knots.append(y)
+        lengths.append(y.x1 * math.sqrt(params.a / params.big_a))
+    total = sum(lengths)
+    times = [0.0]
+    for w in lengths:
+        times.append(times[-1] + w / total)
+    times[-1] = 1.0
+    for i in range(1, len(times) - 1):
+        times[i] = max(times[i], math.nextafter(times[i - 1], 1.0))
+    for i in range(len(times) - 2, 0, -1):
+        times[i] = min(times[i], math.nextafter(times[i + 1], 0.0))
+
+    if x.x1 == 0.0:
+        tag = "one_touch_exit"
+    elif y.x1 == 0.0:
+        tag = "one_touch_entry"
+    else:
+        tag = "three_segment"
+    return GeodesicDescription(tag, geometry.Path(tuple(times), tuple(knots)), c)
+
+
+def reference_path_at(path: geometry.Path, t: float) -> HalfSpacePoint:
+    """Piecewise-linear interpolation of one path at one time, in scalar
+    arithmetic, with x1 clamped at 0."""
+    t = float(t)
+    times = path.times
+    if t <= 0.0:
+        return path.knots[0]
+    if t >= 1.0:
+        return path.knots[-1]
+    j = int(np.searchsorted(times, t, side="right")) - 1
+    t0, t1 = times[j], times[j + 1]
+    u = (t - t0) / (t1 - t0)
+    k0, k1 = path.knots[j], path.knots[j + 1]
+    x1 = max(0.0, (1.0 - u) * k0.x1 + u * k1.x1)
+    xp = tuple((1.0 - u) * a + u * b for a, b in zip(k0.xp, k1.xp))
+    return HalfSpacePoint(x1, xp)
+
+
+def reference_displacement_interpolation(params: ModelParams, plan, t: float):
+    """``(atoms, weights)`` of the plan pushed to time t one support cell at a
+    time, in row-major order, through :func:`reference_geodesic` and
+    :func:`reference_path_at`."""
+    atoms, weights = [], []
+    for i, j in zip(*np.nonzero(plan.matrix > 1e-15)):
+        gamma = reference_geodesic(params, plan.source.atoms[i], plan.target.atoms[j])
+        atoms.append(reference_path_at(gamma.path, t))
+        weights.append(float(plan.matrix[i, j]))
+    total = sum(weights)
+    return tuple(atoms), tuple(w / total for w in weights)
+
+
+def point_bits(p: HalfSpacePoint) -> tuple:
+    """A point's coordinates, each with the sign of its zero, for comparing
+    points bit for bit."""
+    return tuple((v, math.copysign(1.0, v)) for v in (p.x1, *p.xp))
 
 
 def fixed_gauss_legendre_integral(f, a, b, n=200):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from stickybm.geometry import (
+    _CASES,
     INFINITE_ACTION,
     HalfSpacePoint,
     ModelParams,
     Path,
+    _gap,
+    _geodesics,
+    _polyline_at,
     _tangential_gap,
     action,
     cone_contains,
@@ -26,7 +30,7 @@ from stickybm.geometry import (
 from stickybm.ldp import BoundaryPatch, discrete_waypoint_cost
 from stickybm.simulate import SimConfig, simulate_batch
 
-from oracles import golden_min_sticky_profile
+from oracles import golden_min_sticky_profile, point_bits, reference_geodesic, reference_path_at
 
 
 def P(x1, *xp):
@@ -269,6 +273,154 @@ class TestCost:
         # identity of indiscernibles
         assert cost_batch(a, x1, xp, x1, xp).max() == 0.0
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batch_equals_scalar_bit_for_bit(self, d):
+        # One gap rule and one branch rule: a batched cost entry is the
+        # scalar cost's float, also for a gap whose square underflows.
+        rng = np.random.default_rng(1)
+        n = 4000
+        a = rng.choice([0.5, 1.0, 1.5, 4.0, 9.0], n)
+        x1 = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 2, n))
+        y1 = rng.uniform(0, 2, n)
+        xp = rng.uniform(-4, 4, (n, d - 1))
+        yp = rng.uniform(-4, 4, (n, d - 1))
+        x1[:2], y1[:2], xp[:2] = 1e-300, 2e-300, 0.0
+        yp[:2] = 0.0
+        yp[0, 0] = yp[1, -1] = -1e-200
+        batch = cost_batch(a, x1, xp, y1, yp)
+        scalar = [cost(ModelParams(float(ai), 1.0, d), HalfSpacePoint(u, tuple(v)),
+                       HalfSpacePoint(w, tuple(z))) for ai, u, v, w, z in zip(a, x1, xp, y1, yp)]
+        assert batch.tolist() == scalar
+        # the tiny gap's square underflows, the gap does not
+        assert _gap(yp[:2] - xp[:2]).tolist() == [1e-200, 1e-200]
+
+
+def reference_sweep(seed, n):
+    """``n`` seeded pairs ``(params, x, y)``: d = 2 and 3, a below, at and
+    above 1, about 40% boundary ends, and one end in ten an ulp-short
+    distance from the boundary (1e-300, 5e-324 or 1e-17), so that a leg
+    lasts less than one ulp of time and the knot-time clamps act."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        d = 2 + i % 2
+        params = ModelParams(float(rng.choice([0.4, 1.0, 1.01, 1.5, 2.0, 4.0, 9.0])), 1.0, d)
+
+        def end():
+            u = rng.random()
+            if u < 0.4:
+                x1 = 0.0
+            elif u < 0.5:
+                x1 = float(rng.choice([1e-300, 5e-324, 1e-17]))
+            else:
+                x1 = float(rng.uniform(0, 2))
+            return HalfSpacePoint(x1, tuple(rng.uniform(-4, 4, d - 1)))
+
+        cases.append((params, end(), end()))
+    return cases
+
+
+def cone_surface_pairs(n, seed):
+    """``n`` seeded pairs ``(params, x, y)`` within 1e-13 relative of the
+    cone surface, where the route and the cost's branch can disagree."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        params = ModelParams(float(rng.choice([1.01, 1.5, 2.0, 4.0, 9.0])), 1.0)
+        x = P(0.0 if rng.random() < 0.2 else float(rng.uniform(0, 3)), float(rng.uniform(-2, 2)))
+        y1 = float(rng.uniform(0, 3))
+        gap = cone_threshold(params, x, P(y1, x.xp[0])) * (1 + rng.uniform(-1e-13, 1e-13))
+        cases.append((params, x, P(y1, x.xp[0] + gap)))
+    return cases
+
+
+class TestOneGeodesicRule:
+    """``geodesic`` and the batched ``_geodesics`` and ``_polyline_at`` are the
+    scalar construction of ``oracles.reference_geodesic`` and
+    ``oracles.reference_path_at``, bit for bit."""
+
+    CASES = reference_sweep(41, 1200) + cone_surface_pairs(200, 22)
+
+    def test_geodesic_matches_the_reference(self):
+        tags = set()
+        for params, x, y in self.CASES:
+            g, r = geodesic(params, x, y), reference_geodesic(params, x, y)
+            assert (g.case_tag, g.total_cost, g.path.times) == (r.case_tag, r.total_cost,
+                                                                 r.path.times)
+            assert [point_bits(k) for k in g.path.knots] == [point_bits(k) for k in r.path.knots]
+            tags.add(g.case_tag)
+        assert tags == {"euclidean", "boundary_only", "one_touch_exit", "one_touch_entry",
+                        "three_segment"}
+
+    def test_clamps_act_in_the_sweep(self):
+        # Some legs last less than one ulp of time: their knot times would tie.
+        clamped = 0
+        for params, x, y in self.CASES:
+            r = reference_geodesic(params, x, y)
+            lengths = np.diff(r.path.times)
+            clamped += bool(np.any(lengths == np.spacing(np.asarray(r.path.times[:-1]))))
+        assert clamped >= 10
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_batch_matches_the_reference_at_every_time(self, d):
+        # One batch per (a, d): rows of every case; each row read at 0, 1,
+        # interior times and every row's own knot times and their neighbours.
+        by_a = {}
+        for params, x, y in self.CASES:
+            if params.d == d:
+                by_a.setdefault(params.a, []).append((x, y))
+        for a, pairs in by_a.items():
+            params = ModelParams(a, 1.0, d)
+            g = _geodesics(a, [x.x1 for x, _ in pairs], [x.xp for x, _ in pairs],
+                           [y.x1 for _, y in pairs], [y.xp for _, y in pairs])
+            refs = [reference_geodesic(params, x, y) for x, y in pairs]
+            for r, ref in enumerate(refs):
+                k = int(g.count[r])
+                assert _CASES[g.case[r]] == ref.case_tag
+                assert tuple(g.times[r, :k].tolist()) == ref.path.times
+                assert [point_bits(HalfSpacePoint(v[0], tuple(v[1:]))) for v in g.knots[r, :k]] == \
+                    [point_bits(p) for p in ref.path.knots]
+            own = [np.array([ts[min(k, len(ts) - 1)] for ts in (r.path.times for r in refs)])
+                   for k in range(4)]
+            for t in [0.0, 1.0, 0.1, 0.37, 0.5, 0.9, *own, *(np.nextafter(t, 0.5) for t in own)]:
+                points = _polyline_at(g.times, g.knots, t)
+                assert [point_bits(HalfSpacePoint(v[0], tuple(v[1:]))) for v in points] == \
+                    [point_bits(reference_path_at(ref.path, ti))
+                     for ref, ti in zip(refs, np.broadcast_to(t, len(refs)))]
+
+    def test_one_path_at_many_times(self):
+        # One row read at several times at once, as the sliced cost reads
+        # its waypoints, equals reading it at one time after another.
+        params = ModelParams(4.0, 1.0)
+        x, y = P(0.5, 0.0), P(1e-300, 5.0)
+        g = _geodesics(4.0, [x.x1], [x.xp], [y.x1], [y.xp])
+        ref = reference_geodesic(params, x, y).path
+        times = [0.0, *ref.times, 0.25, 0.5, 0.999, 1.0, 2.0, -1.0]
+        points = _polyline_at(g.times, g.knots, times)
+        assert [point_bits(HalfSpacePoint(v[0], tuple(v[1:]))) for v in points] == \
+            [point_bits(reference_path_at(ref, t)) for t in times]
+
+    def test_path_at_matches_the_reference(self):
+        # Path.at on paths that are no geodesic: any knot count, knots off
+        # the boundary, interpolants that round below zero.
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            times = (0.0, *np.sort(rng.uniform(0, 1, k - 2)).tolist(), 1.0)
+            if len(set(times)) < k:
+                continue
+            knots = tuple(P(0.0 if rng.random() < 0.3 else float(rng.uniform(0, 2)),
+                            float(rng.uniform(-3, 3))) for _ in range(k))
+            path = Path(times, knots)
+            for t in (*times, *rng.uniform(-0.1, 1.1, 5)):
+                assert point_bits(path.at(t)) == point_bits(reference_path_at(path, t))
+        # The knots keep their signed zeros; an interpolant's x1 is clamped
+        # to +0.0, as max(0.0, x1) makes it.
+        path = Path((0.0, 1.0), (P(-0.0, -0.0), P(-0.0, -0.0)))
+        assert point_bits(path.at(0.0)) == point_bits(path.at(1.0)) == point_bits(P(-0.0, -0.0))
+        assert point_bits(path.at(0.5)) == point_bits(reference_path_at(path, 0.5))
+        assert point_bits(path.at(0.5)) == point_bits(P(0.0, -0.0))
+
 
 class TestGeodesic:
     def test_three_segment_example(self):
@@ -380,15 +532,10 @@ class TestGeodesic:
         # nothing, while the cost is the smaller rate; within 1e-13 of the
         # cone the two disagree on about one pair in ten.  Either route has
         # the cost as its action: the rates meet on the cone.
-        rng = np.random.default_rng(22)
         eps = np.finfo(float).eps
         straight = set()
-        for _ in range(2000):
-            params = ModelParams(float(rng.choice([1.01, 1.5, 2.0, 4.0, 9.0])), 1.0)
-            x = P(0.0 if rng.random() < 0.2 else float(rng.uniform(0, 3)), float(rng.uniform(-2, 2)))
-            y1 = float(rng.uniform(0, 3))
-            gap = cone_threshold(params, x, P(y1, x.xp[0])) * (1 + rng.uniform(-1e-13, 1e-13))
-            g = geodesic(params, x, P(y1, x.xp[0] + gap))
+        for params, x, y in cone_surface_pairs(2000, 22):
+            g = geodesic(params, x, y)
             straight.add(g.case_tag == "euclidean")
             assert abs(action(params, g.path) - g.total_cost) <= 4 * eps * g.total_cost
         assert straight == {True, False}

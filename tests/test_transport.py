@@ -19,7 +19,8 @@ from stickybm.transport import (
 )
 
 from oracles import (enumerate_assignment_value, enumerate_transport_value, highs_transport,
-                     plain_sinkhorn_plan)
+                     plain_sinkhorn_plan, point_bits, reference_displacement_interpolation,
+                     reference_geodesic)
 
 SPEC = QuadratureSpec()
 
@@ -457,6 +458,35 @@ class TestDisplacement:
             mid = displacement_interpolation(params, plan, float(t))
             assert all(p.x1 >= 0 for p in mid.atoms)
             assert sum(mid.weights) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_per_cell_reference(self, d):
+        # One batched pass over the support gives the per-cell loop's atoms
+        # and weights bit for bit, at 0, 1, interior times and the cells'
+        # own knot times, on assignment and linear-program plans.
+        rng = np.random.default_rng(17 + d)
+
+        def measure(n, shift, equal):
+            x1 = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.0, 2.0, n))
+            x1[rng.random(n) < 0.1] = 1e-300
+            w = np.ones(n) if equal else rng.uniform(0.5, 1.5, n)
+            return DiscreteMeasure(tuple(HalfSpacePoint(u, tuple(v)) for u, v in
+                                         zip(x1, rng.uniform(-3, 3, (n, d - 1)) + shift)),
+                                   tuple(w / w.sum()))
+
+        for a in (0.5, 1.0, 1.5, 4.0, 9.0):
+            params = ModelParams(a, 1.0, d)
+            for equal in (True, False):
+                mu0, mu1 = measure(16, 0.0, equal), measure(16 if equal else 11, 0.7, equal)
+                plan = kantorovich(params, mu0, mu1)
+                cells = list(zip(*np.nonzero(plan.matrix > 1e-15)))[:6]
+                own = {t for i, j in cells
+                       for t in reference_geodesic(params, mu0.atoms[i], mu1.atoms[j]).path.times}
+                for t in sorted({0.0, 0.1, 0.37, 0.5, 0.9, 1.0} | own):
+                    mid = displacement_interpolation(params, plan, t)
+                    atoms, weights = reference_displacement_interpolation(params, plan, t)
+                    assert [point_bits(p) for p in mid.atoms] == [point_bits(p) for p in atoms]
+                    assert mid.weights == weights
 
 
 def mixed_atoms(rng, n):
