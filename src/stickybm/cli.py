@@ -11,6 +11,13 @@ repr that reads back exactly (``0.45125`` where the CSV has
 ``0.45124999999999998``), and a non-finite float as ``null``, so that strict
 JSON parsers read it (the CSV and the printed line keep ``nan``).
 
+Every subcommand's options live in one table, ``_commands()``, which both
+``build_parser`` and ``main``'s argv reader read.  ``main`` reads a
+well-formed argv (exact flags, each with its value) straight from the
+table, into the namespace argparse would make; ``--help`` and anything
+that may be a usage error go to the full argparse parser, so every help
+text and usage error reads as argparse writes it.
+
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure, 4 I/O.
 """
 
@@ -365,116 +372,146 @@ def _cmd_interpolate(args) -> int:
 # Parser / dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, model=True, seed=False):
-    sub.add_argument("--output", "-o", default=".", help="output directory")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0, help="seed for stochastic outputs")
-    if model:
-        sub.add_argument("--a", type=float, required=True, help="tangential diffusivity")
-        sub.add_argument("--theta", type=float, required=True, help="stickiness")
-        sub.add_argument("--d", type=int, default=2, help="ambient dimension")
+# Options that several subcommands share, each as ``(flags, add_argument
+# keywords)`` with its long flag first.
+_OUTPUT = (("--output", "-o"), {"default": ".", "help": "output directory"})
+_SEED = (("--seed",), {"type": int, "default": 0, "help": "seed for stochastic outputs"})
+_MODEL = ((("--a",), {"type": float, "required": True, "help": "tangential diffusivity"}),
+          (("--theta",), {"type": float, "required": True, "help": "stickiness"}),
+          (("--d",), {"type": int, "default": 2, "help": "ambient dimension"}))
+_X = (("--x",), {"required": True})
+_Y = (("--y",), {"required": True})
+_MEASURES = ((("--mu0",), {"required": True}), (("--mu1",), {"required": True}))
+_EPSILONS = (("--epsilons",), {"required": True})
 
 
-_COMMANDS = ("cost", "geodesic", "kernel", "simulate", "ldp-static", "ldp-scan", "ldp-path", "ot",
-             "sinkhorn", "gamma-limit", "interpolate")
+def _commands():
+    """The option table: each subcommand's help, its handler and its options
+    in the order its help lists them.  Built on each call, so that it holds
+    the handlers bound when a parser or the reader runs."""
+    return {
+        "cost": ("two-point intrinsic cost", _cmd_cost, (
+            _OUTPUT, *_MODEL,
+            (("--x",), {"required": True,
+                        "help": "point as comma-separated coords, first is normal"}),
+            _Y)),
+        "geodesic": ("explicit geodesic between two points", _cmd_geodesic, (
+            _OUTPUT, *_MODEL, _X, _Y)),
+        "kernel": ("transition kernel on a grid", _cmd_kernel, (
+            _OUTPUT, *_MODEL,
+            (("--t",), {"type": float, "required": True}),
+            _X,
+            (("--grid",), {"type": int, "default": 64}))),
+        "simulate": ("exact path sampling", _cmd_simulate, (
+            _OUTPUT, _SEED, *_MODEL, _X,
+            (("--step",), {"type": float, "required": True}),
+            (("--n-steps",), {"type": int, "required": True}),
+            (("--n-paths",), {"type": int, "default": 1}))),
+        "ldp-static": ("static rate extraction for a target set", _cmd_ldp_static, (
+            _OUTPUT, _SEED, *_MODEL, _X,
+            (("--target",), {"required": True, "help": "ball:<point>:<r> or patch:<x'>:<r>"}),
+            _EPSILONS,
+            (("--method",), {"choices": ("quadrature", "monte_carlo"), "default": "quadrature"}),
+            (("--n-paths",), {"type": int, "default": 100000}))),
+        "ldp-scan": ("rate versus diffusivity scan", _cmd_ldp_scan, (
+            _OUTPUT,
+            (("--theta",), {"type": float, "default": 1.0}),
+            (("--a-grid",), {"required": True, "help": "comma-separated a values"}),
+            _X, _Y, _EPSILONS)),
+        "ldp-path": ("path-slicing rate via Monte Carlo", _cmd_ldp_path, (
+            _OUTPUT, _SEED, *_MODEL, _X,
+            (("--waypoints",), {"required": True,
+                                "help": "semicolon-separated t:<point>:<radius> entries"}),
+            _EPSILONS,
+            (("--n-paths",), {"type": int, "default": 100000}))),
+        "ot": ("exact optimal transport between two measures", _cmd_ot, (
+            _OUTPUT, *_MODEL,
+            (("--mu0",), {"required": True, "help": "CSV of x1, xp..., weight"}),
+            (("--mu1",), {"required": True}))),
+        "sinkhorn": ("entropic plan against the sticky kernel", _cmd_sinkhorn, (
+            _OUTPUT, *_MODEL, *_MEASURES,
+            (("--epsilon",), {"type": float, "required": True}))),
+        "gamma-limit": ("entropic-to-exact gap across epsilons", _cmd_gamma_limit, (
+            _OUTPUT, *_MODEL, *_MEASURES, _EPSILONS)),
+        "interpolate": ("displacement interpolation of the exact plan", _cmd_interpolate, (
+            _OUTPUT, *_MODEL, *_MEASURES,
+            (("--t",), {"type": float, "required": True}))),
+    }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The ``stickybm`` parser, with every subcommand of ``_COMMANDS``.  Given
-    one of them as ``command``, only that subcommand is registered (all that
-    parsing its own argv needs), under the full list as its metavar, so that
-    the top-level usage and errors read the same; any other ``command`` gets
-    the full parser, whose help and choice errors need every subcommand."""
-    if command not in _COMMANDS:
-        command = None
+def _dest(flags) -> str:
+    """The attribute argparse stores an option under, named by its long flag."""
+    return flags[0][2:].replace("-", "_")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``stickybm`` parser, with every subcommand of ``_commands()``."""
     parser = argparse.ArgumentParser(
         prog="stickybm",
         description="Sticky-reflecting Brownian motion: kernel, geodesics, "
                     "simulation, large-deviation and transport experiments.")
-    # The metavar argparse would build from all of _COMMANDS; the full parser
-    # keeps none, since a missing command is reported under its dest.
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def sub(name, help, func, **common):
-        if command not in (None, name):
-            return None
-        s = subs.add_parser(name, help=help)
-        _add_common(s, **common)
-        s.set_defaults(func=func)
-        return s
-
-    if s := sub("cost", "two-point intrinsic cost", _cmd_cost):
-        s.add_argument("--x", required=True, help="point as comma-separated coords, first is normal")
-        s.add_argument("--y", required=True)
-
-    if s := sub("geodesic", "explicit geodesic between two points", _cmd_geodesic):
-        s.add_argument("--x", required=True)
-        s.add_argument("--y", required=True)
-
-    if s := sub("kernel", "transition kernel on a grid", _cmd_kernel):
-        s.add_argument("--t", type=float, required=True)
-        s.add_argument("--x", required=True)
-        s.add_argument("--grid", type=int, default=64)
-
-    if s := sub("simulate", "exact path sampling", _cmd_simulate, seed=True):
-        s.add_argument("--x", required=True)
-        s.add_argument("--step", type=float, required=True)
-        s.add_argument("--n-steps", type=int, required=True, dest="n_steps")
-        s.add_argument("--n-paths", type=int, default=1, dest="n_paths")
-
-    if s := sub("ldp-static", "static rate extraction for a target set", _cmd_ldp_static,
-                seed=True):
-        s.add_argument("--x", required=True)
-        s.add_argument("--target", required=True, help="ball:<point>:<r> or patch:<x'>:<r>")
-        s.add_argument("--epsilons", required=True)
-        s.add_argument("--method", choices=("quadrature", "monte_carlo"), default="quadrature")
-        s.add_argument("--n-paths", type=int, default=100000, dest="n_paths")
-
-    if s := sub("ldp-scan", "rate versus diffusivity scan", _cmd_ldp_scan, model=False):
-        s.add_argument("--theta", type=float, default=1.0)
-        s.add_argument("--a-grid", required=True, dest="a_grid", help="comma-separated a values")
-        s.add_argument("--x", required=True)
-        s.add_argument("--y", required=True)
-        s.add_argument("--epsilons", required=True)
-
-    if s := sub("ldp-path", "path-slicing rate via Monte Carlo", _cmd_ldp_path, seed=True):
-        s.add_argument("--x", required=True)
-        s.add_argument("--waypoints", required=True,
-                       help="semicolon-separated t:<point>:<radius> entries")
-        s.add_argument("--epsilons", required=True)
-        s.add_argument("--n-paths", type=int, default=100000, dest="n_paths")
-
-    if s := sub("ot", "exact optimal transport between two measures", _cmd_ot):
-        s.add_argument("--mu0", required=True, help="CSV of x1, xp..., weight")
-        s.add_argument("--mu1", required=True)
-
-    if s := sub("sinkhorn", "entropic plan against the sticky kernel", _cmd_sinkhorn):
-        s.add_argument("--mu0", required=True)
-        s.add_argument("--mu1", required=True)
-        s.add_argument("--epsilon", type=float, required=True)
-
-    if s := sub("gamma-limit", "entropic-to-exact gap across epsilons", _cmd_gamma_limit):
-        s.add_argument("--mu0", required=True)
-        s.add_argument("--mu1", required=True)
-        s.add_argument("--epsilons", required=True)
-
-    if s := sub("interpolate", "displacement interpolation of the exact plan", _cmd_interpolate):
-        s.add_argument("--mu0", required=True)
-        s.add_argument("--mu1", required=True)
-        s.add_argument("--t", type=float, required=True)
-
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (text, handler, options) in _commands().items():
+        sub = subs.add_parser(name, help=text)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(func=handler)
     return parser
+
+
+def _read_argv(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read from
+    the option table without argparse, or None where ``argv`` is not plainly
+    well formed and argparse must decide.
+
+    ``argv[0]`` must name a subcommand, and each later token be one of its
+    flags, exactly, followed by its value or joined to it as ``--flag=value``.
+    A value must not start with ``-`` and must convert by the option's
+    ``type`` into its ``choices``; the last of a repeated flag wins.  Help,
+    abbreviations, ``--``, a missing value or required option and anything
+    that fails to convert are left to argparse, which prints what they
+    need."""
+    commands = _commands()
+    if not argv or argv[0] not in commands:
+        return None
+    _, handler, options = commands[argv[0]]
+    by_flag = {flag: option for option in options for flag in option[0]}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        if not eq:
+            value = next(tokens, None)
+        if flag not in by_flag or value is None or value.startswith("-"):
+            return None
+        flags, kwargs = by_flag[flag]
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[_dest(flags)] = value
+    args = argparse.Namespace(command=argv[0])
+    for flags, kwargs in options:
+        dest = _dest(flags)
+        if dest not in given and kwargs.get("required"):
+            return None
+        setattr(args, dest, given.get(dest, kwargs.get("default")))
+    args.func = handler
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argv[0]'s subcommand only: building all eleven takes several times as long.
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # A well-formed argv is read from the option table; argparse, which
+    # takes longer to build and run than many subcommands, parses the rest.
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
     except (ValueError, TypeError) as exc:

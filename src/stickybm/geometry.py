@@ -142,7 +142,7 @@ def _check_vec(params: ModelParams, v, name: str) -> np.ndarray:
 
 def _gap(diff):
     """``|x' - y'|`` from the tangential differences on the last axis: the one
-    gap rule of the cost, its batches and the geodesics.
+    gap rule of the cost, its batches, the geodesics and the Gibbs kernel.
 
     Each row's gap is ``math.hypot`` of its differences, which scales its
     arguments, so gaps below ~1e-154 do not square to zero.  One row is

@@ -196,7 +196,7 @@ def _sticky_peak_m(log_f, n: int) -> np.ndarray:
 
 # Integrands per breadth-first pass: bounds the peak grid's and the
 # quadrature's working arrays whatever the size of the batch.
-_MAX_BATCH = 4096
+_MAX_BATCH = 1024
 
 
 def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t, s, v):
@@ -362,7 +362,7 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float
     y1_max = x1 + extent * math.sqrt(t)
     v_max = extent * spread
 
-    nodes01, w01 = gauss_legendre(12)
+    nodes01, w01 = gauss_legendre(_GRID_ORDER)
     edges = np.linspace(0.0, 1.0, panels + 1)
     u = (edges[:-1, None] + np.diff(edges)[:, None] * nodes01[None, :]).ravel()
     wu = (np.diff(edges)[:, None] * w01[None, :]).ravel()

@@ -65,11 +65,89 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be at least 8")
 
 
+# Gauss-Legendre rules on [0, 1] for the orders the library uses: the
+# kernel's fixed grid rule (12), the adaptive panels (15), the phase
+# scan's balls (24) and the target quadrature's default (32).  Each is
+# ``leggauss(n)`` mapped to [0, 1] as ``gauss_legendre`` maps it, its
+# nodes and its weights each a string of reprs, which ``float`` reads
+# back exactly: where no bytecode is cached, a module is compiled on
+# every import, and a string compiles in a fraction of the time that
+# a tuple of floats takes.
+_RULES = {
+    12: (
+        "0.009219682876640378 0.0479413718147626 0.11504866290284765 0.20634102285669126 "
+        "0.31608425050090994 0.43738329574426554 0.5626167042557344 0.6839157494990901 "
+        "0.7936589771433087 0.8849513370971523 0.9520586281852375 0.9907803171233596",
+        "0.023587668193255706 0.05346966299765953 0.08003916427167321 0.10158371336153287 "
+        "0.1167462682691773 0.12457352290670134 0.12457352290670134 0.1167462682691773 "
+        "0.10158371336153287 0.08003916427167321 0.05346966299765953 0.023587668193255706",
+    ),
+    15: (
+        "0.006003740989757311 0.03136330379964708 0.0758967082947864 0.13779113431991497 "
+        "0.21451391369573058 0.3029243264612183 0.39940295300128276 0.5 "
+        "0.6005970469987173 0.6970756735387817 0.7854860863042694 0.862208865680085 "
+        "0.9241032917052137 0.968636696200353 0.9939962590102427",
+        "0.015376620998058602 0.0351830237440542 0.053579610233585706 0.06978533896307722 "
+        "0.08313460290849699 0.0930805000077811 0.0992157426635558 0.10128912096278064 "
+        "0.0992157426635558 0.0930805000077811 0.08313460290849699 0.06978533896307722 "
+        "0.053579610233585706 0.0351830237440542 0.015376620998058602",
+    ),
+    24: (
+        "0.0024063900014893447 0.012635722014345263 0.0308627239986336 "
+        "0.056792236497799464 0.08999900701304853 0.12993790421072282 0.17595317403151223 "
+        "0.22728926430558022 0.28310324618697746 0.3424786601519183 0.40444056626319186 "
+        "0.4679715535686972 0.5320284464313028 0.5955594337368082 0.6575213398480817 "
+        "0.7168967538130225 0.7727107356944198 0.8240468259684878 0.8700620957892772 "
+        "0.9100009929869515 0.9432077635022005 0.9691372760013663 0.9873642779856547 "
+        "0.9975936099985107",
+        "0.006170614899994345 0.01426569431446678 0.022138719408709706 "
+        "0.02964929245771818 0.03667324070554008 0.0430950807659766 0.04880932605205696 "
+        "0.05372213505798278 0.05775283402686276 0.06083523646390165 0.06291872817341412 "
+        "0.06396909767337601 0.06396909767337601 0.06291872817341412 0.06083523646390165 "
+        "0.05775283402686276 0.05372213505798278 0.04880932605205696 0.0430950807659766 "
+        "0.03667324070554008 0.02964929245771818 0.022138719408709706 0.01426569431446678 "
+        "0.006170614899994345",
+    ),
+    32: (
+        "0.001368069075259215 0.007194244227365809 0.017618872206246805 "
+        "0.03254696203113017 0.051839422116973954 0.07531619313371501 0.10275810201602881 "
+        "0.13390894062985514 0.16847786653489238 0.20614212137961885 0.24655004553388532 "
+        "0.28932436193468236 0.33406569885893617 0.38035631887393145 0.42776401920860174 "
+        "0.4758461671561308 0.5241538328438692 0.5722359807913983 0.6196436811260685 "
+        "0.6659343011410639 0.7106756380653176 0.7534499544661146 0.7938578786203812 "
+        "0.8315221334651076 0.8660910593701449 0.8972418979839711 0.924683806866285 "
+        "0.948160577883026 0.9674530379688698 0.9823811277937532 0.9928057557726342 "
+        "0.9986319309247408",
+        "0.003509305004735253 0.008137197365452872 0.012696032654631012 "
+        "0.017136931456510882 0.021417949011113418 0.025499029631188046 "
+        "0.029342046739267783 0.03291111138818084 0.03617289705442417 "
+        "0.039096947893535114 0.041655962113473353 0.04382604650220189 "
+        "0.04558693934788189 0.046922199540402255 0.047819360039637354 "
+        "0.04827004425736383 0.04827004425736383 0.047819360039637354 "
+        "0.046922199540402255 0.04558693934788189 0.04382604650220189 "
+        "0.041655962113473353 0.039096947893535114 0.03617289705442417 "
+        "0.03291111138818084 0.029342046739267783 0.025499029631188046 "
+        "0.021417949011113418 0.017136931456510882 0.012696032654631012 "
+        "0.008137197365452872 0.003509305004735253",
+    ),
+}
+
+
 @lru_cache(maxsize=16)
 def gauss_legendre(n: int):
-    """Cached Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Cached Gauss-Legendre nodes and weights on [0, 1], as read-only arrays.
+
+    Orders 12, 15, 24 and 32, the ones the library passes, are tabulated in
+    ``_RULES`` (``leggauss``'s values, bit for bit); any other order is
+    ``np.polynomial.legendre.leggauss(n)`` mapped to [0, 1].
+    """
+    if n in _RULES:
+        nodes, w = (np.array([float(v) for v in text.split()]) for text in _RULES[n])
+    else:
+        x, w = np.polynomial.legendre.leggauss(n)
+        nodes, w = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = w.flags.writeable = False
+    return nodes, w
 
 
 def logsumexp(values, axis=None):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _geodesics, _polyline_at,
-                       cost_batch)
+from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _gap, _geodesics,
+                       _polyline_at, cost_batch)
 from .kernel import log_densities
 from .quadrature import QuadratureSpec, logsumexp
 
@@ -249,7 +249,7 @@ def schrodinger(params: ModelParams, epsilon: float, mu0: DiscreteMeasure,
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
     for p in mu0.atoms + mu1.atoms:
         _check_dim(params, p)
-    gap = np.linalg.norm(mu1.xp()[None, :, :] - mu0.xp()[:, None, :], axis=-1)
+    gap = _gap(mu1.xp()[None, :, :] - mu0.xp()[:, None, :])
     # the kernel's log mu-densities between the atoms
     log_k = log_densities(params, QuadratureSpec(), epsilon, mu0.x1()[:, None],
                           mu1.x1()[None, :], gap)

@@ -390,9 +390,80 @@ def _full_parser_exit(argv):
     raise AssertionError(f"{argv} parsed without exiting")
 
 
+# The benchmark's argv (perfbench/ops.py), without their output directory.
+BENCHMARK_RUNS = [
+    ["kernel", "--a", "1", "--theta", "1", "--x", "0,0", "--t", "1", "--grid", "16"],
+    ["kernel", "--a", "1", "--theta", "1", "--x", "0,0", "--t", "0.01", "--grid", "16"],
+    ["gamma-limit", "--a", "4", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}",
+     "--epsilons", "0.04,0.02,0.01"],
+    ["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "patch:2:0.1",
+     "--epsilons", "0.2,0.1,0.05,0.025"],
+    ["simulate", "--a", "2", "--theta", "1.5", "--x", "0.3,0", "--step", "0.05",
+     "--n-steps", "50", "--n-paths", "40", "--seed", "3"],
+    ["ldp-path", "--a", "4", "--theta", "1", "--x", "0,0", "--waypoints",
+     "0.5:0,1:0.8;1.0:0,2:0.8", "--epsilons", "0.2,0.1,0.05", "--n-paths", "60000",
+     "--seed", "3"],
+    ["ldp-static", "--a", "4", "--theta", "1", "--x", "0,0", "--target", "patch:1:0.2",
+     "--epsilons", "0.2,0.1,0.05", "--method", "monte_carlo", "--n-paths", "15000",
+     "--seed", "3"],
+    ["ot", "--a", "4", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}"],
+    ["interpolate", "--a", "4", "--theta", "1", "--mu0", "{mu0}", "--mu1", "{mu1}",
+     "--t", "0.5"],
+]
+
+
+def _mutations(argv, rng):
+    """``argv`` (a subcommand and its flags, each with a value) changed in one
+    to three ways that a user could type, well formed or not."""
+    argv = list(argv)
+    for _ in range(rng.integers(1, 4)):
+        flags = [k for k, tok in enumerate(argv) if tok.startswith("-")]
+        k = int(rng.choice(flags)) if flags else 0
+        kind = rng.integers(14)
+        if kind == 0 and flags:                         # --flag=value
+            argv[k:k + 2] = ["=".join(argv[k:k + 2])]
+        elif kind == 1 and flags:                       # repeated, last wins
+            argv += [argv[k], rng.choice(["0.5", "2", "1,0", argv[min(k + 1, len(argv) - 1)]])]
+        elif kind == 2 and flags and argv[k].startswith("--") and len(argv[k]) > 3:
+            argv[k] = argv[k][:-1]                      # abbreviated
+        elif kind == 3:                                 # -oX, -o=X
+            argv += [rng.choice(["-oout", "-o=out", "-o", "--output=out"])]
+        elif kind == 4 and flags and k + 1 < len(argv):  # negative or dashed value
+            argv[k + 1] = rng.choice(["-1", "-0.5,0", "-x", "-", "--", "-1e3"])
+        elif kind == 5 and flags:                       # missing value
+            del argv[k + 1:k + 2]
+        elif kind == 6 and flags and k + 1 < len(argv):  # bad type or choice
+            argv[k + 1] = rng.choice(["abc", "1.5", "", "nan", "exact", "1_0", " 2"])
+        elif kind == 7:                                 # help anywhere
+            argv.insert(int(rng.integers(len(argv) + 1)), rng.choice(["-h", "--help"]))
+        elif kind == 8 and flags:                       # a flag dropped with its value
+            del argv[k:k + 2]
+        elif kind == 9:                                 # unknown flag, stray token, --
+            argv.insert(int(rng.integers(1, len(argv) + 1)),
+                        rng.choice(["--bogus", "extra", "--", "--tol", "--x=", "--="]))
+        elif kind == 10:                                # another or no subcommand
+            argv[0] = rng.choice(["cost", "ot", "kernel", "bogus", "--a", "Cost"])
+        elif kind == 11 and flags:                      # a flag of another subcommand
+            argv[k] = rng.choice(["--epsilon", "--grid", "--method", "--seed", "--n-paths"])
+        elif kind == 12 and flags:                      # an option's other flag
+            argv[k] = {"--output": "-o", "-o": "--output"}.get(argv[k], argv[k])
+        elif kind == 13 and flags:                      # flags in another order
+            pairs = [argv[j:j + 2] for j in range(1, len(argv) - 1, 2)]
+            rng.shuffle(pairs)
+            argv[1:] = [tok for pair in pairs for tok in pair] + argv[1 + 2 * len(pairs):]
+    return argv
+
+
+def same_namespace(a, b) -> bool:
+    """The same attributes in the same order with equal values, NaN equal to NaN."""
+    pairs = zip(vars(a).values(), vars(b).values())
+    return list(vars(a)) == list(vars(b)) and all(x == y or x != x and y != y for x, y in pairs)
+
+
 class TestParser:
-    """``main`` builds the arguments of ``argv[0]``'s subcommand only; what it
-    parses and prints must be what the full parser gives."""
+    """``main`` reads a well-formed argv from the option table and hands
+    anything else to the full argparse parser; what it parses and prints
+    must be what that parser gives."""
 
     @pytest.mark.parametrize("argv", SMALL_RUNS, ids=[argv[0] for argv in SMALL_RUNS])
     def test_main_parses_what_the_full_parser_parses(self, monkeypatch, argv):
@@ -402,23 +473,49 @@ class TestParser:
         assert main([*argv, "-o", "out"]) == 0
         assert seen == [build_parser().parse_args([*argv, "-o", "out"])]
 
-    def test_main_builds_one_subcommand(self, monkeypatch):
-        commands, inner = [], stickybm.cli.build_parser
+    def test_main_builds_the_parser_only_when_the_reader_declines(self, monkeypatch, capsys):
+        calls, inner = [], stickybm.cli.build_parser
+        monkeypatch.setattr(stickybm.cli, "build_parser", lambda: calls.append(1) or inner())
+        for argv in SMALL_RUNS:
+            monkeypatch.setattr(stickybm.cli, "_cmd_" + argv[0].replace("-", "_"),
+                                lambda args: 0)
+            assert main([*argv, "-o", "out"]) == 0
+        assert calls == []
+        assert main(["cost", "--a", "1"]) == 2
+        assert calls == [1]
+        assert "the following arguments are required" in capsys.readouterr().err
 
-        def spy(command=None):
-            commands.append(command)
-            return inner(command)
-
-        monkeypatch.setattr(stickybm.cli, "build_parser", spy)
-        monkeypatch.setattr(stickybm.cli, "_cmd_cost", lambda args: 0)
-        assert main(SMALL_RUNS[0]) == 0
-        assert commands == ["cost"]
-        parser = inner("cost")
-        assert list(parser._subparsers._group_actions[0].choices) == ["cost"]
-        usage = parser.format_usage()
-        assert usage == build_parser().format_usage()
-        listed = usage.split("{", 1)[1].split("}", 1)[0].split(",")
-        assert sorted(listed) == sorted(argv[0] for argv in SMALL_RUNS)
+    def test_reader_agrees_with_argparse_on_a_seeded_sweep(self, monkeypatch, capsys):
+        # Every argv the reader accepts parses to argparse's namespace; on
+        # every argv it declines, main prints and returns what argparse does.
+        seen = []
+        for name in stickybm.cli._commands():
+            monkeypatch.setattr(stickybm.cli, "_cmd_" + name.replace("-", "_"),
+                                lambda args: seen.append(args) or 0)
+        readme = [shlex.split(line, comments=True)[1:] for line in readme_cli_lines()]
+        bases = [*readme, *WRITER_RUNS, *BENCHMARK_RUNS]
+        rng = np.random.default_rng(38)
+        argvs = [*bases, *([*argv, "-o", "out"] for argv in bases)]
+        argvs += [_mutations(argvs[int(rng.integers(len(argvs)))], rng) for _ in range(600)]
+        parser, accepted, declined = build_parser(), 0, 0
+        for argv in argvs:
+            args = stickybm.cli._read_argv(argv)
+            if args is not None:
+                accepted += 1
+                assert same_namespace(args, parser.parse_args(argv)), argv
+                continue
+            declined += 1
+            try:
+                expected, code = parser.parse_args(argv), 0
+            except SystemExit as exc:
+                expected, code = None, 2 if exc.code else 0
+            printed = capsys.readouterr()
+            seen.clear()
+            assert main(argv) == code, argv
+            assert capsys.readouterr() == printed, argv
+            assert len(seen) == (expected is not None), argv
+            assert expected is None or same_namespace(seen[0], expected), argv
+        assert accepted > 150 and declined > 400
 
     @pytest.mark.parametrize("argv", [
         ["--help"], ["-h"], *([argv[0], "--help"] for argv in SMALL_RUNS), ["kernel", "-h"],

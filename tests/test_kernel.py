@@ -563,11 +563,18 @@ class TestBatch:
         assert row.shape == (2,) and np.all(row == value)
 
     def test_smaller_passes_leave_values_unchanged(self, monkeypatch):
+        # Passes of 7 on a Gibbs matrix, and of the default size on 1 200
+        # distinct integrands, against one pass over the whole batch.
         params = ModelParams(4.0, 1.0)
-        s, v = _mixed_matrix_gaps()
-        whole = log_sticky_integral(params, SPEC, 0.01, s, v)
-        monkeypatch.setattr(stickybm.kernel, "_MAX_BATCH", 7)
-        assert np.array_equal(log_sticky_integral(params, SPEC, 0.01, s, v), whole)
+        default = stickybm.kernel._MAX_BATCH
+        rng = np.random.default_rng(17)
+        many = rng.uniform(0.0, 1.0, 1200), rng.uniform(0.0, 0.5, 1200)
+        for (s, v), size in ((_mixed_matrix_gaps(), 7), (many, default)):
+            assert s.size > size
+            monkeypatch.setattr(stickybm.kernel, "_MAX_BATCH", s.size)
+            whole = log_sticky_integral(params, SPEC, 0.01, s, v)
+            monkeypatch.setattr(stickybm.kernel, "_MAX_BATCH", size)
+            assert np.array_equal(log_sticky_integral(params, SPEC, 0.01, s, v), whole)
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_horizon_must_be_positive_and_finite(self, t):

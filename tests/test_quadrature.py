@@ -1,9 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from stickybm import quadrature
+from stickybm import kernel, ldp, quadrature
 from stickybm.quadrature import (QuadratureError, QuadratureSpec, gauss_legendre, log_integrate,
                                  logsumexp)
 
@@ -26,6 +27,34 @@ def test_gauss_legendre_normalized():
     nodes, w = gauss_legendre(15)
     assert np.all((nodes > 0) & (nodes < 1))
     assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_the_tabulated_orders_are_the_ones_the_library_passes():
+    target_order = inspect.signature(ldp.log_target_probability).parameters["order"].default
+    assert sorted(quadrature._RULES) == sorted(
+        {kernel._GRID_ORDER, quadrature._ORDER, ldp._SCAN_ORDER, target_order})
+
+
+@pytest.mark.parametrize("n", sorted(quadrature._RULES))
+def test_tabulated_rules_are_leggauss_on_zero_one(n):
+    # Within 2 ulp of numpy's rule on any numpy (equal bit for bit on numpy
+    # 2.4), and exact on monomials up to degree 2n - 1.
+    nodes, w = gauss_legendre(n)
+    x, ref_w = np.polynomial.legendre.leggauss(n)
+    for got, ref in ((nodes, 0.5 * (x + 1.0)), (w, 0.5 * ref_w)):
+        assert got.shape == (n,) and got.dtype == float
+        assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(np.abs(ref)))
+    for k in range(2 * n):
+        assert abs(float(np.sum(w * nodes ** k)) - 1.0 / (k + 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [4, 15, 32])
+def test_cached_rules_are_read_only(n):
+    nodes, w = gauss_legendre(n)
+    for arr in (nodes, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+    assert gauss_legendre(n)[0][0] == nodes[0] != 5.0
 
 
 def test_exponential_integral():

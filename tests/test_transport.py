@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stickybm.transport
-from stickybm.geometry import HalfSpacePoint, ModelParams, cost, geodesic
+from stickybm.geometry import HalfSpacePoint, ModelParams, _gap, cost, geodesic
 from stickybm.kernel import log_densities
 from stickybm.quadrature import QuadratureSpec
 from stickybm.transport import (
@@ -285,6 +285,31 @@ class TestSchrodinger:
         plan = schrodinger(ModelParams(4.0, 1.0), eps, *CRIT10)
         assert plan.marginal_defect() < 1e-9
         assert plan.iterations <= 100
+
+    def test_gibbs_kernel_takes_the_costs_gap_rule_in_d3(self, monkeypatch):
+        # log K is log_densities at geometry._gap's tangential gaps, which
+        # keep a 1e-200 gap that a squared norm rounds to 0.
+        params, eps = ModelParams(4.0, 1.0, 3), 0.5
+        rng = np.random.default_rng(5)
+
+        def atoms(first, n):
+            return (first, *(P(float(rng.choice([0.0, rng.uniform(0, 1)])),
+                               *rng.uniform(-1, 1, 2).tolist()) for _ in range(n)))
+
+        mu0, mu1 = uniform(*atoms(P(0.0, 0.0, 0.0), 5)), uniform(*atoms(P(0.3, 1e-200, 0.0), 6))
+        seen = []
+
+        def spy(*args):
+            seen.append(log_densities(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(stickybm.transport, "log_densities", spy)
+        schrodinger(params, eps, mu0, mu1)
+        diff = mu1.xp()[None, :, :] - mu0.xp()[:, None, :]
+        gap = _gap(diff)
+        assert gap[0, 0] == 1e-200 and np.linalg.norm(diff, axis=-1)[0, 0] == 0.0
+        expected = log_densities(params, SPEC, eps, mu0.x1()[:, None], mu1.x1()[None, :], gap)
+        assert len(seen) == 1 and np.array_equal(seen[0], expected)
 
     @pytest.mark.parametrize("fixture", [CRIT10, MIXED], ids=["criterion10", "mixed"])
     @pytest.mark.parametrize("eps", [0.04, 0.01])
