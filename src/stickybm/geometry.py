@@ -141,14 +141,13 @@ def _check_vec(params: ModelParams, v, name: str) -> np.ndarray:
 
 
 def _gap(diff):
-    """``|x' - y'|`` from the tangential differences on the last axis: the one
-    gap rule of the cost, its batches, the geodesics and the Gibbs kernel.
-
-    Each row's gap is ``math.hypot`` of its differences, which scales its
-    arguments, so gaps below ~1e-154 do not square to zero.  One row is
-    that float; rows in d = 2 are ``|diff|``, which is what ``math.hypot``
-    returns for one argument, and in d >= 3 each row runs through it.
-    """
+    """The Euclidean length of ``diff`` along its last axis: the one length rule,
+    which the cost's gap ``|x' - y'|``, its batches, the geodesics, the Gibbs
+    kernel and ``ldp``'s reference-rate programs use (``pathopt``, the oracle,
+    keeps its own norm).  Each row's length is ``math.hypot`` of its entries,
+    which scales them, so lengths below ~1e-154 do not square to zero.  One
+    row is that float; rows of one entry are ``|diff|``, which is what
+    ``math.hypot`` returns for one argument, and longer rows run through it."""
     diff = np.asarray(diff, dtype=float)
     if diff.ndim == 1:
         return math.hypot(*diff.tolist())
@@ -252,9 +251,9 @@ def sticky_rate(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> fl
 
 
 def euclidean_rate(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    """Interior (Euclidean) rate ``|x - y|^2 / 2``."""
-    d1 = x.x1 - y.x1
-    return 0.5 * (d1 * d1 + _tangential_gap(x, y) ** 2)
+    """Interior (Euclidean) rate ``|x - y|^2 / 2``, squared by products as in the cost."""
+    d1, v = x.x1 - y.x1, _tangential_gap(x, y)
+    return 0.5 * (d1 * d1 + v * v)
 
 
 def cone_threshold(params: ModelParams, x: HalfSpacePoint, y: HalfSpacePoint) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _geodesics, _polyline_at,
+from .geometry import (HalfSpacePoint, ModelParams, _check_dim, _gap, _geodesics, _polyline_at,
                        _sliced_sum, _sticky_rate_core, _tangential_gap)
 from .geometry import cost  # noqa: F401 -- perfbench traces and asserts the ``ldp.cost`` binding
 from .kernel import log_densities
@@ -246,7 +246,7 @@ def _branch_cost(params: ModelParams, x: HalfSpacePoint, dts, sticky, v):
     y = np.vstack([x.coords(), v.reshape(k, d)])
     dx1, s = y[1:, 0] - y[:-1, 0], y[1:, 0] + y[:-1, 0]
     gap = y[1:, 1:] - y[:-1, 1:]
-    v_t = np.linalg.norm(gap, axis=1)
+    v_t = _gap(gap)
     rate, d_s, d_v = _sticky_rate_core(params.a, s, v_t)
     terms = np.where(sticky, rate, 0.5 * (dx1 * dx1 + v_t * v_t))
     unit = gap / np.where(v_t > 0.0, v_t, 1.0)[:, None]
@@ -271,13 +271,13 @@ def _target_constraints(centres, radii, patch) -> list:
 
     def ball_jac(v):
         off = v.reshape(k, d) - centres
-        dist = np.linalg.norm(off, axis=1)
+        dist = _gap(off)
         jac = np.zeros((k, k, d))
         jac[np.arange(k), np.arange(k)] = -off / np.where(dist > 0.0, dist, 1.0)[:, None]
         return jac.reshape(k, k * d)
 
     constraints = [{"type": "ineq", "jac": ball_jac,
-                    "fun": lambda v: radii - np.linalg.norm(v.reshape(k, d) - centres, axis=1)}]
+                    "fun": lambda v: radii - _gap(v.reshape(k, d) - centres)}]
     if any(patch):
         on_b = np.eye(k * d)[np.flatnonzero(patch) * d]
         constraints.append({"type": "eq", "fun": lambda v: v.reshape(k, d)[patch, 0],
@@ -322,7 +322,7 @@ def _nearest(params: ModelParams, x: HalfSpacePoint, target):
     x1 = x.x1
     centre = target.center_tangential if isinstance(target, BoundaryPatch) else target.center.xp
     offset = np.subtract(centre, x.xp)
-    gap = math.hypot(*offset)
+    gap = _gap(offset)
     best, points = math.inf, []         # points: the (y1, rho) candidates for P
     if isinstance(target, Ball):
         c1, r = target.center.x1, target.radius
@@ -392,7 +392,7 @@ def _min_sliced(params: ModelParams, x: HalfSpacePoint, dts, targets) -> float:
         if trace is not None:
             disks.append((np.r_[0.0, trace[0]], trace[1], np.r_[0.0, y[1:]]))
         return [HalfSpacePoint(z[0], z[1:])
-                for z in (o + (p - o) * (h / max(np.linalg.norm(p - o), h)) for o, h, p in disks)]
+                for z in (o + (p - o) * (h / max(_gap(p - o), h)) for o, h, p in disks)]
 
     constraints = _target_constraints(centres, radii, patch)
     bounds = ([(0.0, None)] + [(None, None)] * (d - 1)) * k

@@ -41,8 +41,7 @@ class SimConfig:
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         _check_seed(self.seed)
-        if self.x0.dim != self.params.d:
-            raise ValueError("x0 dimension does not match params.d")
+        _check_dim(self.params, self.x0, "x0")
 
 
 # ---------------------------------------------------------------------------

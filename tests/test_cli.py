@@ -50,6 +50,12 @@ def fresh_python(code: str) -> str:
                           check=True, timeout=60).stdout.strip()
 
 
+def readme_argv(line):
+    """A README line's argv, its ``measures/`` files resolved against the repository."""
+    return [str(ROOT / arg) if arg.startswith("measures/") else arg
+            for arg in shlex.split(line, comments=True)[1:]]
+
+
 class TestDispatch:
     def test_import_leaves_scipy_solvers_unloaded(self):
         # Cold start: scipy.optimize and scipy.special are imported only by
@@ -191,9 +197,7 @@ class TestDispatch:
                                                             "interpolate"]
         monkeypatch.chdir(tmp_path)
         for line in lines:
-            argv = [str(ROOT / arg) if arg.startswith("measures/") else arg
-                    for arg in shlex.split(line, comments=True)[1:]]
-            assert main(argv) == 0, line
+            assert main(readme_argv(line)) == 0, line
         capsys.readouterr()
 
     def test_readme_annotated_examples_print_their_annotation(self, tmp_path, capsys):
@@ -234,6 +238,83 @@ class TestDispatch:
         x, y = (argv[argv.index(k) + 1] for k in ("--x", "--y"))
         assert starts[0] == [float(v) for v in x.split(",")]
         assert ends[-1] == [float(v) for v in y.split(",")]
+
+
+# What each README example prints, token by token, run in a fresh directory
+# on the committed measures.  Counts, strings and closed forms must match
+# exactly (EXACT); numbers made by the kernel or the sampler within 1e-12
+# (KERNEL), since the last bits of numpy's vectorised exp and log can differ
+# between CPUs; HiGHS optima within 1e-9 relative (HIGHS).
+EXACT, KERNEL, HIGHS = "exact", "kernel", "highs"
+README_PRINTS = {
+    "cost": [("0.5", EXACT)],
+    "geodesic": [("three_segment", EXACT), ("12.25", EXACT)],
+    "kernel": [("rows=4160", EXACT), ("trapezoid_mass=0.9999995357299426", KERNEL)],
+    "simulate": [("paths=100", EXACT), ("steps=200", EXACT),
+                 ("boundary_fraction=0.11472636815920398", KERNEL)],
+    "ldp-static": [("extrapolated=0.47774401256705401", KERNEL),
+                   ("reference=0.45124999999999998", EXACT)],
+    "ldp-scan": [("kink=1.8471663850773017", KERNEL),
+                 ("crossing_root=1.9070294784580504", EXACT)],
+    "ldp-path": [("extrapolated=0.17876626672822163", KERNEL),
+                 ("reference=0.18000000000000005", EXACT)],
+    "ot": [("1.1901250000000001", HIGHS)],
+    "sinkhorn": [("value=0.72834137327477466", KERNEL), ("iterations=23", EXACT)],
+    "gamma-limit": [("kantorovich=0.8157291049839539", HIGHS), ("gaps_shrink=True", EXACT)],
+    "interpolate": [("atoms=5", EXACT)],
+}
+# The benchmark's kernel grid at t = 0.01, which README does not show.
+EXTRA_PRINTS = [("stickybm kernel --a 1 --theta 1 --x 0,0 --t 0.01 --grid 16 -o out",
+                 [("rows=272", EXACT), ("trapezoid_mass=1.0006528939479438", KERNEL)])]
+# README's interpolate.csv: coordinates exactly, weights (shares of the HiGHS
+# plan) within 1e-12.
+README_INTERPOLANT = [("0", "1", 0.2), ("0.17524047358083553", "1.1392949192431121", 0.1),
+                      ("0", "0.31698729810778081", 0.2), ("0.90000000000000002", "1", 0.25),
+                      ("0", "2.2598076211353315", 0.25)]
+
+
+def same_token(token: str, expected: str, rule: str) -> bool:
+    key, _, value = token.rpartition("=")
+    key_e, _, value_e = expected.rpartition("=")
+    if rule == EXACT or key != key_e:
+        return token == expected
+    tolerance = 1e-12 if rule == KERNEL else 1e-9 * abs(float(value_e))
+    return abs(float(value) - float(value_e)) <= tolerance
+
+
+README_RUNS = [(line, README_PRINTS[shlex.split(line)[1]]) for line in readme_cli_lines()]
+RESULT_IDS = [shlex.split(line)[1] for line, _ in README_RUNS] + ["kernel-t0.01"]
+
+
+class TestReadmeResults:
+    """README's examples print the results README's readers see.  CI's
+    install job runs this class against the installed package."""
+
+    def test_every_example_is_pinned(self):
+        assert sorted(shlex.split(line)[1] for line, _ in README_RUNS) == sorted(README_PRINTS)
+
+    @pytest.mark.parametrize("line, expected", README_RUNS + EXTRA_PRINTS, ids=RESULT_IDS)
+    def test_example_prints_its_result(self, tmp_path, capsys, monkeypatch, line, expected):
+        monkeypatch.chdir(tmp_path)
+        argv = readme_argv(line)
+        assert main(argv) == 0, line
+        tokens = capsys.readouterr().out.split()
+        assert len(tokens) == len(expected), tokens
+        for token, (want, rule) in zip(tokens, expected):
+            assert same_token(token, want, rule), (token, want, rule)
+        if argv[0] == "interpolate":
+            rows = read_csv(tmp_path / "out" / "interpolate.csv")
+            assert rows[0] == ["x1", "xp1", "weight"]
+            assert [tuple(r[:2]) for r in rows[1:]] == [e[:2] for e in README_INTERPOLANT]
+            assert all(abs(float(r[2]) - e[2]) <= 1e-12
+                       for r, e in zip(rows[1:], README_INTERPOLANT)), rows
+
+    def test_a_wrong_result_is_caught(self):
+        assert same_token("kantorovich=0.8157291049839539", "kantorovich=0.81572910498", HIGHS)
+        assert not same_token("kantorovich=0.8157291", "kantorovich=0.8157291049839539", HIGHS)
+        assert not same_token("value=0.728341373276", "value=0.72834137327477466", KERNEL)
+        assert not same_token("iterations=24", "iterations=23", EXACT)
+        assert not same_token("mass=1.0", "value=1.0", KERNEL)
 
 
 # One small run of each subcommand; {mu0} and {mu1} name two-atom measures.

@@ -351,6 +351,36 @@ def test_only_the_kernel_layer_takes_a_quadrature_spec():
                      "ldp.log_target_probability", "quadrature.log_integrate"]
 
 
+def _numpy_lengths(library):
+    """``module:line`` of each use of numpy's ``linalg.norm`` or ``hypot`` in the
+    library, an import of them included, ``pathopt`` apart."""
+    hits = []
+    for m, tree in library.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = [_dotted(node)] if isinstance(node, ast.Attribute) else []
+            hits += [f"{m}:{node.lineno}" for n in names if m != "pathopt" and n
+                     and n.removeprefix("np.").removeprefix("numpy.") in ("linalg.norm", "hypot")]
+    return hits
+
+
+def test_lengths_take_the_one_length_rule():
+    # Every Euclidean length of the library is ``geometry._gap``, which does
+    # not square a length below ~1e-154 to zero; ``pathopt``, the independent
+    # oracle of the path action, keeps its own norm.
+    hits = _numpy_lengths(_sources()[0])
+    assert not hits, f"numpy lengths outside geometry._gap: {hits}"
+
+
+def test_a_numpy_length_is_caught():
+    library = {"ldp": ast.parse("import numpy as np\nfrom numpy import hypot\n"
+                                "def f(v):\n    return np.linalg.norm(v, axis=1)\n"),
+               "pathopt": ast.parse("import numpy as np\nn = np.linalg.norm([1.0])\n")}
+    assert _numpy_lengths(library) == ["ldp:2", "ldp:4"]
+
+
 # (module, name, positional arguments, keywords) of every call the benchmark makes.
 BENCHMARK_CALLS = [
     ("cli", "main", 1, ()),

@@ -257,6 +257,19 @@ class TestCost:
         x, y = P(0.5, 0.0), P(0.0, 2.0)
         assert cost(p_small, x, y) == euclidean_rate(x, y)
 
+    def test_euclidean_rate_is_the_costs_float_where_it_wins(self):
+        # At a <= 1 the Euclidean branch always wins, and ``euclidean_rate``
+        # squares the gap by a product, as the cost does: the same float.
+        # Squaring by ``** 2`` (libm's pow) moved the last bit on 8 of these.
+        rng = np.random.default_rng(39)
+        n = 20000
+        params = ModelParams(0.8, 1.0)
+        x1, y1 = (np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 3, n)) for _ in range(2))
+        xp, yp = rng.uniform(-4, 4, n), rng.uniform(-4, 4, n)
+        pairs = [(P(*u), P(*w)) for u, w in zip(zip(x1.tolist(), xp.tolist()),
+                                                 zip(y1.tolist(), yp.tolist()))]
+        assert [euclidean_rate(x, y) for x, y in pairs] == [cost(params, x, y) for x, y in pairs]
+
     def test_metric_axioms(self):
         rng = np.random.default_rng(23)
         n = 500

@@ -21,6 +21,7 @@ from stickybm.geometry import (
     euclidean_rate,
     geodesic,
     sticky_rate,
+    _sticky_rate_core,
 )
 from stickybm.ldp import (
     Ball,
@@ -504,6 +505,23 @@ class TestExactGradients:
                 fd = central_differences(con["fun"], v)
                 np.testing.assert_allclose(con["jac"](v), fd, rtol=1e-6,
                                            atol=1e-6 * np.abs(fd).max())
+
+    @pytest.mark.parametrize("offset", [1e-200, -1e-200])
+    def test_tiny_offsets_keep_their_directions(self, offset):
+        # Lengths go through the one length rule, which does not square
+        # 1e-200 to zero: the ball row of a waypoint 1e-200 from its centre
+        # is a unit vector, and a sticky segment whose tangential gap D is
+        # 1e-200 moves along D / |D| = +-1.
+        ball = _target_constraints(np.array([[1.0, 0.0]]), np.array([0.5]), [False])[0]
+        v = np.array([1.0, offset])
+        assert ball["jac"](v).tolist() == [[-0.0, -math.copysign(1.0, offset)]]
+        assert ball["fun"](v).tolist() == [0.5]
+        for x, y1 in ((P(0.0, 0.0), 0.0), (P(1.0, 0.0), 1.0)):   # slanted, then flat branch
+            _, _, d_v = _sticky_rate_core(4.0, x.x1 + y1, 1e-200)
+            _, grad = _branch_cost(ModelParams(4.0, 1.0), x, np.array([1.0]), np.array([True]),
+                                   np.array([y1, offset]))
+            assert float(d_v) > 0.0
+            assert grad[1] == math.copysign(float(d_v), offset)
 
 
 class TestStaticLdp:

@@ -72,6 +72,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(PARAMS, P(0.0, 0.0), 0.1, 10, seed=-1)
 
+    def test_start_dimension_is_the_one_dimension_rule(self):
+        # The same check and message as ``walk``'s start point.
+        with pytest.raises(ValueError, match="^x0 has dimension 3, model expects 2$"):
+            SimConfig(PARAMS, P(0.0, 0.0, 1.0), 0.1, 10, 1)
+
     def test_seed_rejects_a_bool(self):
         # ``True == 1``, but a flag passed as a seed is a mistake, as it is
         # for ``minimize_path_action``'s ``n_segments``.
