@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from .geometry import HalfSpacePoint, ModelParams, cost, geodesic
-from .kernel import log_densities
+from .kernel import _box, log_densities
 from .ldp import Ball, BoundaryPatch, phase_transition_scan, sliced_ldp, static_ldp
 from .quadrature import QuadratureSpec
 from .simulate import SimConfig, simulate_batch
@@ -228,9 +228,7 @@ def _cmd_kernel(args) -> int:
     n = args.grid
     if n < 2:
         raise ValueError(f"grid needs at least 2 points per axis, got {n}")
-    spread = math.sqrt(t) * max(1.0, math.sqrt(params.a))
-    y1_max = x.x1 + _KERNEL_EXTENT * math.sqrt(t)
-    w = _KERNEL_EXTENT * spread
+    y1_max, w = _box(params, t, x.x1, _KERNEL_EXTENT)
     y1s = np.linspace(0.0, y1_max, n)
     yps = np.linspace(x.xp[0] - w, x.xp[0] + w, n)
     # The n x n grid row by row, then the boundary row, which repeats the

@@ -37,16 +37,16 @@ breadth-first batch; it is the one place that handles their shapes, and it
 hands ``log_integrate`` a flat batch of integrands on ``[0, 1]``, one peak
 split each and one integrand per distinct ``(t, s, v)`` triple, so a pair
 that repeats at one horizon (``|y' - x'|`` across a grid's symmetric axis)
-is integrated once, and an experiment's horizons share one batch.
-``log(theta t)`` and the killed kernel's ``log t`` are formed with
-``math.log``, once per distinct horizon, so a value does not depend on the
-other horizons of its batch.  :func:`log_densities` turns such a batch into
-``log q``, and it is the one way to evaluate the kernel.  The building
-blocks ``h``, ``g`` and ``g0`` exist only as their logarithms (``_log_h``,
-``_log_g``, ``_log_killed_kernel``); ``_log_h``, ``_log_g``, the integrand
-and the fixed rule write into one output array per call, not a temporary per
-operator, in the order of the plain expressions (the tests' oracles), so
-their values are the same bits.  The total-mass check
+is integrated once, and an experiment's horizons share one batch.  Every log
+of a horizon is ``np.log``, whose bits do not depend on the layout of its
+array, so a value does not depend on the rest of its batch either.
+:func:`log_densities` turns such a batch into ``log q``, and it is the one
+way to evaluate the kernel.  The building blocks ``h``, ``g`` and ``g0``
+exist only as their logarithms (``_log_h``, ``_log_g``, and ``_log_g`` plus
+the killing term in ``_log_killed_kernel``); ``_log_h``, ``_log_g``, the
+integrand and the fixed rule write into one output array per call, not a
+temporary per operator, in the order of the plain expressions (the tests'
+oracles), so their values are the same bits.  The total-mass check
 :func:`kernel_total_mass` uses the fixed-rule ``_sticky_log_grid`` instead:
 about 10^5 values cost hundredths of a second there against seconds
 adaptively.  The Chapman-Kolmogorov and Fokker-Planck residuals, which only
@@ -112,26 +112,12 @@ def _log_g(t, v, d):
     return np.subtract(lead, out, out=out)
 
 
-def _math_log(x):
-    """``math.log`` of each value of ``x``, formed once per distinct value.
-
-    ``np.log`` differs from ``math.log`` in the last bit on some horizons, and
-    the logs of ``theta t`` and ``t`` keep the bits that ``math.log`` gives a
-    single horizon.
-    """
-    x = np.asarray(x, dtype=float)
-    logs = {h: math.log(h) for h in set(x.ravel().tolist())}
-    return np.array([logs[h] for h in x.ravel().tolist()]).reshape(x.shape)
-
-
 def _log_killed_kernel(t, x1, z):
-    """log g0_t(x1, z) computed as a stable product, -inf on the boundary."""
-    x1 = np.asarray(x1, dtype=float)
-    z = np.asarray(z, dtype=float)
+    """log g0_t(x1, z): the 1-D Gaussian times the killing term, -inf on the boundary."""
     cross = 2.0 * x1 * z / t
     with np.errstate(divide="ignore"):
         correction = np.where(cross > 0, np.log1p(-np.exp(-np.where(cross > 0, cross, 1.0))), -np.inf)
-    return -0.5 * (_math_log(t) + _LOG_2PI) - (x1 - z) ** 2 / (2.0 * t) + correction
+    return _log_g(t, x1 - z, 2) + correction
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +218,7 @@ def log_sticky_integral(params: ModelParams, spec: QuadratureSpec, t, s, v):
     caller = order[opens]
     t, s, v = t[opens], s[opens], v[opens]
     th = params.theta
-    log_th_t = _math_log(th * t)
+    log_th_t = np.log(th * t)
     values = np.empty(s.size)
     for start in range(0, s.size, _MAX_BATCH):
         part = slice(start, start + _MAX_BATCH)
@@ -263,6 +249,14 @@ _GRID_EDGES = np.concatenate([
 ])
 
 
+def _panel_rule(edges):
+    """Nodes and weights of the composite ``_GRID_ORDER``-point Gauss-Legendre
+    rule on the panels between increasing ``edges``."""
+    nodes01, w01 = gauss_legendre(_GRID_ORDER)
+    widths = np.diff(edges)[:, None]
+    return (edges[:-1, None] + widths * nodes01[None, :]).ravel(), (widths * w01[None, :]).ravel()
+
+
 def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
     """Batched fixed-rule log local-time integrals on the (s, v) product grid.
 
@@ -274,11 +268,7 @@ def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
     interior layer.  The separable (node, s) x (node, v) structure turns the
     quadrature into one matrix product per grid.
     """
-    edges = _GRID_EDGES
-    nodes01, w01 = gauss_legendre(_GRID_ORDER)
-    m = (edges[:-1, None] + np.diff(edges)[:, None] * nodes01[None, :]).ravel()
-    w = (np.diff(edges)[:, None] * w01[None, :]).ravel()
-
+    m, w = _panel_rule(_GRID_EDGES)
     s_vals = np.asarray(s_vals, dtype=float).ravel()
     v_vals = np.asarray(v_vals, dtype=float).ravel()
     th, big_a, d = params.theta, params.big_a, params.d
@@ -286,7 +276,7 @@ def _sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
     w_h = (th * t + s_vals[:, None]) - (th * t * m)[None, :]
     f1 = _log_h((t * m)[None, :], w_h, out=w_h)
     f1 += np.log(w)[None, :]
-    f1 += math.log(th * t)
+    f1 += np.log(th * t)
     f2 = _log_g((t * (1.0 + big_a) - t * big_a * m)[None, :], v_vals[:, None], d)
 
     m1 = np.max(f1, axis=1)
@@ -340,6 +330,14 @@ def log_densities(params: ModelParams, spec: QuadratureSpec, t, x1, y1, v) -> np
 # The total-mass check
 # ---------------------------------------------------------------------------
 
+def _box(params: ModelParams, t: float, x1: float, extent: float):
+    """Top height ``x1 + extent sqrt(t)`` and tangential half-width of a box
+    ``extent`` standard deviations out; along the boundary a deviation is
+    ``sqrt(t)`` times ``sqrt(a)`` when ``a > 1``."""
+    root_t = math.sqrt(t)
+    return x1 + extent * root_t, extent * (root_t * max(1.0, math.sqrt(params.a)))
+
+
 def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float:
     """Total mass of the kernel by tensor quadrature (d = 2 or 3).
 
@@ -356,16 +354,8 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float
     if not 0.0 < t < math.inf:
         raise ValueError(f"kernel_total_mass needs 0 < t < inf, got t={t!r}")
     _check_dim(params, x)
-    panels, extent = 8, 8.5
-    x1 = x.x1
-    spread = math.sqrt(t) * max(1.0, math.sqrt(params.a))
-    y1_max = x1 + extent * math.sqrt(t)
-    v_max = extent * spread
-
-    nodes01, w01 = gauss_legendre(_GRID_ORDER)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    u = (edges[:-1, None] + np.diff(edges)[:, None] * nodes01[None, :]).ravel()
-    wu = (np.diff(edges)[:, None] * w01[None, :]).ravel()
+    y1_max, v_max = _box(params, t, x.x1, 8.5)
+    u, wu = _panel_rule(np.linspace(0.0, 1.0, 9))
 
     y1 = np.r_[0.0, u * y1_max]
     w_y1 = np.r_[0.5 / params.theta, wu * y1_max]
@@ -376,6 +366,6 @@ def kernel_total_mass(params: ModelParams, t: float, x: HalfSpacePoint) -> float
     else:
         w_ang = 2.0 * math.pi * v  # radial measure in the tangential plane
 
-    log_st = _sticky_log_grid(params, t, x1 + y1, v)
-    logq = _compose(params, t, x1, y1[:, None], v[None, :], log_st)
+    log_st = _sticky_log_grid(params, t, x.x1 + y1, v)
+    logq = _compose(params, t, x.x1, y1[:, None], v[None, :], log_st)
     return float(w_y1 @ np.exp(logq) @ (w_v * w_ang))

@@ -305,7 +305,7 @@ def reference_sticky_log_grid(params: ModelParams, t: float, s_vals, v_vals):
     v_vals = np.asarray(v_vals, dtype=float).ravel()
     th, big_a, d = params.theta, params.big_a, params.d
     f1 = reference_log_h((t * m)[None, :], (th * t + s_vals[:, None]) - (th * t * m)[None, :])
-    f1 = f1 + np.log(w)[None, :] + math.log(th * t)
+    f1 = f1 + np.log(w)[None, :] + np.log(th * t)
     f2 = reference_log_g((t * (1.0 + big_a) - t * big_a * m)[None, :], v_vals[:, None], d)
     m1 = np.max(f1, axis=1)
     m2 = np.max(f2, axis=1)

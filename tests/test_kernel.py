@@ -615,8 +615,8 @@ class TestBatch:
 
 
 # Horizons at which numpy's vectorized log and math.log round differently on
-# some builds (AVX-512 among them); the kernel forms log(theta t) and log t
-# with math.log, once per distinct horizon.
+# some builds (AVX-512 among them, at 0.020535 and 0.02558); the kernel takes
+# every log of a horizon with np.log.
 _HORIZONS = np.array([0.04, 0.020535, 0.02558, 0.01])
 
 
@@ -631,15 +631,37 @@ class TestHorizonBatch:
         for t, got in zip(_HORIZONS.tolist(), batch):
             assert np.array_equal(got, log_densities(params, SPEC, t, x1, y1, v))
 
-    def test_log_theta_t_is_math_log_of_each_horizon(self):
+    def test_log_theta_t_is_numpy_log_of_each_horizon(self):
         params = ModelParams(2.0, 1.0)
         s, v = _patch_gaps()
         batch = log_sticky_integral(params, SPEC, _HORIZONS[:, None], s, v)
         for t, got in zip(_HORIZONS.tolist(), batch):
             log_f = _sticky_log_integrand_m(params, t, s, v)
-            expected = math.log(params.theta * t) + log_integrate(
+            expected = np.log(params.theta * t) + log_integrate(
                 log_f, _sticky_peak_m(log_f, s.size), SPEC)
             assert np.array_equal(got, expected)
+
+    def test_values_do_not_depend_on_the_layout_of_their_arrays(self):
+        # A contiguous column of horizons, a strided view, a broadcast view
+        # and one 0-d horizon at a time give the same bits, and so does a
+        # 0-d point: at these three, numpy's scalar ``(x1 - y1) ** 2`` (libm's
+        # pow) and the product that an array takes differ in the last bit.
+        params = ModelParams(4.0, 1.0)
+        x1 = np.array([0.3225891321582967, 0.47356223438707074, 1.3776593729363977, 0.0])
+        y1 = np.array([1.1648336142304088, 1.8189628321733948, 0.7676855225445713, 0.4])
+        v = np.array([0.5, 0.0, 1.2, 0.7])
+        expected = log_densities(params, SPEC, np.ascontiguousarray(_HORIZONS[:, None]), x1, y1, v)
+        strided = np.repeat(_HORIZONS, 3)[::3, None]
+        broadcast = np.broadcast_to(_HORIZONS[:, None], (4, 4))
+        assert not strided.flags.contiguous and broadcast.strides[1] == 0
+        for t in (strided, broadcast):
+            assert np.array_equal(log_densities(params, SPEC, t, x1, y1, v), expected)
+        for t, row in zip(_HORIZONS, expected):
+            assert np.array_equal(log_densities(params, SPEC, np.array(t), x1, y1, v), row)
+            for k in range(x1.size):
+                point = log_densities(params, SPEC, np.array(t), np.array(x1[k]),
+                                      np.array(y1[k]), np.array(v[k]))
+                assert point == row[k]
 
     def test_one_integrand_per_distinct_triple(self, monkeypatch):
         # (s, v) = (0.3, 1.0) at two horizons is two integrals; the repeated

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -265,6 +266,17 @@ class TestSchrodinger:
         with pytest.raises(TransportConvergenceError) as err:
             schrodinger(params, 0.05, mu0, mu1)
         assert err.value.marginal_error > 0
+
+    def test_newton_step_with_no_acceptable_length_returns_the_potentials(self):
+        # From a plan of 1e-200 entries with uniform marginals the Newton
+        # step is about 1e200 long, and every one of the _HALVINGS lengths
+        # overflows the dual: the step is given up, silently.
+        pi, a = np.full((3, 3), 1e-200), np.full(3, 1.0 / 3.0)
+        alpha, beta = np.zeros(3), np.zeros(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stickybm.transport._newton_step(pi, a, a, alpha, beta)
+        assert got[0] is alpha and got[1] is beta
 
     def test_small_epsilon_stays_finite(self):
         # kernel entries span hundreds of orders of magnitude at eps = 1e-3
